@@ -10,18 +10,10 @@ to 0, except that the character mod 1 is identically 1 (including at 0).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .cyclo import CycloNumber, cyclo_field, euler_phi, factorize
-
-
-def _divisors(n: int) -> list[int]:
-    ds = [1]
-    for p, e in factorize(n).items():
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
+from .cyclo import CycloNumber, cyclo_field, divisors, euler_phi, factorize
 
 
 def _primitive_root(p: int, e: int) -> int:
@@ -155,7 +147,7 @@ class DirichletCharacter:
 
     def _conductor(self) -> int:
         d = self.group.modulus
-        for f in _divisors(d):
+        for f in divisors(d):
             if all(self.value_exponent(a) == 0
                    for a in range(1, d + 1, f)
                    if math.gcd(a, d) == 1):

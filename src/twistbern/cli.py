@@ -1,8 +1,9 @@
 """Command-line interface: tables, single verifications, and grid sweeps.
 
 Exit codes are stable across subcommands: 0 = all checks pass, 1 = a
-mathematical mismatch was found, 2 = usage or parameter error.  Rationals are
-always serialized as strings like "p/q", never as floats.
+mathematical mismatch was found, 2 = usage or parameter error, 3 = internal
+error (a crash, never reported as a mismatch).  Rationals are always
+serialized as strings like "p/q", never as floats.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -21,8 +24,9 @@ from .padic import convergence_check
 from .symmetry import (THEOREM_IDS, QuotientSpec, _FAMILY_MAX_I,
                        permutation_invariance_check, verify_theorem)
 
-_USAGE_ERROR = 2
 _MISMATCH = 1
+_USAGE_ERROR = 2
+_INTERNAL_ERROR = 3
 
 
 @dataclass
@@ -216,12 +220,22 @@ def _worker(task):
     return _grid_point_rows(point, n_max, truncation)
 
 
+def effective_jobs(jobs: int, points: int) -> int:
+    """Worker processes actually started: min(jobs, points, cpu count), >= 1.
+
+    The pool starts all of its workers at once, so a large --jobs must not
+    reach it unclamped.
+    """
+    return max(1, min(jobs, points, os.cpu_count() or 1))
+
+
 def run_grid(spec: GridSpec) -> dict:
     """Run all verifiers over the grid; deterministic row order."""
     points = spec.points()
     tasks = [(pt, spec.n_max, spec.truncation) for pt in points]
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    jobs = effective_jobs(spec.jobs, len(tasks))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_worker, tasks))
     else:
         chunks = [_worker(t) for t in tasks]
@@ -367,6 +381,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return _INTERNAL_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,23 +1,26 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_L), the numeric base of the package.
 
-Elements are represented in Q[x]/Phi_L(x) with rational coefficient vectors of
-length phi(L), so equality of field elements is decidable by comparing reduced
-coefficient vectors.  All values are immutable and every operation is exact;
-there is no floating point anywhere.
+Elements are represented in Q[x]/Phi_L(x) as phi(L) integer numerators over
+one shared positive denominator, the layout of FLINT's fmpq_poly and ANTIC's
+nf_elem.  Every element is kept canonical (gcd(den, *num) == 1, zero is
+(0, ..., 0)/1), so equality of field elements is a comparison of integer
+tuples.  A product is an integer convolution reduced by fixed integer rows of
+x^k mod Phi_L, followed by one gcd; inversion is an extended Euclid in Z[x].
+Rational coordinates are available as Fractions through ``coeffs``.  All
+values are immutable and every operation is exact; there is no floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
-# Rational coefficients are stdlib Fractions: arbitrary precision, always
-# stored reduced with positive denominator.
+# Rational scalars are stdlib Fractions: arbitrary precision, always reduced
+# with positive denominator.
 Rational = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -84,78 +87,143 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _deg(p: list[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
+def _content_sign(r: list[int]) -> int:
+    # Content of a nonzero integer polynomial, signed so that dividing by it
+    # leaves a positive leading coefficient (r is trimmed: r[-1] != 0).
+    g = math.gcd(*r)
+    return -g if r[-1] < 0 else g
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    # Division with remainder in Q[x]; b must be nonzero.
-    da, db = _deg(a), _deg(b)
+def _trim(r: list[int]) -> list[int]:
+    while len(r) > 1 and not r[-1]:
+        r.pop()
+    return r
+
+
+def _pseudo_divmod(a: list[int], b: list[int]):
+    """(q, r, e) with lc(b)^e * a = q*b + r and deg r < deg b, all over Z.
+
+    a and b are trimmed integer polynomials with deg a >= deg b.  The scaling
+    by lc(b) is applied only at steps that need it, so e = 0 when b is monic.
+    """
+    db = len(b) - 1
+    lead = b[-1]
+    low = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
     r = list(a)
-    q = [_ZERO] * max(da - db + 1, 1)
-    inv_lead = 1 / b[db]
-    for i in range(da - db, -1, -1):
-        c = r[i + db] * inv_lead
+    n = len(a) - db
+    q = [0] * n
+    e = 0
+    for i in range(n - 1, -1, -1):
+        c = r[i + db]
+        if not c:
+            continue
+        if lead != 1:
+            for k in range(i + db):
+                r[k] *= lead
+            for k in range(i + 1, n):
+                q[k] *= lead
+            e += 1
         q[i] = c
-        if c:
-            for j in range(db + 1):
-                r[i + j] -= c * b[j]
-    return q, r
+        for j, bj in low:
+            r[i + j] -= c * bj
+    return q, _trim(r[:db]), e
+
+
+def _poly_inverse(a: list[int], modulus: tuple[int, ...]) -> tuple[list[int], int]:
+    """(s, m) with s*a = m (mod modulus), m a nonzero integer.
+
+    Extended Euclid in Z[x] that tracks only the cofactor of a: every
+    remainder is replaced by its primitive part (its content moves into m),
+    and each cofactor pair (s, m) is divided by its common content, so the
+    integers stay small without any rational arithmetic.
+    """
+    r0, r1 = list(modulus), _trim(list(a))
+    c = _content_sign(r1)
+    r1 = [x // c for x in r1]
+    # invariants: s0*a = m0*r0 and s1*a = m1*r1 (mod modulus)
+    s0, m0, s1, m1 = [0], 1, [1], c
+    while len(r1) > 1:
+        q, r, e = _pseudo_divmod(r0, r1)
+        if not any(r):
+            raise ArithmeticError("modulus is not coprime to the element")
+        # lead^e*r0 = q*r1 + r  gives  (m1*lead^e*s0 - m0*q*s1)*a = m0*m1*r
+        k0 = m1 * r1[-1] ** e
+        s = [k0 * x for x in s0] + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            if qi:
+                qi *= m0
+                for j, sj in enumerate(s1):
+                    if sj:
+                        s[i + j] -= qi * sj
+        c = _content_sign(r)
+        r = [x // c for x in r]
+        m = m0 * m1 * c
+        g = math.gcd(m, *s)
+        r0, r1 = r1, r
+        s0, m0, s1, m1 = s1, m1, [x // g for x in s], m // g
+    return s1, m1
 
 
 class CycloField:
     """The cyclotomic field Q(zeta_L), L = order, as Q[x]/Phi_L(x)."""
 
-    __slots__ = ("order", "modulus", "degree", "_red", "_zeta_pows", "zero", "one")
+    __slots__ = ("order", "modulus", "degree", "_base", "_red", "_roots",
+                 "zero", "one")
 
     def __init__(self, order: int):
         if order < 1:
             raise ValueError("field order must be >= 1")
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
-        self.degree = len(self.modulus) - 1
-        # Reduction rows: x^k mod Phi_L for k = degree .. 2*degree-2, as
-        # integer vectors (Phi_L is monic with integer coefficients).
+        self.degree = deg = len(self.modulus) - 1
+        # Phi_L is monic, so x^degree = base (an integer vector)
         base = [-c for c in self.modulus[:-1]]
+        self._base = tuple(base)
+        # Reduction rows: x^k mod Phi_L for k = degree .. 2*degree-2, kept
+        # as the (index, integer coefficient) pairs of their nonzero entries.
         rows = []
         cur = base[:]
-        rows.append(tuple(cur))
-        for _ in range(self.degree - 2):
+        for _ in range(deg - 1):
+            rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
             top = cur[-1]
             cur = [0] + cur[:-1]
             if top:
                 cur = [c + top * b for c, b in zip(cur, base)]
-            rows.append(tuple(cur))
-        self._red = rows
-        self.zero = CycloNumber(self, (_ZERO,) * self.degree)
-        self.one = CycloNumber(self, (_ONE,) + (_ZERO,) * (self.degree - 1))
-        self._zeta_pows: list[CycloNumber] | None = None
+        self._red = tuple(rows)
+        self._roots: dict[int, CycloNumber] = {}
+        self.zero = CycloNumber(self, (0,) * deg, 1)
+        self.one = CycloNumber(self, (1,) + (0,) * (deg - 1), 1)
 
     def from_rational(self, q) -> CycloNumber:
-        return CycloNumber(self, (Fraction(q),) + (_ZERO,) * (self.degree - 1))
+        q = Fraction(q)
+        return CycloNumber(self, (q.numerator,) + (0,) * (self.degree - 1),
+                           q.denominator)
 
     def element(self, coeffs) -> CycloNumber:
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != self.degree:
             raise ValueError("coefficient vector has wrong length for this field")
-        return CycloNumber(self, coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return CycloNumber(self, tuple(c.numerator * (den // c.denominator)
+                                       for c in coeffs), den)
 
     def root(self, k: int) -> CycloNumber:
         """zeta_L^k, reduced mod Phi_L; k is taken mod L."""
-        if self._zeta_pows is None:
-            pows = [self.one]
-            if self.degree >= 2:
-                zeta = CycloNumber(
-                    self, (_ZERO, _ONE) + (_ZERO,) * (self.degree - 2))
-            else:
-                zeta = CycloNumber(self, (Fraction(self._red[0][0]),))
-            for _ in range(self.order - 1):
-                pows.append(pows[-1] * zeta)
-            self._zeta_pows = pows
-        return self._zeta_pows[k % self.order]
+        e = k % self.order
+        z = self._roots.get(e)
+        if z is None:
+            deg = self.degree
+            low = [(j, bj) for j, bj in enumerate(self._base) if bj]
+            v = [0] * max(e + 1, deg)
+            v[e] = 1
+            for top in range(e, deg - 1, -1):
+                c = v[top]
+                if c:
+                    v[top] = 0
+                    for j, bj in low:
+                        v[top - deg + j] += c * bj
+            z = self._roots[e] = CycloNumber(self, tuple(v[:deg]), 1)
+        return z
 
     def __eq__(self, other):
         return isinstance(other, CycloField) and other.order == self.order
@@ -172,16 +240,66 @@ def cyclo_field(order: int) -> CycloField:
     return CycloField(order)
 
 
+def _canonical(field: CycloField, num, den: int) -> CycloNumber:
+    # num/den with den != 0, brought to canonical form
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
+    return CycloNumber(field, tuple(num), den)
+
+
+def _sum(field: CycloField, a: tuple, da: int, b, db: int) -> CycloNumber:
+    """a/da + b/db for canonical operands, reduced as Fraction addition is.
+
+    Only primes of gcd(da, db) can divide the result's content and
+    denominator together, so the final gcd is taken against that alone.
+    """
+    if da == db:
+        num = tuple(map(operator.add, a, b))
+        if da == 1:
+            return CycloNumber(field, num, 1)
+        g = math.gcd(da, *num)
+        if g == 1:
+            return CycloNumber(field, num, da)
+        return CycloNumber(field, tuple(c // g for c in num), da // g)
+    g = math.gcd(da, db)
+    if g == 1:
+        return CycloNumber(field, tuple(x * db + y * da for x, y in zip(a, b)),
+                           da * db)
+    sa, sb = da // g, db // g
+    num = tuple(x * sb + y * sa for x, y in zip(a, b))
+    g = math.gcd(g, *num)
+    if g == 1:
+        return CycloNumber(field, num, sa * db)
+    return CycloNumber(field, tuple(c // g for c in num), sa * (db // g))
+
+
 class CycloNumber:
-    """An element of Q(zeta_L): phi(L) rational coordinates w.r.t. 1, zeta, ..."""
+    """An element of Q(zeta_L): integer coordinates num w.r.t. 1, zeta, ...,
+    over one positive denominator den.
 
-    __slots__ = ("field", "coeffs")
+    The form is canonical (gcd(den, *num) == 1, zero is (0, ..., 0)/1), so
+    equality and hashing compare the integer tuples directly.  The
+    constructor is internal: it trusts its arguments to be canonical and
+    does not check them.  Build elements with ``CycloField.element``,
+    ``CycloField.from_rational``, ``CycloField.root`` or arithmetic.
+    """
 
-    def __init__(self, field: CycloField, coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CycloField, num: tuple, den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
 
-    # -- coercion ---------------------------------------------------------
+    @property
+    def coeffs(self) -> tuple:
+        """The rational coordinates, as Fractions (a read-only view)."""
+        d = self.den
+        return tuple(Fraction(c, d) for c in self.num)
 
     def _lift(self, other):
         if isinstance(other, CycloNumber):
@@ -195,11 +313,20 @@ class CycloNumber:
     # -- ring/field operations --------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return CycloNumber(self.field,
-                           tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if isinstance(other, CycloNumber):
+            f = self.field
+            if other.field is not f and other.field.order != f.order:
+                raise ValueError("field mismatch")
+            return _sum(f, self.num, self.den, other.num, other.den)
+        if isinstance(other, int):
+            n = self.num
+            return CycloNumber(self.field, (n[0] + other * self.den,) + n[1:],
+                               self.den)
+        if isinstance(other, Fraction):
+            return _sum(self.field, self.num, self.den,
+                        (other.numerator,) + (0,) * (self.field.degree - 1),
+                        other.denominator)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -207,8 +334,8 @@ class CycloNumber:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return CycloNumber(self.field,
-                           tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _sum(self.field, self.num, self.den,
+                    tuple(map(operator.neg, o.num)), o.den)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -217,77 +344,82 @@ class CycloNumber:
         return o - self
 
     def __neg__(self):
-        return CycloNumber(self.field, tuple(-a for a in self.coeffs))
+        return CycloNumber(self.field, tuple(map(operator.neg, self.num)),
+                           self.den)
+
+    def _scale(self, p: int, q: int) -> CycloNumber:
+        # self * p/q for coprime p, q with q > 0; cancelling gcd(den, p) and
+        # gcd(q, *num) beforehand leaves the result canonical
+        if not p:
+            return self.field.zero
+        num, den = self.num, self.den
+        if den != 1:
+            g = math.gcd(den, p)
+            if g != 1:
+                p //= g
+                den //= g
+        if q != 1:
+            h = math.gcd(q, *num)
+            if h != 1:
+                num = tuple([c // h for c in num])
+                q //= h
+            den *= q
+        if p != 1:
+            num = tuple([c * p for c in num])
+        return CycloNumber(self.field, num, den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return self.field.zero
-            f = Fraction(other)
-            return CycloNumber(self.field, tuple(a * f for a in self.coeffs))
         if not isinstance(other, CycloNumber):
+            if isinstance(other, int):
+                return self._scale(other, 1)
+            if isinstance(other, Fraction):
+                return self._scale(other.numerator, other.denominator)
             return NotImplemented
-        if other.field.order != self.field.order:
+        f = self.field
+        if other.field is not f and other.field.order != f.order:
             raise ValueError("field mismatch")
-        a, b = self.coeffs, other.coeffs
-        deg = self.field.degree
-        conv = [_ZERO] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:deg]
-        red = self.field._red
-        for k in range(deg, 2 * deg - 1):
-            ck = conv[k]
-            if ck:
-                row = red[k - deg]
-                for i, ri in enumerate(row):
-                    if ri:
+        a, b = self.num, other.num
+        den = self.den * other.den
+        deg = f.degree
+        if deg == 1:
+            out = (a[0] * b[0],)
+        else:
+            conv = [0] * (2 * deg - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for k, bj in enumerate(b, i):
+                        conv[k] += ai * bj
+            out = conv[:deg]
+            for ck, row in zip(conv[deg:], f._red):
+                if ck:
+                    for i, ri in row:
                         out[i] += ck * ri
-        return CycloNumber(self.field, tuple(out))
+            out = tuple(out)
+        if den != 1:
+            g = math.gcd(den, *out)
+            if g != 1:
+                return CycloNumber(f, tuple([c // g for c in out]), den // g)
+        return CycloNumber(f, out, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNumber:
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse via the extended Euclidean algorithm in Z[x]."""
         if self.is_zero():
             raise ZeroDivisionError("zero divisor")
-        deg = self.field.degree
-        if deg == 1:
-            return CycloNumber(self.field, (1 / self.coeffs[0],))
-        mod = [Fraction(c) for c in self.field.modulus]
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while _deg(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            # s_new = s0 - q*s1
-            prod = [_ZERO] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        if sj:
-                            prod[i + j] += qi * sj
-            s_new = [_ZERO] * max(len(s0), len(prod))
-            for i, c in enumerate(s0):
-                s_new[i] += c
-            for i, c in enumerate(prod):
-                s_new[i] -= c
-            s0, s1 = s1, s_new
-        if _deg(r1) != 0:
-            raise ArithmeticError("modulus is not coprime to the element")
-        c = r1[0]
-        out = [v / c for v in s1[:deg]]
-        out += [_ZERO] * (deg - len(out))
-        return CycloNumber(self.field, tuple(out))
+        f = self.field
+        s, m = _poly_inverse(list(self.num), f.modulus)
+        s = [c * self.den for c in s] + [0] * (f.degree - len(s))
+        return _canonical(f, s, m)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("zero divisor")
-            return self * (Fraction(1) / Fraction(other))
+            q = Fraction(other)
+            if q.numerator < 0:
+                return self._scale(-q.denominator, -q.numerator)
+            return self._scale(q.denominator, q.numerator)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -314,13 +446,13 @@ class CycloNumber:
     # -- predicates and hashing -------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self == self.field.one
+        return self.den == 1 and self.num == self.field.one.num
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -328,20 +460,20 @@ class CycloNumber:
         if not isinstance(other, CycloNumber):
             return NotImplemented
         return (other.field.order == self.field.order
-                and other.coeffs == self.coeffs)
+                and other.den == self.den and other.num == self.num)
 
     def __hash__(self):
-        return hash((self.field.order, self.coeffs))
+        return hash((self.field.order, self.num, self.den))
 
     # -- rational view ------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def multiplicative_order(self) -> int:
         """Exact order as a root of unity; raises if the element is not one."""
@@ -404,15 +536,17 @@ def embed_into(x: CycloNumber, field: CycloField) -> CycloNumber:
     ring homomorphism.
     """
     if x.field.order == field.order:
-        return CycloNumber(field, x.coeffs)
+        return x if x.field is field else CycloNumber(field, x.num, x.den)
     if field.order % x.field.order:
         raise ValueError("target field order must be a multiple of the source")
     step = field.order // x.field.order
-    acc = field.zero
-    for i, c in enumerate(x.coeffs):
+    acc = [0] * field.degree
+    for i, c in enumerate(x.num):
         if c:
-            acc = acc + field.root(step * i) * c
-    return acc
+            for j, r in enumerate(field.root(step * i).num):
+                if r:
+                    acc[j] += c * r
+    return _canonical(field, acc, x.den)
 
 
 def field_join(a: CycloNumber, b: CycloNumber) -> tuple[CycloNumber, CycloNumber]:

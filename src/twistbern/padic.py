@@ -44,52 +44,43 @@ def padic_context(p: int, s: int) -> PadicContext:
     return PadicContext(p, s, cyclo_field(order), euler_phi(order))
 
 
-def _rational_val(q: Fraction, p: int) -> int:
-    # p-adic valuation of a nonzero rational
+def _pval(n: int, p: int) -> int:
+    # p-adic valuation of a nonzero integer
     v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
 def pi_valuation(alpha: CycloNumber, pctx: PadicContext):
     """v(alpha) with v(p) = 1, as a Fraction; v(0) is +infinity.
 
-    The rational content's p-power is split off first; the remaining
-    p-integral part is reduced through Z[zeta]/(pi) = F_p (coefficient sum
-    mod p) and divided exactly by 1 - zeta until the reduction is nonzero,
-    each division contributing 1/e.
+    The rational content's p-power is read off the integer numerators and
+    the denominator and split off first.  The remaining p-integral part has
+    a denominator prime to p, so its reduction through Z[zeta]/(pi) = F_p
+    (zeta -> 1) vanishes iff p divides the sum of its numerators; while it
+    does, the part is multiplied by 1/pi (inverted once per call), each
+    step contributing 1/e.
     """
     if alpha.field.order != pctx.field.order:
         raise ValueError("element lies outside the stated field")
     if alpha.is_zero():
         return INFINITE
     p = pctx.p
-    content = min(_rational_val(c, p) for c in alpha.coeffs if c)
-    beta = alpha * Fraction(1, p**content) if content >= 0 \
-        else alpha * Fraction(p**(-content))
+    top = _pval(math.gcd(*alpha.num), p)
+    bottom = _pval(alpha.den, p)
+    beta = alpha * Fraction(p**bottom, p**top)
     steps = 0
     if pctx.field.degree >= 2:
-        pi = pctx.field.one - pctx.field.root(1)
+        pi_inv = (pctx.field.one - pctx.field.root(1)).inverse()
         limit = pctx.ramification * (64 + pctx.field.degree)
-        while True:
-            residue = 0
-            for c in beta.coeffs:
-                if c:
-                    residue = (residue + c.numerator
-                               * pow(c.denominator, -1, p)) % p
-            if residue:
-                break
-            beta = beta / pi
+        while sum(beta.num) % p == 0:
+            beta = beta * pi_inv
             steps += 1
             if steps > limit:
                 raise ArithmeticError("pi-division did not terminate")
-    return Fraction(content) + Fraction(steps, pctx.ramification)
+    return Fraction(top - bottom) + Fraction(steps, pctx.ramification)
 
 
 def volkenborn_partial(ctx: TwistContext, k: int, level: int) -> CycloNumber:

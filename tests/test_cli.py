@@ -179,3 +179,54 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("index,")
+
+
+def test_internal_error_is_not_a_mismatch(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "cmd_chars", crash)
+    code, out, err = run(capsys, "chars", "--d", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:") and "boom" in err
+    # parameter errors keep their own code
+    code, _, err = run(capsys, "bernoulli", "--d", "1", "--char", "7")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_effective_jobs_clamp(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli.effective_jobs(10**6, 100) == 4
+    assert cli.effective_jobs(10**6, 3) == 3
+    assert cli.effective_jobs(2, 100) == 2
+    assert cli.effective_jobs(0, 100) == 1
+    assert cli.effective_jobs(-5, 100) == 1
+    assert cli.effective_jobs(8, 0) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli.effective_jobs(8, 100) == 1
+
+
+def test_run_grid_starts_at_most_the_clamped_pool(monkeypatch):
+    # the pool is replaced by a serial stand-in, so no process is started
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    spec = GridSpec(d_list=[1, 3], char_selector="primitive", xi_orders=[1],
+                    w_list=[(1, 1, 1)], n_max=1, truncation=1, jobs=10**6)
+    out = run_grid(spec)
+    assert started == [2]
+    assert out["summary"]["failed"] == 0

@@ -1,0 +1,186 @@
+"""Differential test of the integer-vector cyclotomic core.
+
+Every operation is checked against a small, independent reference that
+works on Fraction coefficient vectors in Q[x]/Phi_L(x) with schoolbook
+polynomial arithmetic, and every result is checked to be in canonical form.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from twistbern.cyclo import (CycloNumber, cyclo_field,  # noqa: E402
+                             cyclotomic_polynomial, embed_into)
+
+ORDERS = (1, 2, 3, 4, 5, 8, 12, 15, 60)
+SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
+                    database=None)
+
+
+# -- reference: Fraction vectors, remainder by the monic modulus ------------
+
+def ref_reduce(poly, order):
+    mod = cyclotomic_polynomial(order)
+    deg = len(mod) - 1
+    r = [Fraction(c) for c in poly] + [Fraction(0)] * max(0, deg - len(poly))
+    for top in range(len(r) - 1, deg - 1, -1):
+        c = r[top]
+        if c:
+            for j, m in enumerate(mod):
+                r[top - deg + j] -= c * m
+    return tuple(r[:deg])
+
+
+def ref_mul(a, b, order):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_reduce(out, order)
+
+
+def ref_root(k, order):
+    e = k % order
+    return ref_reduce([0] * e + [1], order)
+
+
+def ref_embed(a, source, target):
+    step = target // source
+    out = [Fraction(0)] * (step * (len(a) - 1) + 1)
+    for i, c in enumerate(a):
+        out[step * i] += c
+    return ref_reduce(out, target)
+
+
+def assert_canonical(x: CycloNumber):
+    assert len(x.num) == x.field.degree
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+# -- strategies ---------------------------------------------------------------
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)))
+
+
+@st.composite
+def element_of(draw, order):
+    field = cyclo_field(order)
+    coeffs = draw(st.lists(rationals, min_size=field.degree,
+                           max_size=field.degree))
+    return field.element(coeffs)
+
+
+@st.composite
+def pair(draw):
+    order = draw(st.sampled_from(ORDERS))
+    return draw(element_of(order)), draw(element_of(order))
+
+
+scalars = st.one_of(st.integers(-50, 50),
+                    st.builds(Fraction, st.integers(-50, 50),
+                              st.integers(1, 30)))
+
+
+# -- properties ------------------------------------------------------------------
+
+@SETTINGS
+@given(pair())
+def test_ring_operations_match_reference(ab):
+    a, b = ab
+    L = a.field.order
+    for x in (a, b):
+        assert_canonical(x)
+    s, d, p = a + b, a - b, a * b
+    for x in (s, d, p, -a):
+        assert_canonical(x)
+    assert s.coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    assert d.coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+    assert p.coeffs == ref_mul(a.coeffs, b.coeffs, L)
+    assert (-a).coeffs == tuple(-x for x in a.coeffs)
+    assert (a == b) == (a.coeffs == b.coeffs)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@SETTINGS
+@given(pair(), scalars)
+def test_scalar_operations_match_reference(ab, q):
+    a, _ = ab
+    for x in (a * q, q * a, a + q, q + a, a - q, q - a):
+        assert_canonical(x)
+    assert (a * q).coeffs == tuple(c * q for c in a.coeffs)
+    assert (q * a) == a * q
+    assert (a + q).coeffs == (a.coeffs[0] + q,) + a.coeffs[1:]
+    assert (q - a).coeffs == tuple(-c for c in (a - q).coeffs)
+    if q:
+        assert_canonical(a / q)
+        assert (a / q).coeffs == tuple(c / Fraction(q) for c in a.coeffs)
+
+
+@SETTINGS
+@given(pair())
+def test_inverse_against_reference_product(ab):
+    a, b = ab
+    L = a.field.order
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    inv = a.inverse()
+    assert_canonical(inv)
+    one = (Fraction(1),) + (Fraction(0),) * (a.field.degree - 1)
+    assert ref_mul(a.coeffs, inv.coeffs, L) == one
+    assert a * inv == 1
+    q = b / a
+    assert_canonical(q)
+    assert ref_mul(q.coeffs, a.coeffs, L) == b.coeffs
+
+
+@SETTINGS
+@given(st.sampled_from(ORDERS), st.integers(-200, 200))
+def test_root_matches_reference(order, k):
+    z = cyclo_field(order).root(k)
+    assert_canonical(z)
+    assert z.coeffs == ref_root(k, order)
+    assert z == cyclo_field(order).root(1) ** (k % order)
+
+
+EMBEDDINGS = [(s, t) for s in ORDERS for t in ORDERS if s < t and t % s == 0]
+
+
+@SETTINGS
+@given(st.sampled_from(EMBEDDINGS), st.data())
+def test_embed_into_is_a_ring_homomorphism(st_pair, data):
+    source, target = st_pair
+    a = data.draw(element_of(source))
+    b = data.draw(element_of(source))
+    field = cyclo_field(target)
+    ea, eb = embed_into(a, field), embed_into(b, field)
+    for x in (ea, eb):
+        assert_canonical(x)
+    assert ea.coeffs == ref_embed(a.coeffs, source, target)
+    assert embed_into(a + b, field) == ea + eb
+    assert embed_into(a * b, field) == ea * eb
+    assert embed_into(a.field.one, field) == field.one
+
+
+def test_canonical_zero_and_one():
+    for order in ORDERS:
+        f = cyclo_field(order)
+        assert f.zero.num == (0,) * f.degree and f.zero.den == 1
+        x = f.element([Fraction(k + 1, 3) for k in range(f.degree)])
+        z = x - x
+        assert_canonical(z)
+        assert z == f.zero and hash(z) == hash(f.zero)
+        assert x * x.inverse() == f.one

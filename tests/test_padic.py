@@ -106,3 +106,43 @@ def test_padic_context_validation():
     pctx = padic_context(2, 2)
     assert pctx.ramification == 2
     assert pctx.field.order == 4
+
+
+def _valuation_by_division(alpha, pctx):
+    # reference: rational content from the Fraction view, then repeated
+    # division by pi while the reduction mod pi vanishes
+    p = pctx.p
+    content = min(_rational_val(c, p) for c in alpha.coeffs if c)
+    beta = alpha / Fraction(p) ** content
+    pi = pctx.field.one - pctx.field.root(1)
+    steps = 0
+    while pctx.field.degree >= 2 and sum(
+            c.numerator * pow(c.denominator, -1, p) for c in beta.coeffs) % p == 0:
+        beta = beta / pi
+        steps += 1
+    return Fraction(content) + Fraction(steps, pctx.ramification)
+
+
+def _rational_val(q, p):
+    v = 0
+    num, den = q.numerator, q.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def test_pi_valuation_matches_division_reference():
+    for p, s in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
+        pctx = padic_context(p, s)
+        f = pctx.field
+        pi = f.one - f.root(1)
+        z = f.root(1)
+        samples = [f.from_rational(Fraction(p**3, 7)), pi ** 5 * Fraction(2, 9),
+                   (z + 3) * pi ** 2 / p**2, z ** 2 - z * Fraction(1, p) + 4,
+                   f.from_rational(Fraction(5, p**2)) * pi ** (f.degree + 1)]
+        for a in samples:
+            assert pi_valuation(a, pctx) == _valuation_by_division(a, pctx)
