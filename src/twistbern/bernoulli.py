@@ -253,6 +253,8 @@ def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
     """
     if w < 1:
         raise ValueError("w must be >= 1")
+    if k_max < 0:
+        raise ValueError("truncation must be >= 0")
     d = ctx.d
     params = dict(ctx.params(), w=w, k_max=k_max)
 

@@ -53,6 +53,10 @@ class GridSpec:
             raise ValueError("xi orders must be >= 1")
         if any(len(w) != 3 or min(w) < 1 for w in self.w_list):
             raise ValueError("every w component must be >= 1")
+        if self.n_max < 0:
+            raise ValueError("n must be >= 0")
+        if self.truncation < 0:
+            raise ValueError("truncation must be >= 0")
 
     def char_indices(self, d: int) -> list[int]:
         chars = enumerate_characters(d)
@@ -190,10 +194,15 @@ def cmd_verify(args) -> int:
     return 0 if ok else _MISMATCH
 
 
+def _point_fields(point: tuple) -> dict:
+    d, ci, r, e, w = point
+    return {"d": d, "char": ci, "xi_order": r, "xi_exp": e, "w": list(w)}
+
+
 def _grid_point_rows(point: tuple, n_max: int, truncation: int) -> list[dict]:
     d, ci, r, e, w = point
     ctx = TwistContext.from_orders(d, ci, r, e)
-    base = {"d": d, "char": ci, "xi_order": r, "xi_exp": e, "w": list(w)}
+    base = _point_fields(point)
     rows = []
     for tid in THEOREM_IDS:
         rep = verify_theorem(tid, ctx, w, n_max)
@@ -216,8 +225,15 @@ def _grid_point_rows(point: tuple, n_max: int, truncation: int) -> list[dict]:
 
 
 def _worker(task):
+    """The rows of one grid point; a crash becomes one ``error`` row."""
     point, n_max, truncation = task
-    return _grid_point_rows(point, n_max, truncation)
+    try:
+        return _grid_point_rows(point, n_max, truncation)
+    except Exception as exc:
+        print(f"internal error at grid point {point}:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return [dict(_point_fields(point), kind="point", id=None, n=None,
+                     verdict="error", detail=f"{type(exc).__name__}: {exc}")]
 
 
 def effective_jobs(jobs: int, points: int) -> int:
@@ -240,10 +256,13 @@ def run_grid(spec: GridSpec) -> dict:
     else:
         chunks = [_worker(t) for t in tasks]
     rows = [row for chunk in chunks for row in chunk]
-    failed = sum(1 for row in rows if row["verdict"] != "pass")
-    return {"summary": {"total": len(rows), "passed": len(rows) - failed,
-                        "failed": failed},
-            "results": rows}
+    failed = sum(1 for row in rows if row["verdict"] == "fail")
+    errors = sum(1 for row in rows if row["verdict"] == "error")
+    summary = {"total": len(rows), "passed": len(rows) - failed - errors,
+               "failed": failed}
+    if errors:
+        summary["errors"] = errors
+    return {"summary": summary, "results": rows}
 
 
 def cmd_grid(args) -> int:
@@ -264,11 +283,18 @@ def cmd_grid(args) -> int:
     else:
         s = outcome["summary"]
         lines = [f"grid: {s['total']} checks, {s['passed']} passed, "
-                 f"{s['failed']} failed"]
-        lines += [f"  {r['kind']}[{r['id']}] d={r['d']} char={r['char']} "
-                  f"xi_order={r['xi_order']} w={r['w']}: {r['verdict']}"
-                  for r in outcome["results"] if r["verdict"] != "pass"]
+                 f"{s['failed']} failed"
+                 + (f", {s['errors']} errored" if "errors" in s else "")]
+        for r in outcome["results"]:
+            where = (f"d={r['d']} char={r['char']} xi_order={r['xi_order']} "
+                     f"w={r['w']}")
+            if r["verdict"] == "fail":
+                lines.append(f"  {r['kind']}[{r['id']}] {where}: fail")
+            elif r["verdict"] == "error":
+                lines.append(f"  point {where}: error  [{r['detail']}]")
         _emit("\n".join(lines) + "\n", args.out)
+    if "errors" in outcome["summary"]:
+        return _INTERNAL_ERROR
     return 0 if outcome["summary"]["failed"] == 0 else _MISMATCH
 
 

@@ -524,6 +524,46 @@ class CycloNumber:
         return out
 
 
+def dot(field: CycloField, xs, ys) -> CycloNumber:
+    """sum(x * y for x, y in zip(xs, ys)) for CycloNumbers of one field.
+
+    The integer convolutions of the pairs with two nonzero operands are
+    accumulated unreduced over one common denominator; the sum is reduced by
+    the rows of x^k mod Phi_L once and brought to canonical form by one gcd.
+    """
+    order = field.order
+    pairs = []
+    den = 1
+    for x, y in zip(xs, ys):
+        if ((x.field is not field and x.field.order != order)
+                or (y.field is not field and y.field.order != order)):
+            raise ValueError("field mismatch")
+        if any(x.num) and any(y.num):
+            d = x.den * y.den
+            pairs.append((x.num, y.num, d))
+            if d != den:
+                den = math.lcm(den, d)
+    deg = field.degree
+    if deg == 1:
+        return _canonical(field, (sum(a[0] * b[0] * (den // d)
+                                      for a, b, d in pairs),), den)
+    acc = [0] * (2 * deg - 1)
+    for a, b, d in pairs:
+        if d != den:
+            s = den // d
+            a = [s * c for c in a]
+        for i, ai in enumerate(a):
+            if ai:
+                for k, bj in enumerate(b, i):
+                    acc[k] += ai * bj
+    out = acc[:deg]
+    for ck, row in zip(acc[deg:], field._red):
+        if ck:
+            for i, ri in row:
+                out[i] += ck * ri
+    return _canonical(field, out, den)
+
+
 def cyclo_root(field: CycloField, k: int) -> CycloNumber:
     """The k-th power of the canonical generator zeta_L of the field."""
     return field.root(k)

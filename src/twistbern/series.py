@@ -4,12 +4,16 @@ Coefficients may be CycloNumbers or SymPolys (anything with exact ring
 operators).  Coefficients are stored plain; the n! rescaling of exponential
 generating functions happens only in egf(), so multiplication stays an
 ordinary Cauchy product.  Binary operations truncate to the shorter operand.
+With CycloNumber coefficients every coefficient of a product or an inverse
+is one call of the fused kernel ``cyclo.dot``; other coefficient rings use
+the plain loop.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+
+from .cyclo import CycloNumber, dot
 
 
 class PowerSeries:
@@ -65,6 +69,11 @@ class PowerSeries:
             return PowerSeries([a * other for a in self.coeffs])
         n = min(len(self.coeffs), len(other.coeffs))
         a, b = self.coeffs, other.coeffs
+        if type(a[0]) is CycloNumber and type(b[0]) is CycloNumber:
+            field = a[0].field
+            rb = b[n - 1::-1]
+            return PowerSeries([dot(field, a, rb[n - 1 - k:])
+                                for k in range(n)])
         out = []
         for k in range(n):
             acc = a[0] * b[k]
@@ -83,6 +92,11 @@ class PowerSeries:
             raise ValueError("not invertible; use divide_by_t first")
         inv0 = c0.inverse()
         out = [inv0]
+        if type(c0) is CycloNumber:
+            tail = self.coeffs[1:]
+            for _ in tail:
+                out.append(-(inv0 * dot(c0.field, tail, reversed(out))))
+            return PowerSeries(out)
         for k in range(1, len(self.coeffs)):
             acc = self.coeffs[1] * out[k - 1]
             for i in range(2, k + 1):
@@ -120,9 +134,6 @@ class PowerSeries:
         if truncation > self.truncation:
             raise ValueError("cannot extend a truncated series")
         return PowerSeries(self.coeffs[:truncation + 1])
-
-    def map_coefficients(self, fn) -> "PowerSeries":
-        return PowerSeries([fn(c) for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):

@@ -19,8 +19,10 @@ polynomial identities in the y-variables.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .bernoulli import (TwistContext, _bern_values, char_sum_series,
                         power_sum, twist_unit_series)
@@ -60,10 +62,16 @@ class QuotientSpec:
 def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
     """The closed-form series of the quotient, with SymPoly coefficients.
 
-    Built as (prefactor) * t^p * e^{...t} * (unit factors) * (character sums)
-    / (unit factors); every cancellation of t against a factor with vanishing
-    constant term is exact, and a failed cancellation raises.
+    Built scalar-first: the series q(t) with CycloNumber coefficients is
+    (prefactor) * t^p * (unit factors) * (character sums) / (unit factors);
+    every cancellation of t against a factor with vanishing constant term is
+    exact, and a failed cancellation raises.  The symbolic factor
+    e^{c*(sum of the live y)*t} is then applied in closed form: the t^n
+    coefficient holds each monomial y^e with |e| = j <= n exactly once, with
+    coefficient q_{n-j} * c^j / prod(e_i!), so no polynomial product is formed.
     """
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
     ctx = spec.context
     w1, w2, w3 = spec.w
     big = w1 * w2 * w3
@@ -107,16 +115,11 @@ def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
     # each vanishing denominator factor consumes one t, plus t_power's deficit
     work = truncation + vanish + max(0, vanish - t_power)
 
-    num = PowerSeries.one(field.one, work)
-    for c in numerator_units:
-        num = num * twist_unit_series(ctx, c, work)
-    for c in sum_scales:
-        num = num * char_sum_series(ctx, c, work)
-
-    den = None
-    for c in denominators:
-        s = twist_unit_series(ctx, c, work)
-        den = s if den is None else den * s
+    num = reduce(operator.mul,
+                 [twist_unit_series(ctx, c, work) for c in numerator_units]
+                 + [char_sum_series(ctx, c, work) for c in sum_scales])
+    den = reduce(operator.mul,
+                 [twist_unit_series(ctx, c, work) for c in denominators])
     if vanish:
         den = den.divide_by_t(vanish)
     q = num * den.invert()
@@ -125,21 +128,39 @@ def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
         q = q.shift_up(shift)
     elif shift < 0:
         q = q.divide_by_t(-shift)
-    q = q * prefactor
+    q = (q * prefactor).coeffs
 
-    if exp_vars:
-        # linear symbol sum: exp_scale * (sum of the live variables)
+    exp_terms = _exp_monomials(exp_vars, exp_scale, truncation)
+    out = []
+    for n in range(truncation + 1):
         terms = {}
-        for slot in exp_vars:
-            key = [0, 0, 0, 0]
-            key[slot] = 1
-            terms[tuple(key)] = field.from_rational(exp_scale)
-        lin = SymPoly(field, terms)
-        sym_exp = PowerSeries.exp_scaled(lin, work)
-        q = q * sym_exp
-    else:
-        q = q.map_coefficients(SymPoly.constant)
-    return q.truncate(truncation)
+        for j in range(n + 1):
+            c = q[n - j]
+            if c:
+                for key, weight in exp_terms[j]:
+                    terms[key] = c * weight
+        out.append(SymPoly(field, terms))
+    return PowerSeries(out)
+
+
+def _exp_monomials(slots: tuple, scale: int, upto: int) -> list:
+    """The t^j coefficients, j = 0..upto, of e^{scale*(sum of the slot
+    variables)*t}: per j, the pairs (exponent key of y^e, scale^j / prod(e_i!))
+    over all monomials y^e of degree j in the slot variables."""
+    level = [((0, 0, 0, 0), 1, 0)]  # key, prod(e_i!), first raisable slot
+    table = [[((0, 0, 0, 0), Fraction(1))]]
+    for j in range(1, upto + 1):
+        nxt = []
+        for key, den, first in level:
+            # raising slots in non-decreasing order reaches each key once
+            for idx in range(first, len(slots)):
+                k = list(key)
+                k[slots[idx]] += 1
+                nxt.append((tuple(k), den * k[slots[idx]], idx))
+        level = nxt
+        table.append([(key, Fraction(scale ** j, den))
+                      for key, den, _ in level])
+    return table
 
 
 # -- building blocks shared by the expansion forms and theorem verifiers ------
@@ -525,6 +546,8 @@ def permutation_reduction_check(group: int, ctx: TwistContext,
 
 def permutation_invariance_check(spec: QuotientSpec, truncation: int) -> CheckReport:
     """quotient_series must be identical under all six weight permutations."""
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
     base = quotient_series(spec, truncation)
     params = dict(spec.params(), truncation=truncation)
     for perm in _PERM6[1:]:

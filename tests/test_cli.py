@@ -230,3 +230,55 @@ def test_run_grid_starts_at_most_the_clamped_pool(monkeypatch):
     out = run_grid(spec)
     assert started == [2]
     assert out["summary"]["failed"] == 0
+
+
+def test_negative_truncation_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "grid", "--d", "1", "--w", "1,1,1",
+                         "--trunc", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: truncation must be >= 0\n"
+    # checked up front too, so it never reaches a grid point as a crash
+    code, out, err = run(capsys, "grid", "--d", "1", "--w", "1,1,1",
+                         "--n", "-1")
+    assert (code, out, err) == (2, "", "error: n must be >= 0\n")
+    with pytest.raises(ValueError, match="truncation must be >= 0"):
+        GridSpec(d_list=[1], char_selector="all", xi_orders=[1],
+                 w_list=[(1, 1, 1)], truncation=-1)
+
+
+def test_grid_survives_one_crashing_point(capsys, monkeypatch):
+    argv = ["grid", "--d", "1,3", "--chars", "0", "--xi-orders", "1",
+            "--w", "1,2,3", "--n", "1", "--trunc", "1", "--jobs", "1"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    clean = json.loads(out)
+    assert set(clean["summary"]) == {"total", "passed", "failed"}
+
+    real = cli._grid_point_rows
+
+    def crash_at_d3(point, n_max, truncation):
+        if point[0] == 3:
+            raise RuntimeError("injected crash")
+        return real(point, n_max, truncation)
+    monkeypatch.setattr(cli, "_grid_point_rows", crash_at_d3)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3
+    assert "injected crash" in err
+    payload = json.loads(out)
+    errors = [r for r in payload["results"] if r["verdict"] == "error"]
+    assert len(errors) == 1
+    assert errors[0]["d"] == 3 and errors[0]["kind"] == "point"
+    assert errors[0]["detail"] == "RuntimeError: injected crash"
+    d1_rows = [r for r in clean["results"] if r["d"] == 1]
+    assert [r for r in payload["results"] if r["d"] == 1] == d1_rows
+    assert payload["summary"] == {"total": len(d1_rows) + 1,
+                                  "passed": len(d1_rows), "failed": 0,
+                                  "errors": 1}
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out.splitlines() == [
+        f"grid: {len(d1_rows) + 1} checks, {len(d1_rows)} passed, 0 failed, "
+        "1 errored",
+        "  point d=3 char=0 xi_order=1 w=[1, 2, 3]: error  "
+        "[RuntimeError: injected crash]"]

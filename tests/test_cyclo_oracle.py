@@ -3,6 +3,8 @@
 Every operation is checked against a small, independent reference that
 works on Fraction coefficient vectors in Q[x]/Phi_L(x) with schoolbook
 polynomial arithmetic, and every result is checked to be in canonical form.
+The fused kernel ``dot`` and the series products built on it are checked
+against plain sums of element products.
 """
 
 import math
@@ -14,7 +16,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from twistbern.cyclo import (CycloNumber, cyclo_field,  # noqa: E402
-                             cyclotomic_polynomial, embed_into)
+                             cyclotomic_polynomial, dot, embed_into)
+from twistbern.series import PowerSeries  # noqa: E402
 
 ORDERS = (1, 2, 3, 4, 5, 8, 12, 15, 60)
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
@@ -184,3 +187,95 @@ def test_canonical_zero_and_one():
         assert_canonical(z)
         assert z == f.zero and hash(z) == hash(f.zero)
         assert x * x.inverse() == f.one
+
+
+# -- the fused dot-product kernel and the series built on it -------------------
+
+@st.composite
+def sparse_element_of(draw, order):
+    # whole-element zeros are rare among random coordinates, so draw them too
+    return draw(st.one_of(st.just(cyclo_field(order).zero),
+                          element_of(order)))
+
+
+@st.composite
+def vector_pair(draw):
+    order = draw(st.sampled_from(ORDERS))
+    n = draw(st.integers(0, 7))
+    vec = st.lists(sparse_element_of(order), min_size=n, max_size=n)
+    return cyclo_field(order), draw(vec), draw(vec)
+
+
+def plain_dot(field, xs, ys):
+    return sum((x * y for x, y in zip(xs, ys)), field.zero)
+
+
+def plain_series_mul(a, b):
+    n = min(len(a), len(b))
+    zero = a[0].field.zero
+    return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), zero)
+                 for k in range(n))
+
+
+@SETTINGS
+@given(vector_pair())
+def test_dot_matches_sum_of_products(fxy):
+    field, xs, ys = fxy
+    got = dot(field, xs, ys)
+    assert_canonical(got)
+    assert got == plain_dot(field, xs, ys)
+    # zip semantics: the longer operand is cut to the shorter one
+    assert dot(field, xs, ys[:-1]) == plain_dot(field, xs[:-1], ys[:-1])
+
+
+def test_dot_edge_cases():
+    for order in ORDERS:
+        f = cyclo_field(order)
+        z = dot(f, [], [])
+        assert_canonical(z)
+        assert z == f.zero
+        x = f.element([Fraction(k + 1, 6) for k in range(f.degree)])
+        y = f.element([Fraction(1, k + 5) for k in range(f.degree)])
+        assert dot(f, [f.zero, x], [y, f.zero]) == f.zero
+        # mixed denominators whose products cancel to an integer
+        got = dot(f, [x, -x, f.from_rational(Fraction(1, 3))],
+                  [y, y, f.from_rational(3)])
+        assert_canonical(got)
+        assert got == f.one
+    with pytest.raises(ValueError, match="field mismatch"):
+        dot(cyclo_field(4), [cyclo_field(3).one], [cyclo_field(4).one])
+
+
+@st.composite
+def series_pair(draw):
+    order = draw(st.sampled_from(ORDERS))
+    coeffs = [st.lists(sparse_element_of(order), min_size=n, max_size=n)
+              for n in (draw(st.integers(1, 7)), draw(st.integers(1, 7)))]
+    return PowerSeries(draw(coeffs[0])), PowerSeries(draw(coeffs[1]))
+
+
+@SETTINGS
+@given(series_pair())
+def test_series_product_matches_plain_loop(ab):
+    a, b = ab
+    prod = a * b
+    assert prod.coeffs == plain_series_mul(a.coeffs, b.coeffs)
+    for c in prod.coeffs:
+        assert_canonical(c)
+
+
+@SETTINGS
+@given(series_pair())
+def test_series_inverse_times_series_is_one(ab):
+    s, _ = ab
+    if s.coeffs[0].is_zero():
+        with pytest.raises(ValueError, match="not invertible"):
+            s.invert()
+        return
+    inv = s.invert()
+    for c in inv.coeffs:
+        assert_canonical(c)
+    f = s.coeffs[0].field
+    assert inv * s == PowerSeries.one(f.one, s.truncation)
+    assert plain_series_mul(inv.coeffs, s.coeffs) == \
+        PowerSeries.one(f.one, s.truncation).coeffs

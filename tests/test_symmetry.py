@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from twistbern.bernoulli import TwistContext, bernoulli_numbers
+from twistbern.bernoulli import (TwistContext, bernoulli_numbers,
+                                 powersum_gf_check)
 from twistbern.series import PowerSeries, first_difference
-from twistbern.symmetry import (EXPANSION_FORMS, QuotientSpec,
+from twistbern.symmetry import (_FAMILY_MAX_I, EXPANSION_FORMS, QuotientSpec,
                                 expansion_coefficient,
                                 expansion_consistency_check,
                                 permutation_invariance_check,
@@ -35,6 +36,52 @@ def test_quotient_series_cyclic_unit_weights():
     y = SymPoly.variable("y", f)
     expected = (cube * PowerSeries.exp_scaled(y * 3, 8)).truncate(6)
     assert first_difference(got, expected) is None
+
+
+def _symbolic_route(spec, series):
+    """q(t) * e^{c*(sum of the live y)*t} built with exp_scaled and SymPoly
+    products, with q(t) read off the constant terms of the series."""
+    w1, w2, w3 = spec.w
+    if spec.family in ("pairwise", "single"):
+        names, scale = ("y1", "y2", "y3")[:3 - spec.i], w1 * w2 * w3
+    elif spec.i == 0:
+        names, scale = ("y",), w2 * w3 + w1 * w3 + w1 * w2
+    else:
+        names, scale = (), 0
+    f = spec.context.field
+    q = PowerSeries([SymPoly.constant(c.constant_part())
+                     for c in series.coeffs])
+    lin = SymPoly.zero(f)
+    for name in names:
+        lin = lin + SymPoly.variable(name, f) * scale
+    return q * PowerSeries.exp_scaled(lin, series.truncation)
+
+
+# every, some, and none of the denominator factors xi^(d*c) e^(d*c*t) - 1
+# have a vanishing constant term at w = (1, 2, 3)
+_VANISH_CONTEXTS = (CLASSICAL, TwistContext.from_orders(3, 1, 2, 1),
+                    TwistContext.from_orders(1, 0, 4, 1))
+
+
+def test_closed_form_matches_symbolic_exponential_route():
+    for ctx in _VANISH_CONTEXTS:
+        for family, max_i in _FAMILY_MAX_I.items():
+            for i in range(max_i + 1):
+                spec = QuotientSpec(family, i, (1, 2, 3), ctx)
+                for truncation in range(9):
+                    got = quotient_series(spec, truncation)
+                    assert got.truncation == truncation
+                    assert got == _symbolic_route(spec, got), \
+                        (ctx, family, i, truncation)
+
+
+def test_negative_truncation_is_rejected():
+    spec = QuotientSpec("pairwise", 0, (1, 2, 3), CLASSICAL)
+    for call in (lambda: quotient_series(spec, -1),
+                 lambda: permutation_invariance_check(spec, -1),
+                 lambda: powersum_gf_check(CLASSICAL, 2, -1)):
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            call()
 
 
 def test_quotient_series_permutation_examples():
