@@ -127,9 +127,6 @@ class PowerSeries:
         """n! times the t^n coefficient (the EGF coefficient)."""
         return self.coeffs[n] * math.factorial(n)
 
-    def coefficient(self, n: int):
-        return self.coeffs[n]
-
     def truncate(self, truncation: int) -> "PowerSeries":
         if truncation > self.truncation:
             raise ValueError("cannot extend a truncated series")

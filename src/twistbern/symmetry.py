@@ -22,13 +22,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 from .bernoulli import (TwistContext, _bern_values, char_sum_series,
                         power_sum, twist_unit_series)
 from .report import CheckReport, TheoremReport
 from .series import PowerSeries
-from .sympoly import SymPoly
+from .sympoly import SymPoly, first_difference, monomial
 
 _FAMILY_MAX_I = {"pairwise": 3, "single": 3, "cyclic": 1}
 
@@ -209,184 +209,162 @@ def _bpoly(ctx: TwistContext, c: int, k: int, u: int, slot: int,
     return poly
 
 
-def _psum(ctx: TwistContext, k: int, bound: int, c: int):
-    """S_k(bound) for the twist xi^c."""
-    return power_sum(ctx.twist(c), k, bound)
+# -- expansion forms as data over one kernel (independent of the series path) --
+#
+# Every displayed expression is a table row: const * sum over k1+..+kr = n of
+# C(n; k1..kr) * prod c_i^k_i * piece_i(k_i) over r <= 3 pieces, where c_i is
+# the twist exponent of piece i (its factor xi^c e^{ct} scales t by c too).
+#
+# * _B(c, u, slot, *sums): j -> sum_p coef_p * B_j^(xi^c)(u*y_slot + r_p).
+#   Each entry (A, m, s, q) of sums ranges over a < A with chi(a) != 0,
+#   multiplies coef_p by chi(a)*xi^(a*m) and adds s*a/q to r_p; several
+#   entries range over the product of their point sets, and none is the
+#   single point (1, 0).
+# * _S(bound, c): j -> S_j(bound) for the twist xi^c.
+
+def _B(c, u, slot, *sums):
+    return ("B", c, u, slot, sums)
 
 
-def _compositions3(n: int):
+def _S(bound, c):
+    return ("S", c, bound)
+
+
+#: row name -> (w1, w2, w3, d) -> (const, [piece, ...]): the nine expansion
+#: forms, theorem 3's printed-shift variant, and the left-hand sides of the
+#: theorem 4 and 8 permutation reductions as written.
+_ROWS = {
+    "triple_bernoulli": lambda w1, w2, w3, d: (1, [
+        _B(w2 * w3, w1, _Y1), _B(w1 * w3, w2, _Y2), _B(w1 * w2, w3, _Y3)]),
+    "bernoulli_bernoulli_powersum": lambda w1, w2, w3, d: (Fraction(1, w3), [
+        _B(w2 * w3, w1, _Y1), _B(w1 * w3, w2, _Y2), _S(d * w3 - 1, w1 * w2)]),
+    "bernoulli_shifted_bernoulli": lambda w1, w2, w3, d: (Fraction(1, w3), [
+        _B(w2 * w3, w1, _Y1), _B(w1 * w3, w2, _Y2, (d * w3, w1 * w2, w2, w3))]),
+    # as printed in one display: shift denominator w1 (generically false)
+    "bernoulli_shifted_bernoulli_printed": lambda w1, w2, w3, d: (
+        Fraction(1, w3),
+        [_B(w2 * w3, w1, _Y1), _B(w1 * w3, w2, _Y2, (d * w3, w1 * w2, w2, w1))]),
+    "bernoulli_powersum_powersum": lambda w1, w2, w3, d: (Fraction(1, w2 * w3), [
+        _B(w2 * w3, w1, _Y1), _S(d * w2 - 1, w1 * w3), _S(d * w3 - 1, w1 * w2)]),
+    "shifted_bernoulli_powersum": lambda w1, w2, w3, d: (Fraction(1, w2 * w3), [
+        _B(w2 * w3, w1, _Y1, (d * w2, w1 * w3, w1, w2)), _S(d * w3 - 1, w1 * w2)]),
+    "double_shifted_bernoulli": lambda w1, w2, w3, d: (Fraction(1, w2 * w3), [
+        _B(w2 * w3, w1, _Y1, (d * w2, w1 * w3, w1, w2), (d * w3, w1 * w2, w1, w3))]),
+    "triple_powersum": lambda w1, w2, w3, d: (Fraction(1, w1 * w2 * w3), [
+        _S(d * w1 - 1, w2 * w3), _S(d * w2 - 1, w1 * w3), _S(d * w3 - 1, w1 * w2)]),
+    "cyclic_triple_bernoulli": lambda w1, w2, w3, d: (1, [
+        _B(w1, w2, _Y), _B(w2, w3, _Y), _B(w3, w1, _Y)]),
+    "cyclic_triple_powersum": lambda w1, w2, w3, d: (Fraction(1, w1 * w2 * w3), [
+        _S(d * w2 - 1, w1), _S(d * w3 - 1, w2), _S(d * w1 - 1, w3)]),
+    # theorem 4: B_k S_l S_m with the two power sums interchanged
+    "swap-variant-1": lambda w1, w2, w3, d: (Fraction(1, w2 * w3), [
+        _B(w2 * w3, w1, _Y1), _S(d * w3 - 1, w1 * w2), _S(d * w2 - 1, w1 * w3)]),
+    "swap-variant-2": lambda w1, w2, w3, d: (Fraction(1, w1 * w3), [
+        _B(w1 * w3, w2, _Y1), _S(d * w1 - 1, w2 * w3), _S(d * w3 - 1, w1 * w2)]),
+    "swap-variant-3": lambda w1, w2, w3, d: (Fraction(1, w1 * w2), [
+        _B(w1 * w2, w3, _Y1), _S(d * w2 - 1, w1 * w3), _S(d * w1 - 1, w2 * w3)]),
+    # theorem 8: S_k S_l S_m with the factors cycled
+    "cycle-variant-1": lambda w1, w2, w3, d: (Fraction(1, w1 * w2 * w3), [
+        _S(d * w2 - 1, w1), _S(d * w3 - 1, w2), _S(d * w1 - 1, w3)]),
+    "cycle-variant-2": lambda w1, w2, w3, d: (Fraction(1, w1 * w2 * w3), [
+        _S(d * w3 - 1, w2), _S(d * w1 - 1, w3), _S(d * w2 - 1, w1)]),
+    "cycle-variant-3": lambda w1, w2, w3, d: (Fraction(1, w1 * w2 * w3), [
+        _S(d * w3 - 1, w1), _S(d * w2 - 1, w3), _S(d * w1 - 1, w2)]),
+    "cycle-variant-4": lambda w1, w2, w3, d: (Fraction(1, w1 * w2 * w3), [
+        _S(d * w2 - 1, w3), _S(d * w1 - 1, w2), _S(d * w3 - 1, w1)]),
+}
+
+
+def _piece(ctx: TwistContext, desc: tuple):
+    """The function j -> piece(j) of one descriptor, in the context ctx."""
+    if desc[0] == "S":
+        _, c, bound = desc
+        twisted = ctx.twist(c)
+        return lambda j: power_sum(twisted, j, bound)
+    _, c, u, slot, sums = desc
+    if not sums:
+        return lambda j: _bpoly(ctx, c, j, u, slot)
+    points = None
+    for bound, m, s, q in sums:
+        step = [(ctx.chi_at(a) * ctx.xi_pow(a * m), Fraction(s * a, q))
+                for a in range(bound) if ctx.chi_at(a)]
+        points = step if points is None else [
+            (c1 * c2, r1 + r2) for c1, r1 in points for c2, r2 in step]
+
+    def value(j):
+        acc = SymPoly.zero(ctx.field)
+        for coef, r in points:
+            acc = acc + _bpoly(ctx, c, j, u, slot, r) * coef
+        return acc
+    return value
+
+
+def _compositions(n: int, parts: int):
+    if parts == 1:
+        yield (n,)
+        return
     for k in range(n + 1):
-        for l in range(n - k + 1):
-            yield k, l, n - k - l
+        for rest in _compositions(n - k, parts - 1):
+            yield (k,) + rest
 
 
-def _multinomial(n: int, k: int, l: int, m: int) -> int:
-    return math.factorial(n) // (math.factorial(k) * math.factorial(l)
-                                 * math.factorial(m))
+def _expand(ctx: TwistContext, n: int, const, row: list) -> SymPoly:
+    """const * sum over k1+..+kr = n of C(n; k) * prod c_i^k_i * piece_i(k_i).
+
+    Each piece is evaluated once per index the loop visits, and a term with
+    a zero piece is skipped; the scalar pieces, const and the integer weight
+    are multiplied into each term once.
+    """
+    pieces = [_piece(ctx, desc) for desc in row]
+    seen = [{} for _ in row]
+    fact = [math.factorial(j) for j in range(n + 1)]
+    acc = None
+    for ks in _compositions(n, len(row)):
+        weight = fact[n]
+        poly = scalar = None
+        for desc, k, piece, memo in zip(row, ks, pieces, seen):
+            v = memo.get(k)
+            if v is None:
+                v = memo[k] = piece(k)
+            if v.is_zero():
+                break
+            weight = weight * desc[1] ** k // fact[k]
+            if type(v) is SymPoly:
+                poly = v if poly is None else poly * v
+            else:
+                scalar = v if scalar is None else scalar * v
+        else:
+            term = const * weight
+            if scalar is not None:
+                term = scalar * term
+            if poly is not None:
+                term = poly * term
+            acc = term if acc is None else acc + term
+    if acc is None:
+        return SymPoly.zero(ctx.field)
+    return acc if type(acc) is SymPoly else SymPoly.constant(acc)
 
 
-# -- expansion forms (independent of the series path) --------------------------
-
-def _form_triple_bernoulli(ctx, w, n):
-    w1, w2, w3 = w
-    acc = SymPoly.zero(ctx.field)
-    for k, l, m in _compositions3(n):
-        p = (_bpoly(ctx, w2 * w3, k, w1, _Y1)
-             * _bpoly(ctx, w1 * w3, l, w2, _Y2)
-             * _bpoly(ctx, w1 * w2, m, w3, _Y3))
-        weight = (_multinomial(n, k, l, m)
-                  * w1 ** (l + m) * w2 ** (k + m) * w3 ** (k + l))
-        acc = acc + p * Fraction(weight)
-    return acc
-
-
-def _form_bernoulli_bernoulli_powersum(ctx, w, n):
-    w1, w2, w3 = w
-    acc = SymPoly.zero(ctx.field)
-    for k, l, m in _compositions3(n):
-        p = (_bpoly(ctx, w2 * w3, k, w1, _Y1)
-             * _bpoly(ctx, w1 * w3, l, w2, _Y2))
-        s = _psum(ctx, m, ctx.d * w3 - 1, w1 * w2)
-        weight = (_multinomial(n, k, l, m) * Fraction(w1) ** (l + m)
-                  * Fraction(w2) ** (k + m) * Fraction(w3) ** (k + l - 1))
-        acc = acc + p * s * weight
-    return acc
-
-
-def _form_bernoulli_shifted_bernoulli(ctx, w, n, literal_shift=False):
-    # Single-binomial form with shifted second argument; literal_shift
-    # switches the shift denominator from w3 to w1 (the variant printed in
-    # one displayed identity, generically false).
-    w1, w2, w3 = w
-    d = ctx.d
-    denom = w1 if literal_shift else w3
-    acc = SymPoly.zero(ctx.field)
-    for k in range(n + 1):
-        outer = _bpoly(ctx, w2 * w3, k, w1, _Y1)
-        inner = SymPoly.zero(ctx.field)
-        for a in range(d * w3):
-            cv = ctx.chi_at(a)
-            if cv.is_zero():
-                continue
-            coef = cv * ctx.xi_pow(a * w1 * w2)
-            inner = inner + _bpoly(ctx, w1 * w3, n - k, w2, _Y2,
-                                   Fraction(w2 * a, denom)) * coef
-        weight = (math.comb(n, k) * Fraction(w1) ** (n - k)
-                  * Fraction(w2) ** k)
-        acc = acc + outer * inner * weight
-    return acc * Fraction(w3) ** (n - 1)
-
-
-def _form_bernoulli_powersum_powersum(ctx, w, n):
-    w1, w2, w3 = w
-    acc = SymPoly.zero(ctx.field)
-    for k, l, m in _compositions3(n):
-        p = _bpoly(ctx, w2 * w3, k, w1, _Y1)
-        s = (_psum(ctx, l, ctx.d * w2 - 1, w1 * w3)
-             * _psum(ctx, m, ctx.d * w3 - 1, w1 * w2))
-        weight = (_multinomial(n, k, l, m) * Fraction(w1) ** (l + m)
-                  * Fraction(w2) ** (k + m - 1) * Fraction(w3) ** (k + l - 1))
-        acc = acc + p * (s * weight)
-    return acc
-
-
-def _form_shifted_bernoulli_powersum(ctx, w, n):
-    w1, w2, w3 = w
-    d = ctx.d
-    acc = SymPoly.zero(ctx.field)
-    for k in range(n + 1):
-        inner = SymPoly.zero(ctx.field)
-        for a in range(d * w2):
-            cv = ctx.chi_at(a)
-            if cv.is_zero():
-                continue
-            coef = cv * ctx.xi_pow(a * w1 * w3)
-            inner = inner + _bpoly(ctx, w2 * w3, k, w1, _Y1,
-                                   Fraction(w1 * a, w2)) * coef
-        s = _psum(ctx, n - k, ctx.d * w3 - 1, w1 * w2)
-        weight = (math.comb(n, k) * Fraction(w1) ** (n - k)
-                  * Fraction(w3) ** (k - 1))
-        acc = acc + inner * (s * weight)
-    return acc * Fraction(w2) ** (n - 1)
-
-
-def _form_double_shifted_bernoulli(ctx, w, n):
-    w1, w2, w3 = w
-    d = ctx.d
-    acc = SymPoly.zero(ctx.field)
-    for a in range(d * w2):
-        ca = ctx.chi_at(a)
-        if ca.is_zero():
-            continue
-        for b in range(d * w3):
-            cb = ctx.chi_at(b)
-            if cb.is_zero():
-                continue
-            coef = ca * cb * ctx.xi_pow(w1 * (a * w3 + b * w2))
-            shift = Fraction(w1 * a, w2) + Fraction(w1 * b, w3)
-            acc = acc + _bpoly(ctx, w2 * w3, n, w1, _Y1, shift) * coef
-    return acc * Fraction(w2 * w3) ** (n - 1)
-
-
-def _form_triple_powersum(ctx, w, n):
-    w1, w2, w3 = w
-    d = ctx.d
-    acc = ctx.field.zero
-    for k, l, m in _compositions3(n):
-        s = (_psum(ctx, k, d * w1 - 1, w2 * w3)
-             * _psum(ctx, l, d * w2 - 1, w1 * w3)
-             * _psum(ctx, m, d * w3 - 1, w1 * w2))
-        weight = (_multinomial(n, k, l, m) * Fraction(w1) ** (l + m - 1)
-                  * Fraction(w2) ** (k + m - 1) * Fraction(w3) ** (k + l - 1))
-        acc = acc + s * weight
-    return SymPoly.constant(acc)
-
-
-def _form_cyclic_triple_bernoulli(ctx, w, n):
-    w1, w2, w3 = w
-    acc = SymPoly.zero(ctx.field)
-    for k, l, m in _compositions3(n):
-        p = (_bpoly(ctx, w1, k, w2, _Y)
-             * _bpoly(ctx, w2, l, w3, _Y)
-             * _bpoly(ctx, w3, m, w1, _Y))
-        weight = _multinomial(n, k,
-                              l, m) * w1 ** k * w2 ** l * w3 ** m
-        acc = acc + p * Fraction(weight)
-    return acc
-
-
-def _form_cyclic_triple_powersum(ctx, w, n):
-    w1, w2, w3 = w
-    d = ctx.d
-    acc = ctx.field.zero
-    for k, l, m in _compositions3(n):
-        s = (_psum(ctx, k, d * w2 - 1, w1)
-             * _psum(ctx, l, d * w3 - 1, w2)
-             * _psum(ctx, m, d * w1 - 1, w3))
-        weight = (_multinomial(n, k, l, m) * Fraction(w1) ** (k - 1)
-                  * Fraction(w2) ** (l - 1) * Fraction(w3) ** (m - 1))
-        acc = acc + s * weight
-    return SymPoly.constant(acc)
+def _evaluate(row: str, ctx: TwistContext, w: tuple, n: int) -> SymPoly:
+    """The n-th EGF coefficient of a table row at the weights w."""
+    const, pieces = _ROWS[row](*w, ctx.d)
+    return _expand(ctx, n, const, pieces)
 
 
 #: form name -> (family, i, evaluator); the evaluators sum Bernoulli values
 #: and power sums directly, independently of quotient_series.
 EXPANSION_FORMS = {
-    "triple_bernoulli": ("pairwise", 0, _form_triple_bernoulli),
-    "bernoulli_bernoulli_powersum":
-        ("pairwise", 1, _form_bernoulli_bernoulli_powersum),
-    "bernoulli_shifted_bernoulli":
-        ("pairwise", 1, _form_bernoulli_shifted_bernoulli),
-    "bernoulli_powersum_powersum":
-        ("pairwise", 2, _form_bernoulli_powersum_powersum),
-    "shifted_bernoulli_powersum":
-        ("pairwise", 2, _form_shifted_bernoulli_powersum),
-    "double_shifted_bernoulli":
-        ("pairwise", 2, _form_double_shifted_bernoulli),
-    "triple_powersum": ("pairwise", 3, _form_triple_powersum),
-    "cyclic_triple_bernoulli": ("cyclic", 0, _form_cyclic_triple_bernoulli),
-    "cyclic_triple_powersum": ("cyclic", 1, _form_cyclic_triple_powersum),
-}
+    name: (family, i, partial(_evaluate, name))
+    for name, family, i in (
+        ("triple_bernoulli", "pairwise", 0),
+        ("bernoulli_bernoulli_powersum", "pairwise", 1),
+        ("bernoulli_shifted_bernoulli", "pairwise", 1),
+        ("bernoulli_powersum_powersum", "pairwise", 2),
+        ("shifted_bernoulli_powersum", "pairwise", 2),
+        ("double_shifted_bernoulli", "pairwise", 2),
+        ("triple_powersum", "pairwise", 3),
+        ("cyclic_triple_bernoulli", "cyclic", 0),
+        ("cyclic_triple_powersum", "cyclic", 1))}
 
 
 def expansion_coefficient(form: str, n: int, spec: QuotientSpec) -> SymPoly:
@@ -404,6 +382,12 @@ def expansion_coefficient(form: str, n: int, spec: QuotientSpec) -> SymPoly:
     return fn(spec.context, spec.w, n)
 
 
+def _difference(a: SymPoly, b: SymPoly) -> str:
+    """'at <monomial>: <coefficient in a> vs <coefficient in b>'."""
+    key, ca, cb = first_difference(a, b)
+    return f"at {monomial(key)}: {ca} vs {cb}"
+
+
 # -- theorem verifiers ---------------------------------------------------------
 
 _PERM6 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
@@ -411,14 +395,14 @@ _CYCLE3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 _PAIR = ((2, 0, 1), (1, 0, 2))
 
 _THEOREM_PATTERNS = {
-    1: (_PERM6, _form_triple_bernoulli),
-    2: (_PERM6, _form_bernoulli_bernoulli_powersum),
-    3: (_PERM6, _form_bernoulli_shifted_bernoulli),
-    4: (_CYCLE3, _form_bernoulli_powersum_powersum),
-    5: (_PERM6, _form_shifted_bernoulli_powersum),
-    6: (_CYCLE3, _form_double_shifted_bernoulli),
-    7: (_PAIR, _form_cyclic_triple_bernoulli),
-    8: (_PAIR, _form_cyclic_triple_powersum),
+    1: (_PERM6, "triple_bernoulli"),
+    2: (_PERM6, "bernoulli_bernoulli_powersum"),
+    3: (_PERM6, "bernoulli_shifted_bernoulli"),
+    4: (_CYCLE3, "bernoulli_powersum_powersum"),
+    5: (_PERM6, "shifted_bernoulli_powersum"),
+    6: (_CYCLE3, "double_shifted_bernoulli"),
+    7: (_PAIR, "cyclic_triple_bernoulli"),
+    8: (_PAIR, "cyclic_triple_powersum"),
 }
 
 THEOREM_IDS = tuple(sorted(_THEOREM_PATTERNS))
@@ -441,104 +425,60 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
         raise ValueError("w must be three positive integers")
     if n < 0:
         raise ValueError("n must be >= 0")
-    perms, pattern = _THEOREM_PATTERNS[theorem]
+    perms, row = _THEOREM_PATTERNS[theorem]
     report = TheoremReport(theorem=theorem,
                            params=dict(ctx.params(), w=list(w), n=n))
     exprs = []
     labels = []
     for perm in perms:
         v = tuple(w[j] for j in perm)
-        exprs.append(pattern(ctx, v, n))
+        exprs.append(_evaluate(row, ctx, v, n))
         labels.append(f"w-order {v}")
     report.expressions = exprs
     for idx in range(1, len(exprs)):
         if exprs[idx] != exprs[0]:
             report.passed = False
-            report.detail = (f"{labels[idx]} differs from {labels[0]}: "
-                             f"{exprs[idx]} vs {exprs[0]}")
+            report.detail = (f"{labels[idx]} differs from {labels[0]} "
+                             f"{_difference(exprs[idx], exprs[0])}")
             break
     if theorem == 3:
-        literal = _form_bernoulli_shifted_bernoulli(
-            ctx, (w[1], w[0], w[2]), n, literal_shift=True)
-        report.notes["printed_shift_variant_matches"] = literal == exprs[0]
+        printed = _evaluate("bernoulli_shifted_bernoulli_printed", ctx,
+                            (w[1], w[0], w[2]), n)
+        report.notes["printed_shift_variant_matches"] = printed == exprs[0]
     return report
 
 
 # -- permutation reductions ----------------------------------------------------
 
-def _bss_as_written(ctx, n, bscale, bu, s1_bound, s1_scale, s2_bound,
-                    s2_scale, base_lm, base_km, base_kl):
-    # sum C(n;k,l,m) B_k^(bscale)(bu*y1) S_l(s1) S_m(s2)
-    #     * base_lm^(l+m) base_km^(k+m-1) base_kl^(k+l-1)
-    acc = SymPoly.zero(ctx.field)
-    for k, l, m in _compositions3(n):
-        p = _bpoly(ctx, bscale, k, bu, _Y1)
-        s = (_psum(ctx, l, s1_bound, s1_scale)
-             * _psum(ctx, m, s2_bound, s2_scale))
-        weight = (_multinomial(n, k, l, m) * Fraction(base_lm) ** (l + m)
-                  * Fraction(base_km) ** (k + m - 1)
-                  * Fraction(base_kl) ** (k + l - 1))
-        acc = acc + p * (s * weight)
-    return acc
-
-
-def _sss_as_written(ctx, n, b1, c1, b2, c2, b3, c3, q1, q2, q3):
-    # sum C(n;k,l,m) S_k(b1;c1) S_l(b2;c2) S_m(b3;c3) q1^(k-1) q2^(l-1) q3^(m-1)
-    acc = ctx.field.zero
-    for k, l, m in _compositions3(n):
-        s = (_psum(ctx, k, b1, c1) * _psum(ctx, l, b2, c2)
-             * _psum(ctx, m, b3, c3))
-        weight = (_multinomial(n, k, l, m) * Fraction(q1) ** (k - 1)
-                  * Fraction(q2) ** (l - 1) * Fraction(q3) ** (m - 1))
-        acc = acc + s * weight
-    return SymPoly.constant(acc)
+#: group -> (partner form, [(left-hand row, weight order of the partner)])
+_REDUCTIONS = {
+    4: ("bernoulli_powersum_powersum",
+        (("swap-variant-1", (0, 1, 2)), ("swap-variant-2", (1, 2, 0)),
+         ("swap-variant-3", (2, 0, 1)))),
+    8: ("cyclic_triple_powersum",
+        (("cycle-variant-1", (2, 0, 1)), ("cycle-variant-2", (2, 0, 1)),
+         ("cycle-variant-3", (1, 0, 2)), ("cycle-variant-4", (1, 0, 2)))),
+}
 
 
 def permutation_reduction_check(group: int, ctx: TwistContext,
                                 w: tuple[int, int, int], n: int) -> CheckReport:
     """Check that the alternate permuted expressions of theorem 4 (resp. 8)
     equal their stated partners after the index interchange/cycle."""
-    w1, w2, w3 = w
-    d = ctx.d
-    params = dict(ctx.params(), w=list(w), n=n, group=group)
-    if group == 4:
-        pairs = [
-            ("swap-variant-1",
-             _bss_as_written(ctx, n, w2 * w3, w1, d * w3 - 1, w1 * w2,
-                             d * w2 - 1, w1 * w3, w1, w3, w2),
-             _form_bernoulli_powersum_powersum(ctx, (w1, w2, w3), n)),
-            ("swap-variant-2",
-             _bss_as_written(ctx, n, w1 * w3, w2, d * w1 - 1, w2 * w3,
-                             d * w3 - 1, w1 * w2, w2, w1, w3),
-             _form_bernoulli_powersum_powersum(ctx, (w2, w3, w1), n)),
-            ("swap-variant-3",
-             _bss_as_written(ctx, n, w1 * w2, w3, d * w2 - 1, w1 * w3,
-                             d * w1 - 1, w2 * w3, w3, w2, w1),
-             _form_bernoulli_powersum_powersum(ctx, (w3, w1, w2), n)),
-        ]
-    elif group == 8:
-        first = _form_cyclic_triple_powersum(ctx, (w3, w1, w2), n)
-        second = _form_cyclic_triple_powersum(ctx, (w2, w1, w3), n)
-        pairs = [
-            ("cycle-variant-1",
-             _sss_as_written(ctx, n, d * w2 - 1, w1, d * w3 - 1, w2,
-                             d * w1 - 1, w3, w1, w2, w3), first),
-            ("cycle-variant-2",
-             _sss_as_written(ctx, n, d * w3 - 1, w2, d * w1 - 1, w3,
-                             d * w2 - 1, w1, w2, w3, w1), first),
-            ("cycle-variant-3",
-             _sss_as_written(ctx, n, d * w3 - 1, w1, d * w2 - 1, w3,
-                             d * w1 - 1, w2, w1, w3, w2), second),
-            ("cycle-variant-4",
-             _sss_as_written(ctx, n, d * w2 - 1, w3, d * w1 - 1, w2,
-                             d * w3 - 1, w1, w3, w2, w1), second),
-        ]
-    else:
+    if group not in _REDUCTIONS:
         raise ValueError("group must be 4 or 8")
-    for label, lhs, rhs in pairs:
+    params = dict(ctx.params(), w=list(w), n=n, group=group)
+    partner, pairs = _REDUCTIONS[group]
+    partners = {}
+    for row, perm in pairs:
+        lhs = _evaluate(row, ctx, w, n)
+        rhs = partners.get(perm)
+        if rhs is None:
+            rhs = partners[perm] = _evaluate(
+                partner, ctx, tuple(w[j] for j in perm), n)
         if lhs != rhs:
             return CheckReport("permutation_reduction_check", params, False,
-                               f"{label}: {lhs} vs {rhs}")
+                               f"{row}: {_difference(lhs, rhs)}")
     return CheckReport("permutation_reduction_check", params, True)
 
 
@@ -571,9 +511,10 @@ def expansion_consistency_check(form: str, spec: QuotientSpec,
         direct = expansion_coefficient(form, n, spec)
         from_series = series.egf(n)
         if direct != from_series:
+            key, ce, cs = first_difference(direct, from_series)
             return CheckReport(
                 "expansion_consistency_check", params, False,
-                f"n={n}: expansion {direct} vs series {from_series}")
+                f"n={n}: at {monomial(key)}: expansion {ce} vs series {cs}")
     return CheckReport("expansion_consistency_check", params, True)
 
 

@@ -196,13 +196,29 @@ class SymPoly:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
-            c = self.terms[e]
-            mono = "*".join(
-                v if k == 1 else f"{v}^{k}"
-                for v, k in zip(VARIABLES, e) if k)
-            cs = str(c)
+        for e in sorted(self.terms, key=_print_order):
+            cs = str(self.terms[e])
             if " " in cs:
                 cs = f"({cs})"
-            parts.append(f"{cs}*{mono}" if mono else cs)
+            parts.append(f"{cs}*{monomial(e)}" if any(e) else cs)
         return " + ".join(parts)
+
+
+def _print_order(e: tuple) -> tuple:
+    return sum(e), e
+
+
+def monomial(e: tuple) -> str:
+    """The monomial with exponent key e as printed; '1' for the constant."""
+    return "*".join(v if k == 1 else f"{v}^{k}"
+                    for v, k in zip(VARIABLES, e) if k) or "1"
+
+
+def first_difference(a: SymPoly, b: SymPoly):
+    """Exponent key and pair of coefficients of the first monomial, in
+    printing order, where a and b differ; None if they are equal."""
+    for e in sorted(a.terms.keys() | b.terms.keys(), key=_print_order):
+        ca, cb = a.coefficient(e), b.coefficient(e)
+        if ca != cb:
+            return e, ca, cb
+    return None

@@ -4,7 +4,8 @@ Every operation is checked against a small, independent reference that
 works on Fraction coefficient vectors in Q[x]/Phi_L(x) with schoolbook
 polynomial arithmetic, and every result is checked to be in canonical form.
 The fused kernel ``dot`` and the series products built on it are checked
-against plain sums of element products.
+against plain sums of element products, and ``SymPoly`` against the ring
+laws, its scalar coercions and its no-stored-zero invariant.
 """
 
 import math
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from twistbern.cyclo import (CycloNumber, cyclo_field,  # noqa: E402
                              cyclotomic_polynomial, dot, embed_into)
 from twistbern.series import PowerSeries  # noqa: E402
+from twistbern.sympoly import SymPoly  # noqa: E402
 
 ORDERS = (1, 2, 3, 4, 5, 8, 12, 15, 60)
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
@@ -279,3 +281,81 @@ def test_series_inverse_times_series_is_one(ab):
     assert inv * s == PowerSeries.one(f.one, s.truncation)
     assert plain_series_mul(inv.coeffs, s.coeffs) == \
         PowerSeries.one(f.one, s.truncation).coeffs
+
+
+# -- SymPoly: ring laws, scalar coercion, no stored zero ------------------------
+
+exponents = st.tuples(*[st.integers(0, 2)] * 4)
+
+
+@st.composite
+def sympoly_of(draw, order, mirror=None):
+    # mirror: a polynomial some of whose terms are drawn negated, so that
+    # sums cancel whole monomials
+    field = cyclo_field(order)
+    terms = {}
+    if mirror is not None and mirror.terms:
+        for e in draw(st.lists(st.sampled_from(sorted(mirror.terms)),
+                               unique=True)):
+            terms[e] = -mirror.terms[e]
+    for e in draw(st.lists(exponents, max_size=4, unique=True)):
+        c = draw(sparse_element_of(order))
+        if not c.is_zero():
+            terms[e] = c
+    return SymPoly(field, terms)
+
+
+@st.composite
+def sympoly_triple(draw):
+    order = draw(st.sampled_from(ORDERS))
+    a = draw(sympoly_of(order))
+    b = draw(sympoly_of(order, mirror=a))
+    c = draw(sympoly_of(order, mirror=b))
+    return a, b, c
+
+
+def assert_no_stored_zero(p):
+    for c in p.terms.values():
+        assert not c.is_zero()
+        assert_canonical(c)
+
+
+@SETTINGS
+@given(sympoly_triple())
+def test_sympoly_ring_laws(abc):
+    a, b, c = abc
+    zero = SymPoly.zero(a.field)
+    results = [a + b, a * b, a - b, -a, b - a, a - a, a * zero, a ** 2,
+               (a + b) + c, (a * b) * c, a * (b + c), a * b + a * c]
+    for p in results:
+        assert_no_stored_zero(p)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) - b == a
+    assert (a - a).is_zero() and (a * zero).is_zero()
+    assert a ** 2 == a * a
+    assert a * SymPoly.one(a.field) == a
+
+
+@SETTINGS
+@given(st.sampled_from(ORDERS), st.data())
+def test_sympoly_scalars_act_as_constant_polynomials(order, data):
+    p = data.draw(sympoly_of(order))
+    field = p.field
+    q = data.draw(scalars)
+    x = data.draw(sparse_element_of(order))
+    for s, const in ((q, SymPoly.constant(field.from_rational(q))),
+                     (x, SymPoly.constant(x))):
+        for got, want in ((p * s, p * const), (s * p, const * p),
+                          (p + s, p + const), (s + p, const + p),
+                          (p - s, p - const), (s - p, const - p)):
+            assert_no_stored_zero(got)
+            assert got == want
+        assert (p == s) == (p == const)
+    if q:
+        assert_no_stored_zero(p / q)
+        assert p / q == p * SymPoly.constant(field.from_rational(
+            Fraction(1) / Fraction(q)))

@@ -134,3 +134,21 @@ def test_series_over_sympoly_coefficients():
     plain = PowerSeries.exp_scaled(F1.one, 3)
     prod = plain * e
     assert prod.coeffs[1] == y * 2 + 1
+
+
+def test_sympoly_first_difference_in_printing_order():
+    from twistbern.sympoly import first_difference as poly_difference
+    from twistbern.sympoly import monomial
+    y1 = SymPoly.variable("y1", F4)
+    y2 = SymPoly.variable("y2", F4)
+    a = y1 * y1 + y2 * 3 + 1
+    b = y1 * y1 + y2 * 5 + y1 * F4.root(1) + 1
+    assert poly_difference(a, a) is None
+    # degree first, then the exponent key: y2 is printed before y1
+    assert str(b).startswith("1 + 5*y2 + ")
+    assert poly_difference(a, b) == ((0, 0, 1, 0), 3, 5)
+    # a monomial missing on one side has coefficient 0 there
+    assert poly_difference(a + y2 * 2, b) == ((0, 1, 0, 0), 0, F4.root(1))
+    assert poly_difference(SymPoly.zero(F4), a) == ((0, 0, 0, 0), 0, 1)
+    assert monomial((0, 0, 0, 0)) == "1"
+    assert monomial((1, 2, 0, 1)) == "y*y1^2*y3"

@@ -228,3 +228,44 @@ def test_bernoulli_table_reuse_through_twists():
     assert ctx._twists
     t = ctx.twist(6)
     assert bernoulli_numbers(t, 3).values == bernoulli_numbers(ctx.twist(6), 3).values
+
+
+def test_failure_details_name_the_first_differing_monomial(monkeypatch):
+    from twistbern import symmetry
+    rows = dict(symmetry._ROWS)
+    # wrong rows: the third argument of triple_bernoulli scaled by w1, not
+    # w3 (no longer symmetric), and the constant of swap-variant-1 doubled
+    rows["triple_bernoulli"] = lambda w1, w2, w3, d: (1, [
+        symmetry._B(w2 * w3, w1, symmetry._Y1),
+        symmetry._B(w1 * w3, w2, symmetry._Y2),
+        symmetry._B(w1 * w2, w1, symmetry._Y3)])
+    base = rows["swap-variant-1"]
+    rows["swap-variant-1"] = lambda *args: (2 * base(*args)[0], base(*args)[1])
+    monkeypatch.setattr(symmetry, "_ROWS", rows)
+
+    # n = 1: w1*w2*w3*(y1 + y2) + w1^2*w2*y3 - (w2*w3 + w1*w3 + w1*w2)/2
+    rep = verify_theorem(1, CLASSICAL, (1, 2, 3), 1)
+    assert not rep.passed
+    assert rep.detail == ("w-order (1, 3, 2) differs from w-order (1, 2, 3) "
+                          "at y3: 3 vs 2")
+    rep = verify_theorem(1, TWISTED4, (1, 2, 3), 3)
+    assert not rep.passed
+    diff = rep.expressions[1] - rep.expressions[0]
+    key = min(diff.terms, key=lambda e: (sum(e), e))
+    assert rep.detail.endswith(
+        f"at {symmetry.monomial(key)}: {rep.expressions[1].coefficient(key)}"
+        f" vs {rep.expressions[0].coefficient(key)}")
+    assert str(rep.expressions[0]) not in rep.detail
+
+    rep = permutation_reduction_check(4, CLASSICAL, (1, 1, 1), 0)
+    assert not rep.passed
+    assert rep.detail == "swap-variant-1: at 1: 2 vs 1"
+    rep = expansion_consistency_check(
+        "triple_bernoulli", QuotientSpec("pairwise", 0, (1, 2, 3), CLASSICAL), 2)
+    assert not rep.passed
+    assert rep.detail == "n=1: at y3: expansion 2 vs series 6"
+
+    # passing reports carry no detail
+    monkeypatch.undo()
+    assert verify_theorem(1, CLASSICAL, (1, 2, 3), 1).detail is None
+    assert permutation_reduction_check(4, CLASSICAL, (1, 1, 1), 0).detail is None
