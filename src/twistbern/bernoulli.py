@@ -212,7 +212,7 @@ def bernoulli_polynomial(ctx: TwistContext, n: int, x):
         xp.append(xp[-1] * x)
     acc = bern[n] * xp[0]
     for k in range(n):
-        acc = acc + bern[k] * xp[n - k] * math.comb(n, k)
+        acc = acc + bern[k] * (xp[n - k] * math.comb(n, k))
     return acc
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .bernoulli import TwistContext, bernoulli_numbers, powersum_gf_check
 from .characters import enumerate_characters
-from .padic import convergence_check
+from .padic import convergence_check, padic_context
 from .symmetry import (THEOREM_IDS, QuotientSpec, _FAMILY_MAX_I,
                        permutation_invariance_check, verify_theorem)
 
@@ -39,14 +39,11 @@ class GridSpec:
     w_list: list[tuple[int, int, int]]
     n_max: int = 4
     truncation: int = 4
-    output_format: str = "text"
     jobs: int = 1
 
     def __post_init__(self):
         if not self.d_list or not self.xi_orders or not self.w_list:
             raise ValueError("grid needs at least one d, xi order, and w triple")
-        if self.output_format not in ("text", "json", "csv"):
-            raise ValueError("output format must be text, json, or csv")
         if any(d < 1 for d in self.d_list):
             raise ValueError("moduli must be >= 1")
         if any(r < 1 for r in self.xi_orders):
@@ -71,13 +68,9 @@ class GridSpec:
         return idx
 
     def points(self) -> list[tuple]:
-        pts = []
-        for d in sorted(self.d_list):
-            for ci in self.char_indices(d):
-                for r in sorted(self.xi_orders):
-                    for w in self.w_list:
-                        pts.append((d, ci, r, 1, tuple(w)))
-        return sorted(set(pts))
+        return sorted({(d, ci, r, 1, tuple(w)) for d in sorted(self.d_list)
+                       for ci in self.char_indices(d)
+                       for r in self.xi_orders for w in self.w_list})
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -91,16 +84,24 @@ def _parse_w(text: str) -> tuple[int, int, int]:
     return tuple(parts)  # type: ignore[return-value]
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
+def _render(args, json_payload, csv_table, text_lines):
+    """Write the view that --format asks for to --out, or else to stdout.
+
+    Each view is a zero-argument callable and only the requested one is
+    called: json_payload() gives a JSON-able object, csv_table() a
+    (header, rows) pair, text_lines() the lines of the text view.
+    """
+    if args.format == "json":
+        text = json.dumps(json_payload(), indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        text = _csv_text(*csv_table())
+    else:
+        text = "\n".join(text_lines()) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -111,18 +112,28 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _warn_imprimitive(ctx: TwistContext, char_index: int):
+def _build_context(args) -> TwistContext:
+    """The context the flags select (xi of order p^s for padic); an
+    imprimitive character is noted on stderr."""
+    xi_order = (args.xi_order if args.p is None
+                else padic_context(args.p, args.s).field.order)
+    ctx = TwistContext.from_orders(args.d, args.char, xi_order, args.xi_exp,
+                                   p=args.p, s=args.s)
     chi = ctx.chi
     if not chi.is_primitive:
-        print(f"note: character #{char_index} mod {chi.modulus} is imprimitive "
+        print(f"note: character #{args.char} mod {chi.modulus} is imprimitive "
               f"(conductor {chi.conductor})", file=sys.stderr)
-
-
-def _build_context(args, p=None, s=None) -> TwistContext:
-    ctx = TwistContext.from_orders(args.d, args.char, args.xi_order,
-                                   args.xi_exp, p=p, s=s)
-    _warn_imprimitive(ctx, args.char)
     return ctx
+
+
+def _csv_table(lead: list[str], rows: list[dict]) -> tuple[list, list]:
+    """CSV header and cells of verify or grid result rows: the lead
+    columns, then the point, n, verdict and detail."""
+    return ([*lead, "d", "char", "xi_order", "xi_exp", "w", "n", "verdict",
+             "detail"],
+            [[*(r[k] for k in lead), r["d"], r["char"], r["xi_order"],
+              r["xi_exp"], ":".join(map(str, r["w"])), r["n"], r["verdict"],
+              r["detail"] or ""] for r in rows])
 
 
 # -- subcommands --------------------------------------------------------------
@@ -132,66 +143,53 @@ def cmd_chars(args) -> int:
     rows = [[i, " ".join(map(str, c.exponents)), c.order, c.conductor,
              "yes" if c.is_primitive else "no"]
             for i, c in enumerate(chars)]
-    if args.format == "json":
-        payload = [dict(index=i, **c.to_json_dict(),
-                        primitive=c.is_primitive)
-                   for i, c in enumerate(chars)]
-        _emit(_dump_json(payload), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(["index", "exponents", "order", "conductor",
-                         "primitive"], rows), args.out)
-    else:
-        lines = [f"characters mod {args.d} ({len(chars)} total)",
-                 f"{'index':>5} {'exponents':>12} {'order':>5} "
-                 f"{'conductor':>9} {'primitive':>9}"]
-        lines += [f"{r[0]:>5} {r[1]:>12} {r[2]:>5} {r[3]:>9} {r[4]:>9}"
-                  for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+    _render(args,
+            lambda: [dict(index=i, **c.to_json_dict(),
+                          primitive=c.is_primitive)
+                     for i, c in enumerate(chars)],
+            lambda: (["index", "exponents", "order", "conductor",
+                      "primitive"], rows),
+            lambda: [f"characters mod {args.d} ({len(chars)} total)",
+                     f"{'index':>5} {'exponents':>12} {'order':>5} "
+                     f"{'conductor':>9} {'primitive':>9}",
+                     *(f"{r[0]:>5} {r[1]:>12} {r[2]:>5} {r[3]:>9} {r[4]:>9}"
+                       for r in rows)])
     return 0
 
 
 def cmd_bernoulli(args) -> int:
     ctx = _build_context(args)
-    table = bernoulli_numbers(ctx, args.n)
-    if args.format == "json":
-        payload = {"params": ctx.params(),
-                   "values": [v.to_json_dict() for v in table.values]}
-        _emit(_dump_json(payload), args.out)
-    elif args.format == "csv":
-        rows = [[n, json.dumps(v.to_json_dict(), sort_keys=True)]
-                for n, v in enumerate(table.values)]
-        _emit(_csv_text(["n", "value"], rows), args.out)
-    else:
-        lines = [f"B_n for d={args.d}, chi #{args.char}, "
-                 f"xi = zeta_{args.xi_order}^{args.xi_exp}"]
-        lines += [f"  B_{n} = {v}" for n, v in enumerate(table.values)]
-        _emit("\n".join(lines) + "\n", args.out)
+    values = bernoulli_numbers(ctx, args.n).values
+    _render(args,
+            lambda: {"params": ctx.params(),
+                     "values": [v.to_json_dict() for v in values]},
+            lambda: (["n", "value"],
+                     [[n, json.dumps(v.to_json_dict(), sort_keys=True)]
+                      for n, v in enumerate(values)]),
+            lambda: [f"B_n for d={args.d}, chi #{args.char}, "
+                     f"xi = zeta_{args.xi_order}^{args.xi_exp}",
+                     *(f"  B_{n} = {v}" for n, v in enumerate(values))])
     return 0
 
 
 def cmd_verify(args) -> int:
     ctx = _build_context(args)
     ids = list(THEOREM_IDS) if args.theorem == "all" else [int(args.theorem)]
-    for tid in ids:
-        if tid not in THEOREM_IDS:
-            raise ValueError("theorem id must be 1..8 or 'all'")
+    if not set(ids) <= set(THEOREM_IDS):
+        raise ValueError("theorem id must be 1..8 or 'all'")
     reports = [verify_theorem(tid, ctx, args.w, args.n) for tid in ids]
-    ok = all(r.passed for r in reports)
-    if args.format == "json":
-        payload = [r.to_json_dict() for r in reports]
-        _emit(_dump_json(payload if len(payload) > 1 else payload[0]), args.out)
-    elif args.format == "csv":
-        rows = [[r.theorem, args.d, args.char, args.xi_order, args.xi_exp,
-                 ":".join(map(str, args.w)), args.n, r.verdict,
-                 r.detail or ""] for r in reports]
-        _emit(_csv_text(["theorem", "d", "char", "xi_order", "xi_exp", "w",
-                         "n", "verdict", "detail"], rows), args.out)
-    else:
-        lines = [f"theorem {r.theorem}: {r.verdict}"
-                 + (f"  [{r.detail}]" if r.detail else "")
-                 for r in reports]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else _MISMATCH
+    base = _point_fields((args.d, args.char, args.xi_order, args.xi_exp,
+                          args.w))
+    _render(args,
+            lambda: ([r.to_json_dict() for r in reports] if len(reports) > 1
+                     else reports[0].to_json_dict()),
+            lambda: _csv_table(["theorem"], [
+                dict(base, theorem=r.theorem, n=args.n, verdict=r.verdict,
+                     detail=r.detail) for r in reports]),
+            lambda: [f"theorem {r.theorem}: {r.verdict}"
+                     + (f"  [{r.detail}]" if r.detail else "")
+                     for r in reports])
+    return 0 if all(r.passed for r in reports) else _MISMATCH
 
 
 def _point_fields(point: tuple) -> dict:
@@ -202,26 +200,19 @@ def _point_fields(point: tuple) -> dict:
 def _grid_point_rows(point: tuple, n_max: int, truncation: int) -> list[dict]:
     d, ci, r, e, w = point
     ctx = TwistContext.from_orders(d, ci, r, e)
+    checks = [("theorem", tid, n_max, verify_theorem(tid, ctx, w, n_max))
+              for tid in THEOREM_IDS]
+    checks += [("powersum_gf", scalar_w, truncation,
+                powersum_gf_check(ctx, scalar_w, truncation))
+               for scalar_w in sorted(set(w))]
+    checks += [(f"invariance-{family}", i, truncation,
+                permutation_invariance_check(QuotientSpec(family, i, w, ctx),
+                                             truncation))
+               for family, max_i in sorted(_FAMILY_MAX_I.items())
+               for i in range(max_i + 1)]
     base = _point_fields(point)
-    rows = []
-    for tid in THEOREM_IDS:
-        rep = verify_theorem(tid, ctx, w, n_max)
-        rows.append(dict(base, kind="theorem", id=tid, n=n_max,
-                         verdict=rep.verdict, detail=rep.detail))
-    for scalar_w in sorted(set(w)):
-        rep = powersum_gf_check(ctx, scalar_w, truncation)
-        rows.append(dict(base, kind="powersum_gf", id=scalar_w, n=truncation,
-                         verdict="pass" if rep.passed else "fail",
-                         detail=rep.detail))
-    for family, max_i in sorted(_FAMILY_MAX_I.items()):
-        for i in range(max_i + 1):
-            rep = permutation_invariance_check(
-                QuotientSpec(family, i, w, ctx), truncation)
-            rows.append(dict(base, kind=f"invariance-{family}", id=i,
-                             n=truncation,
-                             verdict="pass" if rep.passed else "fail",
-                             detail=rep.detail))
-    return rows
+    return [dict(base, kind=kind, id=i, n=n, verdict=rep.verdict,
+                 detail=rep.detail) for kind, i, n, rep in checks]
 
 
 def _worker(task):
@@ -247,8 +238,7 @@ def effective_jobs(jobs: int, points: int) -> int:
 
 def run_grid(spec: GridSpec) -> dict:
     """Run all verifiers over the grid; deterministic row order."""
-    points = spec.points()
-    tasks = [(pt, spec.n_max, spec.truncation) for pt in points]
+    tasks = [(pt, spec.n_max, spec.truncation) for pt in spec.points()]
     jobs = effective_jobs(spec.jobs, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -265,53 +255,44 @@ def run_grid(spec: GridSpec) -> dict:
     return {"summary": summary, "results": rows}
 
 
+def _grid_text(outcome: dict) -> list[str]:
+    s = outcome["summary"]
+    lines = [f"grid: {s['total']} checks, {s['passed']} passed, "
+             f"{s['failed']} failed"
+             + (f", {s['errors']} errored" if "errors" in s else "")]
+    for r in outcome["results"]:
+        where = (f"d={r['d']} char={r['char']} xi_order={r['xi_order']} "
+                 f"w={r['w']}")
+        if r["verdict"] == "fail":
+            lines.append(f"  {r['kind']}[{r['id']}] {where}: fail")
+        elif r["verdict"] == "error":
+            lines.append(f"  point {where}: error  [{r['detail']}]")
+    return lines
+
+
 def cmd_grid(args) -> int:
     spec = GridSpec(d_list=args.d, char_selector=args.chars,
                     xi_orders=args.xi_orders,
                     w_list=[_parse_w(t) for t in (args.w or ["1,1,1"])],
                     n_max=args.n, truncation=args.trunc, jobs=args.jobs)
     outcome = run_grid(spec)
-    if args.format == "json":
-        _emit(_dump_json(outcome), args.out)
-    elif args.format == "csv":
-        rows = [[r["kind"], r["id"], r["d"], r["char"], r["xi_order"],
-                 r["xi_exp"], ":".join(map(str, r["w"])), r["n"],
-                 r["verdict"], r["detail"] or ""]
-                for r in outcome["results"]]
-        _emit(_csv_text(["kind", "id", "d", "char", "xi_order", "xi_exp",
-                         "w", "n", "verdict", "detail"], rows), args.out)
-    else:
-        s = outcome["summary"]
-        lines = [f"grid: {s['total']} checks, {s['passed']} passed, "
-                 f"{s['failed']} failed"
-                 + (f", {s['errors']} errored" if "errors" in s else "")]
-        for r in outcome["results"]:
-            where = (f"d={r['d']} char={r['char']} xi_order={r['xi_order']} "
-                     f"w={r['w']}")
-            if r["verdict"] == "fail":
-                lines.append(f"  {r['kind']}[{r['id']}] {where}: fail")
-            elif r["verdict"] == "error":
-                lines.append(f"  point {where}: error  [{r['detail']}]")
-        _emit("\n".join(lines) + "\n", args.out)
+    _render(args, lambda: outcome,
+            lambda: _csv_table(["kind", "id"], outcome["results"]),
+            lambda: _grid_text(outcome))
     if "errors" in outcome["summary"]:
         return _INTERNAL_ERROR
     return 0 if outcome["summary"]["failed"] == 0 else _MISMATCH
 
 
 def cmd_padic(args) -> int:
-    ctx = TwistContext.from_orders(args.d, args.char, args.p ** args.s,
-                                   args.xi_exp, p=args.p, s=args.s)
-    _warn_imprimitive(ctx, args.char)
+    ctx = _build_context(args)
     report = convergence_check(ctx, args.k, args.n_max)
-    if args.format == "json":
-        _emit(_dump_json(report.to_json_dict()), args.out)
-    else:
-        rows = [[n, "inf" if v == float("inf") else str(v)]
-                for n, v in report.rows]
-        text = _csv_text(["N", "valuation"], rows)
-        if args.format == "text":
-            text += f"verdict: {'pass' if report.passed else 'fail'}\n"
-        _emit(text, args.out)
+
+    def table():
+        return ["N", "valuation"], report.to_json_dict()["rows"]
+    # the text view is the CSV table (its lines end in \r\n) and a verdict
+    _render(args, report.to_json_dict, table,
+            lambda: [_csv_text(*table()) + f"verdict: {report.verdict}"])
     return 0 if report.passed else _MISMATCH
 
 
@@ -328,12 +309,14 @@ def _add_context_flags(sub, with_w=False):
     if with_w:
         sub.add_argument("--w", type=_parse_w, default=(1, 1, 1),
                          help="weight triple, e.g. 1,2,3")
+    sub.set_defaults(p=None, s=None)  # padic alone names a prime
 
 
-def _add_output_flags(sub):
+def _add_output_flags(sub, fn):
     sub.add_argument("--format", choices=("text", "json", "csv"),
                      default="text")
     sub.add_argument("--out", default=None, help="write output to this file")
+    sub.set_defaults(fn=fn)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,23 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("chars", help="list Dirichlet characters mod d")
     p.add_argument("--d", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(fn=cmd_chars)
+    _add_output_flags(p, cmd_chars)
 
     p = subs.add_parser("bernoulli",
                         help="table of generalized twisted Bernoulli numbers")
     _add_context_flags(p)
     p.add_argument("--n", type=int, default=8, help="largest index")
-    _add_output_flags(p)
-    p.set_defaults(fn=cmd_bernoulli)
+    _add_output_flags(p, cmd_bernoulli)
 
     p = subs.add_parser("verify", help="verify one or all symmetry theorems")
     p.add_argument("--theorem", default="all",
                    help="theorem id 1..8, or 'all'")
     _add_context_flags(p, with_w=True)
     p.add_argument("--n", type=int, default=4, help="coefficient index")
-    _add_output_flags(p)
-    p.set_defaults(fn=cmd_verify)
+    _add_output_flags(p, cmd_verify)
 
     p = subs.add_parser("grid", help="run every verifier over a parameter grid")
     p.add_argument("--d", type=_parse_ints, default=[1],
@@ -376,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", type=int, default=4,
                    help="series truncation for GF and invariance checks")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    _add_output_flags(p)
-    p.set_defaults(fn=cmd_grid)
+    _add_output_flags(p, cmd_grid)
 
     p = subs.add_parser("padic",
                         help="valuation table witnessing p-adic convergence")
@@ -390,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="moment exponent")
     p.add_argument("--n-max", dest="n_max", type=int, default=5,
                    help="largest partial-sum level")
-    _add_output_flags(p)
-    p.set_defaults(fn=cmd_padic)
+    _add_output_flags(p, cmd_padic)
 
     return parser
 

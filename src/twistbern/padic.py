@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .bernoulli import TwistContext, _bern_values, bernoulli_polynomial
 from .cyclo import CycloField, CycloNumber, cyclo_field, euler_phi
-from .report import CheckReport
+from .report import CheckReport, Verdict
 
 INFINITE = math.inf
 
@@ -101,7 +101,7 @@ def volkenborn_partial(ctx: TwistContext, k: int, level: int) -> CycloNumber:
 
 
 @dataclass
-class ConvergenceReport:
+class ConvergenceReport(Verdict):
     """Valuations v(V_N - B_k) for N = 1..N_max and the monotonicity verdict."""
 
     params: dict
@@ -113,8 +113,7 @@ class ConvergenceReport:
         return {"check": "convergence_check", "params": self.params,
                 "rows": [[n, "inf" if v == INFINITE else str(v)]
                          for n, v in self.rows],
-                "verdict": "pass" if self.passed else "fail",
-                "detail": self.detail}
+                "verdict": self.verdict, "detail": self.detail}
 
 
 def convergence_check(ctx: TwistContext, k: int, n_max: int) -> ConvergenceReport:
@@ -126,6 +125,10 @@ def convergence_check(ctx: TwistContext, k: int, n_max: int) -> ConvergenceRepor
     level (it happens, e.g. the level-1 average of xi^j j^4 at xi = -1)
     does not impair the convergence the later levels witness.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     if ctx.p is None:
         raise ValueError("context carries no prime p")
     if ctx.chi.order > 2:

@@ -6,8 +6,16 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
+class Verdict:
+    """The "pass"/"fail" spelling of a report's ``passed`` flag."""
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
+
+
 @dataclass
-class CheckReport:
+class CheckReport(Verdict):
     """Outcome of a single mechanical check; failure is data, not an exception."""
 
     name: str
@@ -17,12 +25,11 @@ class CheckReport:
 
     def to_json_dict(self) -> dict:
         return {"check": self.name, "params": self.params,
-                "verdict": "pass" if self.passed else "fail",
-                "detail": self.detail}
+                "verdict": self.verdict, "detail": self.detail}
 
 
 @dataclass
-class TheoremReport:
+class TheoremReport(Verdict):
     """Verdict for one symmetry theorem at one parameter point."""
 
     theorem: int
@@ -31,10 +38,6 @@ class TheoremReport:
     passed: bool = True
     detail: str | None = None
     notes: dict = field(default_factory=dict)
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
         out: dict[str, Any] = {"theorem": self.theorem, "params": self.params,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 
-from .bernoulli import (TwistContext, _bern_values, char_sum_series,
-                        power_sum, twist_unit_series)
+from .bernoulli import (TwistContext, _bern_values, bernoulli_polynomial,
+                        char_sum_series, power_sum, twist_unit_series)
 from .report import CheckReport, TheoremReport
 from .series import PowerSeries
 from .sympoly import SymPoly, first_difference, monomial
@@ -167,20 +167,12 @@ def _exp_monomials(slots: tuple, scale: int, upto: int) -> list:
 
 def _scalar_bpoly_table(ctx: TwistContext, c: int, r: Fraction, upto: int) -> list:
     """[B_0(r), ..., B_upto(r)] for the twist xi^c at the rational point r."""
-    key = (c % ctx.xi_order, r)
-    tab = ctx._bpoly_tables.get(key)
-    if tab is None or len(tab) <= upto:
-        bern = _bern_values(ctx.twist(c), upto)
-        rp = [Fraction(1)]
-        for _ in range(upto):
-            rp.append(rp[-1] * r)
-        tab = []
-        for i in range(upto + 1):
-            acc = bern[i]
-            for t in range(i):
-                acc = acc + bern[t] * (math.comb(i, t) * rp[i - t])
-            tab.append(acc)
-        ctx._bpoly_tables[key] = tab
+    tab = ctx._bpoly_tables.setdefault((c % ctx.xi_order, r), [])
+    if len(tab) <= upto:
+        tw = ctx.twist(c)
+        _bern_values(tw, upto)  # one table to upto, not one per growing i
+        tab += [bernoulli_polynomial(tw, i, r)
+                for i in range(len(tab), upto + 1)]
     return tab
 
 

@@ -96,18 +96,14 @@ class SymPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloNumber)):
-            if isinstance(other, CycloNumber):
-                if other.field.order != self.field.order:
-                    raise ValueError("field mismatch")
-                s = other
-            else:
-                if not other:
-                    return SymPoly(self.field, {})
-                s = self.field.from_rational(other)
-            if s.is_zero():
+            if (isinstance(other, CycloNumber)
+                    and other.field.order != self.field.order):
+                raise ValueError("field mismatch")
+            if not other:
                 return SymPoly(self.field, {})
+            # an int or Fraction only rescales each c; no field product
             return SymPoly(self.field,
-                           {e: c * s for e, c in self.terms.items()})
+                           {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, SymPoly):
             return NotImplemented
         if other.field.order != self.field.order:

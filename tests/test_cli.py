@@ -282,3 +282,16 @@ def test_grid_survives_one_crashing_point(capsys, monkeypatch):
         "1 errored",
         "  point d=3 char=0 xi_order=1 w=[1, 2, 3]: error  "
         "[RuntimeError: injected crash]"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "-1"], "k must be >= 0"),
+    (["--n-max", "0"], "n_max must be >= 1"),
+    (["--n-max", "-1"], "n_max must be >= 1"),
+    (["--s", "-1"], "s must be >= 0"),
+])
+def test_padic_parameter_errors(capsys, flags, message):
+    # checked before any work: no table and no verdict for a run of nothing
+    code, out, err = run(capsys, "padic", "--p", "3", "--s", "1", "--d", "3",
+                         "--char", "1", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

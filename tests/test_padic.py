@@ -146,3 +146,12 @@ def test_pi_valuation_matches_division_reference():
                    f.from_rational(Fraction(5, p**2)) * pi ** (f.degree + 1)]
         for a in samples:
             assert pi_valuation(a, pctx) == _valuation_by_division(a, pctx)
+
+
+def test_convergence_rejects_empty_or_negative_parameters():
+    ctx = TwistContext.from_orders(1, 0, 3, 1, p=3, s=1)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        convergence_check(ctx, -1, 3)
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            convergence_check(ctx, 1, n_max)

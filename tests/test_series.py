@@ -152,3 +152,12 @@ def test_sympoly_first_difference_in_printing_order():
     assert poly_difference(SymPoly.zero(F4), a) == ((0, 0, 0, 0), 0, 1)
     assert monomial((0, 0, 0, 0)) == "1"
     assert monomial((1, 2, 0, 1)) == "y*y1^2*y3"
+
+
+def test_sympoly_zero_scalar_gives_the_zero_polynomial():
+    p = SymPoly.variable("y1", F4) * F4.root(1) + Fraction(1, 2)
+    for zero in (0, Fraction(0), F4.zero):
+        assert (p * zero).terms == {} and (zero * p).terms == {}
+    # a nonzero rational scales every coefficient, as a constant would
+    for q in (35, Fraction(-35, 6)):
+        assert p * q == p * SymPoly.constant(F4.from_rational(q))
