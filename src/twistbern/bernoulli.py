@@ -34,7 +34,7 @@ class TwistContext:
 
     __slots__ = ("chi", "xi", "d", "xi_order", "p", "s", "field",
                  "_chi_vals", "_xi_pows", "_bern", "_psums", "_twists",
-                 "_bpoly_tables", "_bpoly_cache")
+                 "_bpoly_cache")
 
     def __init__(self, chi: DirichletCharacter, xi: CycloNumber,
                  p: int | None = None, s: int | None = None):
@@ -79,7 +79,6 @@ class TwistContext:
         self._bern: list[CycloNumber] | None = None
         self._psums: dict = {}
         self._twists: dict = {}
-        self._bpoly_tables: dict = {}
         self._bpoly_cache: dict = {}
 
     @classmethod

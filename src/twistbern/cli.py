@@ -312,11 +312,10 @@ def _add_context_flags(sub, with_w=False):
     sub.set_defaults(p=None, s=None)  # padic alone names a prime
 
 
-def _add_output_flags(sub, fn):
+def _add_output_flags(sub):
     sub.add_argument("--format", choices=("text", "json", "csv"),
                      default="text")
     sub.add_argument("--out", default=None, help="write output to this file")
-    sub.set_defaults(fn=fn)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,20 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("chars", help="list Dirichlet characters mod d")
     p.add_argument("--d", type=int, required=True)
-    _add_output_flags(p, cmd_chars)
+    _add_output_flags(p)
 
     p = subs.add_parser("bernoulli",
                         help="table of generalized twisted Bernoulli numbers")
     _add_context_flags(p)
     p.add_argument("--n", type=int, default=8, help="largest index")
-    _add_output_flags(p, cmd_bernoulli)
+    _add_output_flags(p)
 
     p = subs.add_parser("verify", help="verify one or all symmetry theorems")
     p.add_argument("--theorem", default="all",
                    help="theorem id 1..8, or 'all'")
     _add_context_flags(p, with_w=True)
     p.add_argument("--n", type=int, default=4, help="coefficient index")
-    _add_output_flags(p, cmd_verify)
+    _add_output_flags(p)
 
     p = subs.add_parser("grid", help="run every verifier over a parameter grid")
     p.add_argument("--d", type=_parse_ints, default=[1],
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", type=int, default=4,
                    help="series truncation for GF and invariance checks")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    _add_output_flags(p, cmd_grid)
+    _add_output_flags(p)
 
     p = subs.add_parser("padic",
                         help="valuation table witnessing p-adic convergence")
@@ -369,19 +368,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="moment exponent")
     p.add_argument("--n-max", dest="n_max", type=int, default=5,
                    help="largest partial-sum level")
-    _add_output_flags(p, cmd_padic)
+    _add_output_flags(p)
 
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else _USAGE_ERROR
     try:
-        return args.fn(args)
+        # looked up per call, not bound into the shared parser
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR

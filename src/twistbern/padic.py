@@ -36,7 +36,7 @@ class PadicContext:
 
 
 def padic_context(p: int, s: int) -> PadicContext:
-    if p < 2 or any(p % q == 0 for q in range(2, p)):
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError("p must be prime")
     if s < 0:
         raise ValueError("s must be >= 0")

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 
-from .bernoulli import (TwistContext, _bern_values, bernoulli_polynomial,
-                        char_sum_series, power_sum, twist_unit_series)
+from .bernoulli import (TwistContext, _bern_values, char_sum_series, power_sum,
+                        twist_unit_series)
 from .report import CheckReport, TheoremReport
 from .series import PowerSeries
 from .sympoly import SymPoly, first_difference, monomial
@@ -165,32 +165,43 @@ def _exp_monomials(slots: tuple, scale: int, upto: int) -> list:
 
 # -- building blocks shared by the expansion forms and theorem verifiers ------
 
-def _scalar_bpoly_table(ctx: TwistContext, c: int, r: Fraction, upto: int) -> list:
-    """[B_0(r), ..., B_upto(r)] for the twist xi^c at the rational point r."""
-    tab = ctx._bpoly_tables.setdefault((c % ctx.xi_order, r), [])
-    if len(tab) <= upto:
-        tw = ctx.twist(c)
-        _bern_values(tw, upto)  # one table to upto, not one per growing i
-        tab += [bernoulli_polynomial(tw, i, r)
-                for i in range(len(tab), upto + 1)]
-    return tab
+def _binomial_convolution(a: list, b: list) -> list:
+    """[sum_i C(j,i) a_i b_(j-i) for j < len(a)]."""
+    return [sum((a[i] * (b[j - i] * math.comb(j, i)) for i in range(1, j + 1)),
+                a[0] * b[j]) for j in range(len(a))]
 
 
 def _bpoly(ctx: TwistContext, c: int, k: int, u: int, slot: int,
-           r: Fraction = Fraction(0)) -> SymPoly:
-    """B_k for twist xi^c evaluated at u*y + r, as a SymPoly in the given slot."""
-    cache_key = (c % ctx.xi_order, k, u, slot, r)
+           sums: tuple = ()) -> SymPoly:
+    """sum_p coef_p B_k(u*y + r_p) for the twist xi^c, as a SymPoly in the
+    given slot, over the shift points p of sums (see _B); no sums is the
+    single point (1, 0).
+
+    By B_k(u*y + r) = sum_t C(k,t) u^t y^t B_{k-t}(r), the y^t coefficient is
+    C(k,t) u^t T_{k-t} with T_m = sum_p coef_p B_m(r_p) = sum_i C(m,i) B_i
+    M_{m-i}, where M_e = sum_p coef_p r_p^e.  One sums entry (A, m, s, q)
+    has M_e = (s/q)^e S_e(A-1) for the twist xi^m (0^0 = 1 keeps the point
+    a = 0 at d = 1), and the moments of several entries are the binomial
+    convolution of theirs, so no shift point is visited.
+    """
+    cache_key = (c % ctx.xi_order, k, u, slot, sums)
     poly = ctx._bpoly_cache.get(cache_key)
     if poly is not None:
         return poly
-    if r:
-        scal = _scalar_bpoly_table(ctx, c, r, k)
-    else:
-        scal = _bern_values(ctx.twist(c), k)
+    bern = _bern_values(ctx.twist(c), k)[:k + 1]
+    if sums:
+        moments = None
+        for bound, m, s, q in sums:
+            tw = ctx.twist(m)
+            step = [power_sum(tw, e, bound - 1) * Fraction(s**e, q**e)
+                    for e in range(k + 1)]
+            moments = (step if moments is None
+                       else _binomial_convolution(moments, step))
+        bern = _binomial_convolution(bern, moments)
     terms = {}
     up = 1
     for t in range(k + 1):
-        coef = scal[k - t] * (math.comb(k, t) * up)
+        coef = bern[k - t] * (math.comb(k, t) * up)
         if not coef.is_zero():
             key = [0, 0, 0, 0]
             key[slot] = t
@@ -274,21 +285,7 @@ def _piece(ctx: TwistContext, desc: tuple):
         twisted = ctx.twist(c)
         return lambda j: power_sum(twisted, j, bound)
     _, c, u, slot, sums = desc
-    if not sums:
-        return lambda j: _bpoly(ctx, c, j, u, slot)
-    points = None
-    for bound, m, s, q in sums:
-        step = [(ctx.chi_at(a) * ctx.xi_pow(a * m), Fraction(s * a, q))
-                for a in range(bound) if ctx.chi_at(a)]
-        points = step if points is None else [
-            (c1 * c2, r1 + r2) for c1, r1 in points for c2, r2 in step]
-
-    def value(j):
-        acc = SymPoly.zero(ctx.field)
-        for coef, r in points:
-            acc = acc + _bpoly(ctx, c, j, u, slot, r) * coef
-        return acc
-    return value
+    return lambda j: _bpoly(ctx, c, j, u, slot, sums)
 
 
 def _compositions(n: int, parts: int):

@@ -295,3 +295,15 @@ def test_padic_parameter_errors(capsys, flags, message):
     code, out, err = run(capsys, "padic", "--p", "3", "--s", "1", "--d", "3",
                          "--char", "1", *flags)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    calls = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: calls.append(1) or real())
+    assert main(["chars", "--d", "3"]) == 0
+    assert main(["chars", "--d", "4"]) == 0
+    assert main(["chars"]) == 2
+    assert len(calls) == 1

@@ -155,3 +155,14 @@ def test_convergence_rejects_empty_or_negative_parameters():
     for n_max in (0, -1):
         with pytest.raises(ValueError, match="n_max must be >= 1"):
             convergence_check(ctx, 1, n_max)
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003])
+def test_padic_context_accepts_primes(p):
+    assert padic_context(p, 0).p == p
+
+
+@pytest.mark.parametrize("p", [1, 4, 1000001])  # 1000001 = 101 * 9901
+def test_padic_context_rejects_non_primes(p):
+    with pytest.raises(ValueError, match="p must be prime"):
+        padic_context(p, 0)

@@ -269,3 +269,12 @@ def test_failure_details_name_the_first_differing_monomial(monkeypatch):
     monkeypatch.undo()
     assert verify_theorem(1, CLASSICAL, (1, 2, 3), 1).detail is None
     assert permutation_reduction_check(4, CLASSICAL, (1, 1, 1), 0).detail is None
+
+
+def test_former_slowest_sweep_point():
+    # d=11, character 8, xi order 7, w=(3,7,6), n=8: the slowest point of the
+    # slow sweep while shifted B pieces were summed point by point
+    ctx = TwistContext.from_orders(11, 8, 7, 1)
+    assert verify_theorem(6, ctx, (3, 7, 6), 8).passed
+    spec = QuotientSpec("pairwise", 2, (3, 7, 6), ctx)
+    assert expansion_consistency_check("double_shifted_bernoulli", spec, 8).passed
