@@ -8,7 +8,7 @@ from .bernoulli import (BernoulliTable, TwistContext, bernoulli_numbers,
 from .characters import (DirichletCharacter, UnitGroup, conductor,
                          enumerate_characters, unit_group)
 from .cyclo import (CycloField, CycloNumber, Rational, cyclo_field,
-                    cyclo_root, cyclotomic_polynomial, field_join)
+                    cyclotomic_polynomial, field_join)
 from .padic import (PadicContext, convergence_check, padic_context,
                     pi_valuation, shift_identity_check, volkenborn_partial)
 from .report import CheckReport, TheoremReport
@@ -24,7 +24,7 @@ __all__ = [
     "DirichletCharacter", "EXPANSION_FORMS", "PadicContext", "PowerSeries",
     "QuotientSpec", "Rational", "SymPoly", "THEOREM_IDS", "TheoremReport",
     "TwistContext", "UnitGroup", "bernoulli_numbers", "bernoulli_polynomial",
-    "conductor", "convergence_check", "cyclo_field", "cyclo_root",
+    "conductor", "convergence_check", "cyclo_field",
     "cyclotomic_polynomial", "enumerate_characters", "expansion_coefficient",
     "field_join", "padic_context", "permutation_invariance_check",
     "permutation_reduction_check", "pi_valuation", "plain_twisted_numbers",

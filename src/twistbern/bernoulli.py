@@ -6,17 +6,18 @@ are the EGF coefficients of
 
     t * sum_{a<d} chi(a) xi^a e^{at} / (xi^d e^{dt} - 1),
 
-with the two cases handled exactly: when xi^d = 1 both the numerator and the
-denominator are divisible by t and the common t cancels; otherwise the
-denominator has the nonzero constant term xi^d - 1 and is inverted directly.
-A consequence pinned by the tests: B_0 = 0 whenever xi^d != 1.
+built, like every quotient of such factors in the package, by the one exact
+builder factor_quotient.  A consequence pinned by the tests: B_0 = 0
+whenever xi^d != 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .characters import DirichletCharacter, enumerate_characters
 from .cyclo import CycloNumber, cyclo_field, embed_into
@@ -152,15 +153,42 @@ def twist_unit_series(ctx: TwistContext, scale: int, truncation: int) -> PowerSe
     return PowerSeries(coeffs)
 
 
+def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
+                    truncation: int) -> PowerSeries:
+    """t^t_power * prod(num) / prod(den), exact to t^truncation.
+
+    A factor is ("unit", c), the series xi^(dc) e^(dct) - 1, or ("sum", c),
+    the character sum sum_{a<d} chi(a) xi^(ac) e^(act).  Each denominator
+    unit with xi^(dc) = 1 (vanish of them) gives up one t, and the quotient
+    owes t^(vanish - t_power) when that is positive; dividing it out raises
+    ValueError if t does not divide.  num and den are non-empty, and every
+    factor is built to exactly the length the result needs.
+    """
+    # looked up per call, so wrappers set on the module attributes (as
+    # perfbench/tracing.py does) see every factor built here
+    make = {"unit": twist_unit_series, "sum": char_sum_series}
+    vanish = sum(1 for kind, c in den
+                 if kind == "unit" and ctx.xi_pow(ctx.d * c).is_one())
+    shift = t_power - vanish
+    length = max(truncation - shift, 0)
+
+    def product(factors, upto):
+        return reduce(operator.mul, [make[kind](ctx, c, upto)
+                                     for kind, c in factors])
+
+    bottom = product(den, length + vanish)
+    if vanish:
+        bottom = bottom.divide_by_t(vanish)
+    q = product(num, length) * bottom.invert()
+    if shift < 0:
+        return q.divide_by_t(-shift)
+    return q.shift_up(shift).truncate(truncation)
+
+
 def bernoulli_gf(ctx: TwistContext, truncation: int) -> PowerSeries:
-    """The Bernoulli generating function t*T/(xi^d e^{dt} - 1) as a series."""
-    top = char_sum_series(ctx, 1, truncation)
-    if ctx.xi_pow(ctx.d).is_one():
-        # numerator t*T and denominator share exactly one power of t
-        unit = twist_unit_series(ctx, 1, truncation + 1).divide_by_t()
-        return top * unit.invert()
-    den = twist_unit_series(ctx, 1, truncation)
-    return (top * den.invert()).shift_up(1).truncate(truncation)
+    """The Bernoulli generating function t*T/(xi^d e^{dt} - 1) as a series,
+    T = sum_{a<d} chi(a) xi^a e^{at}."""
+    return factor_quotient(ctx, 1, [("sum", 1)], [("unit", 1)], truncation)
 
 
 @dataclass
@@ -180,6 +208,8 @@ class BernoulliTable:
 def _bern_values(ctx: TwistContext, n_max: int) -> list:
     tab = ctx._bern
     if tab is None or len(tab) <= n_max:
+        if tab is not None:  # grow geometrically: few rebuilds for rising n
+            n_max = max(n_max, 2 * len(tab))
         gf = bernoulli_gf(ctx, n_max)
         tab = [gf.egf(n) for n in range(n_max + 1)]
         ctx._bern = tab
@@ -245,8 +275,7 @@ def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
     """Check the three expressions of the power-sum EGF quotient identity.
 
     Side A: (xi^{dw} e^{dwt} - 1)/(xi^d e^{dt} - 1) * sum_{a<d} chi(a) xi^a e^{at},
-    with the quotient evaluated by the telescoping (geometric) form when
-    xi^d = 1 and by direct series inversion otherwise.
+    from factor_quotient (when xi^d = 1 both units lose their t).
     Side B: sum_{a<dw} chi(a) xi^a e^{at} summed directly.
     Side C: sum_k S_k(dw-1) t^k / k! from the power sums.
     """
@@ -256,17 +285,8 @@ def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
         raise ValueError("truncation must be >= 0")
     d = ctx.d
     params = dict(ctx.params(), w=w, k_max=k_max)
-
-    if ctx.xi_pow(d).is_one():
-        # telescoping sum_{j<w} (xi^d e^{dt})^j; here xi^{dj} = 1
-        coeffs = [ctx.field.from_rational(
-            Fraction(sum((d * j)**i for j in range(w)), math.factorial(i)))
-            for i in range(k_max + 1)]
-        ratio = PowerSeries(coeffs)
-    else:
-        num = twist_unit_series(ctx, w, k_max)
-        ratio = num * twist_unit_series(ctx, 1, k_max).invert()
-    side_a = ratio * char_sum_series(ctx, 1, k_max)
+    side_a = factor_quotient(ctx, 0, [("unit", w), ("sum", 1)], [("unit", 1)],
+                             k_max)
 
     coeffs = [ctx.field.zero] * (k_max + 1)
     for a in range(d * w):

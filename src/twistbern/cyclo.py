@@ -564,11 +564,6 @@ def dot(field: CycloField, xs, ys) -> CycloNumber:
     return _canonical(field, out, den)
 
 
-def cyclo_root(field: CycloField, k: int) -> CycloNumber:
-    """The k-th power of the canonical generator zeta_L of the field."""
-    return field.root(k)
-
-
 def embed_into(x: CycloNumber, field: CycloField) -> CycloNumber:
     """Embed x in a larger cyclotomic field via zeta_L -> zeta_L'^(L'/L).
 

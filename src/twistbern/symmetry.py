@@ -19,13 +19,11 @@ polynomial identities in the y-variables.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 
-from .bernoulli import (TwistContext, _bern_values, char_sum_series, power_sum,
-                        twist_unit_series)
+from .bernoulli import TwistContext, _bern_values, factor_quotient, power_sum
 from .report import CheckReport, TheoremReport
 from .series import PowerSeries
 from .sympoly import SymPoly, first_difference, monomial
@@ -59,76 +57,51 @@ class QuotientSpec:
                     w=list(self.w))
 
 
+def _weighted(scales: tuple, power: int, i: int, big: int) -> tuple:
+    """The pairwise (power 2) and single (power 1) families: i units scaled
+    by big over the units at scales, times the character sums at scales."""
+    return (Fraction(big) ** (power - i), 3 - i,
+            [("unit", big)] * i + [("sum", c) for c in scales],
+            [("unit", c) for c in scales], (_Y1, _Y2, _Y3)[:3 - i], big)
+
+
+#: family -> (w1, w2, w3, i) -> (prefactor, t power, numerator factors,
+#: denominator factors, exp slots, exp scale): the quotient is prefactor *
+#: t^power * prod(num) / prod(den) * e^{scale * (sum of the slot y) * t},
+#: with factors as in bernoulli.factor_quotient.
+_QUOTIENTS = {
+    "pairwise": lambda w1, w2, w3, i: _weighted(
+        (w2 * w3, w1 * w3, w1 * w2), 2, i, w1 * w2 * w3),
+    "single": lambda w1, w2, w3, i: _weighted((w1, w2, w3), 1, i, w1 * w2 * w3),
+    # i = 0: the plain product; i = 1: the fully cancelled quotient
+    "cyclic": lambda w1, w2, w3, i: (
+        (Fraction(w1 * w2 * w3), 3, [("sum", w1), ("sum", w2), ("sum", w3)],
+         [("unit", w1), ("unit", w2), ("unit", w3)], (_Y,),
+         w2 * w3 + w1 * w3 + w1 * w2) if i == 0 else
+        (Fraction(1, w1 * w2 * w3), 0,
+         [("unit", w2 * w3), ("unit", w1 * w3), ("unit", w1 * w2),
+          ("sum", w1), ("sum", w2), ("sum", w3)],
+         [("unit", w1), ("unit", w2), ("unit", w3)], (), 0)),
+}
+
+
 def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
     """The closed-form series of the quotient, with SymPoly coefficients.
 
-    Built scalar-first: the series q(t) with CycloNumber coefficients is
-    (prefactor) * t^p * (unit factors) * (character sums) / (unit factors);
-    every cancellation of t against a factor with vanishing constant term is
-    exact, and a failed cancellation raises.  The symbolic factor
-    e^{c*(sum of the live y)*t} is then applied in closed form: the t^n
-    coefficient holds each monomial y^e with |e| = j <= n exactly once, with
-    coefficient q_{n-j} * c^j / prod(e_i!), so no polynomial product is formed.
+    Built scalar-first: the _QUOTIENTS row of the spec gives the scalar
+    series q(t) = prefactor * factor_quotient(...) with CycloNumber
+    coefficients, where every cancellation of t is exact and a failed one
+    raises.  The symbolic factor e^{c*(sum of the live y)*t} is then applied
+    in closed form: the t^n coefficient holds each monomial y^e with
+    |e| = j <= n exactly once, with coefficient q_{n-j} * c^j / prod(e_i!),
+    so no polynomial product is formed.
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    ctx = spec.context
-    w1, w2, w3 = spec.w
-    big = w1 * w2 * w3
-    i = spec.i
-    field = ctx.field
-
-    if spec.family == "pairwise":
-        prefactor = Fraction(big) ** (2 - i)
-        t_power = 3 - i
-        numerator_units = [big] * i
-        denominators = [w2 * w3, w1 * w3, w1 * w2]
-        sum_scales = denominators
-        exp_vars = (_Y1, _Y2, _Y3)[:3 - i]
-        exp_scale = big
-    elif spec.family == "single":
-        prefactor = Fraction(big) ** (1 - i)
-        t_power = 3 - i
-        numerator_units = [big] * i
-        denominators = [w1, w2, w3]
-        sum_scales = denominators
-        exp_vars = (_Y1, _Y2, _Y3)[:3 - i]
-        exp_scale = big
-    elif spec.i == 0:  # cyclic, plain product
-        prefactor = Fraction(big)
-        t_power = 3
-        numerator_units = []
-        denominators = [w1, w2, w3]
-        sum_scales = denominators
-        exp_vars = (_Y,)
-        exp_scale = w2 * w3 + w1 * w3 + w1 * w2
-    else:  # cyclic, fully cancelled quotient
-        prefactor = Fraction(1, big)
-        t_power = 0
-        numerator_units = [w2 * w3, w1 * w3, w1 * w2]
-        denominators = [w1, w2, w3]
-        sum_scales = [w1, w2, w3]
-        exp_vars = ()
-        exp_scale = 0
-
-    vanish = sum(1 for c in denominators if ctx.xi_pow(ctx.d * c).is_one())
-    # each vanishing denominator factor consumes one t, plus t_power's deficit
-    work = truncation + vanish + max(0, vanish - t_power)
-
-    num = reduce(operator.mul,
-                 [twist_unit_series(ctx, c, work) for c in numerator_units]
-                 + [char_sum_series(ctx, c, work) for c in sum_scales])
-    den = reduce(operator.mul,
-                 [twist_unit_series(ctx, c, work) for c in denominators])
-    if vanish:
-        den = den.divide_by_t(vanish)
-    q = num * den.invert()
-    shift = t_power - vanish
-    if shift > 0:
-        q = q.shift_up(shift)
-    elif shift < 0:
-        q = q.divide_by_t(-shift)
-    q = (q * prefactor).coeffs
+    prefactor, t_power, num, den, exp_vars, exp_scale = _QUOTIENTS[
+        spec.family](*spec.w, spec.i)
+    q = (factor_quotient(spec.context, t_power, num, den, truncation)
+         * prefactor).coeffs
 
     exp_terms = _exp_monomials(exp_vars, exp_scale, truncation)
     out = []
@@ -139,7 +112,7 @@ def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
             if c:
                 for key, weight in exp_terms[j]:
                     terms[key] = c * weight
-        out.append(SymPoly(field, terms))
+        out.append(SymPoly(spec.context.field, terms))
     return PowerSeries(out)
 
 

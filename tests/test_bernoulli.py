@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from twistbern import bernoulli
 from twistbern.bernoulli import (TwistContext, bernoulli_numbers,
                                  bernoulli_polynomial, bernoulli_polynomial_gf,
                                  plain_twisted_numbers, power_sum,
                                  powersum_gf_check)
 from twistbern.characters import enumerate_characters
 from twistbern.cyclo import cyclo_field
+from twistbern.series import PowerSeries
 from twistbern.sympoly import SymPoly
 
 
@@ -132,6 +134,60 @@ def test_powersum_gf_check_examples():
     # xi^d != 1 branch
     ctx2 = TwistContext.from_orders(3, 1, 2, 1)
     assert powersum_gf_check(ctx2, 2, 6).passed
+
+
+# xi^d = 1 (d = 3, xi = zeta_3) and xi^d != 1 (d = 3, xi = zeta_4); at w = 2
+# the constant term of side A's unit quotient is nonzero in both
+GF_CONTROLS = [(3, 1, 3), (3, 1, 4)]
+
+
+@pytest.mark.parametrize("d,char,order", GF_CONTROLS)
+def test_powersum_gf_check_catches_a_wrong_power_sum(monkeypatch, d, char,
+                                                      order):
+    ctx = TwistContext.from_orders(d, char, order)
+    exact = bernoulli.power_sum
+    monkeypatch.setattr(bernoulli, "power_sum",
+                        lambda c, k, n: exact(c, k, n) + (k == 3))
+    report = powersum_gf_check(ctx, 2, 6)
+    assert not report.passed
+    assert report.detail.startswith("direct-vs-powersum first differs at t^3:")
+
+
+@pytest.mark.parametrize("d,char,order", GF_CONTROLS)
+def test_powersum_gf_check_catches_a_wrong_side_a_factor(monkeypatch, d, char,
+                                                         order):
+    ctx = TwistContext.from_orders(d, char, order)
+    exact = bernoulli.char_sum_series
+
+    def perturbed(c, scale, truncation):
+        coeffs = list(exact(c, scale, truncation).coeffs)
+        if truncation >= 3:
+            coeffs[3] = coeffs[3] + 1
+        return PowerSeries(coeffs)
+
+    monkeypatch.setattr(bernoulli, "char_sum_series", perturbed)
+    report = powersum_gf_check(ctx, 2, 6)
+    assert not report.passed
+    assert report.detail.startswith("quotient-vs-direct first differs at t^3:")
+
+
+def test_bernoulli_table_grows_geometrically(monkeypatch):
+    builds = []
+    exact = bernoulli.bernoulli_gf
+
+    def counted(ctx, truncation):
+        builds.append(truncation)
+        return exact(ctx, truncation)
+
+    monkeypatch.setattr(bernoulli, "bernoulli_gf", counted)
+    ctx = TwistContext.from_orders(5, 1, 3)
+    got = [bernoulli_numbers(ctx, n).values for n in range(17)]
+    assert builds[0] == 0 and len(builds) <= 5
+    fresh = TwistContext.from_orders(5, 1, 3)
+    assert len(bernoulli_numbers(fresh, 16).values) == 17  # exactly n_max + 1
+    assert len(fresh._bern) == 17
+    for n, values in enumerate(got):
+        assert values == fresh._bern[:n + 1]
 
 
 def test_context_validation():

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistbern.cyclo import (CycloNumber, cyclo_field, cyclo_root,
-                             cyclotomic_polynomial, divisors, embed_into,
-                             euler_phi, field_join)
+from twistbern.cyclo import (CycloNumber, cyclo_field, cyclotomic_polynomial,
+                             divisors, embed_into, euler_phi, field_join)
 
 
 def _poly_mul(a, b):
@@ -45,8 +44,8 @@ def test_cyclotomic_product_over_divisors():
 
 def test_roots_of_unity():
     f4 = cyclo_field(4)
-    assert cyclo_root(f4, 0) == 1
-    assert cyclo_root(f4, 2) == -1
+    assert f4.root(0) == 1
+    assert f4.root(2) == -1
     z3 = cyclo_field(3).root(1)
     assert z3.coeffs == (Fraction(0), Fraction(1))
     assert z3 * z3 + z3 + 1 == 0

@@ -1,5 +1,8 @@
-"""Every ``twistbern ...`` example in README's command-line block parses."""
+"""Every ``twistbern ...`` example in README's command-line block parses,
+and README's ``python`` example runs and prints ``pass``."""
 
+import contextlib
+import io
 import re
 import shlex
 from pathlib import Path
@@ -32,3 +35,12 @@ def test_readme_has_the_cli_examples():
 def test_readme_example_parses(argv):
     args = build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+def test_readme_python_example_runs():
+    code = re.search(r"### Example\s+```python\n(.*?)```", README.read_text(),
+                     re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[-1] == "pass"
