@@ -35,7 +35,7 @@ class TwistContext:
 
     __slots__ = ("chi", "xi", "d", "xi_order", "p", "s", "field",
                  "_chi_vals", "_xi_pows", "_bern", "_psums", "_twists",
-                 "_bpoly_cache")
+                 "_bpoly_cache", "_piece_tables")
 
     def __init__(self, chi: DirichletCharacter, xi: CycloNumber,
                  p: int | None = None, s: int | None = None):
@@ -81,6 +81,7 @@ class TwistContext:
         self._psums: dict = {}
         self._twists: dict = {}
         self._bpoly_cache: dict = {}
+        self._piece_tables: dict = {}
 
     @classmethod
     def from_orders(cls, d: int, char_index: int = 0, xi_order: int = 1,

@@ -10,10 +10,13 @@ triple (w1, w2, w3) enters the factors:
   w2*y, w3*y, w1*y.
 
 Every closed form is manifestly symmetric in (w1, w2, w3).  Each family/index
-also admits finite-sum expansions in Bernoulli values and power sums
-(implemented independently of the series path), and matching expansions across
-weight permutations yields the eight symmetry theorems verified below as exact
-polynomial identities in the y-variables.
+also admits finite-sum expansions in Bernoulli values and power sums, written
+as table rows of pieces (``_ROWS``) and evaluated independently of the series
+path: each piece contributes one scalar table, a row convolves its tables
+once, and the y-part, which is exponential in each slot, is written in closed
+form.  Matching expansions across weight permutations yields the eight
+symmetry theorems verified below as exact polynomial identities in the
+y-variables.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from fractions import Fraction
 from functools import partial
 
 from .bernoulli import TwistContext, _bern_values, factor_quotient, power_sum
+from .cyclo import dot
 from .report import CheckReport, TheoremReport
 from .series import PowerSeries
 from .sympoly import SymPoly, first_difference, monomial
@@ -138,51 +142,36 @@ def _exp_monomials(slots: tuple, scale: int, upto: int) -> list:
 
 # -- building blocks shared by the expansion forms and theorem verifiers ------
 
-def _binomial_convolution(a: list, b: list) -> list:
-    """[sum_i C(j,i) a_i b_(j-i) for j < len(a)]."""
-    return [sum((a[i] * (b[j - i] * math.comb(j, i)) for i in range(1, j + 1)),
-                a[0] * b[j]) for j in range(len(a))]
+def _convolve(field, a: list, b: list) -> list:
+    """The Cauchy product [sum_i a_i b_(j-i) for j < len(a)], one cyclo.dot
+    per coefficient; b is at least as long as a."""
+    return [dot(field, a[:j + 1], b[j::-1]) for j in range(len(a))]
 
 
-def _bpoly(ctx: TwistContext, c: int, k: int, u: int, slot: int,
-           sums: tuple = ()) -> SymPoly:
-    """sum_p coef_p B_k(u*y + r_p) for the twist xi^c, as a SymPoly in the
-    given slot, over the shift points p of sums (see _B); no sums is the
-    single point (1, 0).
+def _bpoly(ctx: TwistContext, c: int, k: int, sums: tuple) -> list:
+    """The table [T_0, .., T_k] (or a longer one) of T_m = sum_p coef_p
+    B_m(r_p) for the twist xi^c, over the shift points p of sums (see _B);
+    no sums is the single point (1, 0), where T_m = B_m.
 
-    By B_k(u*y + r) = sum_t C(k,t) u^t y^t B_{k-t}(r), the y^t coefficient is
-    C(k,t) u^t T_{k-t} with T_m = sum_p coef_p B_m(r_p) = sum_i C(m,i) B_i
-    M_{m-i}, where M_e = sum_p coef_p r_p^e.  One sums entry (A, m, s, q)
-    has M_e = (s/q)^e S_e(A-1) for the twist xi^m (0^0 = 1 keeps the point
-    a = 0 at d = 1), and the moments of several entries are the binomial
-    convolution of theirs, so no shift point is visited.
+    With the moments M_e = sum_p coef_p r_p^e, T_m = sum_i C(m,i) B_i
+    M_{m-i}, so T_m/m! is the Cauchy product of B_i/i! and M_e/e!.  One
+    sums entry (A, m, s, q) has M_e = (s/q)^e S_e(A-1) for the twist xi^m
+    (0^0 = 1 keeps the point a = 0 at d = 1), and the moments of several
+    entries combine in the same way, so no shift point is visited.  One
+    table is cached per (c mod xi order, sums) and grows in place.
     """
-    cache_key = (c % ctx.xi_order, k, u, slot, sums)
-    poly = ctx._bpoly_cache.get(cache_key)
-    if poly is not None:
-        return poly
-    bern = _bern_values(ctx.twist(c), k)[:k + 1]
-    if sums:
-        moments = None
+    table = ctx._bpoly_cache.setdefault((c % ctx.xi_order, sums), [])
+    if len(table) <= k:
+        fact = [math.factorial(i) for i in range(k + 1)]
+        bern = _bern_values(ctx.twist(c), k)
+        hat = [bern[i] * Fraction(1, fact[i]) for i in range(k + 1)]
         for bound, m, s, q in sums:
             tw = ctx.twist(m)
-            step = [power_sum(tw, e, bound - 1) * Fraction(s**e, q**e)
-                    for e in range(k + 1)]
-            moments = (step if moments is None
-                       else _binomial_convolution(moments, step))
-        bern = _binomial_convolution(bern, moments)
-    terms = {}
-    up = 1
-    for t in range(k + 1):
-        coef = bern[k - t] * (math.comb(k, t) * up)
-        if not coef.is_zero():
-            key = [0, 0, 0, 0]
-            key[slot] = t
-            terms[tuple(key)] = coef
-        up *= u
-    poly = SymPoly(ctx.field, terms)
-    ctx._bpoly_cache[cache_key] = poly
-    return poly
+            hat = _convolve(ctx.field, hat, [
+                power_sum(tw, e, bound - 1) * Fraction(s**e, q**e * fact[e])
+                for e in range(k + 1)])
+        table.extend(hat[m] * fact[m] for m in range(len(table), k + 1))
+    return table
 
 
 # -- expansion forms as data over one kernel (independent of the series path) --
@@ -197,6 +186,14 @@ def _bpoly(ctx: TwistContext, c: int, k: int, u: int, slot: int,
 #   entries range over the product of their point sets, and none is the
 #   single point (1, 0).
 # * _S(bound, c): j -> S_j(bound) for the twist xi^c.
+#
+# So the row is n! [t^n] of const * prod_i sum_k piece_i(k) (c_i t)^k / k!.
+# By B_k(u*y + r) = sum_t C(k,t) (u*y)^t B_{k-t}(r), the series of a B piece
+# is e^{c*u*y_slot*t} * sum_j T_j (c t)^j / j!, with T the scalar table of
+# _bpoly.  The row is thus const * e^{(sum_i c_i u_i y_slot_i) t} * E(t), with
+# E the Cauchy product of the scalar tables a_i[j] = c_i^j P_i(j) / j!
+# (P_i = T for a B piece, S(bound) for an S piece): _expand convolves the
+# tables once and forms no polynomial product.
 
 def _B(c, u, slot, *sums):
     return ("B", c, u, slot, sums)
@@ -251,60 +248,53 @@ _ROWS = {
 }
 
 
-def _piece(ctx: TwistContext, desc: tuple):
-    """The function j -> piece(j) of one descriptor, in the context ctx."""
-    if desc[0] == "S":
-        _, c, bound = desc
-        twisted = ctx.twist(c)
-        return lambda j: power_sum(twisted, j, bound)
-    _, c, u, slot, sums = desc
-    return lambda j: _bpoly(ctx, c, j, u, slot, sums)
-
-
-def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for k in range(n + 1):
-        for rest in _compositions(n - k, parts - 1):
-            yield (k,) + rest
+def _table(ctx: TwistContext, desc: tuple, n: int) -> list:
+    """[c^j P(j) / j! for j <= n] (or longer) of one piece, with P = T of
+    _bpoly for a B piece and P(j) = S_j(bound) for an S piece; cached per
+    descriptor (u and slot aside) and grown in place."""
+    kind, c = desc[:2]
+    key = (kind, c, desc[4]) if kind == "B" else desc
+    table = ctx._piece_tables.setdefault(key, [])
+    if len(table) <= n:
+        if kind == "B":
+            values = _bpoly(ctx, c, n, desc[4])
+        else:
+            twisted = ctx.twist(c)
+            values = [power_sum(twisted, j, desc[2]) for j in range(n + 1)]
+        table.extend(values[j] * Fraction(c**j, math.factorial(j))
+                     for j in range(len(table), n + 1))
+    return table
 
 
 def _expand(ctx: TwistContext, n: int, const, row: list) -> SymPoly:
     """const * sum over k1+..+kr = n of C(n; k) * prod c_i^k_i * piece_i(k_i).
 
-    Each piece is evaluated once per index the loop visits, and a term with
-    a zero piece is skipped; the scalar pieces, const and the integer weight
-    are multiplied into each term once.
+    With E the Cauchy product of the pieces' scalar tables and s_y the sum
+    of c_i*u_i over the B pieces in slot y, the monomial y^t has the
+    coefficient const * n!/prod(t_y!) * prod(s_y^t_y) * E_{n-|t|}: an
+    integer weight, so one scaling per monomial.
     """
-    pieces = [_piece(ctx, desc) for desc in row]
-    seen = [{} for _ in row]
+    seq = None
+    scales = {}
+    for desc in row:
+        table = _table(ctx, desc, n)
+        seq = (table if seq is None
+               else _convolve(ctx.field, seq[:n + 1], table))
+        if desc[0] == "B":
+            scales[desc[3]] = scales.get(desc[3], 0) + desc[1] * desc[2]
     fact = [math.factorial(j) for j in range(n + 1)]
-    acc = None
-    for ks in _compositions(n, len(row)):
-        weight = fact[n]
-        poly = scalar = None
-        for desc, k, piece, memo in zip(row, ks, pieces, seen):
-            v = memo.get(k)
-            if v is None:
-                v = memo[k] = piece(k)
-            if v.is_zero():
-                break
-            weight = weight * desc[1] ** k // fact[k]
-            if type(v) is SymPoly:
-                poly = v if poly is None else poly * v
-            else:
-                scalar = v if scalar is None else scalar * v
-        else:
-            term = const * weight
-            if scalar is not None:
-                term = scalar * term
-            if poly is not None:
-                term = poly * term
-            acc = term if acc is None else acc + term
-    if acc is None:
-        return SymPoly.zero(ctx.field)
-    return acc if type(acc) is SymPoly else SymPoly.constant(acc)
+    # (exponent key, |t|, prod s_y^t_y, prod t_y!) over the monomials y^t
+    monos = [((0, 0, 0, 0), 0, 1, 1)]
+    for slot, scale in scales.items():
+        monos = [(key[:slot] + (t,) + key[slot + 1:], deg + t,
+                  num * scale**t, den * fact[t])
+                 for key, deg, num, den in monos for t in range(n - deg + 1)]
+    terms = {}
+    for key, deg, num, den in monos:
+        value = seq[n - deg]
+        if value:
+            terms[key] = value * (const * (fact[n] * num // den))
+    return SymPoly(ctx.field, terms)
 
 
 def _evaluate(row: str, ctx: TwistContext, w: tuple, n: int) -> SymPoly:
@@ -390,11 +380,14 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
     perms, row = _THEOREM_PATTERNS[theorem]
     report = TheoremReport(theorem=theorem,
                            params=dict(ctx.params(), w=list(w), n=n))
+    values = {}
     exprs = []
     labels = []
     for perm in perms:
         v = tuple(w[j] for j in perm)
-        exprs.append(_evaluate(row, ctx, v, n))
+        if v not in values:  # repeated weights repeat an order
+            values[v] = _evaluate(row, ctx, v, n)
+        exprs.append(values[v])
         labels.append(f"w-order {v}")
     report.expressions = exprs
     for idx in range(1, len(exprs)):

@@ -1,10 +1,11 @@
-"""The B pieces of the expansion forms against the per-point route.
+"""The scalar tables of the B pieces against the per-point route.
 
 `symmetry._bpoly` sums the shift points of a piece through their moments
 (power sums) and never visits a point.  The oracle here visits every point:
-sum_p coef_p * B_k(u*y_slot + r_p), each term one `bernoulli_polynomial` of a
-SymPoly argument, over the explicit product of the point sets of the piece's
-sums entries.
+T_k = sum_p coef_p * B_k(r_p), each term one `bernoulli_polynomial` at a
+rational point, over the explicit product of the point sets of the piece's
+sums entries.  The y-part of a piece (its u and slot) is checked at the row
+level by tests/test_row_oracle.py.
 """
 
 from fractions import Fraction
@@ -14,7 +15,6 @@ import pytest
 from twistbern.bernoulli import TwistContext, bernoulli_polynomial
 from twistbern.characters import enumerate_characters
 from twistbern.symmetry import _ROWS, _bpoly
-from twistbern.sympoly import VARIABLES, SymPoly
 
 K_MAX = 8
 WEIGHTS = ((3, 1, 2),)
@@ -36,22 +36,21 @@ def _points(ctx, sums):
     return points
 
 
-def _oracle(ctx, c, k, u, slot, sums):
-    y = SymPoly.variable(VARIABLES[slot], ctx.field)
-    acc = SymPoly.zero(ctx.field)
+def _oracle(ctx, c, k, sums):
+    acc = ctx.field.zero
     for coef, r in _points(ctx, sums):
-        acc = acc + bernoulli_polynomial(ctx.twist(c), k, y * u + r) * coef
+        acc = acc + bernoulli_polynomial(ctx.twist(c), k, r) * coef
     return acc
 
 
 def _b_pieces(d, w):
-    """Every distinct B descriptor of every table row at the weights w."""
-    return {piece for row in _ROWS.values() for piece in row(*w, d)[1]
-            if piece[0] == "B"}
+    """Every distinct (c, sums) of a B piece of a table row at the weights w."""
+    return {(piece[1], piece[4]) for row in _ROWS.values()
+            for piece in row(*w, d)[1] if piece[0] == "B"}
 
 
 def test_rows_produce_single_and_double_shifts():
-    sums = {piece[4] for w in WEIGHTS for piece in _b_pieces(3, w)}
+    sums = {sums for w in WEIGHTS for _, sums in _b_pieces(3, w)}
     assert {len(s) for s in sums} == {0, 1, 2}
     # the trivial character mod 4 is imprimitive
     assert not enumerate_characters(4)[0].is_primitive
@@ -62,8 +61,8 @@ def test_rows_produce_single_and_double_shifts():
 def test_bpoly_matches_the_per_point_sum(d, idx, r):
     ctx = TwistContext.from_orders(d, idx, r, 1)
     for w in WEIGHTS:
-        for _, c, u, slot, sums in sorted(_b_pieces(d, w)):
+        for c, sums in sorted(_b_pieces(d, w)):
             for k in range(K_MAX + 1):
-                got = _bpoly(ctx, c, k, u, slot, sums)
-                want = _oracle(ctx, c, k, u, slot, sums)
-                assert got == want, (w, c, u, slot, sums, k)
+                got = _bpoly(ctx, c, k, sums)[k]
+                want = _oracle(ctx, c, k, sums)
+                assert got == want, (w, c, sums, k)
