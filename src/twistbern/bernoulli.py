@@ -110,13 +110,11 @@ class TwistContext:
     def twist(self, c: int) -> "TwistContext":
         """The context with xi replaced by xi^c (character unchanged)."""
         key = c % self.xi_order
+        if key == 1 % self.xi_order:  # xi^c = xi
+            return self
         ctx = self._twists.get(key)
         if ctx is None:
-            if key == 0 and self.xi_order == 1:
-                ctx = self
-            else:
-                ctx = TwistContext(self.chi, self._xi_pows[key])
-            self._twists[key] = ctx
+            ctx = self._twists[key] = TwistContext(self.chi, self._xi_pows[key])
         return ctx
 
     def params(self) -> dict:
@@ -131,17 +129,11 @@ class TwistContext:
 # -- series building blocks -----------------------------------------------
 
 def char_sum_series(ctx: TwistContext, scale: int, truncation: int) -> PowerSeries:
-    """sum_{a<d} chi(a) xi^(a*scale) e^(a*scale*t), truncated."""
-    coeffs = [ctx.field.zero] * (truncation + 1)
-    for a in range(ctx.d):
-        cv = ctx.chi_at(a)
-        if cv.is_zero():
-            continue
-        base = cv * ctx.xi_pow(a * scale)
-        ac = a * scale
-        for j in range(truncation + 1):
-            coeffs[j] = coeffs[j] + base * Fraction(ac**j, math.factorial(j))
-    return PowerSeries(coeffs)
+    """sum_{a<d} chi(a) xi^(a*scale) e^(a*scale*t), truncated: the t^j
+    coefficient is scale^j/j! times S_j(d-1) of the twist xi^scale."""
+    sums = power_sums(ctx.twist(scale), truncation, ctx.d - 1)
+    return PowerSeries([sums[j] * Fraction(scale**j, math.factorial(j))
+                        for j in range(truncation + 1)])
 
 
 def twist_unit_series(ctx: TwistContext, scale: int, truncation: int) -> PowerSeries:
@@ -254,22 +246,33 @@ def bernoulli_polynomial_gf(ctx: TwistContext, n: int, x):
     return (bernoulli_gf(ctx, n) * ex).egf(n)
 
 
-def power_sum(ctx: TwistContext, k: int, n: int) -> CycloNumber:
-    """S_k(n) = sum_{a=0}^{n} chi(a) xi^a a^k, with the convention 0^0 = 1."""
+def power_sums(ctx: TwistContext, k: int, n: int) -> list:
+    """[S_0(n), .., S_k(n)] (or longer), S_j(n) = sum_{a<=n} chi(a) xi^a a^j
+    with 0^0 = 1, from one table per bound n in ctx._psums, grown in place.
+    A nonzero chi(a) xi^a is a root of unity, with integer coordinates over
+    the denominator 1, so S_j(n) is the integer combination of those vectors
+    with the weights a^j, and a growth forms each chi(a) xi^a once."""
     if k < 0 or n < 0:
         raise ValueError("k and n must be >= 0")
-    key = (k, n)
-    val = ctx._psums.get(key)
-    if val is not None:
-        return val
-    acc = ctx.field.zero
-    for a in range(n + 1):
-        cv = ctx.chi_at(a)
-        if cv.is_zero():
-            continue
-        acc = acc + cv * ctx.xi_pow(a) * Fraction(a**k)
-    ctx._psums[key] = acc
-    return acc
+    table = ctx._psums.setdefault(n, [])
+    if len(table) <= k:
+        points, vectors = [], []
+        for a in range(n + 1):
+            cv, x = ctx.chi_at(a), ctx.xi_pow(a)
+            if not cv.is_zero():
+                points.append(a)
+                vectors.append(cv.num if x.is_one() else (cv * x).num)
+        columns = list(zip(*vectors)) or [()] * ctx.field.degree
+        for j in range(len(table), k + 1):
+            weights = [a**j for a in points]
+            table.append(CycloNumber(ctx.field, tuple(
+                sum(map(operator.mul, weights, col)) for col in columns)))
+    return table
+
+
+def power_sum(ctx: TwistContext, k: int, n: int) -> CycloNumber:
+    """S_k(n) = sum_{a<=n} chi(a) xi^a a^k, read from the power_sums table."""
+    return power_sums(ctx, k, n)[k]
 
 
 def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
@@ -277,7 +280,7 @@ def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
 
     Side A: (xi^{dw} e^{dwt} - 1)/(xi^d e^{dt} - 1) * sum_{a<d} chi(a) xi^a e^{at},
     from factor_quotient (when xi^d = 1 both units lose their t).
-    Side B: sum_{a<dw} chi(a) xi^a e^{at} summed directly.
+    Side B: sum_{a<dw} chi(a) xi^a e^{at} summed directly, not via power_sums.
     Side C: sum_k S_k(dw-1) t^k / k! from the power sums.
     """
     if w < 1:

@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernoulli import TwistContext, _bern_values, bernoulli_polynomial
-from .cyclo import CycloField, CycloNumber, cyclo_field, euler_phi
-from .report import CheckReport, Verdict
+from .bernoulli import (TwistContext, _bern_values, bernoulli_polynomial,
+                        power_sum)
+from .cyclo import CycloField, CycloNumber, cyclo_field, euler_phi, factorize
+from .report import Verdict
 
 INFINITE = math.inf
 
@@ -36,7 +37,7 @@ class PadicContext:
 
 
 def padic_context(p: int, s: int) -> PadicContext:
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if p < 2 or factorize(p) != {p: 1}:
         raise ValueError("p must be prime")
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -84,20 +85,14 @@ def pi_valuation(alpha: CycloNumber, pctx: PadicContext):
 
 
 def volkenborn_partial(ctx: TwistContext, k: int, level: int) -> CycloNumber:
-    """(1/(d p^N)) * sum_{j<d p^N} chi(j) xi^j j^k, exactly (N = level)."""
+    """(1/(d p^N)) * sum_{j<d p^N} chi(j) xi^j j^k, exactly (N = level):
+    the power sum S_k(d p^N - 1) of the context over d p^N."""
     if ctx.p is None:
         raise ValueError("context carries no prime p")
     if k < 0 or level < 0:
         raise ValueError("k and level must be >= 0")
-    d, p = ctx.d, ctx.p
-    total = d * p**level
-    acc = ctx.field.zero
-    for j in range(total):
-        cv = ctx.chi_at(j)
-        if cv.is_zero():
-            continue
-        acc = acc + cv * ctx.xi_pow(j) * Fraction(j**k)
-    return acc * Fraction(1, total)
+    total = ctx.d * ctx.p**level
+    return power_sum(ctx, k, total - 1) / total
 
 
 @dataclass
@@ -169,14 +164,3 @@ def shift_identity_check(m: int, n: int) -> bool:
         rhs = m * Fraction(sum(a ** (m - 1) for a in range(n)))
     return lhs == ctx.field.from_rational(rhs)
 
-
-def shift_identity_report(m_max: int, n_max: int) -> CheckReport:
-    """shift_identity_check over the rectangle m <= m_max, 1 <= n <= n_max."""
-    for m in range(m_max + 1):
-        for n in range(1, n_max + 1):
-            if not shift_identity_check(m, n):
-                return CheckReport("shift_identity_check",
-                                   {"m": m, "n": n}, False,
-                                   f"identity fails at m={m}, n={n}")
-    return CheckReport("shift_identity_check",
-                       {"m_max": m_max, "n_max": n_max}, True)

@@ -39,11 +39,6 @@ class PowerSeries:
             coeffs.append((coeffs[-1] * c) / j)
         return cls(coeffs)
 
-    @classmethod
-    def one(cls, one_elt, truncation: int) -> "PowerSeries":
-        zero = one_elt * 0
-        return cls([one_elt] + [zero] * truncation)
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):

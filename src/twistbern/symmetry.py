@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .bernoulli import TwistContext, _bern_values, factor_quotient, power_sum
+from .bernoulli import TwistContext, _bern_values, factor_quotient, power_sums
 from .cyclo import dot
 from .report import CheckReport, TheoremReport
 from .series import PowerSeries
@@ -166,9 +166,9 @@ def _bpoly(ctx: TwistContext, c: int, k: int, sums: tuple) -> list:
         bern = _bern_values(ctx.twist(c), k)
         hat = [bern[i] * Fraction(1, fact[i]) for i in range(k + 1)]
         for bound, m, s, q in sums:
-            tw = ctx.twist(m)
+            moments = power_sums(ctx.twist(m), k, bound - 1)
             hat = _convolve(ctx.field, hat, [
-                power_sum(tw, e, bound - 1) * Fraction(s**e, q**e * fact[e])
+                moments[e] * Fraction(s**e, q**e * fact[e])
                 for e in range(k + 1)])
         table.extend(hat[m] * fact[m] for m in range(len(table), k + 1))
     return table
@@ -259,8 +259,7 @@ def _table(ctx: TwistContext, desc: tuple, n: int) -> list:
         if kind == "B":
             values = _bpoly(ctx, c, n, desc[4])
         else:
-            twisted = ctx.twist(c)
-            values = [power_sum(twisted, j, desc[2]) for j in range(n + 1)]
+            values = power_sums(ctx.twist(c), n, desc[2])
         table.extend(values[j] * Fraction(c**j, math.factorial(j))
                      for j in range(len(table), n + 1))
     return table

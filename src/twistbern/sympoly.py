@@ -162,14 +162,6 @@ class SymPoly:
     def constant_part(self) -> CycloNumber:
         return self.terms.get(_ZEXP, self.field.zero)
 
-    def variables(self) -> tuple[str, ...]:
-        used = [False] * 4
-        for e in self.terms:
-            for i in range(4):
-                if e[i]:
-                    used[i] = True
-        return tuple(v for v, u in zip(VARIABLES, used) if u)
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 

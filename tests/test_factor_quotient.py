@@ -40,7 +40,7 @@ def _product(ctx, factors, truncation):
     make = {"unit": twist_unit_series, "sum": char_sum_series}
     return reduce(operator.mul, [make[kind](ctx, c, truncation)
                                  for kind, c in factors],
-                  PowerSeries.one(ctx.field.one, truncation))
+                  PowerSeries([ctx.field.one] + [ctx.field.zero] * truncation))
 
 
 def _vanishing(ctx, den):

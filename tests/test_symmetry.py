@@ -30,7 +30,7 @@ def test_quotient_series_cyclic_unit_weights():
     spec = QuotientSpec("cyclic", 0, (1, 1, 1), CLASSICAL)
     got = quotient_series(spec, 6)
     f = CLASSICAL.field
-    unit = PowerSeries.exp_scaled(f.one, 8) - PowerSeries.one(f.one, 8)
+    unit = PowerSeries.exp_scaled(f.one, 8) - PowerSeries([f.one] + [f.zero] * 8)
     bgf = unit.divide_by_t().invert()          # t/(e^t - 1)
     cube = bgf * bgf * bgf
     y = SymPoly.variable("y", f)
