@@ -21,8 +21,8 @@ from functools import reduce
 
 from .characters import DirichletCharacter, enumerate_characters
 from .cyclo import CycloNumber, cyclo_field, embed_into
-from .report import CheckReport
-from .series import PowerSeries, first_difference
+from .report import CheckReport, first_mismatch
+from .series import PowerSeries
 
 
 class TwistContext:
@@ -305,11 +305,7 @@ def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
     side_c = PowerSeries([power_sum(ctx, k, d * w - 1) / math.factorial(k)
                           for k in range(k_max + 1)])
 
-    for name, lhs, rhs in (("quotient-vs-direct", side_a, side_b),
-                           ("direct-vs-powersum", side_b, side_c)):
-        diff = first_difference(lhs, rhs)
-        if diff is not None:
-            i, lc, rc = diff
-            return CheckReport("powersum_gf_check", params, False,
-                               f"{name} first differs at t^{i}: {lc} vs {rc}")
-    return CheckReport("powersum_gf_check", params, True)
+    detail = first_mismatch(
+        (("quotient-vs-direct first differs", side_a, side_b),
+         ("direct-vs-powersum first differs", side_b, side_c)))
+    return CheckReport("powersum_gf_check", params, detail is None, detail)

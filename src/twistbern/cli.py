@@ -174,10 +174,11 @@ def cmd_bernoulli(args) -> int:
 
 def cmd_verify(args) -> int:
     ctx = _build_context(args)
-    ids = list(THEOREM_IDS) if args.theorem == "all" else [int(args.theorem)]
-    if not set(ids) <= set(THEOREM_IDS):
+    ids = {"all": THEOREM_IDS, **{str(t): (t,) for t in THEOREM_IDS}}
+    if args.theorem not in ids:
         raise ValueError("theorem id must be 1..8 or 'all'")
-    reports = [verify_theorem(tid, ctx, args.w, args.n) for tid in ids]
+    reports = [verify_theorem(tid, ctx, args.w, args.n)
+               for tid in ids[args.theorem]]
     base = _point_fields((args.d, args.char, args.xi_order, args.xi_exp,
                           args.w))
     _render(args,

@@ -1,9 +1,12 @@
-"""Small result records shared by the verification entry points."""
+"""Small result records shared by the verification entry points, and the
+one detail that every failed equality check reports."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+from . import series, sympoly
 
 
 class Verdict:
@@ -45,3 +48,21 @@ class TheoremReport(Verdict):
         if self.notes:
             out["notes"] = self.notes
         return out
+
+
+def first_mismatch(pairs) -> str | None:
+    """'<label> at <where>: <lhs coefficient> vs <rhs coefficient>' for the
+    first unequal (label, lhs, rhs) of the lazy pairs, or None.  <where>
+    names the first differing t^i of two series of one truncation, then
+    the first differing monomial (in printing order) of two SymPolys."""
+    for label, lhs, rhs in pairs:
+        if lhs != rhs:
+            where = []
+            if isinstance(lhs, series.PowerSeries):
+                i, lhs, rhs = series.first_difference(lhs, rhs)
+                where.append(f"t^{i}")
+            if isinstance(lhs, sympoly.SymPoly):
+                key, lhs, rhs = sympoly.first_difference(lhs, rhs)
+                where.append(sympoly.monomial(key))
+            return f"{label} at {', '.join(where)}: {lhs} vs {rhs}"
+    return None

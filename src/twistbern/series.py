@@ -139,12 +139,9 @@ class PowerSeries:
         return f"PowerSeries([{inner}]; N={self.truncation})"
 
 
-def first_difference(a: PowerSeries, b: PowerSeries, upto: int | None = None):
+def first_difference(a: PowerSeries, b: PowerSeries):
     """Index and pair of the first differing coefficient, or None if equal."""
-    n = min(len(a.coeffs), len(b.coeffs))
-    if upto is not None:
-        n = min(n, upto + 1)
-    for i in range(n):
+    for i in range(min(len(a.coeffs), len(b.coeffs))):
         if a.coeffs[i] != b.coeffs[i]:
             return i, a.coeffs[i], b.coeffs[i]
     return None

@@ -28,9 +28,9 @@ from functools import partial
 
 from .bernoulli import TwistContext, _bern_values, factor_quotient, power_sums
 from .cyclo import dot
-from .report import CheckReport, TheoremReport
+from .report import CheckReport, TheoremReport, first_mismatch
 from .series import PowerSeries
-from .sympoly import SymPoly, first_difference, monomial
+from .sympoly import SymPoly
 
 _FAMILY_MAX_I = {"pairwise": 3, "single": 3, "cyclic": 1}
 
@@ -53,12 +53,19 @@ class QuotientSpec:
         if not 0 <= self.i <= _FAMILY_MAX_I[self.family]:
             raise ValueError(
                 f"invalid index i={self.i} for family {self.family!r}")
-        if len(self.w) != 3 or any(x < 1 for x in self.w):
-            raise ValueError("w must be three positive integers")
+        _check_point(self.w)
 
     def params(self) -> dict:
         return dict(self.context.params(), family=self.family, i=self.i,
                     w=list(self.w))
+
+
+def _check_point(w: tuple, n: int = 0) -> None:
+    """Reject weights that are not three positive integers, and n < 0."""
+    if len(w) != 3 or any(x < 1 for x in w):
+        raise ValueError("w must be three positive integers")
+    if n < 0:
+        raise ValueError("n must be >= 0")
 
 
 def _weighted(scales: tuple, power: int, i: int, big: int) -> tuple:
@@ -333,12 +340,6 @@ def expansion_coefficient(form: str, n: int, spec: QuotientSpec) -> SymPoly:
     return fn(spec.context, spec.w, n)
 
 
-def _difference(a: SymPoly, b: SymPoly) -> str:
-    """'at <monomial>: <coefficient in a> vs <coefficient in b>'."""
-    key, ca, cb = first_difference(a, b)
-    return f"at {monomial(key)}: {ca} vs {cb}"
-
-
 # -- theorem verifiers ---------------------------------------------------------
 
 _PERM6 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
@@ -359,6 +360,12 @@ _THEOREM_PATTERNS = {
 THEOREM_IDS = tuple(sorted(_THEOREM_PATTERNS))
 
 
+def _distinct_orders(w: tuple, perms: tuple) -> list:
+    """The orders (w[a], w[b], w[c]) over perms (a, b, c), each once: a
+    repeated weight repeats an order, and an order equals itself."""
+    return list(dict.fromkeys((w[a], w[b], w[c]) for a, b, c in perms))
+
+
 def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
                    n: int) -> TheoremReport:
     """Evaluate every displayed expression of one symmetry theorem exactly.
@@ -372,33 +379,20 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
     """
     if theorem not in _THEOREM_PATTERNS:
         raise ValueError("theorem id must be 1..8")
-    if len(w) != 3 or any(x < 1 for x in w):
-        raise ValueError("w must be three positive integers")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_point(w, n)
     perms, row = _THEOREM_PATTERNS[theorem]
-    report = TheoremReport(theorem=theorem,
-                           params=dict(ctx.params(), w=list(w), n=n))
-    values = {}
-    exprs = []
-    labels = []
-    for perm in perms:
-        v = tuple(w[j] for j in perm)
-        if v not in values:  # repeated weights repeat an order
-            values[v] = _evaluate(row, ctx, v, n)
-        exprs.append(values[v])
-        labels.append(f"w-order {v}")
-    report.expressions = exprs
-    for idx in range(1, len(exprs)):
-        if exprs[idx] != exprs[0]:
-            report.passed = False
-            report.detail = (f"{labels[idx]} differs from {labels[0]} "
-                             f"{_difference(exprs[idx], exprs[0])}")
-            break
+    values = {v: _evaluate(row, ctx, v, n) for v in _distinct_orders(w, perms)}
+    (v0, base), *rest = values.items()
+    detail = first_mismatch((f"w-order {v} differs from w-order {v0}", e, base)
+                            for v, e in rest)
+    report = TheoremReport(
+        theorem=theorem, params=dict(ctx.params(), w=list(w), n=n),
+        expressions=[values[w[a], w[b], w[c]] for a, b, c in perms],
+        passed=detail is None, detail=detail)
     if theorem == 3:
         printed = _evaluate("bernoulli_shifted_bernoulli_printed", ctx,
                             (w[1], w[0], w[2]), n)
-        report.notes["printed_shift_variant_matches"] = printed == exprs[0]
+        report.notes["printed_shift_variant_matches"] = printed == base
     return report
 
 
@@ -421,55 +415,46 @@ def permutation_reduction_check(group: int, ctx: TwistContext,
     equal their stated partners after the index interchange/cycle."""
     if group not in _REDUCTIONS:
         raise ValueError("group must be 4 or 8")
-    params = dict(ctx.params(), w=list(w), n=n, group=group)
+    _check_point(w, n)
     partner, pairs = _REDUCTIONS[group]
-    partners = {}
-    for row, perm in pairs:
-        lhs = _evaluate(row, ctx, w, n)
-        rhs = partners.get(perm)
-        if rhs is None:
-            rhs = partners[perm] = _evaluate(
-                partner, ctx, tuple(w[j] for j in perm), n)
-        if lhs != rhs:
-            return CheckReport("permutation_reduction_check", params, False,
-                               f"{row}: {_difference(lhs, rhs)}")
-    return CheckReport("permutation_reduction_check", params, True)
+    partners = {v: _evaluate(partner, ctx, v, n)
+                for v in _distinct_orders(w, [perm for _, perm in pairs])}
+    detail = first_mismatch(
+        (f"{row}:", _evaluate(row, ctx, w, n),
+         partners[w[a], w[b], w[c]]) for row, (a, b, c) in pairs)
+    return CheckReport("permutation_reduction_check",
+                       dict(ctx.params(), w=list(w), n=n, group=group),
+                       detail is None, detail)
 
 
 # -- whole-series checks --------------------------------------------------------
 
 def permutation_invariance_check(spec: QuotientSpec, truncation: int) -> CheckReport:
-    """quotient_series must be identical under all six weight permutations."""
+    """quotient_series must be identical under every distinct order of the
+    weights; each distinct order is built once."""
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
+    v0, *rest = _distinct_orders(spec.w, _PERM6)
     base = quotient_series(spec, truncation)
-    params = dict(spec.params(), truncation=truncation)
-    for perm in _PERM6[1:]:
-        v = tuple(spec.w[j] for j in perm)
-        other = quotient_series(
-            QuotientSpec(spec.family, spec.i, v, spec.context), truncation)
-        for idx in range(truncation + 1):
-            if base.coeffs[idx] != other.coeffs[idx]:
-                return CheckReport(
-                    "permutation_invariance_check", params, False,
-                    f"w-order {v} differs at t^{idx}")
-    return CheckReport("permutation_invariance_check", params, True)
+    detail = first_mismatch(
+        (f"w-order {v} differs from w-order {v0}",
+         quotient_series(QuotientSpec(spec.family, spec.i, v, spec.context),
+                         truncation), base) for v in rest)
+    return CheckReport("permutation_invariance_check",
+                       dict(spec.params(), truncation=truncation),
+                       detail is None, detail)
 
 
 def expansion_consistency_check(form: str, spec: QuotientSpec,
                                 n_max: int) -> CheckReport:
     """expansion_coefficient(form, n, .) == n! [t^n] quotient_series for n <= n_max."""
     series = quotient_series(spec, n_max)
-    params = dict(spec.params(), form=form, n_max=n_max)
-    for n in range(n_max + 1):
-        direct = expansion_coefficient(form, n, spec)
-        from_series = series.egf(n)
-        if direct != from_series:
-            key, ce, cs = first_difference(direct, from_series)
-            return CheckReport(
-                "expansion_consistency_check", params, False,
-                f"n={n}: at {monomial(key)}: expansion {ce} vs series {cs}")
-    return CheckReport("expansion_consistency_check", params, True)
+    detail = first_mismatch(
+        (f"n={n}: expansion vs series", expansion_coefficient(form, n, spec),
+         series.egf(n)) for n in range(n_max + 1))
+    return CheckReport("expansion_consistency_check",
+                       dict(spec.params(), form=form, n_max=n_max),
+                       detail is None, detail)
 
 
 def substitution_check(spec: QuotientSpec, truncation: int) -> CheckReport:
@@ -489,11 +474,7 @@ def substitution_check(spec: QuotientSpec, truncation: int) -> CheckReport:
     rhs = quotient_series(
         QuotientSpec("single", spec.i, spec.w, spec.context.twist(big)),
         truncation)
+    rescaled = PowerSeries([c * big**n for n, c in enumerate(rhs.coeffs)])
+    detail = first_mismatch([("pairwise vs rescaled single", lhs, rescaled)])
     params = dict(spec.params(), truncation=truncation)
-    scale = Fraction(1)
-    for n in range(truncation + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n] * scale:
-            return CheckReport("substitution_check", params, False,
-                               f"coefficients differ at t^{n}")
-        scale *= big
-    return CheckReport("substitution_check", params, True)
+    return CheckReport("substitution_check", params, detail is None, detail)

@@ -76,6 +76,9 @@ def test_verify_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "verify", "--theorem", "1", "--w", "1,2")
     assert code == 2
+    # a non-integer id reads as an unknown one, not as an int() failure
+    assert run(capsys, "verify", "--theorem", "x") == (
+        2, "", "error: theorem id must be 1..8 or 'all'\n")
 
 
 def test_verify_mismatch_exit_code(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from twistbern.symmetry import (_FAMILY_MAX_I, EXPANSION_FORMS, QuotientSpec,
                                 permutation_invariance_check,
                                 permutation_reduction_check, quotient_series,
                                 substitution_check, verify_theorem)
-from twistbern.sympoly import SymPoly
+from twistbern.sympoly import SymPoly, monomial
 
 CLASSICAL = TwistContext.from_orders(1, 0, 1, 1)
 TWISTED4 = TwistContext.from_orders(4, 1, 4, 1)    # d=4 nonprincipal, xi=zeta_4
@@ -174,6 +174,12 @@ def test_permutation_reduction_examples():
         assert permutation_reduction_check(group, TWISTED3, (1, 2, 3), 3).passed
     with pytest.raises(ValueError):
         permutation_reduction_check(5, CLASSICAL, (1, 1, 1), 1)
+    # the point is checked as verify_theorem checks it
+    for w, n, message in (((1, 2, 3), -1, "n must be >= 0"),
+                          ((0, 1, 2), 1, "w must be three positive integers"),
+                          ((1, 2), 1, "w must be three positive integers")):
+        with pytest.raises(ValueError, match=message):
+            permutation_reduction_check(4, CLASSICAL, w, n)
 
 
 def test_substitution_examples():
@@ -253,7 +259,7 @@ def test_failure_details_name_the_first_differing_monomial(monkeypatch):
     diff = rep.expressions[1] - rep.expressions[0]
     key = min(diff.terms, key=lambda e: (sum(e), e))
     assert rep.detail.endswith(
-        f"at {symmetry.monomial(key)}: {rep.expressions[1].coefficient(key)}"
+        f"at {monomial(key)}: {rep.expressions[1].coefficient(key)}"
         f" vs {rep.expressions[0].coefficient(key)}")
     assert str(rep.expressions[0]) not in rep.detail
 
@@ -263,12 +269,55 @@ def test_failure_details_name_the_first_differing_monomial(monkeypatch):
     rep = expansion_consistency_check(
         "triple_bernoulli", QuotientSpec("pairwise", 0, (1, 2, 3), CLASSICAL), 2)
     assert not rep.passed
-    assert rep.detail == "n=1: at y3: expansion 2 vs series 6"
+    assert rep.detail == "n=1: expansion vs series at y3: 2 vs 6"
+
+    # wrong quotients: the pairwise exp scale times w1 (no longer symmetric),
+    # then the single exp scale plus 1 (no longer the rescaled pairwise one)
+    quotients = dict(symmetry._QUOTIENTS)
+    pairwise, single = quotients["pairwise"], quotients["single"]
+    quotients["pairwise"] = lambda w1, w2, w3, i: (
+        *pairwise(w1, w2, w3, i)[:5], pairwise(w1, w2, w3, i)[5] * w1)
+    monkeypatch.setattr(symmetry, "_QUOTIENTS", quotients)
+    # at d = 1, t^1 of pairwise i = 0 holds q_0 = 1 times the exp scale
+    # 6*w1 at each of y1, y2, y3; (1, 3, 2) keeps w1, so (2, 1, 3) differs
+    rep = permutation_invariance_check(
+        QuotientSpec("pairwise", 0, (1, 2, 3), CLASSICAL), 3)
+    assert not rep.passed
+    assert rep.detail == ("w-order (2, 1, 3) differs from w-order (1, 2, 3) "
+                          "at t^1, y3: 12 vs 6")
+    quotients["pairwise"] = pairwise
+    quotients["single"] = lambda w1, w2, w3, i: (
+        *single(w1, w2, w3, i)[:5], single(w1, w2, w3, i)[5] + 1)
+    # pairwise (6, 3, 2) has the exp scale 36; the single one 6 + 1, and
+    # its t^1 coefficient is rescaled by w1*w2*w3 = 6
+    rep = substitution_check(QuotientSpec("single", 0, (1, 2, 3), CLASSICAL), 3)
+    assert not rep.passed
+    assert rep.detail == "pairwise vs rescaled single at t^1, y3: 36 vs 42"
 
     # passing reports carry no detail
     monkeypatch.undo()
     assert verify_theorem(1, CLASSICAL, (1, 2, 3), 1).detail is None
     assert permutation_reduction_check(4, CLASSICAL, (1, 1, 1), 0).detail is None
+    spec = QuotientSpec("single", 0, (1, 2, 3), CLASSICAL)
+    assert permutation_invariance_check(spec, 3).detail is None
+    assert substitution_check(spec, 3).detail is None
+
+
+def test_invariance_builds_each_distinct_weight_order_once(monkeypatch):
+    from twistbern import symmetry
+    built = []
+    real = symmetry.quotient_series
+
+    def counting(spec, truncation):
+        built.append(spec.w)
+        return real(spec, truncation)
+
+    monkeypatch.setattr(symmetry, "quotient_series", counting)
+    for w, count in (((1, 2, 3), 6), ((1, 1, 2), 3), ((2, 2, 2), 1)):
+        built.clear()
+        spec = QuotientSpec("pairwise", 1, w, TWISTED4)
+        assert permutation_invariance_check(spec, 3).passed
+        assert len(built) == len(set(built)) == count
 
 
 def test_former_slowest_sweep_point():
