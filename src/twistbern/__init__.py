@@ -5,8 +5,8 @@ symmetry identities."""
 from .bernoulli import (BernoulliTable, TwistContext, bernoulli_numbers,
                         bernoulli_polynomial, plain_twisted_numbers,
                         power_sum, powersum_gf_check)
-from .characters import (DirichletCharacter, UnitGroup, conductor,
-                         enumerate_characters, unit_group)
+from .characters import (DirichletCharacter, UnitGroup, character,
+                         conductor, enumerate_characters, unit_group)
 from .cyclo import (CycloField, CycloNumber, Rational, cyclo_field,
                     cyclotomic_polynomial, field_join)
 from .padic import (PadicContext, convergence_check, padic_context,
@@ -24,7 +24,7 @@ __all__ = [
     "DirichletCharacter", "EXPANSION_FORMS", "PadicContext", "PowerSeries",
     "QuotientSpec", "Rational", "SymPoly", "THEOREM_IDS", "TheoremReport",
     "TwistContext", "UnitGroup", "bernoulli_numbers", "bernoulli_polynomial",
-    "conductor", "convergence_check", "cyclo_field",
+    "character", "conductor", "convergence_check", "cyclo_field",
     "cyclotomic_polynomial", "enumerate_characters", "expansion_coefficient",
     "field_join", "padic_context", "permutation_invariance_check",
     "permutation_reduction_check", "pi_valuation", "plain_twisted_numbers",

@@ -18,9 +18,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 
-from .characters import DirichletCharacter, enumerate_characters
-from .cyclo import CycloNumber, cyclo_field, embed_into
+from .characters import DirichletCharacter, character
+from .cyclo import CycloNumber, cyclo_field
 from .report import CheckReport, first_mismatch
 from .series import PowerSeries
 
@@ -34,8 +35,8 @@ class TwistContext:
     """
 
     __slots__ = ("chi", "xi", "d", "xi_order", "p", "s", "field",
-                 "_chi_vals", "_xi_pows", "_bern", "_psums", "_twists",
-                 "_bpoly_cache", "_piece_tables")
+                 "_chi_roots", "_xi_root", "_xi_pows", "_bern",
+                 "_psums", "_twists", "_bpoly_cache", "_piece_tables")
 
     def __init__(self, chi: DirichletCharacter, xi: CycloNumber,
                  p: int | None = None, s: int | None = None):
@@ -59,23 +60,26 @@ class TwistContext:
         else:
             field = cyclo_field(math.lcm(xi.field.order, m))
         self.field = field
-        self.xi = embed_into(xi, field)
 
-        vals = []
+        # Every value is a root of unity sign * zeta_L^e, kept as (sign, e):
+        # xi, and chi(a) for a < d (None where chi(a) = 0).
+        L = field.order
+        sign, e = xi.root_exponent()
+        e *= L // xi.field.order
+        self._xi_root = (sign, e)
+        roots = []
         for a in range(self.d):
             k = chi.value_exponent(a)
             if k is None:
-                vals.append(field.zero)
-            elif m <= 2:
-                vals.append(field.one if k == 0 else -field.one)
+                roots.append(None)
+            elif m <= 2:  # chi(a) = (-1)^k
+                roots.append((-1 if k else 1, 0))
             else:
-                vals.append(field.root((field.order // m) * k))
-        self._chi_vals = tuple(vals)
-
-        pows = [field.one]
-        for _ in range(r - 1):
-            pows.append(pows[-1] * self.xi)
-        self._xi_pows = tuple(pows)
+                roots.append((1, (L // m) * k))
+        self._chi_roots = tuple(roots)
+        self.xi = _signed_root(field, sign, e)
+        self._xi_pows = tuple(_signed_root(field, sign**j, e * j)
+                              for j in range(r))
 
         self._bern: list[CycloNumber] | None = None
         self._psums: dict = {}
@@ -89,20 +93,19 @@ class TwistContext:
                     s: int | None = None) -> "TwistContext":
         """Build from primitive selectors: the char_index-th character mod d
         (enumeration order) and xi = zeta_{xi_order}^xi_exp."""
-        chars = enumerate_characters(d)
-        if not 0 <= char_index < len(chars):
-            raise ValueError(f"character index out of range (0..{len(chars) - 1})")
+        chi = character(d, char_index)
         if xi_order < 1:
             raise ValueError("xi order must be >= 1")
         if math.gcd(xi_exp, xi_order) != 1:
             raise ValueError("xi exponent must be coprime to its order")
         xi = cyclo_field(xi_order).root(xi_exp)
-        return cls(chars[char_index], xi, p=p, s=s)
+        return cls(chi, xi, p=p, s=s)
 
     # -- cached evaluations ---------------------------------------------------
 
     def chi_at(self, a: int) -> CycloNumber:
-        return self._chi_vals[a % self.d]
+        x = self._chi_roots[a % self.d]
+        return self.field.zero if x is None else _signed_root(self.field, *x)
 
     def xi_pow(self, j: int) -> CycloNumber:
         return self._xi_pows[j % self.xi_order]
@@ -124,6 +127,11 @@ class TwistContext:
     def __repr__(self):
         return (f"TwistContext(d={self.d}, chi={list(self.chi.exponents)}, "
                 f"xi_order={self.xi_order})")
+
+
+def _signed_root(field, sign: int, e: int) -> CycloNumber:
+    z = field.root(e)
+    return z if sign == 1 else -z
 
 
 # -- series building blocks -----------------------------------------------
@@ -218,7 +226,7 @@ def bernoulli_numbers(ctx: TwistContext, n_max: int) -> BernoulliTable:
 
 def plain_twisted_numbers(xi: CycloNumber, n_max: int) -> list:
     """EGF coefficients of t/(xi e^t - 1); classical Bernoulli numbers at xi=1."""
-    ctx = TwistContext(enumerate_characters(1)[0], xi)
+    ctx = TwistContext(character(1, 0), xi)
     return bernoulli_numbers(ctx, n_max).values
 
 
@@ -249,23 +257,32 @@ def bernoulli_polynomial_gf(ctx: TwistContext, n: int, x):
 def power_sums(ctx: TwistContext, k: int, n: int) -> list:
     """[S_0(n), .., S_k(n)] (or longer), S_j(n) = sum_{a<=n} chi(a) xi^a a^j
     with 0^0 = 1, from one table per bound n in ctx._psums, grown in place.
-    A nonzero chi(a) xi^a is a root of unity, with integer coordinates over
-    the denominator 1, so S_j(n) is the integer combination of those vectors
-    with the weights a^j, and a growth forms each chi(a) xi^a once."""
+    A nonzero chi(a) xi^a is a root of unity sign * zeta_L^e, read off the
+    context's (sign, exponent) records, so S_j(n) is the integer combination
+    of the root vectors zeta_L^e with the weights sign * sum a^j over the
+    points a of each (e, sign); no field product is formed."""
     if k < 0 or n < 0:
         raise ValueError("k and n must be >= 0")
     table = ctx._psums.setdefault(n, [])
     if len(table) <= k:
-        points, vectors = [], []
+        field, d = ctx.field, ctx.d
+        xi_sign, xi_e = ctx._xi_root
+        points: dict[tuple, list] = {}  # (e, sign) -> [a]
         for a in range(n + 1):
-            cv, x = ctx.chi_at(a), ctx.xi_pow(a)
-            if not cv.is_zero():
-                points.append(a)
-                vectors.append(cv.num if x.is_one() else (cv * x).num)
-        columns = list(zip(*vectors)) or [()] * ctx.field.degree
+            c = ctx._chi_roots[a % d]
+            if c is not None:
+                sign, e = c
+                if xi_sign == -1 and a & 1:
+                    sign = -sign
+                points.setdefault(((e + a * xi_e) % field.order, sign),
+                                  []).append(a)
+        keys = sorted(points)  # roots asked for in rising order
+        columns = (list(zip(*(field.root(e).num for e, _ in keys)))
+                   or [()] * field.degree)
         for j in range(len(table), k + 1):
-            weights = [a**j for a in points]
-            table.append(CycloNumber(ctx.field, tuple(
+            weights = [sign * sum(map(pow, points[e, sign], repeat(j)))
+                       for e, sign in keys]
+            table.append(CycloNumber(field, tuple(
                 sum(map(operator.mul, weights, col)) for col in columns)))
     return table
 

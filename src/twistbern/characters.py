@@ -184,6 +184,20 @@ def enumerate_characters(d: int) -> list[DirichletCharacter]:
             for exps in product(*(range(o) for o in orders))]
 
 
+def character(d: int, index: int) -> DirichletCharacter:
+    """The index-th character mod d in the order of enumerate_characters,
+    built alone: the index is decoded in mixed radix, the last generator's
+    exponent the fastest digit."""
+    g = unit_group(d)
+    if not 0 <= index < g.phi:
+        raise ValueError(f"character index out of range (0..{g.phi - 1})")
+    exps = []
+    for _, o in reversed(g.generators):
+        index, e = divmod(index, o)
+        exps.append(e)
+    return DirichletCharacter(g, tuple(reversed(exps)))
+
+
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest f | d through which chi factors; chi is primitive iff f = d."""
     return chi.conductor

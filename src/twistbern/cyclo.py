@@ -5,7 +5,11 @@ one shared positive denominator, the layout of FLINT's fmpq_poly and ANTIC's
 nf_elem.  Every element is kept canonical (gcd(den, *num) == 1, zero is
 (0, ..., 0)/1), so equality of field elements is a comparison of integer
 tuples.  A product is an integer convolution reduced by fixed integer rows of
-x^k mod Phi_L, followed by one gcd; inversion is an extended Euclid in Z[x].
+x^k mod Phi_L, followed by one gcd; from degree _PACK_DEGREE on, ``dot``
+forms each pair's convolution as one big-int product of Kronecker-packed
+numerators.  Inversion is an extended Euclid in Z[x].  Roots of unity
+zeta_L^e are walked up by the shift x * v mod Phi_L, and Phi_L itself is a
+Moebius product of the binomials x^d - 1.
 Rational coordinates are available as Fractions through ``coeffs``.  All
 values are immutable and every operation is exact; there is no floating
 point anywhere.
@@ -54,37 +58,47 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Exact division of integer polynomials by a monic divisor; a nonzero
-    # remainder is a bug in the caller.
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * (len(num) - dd)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + dd]
-        q[i] = c
-        if c:
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    if any(num[:dd]):
-        raise ArithmeticError("polynomial division left a remainder")
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Integer coefficients (constant term first) of the order-th cyclotomic polynomial.
 
-    Computed by exact division of x^order - 1 by the product of all lower
-    cyclotomic polynomials.  Monic of degree phi(order).
+    Computed as the Moebius product prod_{d | order} (x^d - 1)^mu(order/d):
+    the factors with mu = 1 are multiplied in first, then those with
+    mu = -1 are divided out exactly, each step O(order).  Monic of degree
+    phi(order).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    poly = [-1] + [0] * (order - 1) + [1]
-    for d in divisors(order):
-        if d < order:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+    # (q, mu(q)) for the squarefree divisors q of order
+    moebius = [(1, 1)]
+    for p in factorize(order):
+        moebius += [(q * p, -mu) for q, mu in moebius]
+    poly = [1]
+    for q, mu in moebius:
+        if mu == 1:  # times x^d - 1
+            d = order // q
+            prod = [-c for c in poly] + [0] * d
+            for i, c in enumerate(poly, d):
+                prod[i] += c
+            poly = prod
+    for q, mu in moebius:
+        if mu == -1:  # exact quotient by x^d - 1: quo_i = quo_(i-d) - poly_i
+            d = order // q
+            quo = []
+            for i in range(len(poly) - d):
+                quo.append((quo[i - d] if i >= d else 0) - poly[i])
+            poly = quo
     return tuple(poly)
+
+
+def _times_x(v: list, low: tuple) -> None:
+    # v <- x * v mod Phi_L in place; low holds the nonzero (index,
+    # coefficient) pairs of x^degree mod Phi_L
+    top = v.pop()
+    v.insert(0, 0)
+    if top:
+        for j, c in low:
+            v[j] += top * c
 
 
 def _content_sign(r: list[int]) -> int:
@@ -167,7 +181,7 @@ def _poly_inverse(a: list[int], modulus: tuple[int, ...]) -> tuple[list[int], in
 class CycloField:
     """The cyclotomic field Q(zeta_L), L = order, as Q[x]/Phi_L(x)."""
 
-    __slots__ = ("order", "modulus", "degree", "_base", "_red", "_roots",
+    __slots__ = ("order", "modulus", "degree", "_low", "_red", "_roots",
                  "zero", "one")
 
     def __init__(self, order: int):
@@ -176,19 +190,16 @@ class CycloField:
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
         self.degree = deg = len(self.modulus) - 1
-        # Phi_L is monic, so x^degree = base (an integer vector)
-        base = [-c for c in self.modulus[:-1]]
-        self._base = tuple(base)
         # Reduction rows: x^k mod Phi_L for k = degree .. 2*degree-2, kept
         # as the (index, integer coefficient) pairs of their nonzero entries.
+        # Phi_L is monic, so x^degree = -(Phi_L - x^degree); its pairs are
+        # the step of every shift x * v mod Phi_L.
+        cur = [-c for c in self.modulus[:-1]]
+        self._low = tuple((i, c) for i, c in enumerate(cur) if c)
         rows = []
-        cur = base[:]
         for _ in range(deg - 1):
             rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [c + top * b for c, b in zip(cur, base)]
+            _times_x(cur, self._low)
         self._red = tuple(rows)
         self._roots: dict[int, CycloNumber] = {}
         self.zero = CycloNumber(self, (0,) * deg, 1)
@@ -208,21 +219,27 @@ class CycloField:
                                        for c in coeffs), den)
 
     def root(self, k: int) -> CycloNumber:
-        """zeta_L^k, reduced mod Phi_L; k is taken mod L."""
+        """zeta_L^k, reduced mod Phi_L; k is taken mod L.
+
+        x^e is a unit vector for e < degree.  Above that it is walked up by
+        x^(e+1) = x * x^e mod Phi_L, O(degree) per step, from the nearest
+        cached root below e; only the requested root is cached.
+        """
         e = k % self.order
         z = self._roots.get(e)
         if z is None:
-            deg = self.degree
-            low = [(j, bj) for j, bj in enumerate(self._base) if bj]
-            v = [0] * max(e + 1, deg)
-            v[e] = 1
-            for top in range(e, deg - 1, -1):
-                c = v[top]
-                if c:
-                    v[top] = 0
-                    for j, bj in low:
-                        v[top - deg + j] += c * bj
-            z = self._roots[e] = CycloNumber(self, tuple(v[:deg]), 1)
+            roots, deg = self._roots, self.degree
+            b = e
+            while b >= deg and b not in roots:
+                b -= 1
+            if b < deg:
+                v = [0] * deg
+                v[b] = 1
+            else:
+                v = list(roots[b].num)
+            for _ in range(b, e):
+                _times_x(v, self._low)
+            z = roots[e] = CycloNumber(self, tuple(v), 1)
         return z
 
     def __eq__(self, other):
@@ -475,18 +492,33 @@ class CycloNumber:
             raise ValueError("element is not rational")
         return Fraction(self.num[0], self.den)
 
-    def multiplicative_order(self) -> int:
-        """Exact order as a root of unity; raises if the element is not one."""
+    def root_exponent(self) -> tuple[int, int]:
+        """(sign, e) with self = sign * zeta_L^e and 0 <= e < L.
+
+        The sign is -1 only for odd L, where -1 is no power of zeta_L.  Found
+        by one walk over x^e mod Phi_L that caches nothing; raises if the
+        element is not a root of unity.
+        """
         if self.is_zero():
             raise ValueError("zero is not a root of unity")
-        bound = self.field.order if self.field.order % 2 == 0 \
-            else 2 * self.field.order
-        x = self
-        for k in range(1, bound + 1):
-            if x.is_one():
-                return k
-            x = x * self
+        f = self.field
+        if self.den == 1:
+            num = list(self.num)
+            neg = [-c for c in num] if f.order % 2 else None
+            v = list(f.one.num)
+            for e in range(f.order):
+                if v == num:
+                    return 1, e
+                if v == neg:
+                    return -1, e
+                _times_x(v, f._low)
         raise ValueError("element is not a root of unity")
+
+    def multiplicative_order(self) -> int:
+        """Exact order as a root of unity; raises if the element is not one."""
+        sign, e = self.root_exponent()
+        r = self.field.order // math.gcd(e, self.field.order)
+        return r if sign == 1 else 2 * r
 
     # -- serialization -------------------------------------------------------
 
@@ -524,6 +556,12 @@ class CycloNumber:
         return out
 
 
+# From this field degree on, dot packs its operands (Kronecker substitution):
+# one big-int product per pair beats the O(degree^2) schoolbook loop there,
+# which stays faster for the small fields of the theorem checks.
+_PACK_DEGREE = 12
+
+
 def dot(field: CycloField, xs, ys) -> CycloNumber:
     """sum(x * y for x, y in zip(xs, ys)) for CycloNumbers of one field.
 
@@ -547,21 +585,58 @@ def dot(field: CycloField, xs, ys) -> CycloNumber:
     if deg == 1:
         return _canonical(field, (sum(a[0] * b[0] * (den // d)
                                       for a, b, d in pairs),), den)
-    acc = [0] * (2 * deg - 1)
-    for a, b, d in pairs:
-        if d != den:
-            s = den // d
-            a = [s * c for c in a]
-        for i, ai in enumerate(a):
-            if ai:
-                for k, bj in enumerate(b, i):
-                    acc[k] += ai * bj
+    if deg >= _PACK_DEGREE:
+        acc = _packed_convolution(pairs, den, deg)
+    else:
+        acc = [0] * (2 * deg - 1)
+        for a, b, d in pairs:
+            if d != den:
+                s = den // d
+                a = [s * c for c in a]
+            for i, ai in enumerate(a):
+                if ai:
+                    for k, bj in enumerate(b, i):
+                        acc[k] += ai * bj
     out = acc[:deg]
     for ck, row in zip(acc[deg:], field._red):
         if ck:
             for i, ri in row:
                 out[i] += ck * ri
     return _canonical(field, out, den)
+
+
+def _packed_convolution(pairs, den: int, deg: int) -> list:
+    """The 2*deg-1 coefficients of sum (den/d) * a * b over the pairs.
+
+    Each numerator is packed as sum c_i 2^(bits*i), so one big-int product
+    per pair forms its whole convolution (D. Harvey, J. Symbolic Comput. 44,
+    2009).  No coefficient of the sum exceeds the bound, sum over the pairs
+    of (den/d) * |a|_1 * max|b|, so digits of bits (a multiple of 8) with
+    2^(bits-1) > bound hold each signed one; adding 2^(bits-1) to every
+    digit makes them all nonnegative, and one byte string unpacks them.
+    """
+    bound = 0
+    for a, b, d in pairs:
+        bound += den // d * sum(map(abs, a)) * max(map(abs, b))
+    width = bound.bit_length() // 8 + 1  # bytes per digit
+    bits = 8 * width
+
+    def pack(v):
+        packed = 0
+        for c in reversed(v):
+            packed = (packed << bits) + c
+        return packed
+
+    total = 0
+    for a, b, d in pairs:
+        prod = pack(a) * pack(b)
+        total += prod if d == den else den // d * prod
+    n = 2 * deg - 1
+    half = 1 << (bits - 1)
+    raw = (total + int.from_bytes(half.to_bytes(width, "little") * n, "little")
+           ).to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * n, width)]
 
 
 def embed_into(x: CycloNumber, field: CycloField) -> CycloNumber:

@@ -448,6 +448,7 @@ def permutation_invariance_check(spec: QuotientSpec, truncation: int) -> CheckRe
 def expansion_consistency_check(form: str, spec: QuotientSpec,
                                 n_max: int) -> CheckReport:
     """expansion_coefficient(form, n, .) == n! [t^n] quotient_series for n <= n_max."""
+    _check_point(spec.w, n_max)
     series = quotient_series(spec, n_max)
     detail = first_mismatch(
         (f"n={n}: expansion vs series", expansion_coefficient(form, n, spec),

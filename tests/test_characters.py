@@ -1,6 +1,9 @@
 import math
 
-from twistbern.characters import (conductor, enumerate_characters, unit_group)
+import pytest
+
+from twistbern.characters import (character, conductor, enumerate_characters,
+                                  unit_group)
 from twistbern.cyclo import euler_phi
 
 
@@ -102,3 +105,19 @@ def test_character_json():
     chi = enumerate_characters(5)[1]
     d = chi.to_json_dict()
     assert d == {"d": 5, "exponents": [1], "conductor": 5, "order": 4}
+
+
+def test_character_decodes_the_enumeration_index():
+    # one character built alone is the enumeration's index-th one
+    for d in range(1, 61):
+        chars = enumerate_characters(d)
+        for i, chi in enumerate(chars):
+            one = character(d, i)
+            assert one == chi
+            assert (one.exponents, one.order, one.conductor,
+                    one.is_primitive) == (chi.exponents, chi.order,
+                                          chi.conductor, chi.is_primitive)
+        for i in (-1, len(chars)):
+            with pytest.raises(ValueError, match=r"^character index out of "
+                               rf"range \(0\.\.{len(chars) - 1}\)$"):
+                character(d, i)

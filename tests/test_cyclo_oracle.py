@@ -9,6 +9,7 @@ laws, its scalar coercions and its no-stored-zero invariant.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from twistbern.cyclo import (CycloNumber, cyclo_field,  # noqa: E402
-                             cyclotomic_polynomial, dot, embed_into)
+from twistbern.cyclo import (_PACK_DEGREE, CycloField,  # noqa: E402
+                             CycloNumber, cyclo_field, cyclotomic_polynomial,
+                             dot, embed_into, euler_phi)
 from twistbern.series import PowerSeries  # noqa: E402
 from twistbern.sympoly import SymPoly  # noqa: E402
 
@@ -246,6 +248,116 @@ def test_dot_edge_cases():
         assert got == f.one
     with pytest.raises(ValueError, match="field mismatch"):
         dot(cyclo_field(4), [cyclo_field(3).one], [cyclo_field(4).one])
+
+
+# -- the packed path of dot, at the degrees of the wide fields -------------------
+
+WIDE_ORDERS = (105, 210, 420)  # degrees 48, 48, 96
+
+
+def _wide_element(rng, field, magnitude, den=1):
+    return field.element([Fraction(rng.randint(-magnitude, magnitude), den)
+                          for _ in range(field.degree)])
+
+
+def _monomial(field, i, c):
+    return field.element([c if j == i else 0 for j in range(field.degree)])
+
+
+def test_packed_dot_at_the_width_boundary():
+    # one pair of monomials A x^i, B x^j has the one digit A*B, which is the
+    # coefficient bound itself: at +-(2^(8m-1) - 1) it fills m bytes to the
+    # edge, at +-2^(8m-1) and one past it the next width begins
+    for order in WIDE_ORDERS:
+        f = cyclo_field(order)
+        top = f.degree - 1
+        for m in (1, 2, 3, 5):
+            edge = 2 ** (8 * m - 1)
+            for a_coef in (edge - 1, edge, edge + 1, -(edge - 1), -edge):
+                for b_coef in (1, -1, 3):
+                    for i, j in ((0, 0), (top, 0), (top, top), (2, top - 1)):
+                        xs = [_monomial(f, i, a_coef)]
+                        ys = [_monomial(f, j, b_coef)]
+                        got = dot(f, xs, ys)
+                        assert_canonical(got)
+                        assert got == plain_dot(f, xs, ys), (order, m, i, j)
+                # several pairs whose digits add to the summed bound
+                xs = [_monomial(f, top, edge - 1)] * 3
+                ys = [_monomial(f, top, -1)] * 3
+                assert dot(f, xs, ys) == plain_dot(f, xs, ys)
+
+
+def test_packed_dot_matches_sum_of_products():
+    rng = random.Random(2009)
+    for order in WIDE_ORDERS:
+        f = cyclo_field(order)
+        assert f.degree >= _PACK_DEGREE
+        for pairs in (1, 2, 7):
+            for magnitude in (1, 2**20, 2**90):
+                xs = [_wide_element(rng, f, magnitude) for _ in range(pairs)]
+                ys = [_wide_element(rng, f, magnitude) for _ in range(pairs)]
+                got = dot(f, xs, ys)
+                assert_canonical(got)
+                assert got == plain_dot(f, xs, ys), (order, pairs, magnitude)
+        # mixed denominators, and zero operands among nonzero ones
+        xs = [_wide_element(rng, f, 50, den) for den in (1, 6, 35, 4)]
+        ys = [_wide_element(rng, f, 50, den) for den in (9, 1, 14, 25)]
+        for zeros in ((), (1,), (0, 3), (0, 1, 2, 3)):
+            xz = [f.zero if k in zeros else x for k, x in enumerate(xs)]
+            got = dot(f, xz, ys)
+            assert_canonical(got)
+            assert got == plain_dot(f, xz, ys), (order, zeros)
+        assert dot(f, [f.zero], [xs[0]]) == f.zero
+        assert dot(f, [], []) == f.zero
+        # a single pair is the field product
+        assert dot(f, xs[2:3], ys[2:3]) == xs[2] * ys[2]
+        # mixed denominators whose products cancel to an integer
+        assert dot(f, [xs[1], -xs[1], f.from_rational(Fraction(1, 3))],
+                   [ys[1], ys[1], f.from_rational(3)]) == f.one
+
+
+def test_dot_on_both_sides_of_the_packing_threshold():
+    # the smallest field of the threshold degree, and the largest degree
+    # below it (no field has an odd degree above 1)
+    at = min(L for L in range(1, 200) if euler_phi(L) == _PACK_DEGREE)
+    below = max((euler_phi(L), L) for L in range(1, 200)
+                if euler_phi(L) < _PACK_DEGREE)[1]
+    rng = random.Random(12)
+    for order in (at, below):
+        f = cyclo_field(order)
+        for pairs in (1, 3, 6):
+            for magnitude in (1, 10**6):
+                xs = [_wide_element(rng, f, magnitude, rng.randint(1, 9))
+                      for _ in range(pairs)]
+                ys = [_wide_element(rng, f, magnitude) for _ in range(pairs)]
+                got = dot(f, xs, ys)
+                assert_canonical(got)
+                assert got == plain_dot(f, xs, ys), (order, pairs, magnitude)
+
+
+@pytest.mark.parametrize("order", (105, 420))
+def test_roots_walk_matches_sympy_remainder(order):
+    # every root of a fresh field, asked for in shuffled order (so each walk
+    # starts from whatever lower root happens to be cached), against an
+    # independent x^e rem Phi_L
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(order, x), x)
+    field = CycloField(order)
+    wanted, power = [], sympy.Poly(1, x)
+    for e in range(order):  # x^e rem Phi_L, one sympy remainder per step
+        rem = [int(c) for c in reversed(power.all_coeffs())]
+        wanted.append(tuple(rem) + (0,) * (field.degree - len(rem)))
+        power = sympy.rem(power * sympy.Poly(x, x), phi)
+    exponents = list(range(order))
+    random.Random(order).shuffle(exponents)
+    for e in exponents:
+        want = wanted[e]
+        z = field.root(e)
+        assert_canonical(z)
+        assert z.num == want, e
+        assert field.root(e + order) is z
+    assert len(field._roots) == order  # only the requested roots are kept
 
 
 @st.composite

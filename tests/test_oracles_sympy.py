@@ -11,12 +11,25 @@ from twistbern.characters import enumerate_characters  # noqa: E402
 from twistbern.cyclo import cyclotomic_polynomial  # noqa: E402
 
 
-def test_cyclotomic_polynomials_match_sympy():
+def _assert_cyclotomic_matches(orders):
     x = sympy.Symbol("x")
-    for order in range(1, 201):
+    for order in orders:
         expected = sympy.Poly(sympy.cyclotomic_poly(order, x), x).all_coeffs()
         assert cyclotomic_polynomial(order) == \
             tuple(int(c) for c in reversed(expected)), order
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    # every order to 200, and the wide fields' orders above it (Moebius
+    # products with up to four primes: 210, 390, 420)
+    _assert_cyclotomic_matches(range(1, 201))
+    _assert_cyclotomic_matches((204, 210, 216, 240, 252, 280, 300, 312, 336,
+                                390, 420))
+
+
+@pytest.mark.slow
+def test_cyclotomic_polynomials_match_sympy_to_420():
+    _assert_cyclotomic_matches(range(201, 421))
 
 
 def test_classical_bernoulli_numbers_match_sympy():

@@ -11,8 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from twistbern.bernoulli import (TwistContext, char_sum_series, power_sum,
-                                 power_sums)
+from twistbern.bernoulli import (TwistContext, bernoulli_numbers,
+                                 char_sum_series, power_sum, power_sums)
+from twistbern.characters import character
+from twistbern.cyclo import cyclo_field, embed_into, euler_phi
 from twistbern.padic import volkenborn_partial
 
 # (d, character index): trivial, real (d = 3, 4, 5) and complex (order 4 at
@@ -22,11 +24,21 @@ CONTEXTS = [(d, char, order) for d, char in CHARACTERS for order in range(1, 7)]
 K_MAX = 8
 
 
-def _direct(ctx, k, n, scale=1):
-    """sum_{a=0}^{n} chi(a) xi^(a*scale) a^k by the definition (0^0 = 1)."""
-    acc = ctx.field.zero
+def _direct(ctx, k, n, scale=1, xi=None):
+    """sum_{a=0}^{n} chi(a) xi^(a*scale) a^k by the definition (0^0 = 1).
+
+    chi(a) comes from the character and xi (by default zeta of the
+    context's xi order, as from_orders builds it) is embedded here, so
+    neither reads the context's own (sign, exponent) records.
+    """
+    field = ctx.field
+    z = embed_into(xi or cyclo_field(ctx.xi_order).root(1), field)
+    acc = field.zero
     for a in range(n + 1):
-        acc = acc + ctx.chi_at(a) * ctx.xi_pow(a * scale) * a**k
+        v = ctx.chi(a)
+        v = (field.from_rational(v.rational_value()) if v.is_rational()
+             else embed_into(v, field))
+        acc = acc + v * z ** (a * scale % ctx.xi_order) * a**k
     return acc
 
 
@@ -63,6 +75,60 @@ def test_volkenborn_partial_matches_the_definition(d, char, order, p):
         for k in range(K_MAX + 1):
             assert volkenborn_partial(ctx, k, level) == \
                 _direct(ctx, k, total - 1) / total, (level, k)
+
+
+def test_power_sums_read_signed_roots():
+    # xi = -zeta_3 (order 6) has the sign -1 in the odd-order field Q(zeta_3);
+    # a real character in an odd-order field gives signs of its own
+    for chi, xi in ((character(5, 1), -cyclo_field(3).root(1)),
+                    (character(5, 2), -cyclo_field(3).root(2)),
+                    (character(3, 1), cyclo_field(3).root(1)),
+                    (character(7, 3), -cyclo_field(1).one)):
+        ctx = TwistContext(chi, xi)
+        for n in (0, 1, chi.modulus - 1, 4 * chi.modulus + 1):
+            table = power_sums(ctx, 5, n)
+            for k in range(6):
+                assert table[k] == _direct(ctx, k, n, xi=xi), (chi, xi, n, k)
+
+
+# -- the twisted Faulhaber identity ------------------------------------------
+# For d | M and xi^M = 1 the generating function of S_k(M-1) is
+# (e^{Mt} - 1)/t times the Bernoulli GF, so
+#     S_k(M-1) = sum_{i<=k} C(k,i) B_i M^(k-i+1) / (k-i+1).
+
+def _faulhaber(ctx, k, M):
+    bern = bernoulli_numbers(ctx, k).values
+    return sum((bern[i] * Fraction(math.comb(k, i) * M**(k - i + 1), k - i + 1)
+                for i in range(k + 1)), ctx.field.zero)
+
+
+def _check_faulhaber(ctx, k_max=5):
+    base = math.lcm(ctx.d, ctx.xi_order)
+    for M in (base, 2 * base, 3 * base):
+        sums = power_sums(ctx, k_max, M - 1)
+        for k in range(k_max + 1):
+            assert sums[k] == _faulhaber(ctx, k, M), (ctx, M, k)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_twisted_faulhaber_identity(d):
+    # every character mod d, xi orders 1, 2, 3, 4, 6, three periods M, k <= 5
+    for index in range(euler_phi(d)):
+        for order in (1, 2, 3, 4, 6):
+            _check_faulhaber(TwistContext.from_orders(d, index, order))
+
+
+def test_twisted_faulhaber_exponent_and_sign_paths():
+    # a character of order 7 at the prime 29 (field Q(zeta_21) with xi of
+    # order 3), a real character in the odd-order field Q(zeta_3), and
+    # xi = -zeta_3 carrying its own sign
+    for ctx in (TwistContext.from_orders(29, 4, 3),
+                TwistContext.from_orders(3, 1, 3),
+                TwistContext(character(5, 1), -cyclo_field(3).root(1))):
+        _check_faulhaber(ctx)
+    assert (ctx.chi.order, ctx.xi_order, ctx.field.order) == (4, 6, 12)
+    big = TwistContext.from_orders(29, 4, 3)
+    assert (big.chi.order, big.field.order) == (7, 21)
 
 
 def test_table_grows_in_place():

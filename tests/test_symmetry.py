@@ -129,6 +129,14 @@ def test_expansion_matches_series_everywhere():
                 assert rep.passed, rep.detail
 
 
+def test_expansion_check_validates_n_max():
+    # a negative n_max is named as the n it is, as verify_theorem names it
+    spec = QuotientSpec("pairwise", 0, (1, 2, 3), CLASSICAL)
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        expansion_consistency_check("triple_bernoulli", spec, -1)
+    assert expansion_consistency_check("triple_bernoulli", spec, 0).passed
+
+
 def test_verify_theorem_examples():
     for tid in range(1, 9):
         rep = verify_theorem(tid, CLASSICAL, (1, 1, 1), 3)
