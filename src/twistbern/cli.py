@@ -61,7 +61,12 @@ class GridSpec:
             return list(range(len(chars)))
         if self.char_selector == "primitive":
             return [i for i, c in enumerate(chars) if c.is_primitive]
-        idx = [int(t) for t in self.char_selector.split(",")]
+        try:
+            idx = [int(t) for t in self.char_selector.split(",")]
+        except ValueError:
+            raise ValueError(
+                "--chars must be 'all', 'primitive', or a comma list of "
+                f"indices, not {self.char_selector!r}") from None
         for i in idx:
             if not 0 <= i < len(chars):
                 raise ValueError(f"character index {i} out of range mod {d}")
@@ -158,6 +163,8 @@ def cmd_chars(args) -> int:
 
 
 def cmd_bernoulli(args) -> int:
+    if args.n < 0:
+        raise ValueError("n must be >= 0")
     ctx = _build_context(args)
     values = bernoulli_numbers(ctx, args.n).values
     _render(args,

@@ -5,8 +5,9 @@ operators).  Coefficients are stored plain; the n! rescaling of exponential
 generating functions happens only in egf(), so multiplication stays an
 ordinary Cauchy product.  Binary operations truncate to the shorter operand.
 With CycloNumber coefficients every coefficient of a product or an inverse
-is one call of the fused kernel ``cyclo.dot``; other coefficient rings use
-the plain loop.
+is one call of the fused kernel ``cyclo.dot``: products go through
+``cauchy_product``, which the expansion forms share; other coefficient rings
+use the plain loop.
 """
 
 from __future__ import annotations
@@ -65,10 +66,7 @@ class PowerSeries:
         n = min(len(self.coeffs), len(other.coeffs))
         a, b = self.coeffs, other.coeffs
         if type(a[0]) is CycloNumber and type(b[0]) is CycloNumber:
-            field = a[0].field
-            rb = b[n - 1::-1]
-            return PowerSeries([dot(field, a, rb[n - 1 - k:])
-                                for k in range(n)])
+            return PowerSeries(cauchy_product(a, b))
         out = []
         for k in range(n):
             acc = a[0] * b[k]
@@ -137,6 +135,12 @@ class PowerSeries:
         if len(self.coeffs) > 8:
             inner += ", ..."
         return f"PowerSeries([{inner}]; N={self.truncation})"
+
+
+def cauchy_product(a, b) -> list:
+    """[sum_i a_i b_(k-i) for k < min(len(a), len(b))] of two sequences of
+    CycloNumbers, one cyclo.dot per coefficient."""
+    return [dot(a[0].field, a, b[k::-1]) for k in range(min(len(a), len(b)))]
 
 
 def first_difference(a: PowerSeries, b: PowerSeries):

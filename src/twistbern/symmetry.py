@@ -12,11 +12,18 @@ triple (w1, w2, w3) enters the factors:
 Every closed form is manifestly symmetric in (w1, w2, w3).  Each family/index
 also admits finite-sum expansions in Bernoulli values and power sums, written
 as table rows of pieces (``_ROWS``) and evaluated independently of the series
-path: each piece contributes one scalar table, a row convolves its tables
-once, and the y-part, which is exponential in each slot, is written in closed
-form.  Matching expansions across weight permutations yields the eight
+path.  Matching expansions across weight permutations yields the eight
 symmetry theorems verified below as exact polynomial identities in the
 y-variables.
+
+Rows and quotients share one form: const * e^{(s.y) t} F(t), with a scale s_y
+per live slot (the same under every weight order) and a scalar series F over
+Q(zeta_L).  ``_quotient_form`` builds (scales, q) with one factor_quotient
+call, and ``_row_form`` builds (const, scales, E) with one Cauchy product
+(``series.cauchy_product``) of the pieces' scalar tables.  One ``_lift``
+writes every SymPoly monomial.  The whole-series checks compare forms and
+lift only forms that differ, so a pass builds no SymPoly and a failure keeps
+the detail of ``report.first_mismatch``.
 """
 
 from __future__ import annotations
@@ -27,9 +34,8 @@ from fractions import Fraction
 from functools import partial
 
 from .bernoulli import TwistContext, _bern_values, factor_quotient, power_sums
-from .cyclo import dot
 from .report import CheckReport, TheoremReport, first_mismatch
-from .series import PowerSeries
+from .series import PowerSeries, cauchy_product
 from .sympoly import SymPoly
 
 _FAMILY_MAX_I = {"pairwise": 3, "single": 3, "cyclic": 1}
@@ -96,64 +102,51 @@ _QUOTIENTS = {
 }
 
 
-def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
-    """The closed-form series of the quotient, with SymPoly coefficients.
-
-    Built scalar-first: the _QUOTIENTS row of the spec gives the scalar
-    series q(t) = prefactor * factor_quotient(...) with CycloNumber
-    coefficients, where every cancellation of t is exact and a failed one
-    raises.  The symbolic factor e^{c*(sum of the live y)*t} is then applied
-    in closed form: the t^n coefficient holds each monomial y^e with
-    |e| = j <= n exactly once, with coefficient q_{n-j} * c^j / prod(e_i!),
-    so no polynomial product is formed.
-    """
+def _quotient_form(spec: QuotientSpec, truncation: int) -> tuple:
+    """The form (scales, q) of the quotient to t^truncation: each live slot
+    maps to the exp scale of its _QUOTIENTS row, and q = prefactor *
+    factor_quotient(...), where a failed cancellation of t raises."""
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    prefactor, t_power, num, den, exp_vars, exp_scale = _QUOTIENTS[
-        spec.family](*spec.w, spec.i)
-    q = (factor_quotient(spec.context, t_power, num, den, truncation)
-         * prefactor).coeffs
-
-    exp_terms = _exp_monomials(exp_vars, exp_scale, truncation)
-    out = []
-    for n in range(truncation + 1):
-        terms = {}
-        for j in range(n + 1):
-            c = q[n - j]
-            if c:
-                for key, weight in exp_terms[j]:
-                    terms[key] = c * weight
-        out.append(SymPoly(spec.context.field, terms))
-    return PowerSeries(out)
+    prefactor, t_power, num, den, slots, scale = _QUOTIENTS[spec.family](
+        *spec.w, spec.i)
+    q = factor_quotient(spec.context, t_power, num, den, truncation)
+    return dict.fromkeys(slots, scale), (q * prefactor).coeffs
 
 
-def _exp_monomials(slots: tuple, scale: int, upto: int) -> list:
-    """The t^j coefficients, j = 0..upto, of e^{scale*(sum of the slot
-    variables)*t}: per j, the pairs (exponent key of y^e, scale^j / prod(e_i!))
-    over all monomials y^e of degree j in the slot variables."""
-    level = [((0, 0, 0, 0), 1, 0)]  # key, prod(e_i!), first raisable slot
-    table = [[((0, 0, 0, 0), Fraction(1))]]
-    for j in range(1, upto + 1):
-        nxt = []
-        for key, den, first in level:
-            # raising slots in non-decreasing order reaches each key once
-            for idx in range(first, len(slots)):
-                k = list(key)
-                k[slots[idx]] += 1
-                nxt.append((tuple(k), den * k[slots[idx]], idx))
-        level = nxt
-        table.append([(key, Fraction(scale ** j, den))
-                      for key, den, _ in level])
-    return table
+def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
+    """The closed-form series q(t) e^{(s.y) t} of the quotient, with SymPoly
+    coefficients: a view of its form (scales, q), whose t^n coefficient is
+    the one lift at the factor 1/n!.  The checks compare forms instead."""
+    return _series(spec.context.field, *_quotient_form(spec, truncation))
+
+
+def _series(field, scales: dict, q) -> PowerSeries:
+    """The SymPoly series of a quotient form (scales, q), one lift per t^n."""
+    return PowerSeries([_lift(field, scales, q, n, Fraction(1, math.factorial(n)))
+                        for n in range(len(q))])
+
+
+def _lift(field, scales: dict, F, n: int, factor) -> SymPoly:
+    """factor * n! [t^n] of e^{(s.y) t} F(t), s_y = scales[y]: the one writer
+    of SymPoly monomials.  y^t gets factor * F_{n-|t|} * (n! prod s_y^t_y
+    // prod t_y!), an integer weight, so one scaling per monomial."""
+    fact = [math.factorial(j) for j in range(n + 1)]
+    # (exponent key, |t|, prod s_y^t_y, prod t_y!) over the monomials y^t
+    monos = [((0, 0, 0, 0), 0, 1, 1)]
+    for slot, scale in scales.items():
+        monos = [(key[:slot] + (t,) + key[slot + 1:], deg + t,
+                  num * scale**t, den * fact[t])
+                 for key, deg, num, den in monos for t in range(n - deg + 1)]
+    terms = {}
+    for key, deg, num, den in monos:
+        value = F[n - deg]
+        if value:
+            terms[key] = value * (factor * (fact[n] * num // den))
+    return SymPoly(field, terms)
 
 
 # -- building blocks shared by the expansion forms and theorem verifiers ------
-
-def _convolve(field, a: list, b: list) -> list:
-    """The Cauchy product [sum_i a_i b_(j-i) for j < len(a)], one cyclo.dot
-    per coefficient; b is at least as long as a."""
-    return [dot(field, a[:j + 1], b[j::-1]) for j in range(len(a))]
-
 
 def _bpoly(ctx: TwistContext, c: int, k: int, sums: tuple) -> list:
     """The table [T_0, .., T_k] (or a longer one) of T_m = sum_p coef_p
@@ -174,7 +167,7 @@ def _bpoly(ctx: TwistContext, c: int, k: int, sums: tuple) -> list:
         hat = [bern[i] * Fraction(1, fact[i]) for i in range(k + 1)]
         for bound, m, s, q in sums:
             moments = power_sums(ctx.twist(m), k, bound - 1)
-            hat = _convolve(ctx.field, hat, [
+            hat = cauchy_product(hat, [
                 moments[e] * Fraction(s**e, q**e * fact[e])
                 for e in range(k + 1)])
         table.extend(hat[m] * fact[m] for m in range(len(table), k + 1))
@@ -199,7 +192,7 @@ def _bpoly(ctx: TwistContext, c: int, k: int, sums: tuple) -> list:
 # is e^{c*u*y_slot*t} * sum_j T_j (c t)^j / j!, with T the scalar table of
 # _bpoly.  The row is thus const * e^{(sum_i c_i u_i y_slot_i) t} * E(t), with
 # E the Cauchy product of the scalar tables a_i[j] = c_i^j P_i(j) / j!
-# (P_i = T for a B piece, S(bound) for an S piece): _expand convolves the
+# (P_i = T for a B piece, S(bound) for an S piece): _row_form convolves the
 # tables once and forms no polynomial product.
 
 def _B(c, u, slot, *sums):
@@ -272,41 +265,25 @@ def _table(ctx: TwistContext, desc: tuple, n: int) -> list:
     return table
 
 
-def _expand(ctx: TwistContext, n: int, const, row: list) -> SymPoly:
-    """const * sum over k1+..+kr = n of C(n; k) * prod c_i^k_i * piece_i(k_i).
-
-    With E the Cauchy product of the pieces' scalar tables and s_y the sum
-    of c_i*u_i over the B pieces in slot y, the monomial y^t has the
-    coefficient const * n!/prod(t_y!) * prod(s_y^t_y) * E_{n-|t|}: an
-    integer weight, so one scaling per monomial.
-    """
-    seq = None
-    scales = {}
-    for desc in row:
+def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
+    """(const, scales, E[:n+1]) of a table row at the weights w: the row's
+    n-th EGF coefficient is const * n! [t^n] of e^{(s.y) t} E(t), with E
+    the Cauchy product of the pieces' scalar tables and s_y the sum of
+    c_i*u_i over the B pieces in slot y."""
+    const, pieces = _ROWS[row](*w, ctx.d)
+    seq, scales = None, {}
+    for desc in pieces:
         table = _table(ctx, desc, n)
-        seq = (table if seq is None
-               else _convolve(ctx.field, seq[:n + 1], table))
+        seq = table if seq is None else cauchy_product(seq[:n + 1], table)
         if desc[0] == "B":
             scales[desc[3]] = scales.get(desc[3], 0) + desc[1] * desc[2]
-    fact = [math.factorial(j) for j in range(n + 1)]
-    # (exponent key, |t|, prod s_y^t_y, prod t_y!) over the monomials y^t
-    monos = [((0, 0, 0, 0), 0, 1, 1)]
-    for slot, scale in scales.items():
-        monos = [(key[:slot] + (t,) + key[slot + 1:], deg + t,
-                  num * scale**t, den * fact[t])
-                 for key, deg, num, den in monos for t in range(n - deg + 1)]
-    terms = {}
-    for key, deg, num, den in monos:
-        value = seq[n - deg]
-        if value:
-            terms[key] = value * (const * (fact[n] * num // den))
-    return SymPoly(ctx.field, terms)
+    return const, scales, seq[:n + 1]
 
 
 def _evaluate(row: str, ctx: TwistContext, w: tuple, n: int) -> SymPoly:
     """The n-th EGF coefficient of a table row at the weights w."""
-    const, pieces = _ROWS[row](*w, ctx.d)
-    return _expand(ctx, n, const, pieces)
+    const, scales, seq = _row_form(row, ctx, w, n)
+    return _lift(ctx.field, scales, seq, n, const)
 
 
 #: form name -> (family, i, evaluator); the evaluators sum Bernoulli values
@@ -325,19 +302,24 @@ EXPANSION_FORMS = {
         ("cyclic_triple_powersum", "cyclic", 1))}
 
 
-def expansion_coefficient(form: str, n: int, spec: QuotientSpec) -> SymPoly:
-    """The n-th EGF coefficient of the named finite-sum expansion."""
-    try:
-        family, i, fn = EXPANSION_FORMS[form]
-    except KeyError:
-        raise ValueError(f"unknown expansion form {form!r}") from None
+def _expansion_row(form: str, spec: QuotientSpec, n: int) -> tuple:
+    """The row form (const, scales, E[:n+1]) of the named expansion at spec;
+    an unknown form, one for another family/index and n < 0 raise."""
+    if form not in EXPANSION_FORMS:
+        raise ValueError(f"unknown expansion form {form!r}")
+    family, i, _ = EXPANSION_FORMS[form]
     if (spec.family, spec.i) != (family, i):
         raise ValueError(
             f"form {form!r} applies to family={family!r} i={i}, "
             f"not family={spec.family!r} i={spec.i}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return fn(spec.context, spec.w, n)
+    _check_point(spec.w, n)
+    return _row_form(form, spec.context, spec.w, n)
+
+
+def expansion_coefficient(form: str, n: int, spec: QuotientSpec) -> SymPoly:
+    """The n-th EGF coefficient of the named finite-sum expansion."""
+    const, scales, seq = _expansion_row(form, spec, n)
+    return _lift(spec.context.field, scales, seq, n, const)
 
 
 # -- theorem verifiers ---------------------------------------------------------
@@ -431,15 +413,15 @@ def permutation_reduction_check(group: int, ctx: TwistContext,
 
 def permutation_invariance_check(spec: QuotientSpec, truncation: int) -> CheckReport:
     """quotient_series must be identical under every distinct order of the
-    weights; each distinct order is built once."""
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    v0, *rest = _distinct_orders(spec.w, _PERM6)
-    base = quotient_series(spec, truncation)
+    weights; each distinct order's form is built once."""
+    forms = {v: _quotient_form(QuotientSpec(spec.family, spec.i, v,
+                                            spec.context), truncation)
+             for v in _distinct_orders(spec.w, _PERM6)}
+    (v0, base), *rest = forms.items()
+    field = spec.context.field
     detail = first_mismatch(
-        (f"w-order {v} differs from w-order {v0}",
-         quotient_series(QuotientSpec(spec.family, spec.i, v, spec.context),
-                         truncation), base) for v in rest)
+        (f"w-order {v} differs from w-order {v0}", _series(field, *form),
+         _series(field, *base)) for v, form in rest if form != base)
     return CheckReport("permutation_invariance_check",
                        dict(spec.params(), truncation=truncation),
                        detail is None, detail)
@@ -447,12 +429,16 @@ def permutation_invariance_check(spec: QuotientSpec, truncation: int) -> CheckRe
 
 def expansion_consistency_check(form: str, spec: QuotientSpec,
                                 n_max: int) -> CheckReport:
-    """expansion_coefficient(form, n, .) == n! [t^n] quotient_series for n <= n_max."""
-    _check_point(spec.w, n_max)
-    series = quotient_series(spec, n_max)
-    detail = first_mismatch(
-        (f"n={n}: expansion vs series", expansion_coefficient(form, n, spec),
-         series.egf(n)) for n in range(n_max + 1))
+    """expansion_coefficient(form, n, .) == n! [t^n] quotient_series for
+    n <= n_max: the row's form (scales, const*E) against the quotient's
+    (scales, q), lifted at each n only when the two differ."""
+    const, scales, seq = _expansion_row(form, spec, n_max)
+    row = (scales, tuple(c * const for c in seq))
+    quotient = _quotient_form(spec, n_max)
+    field = spec.context.field
+    detail = None if row == quotient else first_mismatch(
+        (f"n={n}: expansion vs series", _lift(field, *row, n, 1),
+         _lift(field, *quotient, n, 1)) for n in range(n_max + 1))
     return CheckReport("expansion_consistency_check",
                        dict(spec.params(), form=form, n_max=n_max),
                        detail is None, detail)
@@ -464,18 +450,24 @@ def substitution_check(spec: QuotientSpec, truncation: int) -> CheckReport:
     The pairwise series with weights (w2*w3, w1*w3, w1*w2) must equal the
     single-family series with the original weights after rescaling t by
     w1*w2*w3 and replacing the twist root by its (w1*w2*w3)-th power.
+    Rescaling t by big turns the form (scales, q) into (big*scales,
+    q_n*big^n).
     """
     if spec.family != "single":
         raise ValueError("substitution_check applies to the single family")
     w1, w2, w3 = spec.w
     big = w1 * w2 * w3
-    lhs = quotient_series(
+    lhs = _quotient_form(
         QuotientSpec("pairwise", spec.i, (w2 * w3, w1 * w3, w1 * w2),
                      spec.context), truncation)
-    rhs = quotient_series(
+    scales, q = _quotient_form(
         QuotientSpec("single", spec.i, spec.w, spec.context.twist(big)),
         truncation)
-    rescaled = PowerSeries([c * big**n for n, c in enumerate(rhs.coeffs)])
-    detail = first_mismatch([("pairwise vs rescaled single", lhs, rescaled)])
+    rescaled = ({y: s * big for y, s in scales.items()},
+                tuple(c * big**n for n, c in enumerate(q)))
+    field = spec.context.field
+    detail = None if lhs == rescaled else first_mismatch([(
+        "pairwise vs rescaled single", _series(field, *lhs),
+        _series(field, *rescaled))])
     params = dict(spec.params(), truncation=truncation)
     return CheckReport("substitution_check", params, detail is None, detail)

@@ -136,6 +136,15 @@ def test_grid_usage_errors(capsys):
         GridSpec(d_list=[1], char_selector="all", xi_orders=[1], w_list=[])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bernoulli", "--n", "-1"], "n must be >= 0"),
+    (["grid", "--chars", "1,,x"], "--chars must be 'all', 'primitive', or "
+                                  "a comma list of indices, not '1,,x'"),
+])
+def test_usage_errors_name_the_flag_given(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_run_grid_jobs_agree():
     spec1 = GridSpec(d_list=[1, 4], char_selector="all", xi_orders=[1, 2],
                      w_list=[(1, 2, 3)], n_max=1, truncation=2, jobs=1)

@@ -123,3 +123,30 @@ def test_a_wrong_u_or_slot_is_seen(row, change, monkeypatch):
     want = _oracle(row, ctx, w, n, {})
     monkeypatch.setitem(_ROWS, row, _mutated(row, change))
     assert _evaluate(row, ctx, w, n) != want
+
+
+def test_the_one_lift_is_checked_by_independent_oracles(monkeypatch):
+    # every SymPoly of a quotient series and of a row comes from one
+    # _lift; a perturbed coefficient there must show against both the
+    # exp_scaled/SymPoly-product route and the per-composition oracle
+    from test_symmetry import _symbolic_route
+
+    real = symmetry._lift
+
+    def perturbed(*args):
+        poly = real(*args)
+        if poly.terms:
+            key = max(poly.terms, key=sum)  # one top-degree monomial
+            poly.terms[key] = poly.terms[key] * 2
+        return poly
+
+    ctx, w, n = TwistContext.from_orders(1, 0, 1, 1), (1, 2, 3), 3
+    spec = symmetry.QuotientSpec("pairwise", 1, w, ctx)
+    want = _oracle("triple_bernoulli", ctx, w, n, {})
+    got = symmetry.quotient_series(spec, n)
+    assert got == _symbolic_route(spec, got)
+    assert _evaluate("triple_bernoulli", ctx, w, n) == want
+    monkeypatch.setattr(symmetry, "_lift", perturbed)
+    got = symmetry.quotient_series(spec, n)
+    assert got != _symbolic_route(spec, got)
+    assert _evaluate("triple_bernoulli", ctx, w, n) != want

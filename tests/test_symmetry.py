@@ -302,6 +302,30 @@ def test_failure_details_name_the_first_differing_monomial(monkeypatch):
     assert not rep.passed
     assert rep.detail == "pairwise vs rescaled single at t^1, y3: 36 vs 42"
 
+    # equal scale vectors, unequal scalars: the single prefactor times w1
+    # (no longer symmetric) or times 2 (no longer the rescaled pairwise
+    # one), and the constant of bernoulli_bernoulli_powersum doubled
+    quotients["single"] = lambda w1, w2, w3, i: (
+        single(w1, w2, w3, i)[0] * w1, *single(w1, w2, w3, i)[1:])
+    rep = permutation_invariance_check(
+        QuotientSpec("single", 1, (1, 2, 3), TWISTED4), 3)
+    assert not rep.passed
+    assert rep.detail == ("w-order (2, 1, 3) differs from w-order (1, 2, 3) "
+                          "at t^1, 1: 2 vs 1")
+    quotients["single"] = lambda w1, w2, w3, i: (
+        single(w1, w2, w3, i)[0] * 2, *single(w1, w2, w3, i)[1:])
+    rep = substitution_check(QuotientSpec("single", 0, (1, 2, 3), CLASSICAL), 3)
+    assert not rep.passed
+    assert rep.detail == "pairwise vs rescaled single at t^0, 1: 1 vs 2"
+    base = rows["bernoulli_bernoulli_powersum"]
+    rows["bernoulli_bernoulli_powersum"] = lambda *args: (
+        2 * base(*args)[0], base(*args)[1])
+    rep = expansion_consistency_check(
+        "bernoulli_bernoulli_powersum",
+        QuotientSpec("pairwise", 1, (1, 2, 3), TWISTED4), 2)
+    assert not rep.passed
+    assert rep.detail == "n=2: expansion vs series at 1: -24*z4 vs -12*z4"
+
     # passing reports carry no detail
     monkeypatch.undo()
     assert verify_theorem(1, CLASSICAL, (1, 2, 3), 1).detail is None
@@ -314,18 +338,45 @@ def test_failure_details_name_the_first_differing_monomial(monkeypatch):
 def test_invariance_builds_each_distinct_weight_order_once(monkeypatch):
     from twistbern import symmetry
     built = []
-    real = symmetry.quotient_series
+    real = symmetry._quotient_form
 
     def counting(spec, truncation):
         built.append(spec.w)
         return real(spec, truncation)
 
-    monkeypatch.setattr(symmetry, "quotient_series", counting)
+    monkeypatch.setattr(symmetry, "_quotient_form", counting)
     for w, count in (((1, 2, 3), 6), ((1, 1, 2), 3), ((2, 2, 2), 1)):
         built.clear()
         spec = QuotientSpec("pairwise", 1, w, TWISTED4)
         assert permutation_invariance_check(spec, 3).passed
         assert len(built) == len(set(built)) == count
+
+
+def test_passing_form_checks_build_no_sympoly(monkeypatch):
+    # equal forms lift to equal SymPolys, so a pass decides on forms alone
+    from twistbern import symmetry
+    lifts, built = [], []
+    real_lift, real_init = symmetry._lift, SymPoly.__init__
+    monkeypatch.setattr(symmetry, "_lift",
+                        lambda *args: lifts.append(args) or real_lift(*args))
+    monkeypatch.setattr(SymPoly, "__init__",
+                        lambda self, *args: built.append(args)
+                        or real_init(self, *args))
+    for ctx in (CLASSICAL, TWISTED4):
+        for i in range(4):
+            spec = QuotientSpec("single", i, (1, 2, 3), ctx)
+            assert permutation_invariance_check(spec, 4).passed
+            assert substitution_check(spec, 4).passed
+        for form, (family, i, _) in EXPANSION_FORMS.items():
+            spec = QuotientSpec(family, i, (2, 3, 5), ctx)
+            assert expansion_consistency_check(form, spec, 4).passed
+    assert lifts == [] and built == []
+    # a failing check lifts the forms that differ
+    spec = QuotientSpec("pairwise", 0, (1, 2, 3), CLASSICAL)
+    monkeypatch.setitem(symmetry._ROWS, "triple_bernoulli",
+                        symmetry._ROWS["triple_powersum"])
+    assert not expansion_consistency_check("triple_bernoulli", spec, 2).passed
+    assert lifts and built
 
 
 def test_former_slowest_sweep_point():
