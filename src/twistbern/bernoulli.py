@@ -29,14 +29,15 @@ from .series import PowerSeries
 class TwistContext:
     """Modulus d, character chi mod d, twist root xi, and their common field.
 
-    Values are immutable; per-context caches (Bernoulli tables, power sums,
-    twisted variants) are filled lazily and are safe for concurrent reads
-    once built.
+    Values are immutable; per-context caches (the Bernoulli table, power-sum
+    tables, twisted variants, factor series, and symmetry's row tables) are
+    filled lazily and are safe for concurrent reads once built.
     """
 
     __slots__ = ("chi", "xi", "d", "xi_order", "p", "s", "field",
                  "_chi_roots", "_xi_root", "_xi_pows", "_bern",
-                 "_psums", "_twists", "_bpoly_cache", "_piece_tables")
+                 "_psums", "_twists", "_factors", "_bpoly_cache",
+                 "_piece_tables")
 
     def __init__(self, chi: DirichletCharacter, xi: CycloNumber,
                  p: int | None = None, s: int | None = None):
@@ -84,6 +85,7 @@ class TwistContext:
         self._bern: list[CycloNumber] | None = None
         self._psums: dict = {}
         self._twists: dict = {}
+        self._factors: dict = {}
         self._bpoly_cache: dict = {}
         self._piece_tables: dict = {}
 
@@ -162,25 +164,36 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
     the character sum sum_{a<d} chi(a) xi^(ac) e^(act).  Each denominator
     unit with xi^(dc) = 1 (vanish of them) gives up one t, and the quotient
     owes t^(vanish - t_power) when that is positive; dividing it out raises
-    ValueError if t does not divide.  num and den are non-empty, and every
-    factor is built to exactly the length the result needs.
+    ValueError if t does not divide.  num and den are non-empty.  Each
+    factor series is built once per context and kept in ctx._factors; a
+    longer one than cached is built to at least twice the cached length.
+    The products are formed here in the order of num and den, and the
+    numerator product is divided by the denominator product.
     """
     # looked up per call, so wrappers set on the module attributes (as
     # perfbench/tracing.py does) see every factor built here
     make = {"unit": twist_unit_series, "sum": char_sum_series}
+    cache = ctx._factors
     vanish = sum(1 for kind, c in den
                  if kind == "unit" and ctx.xi_pow(ctx.d * c).is_one())
     shift = t_power - vanish
     length = max(truncation - shift, 0)
 
+    def factor(key, upto):
+        s = cache.get(key)
+        if s is None or len(s) <= upto:
+            # grow geometrically, as _bern_values does
+            build = upto if s is None else max(upto, 2 * len(s))
+            s = cache[key] = make[key[0]](ctx, key[1], build).coeffs
+        return PowerSeries(s[:upto + 1])
+
     def product(factors, upto):
-        return reduce(operator.mul, [make[kind](ctx, c, upto)
-                                     for kind, c in factors])
+        return reduce(operator.mul, [factor(key, upto) for key in factors])
 
     bottom = product(den, length + vanish)
     if vanish:
         bottom = bottom.divide_by_t(vanish)
-    q = product(num, length) * bottom.invert()
+    q = product(num, length).divide(bottom)
     if shift < 0:
         return q.divide_by_t(-shift)
     return q.shift_up(shift).truncate(truncation)

@@ -78,14 +78,21 @@ class GridSpec:
                        for r in self.xi_orders for w in self.w_list})
 
 
+# argparse shows the message of an ArgumentTypeError; for any other error of
+# a type function it names the function instead
 def _parse_ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip() != ""]
+    try:
+        return [int(t) for t in text.split(",") if t.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, not {text!r}") from None
 
 
 def _parse_w(text: str) -> tuple[int, int, int]:
     parts = _parse_ints(text)
     if len(parts) != 3:
-        raise ValueError("--w expects three comma-separated integers")
+        raise argparse.ArgumentTypeError(
+            "--w expects three comma-separated integers")
     return tuple(parts)  # type: ignore[return-value]
 
 
@@ -281,7 +288,7 @@ def _grid_text(outcome: dict) -> list[str]:
 def cmd_grid(args) -> int:
     spec = GridSpec(d_list=args.d, char_selector=args.chars,
                     xi_orders=args.xi_orders,
-                    w_list=[_parse_w(t) for t in (args.w or ["1,1,1"])],
+                    w_list=args.w or [(1, 1, 1)],
                     n_max=args.n, truncation=args.trunc, jobs=args.jobs)
     outcome = run_grid(spec)
     _render(args, lambda: outcome,
@@ -357,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'all', 'primitive', or a comma list of indices")
     p.add_argument("--xi-orders", dest="xi_orders", type=_parse_ints,
                    default=[1], help="comma list of twist orders")
-    p.add_argument("--w", action="append", default=None,
+    p.add_argument("--w", type=_parse_w, action="append", default=None,
                    help="weight triple (repeatable), e.g. --w 1,2,3 --w 2,3,5")
     p.add_argument("--n", type=int, default=4, help="theorem coefficient index")
     p.add_argument("--trunc", type=int, default=4,

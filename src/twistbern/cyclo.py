@@ -6,10 +6,10 @@ nf_elem.  Every element is kept canonical (gcd(den, *num) == 1, zero is
 (0, ..., 0)/1), so equality of field elements is a comparison of integer
 tuples.  A product is an integer convolution reduced by fixed integer rows of
 x^k mod Phi_L, followed by one gcd; from degree _PACK_DEGREE on, ``dot``
-forms each pair's convolution as one big-int product of Kronecker-packed
-numerators.  Inversion is an extended Euclid in Z[x].  Roots of unity
-zeta_L^e are walked up by the shift x * v mod Phi_L, and Phi_L itself is a
-Moebius product of the binomials x^d - 1.
+(and with it ``*``) forms each pair's convolution as one big-int product of
+Kronecker-packed numerators.  Inversion is an extended Euclid in Z[x].
+Roots of unity zeta_L^e are walked up by the shift x * v mod Phi_L, and
+Phi_L itself is a Moebius product of the binomials x^d - 1.
 Rational coordinates are available as Fractions through ``coeffs``.  All
 values are immutable and every operation is exact; there is no floating
 point anywhere.
@@ -395,9 +395,11 @@ class CycloNumber:
         f = self.field
         if other.field is not f and other.field.order != f.order:
             raise ValueError("field mismatch")
+        deg = f.degree
+        if deg >= _PACK_DEGREE:
+            return dot(f, (self,), (other,))
         a, b = self.num, other.num
         den = self.den * other.den
-        deg = f.degree
         if deg == 1:
             out = (a[0] * b[0],)
         else:
@@ -556,9 +558,9 @@ class CycloNumber:
         return out
 
 
-# From this field degree on, dot packs its operands (Kronecker substitution):
-# one big-int product per pair beats the O(degree^2) schoolbook loop there,
-# which stays faster for the small fields of the theorem checks.
+# From this field degree on, dot and * pack their operands (Kronecker
+# substitution): one big-int product per pair beats the O(degree^2) schoolbook
+# loop there, which stays faster for the small fields of the theorem checks.
 _PACK_DEGREE = 12
 
 

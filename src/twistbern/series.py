@@ -4,10 +4,11 @@ Coefficients may be CycloNumbers or SymPolys (anything with exact ring
 operators).  Coefficients are stored plain; the n! rescaling of exponential
 generating functions happens only in egf(), so multiplication stays an
 ordinary Cauchy product.  Binary operations truncate to the shorter operand.
-With CycloNumber coefficients every coefficient of a product or an inverse
+With CycloNumber coefficients every coefficient of a product or a quotient
 is one call of the fused kernel ``cyclo.dot``: products go through
 ``cauchy_product``, which the expansion forms share; other coefficient rings
-use the plain loop.
+use the plain loop.  ``divide`` forms a quotient of two series by one
+recurrence, and ``invert`` is ``divide`` applied to the series 1.
 """
 
 from __future__ import annotations
@@ -80,21 +81,29 @@ class PowerSeries:
 
     def invert(self) -> "PowerSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0.is_zero():
+        one = self.coeffs[0] * 0 + 1
+        return PowerSeries([one] + [one * 0] * self.truncation).divide(self)
+
+    def divide(self, other: "PowerSeries") -> "PowerSeries":
+        """self / other, truncated to the shorter operand; other needs a
+        nonzero constant term b_0.  Coefficient k is
+        q_k = (a_k - sum_{i=1..k} b_i q_(k-i)) * b_0^-1."""
+        b0 = other.coeffs[0]
+        if b0.is_zero():
             raise ValueError("not invertible; use divide_by_t first")
-        inv0 = c0.inverse()
-        out = [inv0]
-        if type(c0) is CycloNumber:
-            tail = self.coeffs[1:]
-            for _ in tail:
-                out.append(-(inv0 * dot(c0.field, tail, reversed(out))))
+        inv0 = b0.inverse()
+        a = self.coeffs[:len(other.coeffs)]
+        tail = other.coeffs[1:len(a)]
+        out = [a[0] * inv0]
+        if type(b0) is CycloNumber:
+            for ak in a[1:]:
+                out.append((ak - dot(b0.field, tail, reversed(out))) * inv0)
             return PowerSeries(out)
-        for k in range(1, len(self.coeffs)):
-            acc = self.coeffs[1] * out[k - 1]
+        for k in range(1, len(a)):
+            acc = tail[0] * out[k - 1]
             for i in range(2, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-(inv0 * acc))
+                acc = acc + tail[i - 1] * out[k - i]
+            out.append((a[k] - acc) * inv0)
         return PowerSeries(out)
 
     def divide_by_t(self, k: int = 1) -> "PowerSeries":

@@ -432,6 +432,8 @@ def expansion_consistency_check(form: str, spec: QuotientSpec,
     """expansion_coefficient(form, n, .) == n! [t^n] quotient_series for
     n <= n_max: the row's form (scales, const*E) against the quotient's
     (scales, q), lifted at each n only when the two differ."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     const, scales, seq = _expansion_row(form, spec, n_max)
     row = (scales, tuple(c * const for c in seq))
     quotient = _quotient_form(spec, n_max)

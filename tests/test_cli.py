@@ -244,6 +244,25 @@ def test_run_grid_starts_at_most_the_clamped_pool(monkeypatch):
     assert out["summary"]["failed"] == 0
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--w", "1,2"],
+     "argument --w: --w expects three comma-separated integers"),
+    (["grid", "--w", "1,2,3,4"],
+     "argument --w: --w expects three comma-separated integers"),
+    (["grid", "--w", "1,x,3"],
+     "argument --w: expected comma-separated integers, not '1,x,3'"),
+    (["grid", "--d", "1,x"],
+     "argument --d: expected comma-separated integers, not '1,x'"),
+    (["grid", "--xi-orders", "1,,x"],
+     "argument --xi-orders: expected comma-separated integers, not '1,,x'"),
+])
+def test_list_parse_errors_say_what_was_expected(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"error: {message}")
+    assert "invalid" not in err
+
+
 def test_negative_truncation_is_a_usage_error(capsys):
     code, out, err = run(capsys, "grid", "--d", "1", "--w", "1,1,1",
                          "--trunc", "-1")

@@ -3,9 +3,9 @@
 Every operation is checked against a small, independent reference that
 works on Fraction coefficient vectors in Q[x]/Phi_L(x) with schoolbook
 polynomial arithmetic, and every result is checked to be in canonical form.
-The fused kernel ``dot`` and the series products built on it are checked
-against plain sums of element products, and ``SymPoly`` against the ring
-laws, its scalar coercions and its no-stored-zero invariant.
+The fused kernel ``dot`` and the series products and quotients built on it
+are checked against plain sums of element products, and ``SymPoly`` against
+the ring laws, its scalar coercions and its no-stored-zero invariant.
 """
 
 import math
@@ -333,6 +333,39 @@ def test_dot_on_both_sides_of_the_packing_threshold():
                 got = dot(f, xs, ys)
                 assert_canonical(got)
                 assert got == plain_dot(f, xs, ys), (order, pairs, magnitude)
+                # * packs from the same degree on: each product against the
+                # Fraction reference, which never touches the kernels
+                for x, y in zip(xs, ys):
+                    p = x * y
+                    assert_canonical(p)
+                    assert p.coeffs == ref_mul(x.coeffs, y.coeffs, order)
+                    assert y * x == p
+
+
+@pytest.mark.parametrize("order", WIDE_ORDERS)
+def test_wide_product_matches_sympy_remainder(order):
+    # a * b in the packed range against sympy's remainder of the plain
+    # polynomial product by Phi_L, over mixed denominators and magnitudes
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(order, x), x, domain="QQ")
+    f = cyclo_field(order)
+    assert f.degree >= _PACK_DEGREE
+    rng = random.Random(order)
+    for magnitude, den_a, den_b in ((1, 1, 1), (2**20, 6, 35), (2**70, 1, 9)):
+        a = _wide_element(rng, f, magnitude, den_a)
+        b = _wide_element(rng, f, magnitude, den_b)
+        pa, pb = (sympy.Poly(list(reversed([sympy.Rational(c.numerator,
+                                                           c.denominator)
+                                            for c in v.coeffs])), x,
+                             domain="QQ") for v in (a, b))
+        rem = sympy.rem(pa * pb, phi).all_coeffs()
+        want = [Fraction(int(c.p), int(c.q)) for c in reversed(rem)]
+        want += [Fraction(0)] * (f.degree - len(want))
+        got = a * b
+        assert_canonical(got)
+        assert got.coeffs == tuple(want), (order, magnitude)
+    assert a * f.zero == f.zero and a * f.one == a
 
 
 @pytest.mark.parametrize("order", (105, 420))
@@ -393,6 +426,46 @@ def test_series_inverse_times_series_is_one(ab):
     one = PowerSeries([f.one] + [f.zero] * s.truncation)
     assert inv * s == one
     assert plain_series_mul(inv.coeffs, s.coeffs) == one.coeffs
+
+
+@SETTINGS
+@given(series_pair())
+def test_series_divide_is_product_with_inverse(ab):
+    a, b = ab
+    if b.coeffs[0].is_zero():
+        with pytest.raises(ValueError, match="not invertible"):
+            a.divide(b)
+        return
+    q = a.divide(b)
+    for c in q.coeffs:
+        assert_canonical(c)
+    n = min(len(a.coeffs), len(b.coeffs))  # the shorter truncation
+    assert len(q.coeffs) == n
+    assert q == a * b.invert()
+    assert (q * b).coeffs == a.coeffs[:n]
+    assert plain_series_mul(q.coeffs, b.coeffs) == a.coeffs[:n]
+
+
+def test_series_divide_examples():
+    f = cyclo_field(12)
+    z = f.root(1)
+    a = PowerSeries([z, f.one, f.zero, z * z])
+    with pytest.raises(ValueError, match="not invertible"):
+        a.divide(PowerSeries([f.zero, f.one, z]))
+    # the constant term may vanish in the dividend, not in the divisor
+    b = PowerSeries([f.zero, z, f.one])
+    assert b.divide(a) == b * a.invert()
+    # SymPoly coefficients take the plain-loop branch of the recurrence
+    y = SymPoly.variable("y", f)
+    one = SymPoly.one(f)
+    den = PowerSeries([one + z] + [y * j + 1 for j in range(1, 5)])
+    num = PowerSeries([y, y * y, one, y * z, one])
+    q = num.divide(den)
+    assert q == num * den.invert()
+    assert q * den == num
+    assert den.divide(den) == PowerSeries([one] + [SymPoly.zero(f)] * 4)
+    with pytest.raises(ValueError, match="not invertible"):
+        num.divide(PowerSeries([SymPoly.zero(f), one]))
 
 
 # -- SymPoly: ring laws, scalar coercion, no stored zero ------------------------

@@ -11,11 +11,13 @@ from functools import reduce
 
 import pytest
 
+from twistbern import bernoulli, symmetry
 from twistbern.bernoulli import (TwistContext, char_sum_series, factor_quotient,
                                  twist_unit_series)
 from twistbern.characters import enumerate_characters
 from twistbern.series import PowerSeries
-from twistbern.symmetry import _FAMILY_MAX_I, _QUOTIENTS
+from twistbern.symmetry import (_FAMILY_MAX_I, _QUOTIENTS, QuotientSpec,
+                                permutation_invariance_check)
 
 CONTEXTS = [(d, char, order) for d in (1, 3, 4)
             for char in range(len(enumerate_characters(d)))
@@ -85,3 +87,52 @@ def test_an_owed_t_that_does_not_divide_raises(t_power, num, den):
     ctx = TwistContext.from_orders(1, 0, 1)    # every unit vanishes at t = 0
     with pytest.raises(ValueError, match="not divisible"):
         factor_quotient(ctx, t_power, num, den, 4)
+
+
+def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
+    # The factor series are cached per context, so the six weight orders of
+    # one invariance check share one build of each distinct (kind, c).  The
+    # products are not cached: each order still multiplies its own factors
+    # in its own operand order, which is what the invariance check compares.
+    builds = []
+    for kind, name in (("unit", "twist_unit_series"),
+                       ("sum", "char_sum_series")):
+        def counted(ctx, c, truncation, exact=getattr(bernoulli, name),
+                    kind=kind):
+            builds.append((kind, c))
+            return exact(ctx, c, truncation)
+        monkeypatch.setattr(bernoulli, name, counted)
+
+    calls = []
+    exact_quotient = symmetry.factor_quotient
+
+    def quotient(ctx, t_power, num, den, truncation):
+        calls.append([num, den, 0])
+        return exact_quotient(ctx, t_power, num, den, truncation)
+    monkeypatch.setattr(symmetry, "factor_quotient", quotient)
+
+    exact_mul = PowerSeries.__mul__
+
+    def mul(a, b):
+        if isinstance(b, PowerSeries) and calls:
+            calls[-1][2] += 1
+        return exact_mul(a, b)
+    monkeypatch.setattr(PowerSeries, "__mul__", mul)
+
+    ctx = TwistContext.from_orders(3, 1, 4)
+    spec = QuotientSpec("cyclic", 1, (1, 2, 3), ctx)
+    assert permutation_invariance_check(spec, 6).passed
+    assert len(calls) == 6
+    keys = {key for num, den, _ in calls for key in num + den}
+    # units at 6, 3, 2 over 1, 2, 3, and sums at 1, 2, 3
+    assert len(keys) == 7
+    assert sorted(builds) == sorted(keys)
+    assert len({(tuple(num), tuple(den)) for num, den, _ in calls}) == 6
+    for num, den, products in calls:
+        assert products == len(num) - 1 + len(den) - 1
+
+    builds.clear()
+    calls.clear()
+    assert permutation_invariance_check(spec, 4).passed
+    assert builds == []
+    assert [products for _, _, products in calls] == [7] * 6

@@ -130,9 +130,9 @@ def test_expansion_matches_series_everywhere():
 
 
 def test_expansion_check_validates_n_max():
-    # a negative n_max is named as the n it is, as verify_theorem names it
+    # a negative n_max is named as the parameter the caller passed
     spec = QuotientSpec("pairwise", 0, (1, 2, 3), CLASSICAL)
-    with pytest.raises(ValueError, match="^n must be >= 0$"):
+    with pytest.raises(ValueError, match="^n_max must be >= 0$"):
         expansion_consistency_check("triple_bernoulli", spec, -1)
     assert expansion_consistency_check("triple_bernoulli", spec, 0).passed
 
