@@ -8,7 +8,7 @@ from .bernoulli import (BernoulliTable, TwistContext, bernoulli_numbers,
 from .characters import (DirichletCharacter, UnitGroup, character,
                          conductor, enumerate_characters, unit_group)
 from .cyclo import (CycloField, CycloNumber, Rational, cyclo_field,
-                    cyclotomic_polynomial, field_join)
+                    cyclotomic_polynomial)
 from .padic import (PadicContext, convergence_check, padic_context,
                     pi_valuation, shift_identity_check, volkenborn_partial)
 from .report import CheckReport, TheoremReport
@@ -26,7 +26,7 @@ __all__ = [
     "TwistContext", "UnitGroup", "bernoulli_numbers", "bernoulli_polynomial",
     "character", "conductor", "convergence_check", "cyclo_field",
     "cyclotomic_polynomial", "enumerate_characters", "expansion_coefficient",
-    "field_join", "padic_context", "permutation_invariance_check",
+    "padic_context", "permutation_invariance_check",
     "permutation_reduction_check", "pi_valuation", "plain_twisted_numbers",
     "power_sum", "powersum_gf_check", "quotient_series",
     "shift_identity_check", "substitution_check", "unit_group",

@@ -29,15 +29,17 @@ from .series import PowerSeries
 class TwistContext:
     """Modulus d, character chi mod d, twist root xi, and their common field.
 
-    Values are immutable; per-context caches (the Bernoulli table, power-sum
-    tables, twisted variants, factor series, and symmetry's row tables) are
-    filled lazily and are safe for concurrent reads once built.
+    Values are immutable; per-context caches are filled lazily and are safe
+    for concurrent reads once built: the Bernoulli table (_bern), the
+    power-sum tables per bound (_psums), the twisted contexts (_twists),
+    the factor tables of factor_table (_factors), which quotients and the
+    S pieces of symmetry's rows read, and the B piece tables of
+    symmetry._bpoly (_bpoly_cache).
     """
 
     __slots__ = ("chi", "xi", "d", "xi_order", "p", "s", "field",
                  "_chi_roots", "_xi_root", "_xi_pows", "_bern",
-                 "_psums", "_twists", "_factors", "_bpoly_cache",
-                 "_piece_tables")
+                 "_psums", "_twists", "_factors", "_bpoly_cache")
 
     def __init__(self, chi: DirichletCharacter, xi: CycloNumber,
                  p: int | None = None, s: int | None = None):
@@ -87,7 +89,6 @@ class TwistContext:
         self._twists: dict = {}
         self._factors: dict = {}
         self._bpoly_cache: dict = {}
-        self._piece_tables: dict = {}
 
     @classmethod
     def from_orders(cls, d: int, char_index: int = 0, xi_order: int = 1,
@@ -138,10 +139,14 @@ def _signed_root(field, sign: int, e: int) -> CycloNumber:
 
 # -- series building blocks -----------------------------------------------
 
-def char_sum_series(ctx: TwistContext, scale: int, truncation: int) -> PowerSeries:
-    """sum_{a<d} chi(a) xi^(a*scale) e^(a*scale*t), truncated: the t^j
-    coefficient is scale^j/j! times S_j(d-1) of the twist xi^scale."""
-    sums = power_sums(ctx.twist(scale), truncation, ctx.d - 1)
+def char_sum_series(ctx: TwistContext, scale: int, truncation: int,
+                    bound: int | None = None) -> PowerSeries:
+    """sum_{a<=bound} chi(a) xi^(a*scale) e^(a*scale*t), truncated, with
+    bound d - 1 by default: the t^j coefficient is scale^j/j! times
+    S_j(bound) of the twist xi^scale."""
+    if bound is None:
+        bound = ctx.d - 1
+    sums = power_sums(ctx.twist(scale), truncation, bound)
     return PowerSeries([sums[j] * Fraction(scale**j, math.factorial(j))
                         for j in range(truncation + 1)])
 
@@ -156,39 +161,46 @@ def twist_unit_series(ctx: TwistContext, scale: int, truncation: int) -> PowerSe
     return PowerSeries(coeffs)
 
 
+def factor_table(ctx: TwistContext, key: tuple, upto: int) -> tuple:
+    """The coefficients of one factor series to t^upto.  Key ("unit", c) is
+    xi^(dc) e^(dct) - 1, and ("sum", c) or ("sum", c, bound) is the
+    character sum sum_{a<=bound} chi(a) xi^(ac) e^(act), bound d - 1 by
+    default.  Each table is built once per context and kept in
+    ctx._factors; a longer one than cached is built to at least twice the
+    cached length."""
+    table = ctx._factors.get(key)
+    if table is None or len(table) <= upto:
+        # grow geometrically, as _bern_values does
+        build = upto if table is None else max(upto, 2 * len(table))
+        # module globals, read per call: wrappers set on the module
+        # attributes (as perfbench/tracing.py does) see every build
+        make = twist_unit_series if key[0] == "unit" else char_sum_series
+        table = ctx._factors[key] = make(ctx, key[1], build, *key[2:]).coeffs
+    return table[:upto + 1]
+
+
 def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
                     truncation: int) -> PowerSeries:
     """t^t_power * prod(num) / prod(den), exact to t^truncation.
 
-    A factor is ("unit", c), the series xi^(dc) e^(dct) - 1, or ("sum", c),
-    the character sum sum_{a<d} chi(a) xi^(ac) e^(act).  Each denominator
-    unit with xi^(dc) = 1 (vanish of them) gives up one t, and the quotient
-    owes t^(vanish - t_power) when that is positive; dividing it out raises
-    ValueError if t does not divide.  num and den are non-empty.  Each
-    factor series is built once per context and kept in ctx._factors; a
-    longer one than cached is built to at least twice the cached length.
-    The products are formed here in the order of num and den, and the
+    A factor is a key of factor_table: ("unit", c), the series
+    xi^(dc) e^(dct) - 1, or ("sum", c), the character sum
+    sum_{a<d} chi(a) xi^(ac) e^(act).  Each denominator unit with
+    xi^(dc) = 1 (vanish of them) gives up one t, and the quotient owes
+    t^(vanish - t_power) when that is positive; dividing it out raises
+    ValueError if t does not divide.  num and den are non-empty.  The
+    factors are read from factor_table, and nothing else is cached: the
+    products are formed here in the order of num and den, and the
     numerator product is divided by the denominator product.
     """
-    # looked up per call, so wrappers set on the module attributes (as
-    # perfbench/tracing.py does) see every factor built here
-    make = {"unit": twist_unit_series, "sum": char_sum_series}
-    cache = ctx._factors
     vanish = sum(1 for kind, c in den
                  if kind == "unit" and ctx.xi_pow(ctx.d * c).is_one())
     shift = t_power - vanish
     length = max(truncation - shift, 0)
 
-    def factor(key, upto):
-        s = cache.get(key)
-        if s is None or len(s) <= upto:
-            # grow geometrically, as _bern_values does
-            build = upto if s is None else max(upto, 2 * len(s))
-            s = cache[key] = make[key[0]](ctx, key[1], build).coeffs
-        return PowerSeries(s[:upto + 1])
-
     def product(factors, upto):
-        return reduce(operator.mul, [factor(key, upto) for key in factors])
+        return reduce(operator.mul, [PowerSeries(factor_table(ctx, key, upto))
+                                     for key in factors])
 
     bottom = product(den, length + vanish)
     if vanish:

@@ -96,7 +96,7 @@ def unit_group(d: int) -> UnitGroup:
 class DirichletCharacter:
     """A character mod d given by its exponents against the unit-group generators."""
 
-    __slots__ = ("group", "exponents", "order", "conductor", "_value_steps", "_field")
+    __slots__ = ("group", "exponents", "order", "conductor", "_value_steps")
 
     def __init__(self, group: UnitGroup, exponents: tuple[int, ...]):
         if len(exponents) != len(group.generators):
@@ -108,12 +108,9 @@ class DirichletCharacter:
         for e, (_, o) in zip(self.exponents, group.generators):
             m = math.lcm(m, o // math.gcd(o, e))
         self.order = m
-        self._field = cyclo_field(m)
-        # chi(g_i) = zeta_m ** steps_i.
+        # chi(g_i) = zeta_o^e = zeta_m^(e*m/o), and o / gcd(o, e) divides m
         self._value_steps = tuple(
-            (m // (o // math.gcd(o, e))) * ((e // math.gcd(o, e)) % (o // math.gcd(o, e)))
-            if e else 0
-            for e, (_, o) in zip(self.exponents, group.generators))
+            e * m // o for e, (_, o) in zip(self.exponents, group.generators))
         self.conductor = self._conductor()
 
     @property
@@ -141,9 +138,8 @@ class DirichletCharacter:
     def __call__(self, a: int) -> CycloNumber:
         """chi(a) as an exact element of Q(zeta_m)."""
         k = self.value_exponent(a)
-        if k is None:
-            return self._field.zero
-        return self._field.root(k)
+        field = cyclo_field(self.order)
+        return field.zero if k is None else field.root(k)
 
     def _conductor(self) -> int:
         d = self.group.modulus

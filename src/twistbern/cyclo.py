@@ -58,7 +58,6 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Integer coefficients (constant term first) of the order-th cyclotomic polynomial.
 
@@ -660,10 +659,3 @@ def embed_into(x: CycloNumber, field: CycloField) -> CycloNumber:
                     acc[j] += c * r
     return _canonical(field, acc, x.den)
 
-
-def field_join(a: CycloNumber, b: CycloNumber) -> tuple[CycloNumber, CycloNumber]:
-    """Embed both arguments in Q(zeta_lcm(La, Lb))."""
-    if a.field.order == b.field.order:
-        return a, b
-    target = cyclo_field(math.lcm(a.field.order, b.field.order))
-    return embed_into(a, target), embed_into(b, target)

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .bernoulli import TwistContext, _bern_values, factor_quotient, power_sums
+from .bernoulli import (TwistContext, _bern_values, factor_quotient,
+                        factor_table, power_sums)
 from .report import CheckReport, TheoremReport, first_mismatch
 from .series import PowerSeries, cauchy_product
 from .sympoly import SymPoly
@@ -149,29 +150,29 @@ def _lift(field, scales: dict, F, n: int, factor) -> SymPoly:
 # -- building blocks shared by the expansion forms and theorem verifiers ------
 
 def _bpoly(ctx: TwistContext, c: int, k: int, sums: tuple) -> list:
-    """The table [T_0, .., T_k] (or a longer one) of T_m = sum_p coef_p
-    B_m(r_p) for the twist xi^c, over the shift points p of sums (see _B);
-    no sums is the single point (1, 0), where T_m = B_m.
+    """The scalar table [c^j T_j / j! for j <= k] of a B piece, with
+    T_m = sum_p coef_p B_m(r_p) for the twist xi^c over the shift points p
+    of sums (see _B); no sums is the single point (1, 0), where T_m = B_m.
 
     With the moments M_e = sum_p coef_p r_p^e, T_m = sum_i C(m,i) B_i
-    M_{m-i}, so T_m/m! is the Cauchy product of B_i/i! and M_e/e!.  One
-    sums entry (A, m, s, q) has M_e = (s/q)^e S_e(A-1) for the twist xi^m
-    (0^0 = 1 keeps the point a = 0 at d = 1), and the moments of several
-    entries combine in the same way, so no shift point is visited.  One
-    table is cached per (c mod xi order, sums) and grows in place.
+    M_{m-i}, so c^m T_m/m! is the Cauchy product of c^i B_i/i! and
+    c^e M_e/e!.  One sums entry (A, m, s, q) has c^e M_e = (s*c/q)^e
+    S_e(A-1) for the twist xi^m (0^0 = 1 keeps the point a = 0 at d = 1),
+    and the moments of several entries combine in the same way, so no shift
+    point is visited.  One table is cached per (c, sums) and grows in place.
     """
-    table = ctx._bpoly_cache.setdefault((c % ctx.xi_order, sums), [])
+    table = ctx._bpoly_cache.setdefault((c, sums), [])
     if len(table) <= k:
         fact = [math.factorial(i) for i in range(k + 1)]
         bern = _bern_values(ctx.twist(c), k)
-        hat = [bern[i] * Fraction(1, fact[i]) for i in range(k + 1)]
+        hat = [bern[i] * Fraction(c**i, fact[i]) for i in range(k + 1)]
         for bound, m, s, q in sums:
             moments = power_sums(ctx.twist(m), k, bound - 1)
             hat = cauchy_product(hat, [
-                moments[e] * Fraction(s**e, q**e * fact[e])
+                moments[e] * Fraction((s * c)**e, q**e * fact[e])
                 for e in range(k + 1)])
-        table.extend(hat[m] * fact[m] for m in range(len(table), k + 1))
-    return table
+        table.extend(hat[len(table):])
+    return table[:k + 1]
 
 
 # -- expansion forms as data over one kernel (independent of the series path) --
@@ -189,10 +190,12 @@ def _bpoly(ctx: TwistContext, c: int, k: int, sums: tuple) -> list:
 #
 # So the row is n! [t^n] of const * prod_i sum_k piece_i(k) (c_i t)^k / k!.
 # By B_k(u*y + r) = sum_t C(k,t) (u*y)^t B_{k-t}(r), the series of a B piece
-# is e^{c*u*y_slot*t} * sum_j T_j (c t)^j / j!, with T the scalar table of
-# _bpoly.  The row is thus const * e^{(sum_i c_i u_i y_slot_i) t} * E(t), with
-# E the Cauchy product of the scalar tables a_i[j] = c_i^j P_i(j) / j!
-# (P_i = T for a B piece, S(bound) for an S piece): _row_form convolves the
+# is e^{c*u*y_slot*t} * sum_j c^j T_j t^j / j!.  The row is thus
+# const * e^{(sum_i c_i u_i y_slot_i) t} * E(t), with E the Cauchy product of
+# the pieces' scalar tables a_i[j] = c_i^j P_i(j) / j! (P_i = T for a B
+# piece, S(bound) for an S piece).  _bpoly builds a B piece's table; an S
+# piece's is the factor table ("sum", c, bound) of bernoulli.factor_table,
+# the series sum_{a<=bound} chi(a) xi^(ca) e^(cat).  _row_form convolves the
 # tables once and forms no polynomial product.
 
 def _B(c, u, slot, *sums):
@@ -248,23 +251,6 @@ _ROWS = {
 }
 
 
-def _table(ctx: TwistContext, desc: tuple, n: int) -> list:
-    """[c^j P(j) / j! for j <= n] (or longer) of one piece, with P = T of
-    _bpoly for a B piece and P(j) = S_j(bound) for an S piece; cached per
-    descriptor (u and slot aside) and grown in place."""
-    kind, c = desc[:2]
-    key = (kind, c, desc[4]) if kind == "B" else desc
-    table = ctx._piece_tables.setdefault(key, [])
-    if len(table) <= n:
-        if kind == "B":
-            values = _bpoly(ctx, c, n, desc[4])
-        else:
-            values = power_sums(ctx.twist(c), n, desc[2])
-        table.extend(values[j] * Fraction(c**j, math.factorial(j))
-                     for j in range(len(table), n + 1))
-    return table
-
-
 def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
     """(const, scales, E[:n+1]) of a table row at the weights w: the row's
     n-th EGF coefficient is const * n! [t^n] of e^{(s.y) t} E(t), with E
@@ -273,11 +259,14 @@ def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
     const, pieces = _ROWS[row](*w, ctx.d)
     seq, scales = None, {}
     for desc in pieces:
-        table = _table(ctx, desc, n)
-        seq = table if seq is None else cauchy_product(seq[:n + 1], table)
         if desc[0] == "B":
-            scales[desc[3]] = scales.get(desc[3], 0) + desc[1] * desc[2]
-    return const, scales, seq[:n + 1]
+            _, c, u, slot, sums = desc
+            table = _bpoly(ctx, c, n, sums)
+            scales[slot] = scales.get(slot, 0) + c * u
+        else:
+            table = factor_table(ctx, ("sum", *desc[1:]), n)
+        seq = table if seq is None else cauchy_product(seq, table)
+    return const, scales, seq
 
 
 def _evaluate(row: str, ctx: TwistContext, w: tuple, n: int) -> SymPoly:

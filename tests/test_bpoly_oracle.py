@@ -1,13 +1,14 @@
 """The scalar tables of the B pieces against the per-point route.
 
 `symmetry._bpoly` sums the shift points of a piece through their moments
-(power sums) and never visits a point.  The oracle here visits every point:
-T_k = sum_p coef_p * B_k(r_p), each term one `bernoulli_polynomial` at a
-rational point, over the explicit product of the point sets of the piece's
-sums entries.  The y-part of a piece (its u and slot) is checked at the row
-level by tests/test_row_oracle.py.
+(power sums) and never visits a point; its table holds c^k T_k / k!.  The
+oracle here visits every point: T_k = sum_p coef_p * B_k(r_p), each term one
+`bernoulli_polynomial` at a rational point, over the explicit product of the
+point sets of the piece's sums entries.  The y-part of a piece (its u and
+slot) is checked at the row level by tests/test_row_oracle.py.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,7 @@ def test_bpoly_matches_the_per_point_sum(d, idx, r):
     for w in WEIGHTS:
         for c, sums in sorted(_b_pieces(d, w)):
             for k in range(K_MAX + 1):
-                got = _bpoly(ctx, c, k, sums)[k]
+                got = _bpoly(ctx, c, k, sums)[k] * Fraction(
+                    math.factorial(k), c**k)
                 want = _oracle(ctx, c, k, sums)
                 assert got == want, (w, c, sums, k)

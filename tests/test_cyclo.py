@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from twistbern.cyclo import (CycloNumber, cyclo_field, cyclotomic_polynomial,
-                             divisors, embed_into, euler_phi, field_join)
+                             divisors, embed_into, euler_phi)
 
 
 def _poly_mul(a, b):
@@ -93,14 +93,15 @@ def test_division_errors():
         f4.one + cyclo_field(3).one
 
 
-def test_field_join_examples():
+def test_embed_into_examples():
     a = cyclo_field(2).root(1)   # -1
     b = cyclo_field(3).root(1)
-    aj, bj = field_join(a, b)
+    f6 = cyclo_field(6)
+    aj, bj = embed_into(a, f6), embed_into(b, f6)
     assert aj.field.order == 6 and bj.field.order == 6
-    assert aj == cyclo_field(6).root(3)   # -1 maps to zeta_6^3
+    assert aj == f6.root(3)   # -1 maps to zeta_6^3
     # same field: identity embedding
-    c, d = field_join(b, b + 1)
+    c, d = embed_into(b, b.field), embed_into(b + 1, b.field)
     assert c == b and d == b + 1
 
 

@@ -3,7 +3,9 @@
 For every quotient the library builds (each _QUOTIENTS entry, the Bernoulli
 generating function and side A of powersum_gf_check) the builder's q must
 satisfy q * prod(den) == t^t_power * prod(num) up to t^truncation, with the
-products formed here by plain PowerSeries multiplication.
+products formed here by plain PowerSeries multiplication.  The factor tables
+are cached per context, and the S pieces of the expansion rows read the same
+store.
 """
 
 import operator
@@ -16,8 +18,10 @@ from twistbern.bernoulli import (TwistContext, char_sum_series, factor_quotient,
                                  twist_unit_series)
 from twistbern.characters import enumerate_characters
 from twistbern.series import PowerSeries
-from twistbern.symmetry import (_FAMILY_MAX_I, _QUOTIENTS, QuotientSpec,
-                                permutation_invariance_check)
+from twistbern.symmetry import (_FAMILY_MAX_I, _QUOTIENTS, _ROWS,
+                                _THEOREM_PATTERNS, QuotientSpec,
+                                _distinct_orders, permutation_invariance_check,
+                                verify_theorem)
 
 CONTEXTS = [(d, char, order) for d in (1, 3, 4)
             for char in range(len(enumerate_characters(d)))
@@ -136,3 +140,55 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     assert permutation_invariance_check(spec, 4).passed
     assert builds == []
     assert [products for _, _, products in calls] == [7] * 6
+
+
+def test_row_pieces_are_factor_tables(monkeypatch):
+    # An S piece of a row reads the character-sum factor table of
+    # factor_table under ("sum", c, bound), and a B piece reads one table
+    # per (c, sums), built once and grown in place as n rises: the context
+    # keeps no second per-piece store.
+    tables = {}
+    exact_bpoly = symmetry._bpoly
+
+    def bpoly(ctx, c, k, sums):
+        table = exact_bpoly(ctx, c, k, sums)
+        tables.setdefault((c, sums), set()).add(id(ctx._bpoly_cache[c, sums]))
+        return table
+    monkeypatch.setattr(symmetry, "_bpoly", bpoly)
+
+    ctx = TwistContext.from_orders(3, 1, 4)
+    w, top = (1, 2, 3), 6
+    for n in range(top + 1):
+        for theorem in (2, 4, 5):
+            assert verify_theorem(theorem, ctx, w, n).passed
+    assert not hasattr(ctx, "_piece_tables")
+
+    pieces = set()
+    for theorem in (2, 4, 5):
+        perms, row = _THEOREM_PATTERNS[theorem]
+        for v in _distinct_orders(w, perms):
+            pieces.update(_ROWS[row](*v, ctx.d)[1])
+    s_pieces = {(desc[1], desc[2]) for desc in pieces if desc[0] == "S"}
+    b_pieces = {(desc[1], desc[4]) for desc in pieces if desc[0] == "B"}
+    assert s_pieces and any(sums for _, sums in b_pieces)
+
+    for c, bound in s_pieces:
+        assert (ctx._factors[("sum", c, bound)][:top + 1]
+                == char_sum_series(ctx, c, top, bound).coeffs)
+    assert set(tables) == set(ctx._bpoly_cache) == b_pieces
+    for key, ids in tables.items():
+        assert ids == {id(ctx._bpoly_cache[key])}
+        assert len(ctx._bpoly_cache[key]) == top + 1
+
+
+def test_a_row_form_has_n_plus_one_terms_from_longer_tables():
+    # the piece tables of a context outgrow n once a larger n was asked for;
+    # the row form is still E[:n+1]
+    ctx = TwistContext.from_orders(3, 1, 4)
+    w = (1, 2, 3)
+    for row in _ROWS:
+        long = symmetry._row_form(row, ctx, w, 8)[2]
+        assert len(long) == 9
+        for n in range(8):
+            assert list(symmetry._row_form(row, ctx, w, n)[2]) == \
+                list(long[:n + 1])
