@@ -166,8 +166,10 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> tuple:
     xi^(dc) e^(dct) - 1, and ("sum", c) or ("sum", c, bound) is the
     character sum sum_{a<=bound} chi(a) xi^(ac) e^(act), bound d - 1 by
     default.  Each table is built once per context and kept in
-    ctx._factors; a longer one than cached is built to at least twice the
-    cached length."""
+    ctx._factors, a bound of d - 1 under ("sum", c); a longer one than
+    cached is built to at least twice the cached length."""
+    if key[2:] == (ctx.d - 1,):
+        key = key[:2]
     table = ctx._factors.get(key)
     if table is None or len(table) <= upto:
         # grow geometrically, as _bern_values does

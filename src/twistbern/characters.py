@@ -142,6 +142,7 @@ class DirichletCharacter:
         return field.zero if k is None else field.root(k)
 
     def _conductor(self) -> int:
+        """Smallest f | d through which chi factors; chi is primitive iff f = d."""
         d = self.group.modulus
         for f in divisors(d):
             if all(self.value_exponent(a) == 0
@@ -192,8 +193,3 @@ def character(d: int, index: int) -> DirichletCharacter:
         index, e = divmod(index, o)
         exps.append(e)
     return DirichletCharacter(g, tuple(reversed(exps)))
-
-
-def conductor(chi: DirichletCharacter) -> int:
-    """Smallest f | d through which chi factors; chi is primitive iff f = d."""
-    return chi.conductor

@@ -4,10 +4,12 @@ Elements are represented in Q[x]/Phi_L(x) as phi(L) integer numerators over
 one shared positive denominator, the layout of FLINT's fmpq_poly and ANTIC's
 nf_elem.  Every element is kept canonical (gcd(den, *num) == 1, zero is
 (0, ..., 0)/1), so equality of field elements is a comparison of integer
-tuples.  A product is an integer convolution reduced by fixed integer rows of
-x^k mod Phi_L, followed by one gcd; from degree _PACK_DEGREE on, ``dot``
-(and with it ``*``) forms each pair's convolution as one big-int product of
-Kronecker-packed numerators.  Inversion is an extended Euclid in Z[x].
+tuples.  Every product of two elements is ``dot``: ``*`` is a one-pair
+``dot``, which sums integer convolutions, reduces the sum once by fixed
+integer rows of x^k mod Phi_L and takes one gcd.  ``dot`` alone chooses the
+convolution by degree: a schoolbook loop below _PACK_DEGREE, one big-int
+product of Kronecker-packed numerators from there on.  Inversion is an
+extended Euclid in Z[x].
 Roots of unity zeta_L^e are walked up by the shift x * v mod Phi_L, and
 Phi_L itself is a Moebius product of the binomials x^d - 1.
 Rational coordinates are available as Fractions through ``coeffs``.  All
@@ -385,39 +387,13 @@ class CycloNumber:
         return CycloNumber(self.field, num, den)
 
     def __mul__(self, other):
-        if not isinstance(other, CycloNumber):
-            if isinstance(other, int):
-                return self._scale(other, 1)
-            if isinstance(other, Fraction):
-                return self._scale(other.numerator, other.denominator)
-            return NotImplemented
-        f = self.field
-        if other.field is not f and other.field.order != f.order:
-            raise ValueError("field mismatch")
-        deg = f.degree
-        if deg >= _PACK_DEGREE:
-            return dot(f, (self,), (other,))
-        a, b = self.num, other.num
-        den = self.den * other.den
-        if deg == 1:
-            out = (a[0] * b[0],)
-        else:
-            conv = [0] * (2 * deg - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for k, bj in enumerate(b, i):
-                        conv[k] += ai * bj
-            out = conv[:deg]
-            for ck, row in zip(conv[deg:], f._red):
-                if ck:
-                    for i, ri in row:
-                        out[i] += ck * ri
-            out = tuple(out)
-        if den != 1:
-            g = math.gcd(den, *out)
-            if g != 1:
-                return CycloNumber(f, tuple([c // g for c in out]), den // g)
-        return CycloNumber(f, out, den)
+        if isinstance(other, CycloNumber):
+            return dot(self.field, (self,), (other,))
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -557,14 +533,15 @@ class CycloNumber:
         return out
 
 
-# From this field degree on, dot and * pack their operands (Kronecker
-# substitution): one big-int product per pair beats the O(degree^2) schoolbook
-# loop there, which stays faster for the small fields of the theorem checks.
+# From this field degree on, dot packs its operands (Kronecker substitution):
+# one big-int product per pair beats the O(degree^2) schoolbook loop there,
+# and below it the loop is faster.  dot alone reads it; * is a one-pair dot.
 _PACK_DEGREE = 12
 
 
 def dot(field: CycloField, xs, ys) -> CycloNumber:
-    """sum(x * y for x, y in zip(xs, ys)) for CycloNumbers of one field.
+    """sum(x * y for x, y in zip(xs, ys)) for CycloNumbers of one field;
+    the one product kernel, since x * y is dot(field, (x,), (y,)).
 
     The integer convolutions of the pairs with two nonzero operands are
     accumulated unreduced over one common denominator; the sum is reduced by

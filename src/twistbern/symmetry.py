@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .bernoulli import (TwistContext, _bern_values, factor_quotient,
                         factor_table, power_sums)
@@ -275,20 +274,19 @@ def _evaluate(row: str, ctx: TwistContext, w: tuple, n: int) -> SymPoly:
     return _lift(ctx.field, scales, seq, n, const)
 
 
-#: form name -> (family, i, evaluator); the evaluators sum Bernoulli values
-#: and power sums directly, independently of quotient_series.
+#: form name -> (family, i); a form's row sums Bernoulli values and power
+#: sums directly, independently of quotient_series.
 EXPANSION_FORMS = {
-    name: (family, i, partial(_evaluate, name))
-    for name, family, i in (
-        ("triple_bernoulli", "pairwise", 0),
-        ("bernoulli_bernoulli_powersum", "pairwise", 1),
-        ("bernoulli_shifted_bernoulli", "pairwise", 1),
-        ("bernoulli_powersum_powersum", "pairwise", 2),
-        ("shifted_bernoulli_powersum", "pairwise", 2),
-        ("double_shifted_bernoulli", "pairwise", 2),
-        ("triple_powersum", "pairwise", 3),
-        ("cyclic_triple_bernoulli", "cyclic", 0),
-        ("cyclic_triple_powersum", "cyclic", 1))}
+    "triple_bernoulli": ("pairwise", 0),
+    "bernoulli_bernoulli_powersum": ("pairwise", 1),
+    "bernoulli_shifted_bernoulli": ("pairwise", 1),
+    "bernoulli_powersum_powersum": ("pairwise", 2),
+    "shifted_bernoulli_powersum": ("pairwise", 2),
+    "double_shifted_bernoulli": ("pairwise", 2),
+    "triple_powersum": ("pairwise", 3),
+    "cyclic_triple_bernoulli": ("cyclic", 0),
+    "cyclic_triple_powersum": ("cyclic", 1),
+}
 
 
 def _expansion_row(form: str, spec: QuotientSpec, n: int) -> tuple:
@@ -296,7 +294,7 @@ def _expansion_row(form: str, spec: QuotientSpec, n: int) -> tuple:
     an unknown form, one for another family/index and n < 0 raise."""
     if form not in EXPANSION_FORMS:
         raise ValueError(f"unknown expansion form {form!r}")
-    family, i, _ = EXPANSION_FORMS[form]
+    family, i = EXPANSION_FORMS[form]
     if (spec.family, spec.i) != (family, i):
         raise ValueError(
             f"form {form!r} applies to family={family!r} i={i}, "

@@ -127,7 +127,7 @@ def test_criterion_4_permutation_invariance():
 def test_criterion_5_expansion_consistency():
     with criterion(5, "expansion-consistency", 300.0):
         by_family = {}
-        for form, (family, i, _) in EXPANSION_FORMS.items():
+        for form, (family, i) in EXPANSION_FORMS.items():
             by_family.setdefault((family, i), []).append(form)
         for ctx in _all_contexts():
             for w in W_TRIPLES:

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from twistbern.characters import (character, conductor, enumerate_characters,
-                                  unit_group)
+from twistbern.characters import character, enumerate_characters, unit_group
 from twistbern.cyclo import euler_phi
 
 
@@ -50,8 +49,8 @@ def test_principal_character_is_index_zero():
 
 def test_conductor_examples():
     chars4 = enumerate_characters(4)
-    assert conductor(chars4[0]) == 1
-    assert conductor(chars4[1]) == 4
+    assert chars4[0].conductor == 1
+    assert chars4[1].conductor == 4
     # mod 8: principal, the one induced from mod 4, and two primitive ones
     assert sorted(c.conductor for c in enumerate_characters(8)) == [1, 4, 8, 8]
     chars5 = enumerate_characters(5)

@@ -17,6 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from twistbern import cyclo  # noqa: E402
 from twistbern.cyclo import (_PACK_DEGREE, CycloField,  # noqa: E402
                              CycloNumber, cyclo_field, cyclotomic_polynomial,
                              dot, embed_into, euler_phi)
@@ -133,6 +134,23 @@ def test_scalar_operations_match_reference(ab, q):
     if q:
         assert_canonical(a / q)
         assert (a / q).coeffs == tuple(c / Fraction(q) for c in a.coeffs)
+
+
+def test_scalar_products_cancel_every_small_denominator():
+    # x * p and x * (p/q) cancel gcd(den, p) and gcd(q, *num) beforehand;
+    # every small den, p and q, so each cancellation is met
+    for order in (1, 4, 15):
+        f = cyclo_field(order)
+        for den in range(1, 13):
+            x = f.element([Fraction(k + 1, den) for k in range(f.degree)])
+            for p in range(-12, 13):
+                for q in (1, 2, 3, 4, 6):
+                    got = x * Fraction(p, q)
+                    assert_canonical(got)
+                    assert got.coeffs == tuple(c * Fraction(p, q)
+                                               for c in x.coeffs)
+                assert_canonical(x * p)
+                assert (x * p).coeffs == tuple(c * p for c in x.coeffs)
 
 
 @SETTINGS
@@ -316,14 +334,18 @@ def test_packed_dot_matches_sum_of_products():
                    [ys[1], ys[1], f.from_rational(3)]) == f.one
 
 
-def test_dot_on_both_sides_of_the_packing_threshold():
+def test_dot_on_both_sides_of_the_packing_threshold(monkeypatch):
     # the smallest field of the threshold degree, and the largest degree
     # below it (no field has an odd degree above 1)
     at = min(L for L in range(1, 200) if euler_phi(L) == _PACK_DEGREE)
     below = max((euler_phi(L), L) for L in range(1, 200)
                 if euler_phi(L) < _PACK_DEGREE)[1]
+    packed, real = [], cyclo._packed_convolution
+    monkeypatch.setattr(cyclo, "_packed_convolution",
+                        lambda *args: packed.append(args) or real(*args))
     rng = random.Random(12)
     for order in (at, below):
+        packed.clear()
         f = cyclo_field(order)
         for pairs in (1, 3, 6):
             for magnitude in (1, 10**6):
@@ -333,13 +355,43 @@ def test_dot_on_both_sides_of_the_packing_threshold():
                 got = dot(f, xs, ys)
                 assert_canonical(got)
                 assert got == plain_dot(f, xs, ys), (order, pairs, magnitude)
-                # * packs from the same degree on: each product against the
+                # * is a one-pair dot: each product against the
                 # Fraction reference, which never touches the kernels
                 for x, y in zip(xs, ys):
                     p = x * y
                     assert_canonical(p)
                     assert p.coeffs == ref_mul(x.coeffs, y.coeffs, order)
                     assert y * x == p
+        # dot alone chooses the convolution, by degree, for dot and * alike
+        assert bool(packed) == (order == at)
+
+
+@pytest.mark.parametrize("orders", [(3, 4), (13, 21)])
+def test_product_of_two_fields_raises(orders):
+    # equal degrees (2, and the packing degree 12), so only the field check
+    # of dot tells the operands apart; a zero operand is checked too
+    f, g = (cyclo_field(order) for order in orders)
+    assert f.degree == g.degree <= _PACK_DEGREE
+    rng = random.Random(sum(orders))
+    x, y = _wide_element(rng, f, 9), _wide_element(rng, g, 9)
+    for a, b in ((x, y), (y, x), (f.zero, y), (x, g.zero)):
+        with pytest.raises(ValueError, match="field mismatch"):
+            a * b
+
+
+@pytest.mark.parametrize("order", (15, 21))  # degrees 8 and 12
+def test_product_across_equal_fields_matches_reference(order):
+    # an element of a fresh CycloField(L) and one of the cached
+    # cyclo_field(L) multiply as elements of one field, in either order
+    fresh, cached = CycloField(order), cyclo_field(order)
+    assert fresh is not cached
+    rng = random.Random(order)
+    x = _wide_element(rng, fresh, 40, 6)
+    y = _wide_element(rng, cached, 40, 35)
+    want = ref_mul(x.coeffs, y.coeffs, order)
+    for p in (x * y, y * x):
+        assert_canonical(p)
+        assert p.coeffs == want
 
 
 @pytest.mark.parametrize("order", WIDE_ORDERS)

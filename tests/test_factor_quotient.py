@@ -173,12 +173,30 @@ def test_row_pieces_are_factor_tables(monkeypatch):
     assert s_pieces and any(sums for _, sums in b_pieces)
 
     for c, bound in s_pieces:
-        assert (ctx._factors[("sum", c, bound)][:top + 1]
+        key = ("sum", c) if bound == ctx.d - 1 else ("sum", c, bound)
+        assert (ctx._factors[key][:top + 1]
                 == char_sum_series(ctx, c, top, bound).coeffs)
     assert set(tables) == set(ctx._bpoly_cache) == b_pieces
     for key, ids in tables.items():
         assert ids == {id(ctx._bpoly_cache[key])}
         assert len(ctx._bpoly_cache[key]) == top + 1
+
+
+def test_a_sum_of_bound_d_minus_1_is_stored_once():
+    # a row's S piece of bound d - 1 and a quotient's ("sum", c) are one
+    # series, kept under the one key ("sum", c)
+    ctx = TwistContext.from_orders(3, 1, 4)
+    assert verify_theorem(2, ctx, (1, 2, 3), 6).passed
+    spec = QuotientSpec("pairwise", 1, (1, 2, 3), ctx)
+    assert permutation_invariance_check(spec, 6).passed
+    sums = [(key, table) for key, table in ctx._factors.items()
+            if key[0] == "sum"]
+    assert ("sum", 6) in dict(sums)
+    for k, (key, table) in enumerate(sums):
+        assert key[2:] != (ctx.d - 1,)
+        for other, seq in sums[k + 1:]:
+            top = min(len(table), len(seq))
+            assert table[:top] != seq[:top], (key, other)
 
 
 def test_a_row_form_has_n_plus_one_terms_from_longer_tables():

@@ -55,7 +55,7 @@ def test_offgrid_point(point):
     for tid in THEOREM_IDS:
         rep = verify_theorem(tid, ctx, w, n)
         assert rep.passed, (tid, rep.detail)
-    for form, (family, i, _) in EXPANSION_FORMS.items():
+    for form, (family, i) in EXPANSION_FORMS.items():
         rep = expansion_consistency_check(
             form, QuotientSpec(family, i, w, ctx), n)
         assert rep.passed, (form, rep.detail)

@@ -123,7 +123,7 @@ def test_expansion_matches_series_everywhere():
                 TwistContext.from_orders(5, 1, 2, 1))
     for ctx in contexts:
         for w in ((1, 2, 3), (2, 3, 5)):
-            for form, (family, i, _) in EXPANSION_FORMS.items():
+            for form, (family, i) in EXPANSION_FORMS.items():
                 spec = QuotientSpec(family, i, w, ctx)
                 rep = expansion_consistency_check(form, spec, 4)
                 assert rep.passed, rep.detail
@@ -367,7 +367,7 @@ def test_passing_form_checks_build_no_sympoly(monkeypatch):
             spec = QuotientSpec("single", i, (1, 2, 3), ctx)
             assert permutation_invariance_check(spec, 4).passed
             assert substitution_check(spec, 4).passed
-        for form, (family, i, _) in EXPANSION_FORMS.items():
+        for form, (family, i) in EXPANSION_FORMS.items():
             spec = QuotientSpec(family, i, (2, 3, 5), ctx)
             assert expansion_consistency_check(form, spec, 4).passed
     assert lifts == [] and built == []
