@@ -285,9 +285,9 @@ def power_sums(ctx: TwistContext, k: int, n: int) -> list:
     """[S_0(n), .., S_k(n)] (or longer), S_j(n) = sum_{a<=n} chi(a) xi^a a^j
     with 0^0 = 1, from one table per bound n in ctx._psums, grown in place.
     A nonzero chi(a) xi^a is a root of unity sign * zeta_L^e, read off the
-    context's (sign, exponent) records, so S_j(n) is the integer combination
-    of the root vectors zeta_L^e with the weights sign * sum a^j over the
-    points a of each (e, sign); no field product is formed."""
+    context's (sign, exponent) records, so S_j(n) is the sum of the integer
+    weights sign * sum a^j over the points a of each (e, sign) times
+    zeta_L^e: one ``CycloField.root_sum`` per power, and no field product."""
     if k < 0 or n < 0:
         raise ValueError("k and n must be >= 0")
     table = ctx._psums.setdefault(n, [])
@@ -303,14 +303,10 @@ def power_sums(ctx: TwistContext, k: int, n: int) -> list:
                     sign = -sign
                 points.setdefault(((e + a * xi_e) % field.order, sign),
                                   []).append(a)
-        keys = sorted(points)  # roots asked for in rising order
-        columns = (list(zip(*(field.root(e).num for e, _ in keys)))
-                   or [()] * field.degree)
         for j in range(len(table), k + 1):
-            weights = [sign * sum(map(pow, points[e, sign], repeat(j)))
-                       for e, sign in keys]
-            table.append(CycloNumber(field, tuple(
-                sum(map(operator.mul, weights, col)) for col in columns)))
+            table.append(field.root_sum(
+                (e, sign * sum(map(pow, pts, repeat(j))))
+                for (e, sign), pts in points.items()))
     return table
 
 

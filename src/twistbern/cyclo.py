@@ -5,13 +5,13 @@ one shared positive denominator, the layout of FLINT's fmpq_poly and ANTIC's
 nf_elem.  Every element is kept canonical (gcd(den, *num) == 1, zero is
 (0, ..., 0)/1), so equality of field elements is a comparison of integer
 tuples.  Every product of two elements is ``dot``: ``*`` is a one-pair
-``dot``, which sums integer convolutions, reduces the sum once by fixed
-integer rows of x^k mod Phi_L and takes one gcd.  ``dot`` alone chooses the
-convolution by degree: a schoolbook loop below _PACK_DEGREE, one big-int
-product of Kronecker-packed numerators from there on.  Inversion is an
-extended Euclid in Z[x].
-Roots of unity zeta_L^e are walked up by the shift x * v mod Phi_L, and
-Phi_L itself is a Moebius product of the binomials x^d - 1.
+``dot``, which sums integer convolutions, reduces the sum once by ``_fold``
+and takes one gcd.  ``dot`` alone chooses the convolution by degree: a
+schoolbook loop below _PACK_DEGREE, one big-int product of Kronecker-packed
+numerators from there on.  Inversion is an extended Euclid in Z[x].
+``_fold`` is the one reduction of an integer polynomial mod Phi_L, the
+Moebius product of the binomials x^d - 1; a root of unity is a folded unit
+vector, and ``CycloField.root_sum`` folds integer combinations of them.
 Rational coordinates are available as Fractions through ``coeffs``.  All
 values are immutable and every operation is exact; there is no floating
 point anywhere.
@@ -90,16 +90,6 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
                 quo.append((quo[i - d] if i >= d else 0) - poly[i])
             poly = quo
     return tuple(poly)
-
-
-def _times_x(v: list, low: tuple) -> None:
-    # v <- x * v mod Phi_L in place; low holds the nonzero (index,
-    # coefficient) pairs of x^degree mod Phi_L
-    top = v.pop()
-    v.insert(0, 0)
-    if top:
-        for j, c in low:
-            v[j] += top * c
 
 
 def _content_sign(r: list[int]) -> int:
@@ -182,8 +172,8 @@ def _poly_inverse(a: list[int], modulus: tuple[int, ...]) -> tuple[list[int], in
 class CycloField:
     """The cyclotomic field Q(zeta_L), L = order, as Q[x]/Phi_L(x)."""
 
-    __slots__ = ("order", "modulus", "degree", "_low", "_red", "_roots",
-                 "zero", "one")
+    __slots__ = ("order", "modulus", "degree", "_low", "_roots", "zero",
+                 "one")
 
     def __init__(self, order: int):
         if order < 1:
@@ -191,17 +181,10 @@ class CycloField:
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
         self.degree = deg = len(self.modulus) - 1
-        # Reduction rows: x^k mod Phi_L for k = degree .. 2*degree-2, kept
-        # as the (index, integer coefficient) pairs of their nonzero entries.
-        # Phi_L is monic, so x^degree = -(Phi_L - x^degree); its pairs are
-        # the step of every shift x * v mod Phi_L.
-        cur = [-c for c in self.modulus[:-1]]
-        self._low = tuple((i, c) for i, c in enumerate(cur) if c)
-        rows = []
-        for _ in range(deg - 1):
-            rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
-            _times_x(cur, self._low)
-        self._red = tuple(rows)
+        # x^degree = -(Phi_L - x^degree) as the (index, integer coefficient)
+        # pairs of its nonzero terms: the step of _fold
+        self._low = tuple((i, -c) for i, c in enumerate(self.modulus[:-1])
+                          if c)
         self._roots: dict[int, CycloNumber] = {}
         self.zero = CycloNumber(self, (0,) * deg, 1)
         self.one = CycloNumber(self, (1,) + (0,) * (deg - 1), 1)
@@ -220,28 +203,21 @@ class CycloField:
                                        for c in coeffs), den)
 
     def root(self, k: int) -> CycloNumber:
-        """zeta_L^k, reduced mod Phi_L; k is taken mod L.
-
-        x^e is a unit vector for e < degree.  Above that it is walked up by
-        x^(e+1) = x * x^e mod Phi_L, O(degree) per step, from the nearest
-        cached root below e; only the requested root is cached.
-        """
+        """zeta_L^k, the unit vector x^(k mod L) folded by ``_fold``; only
+        the requested roots are cached."""
         e = k % self.order
         z = self._roots.get(e)
         if z is None:
-            roots, deg = self._roots, self.degree
-            b = e
-            while b >= deg and b not in roots:
-                b -= 1
-            if b < deg:
-                v = [0] * deg
-                v[b] = 1
-            else:
-                v = list(roots[b].num)
-            for _ in range(b, e):
-                _times_x(v, self._low)
-            z = roots[e] = CycloNumber(self, tuple(v), 1)
+            z = self._roots[e] = self.root_sum(((e, 1),))
         return z
+
+    def root_sum(self, terms) -> CycloNumber:
+        """sum w * zeta_L^e over the integer pairs (e, w) of terms: the
+        coefficients w are added into x^(e mod L) and folded once."""
+        v = [0] * self.order
+        for e, w in terms:
+            v[e % self.order] += w
+        return CycloNumber(self, tuple(_fold(self, v)), 1)
 
     def __eq__(self, other):
         return isinstance(other, CycloField) and other.order == self.order
@@ -256,6 +232,28 @@ class CycloField:
 @lru_cache(maxsize=None)
 def cyclo_field(order: int) -> CycloField:
     return CycloField(order)
+
+
+def _fold(field: CycloField, v: list) -> list:
+    """v mod Phi_L as degree coordinates, for integer coefficients v (constant
+    term first, at least degree of them): the one reduction by Phi_L, which
+    consumes v.  Phi_L divides x^h - s (x^(L/2) + 1 for even L, x^L - 1 for
+    odd L), so v is folded by x^h = s, then from the top by the sparse pairs
+    of x^degree = -(Phi_L - x^degree); no table of x^k mod Phi_L is kept."""
+    order, deg, low = field.order, field.degree, field._low
+    h, s = (order // 2, -1) if order % 2 == 0 else (order, 1)
+    i = len(v)
+    while i > h:  # from the top, so that x^(2h) and above fold twice
+        i -= 1
+        v[i - h] += s * v[i]
+    while i > deg:
+        i -= 1
+        c = v[i]
+        if c:
+            k = i - deg
+            for j, cj in low:
+                v[k + j] += c * cj
+    return v[:deg]
 
 
 def _canonical(field: CycloField, num, den: int) -> CycloNumber:
@@ -473,8 +471,8 @@ class CycloNumber:
         """(sign, e) with self = sign * zeta_L^e and 0 <= e < L.
 
         The sign is -1 only for odd L, where -1 is no power of zeta_L.  Found
-        by one walk over x^e mod Phi_L that caches nothing; raises if the
-        element is not a root of unity.
+        by one walk over x^e mod Phi_L, each step folded by ``_fold``, that
+        caches nothing; raises if the element is not a root of unity.
         """
         if self.is_zero():
             raise ValueError("zero is not a root of unity")
@@ -488,7 +486,7 @@ class CycloNumber:
                     return 1, e
                 if v == neg:
                     return -1, e
-                _times_x(v, f._low)
+                v = _fold(f, [0] + v)
         raise ValueError("element is not a root of unity")
 
     def multiplicative_order(self) -> int:
@@ -501,10 +499,6 @@ class CycloNumber:
 
     def to_json_dict(self) -> dict:
         return {"L": self.field.order, "coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "CycloNumber":
-        return cyclo_field(d["L"]).element([Fraction(s) for s in d["coeffs"]])
 
     def __repr__(self):
         return f"CycloNumber(L={self.field.order}, {list(map(str, self.coeffs))})"
@@ -544,8 +538,8 @@ def dot(field: CycloField, xs, ys) -> CycloNumber:
     the one product kernel, since x * y is dot(field, (x,), (y,)).
 
     The integer convolutions of the pairs with two nonzero operands are
-    accumulated unreduced over one common denominator; the sum is reduced by
-    the rows of x^k mod Phi_L once and brought to canonical form by one gcd.
+    accumulated unreduced over one common denominator; the sum is reduced
+    once by ``_fold`` and brought to canonical form by one gcd.
     """
     order = field.order
     pairs = []
@@ -575,12 +569,7 @@ def dot(field: CycloField, xs, ys) -> CycloNumber:
                 if ai:
                     for k, bj in enumerate(b, i):
                         acc[k] += ai * bj
-    out = acc[:deg]
-    for ck, row in zip(acc[deg:], field._red):
-        if ck:
-            for i, ri in row:
-                out[i] += ck * ri
-    return _canonical(field, out, den)
+    return _canonical(field, _fold(field, acc), den)
 
 
 def _packed_convolution(pairs, den: int, deg: int) -> list:
@@ -615,24 +604,4 @@ def _packed_convolution(pairs, den: int, deg: int) -> list:
            ).to_bytes(width * n, "little")
     return [int.from_bytes(raw[i:i + width], "little") - half
             for i in range(0, width * n, width)]
-
-
-def embed_into(x: CycloNumber, field: CycloField) -> CycloNumber:
-    """Embed x in a larger cyclotomic field via zeta_L -> zeta_L'^(L'/L).
-
-    The target order must be a multiple of the source order; the map is a
-    ring homomorphism.
-    """
-    if x.field.order == field.order:
-        return x if x.field is field else CycloNumber(field, x.num, x.den)
-    if field.order % x.field.order:
-        raise ValueError("target field order must be a multiple of the source")
-    step = field.order // x.field.order
-    acc = [0] * field.degree
-    for i, c in enumerate(x.num):
-        if c:
-            for j, r in enumerate(field.root(step * i).num):
-                if r:
-                    acc[j] += c * r
-    return _canonical(field, acc, x.den)
 

@@ -20,9 +20,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from twistbern import cyclo  # noqa: E402
 from twistbern.cyclo import (_PACK_DEGREE, CycloField,  # noqa: E402
                              CycloNumber, cyclo_field, cyclotomic_polynomial,
-                             dot, embed_into, euler_phi)
+                             dot, euler_phi)
 from twistbern.series import PowerSeries  # noqa: E402
 from twistbern.sympoly import SymPoly  # noqa: E402
+
+from cyclo_helpers import embed_into  # noqa: E402
 
 ORDERS = (1, 2, 3, 4, 5, 8, 12, 15, 60)
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
@@ -270,7 +272,10 @@ def test_dot_edge_cases():
 
 # -- the packed path of dot, at the degrees of the wide fields -------------------
 
-WIDE_ORDERS = (105, 210, 420)  # degrees 48, 48, 96
+# degrees 48, 48, 96; then the prime 13 (degree 12, the packing degree) and
+# the prime powers 27 and 32 (degrees 18 and 16), whose unreduced products
+# reach x^L (odd L) or x^(L/2) (even L), the first fold of _fold
+WIDE_ORDERS = (105, 210, 420, 13, 27, 32)
 
 
 def _wide_element(rng, field, magnitude, den=1):
@@ -420,11 +425,12 @@ def test_wide_product_matches_sympy_remainder(order):
     assert a * f.zero == f.zero and a * f.one == a
 
 
-@pytest.mark.parametrize("order", (105, 420))
-def test_roots_walk_matches_sympy_remainder(order):
-    # every root of a fresh field, asked for in shuffled order (so each walk
-    # starts from whatever lower root happens to be cached), against an
-    # independent x^e rem Phi_L
+@pytest.mark.parametrize("order", (105, 420, 101, 125))
+def test_roots_fold_matches_sympy_remainder(order):
+    # every root of a fresh field, asked for in shuffled order, against an
+    # independent x^e rem Phi_L: each root is the unit vector x^e folded on
+    # its own, by the dense Phi_101 and the sparse Phi_125 = Phi_5(x^25) too;
+    # the cache holds each requested root once, and e + L finds it
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     phi = sympy.Poly(sympy.cyclotomic_poly(order, x), x)

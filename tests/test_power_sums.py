@@ -14,13 +14,18 @@ import pytest
 from twistbern.bernoulli import (TwistContext, bernoulli_numbers,
                                  char_sum_series, power_sum, power_sums)
 from twistbern.characters import character
-from twistbern.cyclo import cyclo_field, embed_into, euler_phi
+from twistbern.cyclo import cyclo_field, euler_phi
 from twistbern.padic import volkenborn_partial
+
+from cyclo_helpers import embed_into
 
 # (d, character index): trivial, real (d = 3, 4, 5) and complex (order 4 at
 # d = 5, order 3 at d = 7) characters
 CHARACTERS = [(1, 0), (3, 1), (4, 1), (5, 1), (5, 2), (7, 2)]
 CONTEXTS = [(d, char, order) for d, char in CHARACTERS for order in range(1, 7)]
+# a wide field: a character of order 100 mod 101 and xi of order 4 live in
+# Q(zeta_100), degree 40, so most exponents e of the points exceed the degree
+WIDE_CONTEXT = (101, 1, 4)
 K_MAX = 8
 
 
@@ -42,7 +47,7 @@ def _direct(ctx, k, n, scale=1, xi=None):
     return acc
 
 
-@pytest.mark.parametrize("d,char,order", CONTEXTS)
+@pytest.mark.parametrize("d,char,order", CONTEXTS + [WIDE_CONTEXT])
 def test_power_sums_match_the_definition(d, char, order):
     ctx = TwistContext.from_orders(d, char, order)
     for n in sorted({0, 1, d - 1, 3 * d + 2}):

@@ -16,7 +16,9 @@ there, never in the checkout itself; the mutated module is the unparsed AST,
 so the unmutated unparsed modules are run once first and must pass.  Each
 mutant runs ``python -m pytest -x -q PYTEST_ARGS`` in its own subprocess,
 one at a time, with ``src`` of the copy on PYTHONPATH.  A mutant is killed
-when pytest fails or runs past TIMEOUT_S seconds.  The survivors are
+when pytest fails or runs past its timeout, max(TIMEOUT_MIN_S,
+TIMEOUT_FACTOR x the baseline's time): a mutant that loops for ever then
+costs a few baseline runs, not minutes.  The survivors are
 printed with their line, then the kill rate.  Stdlib only; the tests never
 run this tool.
 """
@@ -36,7 +38,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".hypothesis", ".perfbench_out")
-TIMEOUT_S = 600  # a mutant that loops for ever counts as killed
+TIMEOUT_MIN_S = 60  # a mutant that runs past its timeout counts as killed
+TIMEOUT_FACTOR = 5
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Lt: ast.LtE,
          ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Lt: "<", ast.LtE: "<=",
@@ -100,13 +103,14 @@ def mutate(tree: ast.Module, path: tuple) -> ast.Module:
     return tree
 
 
-def run_tests(copy_root: Path, pytest_args: list) -> bool:
-    """True when the selection passes in the copy within TIMEOUT_S."""
+def run_tests(copy_root: Path, pytest_args: list, timeout=None) -> bool:
+    """True when the selection passes in the copy within timeout seconds
+    (None waits for ever)."""
     env = dict(os.environ, PYTHONPATH=str(copy_root / "src"))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p",
            "no:cacheprovider", *pytest_args]
     try:
-        proc = subprocess.run(cmd, cwd=copy_root, env=env, timeout=TIMEOUT_S,
+        proc = subprocess.run(cmd, cwd=copy_root, env=env, timeout=timeout,
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
@@ -143,7 +147,9 @@ def main(argv: list) -> int:
         t0 = time.perf_counter()
         if not run_tests(copy_root, pytest_args):
             sys.exit("the unmutated modules fail the selection; nothing to do")
-        print(f"baseline passes in {time.perf_counter() - t0:.1f} s; "
+        baseline = time.perf_counter() - t0
+        timeout = max(TIMEOUT_MIN_S, TIMEOUT_FACTOR * baseline)
+        print(f"baseline passes in {baseline:.1f} s; timeout {timeout:.0f} s; "
               f"{sum(len(s) for _, _, s in plans)} mutants", flush=True)
 
         killed = total = 0
@@ -153,7 +159,7 @@ def main(argv: list) -> int:
             for path, what, line in found:
                 target.write_text(ast.unparse(mutate(tree, path)))
                 total += 1
-                if run_tests(copy_root, pytest_args):
+                if run_tests(copy_root, pytest_args, timeout):
                     print(f"SURVIVED {file}:{line}: {what}    "
                           f"{lines[line - 1].strip()}", flush=True)
                 else:
