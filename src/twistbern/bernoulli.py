@@ -45,8 +45,9 @@ class TwistContext:
                  p: int | None = None, s: int | None = None):
         self.chi = chi
         self.d = chi.modulus
-        r = xi.multiplicative_order()
-        self.xi_order = r
+        sign, e = xi.root_exponent()  # xi = sign * zeta^e, walked once
+        r = xi.field.order // math.gcd(e, xi.field.order)
+        r = self.xi_order = r if sign == 1 else 2 * r
         if p is not None:
             if s is None:
                 s = 0
@@ -67,7 +68,6 @@ class TwistContext:
         # Every value is a root of unity sign * zeta_L^e, kept as (sign, e):
         # xi, and chi(a) for a < d (None where chi(a) = 0).
         L = field.order
-        sign, e = xi.root_exponent()
         e *= L // xi.field.order
         self._xi_root = (sign, e)
         roots = []
@@ -262,9 +262,7 @@ def bernoulli_polynomial(ctx: TwistContext, n: int, x):
     if n < 0:
         raise ValueError("n must be >= 0")
     bern = _bern_values(ctx, n)
-    if isinstance(x, int):
-        x = Fraction(x)
-    xp = [(x * 0) + 1] if not isinstance(x, Fraction) else [Fraction(1)]
+    xp = [x ** 0]
     for _ in range(n):
         xp.append(xp[-1] * x)
     acc = bern[n] * xp[0]

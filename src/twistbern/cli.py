@@ -110,8 +110,12 @@ def _render(args, json_payload, csv_table, text_lines):
     else:
         text = "\n".join(text_lines()) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # an unwritable --out is a parameter error
+            raise ValueError(f"cannot write --out {args.out}: "
+                             f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

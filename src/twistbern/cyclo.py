@@ -4,9 +4,11 @@ Elements are represented in Q[x]/Phi_L(x) as phi(L) integer numerators over
 one shared positive denominator, the layout of FLINT's fmpq_poly and ANTIC's
 nf_elem.  Every element is kept canonical (gcd(den, *num) == 1, zero is
 (0, ..., 0)/1), so equality of field elements is a comparison of integer
-tuples.  Every product of two elements is ``dot``: ``*`` is a one-pair
-``dot``, which sums integer convolutions, reduces the sum once by ``_fold``
-and takes one gcd.  ``dot`` alone chooses the convolution by degree: a
+tuples.  A sum is ``_sum`` and a product of two elements is ``dot`` (``*``
+is a one-pair ``dot``, which reduces its integer convolutions once by
+``_fold``); both canonicalise in one place, ``_canonical``.  The operators
+coerce int and Fraction operands, so callers pass scalars as they are.
+``dot`` alone chooses the convolution by degree: a
 schoolbook loop below _PACK_DEGREE, one big-int product of Kronecker-packed
 numerators from there on.  Inversion is an extended Euclid in Z[x].
 ``_fold`` is the one reduction of an integer polynomial mod Phi_L, the
@@ -268,29 +270,12 @@ def _canonical(field: CycloField, num, den: int) -> CycloNumber:
 
 
 def _sum(field: CycloField, a: tuple, da: int, b, db: int) -> CycloNumber:
-    """a/da + b/db for canonical operands, reduced as Fraction addition is.
-
-    Only primes of gcd(da, db) can divide the result's content and
-    denominator together, so the final gcd is taken against that alone.
-    """
-    if da == db:
-        num = tuple(map(operator.add, a, b))
-        if da == 1:
-            return CycloNumber(field, num, 1)
-        g = math.gcd(da, *num)
-        if g == 1:
-            return CycloNumber(field, num, da)
-        return CycloNumber(field, tuple(c // g for c in num), da // g)
-    g = math.gcd(da, db)
-    if g == 1:
-        return CycloNumber(field, tuple(x * db + y * da for x, y in zip(a, b)),
-                           da * db)
-    sa, sb = da // g, db // g
-    num = tuple(x * sb + y * sa for x, y in zip(a, b))
-    g = math.gcd(g, *num)
-    if g == 1:
-        return CycloNumber(field, num, sa * db)
-    return CycloNumber(field, tuple(c // g for c in num), sa * (db // g))
+    """a/da + b/db for canonical operands: both numerators over lcm(da, db),
+    brought to canonical form by ``_canonical``, the one reduction of every
+    sum as of every product."""
+    den = math.lcm(da, db)
+    sa, sb = den // da, den // db
+    return _canonical(field, [x * sa + y * sb for x, y in zip(a, b)], den)
 
 
 class CycloNumber:
@@ -329,20 +314,10 @@ class CycloNumber:
     # -- ring/field operations --------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, CycloNumber):
-            f = self.field
-            if other.field is not f and other.field.order != f.order:
-                raise ValueError("field mismatch")
-            return _sum(f, self.num, self.den, other.num, other.den)
-        if isinstance(other, int):
-            n = self.num
-            return CycloNumber(self.field, (n[0] + other * self.den,) + n[1:],
-                               self.den)
-        if isinstance(other, Fraction):
-            return _sum(self.field, self.num, self.den,
-                        (other.numerator,) + (0,) * (self.field.degree - 1),
-                        other.denominator)
-        return NotImplemented
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return _sum(self.field, self.num, self.den, o.num, o.den)
 
     __radd__ = __add__
 
@@ -408,10 +383,7 @@ class CycloNumber:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("zero divisor")
-            q = Fraction(other)
-            if q.numerator < 0:
-                return self._scale(-q.denominator, -q.numerator)
-            return self._scale(q.denominator, q.numerator)
+            return self * (1 / Fraction(other))
         o = self._lift(other)
         if o is None:
             return NotImplemented

@@ -157,10 +157,7 @@ def shift_identity_check(m: int, n: int) -> bool:
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
     ctx = TwistContext.from_orders(1, 0, 1, 1)
-    lhs = bernoulli_polynomial(ctx, m, Fraction(n)) - _bern_values(ctx, m)[m]
-    if m == 0:
-        rhs = Fraction(0)
-    else:
-        rhs = m * Fraction(sum(a ** (m - 1) for a in range(n)))
-    return lhs == ctx.field.from_rational(rhs)
+    lhs = bernoulli_polynomial(ctx, m, n) - _bern_values(ctx, m)[m]
+    rhs = m * sum(a ** (m - 1) for a in range(n)) if m else 0
+    return lhs == rhs
 

@@ -8,8 +8,8 @@ from twistbern.bernoulli import (TwistContext, bernoulli_numbers,
                                  bernoulli_polynomial, bernoulli_polynomial_gf,
                                  plain_twisted_numbers, power_sum,
                                  powersum_gf_check)
-from twistbern.characters import enumerate_characters
-from twistbern.cyclo import cyclo_field
+from twistbern.characters import character, enumerate_characters
+from twistbern.cyclo import CycloNumber, cyclo_field
 from twistbern.series import PowerSeries
 from twistbern.sympoly import SymPoly
 
@@ -208,6 +208,28 @@ def test_twist_shares_field_and_caches():
     assert t.xi == ctx.xi_pow(2)
     assert ctx.twist(2) is t  # cached
     assert ctx.twist(2 + ctx.xi_order) is t
+
+
+def test_context_walks_the_root_of_xi_once(monkeypatch):
+    calls = []
+    walk = CycloNumber.root_exponent
+
+    def counted(self):
+        calls.append(self.field.order)
+        return walk(self)
+    monkeypatch.setattr(CycloNumber, "root_exponent", counted)
+    ctx = TwistContext.from_orders(5, 1, 12, 5)
+    assert len(calls) == 1 and ctx.xi_order == 12
+    calls.clear()
+    assert ctx.twist(3).xi_order == 4
+    assert len(calls) == 1
+    # -zeta_3 and -1 in Q(zeta_3) have sign -1: the order doubles
+    f = cyclo_field(3)
+    for xi, order in ((-f.root(1), 6), (-f.one, 2), (f.root(2), 3),
+                      (f.one, 1)):
+        calls.clear()
+        assert TwistContext(character(1, 0), xi).xi_order == order
+        assert len(calls) == 1
 
 
 def test_bernoulli_table_shape():

@@ -193,6 +193,16 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().startswith("index,")
 
 
+def test_unwritable_output_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "chars", "--d", "5", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out ")
+    assert str(target) in err and "No such file or directory" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_internal_error_is_not_a_mismatch(capsys, monkeypatch):
     def crash(args):
         raise RuntimeError("boom")

@@ -9,6 +9,7 @@ the ring laws, its scalar coercions and its no-stored-zero invariant.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -153,6 +154,48 @@ def test_scalar_products_cancel_every_small_denominator():
                                                for c in x.coeffs)
                 assert_canonical(x * p)
                 assert (x * p).coeffs == tuple(c * p for c in x.coeffs)
+
+
+def test_sums_cancel_every_small_denominator_pair():
+    # a/da + b/db is brought to canonical form by one gcd over lcm(da, db);
+    # every pair da, db <= 12 (equal, coprime, sharing a factor) with
+    # numerators m * (k + 1), so each cancellation of a common factor is met
+    for order in (1, 4, 15):
+        f = cyclo_field(order)
+        for da in range(1, 13):
+            x = f.element([Fraction(k + 1, da) for k in range(f.degree)])
+            for db in range(1, 13):
+                for m in range(-3, 4):
+                    y = f.element([Fraction(m * (k + 1), db)
+                                   for k in range(f.degree)])
+                    for got, op in ((x + y, operator.add),
+                                    (x - y, operator.sub)):
+                        assert_canonical(got)
+                        assert got.coeffs == tuple(map(op, x.coeffs,
+                                                       y.coeffs))
+
+
+def test_scalar_sums_and_quotients_of_every_small_denominator():
+    # int and Fraction operands of +, - and their reflected forms, and / by
+    # scalars of either sign, against the Fraction coordinates
+    operands = [*range(-12, 13), *(Fraction(p, r) for p in (-7, -2, 1, 5)
+                                   for r in range(2, 13))]
+    for order in (1, 4, 15):
+        f = cyclo_field(order)
+        for den in range(1, 13):
+            x = f.element([Fraction(k + 1, den) for k in range(f.degree)])
+            c = x.coeffs
+            neg = tuple(-a for a in c[1:])
+            for q in operands:
+                cases = [(x + q, (c[0] + q,) + c[1:]),
+                         (q + x, (q + c[0],) + c[1:]),
+                         (x - q, (c[0] - q,) + c[1:]),
+                         (q - x, (q - c[0],) + neg)]
+                if q:
+                    cases.append((x / q, tuple(a / q for a in c)))
+                for got, want in cases:
+                    assert_canonical(got)
+                    assert got.coeffs == want
 
 
 @SETTINGS

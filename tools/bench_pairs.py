@@ -10,8 +10,11 @@ odd pairs, the change first in even ones, with the workloads interleaved
 within each pair index.  S and the metrics, their directions and their
 bounds come from the BENCHMARK.json of CHANGE_DIR.  For each workload and
 end-to-end metric it prints both medians, the parent's quartiles and the
-number of pairs the change won, and then the ``end_to_end`` and
-``medians`` objects of a BENCH_*.json record as one JSON document.
+number of pairs the change won.  It flags a metric whose median is worse
+beyond its bound, and one left unresolved: the parent's spread (q3 - q1) /
+median exceeds the bound, and not every change run beats every parent run.
+Then it prints the ``end_to_end`` and ``medians`` objects of a BENCH_*.json
+record as one JSON document.
 Stdlib only; every run takes about S seconds plus set-up, so the default
 costs about 3 workloads x 10 pairs x 2 runs x 40 s.
 """
@@ -53,9 +56,14 @@ def compare_metric(parent: list, change: list, spec: dict) -> dict:
     ratio = c["median"] / p["median"] - 1 if p["median"] else 0.0
     worse = -ratio if higher else ratio
     wins = sum((b > a) if higher else (b < a) for a, b in zip(parent, change))
+    spread = (p["q3"] - p["q1"]) / p["median"] if p["median"] else 0.0
+    beats_all = (min(change) > max(parent) if higher
+                 else max(change) < min(parent))
     return {"parent": p, "change": c, "unit": spec["unit"],
             "change_vs_parent": round(ratio, 4), "bound": spec["bound"],
             "worse_beyond_bound": worse > spec["bound"],
+            "parent_spread": round(spread, 4),
+            "unresolved": spread > spec["bound"] and not beats_all,
             "pairs_change_better": wins,
             "gain_exceeds_parent_iqr":
                 (c["median"] - p["median"]) * (1 if higher else -1)
@@ -97,6 +105,9 @@ def main(argv=None) -> int:
         "regression_rule": "worse_beyond_bound: the change's median is "
                            "worse than the parent's by more than the "
                            "BENCHMARK.json bound",
+        "unresolved_rule": "unresolved: the parent's spread (q3 - q1) / "
+                           "median exceeds the bound, and not every change "
+                           "run beats every parent run",
         "workloads": {}}, "medians": {}}
     for w in workloads:
         runs = results[w]
@@ -120,7 +131,8 @@ def main(argv=None) -> int:
                   f"  {cmp['change_vs_parent']:+.1%}"
                   f"  won {cmp['pairs_change_better']}/{args.pairs}"
                   + ("  WORSE BEYOND BOUND" if cmp["worse_beyond_bound"]
-                     else ""))
+                     else "")
+                  + ("  UNRESOLVED" if cmp["unresolved"] else ""))
         record["end_to_end"]["workloads"][w] = entry
     print(json.dumps(record, indent=1))
     return 0
