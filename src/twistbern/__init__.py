@@ -3,8 +3,7 @@ twisted power sums, and mechanical verification of their three-variable
 symmetry identities."""
 
 from .bernoulli import (BernoulliTable, TwistContext, bernoulli_numbers,
-                        bernoulli_polynomial, plain_twisted_numbers,
-                        power_sum, powersum_gf_check)
+                        bernoulli_polynomial, power_sum, powersum_gf_check)
 from .characters import (DirichletCharacter, UnitGroup, character,
                          enumerate_characters, unit_group)
 from .cyclo import (CycloField, CycloNumber, Rational, cyclo_field,
@@ -27,10 +26,10 @@ __all__ = [
     "character", "convergence_check", "cyclo_field",
     "cyclotomic_polynomial", "enumerate_characters", "expansion_coefficient",
     "padic_context", "permutation_invariance_check",
-    "permutation_reduction_check", "pi_valuation", "plain_twisted_numbers",
-    "power_sum", "powersum_gf_check", "quotient_series",
-    "shift_identity_check", "substitution_check", "unit_group",
-    "verify_theorem", "volkenborn_partial",
+    "permutation_reduction_check", "pi_valuation", "power_sum",
+    "powersum_gf_check", "quotient_series", "shift_identity_check",
+    "substitution_check", "unit_group", "verify_theorem",
+    "volkenborn_partial",
 ]
 
 __version__ = "0.1.0"

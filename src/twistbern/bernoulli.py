@@ -251,12 +251,6 @@ def bernoulli_numbers(ctx: TwistContext, n_max: int) -> BernoulliTable:
     return BernoulliTable(ctx, _bern_values(ctx, n_max)[:n_max + 1])
 
 
-def plain_twisted_numbers(xi: CycloNumber, n_max: int) -> list:
-    """EGF coefficients of t/(xi e^t - 1); classical Bernoulli numbers at xi=1."""
-    ctx = TwistContext(character(1, 0), xi)
-    return bernoulli_numbers(ctx, n_max).values
-
-
 def bernoulli_polynomial(ctx: TwistContext, n: int, x):
     """B_n(x) = sum_k C(n,k) B_k x^(n-k); x may be rational, cyclotomic, or SymPoly."""
     if n < 0:
@@ -269,14 +263,6 @@ def bernoulli_polynomial(ctx: TwistContext, n: int, x):
     for k in range(n):
         acc = acc + bern[k] * (xp[n - k] * math.comb(n, k))
     return acc
-
-
-def bernoulli_polynomial_gf(ctx: TwistContext, n: int, x):
-    """Independent construction of B_n(x): n! [t^n] e^{xt} * (number GF)."""
-    if isinstance(x, (int, Fraction)):
-        x = ctx.field.from_rational(x)
-    ex = PowerSeries.exp_scaled(x, n)
-    return (bernoulli_gf(ctx, n) * ex).egf(n)
 
 
 def power_sums(ctx: TwistContext, k: int, n: int) -> list:

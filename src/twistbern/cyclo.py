@@ -8,15 +8,16 @@ tuples.  A sum is ``_sum`` and a product of two elements is ``dot`` (``*``
 is a one-pair ``dot``, which reduces its integer convolutions once by
 ``_fold``); both canonicalise in one place, ``_canonical``.  The operators
 coerce int and Fraction operands, so callers pass scalars as they are.
-``dot`` alone chooses the convolution by degree: a
-schoolbook loop below _PACK_DEGREE, one big-int product of Kronecker-packed
-numerators from there on.  Inversion is an extended Euclid in Z[x].
-``_fold`` is the one reduction of an integer polynomial mod Phi_L, the
-Moebius product of the binomials x^d - 1; a root of unity is a folded unit
-vector, and ``CycloField.root_sum`` folds integer combinations of them.
-Rational coordinates are available as Fractions through ``coeffs``.  All
-values are immutable and every operation is exact; there is no floating
-point anywhere.
+``dot`` alone chooses the convolution, per pair: from _PACK_DEGREE on, a
+pair of operands with two or more nonzero terms each is one big-int product
+of Kronecker-packed numerators, and a one-term operand goes outside the
+schoolbook loop that every other pair takes.  Inversion is an extended
+Euclid in Z[x].  ``_fold`` is the one reduction of an integer polynomial
+mod Phi_L, through a chain of sparse multiples of Phi_L down to Phi_L; a
+root of unity is a folded unit vector, and ``CycloField.root_sum`` folds
+integer combinations of them.  Rational coordinates are available as
+Fractions through ``coeffs``.  All values are immutable and every operation
+is exact; there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _poly_inverse(a: list[int], modulus: tuple[int, ...]) -> tuple[list[int], in
 class CycloField:
     """The cyclotomic field Q(zeta_L), L = order, as Q[x]/Phi_L(x)."""
 
-    __slots__ = ("order", "modulus", "degree", "_low", "_roots", "zero",
+    __slots__ = ("order", "modulus", "degree", "_steps", "_roots", "zero",
                  "one")
 
     def __init__(self, order: int):
@@ -183,10 +184,7 @@ class CycloField:
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
         self.degree = deg = len(self.modulus) - 1
-        # x^degree = -(Phi_L - x^degree) as the (index, integer coefficient)
-        # pairs of its nonzero terms: the step of _fold
-        self._low = tuple((i, -c) for i, c in enumerate(self.modulus[:-1])
-                          if c)
+        self._steps = _fold_steps(order, self.modulus)
         self._roots: dict[int, CycloNumber] = {}
         self.zero = CycloNumber(self, (0,) * deg, 1)
         self.one = CycloNumber(self, (1,) + (0,) * (deg - 1), 1)
@@ -236,26 +234,40 @@ def cyclo_field(order: int) -> CycloField:
     return CycloField(order)
 
 
+def _fold_steps(order: int, modulus: tuple) -> tuple:
+    """``_fold``'s multiples of Phi_L in falling degree top, as (top, pairs)
+    with x^top = sum c * x^j over the pairs (j, c): x^(L/2) = -1 (even L) or
+    x^L = 1 (odd L), then Phi_{L/r}(x^r) for r the product of the largest
+    odd primes that divide L exactly, one prime fewer each step, down to
+    Phi_L at r = 1 (Phi_m(x^p) = Phi_mp(x) Phi_m(x) for a prime p not
+    dividing m); a step no lower than the one before is left out."""
+    h, s = (order // 2, -1) if order % 2 == 0 else (order, 1)
+    steps = [(h, ((0, s),))]
+    primes = sorted(p for p, e in factorize(order).items() if e == 1 and p > 2)
+    for i in range(len(primes) + 1):
+        r = math.prod(primes[i:])
+        poly = modulus if r == 1 else cyclotomic_polynomial(order // r)
+        if (len(poly) - 1) * r < steps[-1][0]:
+            steps.append(((len(poly) - 1) * r, tuple(
+                (j * r, -c) for j, c in enumerate(poly[:-1]) if c)))
+    return tuple(steps)
+
+
 def _fold(field: CycloField, v: list) -> list:
     """v mod Phi_L as degree coordinates, for integer coefficients v (constant
     term first, at least degree of them): the one reduction by Phi_L, which
-    consumes v.  Phi_L divides x^h - s (x^(L/2) + 1 for even L, x^L - 1 for
-    odd L), so v is folded by x^h = s, then from the top by the sparse pairs
-    of x^degree = -(Phi_L - x^degree); no table of x^k mod Phi_L is kept."""
-    order, deg, low = field.order, field.degree, field._low
-    h, s = (order // 2, -1) if order % 2 == 0 else (order, 1)
+    consumes v.  Each step (top, pairs) of ``_fold_steps`` folds v from the
+    top by x^top = sum c * x^j; no table of x^k mod Phi_L is kept."""
     i = len(v)
-    while i > h:  # from the top, so that x^(2h) and above fold twice
-        i -= 1
-        v[i - h] += s * v[i]
-    while i > deg:
-        i -= 1
-        c = v[i]
-        if c:
-            k = i - deg
-            for j, cj in low:
-                v[k + j] += c * cj
-    return v[:deg]
+    for top, pairs in field._steps:
+        while i > top:
+            i -= 1
+            c = v[i]
+            if c:
+                k = i - top
+                for j, cj in pairs:
+                    v[k + j] += c * cj
+    return v[:field.degree]
 
 
 def _canonical(field: CycloField, num, den: int) -> CycloNumber:
@@ -291,7 +303,7 @@ class CycloNumber:
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: CycloField, num: tuple, den: int = 1):
+    def __init__(self, field: CycloField, num: tuple, den: int):
         self.field = field
         self.num = num
         self.den = den
@@ -429,15 +441,7 @@ class CycloNumber:
     def __hash__(self):
         return hash((self.field.order, self.num, self.den))
 
-    # -- rational view ------------------------------------------------------
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den)
+    # -- roots of unity -----------------------------------------------------
 
     def root_exponent(self) -> tuple[int, int]:
         """(sign, e) with self = sign * zeta_L^e and 0 <= e < L.
@@ -461,16 +465,13 @@ class CycloNumber:
                 v = _fold(f, [0] + v)
         raise ValueError("element is not a root of unity")
 
-    def multiplicative_order(self) -> int:
-        """Exact order as a root of unity; raises if the element is not one."""
-        sign, e = self.root_exponent()
-        r = self.field.order // math.gcd(e, self.field.order)
-        return r if sign == 1 else 2 * r
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"L": self.field.order, "coeffs": [str(c) for c in self.coeffs]}
+        d = self.den  # each num/den in lowest terms, as str(Fraction) prints it
+        return {"L": self.field.order, "coeffs": [
+            str(c // g) if (g := math.gcd(c, d)) == d else f"{c // g}/{d // g}"
+            for c in self.num]}
 
     def __repr__(self):
         return f"CycloNumber(L={self.field.order}, {list(map(str, self.coeffs))})"
@@ -499,9 +500,9 @@ class CycloNumber:
         return out
 
 
-# From this field degree on, dot packs its operands (Kronecker substitution):
-# one big-int product per pair beats the O(degree^2) schoolbook loop there,
-# and below it the loop is faster.  dot alone reads it; * is a one-pair dot.
+# From this field degree on, dot packs its pairs of dense operands (Kronecker
+# substitution): one big-int product per pair beats the O(degree^2) schoolbook
+# loop there, and below it the loop is faster.  dot alone reads it.
 _PACK_DEGREE = 12
 
 
@@ -529,18 +530,27 @@ def dot(field: CycloField, xs, ys) -> CycloNumber:
     if deg == 1:
         return _canonical(field, (sum(a[0] * b[0] * (den // d)
                                       for a, b, d in pairs),), den)
+    acc = [0] * (2 * deg - 1)
     if deg >= _PACK_DEGREE:
-        acc = _packed_convolution(pairs, den, deg)
-    else:
-        acc = [0] * (2 * deg - 1)
-        for a, b, d in pairs:
-            if d != den:
-                s = den // d
-                a = [s * c for c in a]
-            for i, ai in enumerate(a):
-                if ai:
-                    for k, bj in enumerate(b, i):
-                        acc[k] += ai * bj
+        dense, school, one = [], [], deg - 1
+        for a, b, d in pairs:  # a one-term operand goes outside the loop
+            if b.count(0) == one:
+                school.append((b, a, d))
+            elif a.count(0) == one:
+                school.append((a, b, d))
+            else:
+                dense.append((a, b, d))
+        if dense:
+            acc = _packed_convolution(dense, den, deg)
+        pairs = school
+    for a, b, d in pairs:
+        if d != den:
+            s = den // d
+            a = [s * c for c in a]
+        for i, ai in enumerate(a):
+            if ai:
+                for k, bj in enumerate(b, i):
+                    acc[k] += ai * bj
     return _canonical(field, _fold(field, acc), den)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .cyclo import CycloNumber, dot
+from .cyclo import CycloNumber, Rational, dot
 
 
 class PowerSeries:
@@ -38,7 +38,7 @@ class PowerSeries:
         one = (c * 0) + 1
         coeffs = [one]
         for j in range(1, truncation + 1):
-            coeffs.append((coeffs[-1] * c) / j)
+            coeffs.append(coeffs[-1] * c / Rational(j))  # exact for int c too
         return cls(coeffs)
 
     # -- ring operations ----------------------------------------------------

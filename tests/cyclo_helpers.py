@@ -1,7 +1,9 @@
 """Test-only constructions on cyclotomic fields, kept out of the package
-because nothing in it needs them: the embedding Q(zeta_L) -> Q(zeta_L')
-and the inverse of ``CycloNumber.to_json_dict``."""
+because nothing in it needs them: the embedding Q(zeta_L) -> Q(zeta_L'),
+the inverse of ``CycloNumber.to_json_dict``, the rational value of a
+rational element and the order of a root of unity."""
 
+import math
 from fractions import Fraction
 
 from twistbern.cyclo import CycloField, CycloNumber, cyclo_field
@@ -25,3 +27,21 @@ def embed_into(x: CycloNumber, field: CycloField) -> CycloNumber:
 def from_json_dict(d: dict) -> CycloNumber:
     """The element that ``CycloNumber.to_json_dict`` rendered as d."""
     return cyclo_field(d["L"]).element([Fraction(s) for s in d["coeffs"]])
+
+
+def is_rational(x: CycloNumber) -> bool:
+    return not any(x.num[1:])
+
+
+def rational_value(x: CycloNumber) -> Fraction:
+    """x as a Fraction; raises if x is not rational."""
+    if not is_rational(x):
+        raise ValueError("element is not rational")
+    return Fraction(x.num[0], x.den)
+
+
+def multiplicative_order(x: CycloNumber) -> int:
+    """Exact order of x as a root of unity; raises if x is not one."""
+    sign, e = x.root_exponent()
+    r = x.field.order // math.gcd(e, x.field.order)
+    return r if sign == 1 else 2 * r

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from twistbern.cyclo import (cyclo_field, cyclotomic_polynomial, divisors,
                              euler_phi)
 
-from cyclo_helpers import embed_into, from_json_dict
+from cyclo_helpers import embed_into, from_json_dict, multiplicative_order
 
 
 def _poly_mul(a, b):
@@ -58,7 +59,7 @@ def test_root_order_and_minimal_polynomial():
         f = cyclo_field(order)
         z = f.root(1)
         assert z ** order == 1
-        assert z.multiplicative_order() == order
+        assert multiplicative_order(z) == order
         # Phi_L(zeta_L) = 0
         acc = f.zero
         for i, c in enumerate(f.modulus):
@@ -139,9 +140,28 @@ def test_json_serialization_roundtrip():
     assert from_json_dict(d) == a
 
 
+def test_json_coordinates_print_as_fractions():
+    # each coordinate is rendered from num/den in lowest terms, exactly as
+    # str(Fraction) prints it: negative and zero coordinates, integers, and
+    # denominators that share a factor with some coordinates and not others
+    rng = random.Random(25)
+    for order in (1, 4, 12, 105):
+        f = cyclo_field(order)
+        for den in (1, 2, 6, 12, 35, 60, 2**40 * 3):
+            for _ in range(4):
+                x = f.element([Fraction(rng.choice((0, 1, -1, 7))
+                                        * rng.randint(0, 90), den)
+                               for _ in range(f.degree)])
+                assert x.to_json_dict() == {
+                    "L": order, "coeffs": [str(c) for c in x.coeffs]}
+    assert cyclo_field(3).zero.to_json_dict()["coeffs"] == ["0", "0"]
+    half = cyclo_field(4).element([Fraction(-1, 2), Fraction(4, 6)])
+    assert half.to_json_dict()["coeffs"] == ["-1/2", "2/3"]
+
+
 def test_multiplicative_order_errors():
     f = cyclo_field(3)
     with pytest.raises(ValueError):
-        (f.one * 2).multiplicative_order()
+        multiplicative_order(f.one * 2)
     # -zeta_3 has order 6 inside Q(zeta_3)
-    assert (-f.root(1)).multiplicative_order() == 6
+    assert multiplicative_order(-f.root(1)) == 6

@@ -468,30 +468,131 @@ def test_wide_product_matches_sympy_remainder(order):
     assert a * f.zero == f.zero and a * f.one == a
 
 
-@pytest.mark.parametrize("order", (105, 420, 101, 125))
+def _sympy_remainder(order):
+    """v -> v rem Phi_L as degree ints, for integer coefficients v (constant
+    term first), by sympy's remainder of dense integer polynomials."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.densearith import dup_rem
+    from sympy.polys.densebasic import dup_strip
+    from sympy.polys.domains import ZZ
+    x = sympy.Symbol("x")
+    phi = [ZZ(int(c)) for c in
+           sympy.Poly(sympy.cyclotomic_poly(order, x), x).all_coeffs()]
+
+    def rem(v):
+        r = dup_rem(dup_strip([ZZ(c) for c in reversed(v)]), phi, ZZ)
+        return [int(c) for c in reversed(r)] + [0] * (len(phi) - 1 - len(r))
+    return rem
+
+
+# (L, number of fold steps): chains of 3-5 sparse multiples of Phi_L (at 75,
+# Phi_25(x^3) falls below x^75 = 1 though 3 is the only exact prime), then
+# the plain x^(L/2) = -1 or x^L = 1 step before a dense Phi_212, Phi_101
+# and the sparse Phi_125 = Phi_5(x^25)
+FOLD_CHAINS = ((195, 4), (390, 4), (159, 3), (255, 4), (315, 4), (75, 3),
+               (212, 2), (125, 2), (101, 2))
+
+
+@pytest.mark.parametrize("order", (105, 420) + tuple(L for L, _ in FOLD_CHAINS))
 def test_roots_fold_matches_sympy_remainder(order):
     # every root of a fresh field, asked for in shuffled order, against an
     # independent x^e rem Phi_L: each root is the unit vector x^e folded on
-    # its own, by the dense Phi_101 and the sparse Phi_125 = Phi_5(x^25) too;
-    # the cache holds each requested root once, and e + L finds it
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-    phi = sympy.Poly(sympy.cyclotomic_poly(order, x), x)
+    # its own, through every fold chain; the cache holds each requested
+    # root once, and e + L finds it
+    rem = _sympy_remainder(order)
     field = CycloField(order)
-    wanted, power = [], sympy.Poly(1, x)
+    wanted, power = [], [1]
     for e in range(order):  # x^e rem Phi_L, one sympy remainder per step
-        rem = [int(c) for c in reversed(power.all_coeffs())]
-        wanted.append(tuple(rem) + (0,) * (field.degree - len(rem)))
-        power = sympy.rem(power * sympy.Poly(x, x), phi)
+        power = rem(power)
+        wanted.append(tuple(power))
+        power = [0] + power
     exponents = list(range(order))
     random.Random(order).shuffle(exponents)
     for e in exponents:
-        want = wanted[e]
         z = field.root(e)
         assert_canonical(z)
-        assert z.num == want, e
+        assert z.num == wanted[e], e
         assert field.root(e + order) is z
     assert len(field._roots) == order  # only the requested roots are kept
+
+
+@pytest.mark.parametrize("order,steps", FOLD_CHAINS)
+def test_fold_chain_matches_sympy_remainder(order, steps):
+    # each step (top, pairs) is x^top - sum c x^j for a multiple of Phi_L,
+    # of falling degree, down to Phi_L itself; vectors of every length from
+    # the degree to 3L fold to sympy's remainder
+    rem = _sympy_remainder(order)
+    field = CycloField(order)
+    tops = [top for top, _ in field._steps]
+    assert len(tops) == steps and tops == sorted(tops, reverse=True)
+    assert tops[0] == (order // 2 if order % 2 == 0 else order)
+    for top, pairs in field._steps:
+        step = [0] * top + [1]
+        for j, c in pairs:
+            step[j] -= c
+        assert not any(rem(step)), top
+    top, pairs = field._steps[-1]
+    assert top == field.degree
+    assert pairs == tuple((j, -c) for j, c in enumerate(field.modulus[:-1])
+                          if c)
+    rng = random.Random(order)
+    for n in (field.degree, field.degree + 1, 2 * field.degree - 1,
+              tops[1] + 1, order, 2 * order + 1, 3 * order):
+        v = [rng.randint(-9, 9) for _ in range(n)]
+        assert cyclo._fold(field, list(v)) == rem(v), n
+
+
+def test_fold_chain_leaves_out_the_prime_2():
+    # for an exact 2, Phi_{L/2}(x^2) has as many terms as Phi_L(x) =
+    # Phi_{L/2}(-x): at L = 2 * 9 * 25 * 49 it would fall below x^(L/2) = -1
+    # and stand as one more dense step
+    assert [top for top, _ in CycloField(22050)._steps] == [11025, 5040]
+
+
+def _nonzero_terms(num):
+    return len(num) - num.count(0)
+
+
+@pytest.mark.parametrize("order", WIDE_ORDERS)
+def test_dot_packs_only_pairs_of_two_dense_operands(order, monkeypatch):
+    # one dot call over monomial x dense, dense x monomial, rational x dense
+    # and dense x dense pairs with mixed denominators, against sympy's
+    # remainder of the summed products; only the dense x dense pairs are
+    # packed, the others go through the schoolbook loop
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(order, x), x, domain="QQ")
+    packed, real = [], cyclo._packed_convolution
+    monkeypatch.setattr(cyclo, "_packed_convolution",
+                        lambda pairs, *args: packed.extend(pairs)
+                        or real(pairs, *args))
+    f = cyclo_field(order)
+    rng = random.Random(order)
+    top = f.degree - 1
+    dense = [_wide_element(rng, f, 2**30, den) for den in (1, 6, 35, 4, 9)]
+    xs = [_monomial(f, top, Fraction(-7, 10)), dense[0],
+          f.from_rational(Fraction(5, 12)), dense[1], _monomial(f, 3, 2),
+          dense[2], f.root(order - 1)]
+    ys = [dense[3], _monomial(f, top - 2, Fraction(9, 14)), dense[4],
+          dense[0], f.from_rational(-3), dense[1], dense[2]]
+    got = dot(f, xs, ys)
+    assert_canonical(got)
+    dense_pairs = sum(_nonzero_terms(a.num) > 1 and _nonzero_terms(b.num) > 1
+                      for a, b in zip(xs, ys))
+    assert len(packed) == dense_pairs >= 2
+    assert all(_nonzero_terms(a) > 1 and _nonzero_terms(b) > 1
+               for a, b, _ in packed)
+    want = sympy.Poly(0, x, domain="QQ")
+    for a, b in zip(xs, ys):
+        pa, pb = (sympy.Poly(list(reversed([sympy.Rational(c.numerator,
+                                                           c.denominator)
+                                            for c in v.coeffs])), x,
+                             domain="QQ") for v in (a, b))
+        want += pa * pb
+    rem = [Fraction(int(c.p), int(c.q))
+           for c in reversed(sympy.rem(want, phi).all_coeffs())]
+    assert got.coeffs == tuple(rem + [Fraction(0)] * (f.degree - len(rem)))
+    assert got == plain_dot(f, xs, ys)
 
 
 @st.composite

@@ -17,7 +17,7 @@ from twistbern.characters import character
 from twistbern.cyclo import cyclo_field, euler_phi
 from twistbern.padic import volkenborn_partial
 
-from cyclo_helpers import embed_into
+from cyclo_helpers import embed_into, is_rational, rational_value
 
 # (d, character index): trivial, real (d = 3, 4, 5) and complex (order 4 at
 # d = 5, order 3 at d = 7) characters
@@ -41,7 +41,7 @@ def _direct(ctx, k, n, scale=1, xi=None):
     acc = field.zero
     for a in range(n + 1):
         v = ctx.chi(a)
-        v = (field.from_rational(v.rational_value()) if v.is_rational()
+        v = (field.from_rational(rational_value(v)) if is_rational(v)
              else embed_into(v, field))
         acc = acc + v * z ** (a * scale % ctx.xi_order) * a**k
     return acc

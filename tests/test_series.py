@@ -24,6 +24,21 @@ def test_exp_scaled_examples():
     assert e.coeffs == (F4.one, z, F4.from_rational(Fraction(-1, 2)))
 
 
+def test_exp_scaled_of_a_rational_scale_is_exact():
+    # int and Fraction scales give Fraction coefficients, never floats
+    e = PowerSeries.exp_scaled(3, 4)
+    assert e.coeffs == (1, 3, Fraction(9, 2), Fraction(9, 2), Fraction(27, 8))
+    assert all(type(c) in (int, Fraction) for c in e.coeffs)
+    e = PowerSeries.exp_scaled(Fraction(-2, 3), 3)
+    assert e.coeffs == (1, Fraction(-2, 3), Fraction(2, 9), Fraction(-4, 81))
+    assert all(type(c) in (int, Fraction) for c in e.coeffs)
+    big = 10**20 + 1  # a float would lose its low digits
+    assert PowerSeries.exp_scaled(big, 2).coeffs[2] == Fraction(big**2, 2)
+    # field scales agree with the rational ones, coefficient by coefficient
+    assert PowerSeries.exp_scaled(F1.from_rational(3), 4) == \
+        _series(*PowerSeries.exp_scaled(3, 4).coeffs)
+
+
 def test_series_arithmetic():
     one = _series(1, 0, 0, 0, 0)
     a = _series(1, 1, 0, 0, 0)       # 1 + t

@@ -9,8 +9,9 @@ for example
         src/twistbern/bernoulli.py:factor_table -- tests/test_bpoly_oracle.py
 
 Each mutant changes one site inside the named functions (nested functions
-included): a ``+`` becomes ``-`` or back, a ``<`` becomes ``<=`` or back (and
-``>``/``>=`` likewise), or an integer constant grows by 1.  The checkout is
+included): a ``+`` becomes ``-`` or back, a ``*`` becomes ``//`` or back, a
+``<`` becomes ``<=`` or back (and ``>``/``>=`` likewise), an ``==`` becomes
+``!=`` or back, or an integer constant grows by 1.  The checkout is
 copied to a temporary directory (under $TMPDIR) and every mutant is written
 there, never in the checkout itself; the mutated module is the unparsed AST,
 so the unmutated unparsed modules are run once first and must pass.  Each
@@ -40,10 +41,13 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".hypothesis", ".perfbench_out")
 TIMEOUT_MIN_S = 60  # a mutant that runs past its timeout counts as killed
 TIMEOUT_FACTOR = 5
-SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Lt: ast.LtE,
-         ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
-SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Lt: "<", ast.LtE: "<=",
-           ast.Gt: ">", ast.GtE: ">="}
+SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv,
+         ast.FloorDiv: ast.Mult, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
+         ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
+         ast.NotEq: ast.Eq}
+SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
+           ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
+           ast.Eq: "==", ast.NotEq: "!="}
 
 
 def sites(tree: ast.Module, names: set) -> list:
