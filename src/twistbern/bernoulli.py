@@ -14,14 +14,12 @@ whenever xi^d != 1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import repeat
 
 from .characters import DirichletCharacter, character
-from .cyclo import CycloNumber, cyclo_field
+from .cyclo import CycloNumber, cyclo_field, product
 from .report import CheckReport, first_mismatch
 from .series import PowerSeries
 
@@ -191,23 +189,25 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
     xi^(dc) = 1 (vanish of them) gives up one t, and the quotient owes
     t^(vanish - t_power) when that is positive; dividing it out raises
     ValueError if t does not divide.  num and den are non-empty.  The
-    factors are read from factor_table, and nothing else is cached: the
-    products are formed here in the order of num and den, and the
-    numerator product is divided by the denominator product.
+    factors are read from factor_table, and nothing else is cached: each
+    product is one ``cyclo.product`` call over the tables in the order of
+    num (or den), which multiplies the factors as integer rows over one
+    denominator, and the numerator product is divided by the denominator
+    product.
     """
     vanish = sum(1 for kind, c in den
                  if kind == "unit" and ctx.xi_pow(ctx.d * c).is_one())
     shift = t_power - vanish
     length = max(truncation - shift, 0)
 
-    def product(factors, upto):
-        return reduce(operator.mul, [PowerSeries(factor_table(ctx, key, upto))
-                                     for key in factors])
+    def chain(factors, upto):
+        return PowerSeries(product(ctx.field, [factor_table(ctx, key, upto)
+                                               for key in factors], upto + 1))
 
-    bottom = product(den, length + vanish)
+    bottom = chain(den, length + vanish)
     if vanish:
         bottom = bottom.divide_by_t(vanish)
-    q = product(num, length).divide(bottom)
+    q = chain(num, length).divide(bottom)
     if shift < 0:
         return q.divide_by_t(-shift)
     return q.shift_up(shift).truncate(truncation)

@@ -8,10 +8,13 @@ tuples.  A sum is ``_sum`` and a product of two elements is ``dot`` (``*``
 is a one-pair ``dot``, which reduces its integer convolutions once by
 ``_fold``); both canonicalise in one place, ``_canonical``.  The operators
 coerce int and Fraction operands, so callers pass scalars as they are.
-``dot`` alone chooses the convolution, per pair: from _PACK_DEGREE on, a
-pair of operands with two or more nonzero terms each is one big-int product
-of Kronecker-packed numerators, and a one-term operand goes outside the
-schoolbook loop that every other pair takes.  Inversion is an extended
+``dot`` chooses its convolution per pair: from _PACK_DEGREE on, a pair of
+operands with two or more nonzero terms each is one big-int product of
+Kronecker-packed numerators, and a one-term operand goes outside the
+schoolbook loop that every other pair takes.  ``product`` is the Cauchy
+product of sequences: it keeps integer rows over the product of the
+factors' denominators, each factor's rows packed once from _PACK_DEGREE
+on, until one ``_canonical`` per final coefficient.  Inversion is an extended
 Euclid in Z[x].  ``_fold`` is the one reduction of an integer polynomial
 mod Phi_L, through a chain of sparse multiples of Phi_L down to Phi_L; a
 root of unity is a folded unit vector, and ``CycloField.root_sum`` folds
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 # Rational scalars are stdlib Fractions: arbitrary precision, always reduced
 # with positive denominator.
@@ -500,15 +503,17 @@ class CycloNumber:
         return out
 
 
-# From this field degree on, dot packs its pairs of dense operands (Kronecker
-# substitution): one big-int product per pair beats the O(degree^2) schoolbook
-# loop there, and below it the loop is faster.  dot alone reads it.
+# From this field degree on, products pack their integer rows (Kronecker
+# substitution): one big-int product per pair of rows beats the
+# O(degree^2) schoolbook loop there, and below it the loop is faster.  dot
+# packs per pair of dense operands, and ``product`` packs each factor's rows
+# once.
 _PACK_DEGREE = 12
 
 
 def dot(field: CycloField, xs, ys) -> CycloNumber:
     """sum(x * y for x, y in zip(xs, ys)) for CycloNumbers of one field;
-    the one product kernel, since x * y is dot(field, (x,), (y,)).
+    the one product kernel of elements, since x * y is dot(field, (x,), (y,)).
 
     The integer convolutions of the pairs with two nonzero operands are
     accumulated unreduced over one common denominator; the sum is reduced
@@ -547,11 +552,126 @@ def dot(field: CycloField, xs, ys) -> CycloNumber:
         if d != den:
             s = den // d
             a = [s * c for c in a]
-        for i, ai in enumerate(a):
-            if ai:
-                for k, bj in enumerate(b, i):
-                    acc[k] += ai * bj
+        _convolve_into(acc, a, b)
     return _canonical(field, _fold(field, acc), den)
+
+
+def _convolve_into(acc: list, a, b) -> None:
+    # acc[i + j] += a_i * b_j, the schoolbook loop over the nonzero a_i
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                acc[k] += ai * bj
+
+
+def product(field: CycloField, seqs, n: int) -> list:
+    """The first n coefficients of the Cauchy product of the sequences of
+    CycloNumbers seqs, multiplied in the order given; n is cut to the
+    shortest sequence.  The one product of series, as ``dot`` is of
+    elements.
+
+    Integer rows are multiplied: each factor's nonzero coefficients become
+    numerators over one common denominator (``_rows``), ``_row_times``
+    multiplies each factor into the running product, whose rows stay
+    folded integers over the product of the denominators, and only the
+    final coefficients are brought to canonical form.
+    """
+    seqs = list(seqs)
+    n = min(n, *map(len, seqs))
+    if len(seqs) == 1:
+        return list(seqs[0][:n])
+    rows, den = _rows(field, seqs[0], n)
+    for seq in seqs[1:]:
+        rows, den = _row_times(field, rows, den, seq, n)
+    out = [field.zero] * n
+    for k, row in rows:
+        out[k] = _canonical(field, row, den)
+    return out
+
+
+def _rows(field: CycloField, seq, n: int) -> tuple:
+    """(rows, den): the nonzero terms of seq[:n] as (k, integer numerators)
+    pairs in rising k, over one common denominator den."""
+    order = field.order
+    terms, den = [], 1
+    for k in range(n):
+        x = seq[k]
+        if x.field is not field and x.field.order != order:
+            raise ValueError("field mismatch")
+        if any(x.num):
+            terms.append((k, x))
+            if x.den != den:
+                den = math.lcm(den, x.den)
+    return [(k, x.num if x.den == den else [c * (den // x.den) for c in x.num])
+            for k, x in terms], den
+
+
+def _row_times(field: CycloField, left: list, lden: int, seq, n: int) -> tuple:
+    """The rows (left / lden) * seq to n terms, as (rows, lden * den) with
+    den the denominator of ``_rows`` of seq: folded integer rows, with no
+    gcd taken.  At degree 1 a row is its one integer, and from _PACK_DEGREE
+    on every row is packed once, at one digit width that holds each
+    coefficient of the product; between them, the schoolbook loop."""
+    right, rden = _rows(field, seq, n)
+    deg = field.degree
+    acc = [None] * n
+    if deg == 1 or deg >= _PACK_DEGREE:
+        if deg == 1:
+            pack, unpack = operator.itemgetter(0), lambda v: [v]
+        else:  # no coefficient exceeds sum |a|_1 * max |b| over all pairs
+            width = _digit_width(sum(sum(map(abs, a)) for _, a in left) * max(
+                (max(map(abs, b)) for _, b in right), default=0))
+            pack = partial(_pack, bits=8 * width)
+            unpack = partial(_unpack, width=width, n=2 * deg - 1)
+        right = [(j, pack(b)) for j, b in right]
+        for i, a in left:
+            a = pack(a)
+            for j, b in right:
+                k = i + j
+                if k >= n:
+                    break
+                acc[k] = a * b if acc[k] is None else acc[k] + a * b
+        acc = [v if v is None else unpack(v) for v in acc]
+    else:
+        for i, a in left:
+            for j, b in right:
+                k = i + j
+                if k >= n:
+                    break
+                if acc[k] is None:
+                    acc[k] = [0] * (2 * deg - 1)
+                _convolve_into(acc[k], a, b)
+    rows = []
+    for k, c in enumerate(acc):
+        if c is not None:
+            c = _fold(field, c)
+            if any(c):
+                rows.append((k, c))
+    return rows, lden * rden
+
+
+def _digit_width(bound: int) -> int:
+    # bytes per packed digit, with 2^(8*width - 1) > bound
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(v, bits: int) -> int:
+    # sum c_i 2^(bits*i) over the integers c_i of v
+    packed = 0
+    for c in reversed(v):
+        packed = (packed << bits) + c
+    return packed
+
+
+def _unpack(total: int, width: int, n: int) -> list:
+    # the n signed digits of width bytes of total, each below 2^(8*width-1)
+    # in absolute value: adding 2^(8*width-1) to every digit makes them all
+    # nonnegative, and one byte string holds them
+    half = 1 << (8 * width - 1)
+    raw = (total + int.from_bytes(half.to_bytes(width, "little") * n, "little")
+           ).to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * n, width)]
 
 
 def _packed_convolution(pairs, den: int, deg: int) -> list:
@@ -561,29 +681,15 @@ def _packed_convolution(pairs, den: int, deg: int) -> list:
     per pair forms its whole convolution (D. Harvey, J. Symbolic Comput. 44,
     2009).  No coefficient of the sum exceeds the bound, sum over the pairs
     of (den/d) * |a|_1 * max|b|, so digits of bits (a multiple of 8) with
-    2^(bits-1) > bound hold each signed one; adding 2^(bits-1) to every
-    digit makes them all nonnegative, and one byte string unpacks them.
+    2^(bits-1) > bound hold each signed one (``_digit_width``).
     """
     bound = 0
     for a, b, d in pairs:
         bound += den // d * sum(map(abs, a)) * max(map(abs, b))
-    width = bound.bit_length() // 8 + 1  # bytes per digit
+    width = _digit_width(bound)
     bits = 8 * width
-
-    def pack(v):
-        packed = 0
-        for c in reversed(v):
-            packed = (packed << bits) + c
-        return packed
-
     total = 0
     for a, b, d in pairs:
-        prod = pack(a) * pack(b)
+        prod = _pack(a, bits) * _pack(b, bits)
         total += prod if d == den else den // d * prod
-    n = 2 * deg - 1
-    half = 1 << (bits - 1)
-    raw = (total + int.from_bytes(half.to_bytes(width, "little") * n, "little")
-           ).to_bytes(width * n, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, width * n, width)]
-
+    return _unpack(total, width, 2 * deg - 1)

@@ -4,18 +4,19 @@ Coefficients may be CycloNumbers or SymPolys (anything with exact ring
 operators).  Coefficients are stored plain; the n! rescaling of exponential
 generating functions happens only in egf(), so multiplication stays an
 ordinary Cauchy product.  Binary operations truncate to the shorter operand.
-With CycloNumber coefficients every coefficient of a product or a quotient
-is one call of the fused kernel ``cyclo.dot``: products go through
-``cauchy_product``, which the expansion forms share; other coefficient rings
-use the plain loop.  ``divide`` forms a quotient of two series by one
-recurrence, and ``invert`` is ``divide`` applied to the series 1.
+With CycloNumber coefficients a product is ``cyclo.product`` of the two
+coefficient sequences (factor_quotient and the expansion forms call that
+kernel with whole chains of factors), and every coefficient of a quotient
+is one ``cyclo.dot`` call; other coefficient rings use the plain loop.
+``divide`` forms a quotient of two series by one recurrence, and
+``invert`` is ``divide`` applied to the series 1.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cyclo import CycloNumber, Rational, dot
+from .cyclo import CycloNumber, Rational, dot, product
 
 
 class PowerSeries:
@@ -67,7 +68,7 @@ class PowerSeries:
         n = min(len(self.coeffs), len(other.coeffs))
         a, b = self.coeffs, other.coeffs
         if type(a[0]) is CycloNumber and type(b[0]) is CycloNumber:
-            return PowerSeries(cauchy_product(a, b))
+            return PowerSeries(product(a[0].field, (a, b), n))
         out = []
         for k in range(n):
             acc = a[0] * b[k]
@@ -144,12 +145,6 @@ class PowerSeries:
         if len(self.coeffs) > 8:
             inner += ", ..."
         return f"PowerSeries([{inner}]; N={self.truncation})"
-
-
-def cauchy_product(a, b) -> list:
-    """[sum_i a_i b_(k-i) for k < min(len(a), len(b))] of two sequences of
-    CycloNumbers, one cyclo.dot per coefficient."""
-    return [dot(a[0].field, a, b[k::-1]) for k in range(min(len(a), len(b)))]
 
 
 def first_difference(a: PowerSeries, b: PowerSeries):

@@ -20,7 +20,7 @@ Rows and quotients share one form: const * e^{(s.y) t} F(t), with a scale s_y
 per live slot (the same under every weight order) and a scalar series F over
 Q(zeta_L).  ``_quotient_form`` builds (scales, q) with one factor_quotient
 call, and ``_row_form`` builds (const, scales, E) with one Cauchy product
-(``series.cauchy_product``) of the pieces' scalar tables.  One ``_lift``
+(``cyclo.product``) of all the pieces' scalar tables.  One ``_lift``
 writes every SymPoly monomial.  The whole-series checks compare forms and
 lift only forms that differ, so a pass builds no SymPoly and a failure keeps
 the detail of ``report.first_mismatch``.
@@ -34,8 +34,9 @@ from fractions import Fraction
 
 from .bernoulli import (TwistContext, _bern_values, factor_quotient,
                         factor_table, power_sums)
+from .cyclo import product
 from .report import CheckReport, TheoremReport, first_mismatch
-from .series import PowerSeries, cauchy_product
+from .series import PowerSeries
 from .sympoly import SymPoly
 
 _FAMILY_MAX_I = {"pairwise": 3, "single": 3, "cyclic": 1}
@@ -157,20 +158,21 @@ def _bpoly(ctx: TwistContext, c: int, k: int, sums: tuple) -> list:
     M_{m-i}, so c^m T_m/m! is the Cauchy product of c^i B_i/i! and
     c^e M_e/e!.  One sums entry (A, m, s, q) has c^e M_e = (s*c/q)^e
     S_e(A-1) for the twist xi^m (0^0 = 1 keeps the point a = 0 at d = 1),
-    and the moments of several entries combine in the same way, so no shift
-    point is visited.  One table is cached per (c, sums) and grows in place.
+    and the moments of several entries combine in the same way (one
+    ``cyclo.product`` of the Bernoulli table and every moment table), so no
+    shift point is visited.  One table is cached per (c, sums) and grows in
+    place.
     """
     table = ctx._bpoly_cache.setdefault((c, sums), [])
     if len(table) <= k:
         fact = [math.factorial(i) for i in range(k + 1)]
         bern = _bern_values(ctx.twist(c), k)
-        hat = [bern[i] * Fraction(c**i, fact[i]) for i in range(k + 1)]
+        seqs = [[bern[i] * Fraction(c**i, fact[i]) for i in range(k + 1)]]
         for bound, m, s, q in sums:
             moments = power_sums(ctx.twist(m), k, bound - 1)
-            hat = cauchy_product(hat, [
-                moments[e] * Fraction((s * c)**e, q**e * fact[e])
-                for e in range(k + 1)])
-        table.extend(hat[len(table):])
+            seqs.append([moments[e] * Fraction((s * c)**e, q**e * fact[e])
+                         for e in range(k + 1)])
+        table.extend(product(ctx.field, seqs, k + 1)[len(table):])
     return table[:k + 1]
 
 
@@ -256,16 +258,15 @@ def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
     the Cauchy product of the pieces' scalar tables and s_y the sum of
     c_i*u_i over the B pieces in slot y."""
     const, pieces = _ROWS[row](*w, ctx.d)
-    seq, scales = None, {}
+    tables, scales = [], {}
     for desc in pieces:
         if desc[0] == "B":
             _, c, u, slot, sums = desc
-            table = _bpoly(ctx, c, n, sums)
+            tables.append(_bpoly(ctx, c, n, sums))
             scales[slot] = scales.get(slot, 0) + c * u
         else:
-            table = factor_table(ctx, ("sum", *desc[1:]), n)
-        seq = table if seq is None else cauchy_product(seq, table)
-    return const, scales, seq
+            tables.append(factor_table(ctx, ("sum", *desc[1:]), n))
+    return const, scales, product(ctx.field, tables, n + 1)
 
 
 def _evaluate(row: str, ctx: TwistContext, w: tuple, n: int) -> SymPoly:

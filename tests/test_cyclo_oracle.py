@@ -3,9 +3,10 @@
 Every operation is checked against a small, independent reference that
 works on Fraction coefficient vectors in Q[x]/Phi_L(x) with schoolbook
 polynomial arithmetic, and every result is checked to be in canonical form.
-The fused kernel ``dot`` and the series products and quotients built on it
-are checked against plain sums of element products, and ``SymPoly`` against
-the ring laws, its scalar coercions and its no-stored-zero invariant.
+The fused kernel ``dot``, the sequence product ``product`` and the series
+products and quotients built on them are checked against plain sums of
+element products, and ``SymPoly`` against the ring laws, its scalar
+coercions and its no-stored-zero invariant.
 """
 
 import math
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from twistbern import cyclo  # noqa: E402
 from twistbern.cyclo import (_PACK_DEGREE, CycloField,  # noqa: E402
                              CycloNumber, cyclo_field, cyclotomic_polynomial,
-                             dot, euler_phi)
+                             dot, euler_phi, product)
 from twistbern.series import PowerSeries  # noqa: E402
 from twistbern.sympoly import SymPoly  # noqa: E402
 
@@ -593,6 +594,129 @@ def test_dot_packs_only_pairs_of_two_dense_operands(order, monkeypatch):
            for c in reversed(sympy.rem(want, phi).all_coeffs())]
     assert got.coeffs == tuple(rem + [Fraction(0)] * (f.degree - len(rem)))
     assert got == plain_dot(f, xs, ys)
+
+
+# -- product: the Cauchy product of a chain of sequences ------------------------
+
+# both sides of _PACK_DEGREE: degrees 1, 1, 2, 2, 4, 4, 4, 12, 8, 16, 48
+PRODUCT_ORDERS = (1, 2, 3, 4, 5, 8, 12, 13, 15, 60, 105)
+# small ones, factorials (the t^j/j! of exp series) and Bernoulli denominators
+DENOMINATORS = (1, 2, 3, 7, 6, 24, 120, 5040, 362880, 30, 42, 66, 2730, 798)
+
+
+def _coefficient(rng, field, kind, den):
+    """zero, a rational, a one-term c*x^i, a root of unity or a dense
+    element, over den."""
+    if kind == "zero":
+        return field.zero
+    if kind == "root":
+        return field.root(rng.randrange(field.order)) * Fraction(
+            rng.choice((-1, 1, 691)), den)
+    if kind == "dense":
+        return _wide_element(rng, field, rng.choice((9, 2**40)), den)
+    c = Fraction(rng.randint(1, 10**6) * rng.choice((-1, 1)), den)
+    return _monomial(field, 0 if kind == "rational" else
+                     rng.randrange(field.degree), c)
+
+
+KINDS = ("zero", "zero", "rational", "one-term", "root", "dense")
+
+
+@st.composite
+def product_case(draw):
+    """(field, seqs, n): 1-6 sequences of at least n <= 9 coefficients."""
+    field = cyclo_field(draw(st.sampled_from(PRODUCT_ORDERS)))
+    n = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    seqs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kinds = draw(st.sampled_from((KINDS, ("zero",), ("rational",),
+                                      ("one-term", "root"))))
+        seqs.append([_coefficient(rng, field, rng.choice(kinds),
+                                  rng.choice(DENOMINATORS))
+                     for _ in range(n + draw(st.integers(0, 2)))])
+    return field, seqs, n
+
+
+def plain_product(field, seqs, n):
+    """The chain of per-coefficient sums of x * y, to n terms."""
+    acc = list(seqs[0][:n])
+    for seq in seqs[1:]:
+        acc = [sum((acc[i] * seq[k - i] for i in range(k + 1)), field.zero)
+               for k in range(n)]
+    return acc
+
+
+@SETTINGS
+@given(product_case())
+def test_product_matches_chain_of_plain_sums(case):
+    field, seqs, n = case
+    got = product(field, seqs, n)
+    assert len(got) == n
+    for c in got:
+        assert_canonical(c)
+    assert got == plain_product(field, seqs, n)
+    # n is cut to the shortest sequence
+    top = min(map(len, seqs))
+    assert product(field, seqs, n + 3) == plain_product(field, seqs, top)
+
+
+@pytest.mark.parametrize("order", PRODUCT_ORDERS)
+def test_product_takes_each_path_it_selects(order, monkeypatch):
+    # one row multiplication per factor after the first, packing its rows
+    # from _PACK_DEGREE on; fresh and cached fields of one order mix
+    steps, packs = [], []
+    for name, log in (("_row_times", steps), ("_pack", packs)):
+        def traced(*args, exact=getattr(cyclo, name), log=log, name=name,
+                   **kwargs):
+            log.append(name)
+            return exact(*args, **kwargs)
+        monkeypatch.setattr(cyclo, name, traced)
+    field, fresh = cyclo_field(order), CycloField(order)
+    rng = random.Random(order)
+    for count in (1, 2, 3, 6):
+        seqs = [[_coefficient(rng, (field, fresh)[(j + k) % 2],
+                              rng.choice(KINDS), rng.choice(DENOMINATORS))
+                 for k in range(8)] for j in range(count)]
+        want = plain_product(field, seqs, 8)
+        steps.clear()
+        packs.clear()
+        got = product(field, seqs, 8)
+        for c in got:
+            assert_canonical(c)
+        assert got == want, (order, count)
+        assert steps == ["_row_times"] * (count - 1)
+        assert bool(packs) == (count > 1 and field.degree >= _PACK_DEGREE)
+
+
+def test_product_of_a_dense_chain_at_the_digit_width():
+    # every coordinate equal, of one sign and near a byte boundary, so no
+    # digit of the product cancels and the largest come close to the bound
+    # that sets the packed width
+    for order in (13, 60, 105):
+        f = cyclo_field(order)
+        for top in (2**7 - 1, 2**8, 2**31 - 1, -(2**40)):
+            seq = [f.element([top] * f.degree)] * 5
+            for count in (2, 3, 4):
+                seqs = [seq] * count
+                assert product(f, seqs, 5) == plain_product(f, seqs, 5)
+
+
+@pytest.mark.parametrize("orders", [(3, 4), (13, 21)])
+def test_product_of_sequences_of_two_fields_raises(orders):
+    # equal degrees, so only the field check tells the sequences apart; the
+    # foreign sequence comes first, in the middle or last, and may be zero
+    f, g = (cyclo_field(order) for order in orders)
+    rng = random.Random(sum(orders))
+    ours = [_wide_element(rng, f, 9, 6) for _ in range(4)]
+    theirs = [_wide_element(rng, g, 9, 6) for _ in range(4)]
+    for count in (2, 3, 4):
+        for at in range(count):
+            for foreign in (theirs, [g.zero] * 4):
+                seqs = [ours] * count
+                seqs[at] = foreign
+                with pytest.raises(ValueError, match="field mismatch"):
+                    product(f, seqs, 4)
 
 
 @st.composite

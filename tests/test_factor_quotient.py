@@ -13,7 +13,7 @@ from functools import reduce
 
 import pytest
 
-from twistbern import bernoulli, symmetry
+from twistbern import bernoulli, cyclo, symmetry
 from twistbern.bernoulli import (TwistContext, char_sum_series, factor_quotient,
                                  twist_unit_series)
 from twistbern.characters import enumerate_characters
@@ -97,7 +97,8 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # The factor series are cached per context, so the six weight orders of
     # one invariance check share one build of each distinct (kind, c).  The
     # products are not cached: each order still multiplies its own factors
-    # in its own operand order, which is what the invariance check compares.
+    # in its own operand order, which is what the invariance check compares,
+    # and cyclo.product performs len - 1 factor multiplications per chain.
     builds = []
     for kind, name in (("unit", "twist_unit_series"),
                        ("sum", "char_sum_series")):
@@ -115,13 +116,13 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
         return exact_quotient(ctx, t_power, num, den, truncation)
     monkeypatch.setattr(symmetry, "factor_quotient", quotient)
 
-    exact_mul = PowerSeries.__mul__
-
-    def mul(a, b):
-        if isinstance(b, PowerSeries) and calls:
+    # a factor multiplication of cyclo.product: one factor multiplied into
+    # the running rows
+    def step(*args, exact=cyclo._row_times):
+        if calls:
             calls[-1][2] += 1
-        return exact_mul(a, b)
-    monkeypatch.setattr(PowerSeries, "__mul__", mul)
+        return exact(*args)
+    monkeypatch.setattr(cyclo, "_row_times", step)
 
     ctx = TwistContext.from_orders(3, 1, 4)
     spec = QuotientSpec("cyclic", 1, (1, 2, 3), ctx)

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Alternating end-to-end benchmark pairs of two twistbern checkouts.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR [--pairs 10]
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR [--pairs 10] [--seed 1]
                                  [--workloads theorems series wide-field]
 
-Each pair runs ``perfbench/run.py --workload W --seed 1 --seconds S
---trace 0`` once in each checkout, one run at a time: the parent first in
-odd pairs, the change first in even ones, with the workloads interleaved
-within each pair index.  S and the metrics, their directions and their
-bounds come from the BENCHMARK.json of CHANGE_DIR.  For each workload and
+Each pair runs ``perfbench/run.py --workload W --seed N --seconds S
+--trace 0`` once in each checkout (N from --seed, 1 by default; a seed not
+used while writing a change re-runs its claim on held-out checks), one run
+at a time: the parent first in odd pairs, the change first in even ones,
+with the workloads interleaved within each pair index.  S and the metrics,
+their directions and their bounds come from the BENCHMARK.json of
+CHANGE_DIR.  For each workload and
 end-to-end metric it prints both medians, the parent's quartiles and the
 number of pairs the change won.  It flags a metric whose median is worse
 beyond its bound, and one left unresolved: the parent's spread (q3 - q1) /
@@ -28,13 +30,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-SEED = 1
 
-
-def run_once(root: Path, workload: str, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One end-to-end run in the checkout at root: its final JSON line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -75,6 +75,8 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1,
+                    help="perfbench seed of every run (default 1)")
     ap.add_argument("--workloads", nargs="+", default=None,
                     help="default: every workload of BENCHMARK.json")
     args = ap.parse_args(argv)
@@ -89,14 +91,14 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for w in workloads:
             for side in order:
-                out = run_once(sides[side], w, seconds)
+                out = run_once(sides[side], w, args.seed, seconds)
                 results[w][side].append(out)
                 print(f"pair {i} {w} {side}: checks_per_s="
                       f"{out['metrics']['checks_per_s']['value']:.4g}",
                       file=sys.stderr, flush=True)
 
     record = {"end_to_end": {
-        "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                    f"--seconds {seconds:g} --trace 0",
         "order": f"alternating (parent first in odd pairs), {args.pairs} "
                  "pairs per workload, workloads interleaved within each "
