@@ -298,7 +298,8 @@ class CycloNumber:
     over one positive denominator den.
 
     The form is canonical (gcd(den, *num) == 1, zero is (0, ..., 0)/1), so
-    equality and hashing compare the integer tuples directly.  The
+    equality and hashing compare the integer tuples directly; a rational
+    element hashes as the Fraction it equals.  The
     constructor is internal: it trusts its arguments to be canonical and
     does not check them.  Build elements with ``CycloField.element``,
     ``CycloField.from_rational``, ``CycloField.root`` or arithmetic.
@@ -442,6 +443,8 @@ class CycloNumber:
                 and other.den == self.den and other.num == self.num)
 
     def __hash__(self):
+        if not any(self.num[1:]):  # equal to an int or Fraction: hash as it
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.field.order, self.num, self.den))
 
     # -- roots of unity -----------------------------------------------------

@@ -33,7 +33,8 @@ class CheckReport(Verdict):
 
 @dataclass
 class TheoremReport(Verdict):
-    """Verdict for one symmetry theorem at one parameter point."""
+    """Verdict for one symmetry theorem at one parameter point; expressions
+    holds one lift per distinct row form, shared by equal forms."""
 
     theorem: int
     params: dict

@@ -16,14 +16,14 @@ path.  Matching expansions across weight permutations yields the eight
 symmetry theorems verified below as exact polynomial identities in the
 y-variables.
 
-Rows and quotients share one form: const * e^{(s.y) t} F(t), with a scale s_y
-per live slot (the same under every weight order) and a scalar series F over
-Q(zeta_L).  ``_quotient_form`` builds (scales, q) with one factor_quotient
-call, and ``_row_form`` builds (const, scales, E) with one Cauchy product
-(``cyclo.product``) of all the pieces' scalar tables.  One ``_lift``
-writes every SymPoly monomial.  The whole-series checks compare forms and
-lift only forms that differ, so a pass builds no SymPoly and a failure keeps
-the detail of ``report.first_mismatch``.
+Rows and quotients share one form (scales, F): e^{(s.y) t} F(t), with a
+scale s_y per live slot (the same under every weight order) and a scalar
+series F over Q(zeta_L).  ``_quotient_form`` builds (scales, q) with one
+factor_quotient call, ``_row_form`` (scales, const * E) with one
+``cyclo.product`` of the pieces' scalar tables.  Every check decides on
+forms: equal forms lift to equal SymPolys, so only unequal forms are lifted
+(by ``_lift``, the one writer of SymPoly monomials) for ``first_mismatch``
+to decide, and ``verify_theorem`` lifts each distinct form once.
 """
 
 from __future__ import annotations
@@ -119,19 +119,19 @@ def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
     """The closed-form series q(t) e^{(s.y) t} of the quotient, with SymPoly
     coefficients: a view of its form (scales, q), whose t^n coefficient is
     the one lift at the factor 1/n!.  The checks compare forms instead."""
-    return _series(spec.context.field, *_quotient_form(spec, truncation))
+    return _series(*_quotient_form(spec, truncation))
 
 
-def _series(field, scales: dict, q) -> PowerSeries:
+def _series(scales: dict, q) -> PowerSeries:
     """The SymPoly series of a quotient form (scales, q), one lift per t^n."""
-    return PowerSeries([_lift(field, scales, q, n, Fraction(1, math.factorial(n)))
+    return PowerSeries([_lift(scales, q, n, Fraction(1, math.factorial(n)))
                         for n in range(len(q))])
 
 
-def _lift(field, scales: dict, F, n: int, factor) -> SymPoly:
-    """factor * n! [t^n] of e^{(s.y) t} F(t), s_y = scales[y]: the one writer
-    of SymPoly monomials.  y^t gets factor * F_{n-|t|} * (n! prod s_y^t_y
-    // prod t_y!), an integer weight, so one scaling per monomial."""
+def _lift(scales: dict, F, n: int, factor) -> SymPoly:
+    """factor * n! [t^n] of e^{(s.y) t} F(t), s_y = scales[y], over F's
+    field: the one writer of SymPoly monomials.  y^t gets factor * F_{n-|t|}
+    * (n! prod s_y^t_y // prod t_y!), an integer weight: one scaling each."""
     fact = [math.factorial(j) for j in range(n + 1)]
     # (exponent key, |t|, prod s_y^t_y, prod t_y!) over the monomials y^t
     monos = [((0, 0, 0, 0), 0, 1, 1)]
@@ -139,12 +139,9 @@ def _lift(field, scales: dict, F, n: int, factor) -> SymPoly:
         monos = [(key[:slot] + (t,) + key[slot + 1:], deg + t,
                   num * scale**t, den * fact[t])
                  for key, deg, num, den in monos for t in range(n - deg + 1)]
-    terms = {}
-    for key, deg, num, den in monos:
-        value = F[n - deg]
-        if value:
-            terms[key] = value * (factor * (fact[n] * num // den))
-    return SymPoly(field, terms)
+    return SymPoly(F[0].field, {
+        key: F[n - deg] * (factor * (fact[n] * num // den))
+        for key, deg, num, den in monos if F[n - deg]})
 
 
 # -- building blocks shared by the expansion forms and theorem verifiers ------
@@ -253,10 +250,10 @@ _ROWS = {
 
 
 def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
-    """(const, scales, E[:n+1]) of a table row at the weights w: the row's
-    n-th EGF coefficient is const * n! [t^n] of e^{(s.y) t} E(t), with E
-    the Cauchy product of the pieces' scalar tables and s_y the sum of
-    c_i*u_i over the B pieces in slot y."""
+    """The form (scales, const * E[:n+1]) of a table row at the weights w:
+    the row's n-th EGF coefficient is n! [t^n] of e^{(s.y) t} const E(t),
+    with E the Cauchy product of the pieces' scalar tables and s_y the sum
+    of c_i*u_i over the B pieces in slot y."""
     const, pieces = _ROWS[row](*w, ctx.d)
     tables, scales = [], {}
     for desc in pieces:
@@ -266,13 +263,12 @@ def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
             scales[slot] = scales.get(slot, 0) + c * u
         else:
             tables.append(factor_table(ctx, ("sum", *desc[1:]), n))
-    return const, scales, product(ctx.field, tables, n + 1)
+    return scales, tuple(c * const for c in product(ctx.field, tables, n + 1))
 
 
 def _evaluate(row: str, ctx: TwistContext, w: tuple, n: int) -> SymPoly:
     """The n-th EGF coefficient of a table row at the weights w."""
-    const, scales, seq = _row_form(row, ctx, w, n)
-    return _lift(ctx.field, scales, seq, n, const)
+    return _lift(*_row_form(row, ctx, w, n), n, 1)
 
 
 #: form name -> (family, i); a form's row sums Bernoulli values and power
@@ -291,7 +287,7 @@ EXPANSION_FORMS = {
 
 
 def _expansion_row(form: str, spec: QuotientSpec, n: int) -> tuple:
-    """The row form (const, scales, E[:n+1]) of the named expansion at spec;
+    """The row form (scales, const * E[:n+1]) of the named expansion at spec;
     an unknown form, one for another family/index and n < 0 raise."""
     if form not in EXPANSION_FORMS:
         raise ValueError(f"unknown expansion form {form!r}")
@@ -306,8 +302,7 @@ def _expansion_row(form: str, spec: QuotientSpec, n: int) -> tuple:
 
 def expansion_coefficient(form: str, n: int, spec: QuotientSpec) -> SymPoly:
     """The n-th EGF coefficient of the named finite-sum expansion."""
-    const, scales, seq = _expansion_row(form, spec, n)
-    return _lift(spec.context.field, scales, seq, n, const)
+    return _lift(*_expansion_row(form, spec, n), n, 1)
 
 
 # -- theorem verifiers ---------------------------------------------------------
@@ -340,29 +335,35 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
                    n: int) -> TheoremReport:
     """Evaluate every displayed expression of one symmetry theorem exactly.
 
-    Each expression is an exact SymPoly in the live y-variables; the verdict
-    is pass iff all of them coincide.  For theorem 3, the
-    ``printed_shift_variant_matches`` note records whether the variant with
-    the inconsistent shift denominator (as printed in one source display)
-    happens to agree as well; the verdict is based on the pattern-consistent
-    expressions only.
+    Each expression is an exact SymPoly in the live y-variables, one lift
+    per distinct row form (orders with equal forms share it); the verdict is
+    pass iff all of them coincide, and only lifts of unequal forms are
+    compared.  For theorem 3, the ``printed_shift_variant_matches`` note
+    records, by the same rule, whether the variant with the inconsistent
+    shift denominator (as printed in one source display) agrees as well;
+    the verdict is based on the pattern-consistent expressions only.
     """
     if theorem not in _THEOREM_PATTERNS:
         raise ValueError("theorem id must be 1..8")
     _check_point(w, n)
     perms, row = _THEOREM_PATTERNS[theorem]
-    values = {v: _evaluate(row, ctx, v, n) for v in _distinct_orders(w, perms)}
-    (v0, base), *rest = values.items()
-    detail = first_mismatch((f"w-order {v} differs from w-order {v0}", e, base)
-                            for v, e in rest)
+    orders = _distinct_orders(w, perms)
+    forms = [_row_form(row, ctx, v, n) for v in orders]
+    first = [forms.index(form) for form in forms]  # equal forms share a lift
+    lifts = {k: _lift(*forms[k], n, 1) for k in set(first)}
+    detail = first_mismatch(
+        (f"w-order {v} differs from w-order {orders[0]}", lifts[k], lifts[0])
+        for v, k in zip(orders, first) if k)
+    values = {v: lifts[k] for v, k in zip(orders, first)}
     report = TheoremReport(
         theorem=theorem, params=dict(ctx.params(), w=list(w), n=n),
         expressions=[values[w[a], w[b], w[c]] for a, b, c in perms],
         passed=detail is None, detail=detail)
     if theorem == 3:
-        printed = _evaluate("bernoulli_shifted_bernoulli_printed", ctx,
+        printed = _row_form("bernoulli_shifted_bernoulli_printed", ctx,
                             (w[1], w[0], w[2]), n)
-        report.notes["printed_shift_variant_matches"] = printed == base
+        report.notes["printed_shift_variant_matches"] = (
+            printed == forms[0] or _lift(*printed, n, 1) == lifts[0])
     return report
 
 
@@ -387,11 +388,12 @@ def permutation_reduction_check(group: int, ctx: TwistContext,
         raise ValueError("group must be 4 or 8")
     _check_point(w, n)
     partner, pairs = _REDUCTIONS[group]
-    partners = {v: _evaluate(partner, ctx, v, n)
+    partners = {v: _row_form(partner, ctx, v, n)
                 for v in _distinct_orders(w, [perm for _, perm in pairs])}
-    detail = first_mismatch(
-        (f"{row}:", _evaluate(row, ctx, w, n),
-         partners[w[a], w[b], w[c]]) for row, (a, b, c) in pairs)
+    sides = ((row, _row_form(row, ctx, w, n), partners[w[a], w[b], w[c]])
+             for row, (a, b, c) in pairs)
+    detail = first_mismatch((f"{row}:", _lift(*lhs, n, 1), _lift(*rhs, n, 1))
+                            for row, lhs, rhs in sides if lhs != rhs)
     return CheckReport("permutation_reduction_check",
                        dict(ctx.params(), w=list(w), n=n, group=group),
                        detail is None, detail)
@@ -406,10 +408,9 @@ def permutation_invariance_check(spec: QuotientSpec, truncation: int) -> CheckRe
                                             spec.context), truncation)
              for v in _distinct_orders(spec.w, _PERM6)}
     (v0, base), *rest = forms.items()
-    field = spec.context.field
     detail = first_mismatch(
-        (f"w-order {v} differs from w-order {v0}", _series(field, *form),
-         _series(field, *base)) for v, form in rest if form != base)
+        (f"w-order {v} differs from w-order {v0}", _series(*form),
+         _series(*base)) for v, form in rest if form != base)
     return CheckReport("permutation_invariance_check",
                        dict(spec.params(), truncation=truncation),
                        detail is None, detail)
@@ -418,17 +419,15 @@ def permutation_invariance_check(spec: QuotientSpec, truncation: int) -> CheckRe
 def expansion_consistency_check(form: str, spec: QuotientSpec,
                                 n_max: int) -> CheckReport:
     """expansion_coefficient(form, n, .) == n! [t^n] quotient_series for
-    n <= n_max: the row's form (scales, const*E) against the quotient's
+    n <= n_max: the row's form (scales, const * E) against the quotient's
     (scales, q), lifted at each n only when the two differ."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    const, scales, seq = _expansion_row(form, spec, n_max)
-    row = (scales, tuple(c * const for c in seq))
+    row = _expansion_row(form, spec, n_max)
     quotient = _quotient_form(spec, n_max)
-    field = spec.context.field
     detail = None if row == quotient else first_mismatch(
-        (f"n={n}: expansion vs series", _lift(field, *row, n, 1),
-         _lift(field, *quotient, n, 1)) for n in range(n_max + 1))
+        (f"n={n}: expansion vs series", _lift(*row, n, 1),
+         _lift(*quotient, n, 1)) for n in range(n_max + 1))
     return CheckReport("expansion_consistency_check",
                        dict(spec.params(), form=form, n_max=n_max),
                        detail is None, detail)
@@ -455,9 +454,7 @@ def substitution_check(spec: QuotientSpec, truncation: int) -> CheckReport:
         truncation)
     rescaled = ({y: s * big for y, s in scales.items()},
                 tuple(c * big**n for n, c in enumerate(q)))
-    field = spec.context.field
     detail = None if lhs == rescaled else first_mismatch([(
-        "pairwise vs rescaled single", _series(field, *lhs),
-        _series(field, *rescaled))])
+        "pairwise vs rescaled single", _series(*lhs), _series(*rescaled))])
     params = dict(spec.params(), truncation=truncation)
     return CheckReport("substitution_check", params, detail is None, detail)

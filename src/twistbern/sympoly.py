@@ -175,6 +175,8 @@ class SymPoly:
                 and other.terms == self.terms)
 
     def __hash__(self):
+        if self.terms.keys() <= {_ZEXP}:  # a constant equals its value
+            return hash(self.constant_part())
         return hash((self.field.order, frozenset(self.terms.items())))
 
     def __repr__(self):

@@ -5,6 +5,7 @@ import pytest
 
 from twistbern.cyclo import (cyclo_field, cyclotomic_polynomial, divisors,
                              euler_phi)
+from twistbern.sympoly import SymPoly
 
 from cyclo_helpers import embed_into, from_json_dict, multiplicative_order
 
@@ -165,3 +166,26 @@ def test_multiplicative_order_errors():
         multiplicative_order(f.one * 2)
     # -zeta_3 has order 6 inside Q(zeta_3)
     assert multiplicative_order(-f.root(1)) == 6
+
+
+def test_equal_values_hash_equal():
+    # a rational element equals its int or Fraction, and a constant SymPoly
+    # equals its value, so each pair must meet in one set or dict
+    for order in (1, 2, 3, 4, 5, 12, 60):
+        f = cyclo_field(order)
+        for v in (0, 1, -3, 7, Fraction(1, 2), Fraction(-5, 6)):
+            x = f.from_rational(v)
+            poly = SymPoly.constant(x)
+            for a, b in ((x, v), (poly, v), (poly, x)):
+                assert a == b and hash(a) == hash(b)
+                assert a in {b} and b in {a}
+        if f.degree == 1:
+            continue
+        # non-rational controls equal no rational, and still meet their
+        # constant polynomials
+        for z in (f.root(1), f.root(1) + Fraction(1, 2)):
+            assert all(z != v for v in (0, 1, Fraction(1, 2)))
+            poly = SymPoly.constant(z)
+            assert poly == z and hash(poly) == hash(z)
+            assert poly in {z} and z in {poly}
+        assert SymPoly.variable("y", f) + 3 != 3

@@ -202,12 +202,12 @@ def test_a_sum_of_bound_d_minus_1_is_stored_once():
 
 def test_a_row_form_has_n_plus_one_terms_from_longer_tables():
     # the piece tables of a context outgrow n once a larger n was asked for;
-    # the row form is still E[:n+1]
+    # the row form (scales, const * E) still holds E[:n+1]
     ctx = TwistContext.from_orders(3, 1, 4)
     w = (1, 2, 3)
     for row in _ROWS:
-        long = symmetry._row_form(row, ctx, w, 8)[2]
+        long = symmetry._row_form(row, ctx, w, 8)[1]
         assert len(long) == 9
         for n in range(8):
-            assert list(symmetry._row_form(row, ctx, w, n)[2]) == \
+            assert list(symmetry._row_form(row, ctx, w, n)[1]) == \
                 list(long[:n + 1])

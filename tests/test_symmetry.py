@@ -164,6 +164,11 @@ def test_theorem3_printed_variant_is_inconsistent():
     # under equal weights (and whenever the two weights coincide) it collapses
     rep = verify_theorem(3, CLASSICAL, (1, 1, 1), 3)
     assert rep.notes["printed_shift_variant_matches"] is True
+    # at distinct weights it can still agree at small n, taken at the order
+    # (w2, w1, w3): here up to n = 2
+    for n, matches in ((2, True), (3, False)):
+        rep = verify_theorem(3, TWISTED3, (1, 2, 3), n)
+        assert rep.notes["printed_shift_variant_matches"] is matches
 
 
 def test_theorem_argument_validation():
@@ -370,6 +375,8 @@ def test_passing_form_checks_build_no_sympoly(monkeypatch):
         for form, (family, i) in EXPANSION_FORMS.items():
             spec = QuotientSpec(family, i, (2, 3, 5), ctx)
             assert expansion_consistency_check(form, spec, 4).passed
+        for group in (4, 8):
+            assert permutation_reduction_check(group, ctx, (2, 3, 5), 4).passed
     assert lifts == [] and built == []
     # a failing check lifts the forms that differ
     spec = QuotientSpec("pairwise", 0, (1, 2, 3), CLASSICAL)
@@ -377,6 +384,63 @@ def test_passing_form_checks_build_no_sympoly(monkeypatch):
                         symmetry._ROWS["triple_powersum"])
     assert not expansion_consistency_check("triple_bernoulli", spec, 2).passed
     assert lifts and built
+
+
+def test_a_passing_theorem_lifts_each_distinct_form_once(monkeypatch):
+    # on a pass every weight order has the same row form, so one lift is
+    # shared by all expressions; theorem 3's printed variant is lifted only
+    # when its form differs
+    from twistbern import symmetry
+    forms, lifts = [], []
+    real_form, real_lift = symmetry._row_form, symmetry._lift
+    monkeypatch.setattr(symmetry, "_row_form",
+                        lambda *args: forms.append(real_form(*args))
+                        or forms[-1])
+    monkeypatch.setattr(symmetry, "_lift",
+                        lambda *args: lifts.append(args) or real_lift(*args))
+    for tid in range(1, 9):
+        for w in ((1, 2, 3), (2, 2, 3), (1, 1, 1)):
+            forms.clear()
+            lifts.clear()
+            rep = verify_theorem(tid, TWISTED4, w, 3)
+            assert rep.passed, (tid, w)
+            distinct = [f for k, f in enumerate(forms) if f not in forms[:k]]
+            assert len(lifts) == len(distinct), (tid, w)
+            assert all(e is rep.expressions[0] for e in rep.expressions)
+            printed = tid == 3 and forms[-1] != forms[0]
+            assert len(distinct) == 1 + printed, (tid, w)
+
+
+def test_the_lift_decides_when_forms_differ(monkeypatch):
+    # theorem 8's rows have no live slot, so the lift at n reads F[n] only:
+    # forms that differ only at t^k, k < n, lift equal and pass, and a
+    # difference at t^n fails at the monomial 1 (its lift grows by n!)
+    from twistbern import symmetry
+    real = symmetry._row_form
+    ctx, w, n = TWISTED4, (1, 2, 3), 3
+
+    def bump(target, k):
+        def row_form(row, ctx, v, n):
+            scales, F = real(row, ctx, v, n)
+            if (row, v) == target:
+                F = F[:k] + (F[k] + 1,) + F[k + 1:]
+            return scales, F
+        monkeypatch.setattr(symmetry, "_row_form", row_form)
+
+    # expressions[0] is the order (3, 1, 2), the partner of cycle-variant-1
+    c = verify_theorem(8, ctx, w, n).expressions[0].constant_part()
+    for k in range(n + 1):
+        bump(("cyclic_triple_powersum", (2, 1, 3)), k)
+        rep = verify_theorem(8, ctx, w, n)
+        assert rep.passed is (k < n)
+        one, other = rep.expressions
+        assert one is not other and (one == other) is (k < n)
+        bump(("cycle-variant-1", w), k)
+        red = permutation_reduction_check(8, ctx, w, n)
+        assert red.passed is (k < n)
+    assert rep.detail == ("w-order (2, 1, 3) differs from w-order (3, 1, 2) "
+                          f"at 1: {c + 6} vs {c}")
+    assert red.detail == f"cycle-variant-1: at 1: {c + 6} vs {c}"
 
 
 def test_former_slowest_sweep_point():
