@@ -7,8 +7,9 @@ are the EGF coefficients of
     t * sum_{a<d} chi(a) xi^a e^{at} / (xi^d e^{dt} - 1),
 
 built, like every quotient of such factors in the package, by the one exact
-builder factor_quotient.  A consequence pinned by the tests: B_0 = 0
-whenever xi^d != 1.
+builder factor_quotient as a tuple of coefficients: one ``cyclo.product``
+per side and one ``cyclo.quotient``.  A consequence pinned by the tests:
+B_0 = 0 whenever xi^d != 1.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from fractions import Fraction
 from itertools import repeat
 
 from .characters import DirichletCharacter, character
-from .cyclo import CycloNumber, cyclo_field, product
+from .cyclo import CycloNumber, cyclo_field, product, quotient
 from .report import CheckReport, first_mismatch
-from .series import PowerSeries
 
 
 class TwistContext:
@@ -138,25 +138,25 @@ def _signed_root(field, sign: int, e: int) -> CycloNumber:
 # -- series building blocks -----------------------------------------------
 
 def char_sum_series(ctx: TwistContext, scale: int, truncation: int,
-                    bound: int | None = None) -> PowerSeries:
-    """sum_{a<=bound} chi(a) xi^(a*scale) e^(a*scale*t), truncated, with
-    bound d - 1 by default: the t^j coefficient is scale^j/j! times
-    S_j(bound) of the twist xi^scale."""
+                    bound: int | None = None) -> tuple:
+    """The coefficients of sum_{a<=bound} chi(a) xi^(a*scale) e^(a*scale*t)
+    to t^truncation, with bound d - 1 by default: the t^j coefficient is
+    scale^j/j! times S_j(bound) of the twist xi^scale."""
     if bound is None:
         bound = ctx.d - 1
     sums = power_sums(ctx.twist(scale), truncation, bound)
-    return PowerSeries([sums[j] * Fraction(scale**j, math.factorial(j))
-                        for j in range(truncation + 1)])
+    return tuple(sums[j] * Fraction(scale**j, math.factorial(j))
+                 for j in range(truncation + 1))
 
 
-def twist_unit_series(ctx: TwistContext, scale: int, truncation: int) -> PowerSeries:
-    """xi^(d*scale) e^(d*scale*t) - 1, truncated."""
+def twist_unit_series(ctx: TwistContext, scale: int, truncation: int) -> tuple:
+    """The coefficients of xi^(d*scale) e^(d*scale*t) - 1 to t^truncation."""
     u = ctx.xi_pow(ctx.d * scale)
     dc = ctx.d * scale
     coeffs = [u - 1]
     for j in range(1, truncation + 1):
         coeffs.append(u * Fraction(dc**j, math.factorial(j)))
-    return PowerSeries(coeffs)
+    return tuple(coeffs)
 
 
 def factor_table(ctx: TwistContext, key: tuple, upto: int) -> tuple:
@@ -175,25 +175,24 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> tuple:
         # module globals, read per call: wrappers set on the module
         # attributes (as perfbench/tracing.py does) see every build
         make = twist_unit_series if key[0] == "unit" else char_sum_series
-        table = ctx._factors[key] = make(ctx, key[1], build, *key[2:]).coeffs
+        table = ctx._factors[key] = make(ctx, key[1], build, *key[2:])
     return table[:upto + 1]
 
 
 def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
-                    truncation: int) -> PowerSeries:
-    """t^t_power * prod(num) / prod(den), exact to t^truncation.
+                    truncation: int) -> tuple:
+    """The coefficients of t^t_power * prod(num) / prod(den) to t^truncation.
 
     A factor is a key of factor_table: ("unit", c), the series
     xi^(dc) e^(dct) - 1, or ("sum", c), the character sum
     sum_{a<d} chi(a) xi^(ac) e^(act).  Each denominator unit with
     xi^(dc) = 1 (vanish of them) gives up one t, and the quotient owes
-    t^(vanish - t_power) when that is positive; dividing it out raises
-    ValueError if t does not divide.  num and den are non-empty.  The
-    factors are read from factor_table, and nothing else is cached: each
-    product is one ``cyclo.product`` call over the tables in the order of
-    num (or den), which multiplies the factors as integer rows over one
-    denominator, and the numerator product is divided by the denominator
-    product.
+    t^(vanish - t_power) when that is positive; ValueError is raised if t
+    does not divide it.  num and den are non-empty.  The factors are read
+    from factor_table, and nothing else is cached: each product is one
+    ``cyclo.product`` call over the tables in the order of num (or den),
+    the numerator product is divided by the denominator product by one
+    ``cyclo.quotient``, and the powers of t are slices.
     """
     vanish = sum(1 for kind, c in den
                  if kind == "unit" and ctx.xi_pow(ctx.d * c).is_one())
@@ -201,21 +200,22 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
     length = max(truncation - shift, 0)
 
     def chain(factors, upto):
-        return PowerSeries(product(ctx.field, [factor_table(ctx, key, upto)
-                                               for key in factors], upto + 1))
+        return product(ctx.field, [factor_table(ctx, key, upto)
+                                   for key in factors], upto + 1)
 
-    bottom = chain(den, length + vanish)
-    if vanish:
-        bottom = bottom.divide_by_t(vanish)
-    q = chain(num, length).divide(bottom)
+    # each vanishing unit has a zero constant term, so t^vanish divides
+    q = quotient(ctx.field, chain(num, length),
+                 chain(den, length + vanish)[vanish:])
     if shift < 0:
-        return q.divide_by_t(-shift)
-    return q.shift_up(shift).truncate(truncation)
+        if any(q[:-shift]):
+            raise ValueError(f"not divisible by t^{-shift}")
+        return tuple(q[-shift:])
+    return ((ctx.field.zero,) * shift + tuple(q))[:truncation + 1]
 
 
-def bernoulli_gf(ctx: TwistContext, truncation: int) -> PowerSeries:
-    """The Bernoulli generating function t*T/(xi^d e^{dt} - 1) as a series,
-    T = sum_{a<d} chi(a) xi^a e^{at}."""
+def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
+    """The coefficients of the Bernoulli generating function
+    t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}."""
     return factor_quotient(ctx, 1, [("sum", 1)], [("unit", 1)], truncation)
 
 
@@ -238,8 +238,8 @@ def _bern_values(ctx: TwistContext, n_max: int) -> list:
     if tab is None or len(tab) <= n_max:
         if tab is not None:  # grow geometrically: few rebuilds for rising n
             n_max = max(n_max, 2 * len(tab))
-        gf = bernoulli_gf(ctx, n_max)
-        tab = [gf.egf(n) for n in range(n_max + 1)]
+        tab = [c * math.factorial(n)
+               for n, c in enumerate(bernoulli_gf(ctx, n_max))]
         ctx._bern = tab
     return tab
 
@@ -324,10 +324,10 @@ def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
         base = cv * ctx.xi_pow(a)
         for i in range(k_max + 1):
             coeffs[i] = coeffs[i] + base * Fraction(a**i, math.factorial(i))
-    side_b = PowerSeries(coeffs)
+    side_b = tuple(coeffs)
 
-    side_c = PowerSeries([power_sum(ctx, k, d * w - 1) / math.factorial(k)
-                          for k in range(k_max + 1)])
+    side_c = tuple(power_sum(ctx, k, d * w - 1) / math.factorial(k)
+                   for k in range(k_max + 1))
 
     detail = first_mismatch(
         (("quotient-vs-direct first differs", side_a, side_b),

@@ -14,9 +14,11 @@ Kronecker-packed numerators, and a one-term operand goes outside the
 schoolbook loop that every other pair takes.  ``product`` is the Cauchy
 product of sequences: it keeps integer rows over the product of the
 factors' denominators, each factor's rows packed once from _PACK_DEGREE
-on, until one ``_canonical`` per final coefficient.  Inversion is an extended
-Euclid in Z[x].  ``_fold`` is the one reduction of an integer polynomial
-mod Phi_L, through a chain of sparse multiples of Phi_L down to Phi_L; a
+on, until one ``_canonical`` per final coefficient, and ``quotient``
+divides two, one ``dot`` per coefficient: the package's series are these
+coefficient sequences.  Inversion is an extended Euclid in Z[x].  ``_fold``
+is the one reduction of an integer polynomial mod Phi_L, through a chain
+of sparse multiples of Phi_L down to Phi_L; a
 root of unity is a folded unit vector, and ``CycloField.root_sum`` folds
 integer combinations of them.  Rational coordinates are available as
 Fractions through ``coeffs``.  All values are immutable and every operation
@@ -405,12 +407,6 @@ class CycloNumber:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
@@ -565,6 +561,23 @@ def _convolve_into(acc: list, a, b) -> None:
         if ai:
             for k, bj in enumerate(b, i):
                 acc[k] += ai * bj
+
+
+def quotient(field: CycloField, a, b) -> list:
+    """The coefficients of the series quotient a / b of two sequences of
+    CycloNumbers, truncated to the shorter; b_0 must be nonzero.  The one
+    division of series, as ``product`` is their product: coefficient k is
+    q_k = (a_k - sum_{i=1..k} b_i q_(k-i)) * b_0^-1, one ``dot`` each."""
+    b0 = b[0]
+    if b0.is_zero():
+        raise ValueError("not invertible: the divisor's constant term is 0")
+    inv0 = b0.inverse()
+    a = a[:len(b)]
+    tail = b[1:len(a)]
+    out = [a[0] * inv0]
+    for ak in a[1:]:
+        out.append((ak - dot(field, tail, reversed(out))) * inv0)
+    return out
 
 
 def product(field: CycloField, seqs, n: int) -> list:

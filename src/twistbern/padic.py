@@ -62,7 +62,10 @@ def pi_valuation(alpha: CycloNumber, pctx: PadicContext):
     a denominator prime to p, so its reduction through Z[zeta]/(pi) = F_p
     (zeta -> 1) vanishes iff p divides the sum of its numerators; while it
     does, the part is multiplied by 1/pi (inverted once per call), each
-    step contributing 1/e.
+    step contributing 1/e.  At most e - 1 steps are taken: the part has
+    numerators of gcd prime to p, so it does not lie in pZ[zeta] (Z[zeta]
+    has the power basis) and its valuation is below v(p) = 1.  Reaching e
+    steps is an internal error.
     """
     if alpha.field.order != pctx.field.order:
         raise ValueError("element lies outside the stated field")
@@ -75,11 +78,10 @@ def pi_valuation(alpha: CycloNumber, pctx: PadicContext):
     steps = 0
     if pctx.field.degree >= 2:
         pi_inv = (pctx.field.one - pctx.field.root(1)).inverse()
-        limit = pctx.ramification * (64 + pctx.field.degree)
         while sum(beta.num) % p == 0:
             beta = beta * pi_inv
             steps += 1
-            if steps > limit:
+            if steps == pctx.ramification:
                 raise ArithmeticError("pi-division did not terminate")
     return Fraction(top - bottom) + Fraction(steps, pctx.ramification)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from . import series, sympoly
+from . import sympoly
 
 
 class Verdict:
@@ -54,13 +54,14 @@ class TheoremReport(Verdict):
 def first_mismatch(pairs) -> str | None:
     """'<label> at <where>: <lhs coefficient> vs <rhs coefficient>' for the
     first unequal (label, lhs, rhs) of the lazy pairs, or None.  <where>
-    names the first differing t^i of two series of one truncation, then
-    the first differing monomial (in printing order) of two SymPolys."""
+    names the first differing t^i of two coefficient tuples of one length,
+    then the first differing monomial (in printing order) of two SymPolys."""
     for label, lhs, rhs in pairs:
         if lhs != rhs:
             where = []
-            if isinstance(lhs, series.PowerSeries):
-                i, lhs, rhs = series.first_difference(lhs, rhs)
+            if isinstance(lhs, tuple):
+                i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                lhs, rhs = lhs[i], rhs[i]
                 where.append(f"t^{i}")
             if isinstance(lhs, sympoly.SymPoly):
                 key, lhs, rhs = sympoly.first_difference(lhs, rhs)

@@ -1,22 +1,22 @@
 """Truncated formal power series in t with exact coefficients.
 
-Coefficients may be CycloNumbers or SymPolys (anything with exact ring
-operators).  Coefficients are stored plain; the n! rescaling of exponential
-generating functions happens only in egf(), so multiplication stays an
-ordinary Cauchy product.  Binary operations truncate to the shorter operand.
-With CycloNumber coefficients a product is ``cyclo.product`` of the two
-coefficient sequences (factor_quotient and the expansion forms call that
-kernel with whole chains of factors), and every coefficient of a quotient
-is one ``cyclo.dot`` call; other coefficient rings use the plain loop.
-``divide`` forms a quotient of two series by one recurrence, and
-``invert`` is ``divide`` applied to the series 1.
+The exact path keeps its series as coefficient tuples, multiplied by
+``cyclo.product`` and divided by ``cyclo.quotient``; ``PowerSeries`` is
+the display type of ``symmetry.quotient_series`` and a container for the
+tests.  Coefficients may be CycloNumbers or SymPolys (anything with exact
+ring operators), stored plain: the n! rescaling of exponential generating
+functions happens only in egf(), so multiplication stays an ordinary
+Cauchy product.  Binary operations truncate to the shorter operand.  When
+both operands have CycloNumber coefficients, ``*`` and ``divide`` hand
+them to ``cyclo.product`` and ``cyclo.quotient``; other coefficient rings
+use the plain loops.  ``invert`` is ``divide`` applied to the series 1.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cyclo import CycloNumber, Rational, dot, product
+from .cyclo import CycloNumber, Rational, product, quotient
 
 
 class PowerSeries:
@@ -58,9 +58,6 @@ class PowerSeries:
         return PowerSeries([a - b for a, b in
                             zip(self.coeffs[:n], other.coeffs[:n])])
 
-    def __neg__(self):
-        return PowerSeries([-a for a in self.coeffs])
-
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
             # scalar or ring-element multiplication
@@ -89,51 +86,25 @@ class PowerSeries:
         """self / other, truncated to the shorter operand; other needs a
         nonzero constant term b_0.  Coefficient k is
         q_k = (a_k - sum_{i=1..k} b_i q_(k-i)) * b_0^-1."""
-        b0 = other.coeffs[0]
-        if b0.is_zero():
-            raise ValueError("not invertible; use divide_by_t first")
-        inv0 = b0.inverse()
-        a = self.coeffs[:len(other.coeffs)]
-        tail = other.coeffs[1:len(a)]
+        a, b = self.coeffs, other.coeffs
+        if type(a[0]) is CycloNumber and type(b[0]) is CycloNumber:
+            return PowerSeries(quotient(b[0].field, a, b))
+        if b[0].is_zero():
+            raise ValueError("not invertible: the divisor's constant term is 0")
+        inv0 = b[0].inverse()
         out = [a[0] * inv0]
-        if type(b0) is CycloNumber:
-            for ak in a[1:]:
-                out.append((ak - dot(b0.field, tail, reversed(out))) * inv0)
-            return PowerSeries(out)
-        for k in range(1, len(a)):
-            acc = tail[0] * out[k - 1]
+        for k in range(1, min(len(a), len(b))):
+            acc = b[1] * out[k - 1]
             for i in range(2, k + 1):
-                acc = acc + tail[i - 1] * out[k - i]
+                acc = acc + b[i] * out[k - i]
             out.append((a[k] - acc) * inv0)
         return PowerSeries(out)
-
-    def divide_by_t(self, k: int = 1) -> "PowerSeries":
-        """Shift down by t^k; the k lowest coefficients must vanish."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if k > self.truncation:
-            raise ValueError(f"not divisible by t^{k}")
-        if any(not c.is_zero() for c in self.coeffs[:k]):
-            raise ValueError(f"not divisible by t^{k}")
-        return PowerSeries(self.coeffs[k:])
-
-    def shift_up(self, k: int) -> "PowerSeries":
-        """Multiply by t^k (truncation grows by k)."""
-        if k == 0:
-            return self
-        zero = self.coeffs[0] * 0
-        return PowerSeries((zero,) * k + self.coeffs)
 
     # -- access ---------------------------------------------------------------
 
     def egf(self, n: int):
         """n! times the t^n coefficient (the EGF coefficient)."""
         return self.coeffs[n] * math.factorial(n)
-
-    def truncate(self, truncation: int) -> "PowerSeries":
-        if truncation > self.truncation:
-            raise ValueError("cannot extend a truncated series")
-        return PowerSeries(self.coeffs[:truncation + 1])
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
@@ -146,10 +117,3 @@ class PowerSeries:
             inner += ", ..."
         return f"PowerSeries([{inner}]; N={self.truncation})"
 
-
-def first_difference(a: PowerSeries, b: PowerSeries):
-    """Index and pair of the first differing coefficient, or None if equal."""
-    for i in range(min(len(a.coeffs), len(b.coeffs))):
-        if a.coeffs[i] != b.coeffs[i]:
-            return i, a.coeffs[i], b.coeffs[i]
-    return None

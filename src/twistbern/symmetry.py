@@ -112,20 +112,21 @@ def _quotient_form(spec: QuotientSpec, truncation: int) -> tuple:
     prefactor, t_power, num, den, slots, scale = _QUOTIENTS[spec.family](
         *spec.w, spec.i)
     q = factor_quotient(spec.context, t_power, num, den, truncation)
-    return dict.fromkeys(slots, scale), (q * prefactor).coeffs
+    return dict.fromkeys(slots, scale), tuple(c * prefactor for c in q)
 
 
 def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
     """The closed-form series q(t) e^{(s.y) t} of the quotient, with SymPoly
     coefficients: a view of its form (scales, q), whose t^n coefficient is
     the one lift at the factor 1/n!.  The checks compare forms instead."""
-    return _series(*_quotient_form(spec, truncation))
+    return PowerSeries(_series(*_quotient_form(spec, truncation)))
 
 
-def _series(scales: dict, q) -> PowerSeries:
-    """The SymPoly series of a quotient form (scales, q), one lift per t^n."""
-    return PowerSeries([_lift(scales, q, n, Fraction(1, math.factorial(n)))
-                        for n in range(len(q))])
+def _series(scales: dict, q) -> tuple:
+    """The SymPoly coefficients of a quotient form (scales, q), one lift
+    per t^n."""
+    return tuple(_lift(scales, q, n, Fraction(1, math.factorial(n)))
+                 for n in range(len(q)))
 
 
 def _lift(scales: dict, F, n: int, factor) -> SymPoly:
@@ -264,11 +265,6 @@ def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
         else:
             tables.append(factor_table(ctx, ("sum", *desc[1:]), n))
     return scales, tuple(c * const for c in product(ctx.field, tables, n + 1))
-
-
-def _evaluate(row: str, ctx: TwistContext, w: tuple, n: int) -> SymPoly:
-    """The n-th EGF coefficient of a table row at the weights w."""
-    return _lift(*_row_form(row, ctx, w, n), n, 1)
 
 
 #: form name -> (family, i); a form's row sums Bernoulli values and power

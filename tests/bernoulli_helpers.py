@@ -21,4 +21,4 @@ def bernoulli_polynomial_gf(ctx: TwistContext, n: int, x):
     if isinstance(x, (int, Fraction)):
         x = ctx.field.from_rational(x)
     ex = PowerSeries.exp_scaled(x, n)
-    return (bernoulli_gf(ctx, n) * ex).egf(n)
+    return (PowerSeries(bernoulli_gf(ctx, n)) * ex).egf(n)

@@ -9,7 +9,6 @@ from twistbern.bernoulli import (TwistContext, bernoulli_numbers,
                                  powersum_gf_check)
 from twistbern.characters import character, enumerate_characters
 from twistbern.cyclo import CycloNumber, cyclo_field
-from twistbern.series import PowerSeries
 from twistbern.sympoly import SymPoly
 
 from bernoulli_helpers import bernoulli_polynomial_gf, plain_twisted_numbers
@@ -162,10 +161,10 @@ def test_powersum_gf_check_catches_a_wrong_side_a_factor(monkeypatch, d, char,
     exact = bernoulli.char_sum_series
 
     def perturbed(c, scale, truncation):
-        coeffs = list(exact(c, scale, truncation).coeffs)
+        coeffs = list(exact(c, scale, truncation))
         if truncation >= 3:
             coeffs[3] = coeffs[3] + 1
-        return PowerSeries(coeffs)
+        return tuple(coeffs)
 
     monkeypatch.setattr(bernoulli, "char_sum_series", perturbed)
     report = powersum_gf_check(ctx, 2, 6)
@@ -190,6 +189,19 @@ def test_bernoulli_table_grows_geometrically(monkeypatch):
     assert len(fresh._bern) == 17
     for n, values in enumerate(got):
         assert values == fresh._bern[:n + 1]
+
+
+@pytest.mark.parametrize("d", (1, 3, 4))
+@pytest.mark.parametrize("r", (5, 8))
+def test_xi_exp_picks_the_power_of_the_root(d, r):
+    # from_orders(d, char, r, e) twists by xi = zeta_r^e, which is
+    # zeta_L^(e*L/r) in the context's field Q(zeta_L)
+    for char in range(len(enumerate_characters(d))):
+        for e in range(1, 2 * r):
+            if math.gcd(e, r) == 1:
+                ctx = TwistContext.from_orders(d, char, r, e)
+                L = ctx.field.order
+                assert ctx.xi == ctx.field.root(e * L // r), (char, e)
 
 
 def test_context_validation():

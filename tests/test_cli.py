@@ -4,7 +4,10 @@ import pytest
 
 from twistbern import cli
 from twistbern.cli import GridSpec, main, run_grid
+from twistbern.cyclo import cyclo_field
 from twistbern.report import TheoremReport
+
+from bernoulli_helpers import plain_twisted_numbers
 
 
 def run(capsys, *argv):
@@ -35,6 +38,19 @@ def test_bernoulli_table_text(capsys):
                        "--n", "0")
     assert code == 0
     assert "B_0 = 0" in out
+
+
+def test_xi_exp_selects_the_twist_root(capsys):
+    # B_1 of t/(xi e^t - 1) tells the primitive 5th roots xi apart
+    values = {}
+    for e in (1, 2):
+        code, out, _ = run(capsys, "bernoulli", "--d", "1", "--xi-order", "5",
+                           "--xi-exp", str(e), "--n", "1", "--format", "json")
+        assert code == 0
+        values[e] = json.loads(out)["values"][1]
+    assert values[1] != values[2]
+    xi = cyclo_field(5).root(2)
+    assert values[2] == plain_twisted_numbers(xi, 1)[1].to_json_dict()
 
 
 def test_bernoulli_bad_character_index(capsys):

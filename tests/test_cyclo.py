@@ -189,3 +189,13 @@ def test_equal_values_hash_equal():
             assert poly == z and hash(poly) == hash(z)
             assert poly in {z} and z in {poly}
         assert SymPoly.variable("y", f) + 3 != 3
+
+
+@pytest.mark.parametrize("L", (1, 4, 12, 60))
+def test_a_negative_power_is_the_inverse_of_the_positive_one(L):
+    f = cyclo_field(L)
+    dense = f.element([Fraction((-1) ** j * (j + 2), j + 1)
+                       for j in range(f.degree)])
+    for x in (dense, f.root(1)):
+        assert x ** -3 == (x ** 3).inverse()
+        assert x ** -3 * x ** 3 == f.one

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -168,3 +169,18 @@ def test_padic_context_accepts_primes(p):
 def test_padic_context_rejects_non_primes(p):
     with pytest.raises(ValueError, match="p must be prime"):
         padic_context(p, 0)
+
+
+@pytest.mark.parametrize("p,s", ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                 (5, 2), (7, 1)))
+def test_pi_valuation_reads_every_power_of_pi_below_e(p, s):
+    # 11 is a unit at p, so v(11 * pi^k) = k/e, with k = e - 1 the most
+    # divisions by pi a p-integral element outside pZ[zeta] can take
+    pctx = padic_context(p, s)
+    f, e = pctx.field, pctx.ramification
+    pi = f.one - f.root(1)
+    for k in range(e):
+        assert pi_valuation(11 * pi**k, pctx) == Fraction(k, e)
+    # a stated ramification that the divisions reach is an internal error
+    with pytest.raises(ArithmeticError):
+        pi_valuation(11 * pi**(e - 1), replace(pctx, ramification=e - 1))

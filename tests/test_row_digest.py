@@ -1,7 +1,7 @@
 """Golden digests of every expansion-form row on a fixed grid.
 
 For each `_ROWS` row, the sha256 of the printed values
-`str(_evaluate(row, ctx, w, n))` (one line each) over 36 contexts (d in
+`str(evaluate(row, ctx, w, n))` (one line each) over 36 contexts (d in
 {1, 3, 4, 5}, every character mod d, xi of order 1..4), five weight triples
 and n = 0..5: 1080 evaluations per row, 18360 in all.  The digests were
 taken from the per-composition SymPoly kernel, so any change to the row
@@ -14,7 +14,9 @@ import pytest
 
 from twistbern.bernoulli import TwistContext
 from twistbern.characters import enumerate_characters
-from twistbern.symmetry import _ROWS, _evaluate
+from twistbern.symmetry import _ROWS
+
+from symmetry_helpers import evaluate
 
 WEIGHTS = ((1, 1, 1), (1, 2, 3), (2, 3, 5), (3, 1, 2), (2, 2, 3))
 N_MAX = 5
@@ -66,7 +68,7 @@ def _digest(row):
         ctx = TwistContext.from_orders(d, idx, r, 1)
         for w in WEIGHTS:
             for n in range(N_MAX + 1):
-                h.update(str(_evaluate(row, ctx, w, n)).encode() + b"\n")
+                h.update(str(evaluate(row, ctx, w, n)).encode() + b"\n")
     return h.hexdigest()
 
 

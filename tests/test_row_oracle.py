@@ -1,9 +1,10 @@
 """Every expansion-form row against a per-composition, per-point oracle.
 
-`symmetry._evaluate` convolves per-piece scalar tables and writes the y-part
-of a row in closed form.  The oracle here is the direct route: the sum over
-the compositions k1+..+kr = n of C(n; k) * prod c_i^k_i * piece_i(k_i), with
-each B piece a SymPoly summed over its explicit shift points,
+`symmetry._row_form` convolves per-piece scalar tables, and its lift
+(`symmetry_helpers.evaluate`) writes the y-part of a row in closed form.
+The oracle here is the direct route: the sum over the compositions
+k1+..+kr = n of C(n; k) * prod c_i^k_i * piece_i(k_i), with each B piece a
+SymPoly summed over its explicit shift points,
 sum_p coef_p * B_k(u*y_slot + r_p) (one `bernoulli_polynomial` per point),
 and each S piece a `power_sum`.
 """
@@ -15,8 +16,10 @@ import pytest
 
 from twistbern import symmetry
 from twistbern.bernoulli import TwistContext, bernoulli_polynomial, power_sum
-from twistbern.symmetry import _ROWS, _evaluate
+from twistbern.symmetry import _ROWS
 from twistbern.sympoly import VARIABLES, SymPoly
+
+from symmetry_helpers import evaluate
 
 N_MAX = 6
 # principal, real and complex characters; xi of order 1, 2, 3 and 4
@@ -93,7 +96,7 @@ def test_row_matches_the_composition_oracle(row, d, idx, r, memo):
     for w in WEIGHTS:
         for n in range(N_MAX + 1):
             want = _oracle(row, ctx, w, n, cache)
-            assert _evaluate(row, ctx, w, n) == want, (w, n)
+            assert evaluate(row, ctx, w, n) == want, (w, n)
 
 
 def _mutated(row, change):
@@ -122,7 +125,7 @@ def test_a_wrong_u_or_slot_is_seen(row, change, monkeypatch):
     w, n = (1, 2, 3), 3
     want = _oracle(row, ctx, w, n, {})
     monkeypatch.setitem(_ROWS, row, _mutated(row, change))
-    assert _evaluate(row, ctx, w, n) != want
+    assert evaluate(row, ctx, w, n) != want
 
 
 def test_the_one_lift_is_checked_by_independent_oracles(monkeypatch):
@@ -145,8 +148,8 @@ def test_the_one_lift_is_checked_by_independent_oracles(monkeypatch):
     want = _oracle("triple_bernoulli", ctx, w, n, {})
     got = symmetry.quotient_series(spec, n)
     assert got == _symbolic_route(spec, got)
-    assert _evaluate("triple_bernoulli", ctx, w, n) == want
+    assert evaluate("triple_bernoulli", ctx, w, n) == want
     monkeypatch.setattr(symmetry, "_lift", perturbed)
     got = symmetry.quotient_series(spec, n)
     assert got != _symbolic_route(spec, got)
-    assert _evaluate("triple_bernoulli", ctx, w, n) != want
+    assert evaluate("triple_bernoulli", ctx, w, n) != want

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from twistbern.cyclo import cyclo_field
-from twistbern.series import PowerSeries, first_difference
+from twistbern.series import PowerSeries
 from twistbern.sympoly import SymPoly
 
 F1 = cyclo_field(1)
@@ -44,7 +44,7 @@ def test_series_arithmetic():
     a = _series(1, 1, 0, 0, 0)       # 1 + t
     b = _series(1, -1, 0, 0, 0)      # 1 - t
     assert (a * one).coeffs == a.coeffs
-    assert (a * b).truncate(2) == _series(1, 0, -1)
+    assert (a * b).coeffs[:3] == _series(1, 0, -1).coeffs
     # truncation drops to the shorter operand
     assert (a * _series(1, 1)).truncation == 1
 
@@ -55,15 +55,14 @@ def test_exp_functional_equation():
                       (F4, F4.root(1), F4.root(3) + 1)):
         lhs = PowerSeries.exp_scaled(a, 8) * PowerSeries.exp_scaled(b, 8)
         rhs = PowerSeries.exp_scaled(a + b, 8)
-        assert first_difference(lhs, rhs) is None
+        assert lhs == rhs
 
 
 def test_invert_examples():
     geo = _series(1, -1, 0, 0).invert()
     assert geo == _series(1, 1, 1, 1)
     e = PowerSeries.exp_scaled(F1.one, 6)
-    assert first_difference(e.invert(),
-                            PowerSeries.exp_scaled(-F1.one, 6)) is None
+    assert e.invert() == PowerSeries.exp_scaled(-F1.one, 6)
     with pytest.raises(ValueError, match="not invertible"):
         _series(0, 1, 2).invert()
 
@@ -71,23 +70,6 @@ def test_invert_examples():
 def test_invert_is_involutive():
     s = _series(2, 3, Fraction(-1, 2), 5, 0, 7)
     assert s.invert().invert() == s
-
-
-def test_divide_by_t():
-    assert _series(0, 1, 1).divide_by_t() == _series(1, 1)
-    shifted = (PowerSeries.exp_scaled(F1.one, 6) - _series(1, 0, 0, 0, 0, 0, 0))
-    q = shifted.divide_by_t()
-    assert q.coeffs == tuple(F1.from_rational(Fraction(1, _fact(j + 1)))
-                             for j in range(6))
-    with pytest.raises(ValueError, match="not divisible"):
-        _series(1, 1).divide_by_t()
-
-
-def _fact(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def test_egf_accessor():
@@ -176,3 +158,47 @@ def test_sympoly_zero_scalar_gives_the_zero_polynomial():
     # a nonzero rational scales every coefficient, as a constant would
     for q in (35, Fraction(-35, 6)):
         assert p * q == p * SymPoly.constant(F4.from_rational(q))
+
+
+def test_the_exact_path_builds_no_power_series(monkeypatch, capsys):
+    # Series on the exact path are coefficient tuples: PowerSeries is built
+    # only by quotient_series, as a view, and by the tests
+    from twistbern import cli
+    from twistbern.bernoulli import (TwistContext, bernoulli_numbers,
+                                     powersum_gf_check)
+    from twistbern.symmetry import (_FAMILY_MAX_I, EXPANSION_FORMS,
+                                    THEOREM_IDS, QuotientSpec,
+                                    expansion_consistency_check,
+                                    permutation_invariance_check,
+                                    quotient_series, substitution_check,
+                                    verify_theorem)
+    built = []
+    init = PowerSeries.__init__
+
+    def counted(self, coeffs):
+        built.append(self)
+        init(self, coeffs)
+    monkeypatch.setattr(PowerSeries, "__init__", counted)
+
+    ctx = TwistContext.from_orders(4, 1, 4)
+    w = (1, 2, 3)
+    assert len(bernoulli_numbers(ctx, 8)) == 9
+    for theorem in THEOREM_IDS:
+        assert verify_theorem(theorem, ctx, w, 4).passed
+    for family, max_i in _FAMILY_MAX_I.items():
+        for i in range(max_i + 1):
+            spec = QuotientSpec(family, i, w, ctx)
+            assert permutation_invariance_check(spec, 5).passed
+            if family == "single":
+                assert substitution_check(spec, 5).passed
+    for form, (family, i) in EXPANSION_FORMS.items():
+        spec = QuotientSpec(family, i, w, ctx)
+        assert expansion_consistency_check(form, spec, 5).passed
+    assert powersum_gf_check(ctx, 2, 6).passed
+    assert cli.main(["bernoulli", "--d", "5", "--char", "1", "--xi-order",
+                     "4", "--n", "6"]) == 0
+    capsys.readouterr()
+    assert built == []
+    # the counter sees the one view that is built
+    quotient_series(QuotientSpec("cyclic", 0, w, ctx), 3)
+    assert len(built) == 1
