@@ -6,10 +6,13 @@ are the EGF coefficients of
 
     t * sum_{a<d} chi(a) xi^a e^{at} / (xi^d e^{dt} - 1),
 
-built, like every quotient of such factors in the package, by the one exact
-builder factor_quotient as a tuple of coefficients: one ``cyclo.product``
-per side and one ``cyclo.quotient``.  A consequence pinned by the tests:
-B_0 = 0 whenever xi^d != 1.
+built as a tuple of coefficients by one ``cyclo.quotient`` of its two factor
+tables.  Every other quotient of such factors in the package is built by
+factor_quotient as one ``cyclo.product``: of the numerator's factor tables
+and of the inverse table of each denominator unit, 1/(xi^(dc) e^(dct) - 1),
+the Apostol-Bernoulli generating function (times t where the unit
+vanishes at t = 0), which is divided out once per context.  A consequence
+pinned by the tests: B_0 = 0 whenever xi^d != 1.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ class TwistContext:
     for concurrent reads once built: the Bernoulli table (_bern), the
     power-sum tables per bound (_psums), the twisted contexts (_twists),
     the factor tables of factor_table (_factors), which quotients and the
-    S pieces of symmetry's rows read, and the B piece tables of
+    S pieces of symmetry's rows read, among them one inverse table per
+    denominator unit of a quotient, and the B piece tables of
     symmetry._bpoly (_bpoly_cache).
     """
 
@@ -161,22 +165,46 @@ def twist_unit_series(ctx: TwistContext, scale: int, truncation: int) -> tuple:
 
 def factor_table(ctx: TwistContext, key: tuple, upto: int) -> tuple:
     """The coefficients of one factor series to t^upto.  Key ("unit", c) is
-    xi^(dc) e^(dct) - 1, and ("sum", c) or ("sum", c, bound) is the
-    character sum sum_{a<=bound} chi(a) xi^(ac) e^(act), bound d - 1 by
-    default.  Each table is built once per context and kept in
-    ctx._factors, a bound of d - 1 under ("sum", c); a longer one than
-    cached is built to at least twice the cached length."""
+    xi^(dc) e^(dct) - 1, ("sum", c) or ("sum", c, bound) is the character
+    sum sum_{a<=bound} chi(a) xi^(ac) e^(act), bound d - 1 by default, and
+    ("inv", c) is the inverse 1/u of the unit u of ("unit", c), or t/u
+    where xi^(dc) = 1 and u has no constant term: one ``cyclo.quotient`` of
+    1 by the unit's table, shifted by one there.  Each table is built once
+    per context and kept in ctx._factors, a bound of d - 1 under
+    ("sum", c); a longer one than cached is built to at least twice the
+    cached length."""
     if key[2:] == (ctx.d - 1,):
         key = key[:2]
     table = ctx._factors.get(key)
     if table is None or len(table) <= upto:
         # grow geometrically, as _bern_values does
         build = upto if table is None else max(upto, 2 * len(table))
-        # module globals, read per call: wrappers set on the module
-        # attributes (as perfbench/tracing.py does) see every build
-        make = twist_unit_series if key[0] == "unit" else char_sum_series
-        table = ctx._factors[key] = make(ctx, key[1], build, *key[2:])
+        if key[0] == "inv":
+            field, v = ctx.field, _vanishes(ctx, key[1])
+            table = tuple(quotient(
+                field, (field.one,) + (field.zero,) * build,
+                factor_table(ctx, ("unit", key[1]), build + v)[v:]))
+        else:
+            # module globals, read per call: wrappers set on the module
+            # attributes (as perfbench/tracing.py does) see every build
+            make = twist_unit_series if key[0] == "unit" else char_sum_series
+            table = make(ctx, key[1], build, *key[2:])
+        ctx._factors[key] = table
     return table[:upto + 1]
+
+
+def _vanishes(ctx: TwistContext, c: int) -> bool:
+    # the unit xi^(dc) e^(dct) - 1 has no constant term
+    return ctx.xi_pow(ctx.d * c).is_one()
+
+
+def _times_t(field, q, shift: int, truncation: int) -> tuple:
+    """t^shift * q to t^truncation; ValueError unless t^-shift divides q."""
+    if shift < 0:
+        if any(q[:-shift]):
+            raise ValueError(f"not divisible by t^{-shift}")
+        return tuple(q[-shift:])
+    return ((field.zero,) * shift + tuple(q))[:truncation + 1]
 
 
 def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
@@ -185,38 +213,40 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
 
     A factor is a key of factor_table: ("unit", c), the series
     xi^(dc) e^(dct) - 1, or ("sum", c), the character sum
-    sum_{a<d} chi(a) xi^(ac) e^(act).  Each denominator unit with
+    sum_{a<d} chi(a) xi^(ac) e^(act); every denominator factor is a unit,
+    and ValueError names one that is not.  Each denominator unit with
     xi^(dc) = 1 (vanish of them) gives up one t, and the quotient owes
     t^(vanish - t_power) when that is positive; ValueError is raised if t
-    does not divide it.  num and den are non-empty.  The factors are read
-    from factor_table, and nothing else is cached: each product is one
-    ``cyclo.product`` call over the tables in the order of num (or den),
-    the numerator product is divided by the denominator product by one
-    ``cyclo.quotient``, and the powers of t are slices.
+    does not divide it.  num and den are non-empty.  The quotient is one
+    ``cyclo.product`` over the tables of num, in its order, then the
+    ("inv", c) tables of den, in its order, all read from factor_table,
+    which caches them; nothing else is cached, nothing is divided here,
+    and the powers of t are slices.
     """
-    vanish = sum(1 for kind, c in den
-                 if kind == "unit" and ctx.xi_pow(ctx.d * c).is_one())
+    for key in den:
+        if key[0] != "unit":
+            raise ValueError(f"denominator factor {key} is not a unit")
+    vanish = sum(_vanishes(ctx, c) for _, c in den)
     shift = t_power - vanish
     length = max(truncation - shift, 0)
-
-    def chain(factors, upto):
-        return product(ctx.field, [factor_table(ctx, key, upto)
-                                   for key in factors], upto + 1)
-
-    # each vanishing unit has a zero constant term, so t^vanish divides
-    q = quotient(ctx.field, chain(num, length),
-                 chain(den, length + vanish)[vanish:])
-    if shift < 0:
-        if any(q[:-shift]):
-            raise ValueError(f"not divisible by t^{-shift}")
-        return tuple(q[-shift:])
-    return ((ctx.field.zero,) * shift + tuple(q))[:truncation + 1]
+    # each ("inv", c) is t/u where u vanishes, so the product owes t^vanish
+    q = product(ctx.field, [factor_table(ctx, key, length) for key in num]
+                + [factor_table(ctx, ("inv", c), length) for _, c in den],
+                length + 1)
+    return _times_t(ctx.field, q, shift, truncation)
 
 
 def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     """The coefficients of the Bernoulli generating function
-    t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}."""
-    return factor_quotient(ctx, 1, [("sum", 1)], [("unit", 1)], truncation)
+    t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}:
+    one ``cyclo.quotient`` of the ("sum", 1) table by the ("unit", 1) table,
+    each built no longer than the quotient needs, with no inverse table,
+    since a field that only asks for its Bernoulli numbers uses it once."""
+    v = _vanishes(ctx, 1)
+    length = max(truncation - 1 + v, 0)
+    q = quotient(ctx.field, factor_table(ctx, ("sum", 1), length),
+                 factor_table(ctx, ("unit", 1), length + v)[v:])
+    return _times_t(ctx.field, q, 1 - v, truncation)
 
 
 @dataclass

@@ -15,14 +15,16 @@ schoolbook loop that every other pair takes.  ``product`` is the Cauchy
 product of sequences: it keeps integer rows over the product of the
 factors' denominators, each factor's rows packed once from _PACK_DEGREE
 on, until one ``_canonical`` per final coefficient, and ``quotient``
-divides two, one ``dot`` per coefficient: the package's series are these
-coefficient sequences.  Inversion is an extended Euclid in Z[x].  ``_fold``
-is the one reduction of an integer polynomial mod Phi_L, through a chain
-of sparse multiples of Phi_L down to Phi_L; a
-root of unity is a folded unit vector, and ``CycloField.root_sum`` folds
-integer combinations of them.  Rational coordinates are available as
-Fractions through ``coeffs``.  All values are immutable and every operation
-is exact; there is no floating point anywhere.
+divides two, one ``dot`` per coefficient, which the exact path does only
+to build a Bernoulli generating function and the inverse of each unit
+factor, once per context: the package's series are these coefficient
+sequences.  Inversion is an extended Euclid in Z[x].  ``_fold`` is the one
+reduction of an integer polynomial mod Phi_L, through a chain of sparse
+multiples of Phi_L down to Phi_L; a root of unity is a folded unit vector,
+and ``CycloField.root_sum`` folds integer combinations of them.  Rational
+coordinates are available as Fractions through ``coeffs``.  All values are
+immutable and every operation is exact; there is no floating point
+anywhere.
 """
 
 from __future__ import annotations

@@ -1,19 +1,21 @@
 """factor_quotient against the products it divides.
 
 For every quotient the library builds (each _QUOTIENTS entry, the Bernoulli
-generating function and side A of powersum_gf_check) the builder's q must
-satisfy q * prod(den) == t^t_power * prod(num) up to t^truncation, with the
-products formed here by a schoolbook Cauchy loop over element ``*`` and
-``+``, not by ``cyclo.product``.  One context lies in a field of degree
-_PACK_DEGREE or more, where ``cyclo.product`` packs its rows.  The factor
-tables are cached per context, and the S pieces of the expansion rows read
-the same store.
+generating function and side A of powersum_gf_check) factor_quotient's q
+must satisfy q * prod(den) == t^t_power * prod(num) up to t^truncation, and
+so must bernoulli_gf, which divides by its own route; each inverse table
+times its unit must be 1.  The products are formed here by a schoolbook
+Cauchy loop over element ``*`` and ``+``, not by ``cyclo.product``.  One
+context lies in a field of degree _PACK_DEGREE or more, where
+``cyclo.product`` packs its rows.  The factor tables are cached per
+context, and the S pieces of the expansion rows read the same store.
 """
 
 import pytest
 
 from twistbern import bernoulli, cyclo, symmetry
-from twistbern.bernoulli import (TwistContext, char_sum_series, factor_quotient,
+from twistbern.bernoulli import (TwistContext, bernoulli_gf, char_sum_series,
+                                 factor_quotient, factor_table,
                                  twist_unit_series)
 from twistbern.characters import enumerate_characters
 from twistbern.symmetry import (_FAMILY_MAX_I, _QUOTIENTS, _ROWS,
@@ -30,7 +32,7 @@ TOP = 8
 
 def _cases(w):
     """(t_power, num, den) of every quotient built at the weights w."""
-    cases = [(1, [("sum", 1)], [("unit", 1)])]            # bernoulli_gf
+    cases = [(1, [("sum", 1)], [("unit", 1)])]            # the Bernoulli GF
     for v in sorted(set(w)):                               # powersum side A
         cases.append((0, [("unit", v), ("sum", 1)], [("unit", 1)]))
     for family, max_i in sorted(_FAMILY_MAX_I.items()):
@@ -78,6 +80,85 @@ def test_quotient_times_denominator_is_numerator(d, char, order):
                 assert q == full[:truncation + 1]
 
 
+@pytest.mark.parametrize("d,char,order", CONTEXTS)
+def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order):
+    # bernoulli_gf divides directly, not through factor_quotient; a fresh
+    # context keeps tables no longer than the quotient needs
+    ctx = TwistContext.from_orders(d, char, order)
+    v = _vanishing(ctx, [("unit", 1)])
+    upto = TOP + v
+    bottom = _product(ctx, [("unit", 1)], upto)
+    top = ((ctx.field.zero,) + _product(ctx, [("sum", 1)], upto))[:upto + 1]
+    full = bernoulli_gf(ctx, upto)
+    assert _times(full, bottom) == top
+    for truncation in range(TOP + 1):
+        fresh = TwistContext.from_orders(d, char, order)
+        q = bernoulli_gf(fresh, truncation)
+        assert len(q) == truncation + 1
+        assert _times(q, bottom) == top[:truncation + 1]
+        assert q == full[:truncation + 1]
+        length = max(truncation - 1 + v, 0)
+        assert len(fresh._factors["sum", 1]) == length + 1
+        assert len(fresh._factors["unit", 1]) == length + v + 1
+        assert set(fresh._factors) == {("sum", 1), ("unit", 1)}
+
+
+@pytest.mark.parametrize("d,char,order", [(3, 1, 4), (1, 0, 1), (4, 1, 2)])
+def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
+        d, char, order):
+    # the product's operands are the num tables and the ("inv", c) tables,
+    # each built to t^length on a fresh context, where t^length is the top
+    # power of q before its powers of t are sliced on or off (a num unit
+    # that is also in den may grow again for its inverse table)
+    for truncation in range(4):
+        for t_power, num, den in _cases((1, 2, 3)):
+            ctx = TwistContext.from_orders(d, char, order)
+            factor_quotient(ctx, t_power, num, den, truncation)
+            length = max(truncation - t_power + _vanishing(ctx, den), 0)
+            for key in (set(num) - set(den)) | {("inv", c) for _, c in den}:
+                assert len(ctx._factors[key]) == length + 1, key
+
+
+@pytest.mark.parametrize("d,char,order", CONTEXTS)
+def test_an_inverse_table_times_its_unit_is_one(d, char, order):
+    # ("inv", c) is 1/u, or t/u where the unit u has no constant term
+    ctx = TwistContext.from_orders(d, char, order)
+    one = (ctx.field.one,) + (ctx.field.zero,) * TOP
+    for c in range(1, 7):
+        v = _vanishing(ctx, [("unit", c)])
+        unit = twist_unit_series(ctx, c, TOP + v)[v:]
+        assert _times(unit, factor_table(ctx, ("inv", c), TOP)) == one
+
+
+def test_inverse_tables_and_bernoulli_gf_meet_vanishing_and_live_units():
+    seen = {(c == 1, _vanishing(TwistContext.from_orders(d, char, order),
+                                [("unit", c)]))
+            for d, char, order in CONTEXTS for c in range(1, 7)}
+    assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+
+@pytest.mark.parametrize("d,char,order", [(3, 1, 4), (1, 0, 1), (7, 1, 7)])
+def test_an_inverse_table_grows_twofold_and_keeps_its_prefix(d, char, order):
+    ctx = TwistContext.from_orders(d, char, order)
+    for c in (1, 2):
+        stored = ()
+        for upto in (2, 5, 12):
+            table = factor_table(ctx, ("inv", c), upto)
+            assert len(table) == upto + 1
+            grown = ctx._factors["inv", c]
+            assert table == grown[:upto + 1]
+            assert grown[:len(stored)] == stored
+            # built to t^upto, and to at least twice the cached length
+            assert len(grown) - 1 >= max(upto, 2 * len(stored))
+            stored = grown
+
+
+def test_a_denominator_that_is_not_a_unit_raises():
+    ctx = TwistContext.from_orders(3, 1, 4)
+    with pytest.raises(ValueError, match=r"\('sum', 1\) is not a unit"):
+        factor_quotient(ctx, 0, [("unit", 1)], [("unit", 2), ("sum", 1)], 4)
+
+
 def test_grid_has_none_some_and_all_denominators_vanishing():
     seen = set()
     for d, char, order in CONTEXTS:
@@ -102,10 +183,13 @@ def test_an_owed_t_that_does_not_divide_raises(t_power, num, den):
 
 def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # The factor series are cached per context, so the six weight orders of
-    # one invariance check share one build of each distinct (kind, c).  The
-    # products are not cached: each order still multiplies its own factors
-    # in its own operand order, which is what the invariance check compares,
-    # and cyclo.product performs len - 1 factor multiplications per chain.
+    # one invariance check share one build of each distinct (kind, c), and
+    # of each denominator unit's inverse table, one cyclo.quotient each.
+    # The products are not cached: each order still multiplies its own
+    # factors in its own operand order, which is what the invariance check
+    # compares, and its one cyclo.product over the numerator tables and the
+    # inverse tables performs len(num) + len(den) - 1 factor
+    # multiplications.
     builds = []
     for kind, name in (("unit", "twist_unit_series"),
                        ("sum", "char_sum_series")):
@@ -114,6 +198,13 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
             builds.append((kind, c))
             return exact(ctx, c, truncation)
         monkeypatch.setattr(bernoulli, name, counted)
+
+    divisions = []
+
+    def divide(field, a, b, exact=bernoulli.quotient):
+        divisions.append(b)
+        return exact(field, a, b)
+    monkeypatch.setattr(bernoulli, "quotient", divide)
 
     calls = []
     exact_quotient = symmetry.factor_quotient
@@ -141,13 +232,17 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     assert sorted(builds) == sorted(keys)
     assert len({(tuple(num), tuple(den)) for num, den, _ in calls}) == 6
     for num, den, products in calls:
-        assert products == len(num) - 1 + len(den) - 1
+        assert products == len(num) + len(den) - 1
+    inverses = {("inv", c) for _, den, _ in calls for _, c in den}
+    assert {key for key in ctx._factors if key[0] == "inv"} == inverses
+    assert len(divisions) == len(inverses) == 3
 
     builds.clear()
     calls.clear()
+    divisions.clear()
     assert permutation_invariance_check(spec, 4).passed
-    assert builds == []
-    assert [products for _, _, products in calls] == [7] * 6
+    assert builds == [] and divisions == []
+    assert [products for _, _, products in calls] == [8] * 6
 
 
 def test_row_pieces_are_factor_tables(monkeypatch):
