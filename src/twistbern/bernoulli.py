@@ -28,7 +28,7 @@ from .report import CheckReport, first_mismatch
 
 
 class TwistContext:
-    """Modulus d, character chi mod d, twist root xi, and their common field.
+    """Character chi mod d and twist root xi in their common field; no prime.
 
     Values are immutable; per-context caches are filled lazily and are safe
     for concurrent reads once built: the Bernoulli table (_bern), the
@@ -39,26 +39,16 @@ class TwistContext:
     symmetry._bpoly (_bpoly_cache).
     """
 
-    __slots__ = ("chi", "xi", "d", "xi_order", "p", "s", "field",
+    __slots__ = ("chi", "xi", "d", "xi_order", "field",
                  "_chi_roots", "_xi_root", "_xi_pows", "_bern",
                  "_psums", "_twists", "_factors", "_bpoly_cache")
 
-    def __init__(self, chi: DirichletCharacter, xi: CycloNumber,
-                 p: int | None = None, s: int | None = None):
+    def __init__(self, chi: DirichletCharacter, xi: CycloNumber):
         self.chi = chi
         self.d = chi.modulus
         sign, e = xi.root_exponent()  # xi = sign * zeta^e, walked once
         r = xi.field.order // math.gcd(e, xi.field.order)
         r = self.xi_order = r if sign == 1 else 2 * r
-        if p is not None:
-            if s is None:
-                s = 0
-                while p**s < r:
-                    s += 1
-            if p**s != r:
-                raise ValueError("xi order is not the stated prime power")
-        self.p = p
-        self.s = s if p is not None else None
 
         m = chi.order
         if m <= 2:
@@ -94,17 +84,16 @@ class TwistContext:
 
     @classmethod
     def from_orders(cls, d: int, char_index: int = 0, xi_order: int = 1,
-                    xi_exp: int = 1, p: int | None = None,
-                    s: int | None = None) -> "TwistContext":
+                    xi_exp: int = 1) -> "TwistContext":
         """Build from primitive selectors: the char_index-th character mod d
-        (enumeration order) and xi = zeta_{xi_order}^xi_exp."""
+        (enumeration order) and xi = zeta_{xi_order}^xi_exp, of any order."""
         chi = character(d, char_index)
         if xi_order < 1:
             raise ValueError("xi order must be >= 1")
         if math.gcd(xi_exp, xi_order) != 1:
             raise ValueError("xi exponent must be coprime to its order")
         xi = cyclo_field(xi_order).root(xi_exp)
-        return cls(chi, xi, p=p, s=s)
+        return cls(chi, xi)
 
     # -- cached evaluations ---------------------------------------------------
 
@@ -229,10 +218,10 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
     vanish = sum(_vanishes(ctx, c) for _, c in den)
     shift = t_power - vanish
     length = max(truncation - shift, 0)
-    # each ("inv", c) is t/u where u vanishes, so the product owes t^vanish
+    # inverses first, so each unit is built once, at its longest length
+    inverses = [factor_table(ctx, ("inv", c), length) for _, c in den]
     q = product(ctx.field, [factor_table(ctx, key, length) for key in num]
-                + [factor_table(ctx, ("inv", c), length) for _, c in den],
-                length + 1)
+                + inverses, length + 1)
     return _times_t(ctx.field, q, shift, truncation)
 
 

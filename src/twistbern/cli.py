@@ -128,13 +128,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _build_context(args) -> TwistContext:
-    """The context the flags select (xi of order p^s for padic); an
+def _build_context(args, xi_order: int) -> TwistContext:
+    """The context the flags select, with xi of order xi_order; an
     imprimitive character is noted on stderr."""
-    xi_order = (args.xi_order if args.p is None
-                else padic_context(args.p, args.s).field.order)
-    ctx = TwistContext.from_orders(args.d, args.char, xi_order, args.xi_exp,
-                                   p=args.p, s=args.s)
+    ctx = TwistContext.from_orders(args.d, args.char, xi_order, args.xi_exp)
     chi = ctx.chi
     if not chi.is_primitive:
         print(f"note: character #{args.char} mod {chi.modulus} is imprimitive "
@@ -176,7 +173,7 @@ def cmd_chars(args) -> int:
 def cmd_bernoulli(args) -> int:
     if args.n < 0:
         raise ValueError("n must be >= 0")
-    ctx = _build_context(args)
+    ctx = _build_context(args, args.xi_order)
     values = bernoulli_numbers(ctx, args.n).values
     _render(args,
             lambda: {"params": ctx.params(),
@@ -191,7 +188,7 @@ def cmd_bernoulli(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ctx = _build_context(args)
+    ctx = _build_context(args, args.xi_order)
     ids = {"all": THEOREM_IDS, **{str(t): (t,) for t in THEOREM_IDS}}
     if args.theorem not in ids:
         raise ValueError("theorem id must be 1..8 or 'all'")
@@ -304,8 +301,9 @@ def cmd_grid(args) -> int:
 
 
 def cmd_padic(args) -> int:
-    ctx = _build_context(args)
-    report = convergence_check(ctx, args.k, args.n_max)
+    pctx = padic_context(args.p, args.s)
+    ctx = _build_context(args, pctx.field.order)
+    report = convergence_check(ctx, pctx, args.k, args.n_max)
 
     def table():
         return ["N", "valuation"], report.to_json_dict()["rows"]
@@ -328,7 +326,6 @@ def _add_context_flags(sub, with_w=False):
     if with_w:
         sub.add_argument("--w", type=_parse_w, default=(1, 1, 1),
                          help="weight triple, e.g. 1,2,3")
-    sub.set_defaults(p=None, s=None)  # padic alone names a prime
 
 
 def _add_output_flags(sub):

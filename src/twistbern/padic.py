@@ -1,14 +1,14 @@
 """Partial-sum realization of the defining integrals and p-adic convergence checks.
 
 The integral attached to a context is the limit of the averages
-(1/(d p^N)) * sum_{j < d p^N} chi(j) xi^j j^k.  This module computes those
-partial sums exactly, measures their distance to the closed-form Bernoulli
-coefficients with the pi-adic valuation on Q(zeta_{p^s}) (pi = 1 - zeta,
-normalized so v(p) = 1), and checks the shift identity satisfied by the
-integral.
+(1/(d p^N)) * sum_{j < d p^N} chi(j) xi^j j^k; the prime p is an argument
+here, not part of the context.  This module computes those partial sums
+exactly, measures their distance to the closed-form Bernoulli coefficients
+with the pi-adic valuation on Q(zeta_{p^s}) of a PadicContext (pi = 1 - zeta,
+normalized so v(p) = 1), and checks the shift identity of the integral.
 
-Scope: contexts whose values lie in Q(zeta_{p^s}), i.e. xi of p-power order
-and real-valued chi (order <= 2).  There p is totally ramified, so the
+Scope of the check: xi of order p^s and real-valued chi (order <= 2), so
+the values lie in Q(zeta_{p^s}).  There p is totally ramified, so the
 valuation extends uniquely and is computable by repeated division by pi.
 """
 
@@ -86,14 +86,13 @@ def pi_valuation(alpha: CycloNumber, pctx: PadicContext):
     return Fraction(top - bottom) + Fraction(steps, pctx.ramification)
 
 
-def volkenborn_partial(ctx: TwistContext, k: int, level: int) -> CycloNumber:
+def volkenborn_partial(ctx: TwistContext, p: int, k: int,
+                       level: int) -> CycloNumber:
     """(1/(d p^N)) * sum_{j<d p^N} chi(j) xi^j j^k, exactly (N = level):
     the power sum S_k(d p^N - 1) of the context over d p^N."""
-    if ctx.p is None:
-        raise ValueError("context carries no prime p")
     if k < 0 or level < 0:
         raise ValueError("k and level must be >= 0")
-    total = ctx.d * ctx.p**level
+    total = ctx.d * p**level
     return power_sum(ctx, k, total - 1) / total
 
 
@@ -113,8 +112,9 @@ class ConvergenceReport(Verdict):
                 "verdict": self.verdict, "detail": self.detail}
 
 
-def convergence_check(ctx: TwistContext, k: int, n_max: int) -> ConvergenceReport:
-    """Witness p-adic convergence of the partial sums to B_k.
+def convergence_check(ctx: TwistContext, pctx: PadicContext, k: int,
+                      n_max: int) -> ConvergenceReport:
+    """Witness convergence of the partial sums to B_k at the prime of pctx.
 
     Flags pass iff the finite valuations are strictly increasing.  Levels
     where the partial sum is already exact (valuation +infinity) are skipped:
@@ -126,17 +126,16 @@ def convergence_check(ctx: TwistContext, k: int, n_max: int) -> ConvergenceRepor
         raise ValueError("k must be >= 0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if ctx.p is None:
-        raise ValueError("context carries no prime p")
+    if ctx.xi_order != pctx.p**pctx.s:
+        raise ValueError("xi order is not the stated prime power")
     if ctx.chi.order > 2:
         raise ValueError("unsupported: values outside Q(zeta_{p^s})")
-    pctx = padic_context(ctx.p, ctx.s)
     if ctx.field.order != pctx.field.order:
         raise ValueError("unsupported: values outside Q(zeta_{p^s})")
     target = _bern_values(ctx, k)[k]
     rows = []
     for level in range(1, n_max + 1):
-        diff = volkenborn_partial(ctx, k, level) - target
+        diff = volkenborn_partial(ctx, pctx.p, k, level) - target
         rows.append((level, pi_valuation(diff, pctx)))
     passed = True
     detail = None
@@ -146,7 +145,7 @@ def convergence_check(ctx: TwistContext, k: int, n_max: int) -> ConvergenceRepor
             passed = False
             detail = f"valuation not increasing from N={n1} ({v1}) to N={n2} ({v2})"
             break
-    params = dict(ctx.params(), p=ctx.p, s=ctx.s, k=k, n_max=n_max)
+    params = dict(ctx.params(), p=pctx.p, s=pctx.s, k=k, n_max=n_max)
     return ConvergenceReport(params, rows, passed, detail)
 
 

@@ -14,7 +14,8 @@ from functools import lru_cache
 from twistbern.bernoulli import (TwistContext, bernoulli_numbers, power_sum,
                                  powersum_gf_check)
 from twistbern.characters import enumerate_characters
-from twistbern.padic import INFINITE, convergence_check, shift_identity_check
+from twistbern.padic import (INFINITE, convergence_check, padic_context,
+                             shift_identity_check)
 from twistbern.symmetry import (EXPANSION_FORMS, QuotientSpec,
                                 expansion_coefficient,
                                 permutation_invariance_check,
@@ -184,13 +185,13 @@ def test_criterion_9_padic_convergence():
                     if chi.order <= 2:
                         cases.append((p, s, d, idx))
         for p, s, d, idx in cases:
-            ctx = TwistContext.from_orders(d, idx, p**s, 1, p=p, s=s)
+            ctx = TwistContext.from_orders(d, idx, p**s, 1)
             for k in range(5):
-                rep = convergence_check(ctx, k, 5)
+                rep = convergence_check(ctx, padic_context(p, s), k, 5)
                 assert rep.passed, (p, s, d, idx, k, rep.detail)
         # the worked example: p=3, d=1, xi=1, k=1 gives valuations 1..5
-        ctx = TwistContext.from_orders(1, 0, 1, 1, p=3, s=0)
-        rep = convergence_check(ctx, 1, 5)
+        ctx = TwistContext.from_orders(1, 0, 1, 1)
+        rep = convergence_check(ctx, padic_context(3, 0), 1, 5)
         assert [v for _, v in rep.rows] == [Fraction(n) for n in range(1, 6)]
 
 

@@ -209,10 +209,6 @@ def test_context_validation():
         TwistContext.from_orders(1, 0, 4, 2)   # gcd(exp, order) != 1
     with pytest.raises(ValueError):
         TwistContext.from_orders(1, 5, 1, 1)   # character index out of range
-    with pytest.raises(ValueError):
-        TwistContext.from_orders(1, 0, 3, 1, p=2, s=1)  # order is not p^s
-    ctx = TwistContext.from_orders(1, 0, 4, 1, p=2)
-    assert ctx.s == 2  # s derived from the order
 
 
 def test_twist_shares_field_and_caches():

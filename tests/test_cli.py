@@ -3,6 +3,7 @@ import json
 import pytest
 
 from twistbern import cli
+from twistbern.bernoulli import TwistContext
 from twistbern.cli import GridSpec, main, run_grid
 from twistbern.cyclo import cyclo_field
 from twistbern.report import TheoremReport
@@ -198,6 +199,19 @@ def test_padic_json(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
+
+
+def test_padic_xi_exp_picks_the_root(capsys):
+    # xi = zeta_9^e at p = 3, s = 2, as from_orders(1, 0, 9, e) builds it
+    xis = {}
+    for e in ("1", "2"):
+        code, out, _ = run(capsys, "padic", "--p", "3", "--s", "2",
+                           "--xi-exp", e, "--k", "1", "--n-max", "2",
+                           "--format", "json")
+        assert code == 0
+        xis[e] = json.loads(out)["params"]["xi"]
+    assert xis["1"] != xis["2"]
+    assert xis["2"] == TwistContext.from_orders(1, 0, 9, 2).xi.to_json_dict()
 
 
 def test_output_file(tmp_path, capsys):

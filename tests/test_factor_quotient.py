@@ -108,15 +108,36 @@ def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
         d, char, order):
     # the product's operands are the num tables and the ("inv", c) tables,
     # each built to t^length on a fresh context, where t^length is the top
-    # power of q before its powers of t are sliced on or off (a num unit
-    # that is also in den may grow again for its inverse table)
+    # power of q before its powers of t are sliced on or off; a num unit
+    # whose inverse is t/u was built to t^(length + 1) for that inverse
     for truncation in range(4):
         for t_power, num, den in _cases((1, 2, 3)):
             ctx = TwistContext.from_orders(d, char, order)
             factor_quotient(ctx, t_power, num, den, truncation)
             length = max(truncation - t_power + _vanishing(ctx, den), 0)
-            for key in (set(num) - set(den)) | {("inv", c) for _, c in den}:
-                assert len(ctx._factors[key]) == length + 1, key
+            for key in set(num) | {("inv", c) for _, c in den}:
+                extra = key in den and _vanishing(ctx, [key])
+                assert len(ctx._factors[key]) == length + extra + 1, key
+
+
+@pytest.mark.parametrize("d,char,order", CONTEXTS)
+def test_a_fresh_context_builds_each_unit_of_a_quotient_once(
+        d, char, order, monkeypatch):
+    # a unit in num and in den is built once, for num and for its inverse
+    builds = []
+
+    def counted(ctx, c, truncation, exact=twist_unit_series):
+        builds.append(c)
+        return exact(ctx, c, truncation)
+    monkeypatch.setattr(bernoulli, "twist_unit_series", counted)
+    for w in WEIGHTS:
+        for t_power, num, den in _cases(w):
+            for truncation in (0, 3):
+                ctx = TwistContext.from_orders(d, char, order)
+                builds.clear()
+                factor_quotient(ctx, t_power, num, den, truncation)
+                units = {c for kind, c in num + den if kind == "unit"}
+                assert sorted(builds) == sorted(units), (num, den)
 
 
 @pytest.mark.parametrize("d,char,order", CONTEXTS)

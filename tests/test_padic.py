@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistbern import padic
 from twistbern.bernoulli import TwistContext, bernoulli_numbers
 from twistbern.cyclo import cyclo_field
 from twistbern.padic import (INFINITE, convergence_check, padic_context,
@@ -40,48 +41,62 @@ def test_pi_valuation_is_a_valuation():
 
 
 def test_volkenborn_partial_examples():
-    ctx = TwistContext.from_orders(1, 0, 1, 1, p=3, s=0)
-    assert volkenborn_partial(ctx, 0, 1) == 1
-    assert volkenborn_partial(ctx, 1, 1) == 1
-    assert volkenborn_partial(ctx, 1, 2) == 4
+    ctx = TwistContext.from_orders(1, 0, 1, 1)
+    assert volkenborn_partial(ctx, 3, 0, 1) == 1
+    assert volkenborn_partial(ctx, 3, 1, 1) == 1
+    assert volkenborn_partial(ctx, 3, 1, 2) == 4
 
 
 def test_convergence_classic_rates():
-    ctx = TwistContext.from_orders(1, 0, 1, 1, p=3, s=0)
-    rep = convergence_check(ctx, 1, 5)
+    ctx = TwistContext.from_orders(1, 0, 1, 1)
+    rep = convergence_check(ctx, padic_context(3, 0), 1, 5)
     assert rep.passed
     assert [v for _, v in rep.rows] == [Fraction(n) for n in range(1, 6)]
-    rep0 = convergence_check(ctx, 0, 4)
+    rep0 = convergence_check(ctx, padic_context(3, 0), 0, 4)
     assert rep0.passed
     assert all(v == INFINITE for _, v in rep0.rows)
+    rep1 = convergence_check(ctx, padic_context(3, 0), 1, 1)  # one level
+    assert rep1.passed and rep1.rows == [(1, 1)]
 
 
 def test_convergence_with_ramified_twist():
-    ctx = TwistContext.from_orders(1, 0, 2, 1, p=2, s=1)
-    rep = convergence_check(ctx, 1, 5)
+    ctx = TwistContext.from_orders(1, 0, 2, 1)
+    rep = convergence_check(ctx, padic_context(2, 1), 1, 5)
     assert rep.passed
-    ctx3 = TwistContext.from_orders(3, 1, 3, 1, p=3, s=1)
-    rep = convergence_check(ctx3, 3, 5)
+    ctx3 = TwistContext.from_orders(3, 1, 3, 1)
+    rep = convergence_check(ctx3, padic_context(3, 1), 3, 5)
     assert rep.passed
     # valuations are genuinely fractional in the ramified case
     assert any(v != INFINITE and v.denominator == 2 for _, v in rep.rows)
 
 
 def test_convergence_rejects_complex_characters():
-    ctx = TwistContext.from_orders(5, 1, 5, 1, p=5, s=1)
+    ctx = TwistContext.from_orders(5, 1, 5, 1)
     with pytest.raises(ValueError, match="unsupported"):
-        convergence_check(ctx, 1, 3)
-    plain = TwistContext.from_orders(1, 0, 2, 1)   # no p recorded
-    with pytest.raises(ValueError):
-        convergence_check(plain, 1, 3)
+        convergence_check(ctx, padic_context(5, 1), 1, 3)
+    # a character of order 3 mod 7 with xi of order 3 has its values in
+    # Q(zeta_3) itself, and is refused all the same
+    ctx = TwistContext.from_orders(7, 2, 3, 1)
+    assert ctx.chi.order == 3 and ctx.field.order == 3
+    with pytest.raises(ValueError, match="unsupported"):
+        convergence_check(ctx, padic_context(3, 1), 1, 3)
+
+
+@pytest.mark.parametrize("order,p,s", [(3, 2, 1), (4, 2, 1), (2, 2, 2),
+                                       (1, 3, 1), (3, 3, 0), (4, 3, 1)])
+def test_convergence_rejects_an_xi_order_other_than_p_to_the_s(order, p, s):
+    ctx = TwistContext.from_orders(1, 0, order, 1)
+    with pytest.raises(ValueError,
+                       match="^xi order is not the stated prime power$"):
+        convergence_check(ctx, padic_context(p, s), 1, 3)
 
 
 def test_partial_sum_matches_bernoulli_limit_exactly_when_periodic():
     # with xi of order 3 and k=1 the partial averages stabilize at B_1
-    ctx = TwistContext.from_orders(1, 0, 3, 1, p=3, s=1)
+    ctx = TwistContext.from_orders(1, 0, 3, 1)
     b1 = bernoulli_numbers(ctx, 1)[1]
     for level in (1, 2, 3):
-        assert volkenborn_partial(ctx, 1, level) == b1
+        assert volkenborn_partial(ctx, 3, 1, level) == b1
 
 
 def test_shift_identity_examples():
@@ -152,12 +167,31 @@ def test_pi_valuation_matches_division_reference():
 
 
 def test_convergence_rejects_empty_or_negative_parameters():
-    ctx = TwistContext.from_orders(1, 0, 3, 1, p=3, s=1)
+    ctx = TwistContext.from_orders(1, 0, 3, 1)
     with pytest.raises(ValueError, match="k must be >= 0"):
-        convergence_check(ctx, -1, 3)
+        convergence_check(ctx, padic_context(3, 1), -1, 3)
     for n_max in (0, -1):
         with pytest.raises(ValueError, match="n_max must be >= 1"):
-            convergence_check(ctx, 1, n_max)
+            convergence_check(ctx, padic_context(3, 1), 1, n_max)
+
+
+@pytest.mark.parametrize("valuations,detail", [
+    ([1, 2, 3, 4], None),
+    ([INFINITE, 1, INFINITE, 2], None),             # exact levels are skipped
+    ([4, 4, 5, 6], "from N=1 (4) to N=2 (4)"),      # a stall fails
+    ([0, Fraction(-1, 2), INFINITE, INFINITE], "from N=1 (0) to N=2 (-1/2)"),
+    ([1, INFINITE, 3, 2], "from N=3 (3) to N=4 (2)"),
+])
+def test_convergence_passes_iff_the_finite_valuations_rise(
+        monkeypatch, valuations, detail):
+    # the verdict rule alone, on scripted valuations of levels 1..4
+    rows = iter(valuations)
+    monkeypatch.setattr(padic, "pi_valuation", lambda diff, pctx: next(rows))
+    ctx = TwistContext.from_orders(1, 0, 1, 1)
+    rep = convergence_check(ctx, padic_context(3, 0), 1, 4)
+    assert rep.rows == list(zip(range(1, 5), valuations))
+    assert rep.passed == (detail is None)
+    assert rep.detail == (detail and f"valuation not increasing {detail}")
 
 
 @pytest.mark.parametrize("p", [2, 3, 1000003])

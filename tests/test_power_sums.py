@@ -69,16 +69,18 @@ def test_char_sum_series_matches_the_definition(d, char, order):
             assert got[j] == expected, (scale, j)
 
 
-# xi orders that are prime powers p^s, so the context carries its prime
+# xi orders p^s, and orders that p does not divide: a partial sum takes
+# any prime
 @pytest.mark.parametrize("d,char,order,p", [
     (d, char, order, p) for d, char in CHARACTERS
-    for order, p in ((1, 2), (2, 2), (3, 3), (4, 2), (5, 5))])
+    for order, p in ((1, 2), (2, 2), (3, 3), (4, 2), (5, 5), (4, 3), (3, 2),
+                     (6, 5))])
 def test_volkenborn_partial_matches_the_definition(d, char, order, p):
-    ctx = TwistContext.from_orders(d, char, order, p=p)
+    ctx = TwistContext.from_orders(d, char, order)
     for level in range(3 if p == 2 else 2):
         total = d * p**level
         for k in range(K_MAX + 1):
-            assert volkenborn_partial(ctx, k, level) == \
+            assert volkenborn_partial(ctx, p, k, level) == \
                 _direct(ctx, k, total - 1) / total, (level, k)
 
 
