@@ -33,10 +33,10 @@ class TwistContext:
     Values are immutable; per-context caches are filled lazily and are safe
     for concurrent reads once built: the Bernoulli table (_bern), the
     power-sum tables per bound (_psums), the twisted contexts (_twists),
-    the factor tables of factor_table (_factors), which quotients and the
-    S pieces of symmetry's rows read, among them one inverse table per
-    denominator unit of a quotient, and the B piece tables of
-    symmetry._bpoly (_bpoly_cache).
+    the factor tables of factor_table (_factors), which quotients and
+    symmetry's rows read, among them one inverse table per denominator unit
+    of a quotient and the shift tables of the rows' B pieces, and the
+    Bernoulli seed of symmetry._bpoly per twist exponent (_bpoly_cache).
     """
 
     __slots__ = ("chi", "xi", "d", "xi_order", "field",
@@ -131,14 +131,16 @@ def _signed_root(field, sign: int, e: int) -> CycloNumber:
 # -- series building blocks -----------------------------------------------
 
 def char_sum_series(ctx: TwistContext, scale: int, truncation: int,
-                    bound: int | None = None) -> tuple:
-    """The coefficients of sum_{a<=bound} chi(a) xi^(a*scale) e^(a*scale*t)
-    to t^truncation, with bound d - 1 by default: the t^j coefficient is
-    scale^j/j! times S_j(bound) of the twist xi^scale."""
+                    bound: int | None = None, t_scale=None) -> tuple:
+    """The coefficients of sum_{a<=bound} chi(a) xi^(a*scale) e^(a*t_scale*t)
+    to t^truncation, with bound d - 1 and t_scale = scale by default: the
+    t^j coefficient is t_scale^j/j! times S_j(bound) of the twist xi^scale."""
     if bound is None:
         bound = ctx.d - 1
+    if t_scale is None:
+        t_scale = scale
     sums = power_sums(ctx.twist(scale), truncation, bound)
-    return tuple(sums[j] * Fraction(scale**j, math.factorial(j))
+    return tuple(sums[j] * Fraction(t_scale**j, math.factorial(j))
                  for j in range(truncation + 1))
 
 
@@ -154,14 +156,16 @@ def twist_unit_series(ctx: TwistContext, scale: int, truncation: int) -> tuple:
 
 def factor_table(ctx: TwistContext, key: tuple, upto: int) -> tuple:
     """The coefficients of one factor series to t^upto.  Key ("unit", c) is
-    xi^(dc) e^(dct) - 1, ("sum", c) or ("sum", c, bound) is the character
-    sum sum_{a<=bound} chi(a) xi^(ac) e^(act), bound d - 1 by default, and
-    ("inv", c) is the inverse 1/u of the unit u of ("unit", c), or t/u
-    where xi^(dc) = 1 and u has no constant term: one ``cyclo.quotient`` of
-    1 by the unit's table, shifted by one there.  Each table is built once
-    per context and kept in ctx._factors, a bound of d - 1 under
-    ("sum", c); a longer one than cached is built to at least twice the
-    cached length."""
+    xi^(dc) e^(dct) - 1, ("sum", c[, bound[, sigma]]) is the character sum
+    sum_{a<=bound} chi(a) xi^(ac) e^(a*sigma*t), bound d - 1 and sigma = c
+    by default, and ("inv", c) is the inverse 1/u of the unit u of
+    ("unit", c), or t/u where xi^(dc) = 1 and u has no constant term: one
+    ``cyclo.quotient`` of 1 by the unit's table, shifted by one there.  Each
+    table is built once per context and kept in ctx._factors with a default
+    sigma, then bound, dropped from its key; a longer one than cached is
+    built to at least twice the cached length."""
+    if key[3:] == (key[1],):
+        key = key[:3]
     if key[2:] == (ctx.d - 1,):
         key = key[:2]
     table = ctx._factors.get(key)

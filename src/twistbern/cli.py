@@ -73,9 +73,14 @@ class GridSpec:
         return idx
 
     def points(self) -> list[tuple]:
-        return sorted({(d, ci, r, 1, tuple(w)) for d in sorted(self.d_list)
-                       for ci in self.char_indices(d)
-                       for r in self.xi_orders for w in self.w_list})
+        points = sorted({(d, ci, r, 1, tuple(w)) for d in sorted(self.d_list)
+                         for ci in self.char_indices(d)
+                         for r in self.xi_orders for w in self.w_list})
+        if not points:
+            raise ValueError(
+                f"grid selects no point: --chars {self.char_selector!r} "
+                f"matches no character mod {','.join(map(str, self.d_list))}")
+        return points
 
 
 # argparse shows the message of an ArgumentTypeError; for any other error of

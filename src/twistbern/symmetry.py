@@ -20,7 +20,8 @@ Rows and quotients share one form (scales, F): e^{(s.y) t} F(t), with a
 scale s_y per live slot (the same under every weight order) and a scalar
 series F over Q(zeta_L).  ``_quotient_form`` builds (scales, q) with one
 factor_quotient call, ``_row_form`` (scales, const * E) with one
-``cyclo.product`` of the pieces' scalar tables.  Every check decides on
+``cyclo.product`` of cached tables, as a quotient is: a Bernoulli seed per
+twist (``_bpoly``) and character-sum factor tables.  Every check decides on
 forms: equal forms lift to equal SymPolys, so only unequal forms are lifted
 (by ``_lift``, the one writer of SymPoly monomials) for ``first_mismatch``
 to decide, and ``verify_theorem`` lifts each distinct form once.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import (TwistContext, _bern_values, factor_quotient,
-                        factor_table, power_sums)
+                        factor_table)
 from .cyclo import product
 from .report import CheckReport, TheoremReport, first_mismatch
 from .series import PowerSeries
@@ -147,30 +148,15 @@ def _lift(scales: dict, F, n: int, factor) -> SymPoly:
 
 # -- building blocks shared by the expansion forms and theorem verifiers ------
 
-def _bpoly(ctx: TwistContext, c: int, k: int, sums: tuple) -> list:
-    """The scalar table [c^j T_j / j! for j <= k] of a B piece, with
-    T_m = sum_p coef_p B_m(r_p) for the twist xi^c over the shift points p
-    of sums (see _B); no sums is the single point (1, 0), where T_m = B_m.
-
-    With the moments M_e = sum_p coef_p r_p^e, T_m = sum_i C(m,i) B_i
-    M_{m-i}, so c^m T_m/m! is the Cauchy product of c^i B_i/i! and
-    c^e M_e/e!.  One sums entry (A, m, s, q) has c^e M_e = (s*c/q)^e
-    S_e(A-1) for the twist xi^m (0^0 = 1 keeps the point a = 0 at d = 1),
-    and the moments of several entries combine in the same way (one
-    ``cyclo.product`` of the Bernoulli table and every moment table), so no
-    shift point is visited.  One table is cached per (c, sums) and grows in
-    place.
-    """
-    table = ctx._bpoly_cache.setdefault((c, sums), [])
+def _bpoly(ctx: TwistContext, c: int, k: int) -> list:
+    """The seed [c^j B_j / j! for j <= k] of a B piece of twist exponent c,
+    B_j the Bernoulli numbers of xi^c: one table per c in ctx._bpoly_cache,
+    grown in place to the length of the twist's _bern_values."""
+    table = ctx._bpoly_cache.setdefault(c, [])
     if len(table) <= k:
-        fact = [math.factorial(i) for i in range(k + 1)]
         bern = _bern_values(ctx.twist(c), k)
-        seqs = [[bern[i] * Fraction(c**i, fact[i]) for i in range(k + 1)]]
-        for bound, m, s, q in sums:
-            moments = power_sums(ctx.twist(m), k, bound - 1)
-            seqs.append([moments[e] * Fraction((s * c)**e, q**e * fact[e])
-                         for e in range(k + 1)])
-        table.extend(product(ctx.field, seqs, k + 1)[len(table):])
+        table.extend(bern[j] * Fraction(c**j, math.factorial(j))
+                     for j in range(len(table), len(bern)))
     return table[:k + 1]
 
 
@@ -188,14 +174,14 @@ def _bpoly(ctx: TwistContext, c: int, k: int, sums: tuple) -> list:
 # * _S(bound, c): j -> S_j(bound) for the twist xi^c.
 #
 # So the row is n! [t^n] of const * prod_i sum_k piece_i(k) (c_i t)^k / k!.
-# By B_k(u*y + r) = sum_t C(k,t) (u*y)^t B_{k-t}(r), the series of a B piece
-# is e^{c*u*y_slot*t} * sum_j c^j T_j t^j / j!.  The row is thus
-# const * e^{(sum_i c_i u_i y_slot_i) t} * E(t), with E the Cauchy product of
-# the pieces' scalar tables a_i[j] = c_i^j P_i(j) / j! (P_i = T for a B
-# piece, S(bound) for an S piece).  _bpoly builds a B piece's table; an S
-# piece's is the factor table ("sum", c, bound) of bernoulli.factor_table,
-# the series sum_{a<=bound} chi(a) xi^(ca) e^(cat).  _row_form convolves the
-# tables once and forms no polynomial product.
+# As sum_k B_k(x) t^k / k! = e^{xt} sum_j B_j t^j / j!, a B piece's series is
+# e^{c*u*y_slot*t} times its seed sum_j c^j B_j t^j / j! (_bpoly) times one
+# character sum per sums entry, sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t}:
+# the factor table ("sum", m, A - 1, s*c/q).  An S piece is the factor table
+# ("sum", c, bound), sum_{a<=bound} chi(a) xi^(ca) e^(cat), which a shift
+# with s*c/q = m shares.  So the row is const * e^{(sum_i c_i u_i y_slot_i) t}
+# * E(t), E the Cauchy product of these tables: _row_form forms it with one
+# ``cyclo.product``, visits no shift point and forms no polynomial product.
 
 def _B(c, u, slot, *sums):
     return ("B", c, u, slot, sums)
@@ -253,14 +239,16 @@ _ROWS = {
 def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
     """The form (scales, const * E[:n+1]) of a table row at the weights w:
     the row's n-th EGF coefficient is n! [t^n] of e^{(s.y) t} const E(t),
-    with E the Cauchy product of the pieces' scalar tables and s_y the sum
-    of c_i*u_i over the B pieces in slot y."""
+    with E the one Cauchy product of the pieces' seeds and factor tables and
+    s_y the sum of c_i*u_i over the B pieces in slot y."""
     const, pieces = _ROWS[row](*w, ctx.d)
     tables, scales = [], {}
     for desc in pieces:
         if desc[0] == "B":
             _, c, u, slot, sums = desc
-            tables.append(_bpoly(ctx, c, n, sums))
+            tables.append(_bpoly(ctx, c, n))
+            tables += [factor_table(ctx, ("sum", m, A - 1, Fraction(s * c, q)),
+                                    n) for A, m, s, q in sums]
             scales[slot] = scales.get(slot, 0) + c * u
         else:
             tables.append(factor_table(ctx, ("sum", *desc[1:]), n))

@@ -1,11 +1,16 @@
-"""The scalar tables of the B pieces against the per-point route.
+"""The tables of the B pieces against the per-point route.
 
-`symmetry._bpoly` sums the shift points of a piece through their moments
-(power sums) and never visits a point; its table holds c^k T_k / k!.  The
-oracle here visits every point: T_k = sum_p coef_p * B_k(r_p), each term one
-`bernoulli_polynomial` at a rational point, over the explicit product of the
-point sets of the piece's sums entries.  The y-part of a piece (its u and
-slot) is checked at the row level by tests/test_row_oracle.py.
+A B piece (c, u, slot, sums) of a row contributes the Bernoulli seed
+`symmetry._bpoly(ctx, c, k)`, [c^j B_j / j!], times one character-sum
+factor table per sums entry (A, m, s, q), the series
+sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t} under the key
+("sum", m, A - 1, s*c/q).  Their Cauchy product, formed here by a schoolbook
+loop over element ``*`` and ``+``, holds c^k T_k / k!, and no shift point
+is visited.  The oracle here visits every point: T_k = sum_p coef_p *
+B_k(r_p), each term one `bernoulli_polynomial` at a rational point, over the
+explicit product of the point sets of the piece's sums entries.  The y-part
+of a piece (its u and slot) is checked at the row level by
+tests/test_row_oracle.py.
 """
 
 import math
@@ -13,7 +18,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistbern.bernoulli import TwistContext, bernoulli_polynomial
+from twistbern.bernoulli import (TwistContext, bernoulli_polynomial,
+                                 factor_table)
 from twistbern.characters import enumerate_characters
 from twistbern.symmetry import _ROWS, _bpoly
 
@@ -44,6 +50,23 @@ def _oracle(ctx, c, k, sums):
     return acc
 
 
+def _times(a, b):
+    """The schoolbook Cauchy product of two coefficient tuples, truncated to
+    the shorter."""
+    return tuple(sum((a[i] * b[k - i] for i in range(1, k + 1)), a[0] * b[k])
+                 for k in range(min(len(a), len(b))))
+
+
+def _piece_table(ctx, c, k, sums):
+    """The seed times the shift tables of the piece, to t^k."""
+    table = _bpoly(ctx, c, k)
+    assert len(table) == k + 1
+    for bound, m, s, q in sums:
+        table = _times(table, factor_table(
+            ctx, ("sum", m, bound - 1, Fraction(s * c, q)), k))
+    return table
+
+
 def _b_pieces(d, w):
     """Every distinct (c, sums) of a B piece of a table row at the weights w."""
     return {(piece[1], piece[4]) for row in _ROWS.values()
@@ -53,6 +76,9 @@ def _b_pieces(d, w):
 def test_rows_produce_single_and_double_shifts():
     sums = {sums for w in WEIGHTS for _, sums in _b_pieces(3, w)}
     assert {len(s) for s in sums} == {0, 1, 2}
+    # the printed theorem-3 variant scales t by s*c/q != m, a key of its own
+    assert any(Fraction(s * c, q) != m for w in WEIGHTS
+               for c, sums in _b_pieces(3, w) for _, m, s, q in sums)
     # the trivial character mod 4 is imprimitive
     assert not enumerate_characters(4)[0].is_primitive
 
@@ -64,7 +90,7 @@ def test_bpoly_matches_the_per_point_sum(d, idx, r):
     for w in WEIGHTS:
         for c, sums in sorted(_b_pieces(d, w)):
             for k in range(K_MAX + 1):
-                got = _bpoly(ctx, c, k, sums)[k] * Fraction(
+                got = _piece_table(ctx, c, k, sums)[k] * Fraction(
                     math.factorial(k), c**k)
                 want = _oracle(ctx, c, k, sums)
                 assert got == want, (w, c, sums, k)

@@ -153,6 +153,22 @@ def test_grid_usage_errors(capsys):
         GridSpec(d_list=[1], char_selector="all", xi_orders=[1], w_list=[])
 
 
+def test_a_grid_that_selects_no_point_exits_2(capsys):
+    # no character mod 2 or mod 6 is primitive
+    for d in ("2", "2,6"):
+        code, out, err = run(capsys, "grid", "--d", d, "--chars", "primitive")
+        assert (code, out) == (2, "")
+        assert err == ("error: grid selects no point: --chars 'primitive' "
+                       f"matches no character mod {d}\n")
+    # the d = 3 points of a grid run, though d = 2 contributes none
+    code, out, _ = run(capsys, "grid", "--d", "2,3", "--chars", "primitive",
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert rows and {(r["d"], r["char"]) for r in rows} == {(3, 1)}
+    assert all(r["verdict"] == "pass" for r in rows)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bernoulli", "--n", "-1"], "n must be >= 0"),
     (["grid", "--chars", "1,,x"], "--chars must be 'all', 'primitive', or "

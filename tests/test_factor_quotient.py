@@ -8,8 +8,12 @@ times its unit must be 1.  The products are formed here by a schoolbook
 Cauchy loop over element ``*`` and ``+``, not by ``cyclo.product``.  One
 context lies in a field of degree _PACK_DEGREE or more, where
 ``cyclo.product`` packs its rows.  The factor tables are cached per
-context, and the S pieces of the expansion rows read the same store.
+context, and the S pieces and shift tables of the expansion rows read the
+same store.
 """
+
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -266,44 +270,74 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     assert [products for _, _, products in calls] == [8] * 6
 
 
-def test_row_pieces_are_factor_tables(monkeypatch):
-    # An S piece of a row reads the character-sum factor table of
-    # factor_table under ("sum", c, bound), and a B piece reads one table
-    # per (c, sums), built once and grown in place as n rises: the context
-    # keeps no second per-piece store.
-    tables = {}
-    exact_bpoly = symmetry._bpoly
+def _stored_key(ctx, key):
+    """The key factor_table keeps a table under: a t-scale equal to the
+    twist, then a bound of d - 1, dropped."""
+    if key[3:] == (key[1],):
+        key = key[:3]
+    return key[:2] if key[2:] == (ctx.d - 1,) else key
 
-    def bpoly(ctx, c, k, sums):
-        table = exact_bpoly(ctx, c, k, sums)
-        tables.setdefault((c, sums), set()).add(id(ctx._bpoly_cache[c, sums]))
+
+def test_row_pieces_are_factor_tables(monkeypatch):
+    # A B piece reads its Bernoulli seed from ctx._bpoly_cache, one table per
+    # twist exponent c, built once and grown in place as n rises, and one
+    # character-sum factor table per shift entry (A, m, s, q), the series
+    # sum_{a<A} chi(a) xi^(am) e^((s*c/q) a t); an S piece reads the factor
+    # table ("sum", c, bound).  A shift with s*c/q = m reads the table of the
+    # S piece with that (m, bound), and each row is one cyclo.product.
+    seeds, products = {}, []
+    exact_bpoly, exact_product = symmetry._bpoly, symmetry.product
+
+    def bpoly(ctx, c, k):
+        table = exact_bpoly(ctx, c, k)
+        seeds.setdefault(c, set()).add(id(ctx._bpoly_cache[c]))
         return table
+
+    def product(*args):
+        products[-1] += 1
+        return exact_product(*args)
+
+    def row_form(*args, exact=symmetry._row_form):
+        products.append(0)
+        return exact(*args)
     monkeypatch.setattr(symmetry, "_bpoly", bpoly)
+    monkeypatch.setattr(symmetry, "product", product)
+    monkeypatch.setattr(symmetry, "_row_form", row_form)
 
     ctx = TwistContext.from_orders(3, 1, 4)
-    w, top = (1, 2, 3), 6
+    w, top, theorems = (1, 2, 3), 6, (2, 3, 4, 5, 6)
     for n in range(top + 1):
-        for theorem in (2, 4, 5):
+        for theorem in theorems:
             assert verify_theorem(theorem, ctx, w, n).passed
-    assert not hasattr(ctx, "_piece_tables")
+    assert products and set(products) == {1}
 
-    pieces = set()
-    for theorem in (2, 4, 5):
+    pieces = set(_ROWS["bernoulli_shifted_bernoulli_printed"](
+        w[1], w[0], w[2], ctx.d)[1])
+    for theorem in theorems:
         perms, row = _THEOREM_PATTERNS[theorem]
         for v in _distinct_orders(w, perms):
             pieces.update(_ROWS[row](*v, ctx.d)[1])
-    s_pieces = {(desc[1], desc[2]) for desc in pieces if desc[0] == "S"}
+    s_keys = {("sum", desc[1], desc[2]) for desc in pieces if desc[0] == "S"}
     b_pieces = {(desc[1], desc[4]) for desc in pieces if desc[0] == "B"}
-    assert s_pieces and any(sums for _, sums in b_pieces)
+    shifts = {("sum", m, A - 1, Fraction(s * c, q))
+              for c, sums in b_pieces for A, m, s, q in sums}
+    assert s_keys and shifts
 
-    for c, bound in s_pieces:
-        key = ("sum", c) if bound == ctx.d - 1 else ("sum", c, bound)
-        assert (ctx._factors[key][:top + 1]
-                == char_sum_series(ctx, c, top, bound))
-    assert set(tables) == set(ctx._bpoly_cache) == b_pieces
-    for key, ids in tables.items():
-        assert ids == {id(ctx._bpoly_cache[key])}
-        assert len(ctx._bpoly_cache[key]) == top + 1
+    assert set(seeds) == set(ctx._bpoly_cache) == {c for c, _ in b_pieces}
+    for c, ids in seeds.items():
+        assert ids == {id(ctx._bpoly_cache[c])}
+        bern = bernoulli.bernoulli_numbers(ctx.twist(c), top)
+        assert ctx._bpoly_cache[c][:top + 1] == [
+            bern[j] * Fraction(c**j, math.factorial(j)) for j in range(top + 1)]
+
+    for key in s_keys | shifts:
+        assert (ctx._factors[_stored_key(ctx, key)][:top + 1]
+                == char_sum_series(ctx, key[1], top, *key[2:])), key
+    shared = {key[:3] for key in shifts if key[3] == key[1]} & s_keys
+    printed = {key for key in shifts if key[3] != key[1]}
+    assert shared and printed
+    sums = {key for key in ctx._factors if key[0] == "sum"}
+    assert sums == {_stored_key(ctx, key) for key in s_keys | shifts}
 
 
 def test_a_sum_of_bound_d_minus_1_is_stored_once():

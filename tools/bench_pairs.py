@@ -15,8 +15,12 @@ end-to-end metric it prints both medians, the parent's quartiles and the
 number of pairs the change won.  It flags a metric whose median is worse
 beyond its bound, and one left unresolved: the parent's spread (q3 - q1) /
 median exceeds the bound, and not every change run beats every parent run.
-Then it prints the ``end_to_end`` and ``medians`` objects of a BENCH_*.json
-record as one JSON document.
+For each workload it also prints the per-side medians of the unnormalised
+``raw_checks_per_s`` and of the calibration unit ``unit_s``, read from the
+record each run appends to ``<checkout>/.perfbench_out/runs.jsonl``; they
+show how far the unit alone moves the normalised metrics, and no verdict
+reads them.  Then it prints the ``end_to_end`` and ``medians`` objects of a
+BENCH_*.json record as one JSON document.
 Stdlib only; every run takes about S seconds plus set-up, so the default
 costs about 3 workloads x 10 pairs x 2 runs x 40 s.
 """
@@ -28,18 +32,30 @@ import json
 import statistics
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
+
+#: unnormalised figures of each run's runs.jsonl record, shown but not judged
+RAW = ("raw_checks_per_s", "unit_s")
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One end-to-end run in the checkout at root: its final JSON line."""
+    """One end-to-end run in the checkout at root: its final JSON line, with
+    the RAW figures of the record it appended to runs.jsonl under "raw"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise RuntimeError(f"{root}: {workload} exited with {proc.returncode}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    with open(root / ".perfbench_out" / "runs.jsonl") as fh:
+        record = json.loads(deque(fh, maxlen=1)[0])
+    if (record["workload"], record["seed"]) != (workload, seed):
+        raise RuntimeError(f"{root}: the last runs.jsonl record is not "
+                           f"this {workload} run")
+    out["raw"] = {name: record[name] for name in RAW}
+    return out
 
 
 def summary(runs: list) -> dict:
@@ -135,6 +151,15 @@ def main(argv=None) -> int:
                   + ("  WORSE BEYOND BOUND" if cmp["worse_beyond_bound"]
                      else "")
                   + ("  UNRESOLVED" if cmp["unresolved"] else ""))
+        entry["raw_medians"] = {}
+        for name in RAW:
+            med = {side: statistics.median(r["raw"][name] for r in runs[side])
+                   for side in sides}
+            entry["raw_medians"][name] = {side: round(v, 6)
+                                          for side, v in med.items()}
+            print(f"{w:<11} {name:<16} parent {med['parent']:>10.5g}"
+                  f"  change {med['change']:>10.5g}"
+                  f"  {med['change'] / med['parent'] - 1:+.1%}  (not judged)")
         record["end_to_end"]["workloads"][w] = entry
     print(json.dumps(record, indent=1))
     return 0
