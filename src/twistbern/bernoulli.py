@@ -7,12 +7,15 @@ are the EGF coefficients of
     t * sum_{a<d} chi(a) xi^a e^{at} / (xi^d e^{dt} - 1),
 
 built as a tuple of coefficients by one ``cyclo.quotient`` of its two factor
-tables.  Every other quotient of such factors in the package is built by
-factor_quotient as one ``cyclo.product``: of the numerator's factor tables
-and of the inverse table of each denominator unit, 1/(xi^(dc) e^(dct) - 1),
-the Apostol-Bernoulli generating function (times t where the unit
-vanishes at t = 0), which is divided out once per context.  A consequence
-pinned by the tests: B_0 = 0 whenever xi^d != 1.
+series.  Every other quotient of such factors in the package is built by
+factor_quotient as one ``cyclo.product`` of stored ``cyclo.RowTable``s:
+the numerator's factor tables and the inverse table of each denominator
+unit, 1/(xi^(dc) e^(dct) - 1) (times t where the unit vanishes at t = 0).
+That inverse is g_u(dct), g_u(x) = 1/(u e^x - 1) the Apostol-Bernoulli
+generating function of the root u = xi^(dc) (x/(e^x - 1) at u = 1), so it
+is divided out once per field and root, and each context scales it by
+powers of dc.  A consequence pinned by the tests: B_0 = 0 whenever
+xi^d != 1.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from fractions import Fraction
 from itertools import repeat
 
 from .characters import DirichletCharacter, character
-from .cyclo import CycloNumber, cyclo_field, product, quotient
+from .cyclo import (CycloNumber, RowTable, _rows, cyclo_field, product,
+                    quotient)
 from .report import CheckReport, first_mismatch
 
 
@@ -36,7 +40,11 @@ class TwistContext:
     the factor tables of factor_table (_factors), which quotients and
     symmetry's rows read, among them one inverse table per denominator unit
     of a quotient and the shift tables of the rows' B pieces, and the
-    Bernoulli seed of symmetry._bpoly per twist exponent (_bpoly_cache).
+    Bernoulli seed of symmetry._bpoly per twist exponent (_bpoly_cache);
+    the tables of _factors and _bpoly_cache are RowTables, each stored in
+    that one form.  The inverse tables derive from the field's own table
+    of each root of unity (``_apostol_table``), which contexts of one
+    field share.
     """
 
     __slots__ = ("chi", "xi", "d", "xi_order", "field",
@@ -154,16 +162,17 @@ def twist_unit_series(ctx: TwistContext, scale: int, truncation: int) -> tuple:
     return tuple(coeffs)
 
 
-def factor_table(ctx: TwistContext, key: tuple, upto: int) -> tuple:
-    """The coefficients of one factor series to t^upto.  Key ("unit", c) is
-    xi^(dc) e^(dct) - 1, ("sum", c[, bound[, sigma]]) is the character sum
-    sum_{a<=bound} chi(a) xi^(ac) e^(a*sigma*t), bound d - 1 and sigma = c
-    by default, and ("inv", c) is the inverse 1/u of the unit u of
-    ("unit", c), or t/u where xi^(dc) = 1 and u has no constant term: one
-    ``cyclo.quotient`` of 1 by the unit's table, shifted by one there.  Each
-    table is built once per context and kept in ctx._factors with a default
-    sigma, then bound, dropped from its key; a longer one than cached is
-    built to at least twice the cached length."""
+def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
+    """The stored RowTable of one factor series, to t^upto or further.  Key
+    ("unit", c) is xi^(dc) e^(dct) - 1, ("sum", c[, bound[, sigma]]) is
+    the character sum sum_{a<=bound} chi(a) xi^(ac) e^(a*sigma*t), bound
+    d - 1 and sigma = c by default, and ("inv", c) is the inverse 1/u of
+    the unit u of ("unit", c), or t/u where xi^(dc) = 1 and u has no
+    constant term: the field's inverse table of the root xi^(dc) at
+    x = dct (``_inverse_table``).  Each table is built once per context,
+    brought to row form once per build, and kept in ctx._factors with a
+    default sigma, then bound, dropped from its key; a longer one than
+    cached is built to at least twice the cached length."""
     if key[3:] == (key[1],):
         key = key[:3]
     if key[2:] == (ctx.d - 1,):
@@ -173,22 +182,69 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> tuple:
         # grow geometrically, as _bern_values does
         build = upto if table is None else max(upto, 2 * len(table))
         if key[0] == "inv":
-            field, v = ctx.field, _vanishes(ctx, key[1])
-            table = tuple(quotient(
-                field, (field.one,) + (field.zero,) * build,
-                factor_table(ctx, ("unit", key[1]), build + v)[v:]))
+            table = _inverse_table(ctx, key[1], build)
         else:
             # module globals, read per call: wrappers set on the module
             # attributes (as perfbench/tracing.py does) see every build
             make = twist_unit_series if key[0] == "unit" else char_sum_series
-            table = make(ctx, key[1], build, *key[2:])
+            table = _rows(ctx.field, make(ctx, key[1], build, *key[2:]),
+                          build + 1)
         ctx._factors[key] = table
-    return table[:upto + 1]
+    return table
+
+
+def _unit_root(ctx: TwistContext, c: int) -> tuple:
+    """(sign, e) with xi^(dc) = sign * zeta_L^e, 0 <= e < L, and sign -1
+    only for odd L: the key of the root in its field."""
+    sign, e = ctx._xi_root
+    dc = ctx.d * c
+    L = ctx.field.order
+    e = e * dc % L
+    if sign == 1 or dc % 2 == 0:
+        return 1, e
+    return (1, (e + L // 2) % L) if L % 2 == 0 else (-1, e)
 
 
 def _vanishes(ctx: TwistContext, c: int) -> bool:
     # the unit xi^(dc) e^(dct) - 1 has no constant term
-    return ctx.xi_pow(ctx.d * c).is_one()
+    return _unit_root(ctx, c) == (1, 0)
+
+
+def _inverse_table(ctx: TwistContext, c: int, build: int) -> RowTable:
+    """("inv", c) to t^build: 1/(u e^x - 1) at x = dct, u = xi^(dc), or
+    t times it where u = 1.  With g_u the field's table of the root u
+    (``_apostol_table``), coefficient k is g_u's times (dc)^(k - v), v = 1
+    iff u = 1; the rows are scaled and brought to lowest terms by one
+    gcd."""
+    root = _unit_root(ctx, c)
+    dc = ctx.d * c
+    g = _apostol_table(ctx.field, root, build)
+    den = g.den * (dc if root == (1, 0) else 1)
+    rows = [(k, [x * dc**k for x in row]) for k, row in g.rows if k <= build]
+    common = math.gcd(den, *(x for _, row in rows for x in row))
+    return RowTable(ctx.field, [(k, [x // common for x in row])
+                                for k, row in rows], den // common, build + 1)
+
+
+def _apostol_table(field, root: tuple, upto: int) -> RowTable:
+    """g_u to x^upto or further, u = sign * zeta_L^e for root (sign, e):
+    g_u = 1/(u e^x - 1), the Apostol-Bernoulli generating function, and
+    x/(e^x - 1), the Bernoulli one, at u = 1 (T. M. Apostol, Pacific J.
+    Math. 1, 1951).  One ``cyclo.quotient`` of (1, 0, ...) by
+    (u - 1, u/1!, u/2!, ...), shifted by one x at u = 1, builds it; it is
+    kept per field and root in field._apostol, at most 2L tables, each
+    grown to at least twice its length when a longer one is asked for."""
+    table = field._apostol.get(root)
+    if table is None or len(table) <= upto:
+        if table is not None:
+            upto = max(upto, 2 * len(table))
+        u = _signed_root(field, *root)
+        v = root == (1, 0)
+        unit = [u - 1] + [u * Fraction(1, math.factorial(j))
+                          for j in range(1, upto + v + 1)]
+        table = field._apostol[root] = _rows(field, quotient(
+            field, (field.one,) + (field.zero,) * upto, unit[v:]), upto + 1)
+    return table
 
 
 def _times_t(field, q, shift: int, truncation: int) -> tuple:
@@ -201,8 +257,9 @@ def _times_t(field, q, shift: int, truncation: int) -> tuple:
 
 
 def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
-                    truncation: int) -> tuple:
-    """The coefficients of t^t_power * prod(num) / prod(den) to t^truncation.
+                    truncation: int, const=1) -> tuple:
+    """The coefficients of const * t^t_power * prod(num) / prod(den) to
+    t^truncation, const an int or Fraction.
 
     A factor is a key of factor_table: ("unit", c), the series
     xi^(dc) e^(dct) - 1, or ("sum", c), the character sum
@@ -211,10 +268,10 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
     xi^(dc) = 1 (vanish of them) gives up one t, and the quotient owes
     t^(vanish - t_power) when that is positive; ValueError is raised if t
     does not divide it.  num and den are non-empty.  The quotient is one
-    ``cyclo.product`` over the tables of num, in its order, then the
-    ("inv", c) tables of den, in its order, all read from factor_table,
-    which caches them; nothing else is cached, nothing is divided here,
-    and the powers of t are slices.
+    ``cyclo.product`` over the stored row tables of num, in its order,
+    then the ("inv", c) tables of den, in its order, with const applied at
+    its last step; nothing is cached here, nothing is divided, and the
+    powers of t are slices.
     """
     for key in den:
         if key[0] != "unit":
@@ -222,23 +279,23 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
     vanish = sum(_vanishes(ctx, c) for _, c in den)
     shift = t_power - vanish
     length = max(truncation - shift, 0)
-    # inverses first, so each unit is built once, at its longest length
-    inverses = [factor_table(ctx, ("inv", c), length) for _, c in den]
-    q = product(ctx.field, [factor_table(ctx, key, length) for key in num]
-                + inverses, length + 1)
+    tables = [factor_table(ctx, key, length) for key in num]
+    tables += [factor_table(ctx, ("inv", c), length) for _, c in den]
+    q = product(ctx.field, tables, length + 1, const)
     return _times_t(ctx.field, q, shift, truncation)
 
 
 def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     """The coefficients of the Bernoulli generating function
     t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}:
-    one ``cyclo.quotient`` of the ("sum", 1) table by the ("unit", 1) table,
-    each built no longer than the quotient needs, with no inverse table,
-    since a field that only asks for its Bernoulli numbers uses it once."""
+    one ``cyclo.quotient`` of the character sum by the unit, each built
+    by char_sum_series and twist_unit_series no longer than the quotient
+    needs, and stored nowhere, since a field that only asks for its
+    Bernoulli numbers uses them once."""
     v = _vanishes(ctx, 1)
     length = max(truncation - 1 + v, 0)
-    q = quotient(ctx.field, factor_table(ctx, ("sum", 1), length),
-                 factor_table(ctx, ("unit", 1), length + v)[v:])
+    q = quotient(ctx.field, char_sum_series(ctx, 1, length),
+                 twist_unit_series(ctx, 1, length + v)[v:])
     return _times_t(ctx.field, q, 1 - v, truncation)
 
 

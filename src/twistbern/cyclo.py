@@ -14,11 +14,14 @@ Kronecker-packed numerators, and a one-term operand goes outside the
 schoolbook loop that every other pair takes.  ``product`` is the Cauchy
 product of sequences: it keeps integer rows over the product of the
 factors' denominators, each factor's rows packed once from _PACK_DEGREE
-on, until one ``_canonical`` per final coefficient, and ``quotient``
-divides two, one ``dot`` per coefficient, which the exact path does only
-to build a Bernoulli generating function and the inverse of each unit
-factor, once per context: the package's series are these coefficient
-sequences.  Inversion is an extended Euclid in Z[x].  ``_fold`` is the one
+on, until one ``_canonical`` per final coefficient, which also applies a
+rational constant.  A ``RowTable`` is a sequence stored in that row form,
+which ``product`` takes as it is; the caches of the exact path hold
+their tables so.  ``quotient`` divides two sequences, one ``dot`` per
+coefficient, which the exact path does only to build a Bernoulli
+generating function and one inverse table per field and root of unity:
+the package's series are these coefficient sequences.  Inversion is an
+extended Euclid in Z[x].  ``_fold`` is the one
 reduction of an integer polynomial mod Phi_L, through a chain of sparse
 multiples of Phi_L down to Phi_L; a root of unity is a folded unit vector,
 and ``CycloField.root_sum`` folds integer combinations of them.  Rational
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -180,10 +184,17 @@ def _poly_inverse(a: list[int], modulus: tuple[int, ...]) -> tuple[list[int], in
 
 
 class CycloField:
-    """The cyclotomic field Q(zeta_L), L = order, as Q[x]/Phi_L(x)."""
+    """The cyclotomic field Q(zeta_L), L = order, as Q[x]/Phi_L(x).
+
+    Besides the requested roots (_roots), a field keeps the one table of
+    each root of unity u that bernoulli's inverse tables read (_apostol):
+    the RowTable of 1/(u e^x - 1), or x/(e^x - 1) at u = 1, keyed by
+    u's (sign, exponent), filled lazily and shared by every context of the
+    field.
+    """
 
     __slots__ = ("order", "modulus", "degree", "_steps", "_roots", "zero",
-                 "one")
+                 "one", "_apostol")
 
     def __init__(self, order: int):
         if order < 1:
@@ -193,6 +204,7 @@ class CycloField:
         self.degree = deg = len(self.modulus) - 1
         self._steps = _fold_steps(order, self.modulus)
         self._roots: dict[int, CycloNumber] = {}
+        self._apostol: dict = {}
         self.zero = CycloNumber(self, (0,) * deg, 1)
         self.one = CycloNumber(self, (1,) + (0,) * (deg - 1), 1)
 
@@ -582,34 +594,69 @@ def quotient(field: CycloField, a, b) -> list:
     return out
 
 
-def product(field: CycloField, seqs, n: int) -> list:
-    """The first n coefficients of the Cauchy product of the sequences of
-    CycloNumbers seqs, multiplied in the order given; n is cut to the
-    shortest sequence.  The one product of series, as ``dot`` is of
-    elements.
+class RowTable:
+    """A sequence of CycloNumbers in ``product``'s row form: its nonzero
+    terms below length as (k, integer numerators) rows in rising k, over
+    one positive denominator den, not necessarily in lowest terms.  Built
+    by ``_rows``; ``elements`` is the one reader of its coefficients."""
 
-    Integer rows are multiplied: each factor's nonzero coefficients become
-    numerators over one common denominator (``_rows``), ``_row_times``
-    multiplies each factor into the running product, whose rows stay
-    folded integers over the product of the denominators, and only the
-    final coefficients are brought to canonical form.
+    __slots__ = ("field", "rows", "den", "length")
+
+    def __init__(self, field: CycloField, rows: list, den: int, length: int):
+        self.field = field
+        self.rows = rows
+        self.den = den
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def elements(self) -> tuple:
+        """The coefficients, canonical CycloNumbers, zeros included."""
+        out = [self.field.zero] * self.length
+        for k, row in self.rows:
+            out[k] = _canonical(self.field, row, self.den)
+        return tuple(out)
+
+
+def product(field: CycloField, seqs, n: int, const=1) -> list:
+    """The first n coefficients of const times the Cauchy product of seqs,
+    multiplied in the order given: each a RowTable, taken as it is, or a
+    sequence of CycloNumbers, brought to row form by ``_rows``; const is
+    an int or Fraction, and n is cut to the shortest sequence.  The one
+    product of series, as ``dot`` is of elements.
+
+    Integer rows are multiplied: ``_row_times`` multiplies each factor into
+    the running product, whose rows stay folded integers over the product
+    of the denominators, and only the final coefficients are brought to
+    canonical form, each row times const by one ``_canonical``.
     """
-    seqs = list(seqs)
-    n = min(n, *map(len, seqs))
-    if len(seqs) == 1:
-        return list(seqs[0][:n])
-    rows, den = _rows(field, seqs[0], n)
-    for seq in seqs[1:]:
-        rows, den = _row_times(field, rows, den, seq, n)
+    tables = [seq if isinstance(seq, RowTable)
+              else _rows(field, seq, min(n, len(seq))) for seq in seqs]
+    n = min(n, *map(len, tables))
+    for table in tables:
+        if table.field is not field and table.field.order != field.order:
+            raise ValueError("field mismatch")
+    rows, den = _head(tables[0].rows, n), tables[0].den
+    for table in tables[1:]:
+        rows, den = _row_times(field, rows, den, table, n)
+    const = Fraction(const)
+    p, den = const.numerator, den * const.denominator
     out = [field.zero] * n
     for k, row in rows:
-        out[k] = _canonical(field, row, den)
+        out[k] = _canonical(field, row if p == 1 else [c * p for c in row],
+                            den)
     return out
 
 
-def _rows(field: CycloField, seq, n: int) -> tuple:
-    """(rows, den): the nonzero terms of seq[:n] as (k, integer numerators)
-    pairs in rising k, over one common denominator den."""
+def _head(rows: list, n: int) -> list:
+    # the rows (k, numerators) with k < n, of rows in rising k
+    return rows[:bisect_left(rows, n, key=operator.itemgetter(0))]
+
+
+def _rows(field: CycloField, seq, n: int) -> RowTable:
+    """The RowTable of seq[:n]: its nonzero terms as (k, integer numerators)
+    rows over their least common denominator."""
     order = field.order
     terms, den = [], 1
     for k in range(n):
@@ -620,17 +667,19 @@ def _rows(field: CycloField, seq, n: int) -> tuple:
             terms.append((k, x))
             if x.den != den:
                 den = math.lcm(den, x.den)
-    return [(k, x.num if x.den == den else [c * (den // x.den) for c in x.num])
-            for k, x in terms], den
+    return RowTable(field, [
+        (k, x.num if x.den == den else [c * (den // x.den) for c in x.num])
+        for k, x in terms], den, n)
 
 
-def _row_times(field: CycloField, left: list, lden: int, seq, n: int) -> tuple:
-    """The rows (left / lden) * seq to n terms, as (rows, lden * den) with
-    den the denominator of ``_rows`` of seq: folded integer rows, with no
-    gcd taken.  At degree 1 a row is its one integer, and from _PACK_DEGREE
-    on every row is packed once, at one digit width that holds each
+def _row_times(field: CycloField, left: list, lden: int, table: RowTable,
+               n: int) -> tuple:
+    """The rows (left / lden) * table to n terms, as (rows, lden * den)
+    with den the table's denominator: folded integer rows, with no gcd
+    taken.  At degree 1 a row is its one integer, and from _PACK_DEGREE on
+    every row below n is packed once, at one digit width that holds each
     coefficient of the product; between them, the schoolbook loop."""
-    right, rden = _rows(field, seq, n)
+    right, rden = _head(table.rows, n), table.den
     deg = field.degree
     acc = [None] * n
     if deg == 1 or deg >= _PACK_DEGREE:

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .bernoulli import (TwistContext, _bern_values, factor_quotient,
                         factor_table)
-from .cyclo import product
+from .cyclo import RowTable, _rows, product
 from .report import CheckReport, TheoremReport, first_mismatch
 from .series import PowerSeries
 from .sympoly import SymPoly
@@ -106,14 +106,16 @@ _QUOTIENTS = {
 
 def _quotient_form(spec: QuotientSpec, truncation: int) -> tuple:
     """The form (scales, q) of the quotient to t^truncation: each live slot
-    maps to the exp scale of its _QUOTIENTS row, and q = prefactor *
-    factor_quotient(...), where a failed cancellation of t raises."""
+    maps to the exp scale of its _QUOTIENTS row, and q is factor_quotient
+    of its factors with the prefactor as const, where a failed
+    cancellation of t raises."""
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     prefactor, t_power, num, den, slots, scale = _QUOTIENTS[spec.family](
         *spec.w, spec.i)
-    q = factor_quotient(spec.context, t_power, num, den, truncation)
-    return dict.fromkeys(slots, scale), tuple(c * prefactor for c in q)
+    q = factor_quotient(spec.context, t_power, num, den, truncation,
+                        prefactor)
+    return dict.fromkeys(slots, scale), q
 
 
 def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
@@ -148,16 +150,18 @@ def _lift(scales: dict, F, n: int, factor) -> SymPoly:
 
 # -- building blocks shared by the expansion forms and theorem verifiers ------
 
-def _bpoly(ctx: TwistContext, c: int, k: int) -> list:
-    """The seed [c^j B_j / j! for j <= k] of a B piece of twist exponent c,
-    B_j the Bernoulli numbers of xi^c: one table per c in ctx._bpoly_cache,
-    grown in place to the length of the twist's _bern_values."""
-    table = ctx._bpoly_cache.setdefault(c, [])
-    if len(table) <= k:
+def _bpoly(ctx: TwistContext, c: int, k: int) -> RowTable:
+    """The seed [c^j B_j / j!] to j = k or further, of a B piece of twist
+    exponent c, B_j the Bernoulli numbers of xi^c: one RowTable per c in
+    ctx._bpoly_cache, rebuilt at the length of the twist's _bern_values
+    when a longer one is asked for."""
+    table = ctx._bpoly_cache.get(c)
+    if table is None or len(table) <= k:
         bern = _bern_values(ctx.twist(c), k)
-        table.extend(bern[j] * Fraction(c**j, math.factorial(j))
-                     for j in range(len(table), len(bern)))
-    return table[:k + 1]
+        table = ctx._bpoly_cache[c] = _rows(ctx.field, [
+            b * Fraction(c**j, math.factorial(j)) for j, b in enumerate(bern)],
+            len(bern))
+    return table
 
 
 # -- expansion forms as data over one kernel (independent of the series path) --
@@ -239,8 +243,9 @@ _ROWS = {
 def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
     """The form (scales, const * E[:n+1]) of a table row at the weights w:
     the row's n-th EGF coefficient is n! [t^n] of e^{(s.y) t} const E(t),
-    with E the one Cauchy product of the pieces' seeds and factor tables and
-    s_y the sum of c_i*u_i over the B pieces in slot y."""
+    with E the one Cauchy product of the pieces' seeds and factor tables,
+    const applied at its last step, and s_y the sum of c_i*u_i over the B
+    pieces in slot y."""
     const, pieces = _ROWS[row](*w, ctx.d)
     tables, scales = [], {}
     for desc in pieces:
@@ -252,7 +257,7 @@ def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
             scales[slot] = scales.get(slot, 0) + c * u
         else:
             tables.append(factor_table(ctx, ("sum", *desc[1:]), n))
-    return scales, tuple(c * const for c in product(ctx.field, tables, n + 1))
+    return scales, tuple(product(ctx.field, tables, n + 1, const))
 
 
 #: form name -> (family, i); a form's row sums Bernoulli values and power

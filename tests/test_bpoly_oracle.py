@@ -4,7 +4,8 @@ A B piece (c, u, slot, sums) of a row contributes the Bernoulli seed
 `symmetry._bpoly(ctx, c, k)`, [c^j B_j / j!], times one character-sum
 factor table per sums entry (A, m, s, q), the series
 sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t} under the key
-("sum", m, A - 1, s*c/q).  Their Cauchy product, formed here by a schoolbook
+("sum", m, A - 1, s*c/q); both are stored RowTables, read here through
+`RowTable.elements`.  Their Cauchy product, formed here by a schoolbook
 loop over element ``*`` and ``+``, holds c^k T_k / k!, and no shift point
 is visited.  The oracle here visits every point: T_k = sum_p coef_p *
 B_k(r_p), each term one `bernoulli_polynomial` at a rational point, over the
@@ -59,11 +60,13 @@ def _times(a, b):
 
 def _piece_table(ctx, c, k, sums):
     """The seed times the shift tables of the piece, to t^k."""
-    table = _bpoly(ctx, c, k)
-    assert len(table) == k + 1
+    seed = _bpoly(ctx, c, k)
+    assert seed is ctx._bpoly_cache[c] and len(seed) >= k + 1
+    table = seed.elements()[:k + 1]
     for bound, m, s, q in sums:
-        table = _times(table, factor_table(
-            ctx, ("sum", m, bound - 1, Fraction(s * c, q)), k))
+        shift = factor_table(ctx, ("sum", m, bound - 1, Fraction(s * c, q)), k)
+        assert len(shift) >= k + 1
+        table = _times(table, shift.elements()[:k + 1])
     return table
 
 

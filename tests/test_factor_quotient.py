@@ -4,12 +4,14 @@ For every quotient the library builds (each _QUOTIENTS entry, the Bernoulli
 generating function and side A of powersum_gf_check) factor_quotient's q
 must satisfy q * prod(den) == t^t_power * prod(num) up to t^truncation, and
 so must bernoulli_gf, which divides by its own route; each inverse table
-times its unit must be 1.  The products are formed here by a schoolbook
-Cauchy loop over element ``*`` and ``+``, not by ``cyclo.product``.  One
-context lies in a field of degree _PACK_DEGREE or more, where
-``cyclo.product`` packs its rows.  The factor tables are cached per
-context, and the S pieces and shift tables of the expansion rows read the
-same store.
+times its unit must be 1, and must equal one quotient of 1 by the unit.
+The products are formed here by a schoolbook Cauchy loop over element
+``*`` and ``+``, not by ``cyclo.product``.  One context lies in a field of
+degree _PACK_DEGREE or more, where ``cyclo.product`` packs its rows.  The
+factor tables are cached per context as RowTables, read here through
+``RowTable.elements``, and the S pieces and shift tables of the expansion
+rows read the same store; the inverse tables derive from one table per
+root of unity of the field.
 """
 
 import math
@@ -21,7 +23,8 @@ from twistbern import bernoulli, cyclo, symmetry
 from twistbern.bernoulli import (TwistContext, bernoulli_gf, char_sum_series,
                                  factor_quotient, factor_table,
                                  twist_unit_series)
-from twistbern.characters import enumerate_characters
+from twistbern.characters import character, enumerate_characters
+from twistbern.cyclo import CycloField, _rows, cyclo_field, quotient
 from twistbern.symmetry import (_FAMILY_MAX_I, _QUOTIENTS, _ROWS,
                                 _THEOREM_PATTERNS, QuotientSpec,
                                 _distinct_orders, permutation_invariance_check,
@@ -85,9 +88,18 @@ def test_quotient_times_denominator_is_numerator(d, char, order):
 
 
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
-def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order):
-    # bernoulli_gf divides directly, not through factor_quotient; a fresh
-    # context keeps tables no longer than the quotient needs
+def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
+                                                        monkeypatch):
+    # bernoulli_gf divides directly, not through factor_quotient; it builds
+    # its two series no longer than the quotient needs and stores neither
+    builds = []
+    for kind, name in (("unit", "twist_unit_series"),
+                       ("sum", "char_sum_series")):
+        def counted(ctx, c, truncation, exact=getattr(bernoulli, name),
+                    kind=kind):
+            builds.append((kind, c, truncation))
+            return exact(ctx, c, truncation)
+        monkeypatch.setattr(bernoulli, name, counted)
     ctx = TwistContext.from_orders(d, char, order)
     v = _vanishing(ctx, [("unit", 1)])
     upto = TOP + v
@@ -97,14 +109,14 @@ def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order):
     assert _times(full, bottom) == top
     for truncation in range(TOP + 1):
         fresh = TwistContext.from_orders(d, char, order)
+        builds.clear()
         q = bernoulli_gf(fresh, truncation)
         assert len(q) == truncation + 1
         assert _times(q, bottom) == top[:truncation + 1]
         assert q == full[:truncation + 1]
         length = max(truncation - 1 + v, 0)
-        assert len(fresh._factors["sum", 1]) == length + 1
-        assert len(fresh._factors["unit", 1]) == length + v + 1
-        assert set(fresh._factors) == {("sum", 1), ("unit", 1)}
+        assert sorted(builds) == [("sum", 1, length), ("unit", 1, length + v)]
+        assert fresh._factors == {}
 
 
 @pytest.mark.parametrize("d,char,order", [(3, 1, 4), (1, 0, 1), (4, 1, 2)])
@@ -112,22 +124,25 @@ def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
         d, char, order):
     # the product's operands are the num tables and the ("inv", c) tables,
     # each built to t^length on a fresh context, where t^length is the top
-    # power of q before its powers of t are sliced on or off; a num unit
-    # whose inverse is t/u was built to t^(length + 1) for that inverse
+    # power of q before its powers of t are sliced on or off; an inverse
+    # table reads its field's table of the root, never the unit's table,
+    # so a unit only in den is not built
     for truncation in range(4):
         for t_power, num, den in _cases((1, 2, 3)):
             ctx = TwistContext.from_orders(d, char, order)
             factor_quotient(ctx, t_power, num, den, truncation)
             length = max(truncation - t_power + _vanishing(ctx, den), 0)
-            for key in set(num) | {("inv", c) for _, c in den}:
-                extra = key in den and _vanishing(ctx, [key])
-                assert len(ctx._factors[key]) == length + extra + 1, key
+            keys = set(num) | {("inv", c) for _, c in den}
+            assert set(ctx._factors) == keys
+            for key in keys:
+                assert len(ctx._factors[key]) == length + 1, key
 
 
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_a_fresh_context_builds_each_unit_of_a_quotient_once(
         d, char, order, monkeypatch):
-    # a unit in num and in den is built once, for num and for its inverse
+    # a unit in num is built once; one in den is not built at all, since its
+    # inverse table derives from the field's table of its root
     builds = []
 
     def counted(ctx, c, truncation, exact=twist_unit_series):
@@ -140,7 +155,7 @@ def test_a_fresh_context_builds_each_unit_of_a_quotient_once(
                 ctx = TwistContext.from_orders(d, char, order)
                 builds.clear()
                 factor_quotient(ctx, t_power, num, den, truncation)
-                units = {c for kind, c in num + den if kind == "unit"}
+                units = {c for kind, c in num if kind == "unit"}
                 assert sorted(builds) == sorted(units), (num, den)
 
 
@@ -152,7 +167,89 @@ def test_an_inverse_table_times_its_unit_is_one(d, char, order):
     for c in range(1, 7):
         v = _vanishing(ctx, [("unit", c)])
         unit = twist_unit_series(ctx, c, TOP + v)[v:]
-        assert _times(unit, factor_table(ctx, ("inv", c), TOP)) == one
+        inverse = factor_table(ctx, ("inv", c), TOP).elements()[:TOP + 1]
+        assert _times(unit, inverse) == one
+
+
+# xi = -zeta_3 in Q(zeta_3) and, with a character of order 4, in Q(zeta_12),
+# where its root is kept as (-1, e) of an even field: the sign is folded
+# into the exponent there, and kept for the odd field
+SIGNED = [(character(3, 1), -cyclo_field(3).root(1)),
+          (character(5, 1), -cyclo_field(3).root(1)),
+          (character(5, 1), cyclo_field(12).root(10))]
+
+
+def _parent_inverse(ctx, c, top):
+    """("inv", c) as one quotient of 1 by the unit's table, shifted by one
+    where the unit vanishes at t = 0."""
+    v = _vanishing(ctx, [("unit", c)])
+    return tuple(quotient(ctx.field, (ctx.field.one,) + (ctx.field.zero,) * top,
+                          twist_unit_series(ctx, c, top + v)[v:]))
+
+
+@pytest.mark.parametrize("ctx", [TwistContext.from_orders(*args)
+                                 for args in CONTEXTS]
+                         + [TwistContext(*pair) for pair in SIGNED],
+                         ids=[f"{d}-{char}-{order}"
+                              for d, char, order in CONTEXTS]
+                         + [f"signed-{k}" for k in range(len(SIGNED))])
+def test_an_inverse_table_is_the_quotient_of_one_by_its_unit(ctx):
+    # from the field's table of the root u = xi^(dc), at dc up to 625 (the
+    # grid meets u = 1 and u != 1, see the next test); the stored rows are
+    # in lowest terms, the row form of the elements they hold
+    for c in (*range(1, 7), 125):
+        table = factor_table(ctx, ("inv", c), TOP)
+        assert table.elements()[:TOP + 1] == _parent_inverse(ctx, c, TOP), c
+        flat = _rows(ctx.field, table.elements(), len(table))
+        assert table.den == flat.den
+        assert [(k, list(r)) for k, r in table.rows] == \
+            [(k, list(r)) for k, r in flat.rows]
+
+
+def test_signed_roots_of_one_field_share_their_key():
+    a, b = (TwistContext(*pair) for pair in SIGNED[1:])
+    assert a.field is b.field and a._xi_root != b._xi_root
+    assert a.xi == b.xi
+    for c in range(1, 13):
+        assert bernoulli._unit_root(a, c) == bernoulli._unit_root(b, c)
+    odd = TwistContext(*SIGNED[0])
+    assert [bernoulli._unit_root(odd, c) for c in (1, 2)] == [(-1, 0), (1, 0)]
+
+
+def test_one_field_and_root_share_one_inverse_table(monkeypatch):
+    # a field no other test uses: its table store starts empty
+    field = CycloField(4)
+    first = TwistContext(character(1, 0), field.root(1))
+    second = TwistContext(character(3, 1), field.root(1))
+    assert first.field is second.field is field
+    divisions = []
+
+    def divide(field, a, b, exact=bernoulli.quotient):
+        divisions.append(len(a))
+        return exact(field, a, b)
+    monkeypatch.setattr(bernoulli, "quotient", divide)
+    # xi = i: u = xi^2 = xi^6 = -1 and u = xi^4 = xi^12 = 1 in both
+    for c in (2, 4):
+        factor_table(first, ("inv", c), 6)
+    assert sorted(field._apostol) == [(1, 0), (1, 2)]
+    assert len(divisions) == 2
+    stored = dict(field._apostol)
+    for c in (2, 4):
+        table = factor_table(second, ("inv", c), 6)
+        assert table.elements()[:7] == _parent_inverse(second, c, 6)
+    assert field._apostol == stored and len(divisions) == 2
+    assert all(field._apostol[root] is stored[root] for root in stored)
+    # a fresh context asking for one more coefficient than the root's table
+    # holds grows it, at least twofold, by one division
+    third = TwistContext(character(1, 0), field.root(1))
+    for c in (2, 4):
+        table = factor_table(third, ("inv", c), 7)
+        assert table.elements()[:8] == _parent_inverse(third, c, 7)
+    assert len(divisions) == 4
+    for root, old in stored.items():
+        grown = field._apostol[root]
+        assert len(old) == 7 and len(grown) >= 14
+        assert grown.elements()[:7] == old.elements()
 
 
 def test_inverse_tables_and_bernoulli_gf_meet_vanishing_and_live_units():
@@ -169,13 +266,39 @@ def test_an_inverse_table_grows_twofold_and_keeps_its_prefix(d, char, order):
         stored = ()
         for upto in (2, 5, 12):
             table = factor_table(ctx, ("inv", c), upto)
-            assert len(table) == upto + 1
-            grown = ctx._factors["inv", c]
-            assert table == grown[:upto + 1]
+            assert table is ctx._factors["inv", c]
+            assert len(table) >= upto + 1
+            grown = table.elements()
             assert grown[:len(stored)] == stored
             # built to t^upto, and to at least twice the cached length
             assert len(grown) - 1 >= max(upto, 2 * len(stored))
             stored = grown
+
+
+@pytest.mark.parametrize("const", [2, Fraction(3, 2), Fraction(-1, 6)])
+def test_a_constant_scales_every_coefficient_of_a_quotient(const):
+    # const is applied at the product's last step, one scaling per row
+    ctx = TwistContext.from_orders(3, 1, 4)
+    for t_power, num, den in _cases((1, 1, 2)):
+        q = factor_quotient(ctx, t_power, num, den, TOP)
+        assert factor_quotient(ctx, t_power, num, den, TOP, const) == tuple(
+            c * const for c in q)
+
+
+def test_product_takes_stored_tables_of_its_field_only():
+    # a table of an equal field object multiplies; one of another field
+    # raises, first, in the middle or last
+    ctx = TwistContext.from_orders(3, 1, 4)
+    ours = factor_table(ctx, ("sum", 1), 4)
+    fresh = TwistContext(character(3, 1), CycloField(4).root(1))
+    same = factor_table(fresh, ("sum", 1), 4)
+    assert same.field is not ours.field
+    want = cyclo.product(ctx.field, [ours.elements(), ours.elements()], 5)
+    assert cyclo.product(ctx.field, [ours, same], 5) == want
+    other = factor_table(TwistContext.from_orders(3, 1, 3), ("sum", 1), 4)
+    for seqs in ([other, ours], [ours, other, ours], [ours, other]):
+        with pytest.raises(ValueError, match="field mismatch"):
+            cyclo.product(ctx.field, seqs, 5)
 
 
 def test_a_denominator_that_is_not_a_unit_raises():
@@ -208,8 +331,9 @@ def test_an_owed_t_that_does_not_divide_raises(t_power, num, den):
 
 def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # The factor series are cached per context, so the six weight orders of
-    # one invariance check share one build of each distinct (kind, c), and
-    # of each denominator unit's inverse table, one cyclo.quotient each.
+    # one invariance check share one build of each distinct (kind, c) of
+    # the numerators, and one inverse table per denominator unit, derived
+    # from the field's table of its root, one cyclo.quotient per root.
     # The products are not cached: each order still multiplies its own
     # factors in its own operand order, which is what the invariance check
     # compares, and its one cyclo.product over the numerator tables and the
@@ -234,9 +358,9 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     calls = []
     exact_quotient = symmetry.factor_quotient
 
-    def quotient(ctx, t_power, num, den, truncation):
+    def quotient(ctx, t_power, num, den, *args):
         calls.append([num, den, 0])
-        return exact_quotient(ctx, t_power, num, den, truncation)
+        return exact_quotient(ctx, t_power, num, den, *args)
     monkeypatch.setattr(symmetry, "factor_quotient", quotient)
 
     # a factor multiplication of cyclo.product: one factor multiplied into
@@ -247,20 +371,24 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
         return exact(*args)
     monkeypatch.setattr(cyclo, "_row_times", step)
 
-    ctx = TwistContext.from_orders(3, 1, 4)
+    # d = 3, a real character and xi = i in a field no other test uses, so
+    # its roots xi^3, xi^6, xi^9 of the units 1, 2, 3 have no table yet
+    field = CycloField(4)
+    ctx = TwistContext(character(3, 1), field.root(1))
     spec = QuotientSpec("cyclic", 1, (1, 2, 3), ctx)
     assert permutation_invariance_check(spec, 6).passed
     assert len(calls) == 6
-    keys = {key for num, den, _ in calls for key in num + den}
-    # units at 6, 3, 2 over 1, 2, 3, and sums at 1, 2, 3
-    assert len(keys) == 7
+    keys = {key for num, _, _ in calls for key in num}
+    # units at 6, 3, 2 over 1, 2, 3, and sums at 1, 2, 3: the unit at 1 is
+    # only a denominator and is never built
+    assert len(keys) == 6
     assert sorted(builds) == sorted(keys)
     assert len({(tuple(num), tuple(den)) for num, den, _ in calls}) == 6
     for num, den, products in calls:
         assert products == len(num) + len(den) - 1
     inverses = {("inv", c) for _, den, _ in calls for _, c in den}
     assert {key for key in ctx._factors if key[0] == "inv"} == inverses
-    assert len(divisions) == len(inverses) == 3
+    assert len(divisions) == len(inverses) == len(field._apostol) == 3
 
     builds.clear()
     calls.clear()
@@ -279,8 +407,8 @@ def _stored_key(ctx, key):
 
 
 def test_row_pieces_are_factor_tables(monkeypatch):
-    # A B piece reads its Bernoulli seed from ctx._bpoly_cache, one table per
-    # twist exponent c, built once and grown in place as n rises, and one
+    # A B piece reads its Bernoulli seed from ctx._bpoly_cache, one RowTable
+    # per twist exponent c, built once per length as n rises, and one
     # character-sum factor table per shift entry (A, m, s, q), the series
     # sum_{a<A} chi(a) xi^(am) e^((s*c/q) a t); an S piece reads the factor
     # table ("sum", c, bound).  A shift with s*c/q = m reads the table of the
@@ -290,7 +418,8 @@ def test_row_pieces_are_factor_tables(monkeypatch):
 
     def bpoly(ctx, c, k):
         table = exact_bpoly(ctx, c, k)
-        seeds.setdefault(c, set()).add(id(ctx._bpoly_cache[c]))
+        assert table is ctx._bpoly_cache[c] and len(table) > k
+        seeds.setdefault(c, {})[id(table)] = (table, len(table))
         return table
 
     def product(*args):
@@ -324,14 +453,18 @@ def test_row_pieces_are_factor_tables(monkeypatch):
     assert s_keys and shifts
 
     assert set(seeds) == set(ctx._bpoly_cache) == {c for c, _ in b_pieces}
-    for c, ids in seeds.items():
-        assert ids == {id(ctx._bpoly_cache[c])}
+    for c, built in seeds.items():
+        # one table per length the seed reached, the last one kept
+        lengths = [length for _, length in built.values()]
+        assert len(set(lengths)) == len(lengths)
+        assert max(built.values(), key=lambda tl: tl[1])[0] \
+            is ctx._bpoly_cache[c]
         bern = bernoulli.bernoulli_numbers(ctx.twist(c), top)
-        assert ctx._bpoly_cache[c][:top + 1] == [
-            bern[j] * Fraction(c**j, math.factorial(j)) for j in range(top + 1)]
+        assert ctx._bpoly_cache[c].elements()[:top + 1] == tuple(
+            bern[j] * Fraction(c**j, math.factorial(j)) for j in range(top + 1))
 
     for key in s_keys | shifts:
-        assert (ctx._factors[_stored_key(ctx, key)][:top + 1]
+        assert (ctx._factors[_stored_key(ctx, key)].elements()[:top + 1]
                 == char_sum_series(ctx, key[1], top, *key[2:])), key
     shared = {key[:3] for key in shifts if key[3] == key[1]} & s_keys
     printed = {key for key in shifts if key[3] != key[1]}
@@ -347,7 +480,7 @@ def test_a_sum_of_bound_d_minus_1_is_stored_once():
     assert verify_theorem(2, ctx, (1, 2, 3), 6).passed
     spec = QuotientSpec("pairwise", 1, (1, 2, 3), ctx)
     assert permutation_invariance_check(spec, 6).passed
-    sums = [(key, table) for key, table in ctx._factors.items()
+    sums = [(key, table.elements()) for key, table in ctx._factors.items()
             if key[0] == "sum"]
     assert ("sum", 6) in dict(sums)
     for k, (key, table) in enumerate(sums):

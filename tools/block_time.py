@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""CPU time of one block of a perfbench workload, in a fresh interpreter.
+
+    python3 tools/block_time.py CHECKOUT [--workload series] [--seed 7]
+                                [--profile N]
+
+Runs the first ``block_size(workload)`` checks of the seed's stream (see
+``perfbench/workloads.py``) in a new Python process whose path holds
+``CHECKOUT/src`` and ``CHECKOUT/perfbench``, so the program and the
+benchmark code are the checkout's own.  The set-up (imports and shared
+contexts) is not timed; the block is, by ``time.process_time``, with every
+cache of the program empty at its start.  It prints the CPU seconds and
+how many checks passed the gate's verdict (digests are not compared).
+``--profile N`` runs the block under cProfile instead and also prints the
+N functions of largest self time, with their call counts; profiled
+seconds are not comparable with unprofiled ones.  The benchmark is
+imported, never edited.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+CHILD = r"""
+import cProfile, io, json, pstats, sys, time
+root, workload, seed, top = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+from workloads import Workload, block_size
+w = Workload(workload, seed)
+w.setup()
+checks = [w.next_check() for _ in range(block_size(workload))]
+profile = cProfile.Profile() if top else None
+results = []
+t0 = time.process_time()
+if profile:
+    profile.enable()
+for check in checks:
+    results.append(w.call(check))
+if profile:
+    profile.disable()
+cpu = time.process_time() - t0
+passed = sum(w.judge(c, r, {}).status == "pass" for c, r in zip(checks, results))
+text = None
+if profile:
+    out = io.StringIO()
+    pstats.Stats(profile, stream=out).sort_stats("tottime").print_stats(top)
+    text = out.getvalue()
+print(json.dumps({"cpu_s": cpu, "checks": len(checks), "passed": passed,
+                  "profile": text}))
+"""
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("checkout", type=Path, help="root of a twistbern checkout")
+    ap.add_argument("--workload", default="series",
+                    choices=("theorems", "series", "wide-field"))
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--profile", type=int, default=0, metavar="N",
+                    help="profile the block and print its top N functions")
+    args = ap.parse_args(argv)
+    root = args.checkout.resolve()
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(root), args.workload,
+         str(args.seed), str(args.profile)],
+        cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return proc.returncode
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    print(f"{args.workload} seed {args.seed}: {out['checks']} checks, "
+          f"{out['passed']} passed, {out['cpu_s']:.3f} s CPU"
+          + (" (profiled)" if args.profile else ""))
+    if out["profile"]:
+        print(out["profile"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
