@@ -26,8 +26,8 @@ from fractions import Fraction
 from itertools import repeat
 
 from .characters import DirichletCharacter, character
-from .cyclo import (CycloNumber, RowTable, _rows, cyclo_field, product,
-                    quotient)
+from .cyclo import (CycloNumber, RowTable, _lowest, _rows, cyclo_field,
+                    product, quotient)
 from .report import CheckReport, first_mismatch
 
 
@@ -44,11 +44,12 @@ class TwistContext:
     the tables of _factors and _bpoly_cache are RowTables, each stored in
     that one form.  The inverse tables derive from the field's own table
     of each root of unity (``_apostol_table``), which contexts of one
-    field share.
+    field share.  No power of xi is stored here: xi_pow reads it from the
+    field's root cache, which holds only the roots asked for.
     """
 
     __slots__ = ("chi", "xi", "d", "xi_order", "field",
-                 "_chi_roots", "_xi_root", "_xi_pows", "_bern",
+                 "_chi_roots", "_xi_root", "_bern",
                  "_psums", "_twists", "_factors", "_bpoly_cache")
 
     def __init__(self, chi: DirichletCharacter, xi: CycloNumber):
@@ -81,8 +82,6 @@ class TwistContext:
                 roots.append((1, (L // m) * k))
         self._chi_roots = tuple(roots)
         self.xi = _signed_root(field, sign, e)
-        self._xi_pows = tuple(_signed_root(field, sign**j, e * j)
-                              for j in range(r))
 
         self._bern: list[CycloNumber] | None = None
         self._psums: dict = {}
@@ -110,7 +109,11 @@ class TwistContext:
         return self.field.zero if x is None else _signed_root(self.field, *x)
 
     def xi_pow(self, j: int) -> CycloNumber:
-        return self._xi_pows[j % self.xi_order]
+        """xi^j, read from the field's root cache by xi's (sign, exponent):
+        only the powers asked for are built."""
+        sign, e = self._xi_root
+        j %= self.xi_order
+        return _signed_root(self.field, sign if j & 1 else 1, e * j)
 
     def twist(self, c: int) -> "TwistContext":
         """The context with xi replaced by xi^c (character unchanged)."""
@@ -119,7 +122,7 @@ class TwistContext:
             return self
         ctx = self._twists.get(key)
         if ctx is None:
-            ctx = self._twists[key] = TwistContext(self.chi, self._xi_pows[key])
+            ctx = self._twists[key] = TwistContext(self.chi, self.xi_pow(key))
         return ctx
 
     def params(self) -> dict:
@@ -139,27 +142,47 @@ def _signed_root(field, sign: int, e: int) -> CycloNumber:
 # -- series building blocks -----------------------------------------------
 
 def char_sum_series(ctx: TwistContext, scale: int, truncation: int,
-                    bound: int | None = None, t_scale=None) -> tuple:
-    """The coefficients of sum_{a<=bound} chi(a) xi^(a*scale) e^(a*t_scale*t)
+                    bound: int | None = None, t_scale=None) -> RowTable:
+    """The RowTable of sum_{a<=bound} chi(a) xi^(a*scale) e^(a*t_scale*t)
     to t^truncation, with bound d - 1 and t_scale = scale by default: the
-    t^j coefficient is t_scale^j/j! times S_j(bound) of the twist xi^scale."""
+    t^j coefficient is t_scale^j/j! times S_j(bound) of the twist xi^scale,
+    whose coordinates are integers.  So for t_scale = p/q, n = truncation
+    and den = q^n n!, row j is S_j's numerators times p^j q^(n-j) n!/j!,
+    brought to lowest terms by one gcd."""
     if bound is None:
         bound = ctx.d - 1
     if t_scale is None:
         t_scale = scale
-    sums = power_sums(ctx.twist(scale), truncation, bound)
-    return tuple(sums[j] * Fraction(t_scale**j, math.factorial(j))
-                 for j in range(truncation + 1))
+    p, q = t_scale.as_integer_ratio()
+    n = truncation
+    sums = power_sums(ctx.twist(scale), n, bound)
+    den = q**n * math.factorial(n)
+    return _lowest(ctx.field, [
+        (j, [x * w for x in sums[j].num])
+        for j, w in enumerate(_weights(p, q, n))], den, n + 1)
 
 
-def twist_unit_series(ctx: TwistContext, scale: int, truncation: int) -> tuple:
-    """The coefficients of xi^(d*scale) e^(d*scale*t) - 1 to t^truncation."""
-    u = ctx.xi_pow(ctx.d * scale)
-    dc = ctx.d * scale
-    coeffs = [u - 1]
-    for j in range(1, truncation + 1):
-        coeffs.append(u * Fraction(dc**j, math.factorial(j)))
-    return tuple(coeffs)
+def twist_unit_series(ctx: TwistContext, scale: int,
+                      truncation: int) -> RowTable:
+    """The RowTable of xi^(d*scale) e^(d*scale*t) - 1 to t^truncation: with
+    u = xi^(d*scale), a root of unity with integer coordinates, n =
+    truncation and den = n!, row 0 is the numerators of u - 1 times n! and
+    row k > 0 those of u times (d*scale)^k n!/k!, brought to lowest terms
+    by one gcd."""
+    u = ctx.xi_pow(ctx.d * scale).num
+    n = truncation
+    w = _weights(ctx.d * scale, 1, n)
+    rows = [(0, [(x - y) * w[0] for x, y in zip(u, ctx.field.one.num)])]
+    rows += [(k, [x * w[k] for x in u]) for k in range(1, n + 1)]
+    return _lowest(ctx.field, rows, w[0], n + 1)
+
+
+def _weights(p: int, q: int, n: int) -> list:
+    # [p^j q^(n-j) n!/j! for j = 0..n]: (p/q)^j / j! over q^n n!
+    out = [q**n * math.factorial(n)]
+    for j in range(1, n + 1):
+        out.append(out[-1] // (j * q) * p)
+    return out
 
 
 def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
@@ -170,9 +193,10 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     the unit u of ("unit", c), or t/u where xi^(dc) = 1 and u has no
     constant term: the field's inverse table of the root xi^(dc) at
     x = dct (``_inverse_table``).  Each table is built once per context,
-    brought to row form once per build, and kept in ctx._factors with a
-    default sigma, then bound, dropped from its key; a longer one than
-    cached is built to at least twice the cached length."""
+    as a RowTable straight from integers by twist_unit_series,
+    char_sum_series or _inverse_table, and kept as it is in ctx._factors
+    with a default sigma, then bound, dropped from its key; a longer one
+    than cached is built to at least twice the cached length."""
     if key[3:] == (key[1],):
         key = key[:3]
     if key[2:] == (ctx.d - 1,):
@@ -187,8 +211,7 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
             # module globals, read per call: wrappers set on the module
             # attributes (as perfbench/tracing.py does) see every build
             make = twist_unit_series if key[0] == "unit" else char_sum_series
-            table = _rows(ctx.field, make(ctx, key[1], build, *key[2:]),
-                          build + 1)
+            table = make(ctx, key[1], build, *key[2:])
         ctx._factors[key] = table
     return table
 
@@ -220,10 +243,9 @@ def _inverse_table(ctx: TwistContext, c: int, build: int) -> RowTable:
     dc = ctx.d * c
     g = _apostol_table(ctx.field, root, build)
     den = g.den * (dc if root == (1, 0) else 1)
-    rows = [(k, [x * dc**k for x in row]) for k, row in g.rows if k <= build]
-    common = math.gcd(den, *(x for _, row in rows for x in row))
-    return RowTable(ctx.field, [(k, [x // common for x in row])
-                                for k, row in rows], den // common, build + 1)
+    return _lowest(ctx.field, [(k, [x * dc**k for x in row])
+                               for k, row in g.rows if k <= build],
+                   den, build + 1)
 
 
 def _apostol_table(field, root: tuple, upto: int) -> RowTable:
@@ -290,12 +312,12 @@ def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}:
     one ``cyclo.quotient`` of the character sum by the unit, each built
     by char_sum_series and twist_unit_series no longer than the quotient
-    needs, and stored nowhere, since a field that only asks for its
-    Bernoulli numbers uses them once."""
+    needs, read through ``RowTable.elements``, and stored nowhere, since
+    a field that only asks for its Bernoulli numbers uses them once."""
     v = _vanishes(ctx, 1)
     length = max(truncation - 1 + v, 0)
-    q = quotient(ctx.field, char_sum_series(ctx, 1, length),
-                 twist_unit_series(ctx, 1, length + v)[v:])
+    q = quotient(ctx.field, char_sum_series(ctx, 1, length).elements(),
+                 twist_unit_series(ctx, 1, length + v).elements()[v:])
     return _times_t(ctx.field, q, 1 - v, truncation)
 
 

@@ -13,9 +13,10 @@ operands with two or more nonzero terms each is one big-int product of
 Kronecker-packed numerators, and a one-term operand goes outside the
 schoolbook loop that every other pair takes.  ``product`` is the Cauchy
 product of sequences: it keeps integer rows over the product of the
-factors' denominators, each factor's rows packed once from _PACK_DEGREE
-on, until one ``_canonical`` per final coefficient, which also applies a
-rational constant.  A ``RowTable`` is a sequence stored in that row form,
+factors' denominators, multiplied as scalar sums at degree 1 and 2 and
+each factor's rows packed once from _PACK_DEGREE on, until one
+``_canonical`` per final coefficient, which also applies a rational
+constant.  A ``RowTable`` is a sequence stored in that row form,
 which ``product`` takes as it is; the caches of the exact path hold
 their tables so.  ``quotient`` divides two sequences, one ``dot`` per
 coefficient, which the exact path does only to build a Bernoulli
@@ -36,7 +37,7 @@ import math
 import operator
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 # Rational scalars are stdlib Fractions: arbitrary precision, always reduced
 # with positive denominator.
@@ -520,7 +521,10 @@ class CycloNumber:
 # substitution): one big-int product per pair of rows beats the
 # O(degree^2) schoolbook loop there, and below it the loop is faster.  dot
 # packs per pair of dense operands, and ``product`` packs each factor's rows
-# once.
+# once.  At degree 1 and 2 (Q, Q(i), Q(zeta_3)), where nearly every product
+# of the package runs, ``product`` neither packs nor loops: it unpacks each
+# row pair into its one or two integers and adds their 2*degree - 1
+# products into scalar sums (``_scalar_times``).
 _PACK_DEGREE = 12
 
 
@@ -598,7 +602,8 @@ class RowTable:
     """A sequence of CycloNumbers in ``product``'s row form: its nonzero
     terms below length as (k, integer numerators) rows in rising k, over
     one positive denominator den, not necessarily in lowest terms.  Built
-    by ``_rows``; ``elements`` is the one reader of its coefficients."""
+    from elements by ``_rows`` and from integer rows by ``_lowest``;
+    ``elements`` is the one reader of its coefficients."""
 
     __slots__ = ("field", "rows", "den", "length")
 
@@ -672,33 +677,51 @@ def _rows(field: CycloField, seq, n: int) -> RowTable:
         for k, x in terms], den, n)
 
 
+def _lowest(field: CycloField, rows, den: int, length: int) -> RowTable:
+    """The RowTable of the (k, integer numerators) rows over den > 0, in
+    rising k, with its zero rows dropped and brought to lowest terms by one
+    gcd: the row form that ``_rows`` gives the elements they hold."""
+    rows = [(k, row) for k, row in rows if any(row)]
+    g = den
+    for _, row in rows:
+        if g == 1:
+            break
+        g = math.gcd(g, *row)
+    if g != 1:
+        rows = [(k, [x // g for x in row]) for k, row in rows]
+        den //= g
+    return RowTable(field, rows, den, length)
+
+
 def _row_times(field: CycloField, left: list, lden: int, table: RowTable,
                n: int) -> tuple:
     """The rows (left / lden) * table to n terms, as (rows, lden * den)
     with den the table's denominator: folded integer rows, with no gcd
-    taken.  At degree 1 a row is its one integer, and from _PACK_DEGREE on
-    every row below n is packed once, at one digit width that holds each
-    coefficient of the product; between them, the schoolbook loop."""
+    taken.  At degree 1 and 2 a row pair is unpacked into its integers and
+    multiplied into 2*degree - 1 scalar sums per output index; from
+    _PACK_DEGREE on every row below n is packed once, at one digit width
+    that holds each coefficient of the product; between them, the
+    schoolbook loop.  Each output row is reduced by ``_fold``."""
     right, rden = _head(table.rows, n), table.den
     deg = field.degree
+    if deg <= 2:
+        return _scalar_times(field, left, right, n), lden * rden
     acc = [None] * n
-    if deg == 1 or deg >= _PACK_DEGREE:
-        if deg == 1:
-            pack, unpack = operator.itemgetter(0), lambda v: [v]
-        else:  # no coefficient exceeds sum |a|_1 * max |b| over all pairs
-            width = _digit_width(sum(sum(map(abs, a)) for _, a in left) * max(
-                (max(map(abs, b)) for _, b in right), default=0))
-            pack = partial(_pack, bits=8 * width)
-            unpack = partial(_unpack, width=width, n=2 * deg - 1)
-        right = [(j, pack(b)) for j, b in right]
+    if deg >= _PACK_DEGREE:
+        # no coefficient exceeds sum |a|_1 * max |b| over all pairs
+        width = _digit_width(sum(sum(map(abs, a)) for _, a in left) * max(
+            (max(map(abs, b)) for _, b in right), default=0))
+        bits = 8 * width
+        right = [(j, _pack(b, bits)) for j, b in right]
         for i, a in left:
-            a = pack(a)
+            a = _pack(a, bits)
             for j, b in right:
                 k = i + j
                 if k >= n:
                     break
                 acc[k] = a * b if acc[k] is None else acc[k] + a * b
-        acc = [v if v is None else unpack(v) for v in acc]
+        acc = [v if v is None else _unpack(v, width, 2 * deg - 1)
+               for v in acc]
     else:
         for i, a in left:
             for j, b in right:
@@ -715,6 +738,42 @@ def _row_times(field: CycloField, left: list, lden: int, table: RowTable,
             if any(c):
                 rows.append((k, c))
     return rows, lden * rden
+
+
+def _scalar_times(field: CycloField, left: list, right: list,
+                  n: int) -> list:
+    """``_row_times``' folded rows at degree 1 or 2, where a row is one or
+    two integers: each pair of rows adds a0*b0 to s0[k], and at degree 2
+    a0*b1 + a1*b0 to s1[k] and a1*b1 to s2[k], k the sum of their
+    indices, with no call per pair; each nonzero (s0[k], ..) is folded."""
+    s0 = [0] * n
+    if field.degree == 1:
+        right = [(j, b[0]) for j, b in right]
+        for i, (a0,) in left:
+            for j, b0 in right:
+                k = i + j
+                if k >= n:
+                    break
+                s0[k] += a0 * b0
+        sums = zip(s0)
+    else:
+        s1, s2 = [0] * n, [0] * n
+        for i, (a0, a1) in left:
+            for j, (b0, b1) in right:
+                k = i + j
+                if k >= n:
+                    break
+                s0[k] += a0 * b0
+                s1[k] += a0 * b1 + a1 * b0
+                s2[k] += a1 * b1
+        sums = zip(s0, s1, s2)
+    rows = []
+    for k, c in enumerate(sums):
+        if any(c):
+            c = _fold(field, list(c))
+            if any(c):
+                rows.append((k, c))
+    return rows
 
 
 def _digit_width(bound: int) -> int:

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .bernoulli import (TwistContext, _bern_values, factor_quotient,
                         factor_table)
-from .cyclo import RowTable, _rows, product
+from .cyclo import RowTable, _lowest, product
 from .report import CheckReport, TheoremReport, first_mismatch
 from .series import PowerSeries
 from .sympoly import SymPoly
@@ -154,13 +154,17 @@ def _bpoly(ctx: TwistContext, c: int, k: int) -> RowTable:
     """The seed [c^j B_j / j!] to j = k or further, of a B piece of twist
     exponent c, B_j the Bernoulli numbers of xi^c: one RowTable per c in
     ctx._bpoly_cache, rebuilt at the length of the twist's _bern_values
-    when a longer one is asked for."""
+    when a longer one is asked for.  Over den = lcm(dens of B_j) * n!, n
+    the top index, row j is B_j's numerators times c^j den/(den_j j!),
+    brought to lowest terms by one gcd."""
     table = ctx._bpoly_cache.get(c)
     if table is None or len(table) <= k:
         bern = _bern_values(ctx.twist(c), k)
-        table = ctx._bpoly_cache[c] = _rows(ctx.field, [
-            b * Fraction(c**j, math.factorial(j)) for j, b in enumerate(bern)],
-            len(bern))
+        n = len(bern) - 1
+        den = math.lcm(*(b.den for b in bern)) * math.factorial(n)
+        table = ctx._bpoly_cache[c] = _lowest(ctx.field, [
+            (j, [x * c**j * (den // (b.den * math.factorial(j)))
+                 for x in b.num]) for j, b in enumerate(bern)], den, n + 1)
     return table
 
 

@@ -8,7 +8,7 @@ from twistbern.bernoulli import (TwistContext, bernoulli_numbers,
                                  bernoulli_polynomial, power_sum,
                                  powersum_gf_check)
 from twistbern.characters import character, enumerate_characters
-from twistbern.cyclo import CycloNumber, cyclo_field
+from twistbern.cyclo import CycloField, CycloNumber, _rows, cyclo_field
 from twistbern.sympoly import SymPoly
 
 from bernoulli_helpers import bernoulli_polynomial_gf, plain_twisted_numbers
@@ -161,10 +161,10 @@ def test_powersum_gf_check_catches_a_wrong_side_a_factor(monkeypatch, d, char,
     exact = bernoulli.char_sum_series
 
     def perturbed(c, scale, truncation):
-        coeffs = list(exact(c, scale, truncation))
+        coeffs = list(exact(c, scale, truncation).elements())
         if truncation >= 3:
             coeffs[3] = coeffs[3] + 1
-        return tuple(coeffs)
+        return _rows(c.field, coeffs, len(coeffs))
 
     monkeypatch.setattr(bernoulli, "char_sum_series", perturbed)
     report = powersum_gf_check(ctx, 2, 6)
@@ -218,6 +218,28 @@ def test_twist_shares_field_and_caches():
     assert t.xi == ctx.xi_pow(2)
     assert ctx.twist(2) is t  # cached
     assert ctx.twist(2 + ctx.xi_order) is t
+
+
+def test_a_context_builds_only_the_powers_of_xi_asked_for():
+    # xi of order 2003 in a field no other test uses: a context keeps xi
+    # as (sign, exponent) and reads each power from the field's root cache
+    # when asked, so it leaves xi's root alone there, not all 2003 powers
+    field = CycloField(2003)
+    ctx = TwistContext(character(1, 0), field.root(1))
+    assert ctx.xi_order == 2003 and len(field._roots) <= 2
+    assert ctx.xi_pow(2005) == ctx.xi_pow(2) == ctx.xi * ctx.xi
+    assert ctx.twist(3).xi == ctx.xi_pow(3)
+    assert len(field._roots) <= 4
+
+
+@pytest.mark.parametrize("xi", [-cyclo_field(3).root(1), -cyclo_field(3).one,
+                                cyclo_field(12).root(5), cyclo_field(1).one],
+                         ids=["-zeta3", "-1", "zeta12^5", "1"])
+def test_xi_pow_is_the_power_of_xi(xi):
+    # signed roots of an odd field included, and exponents of either sign
+    ctx = TwistContext(character(5, 1), xi)
+    for j in range(-2 * ctx.xi_order, 2 * ctx.xi_order + 1):
+        assert ctx.xi_pow(j) == ctx.xi ** j, j
 
 
 def test_context_walks_the_root_of_xi_once(monkeypatch):

@@ -663,30 +663,78 @@ def test_product_matches_chain_of_plain_sums(case):
 
 @pytest.mark.parametrize("order", PRODUCT_ORDERS)
 def test_product_takes_each_path_it_selects(order, monkeypatch):
-    # one row multiplication per factor after the first, packing its rows
-    # from _PACK_DEGREE on; fresh and cached fields of one order mix
-    steps, packs = [], []
-    for name, log in (("_row_times", steps), ("_pack", packs)):
+    # one row multiplication per factor after the first: at degree 1 and 2
+    # by scalar sums, with no convolution call and no packing; from
+    # _PACK_DEGREE on by packing its rows, with no convolution call; in
+    # between by the schoolbook loop; fresh and cached fields of one order
+    # mix
+    logs = {name: [] for name in ("_row_times", "_scalar_times", "_pack",
+                                  "_convolve_into")}
+    for name, log in logs.items():
         def traced(*args, exact=getattr(cyclo, name), log=log, name=name,
                    **kwargs):
             log.append(name)
             return exact(*args, **kwargs)
         monkeypatch.setattr(cyclo, name, traced)
     field, fresh = cyclo_field(order), CycloField(order)
+    deg = field.degree
+    branch = ("_scalar_times" if deg <= 2 else
+              "_pack" if deg >= _PACK_DEGREE else "_convolve_into")
     rng = random.Random(order)
     for count in (1, 2, 3, 6):
         seqs = [[_coefficient(rng, (field, fresh)[(j + k) % 2],
                               rng.choice(KINDS), rng.choice(DENOMINATORS))
                  for k in range(8)] for j in range(count)]
         want = plain_product(field, seqs, 8)
-        steps.clear()
-        packs.clear()
+        for log in logs.values():
+            log.clear()
         got = product(field, seqs, 8)
         for c in got:
             assert_canonical(c)
         assert got == want, (order, count)
-        assert steps == ["_row_times"] * (count - 1)
-        assert bool(packs) == (count > 1 and field.degree >= _PACK_DEGREE)
+        assert logs["_row_times"] == ["_row_times"] * (count - 1)
+        taken = {name for name, log in logs.items()
+                 if log and name != "_row_times"}
+        assert taken == ({branch} if count > 1 else set()), (order, count)
+        if deg <= 2:
+            assert len(logs["_scalar_times"]) == count - 1
+
+
+# degrees 1 and 2, where _row_times multiplies rows as scalar sums
+SCALAR_ORDERS = (1, 2, 3, 4, 6)
+
+
+@st.composite
+def scalar_product_case(draw):
+    """(field, seqs, n) at degree 1 or 2: 2-5 sequences of n <= 10
+    elements, zeros among them."""
+    order = draw(st.sampled_from(SCALAR_ORDERS))
+    n = draw(st.integers(1, 10))
+    seq = st.lists(sparse_element_of(order), min_size=n, max_size=n)
+    return (cyclo_field(order), draw(st.lists(seq, min_size=2, max_size=5)),
+            n)
+
+
+def dot_chain(field, seqs, n):
+    """The chain of per-coefficient dots: coefficient k of acc * seq is
+    dot(acc[:k+1], seq[k::-1]), to n terms."""
+    acc = list(seqs[0][:n])
+    for seq in seqs[1:]:
+        acc = [dot(field, acc[:k + 1], seq[k::-1]) for k in range(n)]
+    return acc
+
+
+@SETTINGS
+@given(scalar_product_case(), scalars)
+def test_scalar_row_products_match_a_chain_of_dots(case, const):
+    field, seqs, n = case
+    want = dot_chain(field, seqs, n)
+    got = product(field, seqs, n)
+    for c in got:
+        assert_canonical(c)
+    assert got == want
+    tables = [cyclo._rows(field, seq, n) for seq in seqs]
+    assert product(field, tables, n, const) == [c * const for c in want]
 
 
 def test_product_of_a_dense_chain_at_the_digit_width():

@@ -60,7 +60,7 @@ def _product(ctx, factors, truncation):
     make = {"unit": twist_unit_series, "sum": char_sum_series}
     out = (ctx.field.one,) + (ctx.field.zero,) * truncation
     for kind, c in factors:
-        out = _times(out, make[kind](ctx, c, truncation))
+        out = _times(out, make[kind](ctx, c, truncation).elements())
     return out
 
 
@@ -166,7 +166,7 @@ def test_an_inverse_table_times_its_unit_is_one(d, char, order):
     one = (ctx.field.one,) + (ctx.field.zero,) * TOP
     for c in range(1, 7):
         v = _vanishing(ctx, [("unit", c)])
-        unit = twist_unit_series(ctx, c, TOP + v)[v:]
+        unit = twist_unit_series(ctx, c, TOP + v).elements()[v:]
         inverse = factor_table(ctx, ("inv", c), TOP).elements()[:TOP + 1]
         assert _times(unit, inverse) == one
 
@@ -184,7 +184,7 @@ def _parent_inverse(ctx, c, top):
     where the unit vanishes at t = 0."""
     v = _vanishing(ctx, [("unit", c)])
     return tuple(quotient(ctx.field, (ctx.field.one,) + (ctx.field.zero,) * top,
-                          twist_unit_series(ctx, c, top + v)[v:]))
+                          twist_unit_series(ctx, c, top + v).elements()[v:]))
 
 
 @pytest.mark.parametrize("ctx", [TwistContext.from_orders(*args)
@@ -465,7 +465,7 @@ def test_row_pieces_are_factor_tables(monkeypatch):
 
     for key in s_keys | shifts:
         assert (ctx._factors[_stored_key(ctx, key)].elements()[:top + 1]
-                == char_sum_series(ctx, key[1], top, *key[2:])), key
+                == char_sum_series(ctx, key[1], top, *key[2:]).elements()), key
     shared = {key[:3] for key in shifts if key[3] == key[1]} & s_keys
     printed = {key for key in shifts if key[3] != key[1]}
     assert shared and printed
