@@ -9,9 +9,13 @@ are the EGF coefficients of
 built as a tuple of coefficients by one ``cyclo.quotient`` of its two factor
 series.  Every other quotient of such factors in the package is built by
 factor_quotient as one ``cyclo.product`` of stored ``cyclo.RowTable``s:
-the numerator's factor tables and the inverse table of each denominator
-unit, 1/(xi^(dc) e^(dct) - 1) (times t where the unit vanishes at t = 0).
-That inverse is g_u(dct), g_u(x) = 1/(u e^x - 1) the Apostol-Bernoulli
+the numerator's factor tables, where a character sum over a denominator
+unit of its own c is one ratio table, the paper's p-adic integral of
+chi(x) xi^(cx) e^(cxt) over ct (over c where xi^(dc) = 1), and the
+inverse table of each other
+denominator unit, 1/(xi^(dc) e^(dct) - 1) (times t where the unit
+vanishes at t = 0).  That inverse, which each ratio table is built from,
+is g_u(dct), g_u(x) = 1/(u e^x - 1) the Apostol-Bernoulli
 generating function of the root u = xi^(dc) (x/(e^x - 1) at u = 1), so it
 is divided out once per field and root, and each context scales it by
 powers of dc.  A consequence pinned by the tests: B_0 = 0 whenever
@@ -26,8 +30,8 @@ from fractions import Fraction
 from itertools import repeat
 
 from .characters import DirichletCharacter, character
-from .cyclo import (CycloNumber, RowTable, _lowest, _rows, cyclo_field,
-                    product, quotient)
+from .cyclo import (CycloNumber, RowTable, _head, _lowest, _row_times, _rows,
+                    cyclo_field, product, quotient)
 from .report import CheckReport, first_mismatch
 
 
@@ -38,8 +42,9 @@ class TwistContext:
     for concurrent reads once built: the Bernoulli table (_bern), the
     power-sum tables per bound (_psums), the twisted contexts (_twists),
     the factor tables of factor_table (_factors), which quotients and
-    symmetry's rows read, among them one inverse table per denominator unit
-    of a quotient and the shift tables of the rows' B pieces, and the
+    symmetry's rows read, among them one ratio table per character sum
+    paired with a denominator unit, one inverse table per such unit, and
+    the shift tables of the rows' B pieces, and the
     Bernoulli seed of symmetry._bpoly per twist exponent (_bpoly_cache);
     the tables of _factors and _bpoly_cache are RowTables, each stored in
     that one form.  The inverse tables derive from the field's own table
@@ -189,12 +194,13 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     """The stored RowTable of one factor series, to t^upto or further.  Key
     ("unit", c) is xi^(dc) e^(dct) - 1, ("sum", c[, bound[, sigma]]) is
     the character sum sum_{a<=bound} chi(a) xi^(ac) e^(a*sigma*t), bound
-    d - 1 and sigma = c by default, and ("inv", c) is the inverse 1/u of
-    the unit u of ("unit", c), or t/u where xi^(dc) = 1 and u has no
-    constant term: the field's inverse table of the root xi^(dc) at
-    x = dct (``_inverse_table``).  Each table is built once per context,
-    as a RowTable straight from integers by twist_unit_series,
-    char_sum_series or _inverse_table, and kept as it is in ctx._factors
+    d - 1 and sigma = c by default, ("inv", c) is the inverse 1/u of the
+    unit u of ("unit", c), or t/u where xi^(dc) = 1 and u has no constant
+    term: the field's inverse table of the root xi^(dc) at x = dct
+    (``_inverse_table``), and ("ratio", c) is ("sum", c) times ("inv", c)
+    (``_ratio_table``).  Each table is built once per context, as a
+    RowTable straight from integers by twist_unit_series, char_sum_series,
+    _inverse_table or _ratio_table, and kept as it is in ctx._factors
     with a default sigma, then bound, dropped from its key; a longer one
     than cached is built to at least twice the cached length."""
     if key[3:] == (key[1],):
@@ -207,6 +213,8 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
         build = upto if table is None else max(upto, 2 * len(table))
         if key[0] == "inv":
             table = _inverse_table(ctx, key[1], build)
+        elif key[0] == "ratio":
+            table = _ratio_table(ctx, key[1], build)
         else:
             # module globals, read per call: wrappers set on the module
             # attributes (as perfbench/tracing.py does) see every build
@@ -246,6 +254,20 @@ def _inverse_table(ctx: TwistContext, c: int, build: int) -> RowTable:
     return _lowest(ctx.field, [(k, [x * dc**k for x in row])
                                for k, row in g.rows if k <= build],
                    den, build + 1)
+
+
+def _ratio_table(ctx: TwistContext, c: int, build: int) -> RowTable:
+    """("ratio", c) to t^build: sum_{a<d} chi(a) xi^(ac) e^(act) over the
+    unit xi^(dc) e^(dct) - 1, times t where xi^(dc) = 1.  That is the
+    p-adic integral of chi(x) xi^(cx) e^(cxt) over ct, or over c where
+    xi^(dc) = 1, so coefficient k is c^k B_(k+1)/(k+1)!, or c^(k-1) B_k/k!,
+    of the twist xi^c.  One ``_row_times`` of the stored ("sum", c) and
+    ("inv", c) tables builds it, brought to lowest terms by one gcd."""
+    n = build + 1
+    sums = factor_table(ctx, ("sum", c), build)
+    rows, den = _row_times(ctx.field, _head(sums.rows, n), sums.den,
+                           factor_table(ctx, ("inv", c), build), n)
+    return _lowest(ctx.field, rows, den, n)
 
 
 def _apostol_table(field, root: tuple, upto: int) -> RowTable:
@@ -289,11 +311,14 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
     and ValueError names one that is not.  Each denominator unit with
     xi^(dc) = 1 (vanish of them) gives up one t, and the quotient owes
     t^(vanish - t_power) when that is positive; ValueError is raised if t
-    does not divide it.  num and den are non-empty.  The quotient is one
-    ``cyclo.product`` over the stored row tables of num, in its order,
-    then the ("inv", c) tables of den, in its order, with const applied at
-    its last step; nothing is cached here, nothing is divided, and the
-    powers of t are slices.
+    does not divide it.  num and den are non-empty.  Each ("sum", c) of
+    num pairs with one ("unit", c) of den, counted with multiplicity, and
+    the pair is the one ("ratio", c) table at the sum's place (a key with
+    a bound or a sigma never pairs).  The quotient is one ``cyclo.product``
+    over the stored row tables of num so paired, in its order, then the
+    ("inv", c) tables of the unpaired units of den, in its order, with
+    const applied at its last step; nothing is cached here, nothing is
+    divided, and the powers of t are slices.
     """
     for key in den:
         if key[0] != "unit":
@@ -301,9 +326,16 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
     vanish = sum(_vanishes(ctx, c) for _, c in den)
     shift = t_power - vanish
     length = max(truncation - shift, 0)
-    tables = [factor_table(ctx, key, length) for key in num]
-    tables += [factor_table(ctx, ("inv", c), length) for _, c in den]
-    q = product(ctx.field, tables, length + 1, const)
+    unpaired = list(den)
+    keys = []
+    for key in num:
+        if key[0] == "sum" and len(key) == 2 and ("unit", key[1]) in unpaired:
+            unpaired.remove(("unit", key[1]))
+            key = ("ratio", key[1])
+        keys.append(key)
+    keys += [("inv", c) for _, c in unpaired]
+    q = product(ctx.field, [factor_table(ctx, key, length) for key in keys],
+                length + 1, const)
     return _times_t(ctx.field, q, shift, truncation)
 
 

@@ -19,7 +19,11 @@ y-variables.
 Rows and quotients share one form (scales, F): e^{(s.y) t} F(t), with a
 scale s_y per live slot (the same under every weight order) and a scalar
 series F over Q(zeta_L).  ``_quotient_form`` builds (scales, q) with one
-factor_quotient call, ``_row_form`` (scales, const * E) with one
+factor_quotient call: every _QUOTIENTS row pairs each character sum with
+the denominator unit of its own scale, so q is one product over unit and
+ratio tables, each ratio the paper's p-adic integral of chi(x) xi^(cx)
+e^(cxt) over ct (over c where xi^(dc) = 1), and no inverse table is an
+operand.  ``_row_form`` builds (scales, const * E) with one
 ``cyclo.product`` of cached tables, as a quotient is: a Bernoulli seed per
 twist (``_bpoly``) and character-sum factor tables.  Every check decides on
 forms: equal forms lift to equal SymPolys, so only unequal forms are lifted

@@ -11,7 +11,12 @@ degree _PACK_DEGREE or more, where ``cyclo.product`` packs its rows.  The
 factor tables are cached per context as RowTables, read here through
 ``RowTable.elements``, and the S pieces and shift tables of the expansion
 rows read the same store; the inverse tables derive from one table per
-root of unity of the field.
+root of unity of the field.  Each character sum of a quotient that meets
+a denominator unit of its own c is one ratio table, checked against the
+twisted Bernoulli numbers of xi^c, which bernoulli_gf divides out by its
+own route; every quotient, with repeated weights, sums with a bound and
+units left unpaired, must equal a schoolbook product of the elements of
+its numerator series and of one quotient of 1 by each unit.
 """
 
 import math
@@ -68,6 +73,21 @@ def _vanishing(ctx, den):
     return sum(ctx.xi_pow(ctx.d * c).is_one() for _, c in den)
 
 
+def _operands(num, den):
+    """The factor_table keys of factor_quotient's product, in its order:
+    num with each default-key ("sum", c) that meets a still unpaired
+    ("unit", c) of den read as ("ratio", c), then ("inv", c) for each unit
+    of den left unpaired, in den's order."""
+    units = [c for _, c in den]
+    keys = []
+    for key in num:
+        if key[0] == "sum" and len(key) == 2 and key[1] in units:
+            units.remove(key[1])
+            key = ("ratio", key[1])
+        keys.append(key)
+    return keys + [("inv", c) for c in units]
+
+
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_quotient_times_denominator_is_numerator(d, char, order):
     ctx = TwistContext.from_orders(d, char, order)
@@ -122,17 +142,21 @@ def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
 @pytest.mark.parametrize("d,char,order", [(3, 1, 4), (1, 0, 1), (4, 1, 2)])
 def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
         d, char, order):
-    # the product's operands are the num tables and the ("inv", c) tables,
-    # each built to t^length on a fresh context, where t^length is the top
-    # power of q before its powers of t are sliced on or off; an inverse
-    # table reads its field's table of the root, never the unit's table,
-    # so a unit only in den is not built
+    # the product's operands are the tables of _operands(num, den), each
+    # built to t^length on a fresh context, where t^length is the top power
+    # of q before its powers of t are sliced on or off; a ratio table is
+    # built from the sum and inverse tables of its c, to that length too;
+    # an inverse table reads its field's table of the root, never the
+    # unit's table, so a unit only in den is not built
     for truncation in range(4):
         for t_power, num, den in _cases((1, 2, 3)):
             ctx = TwistContext.from_orders(d, char, order)
             factor_quotient(ctx, t_power, num, den, truncation)
             length = max(truncation - t_power + _vanishing(ctx, den), 0)
-            keys = set(num) | {("inv", c) for _, c in den}
+            operands = _operands(num, den)
+            keys = set(operands) | {(kind, key[1]) for key in operands
+                                    if key[0] == "ratio"
+                                    for kind in ("sum", "inv")}
             assert set(ctx._factors) == keys
             for key in keys:
                 assert len(ctx._factors[key]) == length + 1, key
@@ -275,6 +299,110 @@ def test_an_inverse_table_grows_twofold_and_keeps_its_prefix(d, char, order):
             stored = grown
 
 
+# the 36 contexts of the series benchmark (every character mod 1, 3, 4 and
+# 5, xi of order 1 to 4) and the same characters at xi of order 6
+RATIO_CONTEXTS = [TwistContext.from_orders(d, char, order)
+                  for d in (1, 3, 4, 5)
+                  for char in range(len(enumerate_characters(d)))
+                  for order in (1, 2, 3, 4, 6)] + [TwistContext(*pair)
+                                                   for pair in SIGNED]
+
+
+def test_a_ratio_table_is_its_twists_bernoulli_numbers():
+    # ("ratio", c) is t * sum / unit over ct: the twist xi^c's Bernoulli
+    # generating function at ct, divided by ct, or by c where xi^(dc) = 1
+    # and the inverse table carries the unit's t.  The Bernoulli numbers
+    # come from bernoulli_gf's own division, which reads no Apostol table.
+    compared = set()
+    for ctx in RATIO_CONTEXTS:
+        for c in range(1, 9):
+            bern = bernoulli.bernoulli_numbers(ctx.twist(c), TOP + 1)
+            v = _vanishing(ctx, [("unit", c)])
+            got = factor_table(ctx, ("ratio", c), TOP).elements()[:TOP + 1]
+            want = tuple(bern[k + 1 - v] * Fraction(c) ** (k - v)
+                         / math.factorial(k + 1 - v) for k in range(TOP + 1))
+            assert got == want, (ctx, c)
+            compared.add((ctx, c, v))
+    assert len(compared) == len(RATIO_CONTEXTS) * 8
+    assert {v for _, _, v in compared} == {0, 1}
+
+
+def _element_quotient(ctx, t_power, num, den, truncation):
+    """const 1 quotient by schoolbook products of elements: the num series,
+    a bound or sigma included, and, per unit of den, one quotient of 1 by
+    the unit (_parent_inverse), with no factor table, pairing or ratio."""
+    shift = t_power - _vanishing(ctx, den)
+    length = max(truncation - shift, 0)
+    make = {"unit": twist_unit_series, "sum": char_sum_series}
+    out = (ctx.field.one,) + (ctx.field.zero,) * length
+    for kind, c, *rest in num:
+        out = _times(out, make[kind](ctx, c, length, *rest).elements())
+    for _, c in den:
+        out = _times(out, _parent_inverse(ctx, c, length))
+    if shift < 0:
+        assert not any(out[:-shift])
+        return out[-shift:]
+    return ((ctx.field.zero,) * shift + out)[:truncation + 1]
+
+
+@pytest.mark.parametrize("d,char,order", CONTEXTS)
+def test_a_quotient_of_paired_tables_is_the_quotient_of_its_elements(
+        d, char, order):
+    # (2, 2, 3) repeats a weight: two sums pair one for one with two units
+    ctx = TwistContext.from_orders(d, char, order)
+    for w in (*WEIGHTS, (2, 2, 3)):
+        for t_power, num, den in _cases(w):
+            for truncation in (0, 5):
+                assert factor_quotient(ctx, t_power, num, den, truncation) \
+                    == _element_quotient(ctx, t_power, num, den,
+                                         truncation), (w, num, den)
+
+
+PAIRINGS = [
+    (1, [("sum", 2), ("sum", 2), ("sum", 3)],
+     [("unit", 2), ("unit", 2), ("unit", 3)]),             # repeated weight
+    (1, [("sum", 2), ("sum", 2)], [("unit", 2)]),           # a sum unpaired
+    (0, [("unit", 1)], [("unit", 1), ("unit", 2)]),         # no sum at all
+    (1, [("sum", 2), ("unit", 3)], [("unit", 3), ("unit", 2)]),
+    (1, [("sum", 1, 2), ("sum", 2)], [("unit", 1), ("unit", 2)]),
+    (1, [("sum", 1, 2, 1), ("sum", 2, 1)], [("unit", 1), ("unit", 2)]),
+]
+
+
+@pytest.mark.parametrize("t_power,num,den", PAIRINGS)
+def test_a_sum_pairs_only_with_a_unit_of_its_c(t_power, num, den,
+                                               monkeypatch):
+    # the operands are _operands(num, den): a unit of den with no sum left
+    # to meet reads ("inv", c), and a sum with a bound or a sigma, even the
+    # default one, is never paired
+    seen = []
+
+    def multiply(field, seqs, *args, exact=bernoulli.product):
+        seen.append(list(seqs))
+        return exact(field, seqs, *args)
+    monkeypatch.setattr(bernoulli, "product", multiply)
+    ctx = TwistContext.from_orders(3, 1, 4)
+    q = factor_quotient(ctx, t_power, num, den, 6)
+    assert q == _element_quotient(ctx, t_power, num, den, 6)
+    operands = _operands(num, den)
+    assert all(table is factor_table(ctx, key, 0)
+               for key, table in zip(operands, seen[0], strict=True))
+    kinds = [key[0] for key in operands]
+    assert kinds.count("ratio") + kinds.count("inv") == len(den)
+    assert all(len(key) == 2 for key in operands if key[0] == "ratio")
+
+
+def test_pairing_meets_keys_with_a_bound_units_without_a_sum_and_repeats():
+    kinds = [[key[0] for key in _operands(num, den)]
+             for _, num, den in PAIRINGS]
+    assert ["ratio", "ratio", "ratio"] in kinds
+    assert any("inv" in k and "sum" in k for k in kinds)
+    assert any("inv" in k and "ratio" not in k for k in kinds)
+    assert _operands([("sum", 1, 2), ("sum", 2)],
+                     [("unit", 1), ("unit", 2)]) == [("sum", 1, 2),
+                                                     ("ratio", 2), ("inv", 1)]
+
+
 @pytest.mark.parametrize("const", [2, Fraction(3, 2), Fraction(-1, 6)])
 def test_a_constant_scales_every_coefficient_of_a_quotient(const):
     # const is applied at the product's last step, one scaling per row
@@ -332,13 +460,13 @@ def test_an_owed_t_that_does_not_divide_raises(t_power, num, den):
 def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # The factor series are cached per context, so the six weight orders of
     # one invariance check share one build of each distinct (kind, c) of
-    # the numerators, and one inverse table per denominator unit, derived
-    # from the field's table of its root, one cyclo.quotient per root.
-    # The products are not cached: each order still multiplies its own
-    # factors in its own operand order, which is what the invariance check
-    # compares, and its one cyclo.product over the numerator tables and the
-    # inverse tables performs len(num) + len(den) - 1 factor
-    # multiplications.
+    # the numerators, one inverse table per denominator unit, derived from
+    # the field's table of its root, one cyclo.quotient per root, and one
+    # ratio table per sum paired with a unit, one _row_times of its sum and
+    # inverse tables.  The products are not cached: each order still
+    # multiplies its own operands in its own order, which is what the
+    # invariance check compares, and its one cyclo.product over the paired
+    # list of _operands performs len(operands) - 1 factor multiplications.
     builds = []
     for kind, name in (("unit", "twist_unit_series"),
                        ("sum", "char_sum_series")):
@@ -355,13 +483,26 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
         return exact(field, a, b)
     monkeypatch.setattr(bernoulli, "quotient", divide)
 
+    ratios = []
+
+    def ratio(*args, exact=bernoulli._row_times):
+        ratios.append(args[3])
+        return exact(*args)
+    monkeypatch.setattr(bernoulli, "_row_times", ratio)
+
     calls = []
     exact_quotient = symmetry.factor_quotient
 
     def quotient(ctx, t_power, num, den, *args):
-        calls.append([num, den, 0])
+        calls.append([num, den, 0, None])
         return exact_quotient(ctx, t_power, num, den, *args)
     monkeypatch.setattr(symmetry, "factor_quotient", quotient)
+
+    def multiply(field, seqs, *args, exact=bernoulli.product):
+        assert calls[-1][3] is None     # one product per order
+        calls[-1][3] = list(seqs)
+        return exact(field, seqs, *args)
+    monkeypatch.setattr(bernoulli, "product", multiply)
 
     # a factor multiplication of cyclo.product: one factor multiplied into
     # the running rows
@@ -378,24 +519,35 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     spec = QuotientSpec("cyclic", 1, (1, 2, 3), ctx)
     assert permutation_invariance_check(spec, 6).passed
     assert len(calls) == 6
-    keys = {key for num, _, _ in calls for key in num}
+    keys = {key for num, _, _, _ in calls for key in num}
     # units at 6, 3, 2 over 1, 2, 3, and sums at 1, 2, 3: the unit at 1 is
     # only a denominator and is never built
     assert len(keys) == 6
     assert sorted(builds) == sorted(keys)
-    assert len({(tuple(num), tuple(den)) for num, den, _ in calls}) == 6
-    for num, den, products in calls:
-        assert products == len(num) + len(den) - 1
-    inverses = {("inv", c) for _, den, _ in calls for _, c in den}
+    assert len({(tuple(num), tuple(den)) for num, den, _, _ in calls}) == 6
+    for num, den, products, tables in calls:
+        operands = _operands(num, den)
+        # every sum meets its unit: no inverse table is an operand
+        assert [key[0] for key in operands] == ["unit"] * 3 + ["ratio"] * 3
+        assert all(table is ctx._factors[key]
+                   for key, table in zip(operands, tables, strict=True))
+        assert products == len(operands) - 1
+    inverses = {("inv", c) for _, den, _, _ in calls for _, c in den}
     assert {key for key in ctx._factors if key[0] == "inv"} == inverses
     assert len(divisions) == len(inverses) == len(field._apostol) == 3
+    # one ratio build per paired c, multiplying its stored inverse table
+    assert sorted(key for key in ctx._factors if key[0] == "ratio") == \
+        [("ratio", c) for c in (1, 2, 3)]
+    assert sorted(map(id, ratios)) == sorted(
+        id(ctx._factors[key]) for key in inverses)
 
     builds.clear()
     calls.clear()
     divisions.clear()
+    ratios.clear()
     assert permutation_invariance_check(spec, 4).passed
-    assert builds == [] and divisions == []
-    assert [products for _, _, products in calls] == [8] * 6
+    assert builds == [] and divisions == [] and ratios == []
+    assert [products for _, _, products, _ in calls] == [5] * 6
 
 
 def _stored_key(ctx, key):

@@ -2,7 +2,7 @@
 """CPU time of one block of a perfbench workload, in a fresh interpreter.
 
     python3 tools/block_time.py CHECKOUT [--workload series] [--seed 7]
-                                [--profile N]
+                                [--profile N | --counts]
 
 Runs the first ``block_size(workload)`` checks of the seed's stream (see
 ``perfbench/workloads.py``) in a new Python process whose path holds
@@ -13,8 +13,16 @@ cache of the program empty at its start.  It prints the CPU seconds and
 how many checks passed the gate's verdict (digests are not compared).
 ``--profile N`` runs the block under cProfile instead and also prints the
 N functions of largest self time, with their call counts; profiled
-seconds are not comparable with unprofiled ones.  The benchmark is
-imported, never edited.  Stdlib only.
+seconds are not comparable with unprofiled ones.  ``--counts`` runs the
+block with the product kernel's entry points wrapped and prints its work
+counts instead: the ``cyclo.product`` calls, the ``cyclo._row_times``
+steps (one factor multiplied into running rows, wherever it is called
+from), the row pairs those steps multiply (pairs of rows whose indices
+sum below the step's n) and the ``cyclo.quotient`` calls.  They repeat
+exactly from run to run, unlike the time.  Each name is wrapped in every
+``twistbern`` module that binds it, and a name that ``cyclo`` no longer
+has stops the tool with an error rather than counting zero.  The
+benchmark is imported, never edited.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -26,13 +34,44 @@ import sys
 from pathlib import Path
 
 CHILD = r"""
-import cProfile, io, json, pstats, sys, time
+import bisect, cProfile, io, json, pstats, sys, time
 root, workload, seed, top = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+counting = sys.argv[5] == "1"
 sys.path[:0] = [root + "/src", root + "/perfbench"]
 from workloads import Workload, block_size
 w = Workload(workload, seed)
 w.setup()
 checks = [w.next_check() for _ in range(block_size(workload))]
+counts = None
+if counting:
+    from twistbern import cyclo
+    counts = dict.fromkeys(("product", "row_times", "row_pairs",
+                            "quotient"), 0)
+
+    def pairs(field, left, lden, table, n):
+        # the row pairs of _row_times(field, left, lden, table, n) whose
+        # indices sum below n
+        js = [j for j, _ in table.rows]
+        return sum(bisect.bisect_left(js, n - i) for i, _ in left)
+
+    def wrap(name, key, pairs_key=None):
+        exact = getattr(cyclo, name, None)
+        if not callable(exact):
+            sys.exit(f"--counts: twistbern.cyclo has no function {name}")
+
+        def counted(*args):
+            counts[key] += 1
+            if pairs_key:
+                counts[pairs_key] += pairs(*args)
+            return exact(*args)
+        for module in [m for n, m in sys.modules.items()
+                       if n.split(".")[0] == "twistbern"]:
+            for attr, value in list(vars(module).items()):
+                if value is exact:
+                    setattr(module, attr, counted)
+    wrap("product", "product")
+    wrap("_row_times", "row_times", "row_pairs")
+    wrap("quotient", "quotient")
 profile = cProfile.Profile() if top else None
 results = []
 t0 = time.process_time()
@@ -50,7 +89,7 @@ if profile:
     pstats.Stats(profile, stream=out).sort_stats("tottime").print_stats(top)
     text = out.getvalue()
 print(json.dumps({"cpu_s": cpu, "checks": len(checks), "passed": passed,
-                  "profile": text}))
+                  "profile": text, "counts": counts}))
 """
 
 
@@ -60,13 +99,17 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", default="series",
                     choices=("theorems", "series", "wide-field"))
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--profile", type=int, default=0, metavar="N",
-                    help="profile the block and print its top N functions")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--profile", type=int, default=0, metavar="N",
+                      help="profile the block and print its top N functions")
+    mode.add_argument("--counts", action="store_true",
+                      help="print the block's product, row-step, row-pair "
+                           "and quotient counts")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(root), args.workload,
-         str(args.seed), str(args.profile)],
+         str(args.seed), str(args.profile), str(int(args.counts))],
         cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -74,7 +117,11 @@ def main(argv=None) -> int:
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     print(f"{args.workload} seed {args.seed}: {out['checks']} checks, "
           f"{out['passed']} passed, {out['cpu_s']:.3f} s CPU"
-          + (" (profiled)" if args.profile else ""))
+          + (" (profiled)" if args.profile else "")
+          + (" (counted)" if args.counts else ""))
+    if out["counts"]:
+        print("  ".join(f"{key} {value}" for key, value in
+                        out["counts"].items()))
     if out["profile"]:
         print(out["profile"])
     return 0

@@ -20,8 +20,9 @@ one at a time, with ``src`` of the copy on PYTHONPATH.  A mutant is killed
 when pytest fails or runs past its timeout, max(TIMEOUT_MIN_S,
 TIMEOUT_FACTOR x the baseline's time): a mutant that loops for ever then
 costs a few baseline runs, not minutes.  The survivors are
-printed with their line, then the kill rate.  Stdlib only; the tests never
-run this tool.
+printed as FILE:LINE:COL (1-based, COL in bytes, at the mutated operator
+or constant, so two mutants of one line differ), then the kill rate.
+Stdlib only; the tests never run this tool.
 """
 
 from __future__ import annotations
@@ -50,11 +51,13 @@ SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
            ast.Eq: "==", ast.NotEq: "!="}
 
 
-def sites(tree: ast.Module, names: set) -> list:
-    """(path, description, line) of every mutation site inside the functions
-    called names, where path locates the site from the module root: a node
-    is reached by a sequence of (field, index) steps, index None for a
-    single child."""
+def sites(tree: ast.Module, names: set, source: str) -> list:
+    """(path, description, line, col) of every mutation site inside the
+    functions called names, where path locates the site from the module
+    root: a node is reached by a sequence of (field, index) steps, index
+    None for a single child.  (line, col) is the 1-based position of the
+    mutated operator or constant in source, the text tree was parsed from."""
+    lines = source.encode().splitlines()
     found = []
 
     def visit(node, path, inside):
@@ -62,20 +65,30 @@ def sites(tree: ast.Module, names: set) -> list:
                                               ast.AsyncFunctionDef))
                             and node.name in names)
         if inside:
-            line = getattr(node, "lineno", None)
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
                     type(node.op) in SWAPS:
+                symbol = SYMBOLS[type(node.op)]
+                if isinstance(node, ast.BinOp):
+                    where = _between(lines, node.left, node.right, symbol)
+                else:
+                    where = _between(lines, node.target, node.value,
+                                     symbol + "=")
                 found.append((path + (("op", None),),
-                              f"{SYMBOLS[type(node.op)]} -> "
-                              f"{SYMBOLS[SWAPS[type(node.op)]]}", line))
+                              f"{symbol} -> {SYMBOLS[SWAPS[type(node.op)]]}",
+                              *where))
             elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
                 for i, op in enumerate(node.ops):
                     if type(op) in SWAPS:
+                        symbol = SYMBOLS[type(op)]
                         found.append((path + (("ops", i),),
-                                      f"{SYMBOLS[type(op)]} -> "
-                                      f"{SYMBOLS[SWAPS[type(op)]]}", line))
+                                      f"{symbol} -> "
+                                      f"{SYMBOLS[SWAPS[type(op)]]}",
+                                      *_between(lines, operands[i],
+                                                operands[i + 1], symbol)))
             elif isinstance(node, ast.Constant) and type(node.value) is int:
-                found.append((path, f"{node.value} -> {node.value + 1}", line))
+                found.append((path, f"{node.value} -> {node.value + 1}",
+                              node.lineno, node.col_offset + 1))
         for field, value in ast.iter_fields(node):
             if isinstance(value, ast.AST):
                 visit(value, path + ((field, None),), inside)
@@ -86,6 +99,23 @@ def sites(tree: ast.Module, names: set) -> list:
 
     visit(tree, (), False)
     return found
+
+
+def _between(lines: list, before: ast.AST, after: ast.AST,
+             symbol: str) -> tuple:
+    """The 1-based (line, col) of symbol in the source bytes lines, first
+    met after the end of node before and ahead of the start of node after:
+    the operator between two operands."""
+    line, col, symbol = before.end_lineno, before.end_col_offset, \
+        symbol.encode()
+    while line <= after.lineno:
+        text = lines[line - 1]
+        stop = after.col_offset if line == after.lineno else len(text)
+        found = text.find(symbol, col, stop)
+        if found >= 0:
+            return line, found + 1
+        line, col = line + 1, 0
+    raise ValueError(f"no {symbol!r} after line {before.end_lineno}")
 
 
 def mutate(tree: ast.Module, path: tuple) -> ast.Module:
@@ -139,14 +169,15 @@ def main(argv: list) -> int:
         shutil.copytree(ROOT, copy_root, ignore=IGNORE)
         plans = []
         for file, names in targets.items():
-            tree = ast.parse((ROOT / file).read_text(), filename=file)
+            source = (ROOT / file).read_text()
+            tree = ast.parse(source, filename=file)
             defined = {node.name for node in ast.walk(tree)
                        if isinstance(node, (ast.FunctionDef,
                                             ast.AsyncFunctionDef))}
             if names - defined:
                 sys.exit(f"{file}: no function {sorted(names - defined)}")
             (copy_root / file).write_text(ast.unparse(tree))
-            plans.append((file, tree, sites(tree, names)))
+            plans.append((file, tree, sites(tree, names, source)))
 
         t0 = time.perf_counter()
         if not run_tests(copy_root, pytest_args):
@@ -160,11 +191,11 @@ def main(argv: list) -> int:
         for file, tree, found in plans:
             lines = (ROOT / file).read_text().splitlines()
             target = copy_root / file
-            for path, what, line in found:
+            for path, what, line, col in found:
                 target.write_text(ast.unparse(mutate(tree, path)))
                 total += 1
                 if run_tests(copy_root, pytest_args, timeout):
-                    print(f"SURVIVED {file}:{line}: {what}    "
+                    print(f"SURVIVED {file}:{line}:{col}: {what}    "
                           f"{lines[line - 1].strip()}", flush=True)
                 else:
                     killed += 1
