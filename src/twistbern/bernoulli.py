@@ -6,8 +6,9 @@ are the EGF coefficients of
 
     t * sum_{a<d} chi(a) xi^a e^{at} / (xi^d e^{dt} - 1),
 
-built as a tuple of coefficients by one ``cyclo.quotient`` of its two factor
-series.  Every other quotient of such factors in the package is built by
+built as a tuple of coefficients by one ``cyclo.unit_quotient`` of the
+character sum by the unit of the root xi^d, with no field inverse and no
+unit table.  Every other quotient of such factors in the package is built by
 factor_quotient as one ``cyclo.product`` of stored ``cyclo.RowTable``s:
 the numerator's factor tables, where a character sum over a denominator
 unit of its own c is one ratio table, the paper's p-adic integral of
@@ -17,7 +18,8 @@ denominator unit, 1/(xi^(dc) e^(dct) - 1) (times t where the unit
 vanishes at t = 0).  That inverse, which each ratio table is built from,
 is g_u(dct), g_u(x) = 1/(u e^x - 1) the Apostol-Bernoulli
 generating function of the root u = xi^(dc) (x/(e^x - 1) at u = 1), so it
-is divided out once per field and root, and each context scales it by
+is divided out, by one ``cyclo.unit_quotient``, once per field and root,
+and each context scales it by
 powers of dc.  A consequence pinned by the tests: B_0 = 0 whenever
 xi^d != 1.
 """
@@ -25,13 +27,13 @@ xi^d != 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 from .characters import DirichletCharacter, character
 from .cyclo import (CycloNumber, RowTable, _head, _lowest, _row_times, _rows,
-                    cyclo_field, product, quotient)
+                    cyclo_field, product, unit_quotient)
 from .report import CheckReport, first_mismatch
 
 
@@ -274,20 +276,16 @@ def _apostol_table(field, root: tuple, upto: int) -> RowTable:
     """g_u to x^upto or further, u = sign * zeta_L^e for root (sign, e):
     g_u = 1/(u e^x - 1), the Apostol-Bernoulli generating function, and
     x/(e^x - 1), the Bernoulli one, at u = 1 (T. M. Apostol, Pacific J.
-    Math. 1, 1951).  One ``cyclo.quotient`` of (1, 0, ...) by
-    (u - 1, u/1!, u/2!, ...), shifted by one x at u = 1, builds it; it is
-    kept per field and root in field._apostol, at most 2L tables, each
-    grown to at least twice its length when a longer one is asked for."""
+    Math. 1, 1951).  One ``cyclo.unit_quotient`` of (1, 0, ...) by the
+    unit u e^x - 1 builds it; it is kept per field and root in
+    field._apostol, at most 2L tables, each grown to at least twice its
+    length when a longer one is asked for."""
     table = field._apostol.get(root)
     if table is None or len(table) <= upto:
         if table is not None:
             upto = max(upto, 2 * len(table))
-        u = _signed_root(field, *root)
-        v = root == (1, 0)
-        unit = [u - 1] + [u * Fraction(1, math.factorial(j))
-                          for j in range(1, upto + v + 1)]
-        table = field._apostol[root] = _rows(field, quotient(
-            field, (field.one,) + (field.zero,) * upto, unit[v:]), upto + 1)
+        table = field._apostol[root] = _rows(field, unit_quotient(
+            field, (field.one,) + (field.zero,) * upto, root, 1), upto + 1)
     return table
 
 
@@ -342,14 +340,16 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
 def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     """The coefficients of the Bernoulli generating function
     t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}:
-    one ``cyclo.quotient`` of the character sum by the unit, each built
-    by char_sum_series and twist_unit_series no longer than the quotient
-    needs, read through ``RowTable.elements``, and stored nowhere, since
-    a field that only asks for its Bernoulli numbers uses them once."""
-    v = _vanishes(ctx, 1)
+    one ``cyclo.unit_quotient`` of the character sum by the unit of the
+    root xi^d, the sum built by char_sum_series no longer than the
+    quotient needs, read through ``RowTable.elements``, and stored
+    nowhere, since a field that only asks for its Bernoulli numbers uses
+    it once; no unit table is built."""
+    root = _unit_root(ctx, 1)
+    v = root == (1, 0)
     length = max(truncation - 1 + v, 0)
-    q = quotient(ctx.field, char_sum_series(ctx, 1, length).elements(),
-                 twist_unit_series(ctx, 1, length + v).elements()[v:])
+    q = unit_quotient(ctx.field, char_sum_series(ctx, 1, length).elements(),
+                      root, ctx.d)
     return _times_t(ctx.field, q, 1 - v, truncation)
 
 
@@ -403,28 +403,30 @@ def power_sums(ctx: TwistContext, k: int, n: int) -> list:
     """[S_0(n), .., S_k(n)] (or longer), S_j(n) = sum_{a<=n} chi(a) xi^a a^j
     with 0^0 = 1, from one table per bound n in ctx._psums, grown in place.
     A nonzero chi(a) xi^a is a root of unity sign * zeta_L^e, read off the
-    context's (sign, exponent) records, so S_j(n) is the sum of the integer
-    weights sign * sum a^j over the points a of each (e, sign) times
-    zeta_L^e: one ``CycloField.root_sum`` per power, and no field product."""
+    context's (sign, exponent) records once per point, so S_j(n) is the sum
+    of the integer weights sign * a^j times zeta_L^e over the points: one
+    ``CycloField.root_sum`` per power, the weights advanced by one integer
+    product per point, and no field product."""
     if k < 0 or n < 0:
         raise ValueError("k and n must be >= 0")
     table = ctx._psums.setdefault(n, [])
     if len(table) <= k:
-        field, d = ctx.field, ctx.d
+        d, j = ctx.d, len(table)
         xi_sign, xi_e = ctx._xi_root
-        points: dict[tuple, list] = {}  # (e, sign) -> [a]
+        exps, weights, points = [], [], []  # e, sign * a^j and a per point
         for a in range(n + 1):
             c = ctx._chi_roots[a % d]
             if c is not None:
                 sign, e = c
                 if xi_sign == -1 and a & 1:
                     sign = -sign
-                points.setdefault(((e + a * xi_e) % field.order, sign),
-                                  []).append(a)
-        for j in range(len(table), k + 1):
-            table.append(field.root_sum(
-                (e, sign * sum(map(pow, pts, repeat(j))))
-                for (e, sign), pts in points.items()))
+                exps.append(e + a * xi_e)
+                weights.append(sign * a**j)
+                points.append(a)
+        table.append(ctx.field.root_sum(zip(exps, weights)))
+        while len(table) <= k:
+            weights = list(map(operator.mul, weights, points))
+            table.append(ctx.field.root_sum(zip(exps, weights)))
     return table
 
 

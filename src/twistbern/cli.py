@@ -17,6 +17,7 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .bernoulli import TwistContext, bernoulli_numbers, powersum_gf_check
 from .characters import enumerate_characters
@@ -109,7 +110,7 @@ def _render(args, json_payload, csv_table, text_lines):
     (header, rows) pair, text_lines() the lines of the text view.
     """
     if args.format == "json":
-        text = json.dumps(json_payload(), indent=2, sort_keys=True) + "\n"
+        text = _json_text(json_payload()) + "\n"
     elif args.format == "csv":
         text = _csv_text(*csv_table())
     else:
@@ -123,6 +124,30 @@ def _render(args, json_payload, csv_table, text_lines):
                              f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _json_text(x, indent: str = "\n") -> str:
+    """json.dumps(x, indent=2, sort_keys=True) for dicts with str keys,
+    lists, tuples and scalars, byte for byte, without the pure-Python
+    encoder that an indent selects: strings go through the C
+    ``encode_basestring_ascii``, other scalars through ``json.dumps``."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(x[k], inner)}"
+                 for k in sorted(x)]
+    elif isinstance(x, (list, tuple)):
+        brackets = "[]"  # a string item, the common leaf, is encoded inline
+        items = [encode_basestring_ascii(v) if isinstance(v, str)
+                 else _json_text(v, inner) for v in x]
+    else:
+        return json.dumps(x)
+    if not items:
+        return brackets
+    return (brackets[0] + inner + ("," + inner).join(items) + indent
+            + brackets[1])
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

@@ -18,11 +18,14 @@ each factor's rows packed once from _PACK_DEGREE on, until one
 ``_canonical`` per final coefficient, which also applies a rational
 constant.  A ``RowTable`` is a sequence stored in that row form,
 which ``product`` takes as it is; the caches of the exact path hold
-their tables so.  ``quotient`` divides two sequences, one ``dot`` per
-coefficient, which the exact path does only to build a Bernoulli
-generating function and one inverse table per field and root of unity:
-the package's series are these coefficient sequences.  Inversion is an
-extended Euclid in Z[x].  ``_fold`` is the one
+their tables so.  ``unit_quotient`` divides a sequence by the unit
+u e^(st) - 1 of a root of unity u, one ``dot`` against rational elements
+per coefficient and no inverse, since 1/(u - 1) is a root sum
+(``inverse_root_minus_one``): the exact path divides so to build a
+Bernoulli generating function and one inverse table per field and root
+of unity.  ``quotient`` divides two general sequences, for
+``PowerSeries`` only: the package's series are these coefficient
+sequences.  Inversion is an extended Euclid in Z[x].  ``_fold`` is the one
 reduction of an integer polynomial mod Phi_L, through a chain of sparse
 multiples of Phi_L down to Phi_L; a root of unity is a folded unit vector,
 and ``CycloField.root_sum`` folds integer combinations of them.  Rational
@@ -190,7 +193,8 @@ class CycloField:
     Besides the requested roots (_roots), a field keeps the one table of
     each root of unity u that bernoulli's inverse tables read (_apostol):
     the RowTable of 1/(u e^x - 1), or x/(e^x - 1) at u = 1, keyed by
-    u's (sign, exponent), filled lazily and shared by every context of the
+    u's (sign, exponent), each built by one ``unit_quotient`` with no
+    field inverse, filled lazily and shared by every context of the
     field.
     """
 
@@ -583,9 +587,10 @@ def _convolve_into(acc: list, a, b) -> None:
 
 def quotient(field: CycloField, a, b) -> list:
     """The coefficients of the series quotient a / b of two sequences of
-    CycloNumbers, truncated to the shorter; b_0 must be nonzero.  The one
-    division of series, as ``product`` is their product: coefficient k is
-    q_k = (a_k - sum_{i=1..k} b_i q_(k-i)) * b_0^-1, one ``dot`` each."""
+    CycloNumbers, truncated to the shorter; b_0 must be nonzero: coefficient
+    k is q_k = (a_k - sum_{i=1..k} b_i q_(k-i)) * b_0^-1, one ``dot`` each.
+    Only ``PowerSeries.divide`` divides so; a division by a unit is
+    ``unit_quotient``."""
     b0 = b[0]
     if b0.is_zero():
         raise ValueError("not invertible: the divisor's constant term is 0")
@@ -595,6 +600,50 @@ def quotient(field: CycloField, a, b) -> list:
     out = [a[0] * inv0]
     for ak in a[1:]:
         out.append((ak - dot(field, tail, reversed(out))) * inv0)
+    return out
+
+
+def inverse_root_minus_one(field: CycloField, root: tuple) -> CycloNumber:
+    """1/(u - 1) for the root of unity u = sign * zeta_L^e != 1 of root
+    (sign, e), sign -1 only for odd L, with no inverse taken: u of exact
+    order m has sum_{j<m} j u^j = m/(u - 1) (L. C. Washington,
+    Introduction to Cyclotomic Fields, ch. 2), one ``root_sum`` of the
+    weights j * sign^j at the exponents e*j, times 1/m.  m is L/gcd(e, L),
+    doubled for sign -1."""
+    sign, e = root
+    m = field.order // math.gcd(e, field.order) * (2 if sign == -1 else 1)
+    return field.root_sum((e * j, -j if sign == -1 and j & 1 else j)
+                          for j in range(1, m))._scale(1, m)
+
+
+def unit_quotient(field: CycloField, a, root: tuple, scale) -> list:
+    """The coefficients of a(t) / (u e^(scale*t) - 1) for a sequence a of
+    CycloNumbers and the root of unity u of root (sign, e), as
+    ``inverse_root_minus_one`` takes it, and of a(t) t / (e^(scale*t) - 1)
+    at u = 1; as many as a has, scale a nonzero int or Fraction.  The
+    division by a unit, with no inverse taken.  The unit is
+    u - 1 + u (e^(scale*t) - 1), so with alpha = 1/(u - 1) and
+    R_k = sum_{i=1..k} (scale^i/i!) q_(k-i), one ``dot`` against rational
+    elements, q_k = alpha (a_k - R_k) - R_k = alpha a_k - (alpha + 1) R_k,
+    a second ``dot``.  At u = 1, q_k = a_k/scale - sum_{i=1..k}
+    scale^i/(i+1)! q_(k-i), one ``dot`` against rational elements.
+    """
+    scale = Fraction(scale)
+    if root == (1, 0):
+        c = [field.from_rational(1 / scale)] + [
+            field.from_rational(-scale**i / math.factorial(i + 1))
+            for i in range(1, len(a))]
+        out = [a[0] / scale]
+        for ak in a[1:]:
+            out.append(dot(field, c, (ak, *reversed(out))))
+        return out
+    w = [field.from_rational(scale**i / math.factorial(i))
+         for i in range(1, len(a))]
+    alpha = inverse_root_minus_one(field, root)
+    coeffs = (alpha, -1 - alpha)
+    out = [alpha * a[0]]
+    for ak in a[1:]:
+        out.append(dot(field, coeffs, (ak, dot(field, w, reversed(out)))))
     return out
 
 

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .bernoulli import (TwistContext, _bern_values, bernoulli_polynomial,
                         power_sum)
-from .cyclo import CycloField, CycloNumber, cyclo_field, euler_phi, factorize
+from .cyclo import (CycloField, CycloNumber, cyclo_field, euler_phi, factorize,
+                    inverse_root_minus_one)
 from .report import Verdict
 
 INFINITE = math.inf
@@ -61,7 +62,8 @@ def pi_valuation(alpha: CycloNumber, pctx: PadicContext):
     the denominator and split off first.  The remaining p-integral part has
     a denominator prime to p, so its reduction through Z[zeta]/(pi) = F_p
     (zeta -> 1) vanishes iff p divides the sum of its numerators; while it
-    does, the part is multiplied by 1/pi (inverted once per call), each
+    does, the part is multiplied by 1/pi = -1/(zeta - 1), one
+    ``cyclo.inverse_root_minus_one`` per call with no inverse taken, each
     step contributing 1/e.  At most e - 1 steps are taken: the part has
     numerators of gcd prime to p, so it does not lie in pZ[zeta] (Z[zeta]
     has the power basis) and its valuation is below v(p) = 1.  Reaching e
@@ -77,7 +79,7 @@ def pi_valuation(alpha: CycloNumber, pctx: PadicContext):
     beta = alpha * Fraction(p**bottom, p**top)
     steps = 0
     if pctx.field.degree >= 2:
-        pi_inv = (pctx.field.one - pctx.field.root(1)).inverse()
+        pi_inv = -inverse_root_minus_one(pctx.field, (1, 1))
         while sum(beta.num) % p == 0:
             beta = beta * pi_inv
             steps += 1

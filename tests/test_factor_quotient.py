@@ -110,8 +110,10 @@ def test_quotient_times_denominator_is_numerator(d, char, order):
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
                                                         monkeypatch):
-    # bernoulli_gf divides directly, not through factor_quotient; it builds
-    # its two series no longer than the quotient needs and stores neither
+    # bernoulli_gf divides directly, by one cyclo.unit_quotient of the root
+    # xi^d and scale d, not through factor_quotient; it builds its sum no
+    # longer than the quotient needs, builds no unit series and stores
+    # nothing
     builds = []
     for kind, name in (("unit", "twist_unit_series"),
                        ("sum", "char_sum_series")):
@@ -120,6 +122,12 @@ def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
             builds.append((kind, c, truncation))
             return exact(ctx, c, truncation)
         monkeypatch.setattr(bernoulli, name, counted)
+    divisions = []
+
+    def divide(field, a, root, scale, exact=bernoulli.unit_quotient):
+        divisions.append((len(a), root, scale))
+        return exact(field, a, root, scale)
+    monkeypatch.setattr(bernoulli, "unit_quotient", divide)
     ctx = TwistContext.from_orders(d, char, order)
     v = _vanishing(ctx, [("unit", 1)])
     upto = TOP + v
@@ -130,12 +138,14 @@ def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
     for truncation in range(TOP + 1):
         fresh = TwistContext.from_orders(d, char, order)
         builds.clear()
+        divisions.clear()
         q = bernoulli_gf(fresh, truncation)
         assert len(q) == truncation + 1
         assert _times(q, bottom) == top[:truncation + 1]
         assert q == full[:truncation + 1]
         length = max(truncation - 1 + v, 0)
-        assert sorted(builds) == [("sum", 1, length), ("unit", 1, length + v)]
+        assert builds == [("sum", 1, length)]
+        assert divisions == [(length + 1, bernoulli._unit_root(fresh, 1), d)]
         assert fresh._factors == {}
 
 
@@ -248,10 +258,10 @@ def test_one_field_and_root_share_one_inverse_table(monkeypatch):
     assert first.field is second.field is field
     divisions = []
 
-    def divide(field, a, b, exact=bernoulli.quotient):
+    def divide(field, a, root, scale, exact=bernoulli.unit_quotient):
         divisions.append(len(a))
-        return exact(field, a, b)
-    monkeypatch.setattr(bernoulli, "quotient", divide)
+        return exact(field, a, root, scale)
+    monkeypatch.setattr(bernoulli, "unit_quotient", divide)
     # xi = i: u = xi^2 = xi^6 = -1 and u = xi^4 = xi^12 = 1 in both
     for c in (2, 4):
         factor_table(first, ("inv", c), 6)
@@ -461,7 +471,7 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # The factor series are cached per context, so the six weight orders of
     # one invariance check share one build of each distinct (kind, c) of
     # the numerators, one inverse table per denominator unit, derived from
-    # the field's table of its root, one cyclo.quotient per root, and one
+    # the field's table of its root, one cyclo.unit_quotient per root, and one
     # ratio table per sum paired with a unit, one _row_times of its sum and
     # inverse tables.  The products are not cached: each order still
     # multiplies its own operands in its own order, which is what the
@@ -478,10 +488,10 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
 
     divisions = []
 
-    def divide(field, a, b, exact=bernoulli.quotient):
-        divisions.append(b)
-        return exact(field, a, b)
-    monkeypatch.setattr(bernoulli, "quotient", divide)
+    def divide(field, a, root, scale, exact=bernoulli.unit_quotient):
+        divisions.append(root)
+        return exact(field, a, root, scale)
+    monkeypatch.setattr(bernoulli, "unit_quotient", divide)
 
     ratios = []
 

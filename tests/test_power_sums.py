@@ -26,6 +26,11 @@ CONTEXTS = [(d, char, order) for d, char in CHARACTERS for order in range(1, 7)]
 # a wide field: a character of order 100 mod 101 and xi of order 4 live in
 # Q(zeta_100), degree 40, so most exponents e of the points exceed the degree
 WIDE_CONTEXT = (101, 1, 4)
+# three requests (d, character index, xi order) of perfbench's
+# bernoulli_pool(), each in a field no smaller context reaches: Q(zeta_120)
+# at the largest d = 211, Q(zeta_232) of the largest degree 112, and
+# Q(zeta_159), odd, of degree 104
+POOL_CONTEXTS = [(211, 14, 8), (59, 2, 8), (107, 2, 3)]
 K_MAX = 8
 
 
@@ -47,7 +52,8 @@ def _direct(ctx, k, n, scale=1, xi=None):
     return acc
 
 
-@pytest.mark.parametrize("d,char,order", CONTEXTS + [WIDE_CONTEXT])
+@pytest.mark.parametrize("d,char,order",
+                         CONTEXTS + [WIDE_CONTEXT] + POOL_CONTEXTS)
 def test_power_sums_match_the_definition(d, char, order):
     ctx = TwistContext.from_orders(d, char, order)
     for n in sorted({0, 1, d - 1, 3 * d + 2}):
@@ -138,15 +144,19 @@ def test_twisted_faulhaber_exponent_and_sign_paths():
     assert (big.chi.order, big.field.order) == (7, 21)
 
 
-def test_table_grows_in_place():
-    ctx = TwistContext.from_orders(5, 1, 3)
-    table = power_sums(ctx, 2, 9)
+@pytest.mark.parametrize("d,char,order,n", [(5, 1, 3, 9), (211, 14, 8, 210)])
+def test_table_grows_in_place(d, char, order, n):
+    # grown from a non-empty table, the weights of the powers 3..7 start
+    # from a^3, not a^0
+    ctx = TwistContext.from_orders(d, char, order)
+    table = power_sums(ctx, 2, n)
     assert len(table) == 3
-    grown = power_sums(ctx, 7, 9)
-    assert grown is table and ctx._psums[9] is table
-    fresh = power_sums(TwistContext.from_orders(5, 1, 3), 7, 9)
+    grown = power_sums(ctx, 7, n)
+    assert grown is table and ctx._psums[n] is table
+    fresh = power_sums(TwistContext.from_orders(d, char, order), 7, n)
     assert grown == fresh and len(fresh) == 8
-    assert power_sums(ctx, 4, 9) is table  # a shorter request reads it
+    assert power_sums(ctx, 4, n) is table  # a shorter request reads it
+    assert [grown[k] for k in (3, 7)] == [_direct(ctx, k, n) for k in (3, 7)]
 
 
 @pytest.mark.parametrize("d,char,order", CONTEXTS)

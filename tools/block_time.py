@@ -18,7 +18,10 @@ block with the product kernel's entry points wrapped and prints its work
 counts instead: the ``cyclo.product`` calls, the ``cyclo._row_times``
 steps (one factor multiplied into running rows, wherever it is called
 from), the row pairs those steps multiply (pairs of rows whose indices
-sum below the step's n) and the ``cyclo.quotient`` calls.  They repeat
+sum below the step's n), the ``cyclo.quotient`` calls, the
+``cyclo.unit_quotient`` calls (each division by a unit), the extended-Euclid
+``cyclo._poly_inverse`` calls (each field inverse) and the ``cyclo.dot``
+calls (each element product).  They repeat
 exactly from run to run, unlike the time.  Each name is wrapped in every
 ``twistbern`` module that binds it, and a name that ``cyclo`` no longer
 has stops the tool with an error rather than counting zero.  The
@@ -45,8 +48,8 @@ checks = [w.next_check() for _ in range(block_size(workload))]
 counts = None
 if counting:
     from twistbern import cyclo
-    counts = dict.fromkeys(("product", "row_times", "row_pairs",
-                            "quotient"), 0)
+    counts = dict.fromkeys(("product", "row_times", "row_pairs", "quotient",
+                            "unit_quotient", "poly_inverse", "dot"), 0)
 
     def pairs(field, left, lden, table, n):
         # the row pairs of _row_times(field, left, lden, table, n) whose
@@ -72,6 +75,9 @@ if counting:
     wrap("product", "product")
     wrap("_row_times", "row_times", "row_pairs")
     wrap("quotient", "quotient")
+    wrap("unit_quotient", "unit_quotient")
+    wrap("_poly_inverse", "poly_inverse")
+    wrap("dot", "dot")
 profile = cProfile.Profile() if top else None
 results = []
 t0 = time.process_time()
@@ -103,8 +109,8 @@ def main(argv=None) -> int:
     mode.add_argument("--profile", type=int, default=0, metavar="N",
                       help="profile the block and print its top N functions")
     mode.add_argument("--counts", action="store_true",
-                      help="print the block's product, row-step, row-pair "
-                           "and quotient counts")
+                      help="print the block's product, row-step, row-pair, "
+                           "quotient, unit-quotient, inverse and dot counts")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     proc = subprocess.run(
