@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DirichletCharacter, character
@@ -79,8 +78,7 @@ class TwistContext:
         e *= L // xi.field.order
         self._xi_root = (sign, e)
         roots = []
-        for a in range(self.d):
-            k = chi.value_exponent(a)
+        for k in chi.value_exponents():  # k of chi(a) for a < d
             if k is None:
                 roots.append(None)
             elif m <= 2:  # chi(a) = (-1)^k
@@ -353,12 +351,14 @@ def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     return _times_t(ctx.field, q, 1 - v, truncation)
 
 
-@dataclass
 class BernoulliTable:
     """B_0..B_N for one context, exactly the EGF coefficients times n!."""
 
-    context: TwistContext
-    values: list
+    __slots__ = ("context", "values")
+
+    def __init__(self, context: TwistContext, values: list):
+        self.context = context
+        self.values = values
 
     def __getitem__(self, n: int):
         return self.values[n]

@@ -43,14 +43,16 @@ class UnitGroup:
         self.modulus = modulus
         self.generators = generators
         self.phi = euler_phi(modulus)
-        # Full discrete-log table: unit residue -> exponent tuple.
-        table = {}
-        orders = [o for _, o in generators]
-        for exps in product(*(range(o) for o in orders)):
-            r = 1
-            for (g, _), x in zip(generators, exps):
-                r = r * pow(g, x, modulus) % modulus
-            table[r % modulus] = exps
+        # Full discrete-log table, unit residue -> exponent tuple, built by
+        # stepping along each generator in turn (r -> r * g), with no pow.
+        table = {1 % modulus: ()}
+        for g, o in generators:
+            grown = {}
+            for r, exps in table.items():
+                for x in range(o):
+                    grown[r] = (*exps, x)
+                    r = r * g % modulus
+            table = grown
         if len(table) != self.phi:
             raise ArithmeticError(f"generator presentation of (Z/{modulus})* is not faithful")
         self._dlog = table
@@ -96,7 +98,8 @@ def unit_group(d: int) -> UnitGroup:
 class DirichletCharacter:
     """A character mod d given by its exponents against the unit-group generators."""
 
-    __slots__ = ("group", "exponents", "order", "conductor", "_value_steps")
+    __slots__ = ("group", "exponents", "order", "conductor", "_value_steps",
+                 "_value_exponents")
 
     def __init__(self, group: UnitGroup, exponents: tuple[int, ...]):
         if len(exponents) != len(group.generators):
@@ -111,6 +114,7 @@ class DirichletCharacter:
         # chi(g_i) = zeta_o^e = zeta_m^(e*m/o), and o / gcd(o, e) divides m
         self._value_steps = tuple(
             e * m // o for e, (_, o) in zip(self.exponents, group.generators))
+        self._value_exponents = None
         self.conductor = self._conductor()
 
     @property
@@ -125,15 +129,31 @@ class DirichletCharacter:
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
+    def value_exponents(self) -> tuple:
+        """(value_exponent(a) for a < d), built on first use by the walk of
+        the group's dlog table: each step along g_i adds the exponent of
+        chi(g_i), with no dlog per residue."""
+        values = self._value_exponents
+        if values is None:
+            d = self.group.modulus
+            walk = [(1 % d, 0)]
+            for step, (g, o) in zip(self._value_steps, self.group.generators):
+                grown = []
+                for r, k in walk:
+                    for _ in range(o):
+                        grown.append((r, k))
+                        r = r * g % d
+                        k += step
+                walk = grown
+            values = [None] * d
+            for r, k in walk:
+                values[r] = k % self.order
+            values = self._value_exponents = tuple(values)
+        return values
+
     def value_exponent(self, a: int) -> int | None:
         """k with chi(a) = zeta_m^k, or None when chi(a) = 0."""
-        d = self.group.modulus
-        if d == 1:
-            return 0
-        exps = self.group.dlog(a)
-        if exps is None:
-            return None
-        return sum(s * x for s, x in zip(self._value_steps, exps)) % self.order
+        return self.value_exponents()[a % self.group.modulus]
 
     def __call__(self, a: int) -> CycloNumber:
         """chi(a) as an exact element of Q(zeta_m)."""
@@ -142,12 +162,18 @@ class DirichletCharacter:
         return field.zero if k is None else field.root(k)
 
     def _conductor(self) -> int:
-        """Smallest f | d through which chi factors; chi is primitive iff f = d."""
-        d = self.group.modulus
+        """Smallest f | d through which chi factors; chi is primitive iff f = d.
+
+        f passes when chi(a) = 1 at every unit a = 1 mod f.  Each a is
+        read through one dlog and stops the test where it fails, so no
+        table of chi is built: enumerate_characters builds phi(d)
+        characters, and a table each would cost d * phi(d) steps."""
+        d, dlog = self.group.modulus, self.group.dlog
         for f in divisors(d):
-            if all(self.value_exponent(a) == 0
-                   for a in range(1, d + 1, f)
-                   if math.gcd(a, d) == 1):
+            if all(sum(s * x for s, x in zip(self._value_steps, exps))
+                   % self.order == 0
+                   for exps in map(dlog, range(1, d + 1, f))
+                   if exps is not None):
                 return f
         return d  # unreachable: f = d always passes
 

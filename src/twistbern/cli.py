@@ -4,6 +4,11 @@ Exit codes are stable across subcommands: 0 = all checks pass, 1 = a
 mathematical mismatch was found, 2 = usage or parameter error, 3 = internal
 error (a crash, never reported as a mismatch).  Rationals are always
 serialized as strings like "p/q", never as floats.
+
+Every run is a fresh process that pays for its imports, so this module
+imports only what a check runs: the process pool is imported by
+``run_grid`` when it starts more than one worker, and ``traceback`` by the
+two internal-error handlers.
 """
 
 from __future__ import annotations
@@ -14,9 +19,6 @@ import io
 import json
 import os
 import sys
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .bernoulli import TwistContext, bernoulli_numbers, powersum_gf_check
@@ -30,31 +32,35 @@ _USAGE_ERROR = 2
 _INTERNAL_ERROR = 3
 
 
-@dataclass
 class GridSpec:
-    """Cartesian sweep: moduli x characters x twist orders x weight triples."""
+    """Cartesian sweep: moduli x characters x twist orders x weight triples;
+    char_selector is "all", "primitive" or a comma list of indices."""
 
-    d_list: list[int]
-    char_selector: str  # "all" | "primitive" | comma list of indices
-    xi_orders: list[int]
-    w_list: list[tuple[int, int, int]]
-    n_max: int = 4
-    truncation: int = 4
-    jobs: int = 1
+    __slots__ = ("d_list", "char_selector", "xi_orders", "w_list", "n_max",
+                 "truncation", "jobs")
 
-    def __post_init__(self):
-        if not self.d_list or not self.xi_orders or not self.w_list:
+    def __init__(self, d_list: list[int], char_selector: str,
+                 xi_orders: list[int], w_list: list[tuple[int, int, int]],
+                 n_max: int = 4, truncation: int = 4, jobs: int = 1):
+        if not d_list or not xi_orders or not w_list:
             raise ValueError("grid needs at least one d, xi order, and w triple")
-        if any(d < 1 for d in self.d_list):
+        if any(d < 1 for d in d_list):
             raise ValueError("moduli must be >= 1")
-        if any(r < 1 for r in self.xi_orders):
+        if any(r < 1 for r in xi_orders):
             raise ValueError("xi orders must be >= 1")
-        if any(len(w) != 3 or min(w) < 1 for w in self.w_list):
+        if any(len(w) != 3 or min(w) < 1 for w in w_list):
             raise ValueError("every w component must be >= 1")
-        if self.n_max < 0:
+        if n_max < 0:
             raise ValueError("n must be >= 0")
-        if self.truncation < 0:
+        if truncation < 0:
             raise ValueError("truncation must be >= 0")
+        self.d_list = d_list
+        self.char_selector = char_selector
+        self.xi_orders = xi_orders
+        self.w_list = w_list
+        self.n_max = n_max
+        self.truncation = truncation
+        self.jobs = jobs
 
     def char_indices(self, d: int) -> list[int]:
         chars = enumerate_characters(d)
@@ -267,6 +273,7 @@ def _worker(task):
     try:
         return _grid_point_rows(point, n_max, truncation)
     except Exception as exc:
+        import traceback
         print(f"internal error at grid point {point}:", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return [dict(_point_fields(point), kind="point", id=None, n=None,
@@ -287,6 +294,7 @@ def run_grid(spec: GridSpec) -> dict:
     tasks = [(pt, spec.n_max, spec.truncation) for pt in spec.points()]
     jobs = effective_jobs(spec.jobs, len(tasks))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_worker, tasks))
     else:
@@ -437,6 +445,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except Exception as exc:
+        import traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return _INTERNAL_ERROR

@@ -794,7 +794,9 @@ def _scalar_times(field: CycloField, left: list, right: list,
     """``_row_times``' folded rows at degree 1 or 2, where a row is one or
     two integers: each pair of rows adds a0*b0 to s0[k], and at degree 2
     a0*b1 + a1*b0 to s1[k] and a1*b1 to s2[k], k the sum of their
-    indices, with no call per pair; each nonzero (s0[k], ..) is folded."""
+    indices, with no call per pair.  At degree 2 each nonzero (s0[k], ..)
+    is folded; at degree 1 (L = 1, 2) the fold's one step has top 1 and
+    never fires, so s0[k] is the row as it stands."""
     s0 = [0] * n
     if field.degree == 1:
         right = [(j, b[0]) for j, b in right]
@@ -804,20 +806,18 @@ def _scalar_times(field: CycloField, left: list, right: list,
                 if k >= n:
                     break
                 s0[k] += a0 * b0
-        sums = zip(s0)
-    else:
-        s1, s2 = [0] * n, [0] * n
-        for i, (a0, a1) in left:
-            for j, (b0, b1) in right:
-                k = i + j
-                if k >= n:
-                    break
-                s0[k] += a0 * b0
-                s1[k] += a0 * b1 + a1 * b0
-                s2[k] += a1 * b1
-        sums = zip(s0, s1, s2)
+        return [(k, [c]) for k, c in enumerate(s0) if c]
+    s1, s2 = [0] * n, [0] * n
+    for i, (a0, a1) in left:
+        for j, (b0, b1) in right:
+            k = i + j
+            if k >= n:
+                break
+            s0[k] += a0 * b0
+            s1[k] += a0 * b1 + a1 * b0
+            s2[k] += a1 * b1
     rows = []
-    for k, c in enumerate(sums):
+    for k, c in enumerate(zip(s0, s1, s2)):
         if any(c):
             c = _fold(field, list(c))
             if any(c):

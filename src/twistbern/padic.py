@@ -15,26 +15,28 @@ valuation extends uniquely and is computable by repeated division by pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import (TwistContext, _bern_values, bernoulli_polynomial,
                         power_sum)
 from .cyclo import (CycloField, CycloNumber, cyclo_field, euler_phi, factorize,
                     inverse_root_minus_one)
-from .report import Verdict
+from .report import ReadOnly, Verdict
 
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class PadicContext:
-    """Valuation data for Q(zeta_{p^s}): uniformizer pi = 1 - zeta, v(pi) = 1/e."""
+class PadicContext(ReadOnly):
+    """Valuation data for Q(zeta_{p^s}): uniformizer pi = 1 - zeta, v(pi) = 1/e
+    with e = ramification = phi(p^s), so v(p) = 1."""
 
-    p: int
-    s: int
-    field: CycloField
-    ramification: int  # e = phi(p^s); v(p) = 1
+    __slots__ = ("p", "s", "field", "ramification")
+
+    def __init__(self, p: int, s: int, field: CycloField, ramification: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "ramification", ramification)
 
 
 def padic_context(p: int, s: int) -> PadicContext:
@@ -98,14 +100,18 @@ def volkenborn_partial(ctx: TwistContext, p: int, k: int,
     return power_sum(ctx, k, total - 1) / total
 
 
-@dataclass
 class ConvergenceReport(Verdict):
-    """Valuations v(V_N - B_k) for N = 1..N_max and the monotonicity verdict."""
+    """Valuations v(V_N - B_k) for N = 1..N_max and the monotonicity verdict;
+    rows holds (N, Fraction | math.inf) pairs."""
 
-    params: dict
-    rows: list  # (N, Fraction | math.inf)
-    passed: bool
-    detail: str | None = None
+    __slots__ = ("params", "rows", "passed", "detail")
+
+    def __init__(self, params: dict, rows: list, passed: bool,
+                 detail: str | None = None):
+        self.params = params
+        self.rows = rows
+        self.passed = passed
+        self.detail = detail
 
     def to_json_dict(self) -> dict:
         return {"check": "convergence_check", "params": self.params,

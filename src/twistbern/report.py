@@ -1,10 +1,11 @@
 """Small result records shared by the verification entry points, and the
-one detail that every failed equality check reports."""
+one detail that every failed equality check reports.
+
+The records are plain ``__slots__`` classes, not dataclasses: a CLI run
+is a fresh process, and ``dataclasses`` would import ``inspect`` at every
+start for records that need only their fields."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Any
 
 from . import sympoly
 
@@ -12,39 +13,62 @@ from . import sympoly
 class Verdict:
     """The "pass"/"fail" spelling of a report's ``passed`` flag."""
 
+    __slots__ = ()
+
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
 
-@dataclass
+class ReadOnly:
+    """A record whose ``__init__`` sets its slots through
+    ``object.__setattr__``; any later assignment or deletion raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+
 class CheckReport(Verdict):
     """Outcome of a single mechanical check; failure is data, not an exception."""
 
-    name: str
-    params: dict
-    passed: bool
-    detail: str | None = None
+    __slots__ = ("name", "params", "passed", "detail")
+
+    def __init__(self, name: str, params: dict, passed: bool,
+                 detail: str | None = None):
+        self.name = name
+        self.params = params
+        self.passed = passed
+        self.detail = detail
 
     def to_json_dict(self) -> dict:
         return {"check": self.name, "params": self.params,
                 "verdict": self.verdict, "detail": self.detail}
 
 
-@dataclass
 class TheoremReport(Verdict):
     """Verdict for one symmetry theorem at one parameter point; expressions
     holds one lift per distinct row form, shared by equal forms."""
 
-    theorem: int
-    params: dict
-    expressions: list = field(default_factory=list)
-    passed: bool = True
-    detail: str | None = None
-    notes: dict = field(default_factory=dict)
+    __slots__ = ("theorem", "params", "expressions", "passed", "detail",
+                 "notes")
+
+    def __init__(self, theorem: int, params: dict,
+                 expressions: list | None = None, passed: bool = True,
+                 detail: str | None = None, notes: dict | None = None):
+        self.theorem = theorem
+        self.params = params
+        self.expressions = [] if expressions is None else expressions
+        self.passed = passed
+        self.detail = detail
+        self.notes = {} if notes is None else notes
 
     def to_json_dict(self) -> dict:
-        out: dict[str, Any] = {"theorem": self.theorem, "params": self.params,
+        out = {"theorem": self.theorem, "params": self.params,
                                "verdict": self.verdict, "detail": self.detail}
         if self.notes:
             out["notes"] = self.notes

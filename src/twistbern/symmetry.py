@@ -34,13 +34,12 @@ to decide, and ``verify_theorem`` lifts each distinct form once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import (TwistContext, _bern_values, factor_quotient,
                         factor_table)
 from .cyclo import RowTable, _lowest, product
-from .report import CheckReport, TheoremReport, first_mismatch
+from .report import CheckReport, ReadOnly, TheoremReport, first_mismatch
 from .series import PowerSeries
 from .sympoly import SymPoly
 
@@ -50,22 +49,22 @@ _FAMILY_MAX_I = {"pairwise": 3, "single": 3, "cyclic": 1}
 _Y, _Y1, _Y2, _Y3 = 0, 1, 2, 3
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientSpec:
+class QuotientSpec(ReadOnly):
     """One quotient-series instance: family, quotient index i, weights, context."""
 
-    family: str
-    i: int
-    w: tuple[int, int, int]
-    context: TwistContext
+    __slots__ = ("family", "i", "w", "context")
 
-    def __post_init__(self):
-        if self.family not in _FAMILY_MAX_I:
-            raise ValueError(f"unknown family {self.family!r}")
-        if not 0 <= self.i <= _FAMILY_MAX_I[self.family]:
-            raise ValueError(
-                f"invalid index i={self.i} for family {self.family!r}")
-        _check_point(self.w)
+    def __init__(self, family: str, i: int, w: tuple[int, int, int],
+                 context: TwistContext):
+        if family not in _FAMILY_MAX_I:
+            raise ValueError(f"unknown family {family!r}")
+        if not 0 <= i <= _FAMILY_MAX_I[family]:
+            raise ValueError(f"invalid index i={i} for family {family!r}")
+        _check_point(w)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "context", context)
 
     def params(self) -> dict:
         return dict(self.context.params(), family=self.family, i=self.i,

@@ -120,3 +120,29 @@ def test_character_decodes_the_enumeration_index():
             with pytest.raises(ValueError, match=r"^character index out of "
                                rf"range \(0\.\.{len(chars) - 1}\)$"):
                 character(d, i)
+
+
+def test_walked_tables_agree_with_generator_powers():
+    # the dlog table and value_exponents() are built by stepping along the
+    # generators; here a = prod g_i^x_i mod d is checked by pow, chi's
+    # exponent is sum x_i * e_i * m / o_i, and the conductor is the least
+    # f | d with chi(a) in {0, 1} at every a = 1 mod f
+    for d in range(1, 61):
+        g = unit_group(d)
+        table = [g.dlog(a) for a in range(d)]
+        for a, exps in enumerate(table):
+            assert (exps is None) == (math.gcd(a, d) != 1)
+            if exps is not None:
+                assert math.prod(pow(r, x, d) for (r, _), x
+                                 in zip(g.generators, exps)) % d == a
+        for chi in enumerate_characters(d):
+            m = chi.order
+            expected = [None if exps is None else
+                        sum(x * (e * m // o) for x, e, (_, o)
+                            in zip(exps, chi.exponents, g.generators)) % m
+                        for exps in table]
+            assert chi.value_exponents() == tuple(expected)
+            assert [chi.value_exponent(a + 7 * d) for a in range(d)] == expected
+            assert chi.conductor == min(f for f in range(1, d + 1)
+                                        if d % f == 0
+                                        and not any(expected[1::f]))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -275,7 +276,8 @@ def test_effective_jobs_clamp(monkeypatch):
 
 
 def test_run_grid_starts_at_most_the_clamped_pool(monkeypatch):
-    # the pool is replaced by a serial stand-in, so no process is started
+    # the pool is replaced by a serial stand-in where run_grid's lazy
+    # import reads it, so no process is started
     started = []
 
     class SerialPool:
@@ -292,7 +294,7 @@ def test_run_grid_starts_at_most_the_clamped_pool(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     spec = GridSpec(d_list=[1, 3], char_selector="primitive", xi_orders=[1],
                     w_list=[(1, 1, 1)], n_max=1, truncation=1, jobs=10**6)
     out = run_grid(spec)
