@@ -10,18 +10,19 @@ built as a tuple of coefficients by one ``cyclo.unit_quotient`` of the
 character sum by the unit of the root xi^d, with no field inverse and no
 unit table.  Every other quotient of such factors in the package is built by
 factor_quotient as one ``cyclo.product`` of stored ``cyclo.RowTable``s:
-the numerator's factor tables, where a character sum over a denominator
-unit of its own c is one ratio table, the paper's p-adic integral of
-chi(x) xi^(cx) e^(cxt) over ct (over c where xi^(dc) = 1), and the
-inverse table of each other
-denominator unit, 1/(xi^(dc) e^(dct) - 1) (times t where the unit
-vanishes at t = 0).  That inverse, which each ratio table is built from,
-is g_u(dct), g_u(x) = 1/(u e^x - 1) the Apostol-Bernoulli
-generating function of the root u = xi^(dc) (x/(e^x - 1) at u = 1), so it
-is divided out, by one ``cyclo.unit_quotient``, once per field and root,
-and each context scales it by
-powers of dc.  A consequence pinned by the tests: B_0 = 0 whenever
-xi^d != 1.
+one table of the numerator's units, the exponential sum over the subsets
+of their scales in closed form; a ratio table for each character sum over
+a denominator unit of its own c, the paper's p-adic integral of
+chi(x) xi^(cx) e^(cxt) over ct (over c where xi^(dc) = 1); and the
+inverse table of each other denominator unit, 1/(xi^(dc) e^(dct) - 1)
+(times t where the unit vanishes at t = 0).  That inverse, which each
+ratio table is built from, is g_u(dct), g_u(x) = 1/(u e^x - 1) the
+Apostol-Bernoulli generating function of the root u = xi^(dc)
+(x/(e^x - 1) at u = 1), so it is divided out, by one
+``cyclo.unit_quotient``, once per field and root, and each context scales
+it by powers of dc.  Every such table is built to exactly the length
+asked, and rebuilt, never doubled, when a longer one is asked for.  A
+consequence pinned by the tests: B_0 = 0 whenever xi^d != 1.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ class TwistContext:
     for concurrent reads once built: the Bernoulli table (_bern), the
     power-sum tables per bound (_psums), the twisted contexts (_twists),
     the factor tables of factor_table (_factors), which quotients and
-    symmetry's rows read, among them one ratio table per character sum
-    paired with a denominator unit, one inverse table per such unit, and
-    the shift tables of the rows' B pieces, and the
+    symmetry's rows read, among them one units table per multiset of
+    numerator units, one ratio table per character sum paired with a
+    denominator unit, one inverse table per unpaired unit, and the sum and
+    shift tables of the rows' pieces, and the
     Bernoulli seed of symmetry._bpoly per twist exponent (_bpoly_cache);
     the tables of _factors and _bpoly_cache are RowTables, each stored in
     that one form.  The inverse tables derive from the field's own table
@@ -169,17 +171,40 @@ def char_sum_series(ctx: TwistContext, scale: int, truncation: int,
 
 def twist_unit_series(ctx: TwistContext, scale: int,
                       truncation: int) -> RowTable:
-    """The RowTable of xi^(d*scale) e^(d*scale*t) - 1 to t^truncation: with
-    u = xi^(d*scale), a root of unity with integer coordinates, n =
-    truncation and den = n!, row 0 is the numerators of u - 1 times n! and
-    row k > 0 those of u times (d*scale)^k n!/k!, brought to lowest terms
-    by one gcd."""
-    u = ctx.xi_pow(ctx.d * scale).num
+    """The RowTable of the one unit xi^(d*scale) e^(d*scale*t) - 1 to
+    t^truncation, the units table of (scale,): row 0 is the numerators of
+    u - 1 times n! and row k > 0 those of u times (d*scale)^k n!/k!, over
+    n! in lowest terms, u = xi^(d*scale) and n = truncation."""
+    return twist_units_series(ctx, (scale,), truncation)
+
+
+def twist_units_series(ctx: TwistContext, scales: tuple,
+                       truncation: int) -> RowTable:
+    """The RowTable of the product of the units xi^(dc) e^(dct) - 1 over
+    c in scales, to t^truncation, in closed form: the exponential sum over
+    the subsets S of scales of (-1)^(|scales| - |S|) xi^(ds) e^(dst), s the
+    sum of S.  The subsets of one sum s are counted together as a signed
+    count w_s, the coefficients of prod (X^c - 1), so with n = truncation
+    and den = n!, row k is the sum over s of w_s (ds)^k n!/k! times the
+    integer coordinates of xi^(ds), brought to lowest terms by one gcd; no
+    product of unit tables is formed."""
+    counts = {0: 1}
+    for c in scales:
+        grown = {s: -w for s, w in counts.items()}
+        for s, w in counts.items():
+            grown[s + c] = grown.get(s + c, 0) + w
+        counts = grown
     n = truncation
-    w = _weights(ctx.d * scale, 1, n)
-    rows = [(0, [(x - y) * w[0] for x, y in zip(u, ctx.field.one.num)])]
-    rows += [(k, [x * w[k] for x in u]) for k in range(1, n + 1)]
-    return _lowest(ctx.field, rows, w[0], n + 1)
+    rows = [[0] * ctx.field.degree for _ in range(n + 1)]
+    for s, w in counts.items():
+        if w:
+            u = ctx.xi_pow(ctx.d * s).num
+            for row, x in zip(rows, _weights(ctx.d * s, 1, n)):
+                if x:
+                    x *= w
+                    for i, y in enumerate(u):
+                        row[i] += x * y
+    return _lowest(ctx.field, enumerate(rows), math.factorial(n), n + 1)
 
 
 def _weights(p: int, q: int, n: int) -> list:
@@ -192,36 +217,41 @@ def _weights(p: int, q: int, n: int) -> list:
 
 def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     """The stored RowTable of one factor series, to t^upto or further.  Key
-    ("unit", c) is xi^(dc) e^(dct) - 1, ("sum", c[, bound[, sigma]]) is
-    the character sum sum_{a<=bound} chi(a) xi^(ac) e^(a*sigma*t), bound
-    d - 1 and sigma = c by default, ("inv", c) is the inverse 1/u of the
-    unit u of ("unit", c), or t/u where xi^(dc) = 1 and u has no constant
-    term: the field's inverse table of the root xi^(dc) at x = dct
-    (``_inverse_table``), and ("ratio", c) is ("sum", c) times ("inv", c)
+    ("units", cs) is the product of the units xi^(dc) e^(dct) - 1 over the
+    sorted multiset cs (twist_units_series), the one table of a quotient's
+    numerator units; ("sum", c[, bound[, sigma]]) is the character sum
+    sum_{a<=bound} chi(a) xi^(ac) e^(a*sigma*t), bound d - 1 and sigma = c
+    by default; ("inv", c) is the
+    inverse 1/u of the unit u of c, or t/u where xi^(dc) = 1 and u has no
+    constant term: the field's inverse table of the root xi^(dc) at x = dct
+    (``_inverse_table``); and ("ratio", c) is ("sum", c) times ("inv", c)
     (``_ratio_table``).  Each table is built once per context, as a
-    RowTable straight from integers by twist_unit_series, char_sum_series,
-    _inverse_table or _ratio_table, and kept as it is in ctx._factors
-    with a default sigma, then bound, dropped from its key; a longer one
-    than cached is built to at least twice the cached length."""
+    RowTable straight from integers, and kept as it is in ctx._factors
+    with a default sigma, then bound, dropped from its key.  It is built
+    to exactly t^upto, and a longer one than cached is rebuilt to exactly
+    t^upto: no table is built past the longest length asked for."""
     if key[3:] == (key[1],):
         key = key[:3]
     if key[2:] == (ctx.d - 1,):
         key = key[:2]
     table = ctx._factors.get(key)
     if table is None or len(table) <= upto:
-        # grow geometrically, as _bern_values does
-        build = upto if table is None else max(upto, 2 * len(table))
-        if key[0] == "inv":
-            table = _inverse_table(ctx, key[1], build)
-        elif key[0] == "ratio":
-            table = _ratio_table(ctx, key[1], build)
-        else:
-            # module globals, read per call: wrappers set on the module
-            # attributes (as perfbench/tracing.py does) see every build
-            make = twist_unit_series if key[0] == "unit" else char_sum_series
-            table = make(ctx, key[1], build, *key[2:])
-        ctx._factors[key] = table
+        table = ctx._factors[key] = _build(ctx, key, upto)
     return table
+
+
+def _build(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
+    # the table of a stored key to exactly t^upto, stored nowhere; module
+    # globals are read per call, so wrappers set on the module attributes
+    # (as perfbench/tracing.py does) see every build
+    kind = key[0]
+    if kind == "inv":
+        return _inverse_table(ctx, key[1], upto)
+    if kind == "ratio":
+        return _ratio_table(ctx, key[1], upto)
+    if kind == "units":
+        return twist_units_series(ctx, key[1], upto)
+    return char_sum_series(ctx, key[1], upto, *key[2:])
 
 
 def _unit_root(ctx: TwistContext, c: int) -> tuple:
@@ -261,12 +291,17 @@ def _ratio_table(ctx: TwistContext, c: int, build: int) -> RowTable:
     unit xi^(dc) e^(dct) - 1, times t where xi^(dc) = 1.  That is the
     p-adic integral of chi(x) xi^(cx) e^(cxt) over ct, or over c where
     xi^(dc) = 1, so coefficient k is c^k B_(k+1)/(k+1)!, or c^(k-1) B_k/k!,
-    of the twist xi^c.  One ``_row_times`` of the stored ("sum", c) and
-    ("inv", c) tables builds it, brought to lowest terms by one gcd."""
+    of the twist xi^c.  One ``_row_times`` of the ("sum", c) and ("inv", c)
+    tables builds it, brought to lowest terms by one gcd; each is read from
+    ctx._factors where it is stored long enough, and built without being
+    stored where not, since only a ratio that grows would read it again."""
     n = build + 1
-    sums = factor_table(ctx, ("sum", c), build)
-    rows, den = _row_times(ctx.field, _head(sums.rows, n), sums.den,
-                           factor_table(ctx, ("inv", c), build), n)
+    sums, inv = [ctx._factors.get((kind, c)) for kind in ("sum", "inv")]
+    if sums is None or len(sums) < n:
+        sums = _build(ctx, ("sum", c), build)
+    if inv is None or len(inv) < n:
+        inv = _build(ctx, ("inv", c), build)
+    rows, den = _row_times(ctx.field, _head(sums.rows, n), sums.den, inv, n)
     return _lowest(ctx.field, rows, den, n)
 
 
@@ -276,12 +311,10 @@ def _apostol_table(field, root: tuple, upto: int) -> RowTable:
     x/(e^x - 1), the Bernoulli one, at u = 1 (T. M. Apostol, Pacific J.
     Math. 1, 1951).  One ``cyclo.unit_quotient`` of (1, 0, ...) by the
     unit u e^x - 1 builds it; it is kept per field and root in
-    field._apostol, at most 2L tables, each grown to at least twice its
-    length when a longer one is asked for."""
+    field._apostol, at most 2L tables, each rebuilt to exactly x^upto
+    when a longer one is asked for."""
     table = field._apostol.get(root)
     if table is None or len(table) <= upto:
-        if table is not None:
-            upto = max(upto, 2 * len(table))
         table = field._apostol[root] = _rows(field, unit_quotient(
             field, (field.one,) + (field.zero,) * upto, root, 1), upto + 1)
     return table
@@ -301,20 +334,21 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
     """The coefficients of const * t^t_power * prod(num) / prod(den) to
     t^truncation, const an int or Fraction.
 
-    A factor is a key of factor_table: ("unit", c), the series
-    xi^(dc) e^(dct) - 1, or ("sum", c), the character sum
-    sum_{a<d} chi(a) xi^(ac) e^(act); every denominator factor is a unit,
-    and ValueError names one that is not.  Each denominator unit with
-    xi^(dc) = 1 (vanish of them) gives up one t, and the quotient owes
+    A factor is ("unit", c), the series xi^(dc) e^(dct) - 1, or a
+    ("sum", ...) key of factor_table, the character sum
+    sum_{a<d} chi(a) xi^(ac) e^(act) by default; every denominator factor
+    is a unit, and ValueError names one that is not.  Each denominator unit
+    with xi^(dc) = 1 (vanish of them) gives up one t, and the quotient owes
     t^(vanish - t_power) when that is positive; ValueError is raised if t
-    does not divide it.  num and den are non-empty.  Each ("sum", c) of
-    num pairs with one ("unit", c) of den, counted with multiplicity, and
-    the pair is the one ("ratio", c) table at the sum's place (a key with
-    a bound or a sigma never pairs).  The quotient is one ``cyclo.product``
-    over the stored row tables of num so paired, in its order, then the
-    ("inv", c) tables of the unpaired units of den, in its order, with
-    const applied at its last step; nothing is cached here, nothing is
-    divided, and the powers of t are slices.
+    does not divide it.  num and den are non-empty.  The units of num are
+    one ("units", cs) table, cs their sorted multiset, which comes first.
+    Each ("sum", c) of num pairs with one ("unit", c) of den, counted with
+    multiplicity, and the pair is the one ("ratio", c) table at the sum's
+    place (a key with a bound or a sigma never pairs).  The quotient is one
+    ``cyclo.product`` over the stored row tables of num so read, in its
+    order, then the ("inv", c) tables of the unpaired units of den, in its
+    order, with const applied at its last step; nothing is cached here,
+    nothing is divided, and the powers of t are slices.
     """
     for key in den:
         if key[0] != "unit":
@@ -323,12 +357,14 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
     shift = t_power - vanish
     length = max(truncation - shift, 0)
     unpaired = list(den)
-    keys = []
+    units = sorted(key[1] for key in num if key[0] == "unit")
+    keys = [("units", tuple(units))] if units else []
     for key in num:
         if key[0] == "sum" and len(key) == 2 and ("unit", key[1]) in unpaired:
             unpaired.remove(("unit", key[1]))
             key = ("ratio", key[1])
-        keys.append(key)
+        if key[0] != "unit":
+            keys.append(key)
     keys += [("inv", c) for _, c in unpaired]
     q = product(ctx.field, [factor_table(ctx, key, length) for key in keys],
                 length + 1, const)

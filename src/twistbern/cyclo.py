@@ -27,8 +27,10 @@ of unity.  ``quotient`` divides two general sequences, for
 ``PowerSeries`` only: the package's series are these coefficient
 sequences.  Inversion is an extended Euclid in Z[x].  ``_fold`` is the one
 reduction of an integer polynomial mod Phi_L, through a chain of sparse
-multiples of Phi_L down to Phi_L; a root of unity is a folded unit vector,
-and ``CycloField.root_sum`` folds integer combinations of them.  Rational
+multiples of Phi_L down to Phi_L, save the rows of a degree-2 row
+product, which take its one step x^2 = -c0 - c1*x in place; a root of
+unity is a folded unit vector, and ``CycloField.root_sum`` folds integer
+combinations of them.  Rational
 coordinates are available as Fractions through ``coeffs``.  All values are
 immutable and every operation is exact; there is no floating point
 anywhere.
@@ -750,7 +752,8 @@ def _row_times(field: CycloField, left: list, lden: int, table: RowTable,
     multiplied into 2*degree - 1 scalar sums per output index; from
     _PACK_DEGREE on every row below n is packed once, at one digit width
     that holds each coefficient of the product; between them, the
-    schoolbook loop.  Each output row is reduced by ``_fold``."""
+    schoolbook loop.  From degree 3 on each output row is reduced by
+    ``_fold``; ``_scalar_times`` folds its own rows."""
     right, rden = _head(table.rows, n), table.den
     deg = field.degree
     if deg <= 2:
@@ -794,9 +797,10 @@ def _scalar_times(field: CycloField, left: list, right: list,
     """``_row_times``' folded rows at degree 1 or 2, where a row is one or
     two integers: each pair of rows adds a0*b0 to s0[k], and at degree 2
     a0*b1 + a1*b0 to s1[k] and a1*b1 to s2[k], k the sum of their
-    indices, with no call per pair.  At degree 2 each nonzero (s0[k], ..)
-    is folded; at degree 1 (L = 1, 2) the fold's one step has top 1 and
-    never fires, so s0[k] is the row as it stands."""
+    indices, with no call per pair.  At degree 1 (L = 1, 2) s0[k] is the
+    row as it stands.  At degree 2 (L = 3, 4, 6) each (s0[k], s1[k],
+    s2[k]) is folded in place by x^2 = -c0 - c1*x, Phi_L = c0 + c1*x + x^2:
+    the one step of ``_fold`` there, with no call and no list per row."""
     s0 = [0] * n
     if field.degree == 1:
         right = [(j, b[0]) for j, b in right]
@@ -816,12 +820,14 @@ def _scalar_times(field: CycloField, left: list, right: list,
             s0[k] += a0 * b0
             s1[k] += a0 * b1 + a1 * b0
             s2[k] += a1 * b1
+    c0, c1 = field.modulus[:2]
     rows = []
-    for k, c in enumerate(zip(s0, s1, s2)):
-        if any(c):
-            c = _fold(field, list(c))
-            if any(c):
-                rows.append((k, c))
+    for k, (x0, x1, x2) in enumerate(zip(s0, s1, s2)):
+        if x2:
+            x0 -= c0 * x2
+            x1 -= c1 * x2
+        if x0 or x1:
+            rows.append((k, (x0, x1)))
     return rows
 
 

@@ -20,12 +20,12 @@ Rows and quotients share one form (scales, F): e^{(s.y) t} F(t), with a
 scale s_y per live slot (the same under every weight order) and a scalar
 series F over Q(zeta_L).  ``_quotient_form`` builds (scales, q) with one
 factor_quotient call: every _QUOTIENTS row pairs each character sum with
-the denominator unit of its own scale, so q is one product over unit and
-ratio tables, each ratio the paper's p-adic integral of chi(x) xi^(cx)
-e^(cxt) over ct (over c where xi^(dc) = 1), and no inverse table is an
-operand.  ``_row_form`` builds (scales, const * E) with one
-``cyclo.product`` of cached tables, as a quotient is: a Bernoulli seed per
-twist (``_bpoly``) and character-sum factor tables.  Every check decides on
+the denominator unit of its own scale, so q is one product over the one
+table of its units and the ratio tables, each ratio the paper's p-adic
+integral of chi(x) xi^(cx) e^(cxt) over ct (over c where xi^(dc) = 1),
+and no inverse table is an operand.  ``_row_form`` builds (scales,
+const * E) with one ``cyclo.product`` of cached tables, as a quotient is: a
+Bernoulli seed per twist (``_bpoly``) and character-sum factor tables.  Every check decides on
 forms: equal forms lift to equal SymPolys, so only unequal forms are lifted
 (by ``_lift``, the one writer of SymPoly monomials) for ``first_mismatch``
 to decide, and ``verify_theorem`` lifts each distinct form once.

@@ -21,8 +21,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from twistbern import cyclo  # noqa: E402
 from twistbern.cyclo import (_PACK_DEGREE, CycloField,  # noqa: E402
-                             CycloNumber, cyclo_field, cyclotomic_polynomial,
-                             dot, euler_phi, product)
+                             CycloNumber, _convolve_into, cyclo_field,
+                             cyclotomic_polynomial, dot, euler_phi, product)
 from twistbern.series import PowerSeries  # noqa: E402
 from twistbern.sympoly import SymPoly  # noqa: E402
 
@@ -735,6 +735,38 @@ def test_scalar_row_products_match_a_chain_of_dots(case, const):
     assert got == want
     tables = [cyclo._rows(field, seq, n) for seq in seqs]
     assert product(field, tables, n, const) == [c * const for c in want]
+
+
+@st.composite
+def degree_two_rows(draw):
+    """(field, left, right, n) at L = 3, 4 or 6: two lists of rows (k, (a0,
+    a1)) in rising k, signed integers, zero rows and coordinates among
+    them."""
+    field = cyclo_field(draw(st.sampled_from((3, 4, 6))))
+    n = draw(st.integers(1, 9))
+    coord = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+
+    def rows():
+        ks = draw(st.lists(st.integers(0, n + 1), unique=True, max_size=n))
+        return [(k, (draw(coord), draw(coord))) for k in sorted(ks)]
+    return field, rows(), rows(), n
+
+
+@SETTINGS
+@given(degree_two_rows())
+def test_degree_two_scalar_times_is_convolve_and_fold(case):
+    # the in-place fold by x^2 = -c0 - c1*x against _convolve_into on each
+    # row pair and one _fold per output row, its zero rows dropped
+    field, left, right, n = case
+    acc = {}
+    for i, a in left:
+        for j, b in right:
+            if i + j < n:
+                _convolve_into(acc.setdefault(i + j, [0, 0, 0]), a, b)
+    want = [(k, cyclo._fold(field, acc[k])) for k in sorted(acc)]
+    want = [(k, row) for k, row in want if any(row)]
+    got = cyclo._scalar_times(field, left, right, n)
+    assert [(k, list(row)) for k, row in got] == want
 
 
 def test_product_of_a_dense_chain_at_the_digit_width():

@@ -11,7 +11,9 @@ degree _PACK_DEGREE or more, where ``cyclo.product`` packs its rows.  The
 factor tables are cached per context as RowTables, read here through
 ``RowTable.elements``, and the S pieces and shift tables of the expansion
 rows read the same store; the inverse tables derive from one table per
-root of unity of the field.  Each character sum of a quotient that meets
+root of unity of the field.  The units of a numerator are one table, a
+closed-form exponential sum, checked against ``cyclo.product`` of unit
+tables formed from elements.  Each character sum of a quotient that meets
 a denominator unit of its own c is one ratio table, checked against the
 twisted Bernoulli numbers of xi^c, which bernoulli_gf divides out by its
 own route; every quotient, with repeated weights, sums with a bound and
@@ -75,12 +77,16 @@ def _vanishing(ctx, den):
 
 def _operands(num, den):
     """The factor_table keys of factor_quotient's product, in its order:
-    num with each default-key ("sum", c) that meets a still unpaired
-    ("unit", c) of den read as ("ratio", c), then ("inv", c) for each unit
-    of den left unpaired, in den's order."""
+    ("units", cs) for the sorted multiset cs of num's units, if it has
+    any, then num's other keys, each default-key ("sum", c) that meets a
+    still unpaired ("unit", c) of den read as ("ratio", c), then
+    ("inv", c) for each unit of den left unpaired, in den's order."""
     units = [c for _, c in den]
-    keys = []
+    cs = tuple(sorted(c for kind, c, *_ in num if kind == "unit"))
+    keys = [("units", cs)] if cs else []
     for key in num:
+        if key[0] == "unit":
+            continue
         if key[0] == "sum" and len(key) == 2 and key[1] in units:
             units.remove(key[1])
             key = ("ratio", key[1])
@@ -151,46 +157,60 @@ def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
 
 @pytest.mark.parametrize("d,char,order", [(3, 1, 4), (1, 0, 1), (4, 1, 2)])
 def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
-        d, char, order):
+        d, char, order, monkeypatch):
     # the product's operands are the tables of _operands(num, den), each
-    # built to t^length on a fresh context, where t^length is the top power
-    # of q before its powers of t are sliced on or off; a ratio table is
-    # built from the sum and inverse tables of its c, to that length too;
-    # an inverse table reads its field's table of the root, never the
-    # unit's table, so a unit only in den is not built
+    # built to exactly t^length on a fresh context, where t^length is the
+    # top power of q before its powers of t are sliced on or off, and only
+    # they are stored; a ratio table is built from the sum and inverse
+    # tables of its c, built to that length too and not stored; an inverse
+    # table reads its field's table of the root, never the unit's table,
+    # so a unit only in den is not built
+    builds = []
+    for name in ("twist_units_series", "char_sum_series", "_inverse_table",
+                 "_ratio_table"):
+        def counted(*args, exact=getattr(bernoulli, name), name=name):
+            table = exact(*args)
+            builds.append((name, len(table)))
+            return table
+        monkeypatch.setattr(bernoulli, name, counted)
     for truncation in range(4):
         for t_power, num, den in _cases((1, 2, 3)):
             ctx = TwistContext.from_orders(d, char, order)
+            builds.clear()
             factor_quotient(ctx, t_power, num, den, truncation)
             length = max(truncation - t_power + _vanishing(ctx, den), 0)
             operands = _operands(num, den)
-            keys = set(operands) | {(kind, key[1]) for key in operands
-                                    if key[0] == "ratio"
-                                    for kind in ("sum", "inv")}
-            assert set(ctx._factors) == keys
-            for key in keys:
+            assert set(ctx._factors) == set(operands)
+            for key in operands:
                 assert len(ctx._factors[key]) == length + 1, key
+            ratios = sum(key[0] == "ratio" for key in set(operands))
+            assert len(builds) == len(set(operands)) + 2 * ratios
+            assert {n for _, n in builds} == {length + 1}
 
 
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_a_fresh_context_builds_each_unit_of_a_quotient_once(
         d, char, order, monkeypatch):
-    # a unit in num is built once; one in den is not built at all, since its
-    # inverse table derives from the field's table of its root
+    # the units in num are built once, together, as the one units table of
+    # their sorted multiset, and never one by one; one in den is not built
+    # at all, since its inverse table derives from the field's table of
+    # its root
     builds = []
-
-    def counted(ctx, c, truncation, exact=twist_unit_series):
-        builds.append(c)
-        return exact(ctx, c, truncation)
-    monkeypatch.setattr(bernoulli, "twist_unit_series", counted)
+    for name in ("twist_unit_series", "twist_units_series"):
+        def counted(ctx, c, truncation, exact=getattr(bernoulli, name),
+                    name=name):
+            builds.append((name, c))
+            return exact(ctx, c, truncation)
+        monkeypatch.setattr(bernoulli, name, counted)
     for w in WEIGHTS:
         for t_power, num, den in _cases(w):
             for truncation in (0, 3):
                 ctx = TwistContext.from_orders(d, char, order)
                 builds.clear()
                 factor_quotient(ctx, t_power, num, den, truncation)
-                units = {c for kind, c in num if kind == "unit"}
-                assert sorted(builds) == sorted(units), (num, den)
+                units = tuple(sorted(c for kind, c in num if kind == "unit"))
+                assert builds == ([("twist_units_series", units)] if units
+                                  else []), (num, den)
 
 
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
@@ -274,15 +294,15 @@ def test_one_field_and_root_share_one_inverse_table(monkeypatch):
     assert field._apostol == stored and len(divisions) == 2
     assert all(field._apostol[root] is stored[root] for root in stored)
     # a fresh context asking for one more coefficient than the root's table
-    # holds grows it, at least twofold, by one division
+    # holds rebuilds it, to exactly that length, by one division
     third = TwistContext(character(1, 0), field.root(1))
     for c in (2, 4):
         table = factor_table(third, ("inv", c), 7)
         assert table.elements()[:8] == _parent_inverse(third, c, 7)
-    assert len(divisions) == 4
+    assert len(divisions) == 4 and divisions[2:] == [8, 8]
     for root, old in stored.items():
         grown = field._apostol[root]
-        assert len(old) == 7 and len(grown) >= 14
+        assert len(old) == 7 and len(grown) == 8
         assert grown.elements()[:7] == old.elements()
 
 
@@ -294,19 +314,21 @@ def test_inverse_tables_and_bernoulli_gf_meet_vanishing_and_live_units():
 
 
 @pytest.mark.parametrize("d,char,order", [(3, 1, 4), (1, 0, 1), (7, 1, 7)])
-def test_an_inverse_table_grows_twofold_and_keeps_its_prefix(d, char, order):
+def test_an_inverse_table_grows_to_the_length_asked_and_keeps_its_prefix(
+        d, char, order):
     ctx = TwistContext.from_orders(d, char, order)
     for c in (1, 2):
         stored = ()
         for upto in (2, 5, 12):
             table = factor_table(ctx, ("inv", c), upto)
             assert table is ctx._factors["inv", c]
-            assert len(table) >= upto + 1
             grown = table.elements()
             assert grown[:len(stored)] == stored
-            # built to t^upto, and to at least twice the cached length
-            assert len(grown) - 1 >= max(upto, 2 * len(stored))
+            # rebuilt to exactly t^upto
+            assert len(grown) == upto + 1
             stored = grown
+        # a shorter ask reads the stored table as it is
+        assert factor_table(ctx, ("inv", c), 3) is table
 
 
 # the 36 contexts of the series benchmark (every character mod 1, 3, 4 and
@@ -335,6 +357,88 @@ def test_a_ratio_table_is_its_twists_bernoulli_numbers():
             compared.add((ctx, c, v))
     assert len(compared) == len(RATIO_CONTEXTS) * 8
     assert {v for _, _, v in compared} == {0, 1}
+
+
+def test_a_ratio_reads_its_stored_sum_and_inverse_and_stores_neither(
+        monkeypatch):
+    # where ("sum", c) and ("inv", c) are stored long enough (a row reads
+    # the sum, an unpaired unit the inverse) the ratio multiplies them as
+    # they are; where not, it builds them to its own length and stores
+    # neither, so the stored ones keep their length
+    builds = []
+    for name in ("char_sum_series", "_inverse_table"):
+        def counted(*args, exact=getattr(bernoulli, name), name=name):
+            builds.append(name)
+            return exact(*args)
+        monkeypatch.setattr(bernoulli, name, counted)
+    for d, char, order in [(3, 1, 4), (1, 0, 1), (7, 1, 7)]:
+        ctx = TwistContext.from_orders(d, char, order)
+        stored = [factor_table(ctx, (kind, 2), 5) for kind in ("sum", "inv")]
+        builds.clear()
+        ratio = factor_table(ctx, ("ratio", 2), 5)
+        assert builds == []
+        fresh = TwistContext.from_orders(d, char, order)
+        assert ratio.elements() == factor_table(
+            fresh, ("ratio", 2), 5).elements()
+        builds.clear()
+        longer = factor_table(ctx, ("ratio", 2), 7)
+        assert sorted(builds) == ["_inverse_table", "char_sum_series"]
+        assert longer.elements()[:6] == ratio.elements()
+        assert [ctx._factors[kind, 2] for kind in ("sum", "inv")] == stored
+        assert all(len(table) == 6 for table in stored)
+
+
+# repeated, distinct, one, a vanishing-heavy multiset and a large scale;
+# the quotients' own multisets are big^i and {w2w3, w1w3, w1w2}
+UNIT_SETS = [(2, 2, 2), (1, 2, 3), (2, 3, 6), (4,), (1, 1), (4, 4, 12),
+             (3, 5, 5, 125)]
+
+
+def _unit_elements(ctx, c, top):
+    """(u - 1, u (dc)^1/1!, u (dc)^2/2!, ...) with u = xi^(dc) formed as a
+    power of xi: the unit c's coefficients, by no table builder."""
+    dc = ctx.d * c
+    u = ctx.xi ** dc
+    return [u - 1] + [u * Fraction(dc**j, math.factorial(j))
+                      for j in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("ctx", [TwistContext.from_orders(*args)
+                                 for args in CONTEXTS]
+                         + [TwistContext(*pair) for pair in SIGNED],
+                         ids=[f"{d}-{char}-{order}"
+                              for d, char, order in CONTEXTS]
+                         + [f"signed-{k}" for k in range(len(SIGNED))])
+def test_a_units_table_is_the_product_of_its_unit_tables(ctx):
+    # the closed form, a signed exponential sum over the subsets of cs,
+    # against cyclo.product of the single unit tables, each formed from
+    # elements; its rows are the lowest-terms row form of what it holds
+    for cs in UNIT_SETS:
+        for top in (0, 1, TOP):
+            table = bernoulli.twist_units_series(ctx, cs, top)
+            want = cyclo.product(ctx.field, [_unit_elements(ctx, c, top)
+                                             for c in cs], top + 1)
+            assert table.elements() == tuple(want), (cs, top)
+            flat = _rows(ctx.field, want, top + 1)
+            assert table.den == flat.den
+            assert [(k, list(r)) for k, r in table.rows] == \
+                [(k, list(r)) for k, r in flat.rows]
+        stored = factor_table(ctx, ("units", cs), TOP)
+        assert stored is ctx._factors["units", cs]
+        assert stored.elements() == table.elements()
+
+
+def test_unit_sets_meet_vanishing_live_and_mixed_units():
+    # some multiset has every unit vanishing at t = 0, some none, some both,
+    # and the odd-L signed context is among them
+    seen = set()
+    for ctx in [TwistContext.from_orders(*args) for args in CONTEXTS] + [
+            TwistContext(*pair) for pair in SIGNED]:
+        for cs in UNIT_SETS:
+            v = _vanishing(ctx, [("unit", c) for c in cs])
+            seen.add("none" if v == 0 else "all" if v == len(cs) else "some")
+    assert seen == {"none", "some", "all"}
+    assert TwistContext(*SIGNED[0]).field.order % 2 == 1
 
 
 def _element_quotient(ctx, t_power, num, den, truncation):
@@ -469,16 +573,19 @@ def test_an_owed_t_that_does_not_divide_raises(t_power, num, den):
 
 def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # The factor series are cached per context, so the six weight orders of
-    # one invariance check share one build of each distinct (kind, c) of
-    # the numerators, one inverse table per denominator unit, derived from
-    # the field's table of its root, one cyclo.unit_quotient per root, and one
-    # ratio table per sum paired with a unit, one _row_times of its sum and
-    # inverse tables.  The products are not cached: each order still
-    # multiplies its own operands in its own order, which is what the
-    # invariance check compares, and its one cyclo.product over the paired
-    # list of _operands performs len(operands) - 1 factor multiplications.
+    # one invariance check share one build of the units table of the
+    # numerators' units, the same multiset in every order, and one ratio
+    # table per sum paired with a unit, one _row_times of its sum and
+    # inverse tables, each built once for it and not stored; the inverse
+    # table derives from the field's table of its root, one
+    # cyclo.unit_quotient per root.  The products are not cached: each
+    # order still multiplies its own operands in its own order, which is
+    # what the invariance check compares, and its one cyclo.product over
+    # the paired list of _operands performs len(operands) - 1 factor
+    # multiplications.
     builds = []
     for kind, name in (("unit", "twist_unit_series"),
+                       ("units", "twist_units_series"),
                        ("sum", "char_sum_series")):
         def counted(ctx, c, truncation, exact=getattr(bernoulli, name),
                     kind=kind):
@@ -530,26 +637,29 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     assert permutation_invariance_check(spec, 6).passed
     assert len(calls) == 6
     keys = {key for num, _, _, _ in calls for key in num}
-    # units at 6, 3, 2 over 1, 2, 3, and sums at 1, 2, 3: the unit at 1 is
-    # only a denominator and is never built
+    # units at 6, 3, 2 over 1, 2, 3, and sums at 1, 2, 3: the units are one
+    # table of (2, 3, 6), the unit at 1 is only a denominator and is never
+    # built, and each sum is built once, for its ratio table
     assert len(keys) == 6
-    assert sorted(builds) == sorted(keys)
+    assert sorted(builds) == [("sum", 1), ("sum", 2), ("sum", 3),
+                              ("units", (2, 3, 6))]
     assert len({(tuple(num), tuple(den)) for num, den, _, _ in calls}) == 6
     for num, den, products, tables in calls:
         operands = _operands(num, den)
         # every sum meets its unit: no inverse table is an operand
-        assert [key[0] for key in operands] == ["unit"] * 3 + ["ratio"] * 3
+        assert operands[0] == ("units", (2, 3, 6))
+        assert [key[0] for key in operands] == ["units"] + ["ratio"] * 3
         assert all(table is ctx._factors[key]
                    for key, table in zip(operands, tables, strict=True))
         assert products == len(operands) - 1
-    inverses = {("inv", c) for _, den, _, _ in calls for _, c in den}
-    assert {key for key in ctx._factors if key[0] == "inv"} == inverses
-    assert len(divisions) == len(inverses) == len(field._apostol) == 3
-    # one ratio build per paired c, multiplying its stored inverse table
-    assert sorted(key for key in ctx._factors if key[0] == "ratio") == \
-        [("ratio", c) for c in (1, 2, 3)]
-    assert sorted(map(id, ratios)) == sorted(
-        id(ctx._factors[key]) for key in inverses)
+    # only the operands are stored: a ratio's sum and inverse are not
+    assert set(ctx._factors) == {("units", (2, 3, 6))} | {
+        ("ratio", c) for c in (1, 2, 3)}
+    assert len(divisions) == len(field._apostol) == 3
+    # one ratio build per paired c, multiplying the inverse table of its c
+    assert len(ratios) == 3
+    assert {table.elements() for table in ratios} == {
+        _parent_inverse(ctx, c, 6) for c in (1, 2, 3)}
 
     builds.clear()
     calls.clear()
@@ -557,7 +667,7 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     ratios.clear()
     assert permutation_invariance_check(spec, 4).passed
     assert builds == [] and divisions == [] and ratios == []
-    assert [products for _, _, products, _ in calls] == [5] * 6
+    assert [products for _, _, products, _ in calls] == [3] * 6
 
 
 def _stored_key(ctx, key):

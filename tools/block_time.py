@@ -21,10 +21,16 @@ from), the row pairs those steps multiply (pairs of rows whose indices
 sum below the step's n), the ``cyclo.quotient`` calls, the
 ``cyclo.unit_quotient`` calls (each division by a unit), the extended-Euclid
 ``cyclo._poly_inverse`` calls (each field inverse) and the ``cyclo.dot``
-calls (each element product).  They repeat
+calls (each element product).  A second line gives, per kind of table,
+the number of builds and the top power of t (of x for a root table) of
+the longest one: ``unit`` (``bernoulli.twist_unit_series``), ``units``
+(``twist_units_series``), ``sum`` (``char_sum_series``), ``inv``
+(``_inverse_table``), ``ratio`` (``_ratio_table``) and ``root`` (a call of
+``_apostol_table`` that stores a new table for its root).  They repeat
 exactly from run to run, unlike the time.  Each name is wrapped in every
-``twistbern`` module that binds it, and a name that ``cyclo`` no longer
-has stops the tool with an error rather than counting zero.  The
+``twistbern`` module that binds it, and a name that ``cyclo`` or
+``bernoulli`` no longer has stops the tool with an error rather than
+counting zero.  The
 benchmark is imported, never edited.  Stdlib only.
 """
 
@@ -57,27 +63,70 @@ if counting:
         js = [j for j, _ in table.rows]
         return sum(bisect.bisect_left(js, n - i) for i, _ in left)
 
-    def wrap(name, key, pairs_key=None):
-        exact = getattr(cyclo, name, None)
+    def install(module, name, make):
+        # replace module.name by make(module.name) in every twistbern module
+        # that binds it
+        exact = getattr(module, name, None)
         if not callable(exact):
-            sys.exit(f"--counts: twistbern.cyclo has no function {name}")
-
-        def counted(*args):
-            counts[key] += 1
-            if pairs_key:
-                counts[pairs_key] += pairs(*args)
-            return exact(*args)
-        for module in [m for n, m in sys.modules.items()
-                       if n.split(".")[0] == "twistbern"]:
-            for attr, value in list(vars(module).items()):
+            sys.exit(f"--counts: {module.__name__} has no function {name}")
+        counted = make(exact)
+        for m in [m for n, m in sys.modules.items()
+                  if n.split(".")[0] == "twistbern"]:
+            for attr, value in list(vars(m).items()):
                 if value is exact:
-                    setattr(module, attr, counted)
+                    setattr(m, attr, counted)
+
+    def wrap(name, key, pairs_key=None):
+        def make(exact):
+            def counted(*args):
+                counts[key] += 1
+                if pairs_key:
+                    counts[pairs_key] += pairs(*args)
+                return exact(*args)
+            return counted
+        install(cyclo, name, make)
     wrap("product", "product")
     wrap("_row_times", "row_times", "row_pairs")
     wrap("quotient", "quotient")
     wrap("unit_quotient", "unit_quotient")
     wrap("_poly_inverse", "poly_inverse")
     wrap("dot", "dot")
+
+    from twistbern import bernoulli
+    tables = {kind: [0, None] for kind in
+              ("unit", "units", "sum", "inv", "ratio", "root")}
+
+    def built(kind, table):
+        # one build of a table to t^(len - 1)
+        entry = tables[kind]
+        entry[0] += 1
+        entry[1] = max(entry[1] or 0, len(table) - 1)
+
+    def wrap_table(name, kind):
+        def make(exact):
+            def counted(*args):
+                table = exact(*args)
+                built(kind, table)
+                return table
+            return counted
+        install(bernoulli, name, make)
+    wrap_table("twist_unit_series", "unit")
+    wrap_table("twist_units_series", "units")
+    wrap_table("char_sum_series", "sum")
+    wrap_table("_inverse_table", "inv")
+    wrap_table("_ratio_table", "ratio")
+
+    def root_tables(exact):
+        # a call that returns the stored table of its root builds nothing
+        def counted(field, root, upto):
+            before = field._apostol.get(root)
+            table = exact(field, root, upto)
+            if table is not before:
+                built("root", table)
+            return table
+        return counted
+    install(bernoulli, "_apostol_table", root_tables)
+    counts["tables"] = tables
 profile = cProfile.Profile() if top else None
 results = []
 t0 = time.process_time()
@@ -110,7 +159,8 @@ def main(argv=None) -> int:
                       help="profile the block and print its top N functions")
     mode.add_argument("--counts", action="store_true",
                       help="print the block's product, row-step, row-pair, "
-                           "quotient, unit-quotient, inverse and dot counts")
+                           "quotient, unit-quotient, inverse and dot counts, "
+                           "and its table builds per kind")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     proc = subprocess.run(
@@ -126,8 +176,12 @@ def main(argv=None) -> int:
           + (" (profiled)" if args.profile else "")
           + (" (counted)" if args.counts else ""))
     if out["counts"]:
+        tables = out["counts"].pop("tables")
         print("  ".join(f"{key} {value}" for key, value in
                         out["counts"].items()))
+        print("table builds, to the top power built:  " + "  ".join(
+            f"{kind} {n}" + (f" to t^{top}" if n else "")
+            for kind, (n, top) in tables.items()))
     if out["profile"]:
         print(out["profile"])
     return 0
