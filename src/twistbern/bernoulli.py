@@ -6,19 +6,22 @@ are the EGF coefficients of
 
     t * sum_{a<d} chi(a) xi^a e^{at} / (xi^d e^{dt} - 1),
 
-built as a tuple of coefficients by one ``cyclo.unit_quotient`` of the
-character sum by the unit of the root xi^d, with no field inverse and no
-unit table.  Every other quotient of such factors in the package is built by
-factor_quotient as one ``cyclo.product`` of stored ``cyclo.RowTable``s:
-one table of the numerator's units, the exponential sum over the subsets
-of their scales in closed form; a ratio table for each character sum over
-a denominator unit of its own c, the paper's p-adic integral of
-chi(x) xi^(cx) e^(cxt) over ct (over c where xi^(dc) = 1); and the
-inverse table of each other denominator unit, 1/(xi^(dc) e^(dct) - 1)
-(times t where the unit vanishes at t = 0).  That inverse, which each
-ratio table is built from, is g_u(dct), g_u(x) = 1/(u e^x - 1) the
-Apostol-Bernoulli generating function of the root u = xi^(dc)
-(x/(e^x - 1) at u = 1), so it is divided out, by one
+built by ``bernoulli_gf`` inside the small field Q(zeta_R) of the root
+lambda = xi^d, of exact order R: the denominator's inverse is g_lambda(dt),
+whose coefficients lie in Q(lambda), so it is the Apostol table of zeta_R,
+built once per R, read at zeta_R -> lambda; the request's own field only
+adds up shifted rational combinations of the power sums, with no product
+and no division there.  Every other quotient of such factors in the
+package is built by factor_quotient as one ``cyclo.product`` of stored
+``cyclo.RowTable``s: one table of the numerator's units, the exponential
+sum over the subsets of their scales in closed form; a ratio table for
+each character sum over a denominator unit of its own c, the paper's
+p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c where
+xi^(dc) = 1); and the inverse table of each other denominator unit,
+1/(xi^(dc) e^(dct) - 1) (times t where the unit vanishes at t = 0).  That
+inverse, which each ratio table is built from, is g_u(dct),
+g_u(x) = 1/(u e^x - 1) the Apostol-Bernoulli generating function of the
+root u = xi^(dc) (x/(e^x - 1) at u = 1), so it is divided out, by one
 ``cyclo.unit_quotient``, once per field and root, and each context scales
 it by powers of dc.  Every such table is built to exactly the length
 asked, and rebuilt, never doubled, when a longer one is asked for.  A
@@ -32,8 +35,8 @@ import operator
 from fractions import Fraction
 
 from .characters import DirichletCharacter, character
-from .cyclo import (CycloNumber, RowTable, _head, _lowest, _row_times, _rows,
-                    cyclo_field, product, unit_quotient)
+from .cyclo import (CycloNumber, RowTable, _canonical, _fold, _head, _lowest,
+                    _row_times, _rows, cyclo_field, product, unit_quotient)
 from .report import CheckReport, first_mismatch
 
 
@@ -373,18 +376,45 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
 
 def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     """The coefficients of the Bernoulli generating function
-    t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}:
-    one ``cyclo.unit_quotient`` of the character sum by the unit of the
-    root xi^d, the sum built by char_sum_series no longer than the
-    quotient needs, read through ``RowTable.elements``, and stored
-    nowhere, since a field that only asks for its Bernoulli numbers uses
-    it once; no unit table is built."""
-    root = _unit_root(ctx, 1)
-    v = root == (1, 0)
-    length = max(truncation - 1 + v, 0)
-    q = unit_quotient(ctx.field, char_sum_series(ctx, 1, length).elements(),
-                      root, ctx.d)
-    return _times_t(ctx.field, q, 1 - v, truncation)
+    t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}
+    = sum_j S_j(d - 1) t^j/j!, divided inside the small field of the root
+    lambda = xi^d = sign * zeta_L^e, of exact order R.  The quotient is
+    t^(1-v) d^-v T(t) g(dt), v = 1 iff lambda = 1, with g = g_lambda the
+    Apostol table (``_apostol_table``) of zeta_R in Q(zeta_R), built once
+    per R and shared by every field, read at zeta_R -> lambda: coefficient
+    k is sum_i lambda^i U_(k,i), with U_(k,i) = sum_j (g_(k-j))_i
+    d^(k-j-v)/j! S_j the rational combination of the power sums, and the
+    lambda^i = sign^i zeta_L^(e*i) are shifts.  So each coefficient is one
+    ``_fold`` of the shifted U's and one ``_canonical``, with no product and
+    no division in Q(zeta_L)."""
+    sign, e = _unit_root(ctx, 1)
+    field, d = ctx.field, ctx.d
+    L, deg = field.order, field.degree
+    R = L // math.gcd(e, L) * (2 if sign == -1 else 1)
+    v = R == 1
+    n = max(truncation - 1 + v, 0)
+    g = _apostol_table(cyclo_field(R), (1, 1 % R), n)  # zeta_R's key
+    rows = dict(g.rows)
+    sums = [S.num for S in power_sums(ctx, n, d - 1)]
+    q = []
+    for k in range(n + 1):
+        acc = [0] * L
+        for i in range(g.field.degree):
+            u = [0] * deg
+            for j in range(k + 1):
+                row = rows.get(k - j)
+                if row is not None and row[i]:
+                    c = row[i] * d**(k - j) * math.perm(k, k - j)  # k!/j!
+                    u = [x + c * y for x, y in zip(u, sums[j])]
+            if sign == -1 and i & 1:
+                u = [-x for x in u]
+            s = e * i % L  # lambda^i u: u's coordinates from x^s on, mod x^L
+            for lo, part in ((s, u[:L - s]), (0, u[L - s:])):
+                acc[lo:lo + len(part)] = map(operator.add,
+                                             acc[lo:lo + len(part)], part)
+        q.append(_canonical(field, _fold(field, acc),
+                            g.den * math.factorial(k) * d**v))
+    return _times_t(field, q, 1 - v, truncation)
 
 
 class BernoulliTable:

@@ -21,12 +21,13 @@ which ``product`` takes as it is; the caches of the exact path hold
 their tables so.  ``unit_quotient`` divides a sequence by the unit
 u e^(st) - 1 of a root of unity u, one ``dot`` against rational elements
 per coefficient and no inverse, since 1/(u - 1) is a root sum
-(``inverse_root_minus_one``): the exact path divides so to build a
-Bernoulli generating function and one inverse table per field and root
-of unity.  ``quotient`` divides two general sequences, for
-``PowerSeries`` only: the package's series are these coefficient
-sequences.  Inversion is an extended Euclid in Z[x].  ``_fold`` is the one
-reduction of an integer polynomial mod Phi_L, through a chain of sparse
+(``inverse_root_minus_one``): the exact path divides so to build one
+Apostol table per field and root of unity, and bernoulli's generating
+functions read the table of zeta_R in the small field Q(zeta_R).
+``quotient`` divides two general sequences, for ``PowerSeries`` only: the
+package's series are these coefficient sequences.  Inversion is an
+extended Euclid in Z[x].  ``_fold`` is the one reduction of an integer
+polynomial mod Phi_L, through a chain of sparse
 multiples of Phi_L down to Phi_L, save the rows of a degree-2 row
 product, which take its one step x^2 = -c0 - c1*x in place; a root of
 unity is a folded unit vector, and ``CycloField.root_sum`` folds integer
@@ -83,10 +84,11 @@ def divisors(n: int) -> list[int]:
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Integer coefficients (constant term first) of the order-th cyclotomic polynomial.
 
-    Computed as the Moebius product prod_{d | order} (x^d - 1)^mu(order/d):
-    the factors with mu = 1 are multiplied in first, then those with
-    mu = -1 are divided out exactly, each step O(order).  Monic of degree
-    phi(order).
+    Phi_order(x) = Phi_r(x^(order/r)) for r = rad(order), the product of
+    the primes dividing order, and Phi_r is the Moebius product
+    prod_{q | r} (x^(r/q) - 1)^mu(q): the factors with mu = 1 are
+    multiplied in first, then those with mu = -1 are divided out exactly,
+    each step O(r).  Monic of degree phi(order).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -94,22 +96,26 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     moebius = [(1, 1)]
     for p in factorize(order):
         moebius += [(q * p, -mu) for q, mu in moebius]
+    r = max(q for q, _ in moebius)
     poly = [1]
     for q, mu in moebius:
         if mu == 1:  # times x^d - 1
-            d = order // q
+            d = r // q
             prod = [-c for c in poly] + [0] * d
             for i, c in enumerate(poly, d):
                 prod[i] += c
             poly = prod
     for q, mu in moebius:
         if mu == -1:  # exact quotient by x^d - 1: quo_i = quo_(i-d) - poly_i
-            d = order // q
+            d = r // q
             quo = []
             for i in range(len(poly) - d):
                 quo.append((quo[i - d] if i >= d else 0) - poly[i])
             poly = quo
-    return tuple(poly)
+    m = order // r
+    out = [0] * ((len(poly) - 1) * m + 1)
+    out[::m] = poly
+    return tuple(out)
 
 
 def _content_sign(r: list[int]) -> int:
@@ -197,7 +203,8 @@ class CycloField:
     the RowTable of 1/(u e^x - 1), or x/(e^x - 1) at u = 1, keyed by
     u's (sign, exponent), each built by one ``unit_quotient`` with no
     field inverse, filled lazily and shared by every context of the
-    field.
+    field; ``bernoulli_gf`` reads the table of zeta_R in Q(zeta_R),
+    shared by every field whose root xi^d has order R.
     """
 
     __slots__ = ("order", "modulus", "degree", "_steps", "_roots", "zero",

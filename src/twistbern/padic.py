@@ -9,18 +9,20 @@ normalized so v(p) = 1), and checks the shift identity of the integral.
 
 Scope of the check: xi of order p^s and real-valued chi (order <= 2), so
 the values lie in Q(zeta_{p^s}).  There p is totally ramified, so the
-valuation extends uniquely and is computable by repeated division by pi.
+valuation extends uniquely, and Phi_{p^s}(x) = (x - 1)^e mod p makes it a
+count mod p: the multiplicity of x - 1 in the numerators reduced mod p,
+read by synthetic division, with no product or inverse in the field.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .bernoulli import (TwistContext, _bern_values, bernoulli_polynomial,
                         power_sum)
-from .cyclo import (CycloField, CycloNumber, cyclo_field, euler_phi, factorize,
-                    inverse_root_minus_one)
+from .cyclo import CycloField, CycloNumber, cyclo_field, euler_phi, factorize
 from .report import ReadOnly, Verdict
 
 INFINITE = math.inf
@@ -62,14 +64,14 @@ def pi_valuation(alpha: CycloNumber, pctx: PadicContext):
 
     The rational content's p-power is read off the integer numerators and
     the denominator and split off first.  The remaining p-integral part has
-    a denominator prime to p, so its reduction through Z[zeta]/(pi) = F_p
-    (zeta -> 1) vanishes iff p divides the sum of its numerators; while it
-    does, the part is multiplied by 1/pi = -1/(zeta - 1), one
-    ``cyclo.inverse_root_minus_one`` per call with no inverse taken, each
-    step contributing 1/e.  At most e - 1 steps are taken: the part has
-    numerators of gcd prime to p, so it does not lie in pZ[zeta] (Z[zeta]
-    has the power basis) and its valuation is below v(p) = 1.  Reaching e
-    steps is an internal error.
+    a denominator prime to p and numerators c(x) of gcd prime to p, and
+    Z[zeta]/(p) = F_p[x]/(Phi_{p^s}) = F_p[x]/((x - 1)^e) (J. Neukirch,
+    Algebraic Number Theory, I.8.3), with pi = 1 - zeta <-> x - 1 up to
+    sign.  So the part has valuation k/e for the multiplicity k of the
+    factor x - 1 in c(x) mod p: synthetic division by x - 1 mod p, taken
+    while the coefficient sum c(1) is 0 mod p, with no field product.  As
+    c(x) mod p is nonzero of degree below e, k < e; a k reaching e is an
+    internal error.
     """
     if alpha.field.order != pctx.field.order:
         raise ValueError("element lies outside the stated field")
@@ -78,16 +80,15 @@ def pi_valuation(alpha: CycloNumber, pctx: PadicContext):
     p = pctx.p
     top = _pval(math.gcd(*alpha.num), p)
     bottom = _pval(alpha.den, p)
-    beta = alpha * Fraction(p**bottom, p**top)
-    steps = 0
-    if pctx.field.degree >= 2:
-        pi_inv = -inverse_root_minus_one(pctx.field, (1, 1))
-        while sum(beta.num) % p == 0:
-            beta = beta * pi_inv
-            steps += 1
-            if steps == pctx.ramification:
-                raise ArithmeticError("pi-division did not terminate")
-    return Fraction(top - bottom) + Fraction(steps, pctx.ramification)
+    c = [x // p**top % p for x in alpha.num]
+    k = 0
+    while sum(c) % p == 0:
+        # c(x) = (x - 1) q(x) as c(1) = 0, so -q_i = c_0 + ... + c_i
+        c = [x % p for x in accumulate(c[:-1])]
+        k += 1
+        if k == pctx.ramification:
+            raise ArithmeticError("pi-division did not terminate")
+    return Fraction(top - bottom) + Fraction(k, pctx.ramification)
 
 
 def volkenborn_partial(ctx: TwistContext, p: int, k: int,

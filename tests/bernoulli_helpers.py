@@ -4,9 +4,11 @@ independent routes that the tests compare the package's own against."""
 
 from fractions import Fraction
 
-from twistbern.bernoulli import TwistContext, bernoulli_gf, bernoulli_numbers
+from twistbern.bernoulli import (TwistContext, _times_t, _unit_root,
+                                 bernoulli_gf, bernoulli_numbers,
+                                 char_sum_series)
 from twistbern.characters import character
-from twistbern.cyclo import CycloNumber
+from twistbern.cyclo import CycloNumber, unit_quotient
 from twistbern.series import PowerSeries
 
 
@@ -22,3 +24,17 @@ def bernoulli_polynomial_gf(ctx: TwistContext, n: int, x):
         x = ctx.field.from_rational(x)
     ex = PowerSeries.exp_scaled(x, n)
     return (PowerSeries(bernoulli_gf(ctx, n)) * ex).egf(n)
+
+
+def bernoulli_gf_by_division(ctx: TwistContext, truncation: int) -> tuple:
+    """t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a
+    e^{at}, divided in the context's own field: the character sum's table
+    to the length the quotient needs, read as elements, and one
+    ``cyclo.unit_quotient`` of it by the unit of the root xi^d at scale d
+    (t*T/(e^{dt} - 1) where xi^d = 1).  It reads no Apostol table."""
+    root = _unit_root(ctx, 1)
+    v = root == (1, 0)
+    length = max(truncation - 1 + v, 0)
+    q = unit_quotient(ctx.field, char_sum_series(ctx, 1, length).elements(),
+                      root, ctx.d)
+    return _times_t(ctx.field, q, 1 - v, truncation)

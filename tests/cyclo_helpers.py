@@ -1,12 +1,13 @@
 """Test-only constructions on cyclotomic fields, kept out of the package
 because nothing in it needs them: the embedding Q(zeta_L) -> Q(zeta_L'),
 the inverse of ``CycloNumber.to_json_dict``, the rational value of a
-rational element and the order of a root of unity."""
+rational element, the order of a root of unity and the cyclotomic
+polynomial as a Moebius product over all the divisors of its order."""
 
 import math
 from fractions import Fraction
 
-from twistbern.cyclo import CycloField, CycloNumber, cyclo_field
+from twistbern.cyclo import CycloField, CycloNumber, cyclo_field, factorize
 
 
 def embed_into(x: CycloNumber, field: CycloField) -> CycloNumber:
@@ -45,3 +46,29 @@ def multiplicative_order(x: CycloNumber) -> int:
     sign, e = x.root_exponent()
     r = x.field.order // math.gcd(e, x.field.order)
     return r if sign == 1 else 2 * r
+
+
+def moebius_cyclotomic(order: int) -> tuple:
+    """Phi_order's integer coefficients, constant term first, as the
+    Moebius product prod_{q | order} (x^(order/q) - 1)^mu(q) over the
+    squarefree divisors q of order: the factors with mu = 1 multiplied in,
+    then those with mu = -1 divided out exactly."""
+    moebius = [(1, 1)]
+    for p in factorize(order):
+        moebius += [(q * p, -mu) for q, mu in moebius]
+    poly = [1]
+    for q, mu in moebius:
+        if mu == 1:
+            d = order // q
+            prod = [-c for c in poly] + [0] * d
+            for i, c in enumerate(poly, d):
+                prod[i] += c
+            poly = prod
+    for q, mu in moebius:
+        if mu == -1:
+            d = order // q
+            quo = []
+            for i in range(len(poly) - d):
+                quo.append((quo[i - d] if i >= d else 0) - poly[i])
+            poly = quo
+    return tuple(poly)

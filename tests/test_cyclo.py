@@ -7,7 +7,8 @@ from twistbern.cyclo import (cyclo_field, cyclotomic_polynomial, divisors,
                              euler_phi)
 from twistbern.sympoly import SymPoly
 
-from cyclo_helpers import embed_into, from_json_dict, multiplicative_order
+from cyclo_helpers import (embed_into, from_json_dict, moebius_cyclotomic,
+                           multiplicative_order)
 
 
 def _poly_mul(a, b):
@@ -44,6 +45,13 @@ def test_cyclotomic_product_over_divisors():
         assert prod == [-1] + [0] * (order - 1) + [1]
         assert len(cyclotomic_polynomial(order)) == euler_phi(order) + 1
         assert cyclotomic_polynomial(order)[-1] == 1  # monic
+
+
+def test_cyclotomic_polynomials_match_the_moebius_product_to_600():
+    # Phi_n is Phi_rad(n) at x^(n/rad(n)); the oracle is the Moebius
+    # product over every squarefree divisor of n itself
+    for order in range(1, 601):
+        assert cyclotomic_polynomial(order) == moebius_cyclotomic(order), order
 
 
 def test_roots_of_unity():

@@ -37,6 +37,9 @@ from twistbern.symmetry import (_FAMILY_MAX_I, _QUOTIENTS, _ROWS,
                                 _distinct_orders, permutation_invariance_check,
                                 verify_theorem)
 
+from bernoulli_helpers import bernoulli_gf_by_division
+from cyclo_helpers import multiplicative_order
+
 CONTEXTS = [(d, char, order) for d in (1, 3, 4)
             for char in range(len(enumerate_characters(d)))
             for order in (1, 2, 3, 4)] + [(7, 1, 7)]   # Q(zeta_42), degree 12
@@ -116,10 +119,11 @@ def test_quotient_times_denominator_is_numerator(d, char, order):
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
                                                         monkeypatch):
-    # bernoulli_gf divides directly, by one cyclo.unit_quotient of the root
-    # xi^d and scale d, not through factor_quotient; it builds its sum no
-    # longer than the quotient needs, builds no unit series and stores
-    # nothing
+    # bernoulli_gf divides directly, not through factor_quotient: it reads
+    # the Apostol table of zeta_R in the small field Q(zeta_R), R the order
+    # of xi^d, and combines the power sums; it builds no sum or unit table,
+    # stores nothing in the context, and divides only in Q(zeta_R), once
+    # per R, where the table is not yet long enough
     builds = []
     for kind, name in (("unit", "twist_unit_series"),
                        ("sum", "char_sum_series")):
@@ -131,15 +135,19 @@ def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
     divisions = []
 
     def divide(field, a, root, scale, exact=bernoulli.unit_quotient):
-        divisions.append((len(a), root, scale))
+        divisions.append((field.order, len(a)))
         return exact(field, a, root, scale)
     monkeypatch.setattr(bernoulli, "unit_quotient", divide)
     ctx = TwistContext.from_orders(d, char, order)
+    R = multiplicative_order(ctx.xi ** d)
+    monkeypatch.setattr(cyclo_field(R), "_apostol", {})
     v = _vanishing(ctx, [("unit", 1)])
     upto = TOP + v
     bottom = _product(ctx, [("unit", 1)], upto)
     top = ((ctx.field.zero,) + _product(ctx, [("sum", 1)], upto))[:upto + 1]
+    divisions.clear()
     full = bernoulli_gf(ctx, upto)
+    assert divisions == [(R, upto + v)]
     assert _times(full, bottom) == top
     for truncation in range(TOP + 1):
         fresh = TwistContext.from_orders(d, char, order)
@@ -149,9 +157,8 @@ def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
         assert len(q) == truncation + 1
         assert _times(q, bottom) == top[:truncation + 1]
         assert q == full[:truncation + 1]
-        length = max(truncation - 1 + v, 0)
-        assert builds == [("sum", 1, length)]
-        assert divisions == [(length + 1, bernoulli._unit_root(fresh, 1), d)]
+        assert builds == []
+        assert divisions == []
         assert fresh._factors == {}
 
 
@@ -343,16 +350,18 @@ RATIO_CONTEXTS = [TwistContext.from_orders(d, char, order)
 def test_a_ratio_table_is_its_twists_bernoulli_numbers():
     # ("ratio", c) is t * sum / unit over ct: the twist xi^c's Bernoulli
     # generating function at ct, divided by ct, or by c where xi^(dc) = 1
-    # and the inverse table carries the unit's t.  The Bernoulli numbers
-    # come from bernoulli_gf's own division, which reads no Apostol table.
+    # and the inverse table carries the unit's t.  The generating function
+    # of the twist is divided in its own field by the test route
+    # (bernoulli_gf_by_division), which reads no Apostol table: bernoulli_gf
+    # reads the one of Q(zeta_R), which is the ratio's own where R = L.
     compared = set()
     for ctx in RATIO_CONTEXTS:
         for c in range(1, 9):
-            bern = bernoulli.bernoulli_numbers(ctx.twist(c), TOP + 1)
+            gf = bernoulli_gf_by_division(ctx.twist(c), TOP + 1)
             v = _vanishing(ctx, [("unit", c)])
             got = factor_table(ctx, ("ratio", c), TOP).elements()[:TOP + 1]
-            want = tuple(bern[k + 1 - v] * Fraction(c) ** (k - v)
-                         / math.factorial(k + 1 - v) for k in range(TOP + 1))
+            want = tuple(gf[k + 1 - v] * Fraction(c) ** (k - v)
+                         for k in range(TOP + 1))
             assert got == want, (ctx, c)
             compared.add((ctx, c, v))
     assert len(compared) == len(RATIO_CONTEXTS) * 8

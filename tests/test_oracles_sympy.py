@@ -34,6 +34,11 @@ def test_cyclotomic_polynomials_match_sympy_to_420():
     _assert_cyclotomic_matches(range(201, 421))
 
 
+@pytest.mark.slow
+def test_cyclotomic_polynomials_match_sympy_to_600():
+    _assert_cyclotomic_matches(range(421, 601))
+
+
 def test_classical_bernoulli_numbers_match_sympy():
     n_max = 40
     values = bernoulli_numbers(TwistContext.from_orders(1), n_max).values

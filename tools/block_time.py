@@ -20,8 +20,10 @@ steps (one factor multiplied into running rows, wherever it is called
 from), the row pairs those steps multiply (pairs of rows whose indices
 sum below the step's n), the ``cyclo.quotient`` calls, the
 ``cyclo.unit_quotient`` calls (each division by a unit), the extended-Euclid
-``cyclo._poly_inverse`` calls (each field inverse) and the ``cyclo.dot``
-calls (each element product).  A second line gives, per kind of table,
+``cyclo._poly_inverse`` calls (each field inverse), the ``cyclo.dot``
+calls (each element product), the ``cyclo._fold`` calls (each reduction
+mod Phi_L) and the ``cyclo.cyclotomic_polynomial`` calls (each
+cyclotomic polynomial formed, one or more per new field).  A second line gives, per kind of table,
 the number of builds and the top power of t (of x for a root table) of
 the longest one: ``unit`` (``bernoulli.twist_unit_series``), ``units``
 (``twist_units_series``), ``sum`` (``char_sum_series``), ``inv``
@@ -55,7 +57,8 @@ counts = None
 if counting:
     from twistbern import cyclo
     counts = dict.fromkeys(("product", "row_times", "row_pairs", "quotient",
-                            "unit_quotient", "poly_inverse", "dot"), 0)
+                            "unit_quotient", "poly_inverse", "dot", "fold",
+                            "cyclotomic_polynomial"), 0)
 
     def pairs(field, left, lden, table, n):
         # the row pairs of _row_times(field, left, lden, table, n) whose
@@ -91,6 +94,8 @@ if counting:
     wrap("unit_quotient", "unit_quotient")
     wrap("_poly_inverse", "poly_inverse")
     wrap("dot", "dot")
+    wrap("_fold", "fold")
+    wrap("cyclotomic_polynomial", "cyclotomic_polynomial")
 
     from twistbern import bernoulli
     tables = {kind: [0, None] for kind in
@@ -159,8 +164,9 @@ def main(argv=None) -> int:
                       help="profile the block and print its top N functions")
     mode.add_argument("--counts", action="store_true",
                       help="print the block's product, row-step, row-pair, "
-                           "quotient, unit-quotient, inverse and dot counts, "
-                           "and its table builds per kind")
+                           "quotient, unit-quotient, inverse, dot, fold and "
+                           "cyclotomic-polynomial counts, and its table "
+                           "builds per kind")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     proc = subprocess.run(
