@@ -6,12 +6,14 @@ are the EGF coefficients of
 
     t * sum_{a<d} chi(a) xi^a e^{at} / (xi^d e^{dt} - 1),
 
-built by ``bernoulli_gf`` inside the small field Q(zeta_R) of the root
-lambda = xi^d, of exact order R: the denominator's inverse is g_lambda(dt),
-whose coefficients lie in Q(lambda), so it is the Apostol table of zeta_R,
-built once per R, read at zeta_R -> lambda; the request's own field only
-adds up shifted rational combinations of the power sums, with no product
-and no division there.  Every other quotient of such factors in the
+built by ``bernoulli_gf``.  The denominator's inverse is g_lambda(dt),
+lambda = xi^d of exact order R, whose coefficients lie in Q(lambda); where
+measured cost favours it, it is the Apostol table of zeta_R in the small
+field Q(zeta_R), built once per R, read at zeta_R -> lambda, and the
+request's own field only adds up shifted rational combinations of the
+power sums, with no product and no division there; otherwise the
+character sum is divided by the unit in the request's own field.  Every
+other quotient of such factors in the
 package is built by factor_quotient as one ``cyclo.product`` of stored
 ``cyclo.RowTable``s: one table of the numerator's units, the exponential
 sum over the subsets of their scales in closed form; a ratio table for
@@ -377,44 +379,60 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
 def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     """The coefficients of the Bernoulli generating function
     t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}
-    = sum_j S_j(d - 1) t^j/j!, divided inside the small field of the root
-    lambda = xi^d = sign * zeta_L^e, of exact order R.  The quotient is
-    t^(1-v) d^-v T(t) g(dt), v = 1 iff lambda = 1, with g = g_lambda the
-    Apostol table (``_apostol_table``) of zeta_R in Q(zeta_R), built once
-    per R and shared by every field, read at zeta_R -> lambda: coefficient
-    k is sum_i lambda^i U_(k,i), with U_(k,i) = sum_j (g_(k-j))_i
-    d^(k-j-v)/j! S_j the rational combination of the power sums, and the
-    lambda^i = sign^i zeta_L^(e*i) are shifts.  So each coefficient is one
-    ``_fold`` of the shifted U's and one ``_canonical``, with no product and
-    no division in Q(zeta_L)."""
+    = sum_j S_j(d - 1) t^j/j!: t^(1-v) d^-v T(t) g(dt), g = g_lambda with
+    coefficients in Q(lambda), lambda = xi^d = sign * zeta_L^e of exact
+    order R, v = 1 iff lambda = 1.  Where ``_small_field_pays``, g is the
+    Apostol table of zeta_R in Q(zeta_R) (``_apostol_table``, shared by
+    every field), read at zeta_R -> lambda: coefficient k is
+    sum_i lambda^i U_(k,i), U_(k,i) = sum_j (g_(k-j))_i d^(k-j-v)/j! S_j a
+    rational combination of the power sums at their spots (nonzero
+    coordinates), lambda^i = sign^i zeta_L^(e*i) a shift, and one ``_fold``
+    and one ``_canonical``, with no product or division in Q(zeta_L).
+    Otherwise one ``cyclo.unit_quotient`` in Q(zeta_L) divides the
+    character sum's table (char_sum_series) by the unit of lambda."""
     sign, e = _unit_root(ctx, 1)
     field, d = ctx.field, ctx.d
-    L, deg = field.order, field.degree
+    L = field.order
     R = L // math.gcd(e, L) * (2 if sign == -1 else 1)
     v = R == 1
     n = max(truncation - 1 + v, 0)
-    g = _apostol_table(cyclo_field(R), (1, 1 % R), n)  # zeta_R's key
-    rows = dict(g.rows)
+    g_field = cyclo_field(R)
     sums = [S.num for S in power_sums(ctx, n, d - 1)]
+    spots = [m for m in range(field.degree) if any(S[m] for S in sums)]
+    sums = [[S[m] for m in spots] for S in sums]
+    if not _small_field_pays(g_field.degree, len(spots), field.degree, n + 1):
+        q = unit_quotient(field, char_sum_series(ctx, 1, n).elements(),
+                          (sign, e), d)
+        return _times_t(field, q, 1 - v, truncation)
+    g = _apostol_table(g_field, (1, 1 % R), n)  # zeta_R's key
+    rows = dict(g.rows)
     q = []
     for k in range(n + 1):
-        acc = [0] * L
-        for i in range(g.field.degree):
-            u = [0] * deg
-            for j in range(k + 1):
-                row = rows.get(k - j)
-                if row is not None and row[i]:
-                    c = row[i] * d**(k - j) * math.perm(k, k - j)  # k!/j!
-                    u = [x + c * y for x, y in zip(u, sums[j])]
-            if sign == -1 and i & 1:
-                u = [-x for x in u]
-            s = e * i % L  # lambda^i u: u's coordinates from x^s on, mod x^L
-            for lo, part in ((s, u[:L - s]), (0, u[L - s:])):
-                acc[lo:lo + len(part)] = map(operator.add,
-                                             acc[lo:lo + len(part)], part)
+        terms = [(rows[k - j], d**(k - j) * math.perm(k, k - j), sums[j])
+                 for j in range(k + 1) if k - j in rows]  # k!/j!
+        acc = [0] * (2 * L)
+        for i in range(g_field.degree):
+            u = None
+            for row, w, S in terms:
+                if row[i]:
+                    c = -row[i] * w if sign == -1 and i & 1 else row[i] * w
+                    u = [c * y for y in S] if u is None else \
+                        [x + c * y for x, y in zip(u, S)]
+            if u is not None:
+                s = e * i % L  # lambda^i u: u's spot m goes to x^(m + s)
+                for m, x in zip(spots, u):
+                    acc[m + s] += x
         q.append(_canonical(field, _fold(field, acc),
                             g.den * math.factorial(k) * d**v))
     return _times_t(field, q, 1 - v, truncation)
+
+
+def _small_field_pays(deg_r: int, spots: int, deg_l: int, n: int) -> bool:
+    """Whether bernoulli_gf's route in Q(zeta_R), deg_r its degree, is the
+    cheaper for n coefficients, by costs measured in units of about 80 ns
+    (CPython 3.11; d <= 61, xi order <= 121, n <= 21): n^2 deg_r (spots + 6)
+    against n (4 n deg_l + deg_l^2/20 + 200) in Q(zeta_L)."""
+    return n * deg_r * (spots + 6) <= 4 * n * deg_l + deg_l**2 // 20 + 200
 
 
 class BernoulliTable:

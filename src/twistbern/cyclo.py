@@ -22,8 +22,9 @@ their tables so.  ``unit_quotient`` divides a sequence by the unit
 u e^(st) - 1 of a root of unity u, one ``dot`` against rational elements
 per coefficient and no inverse, since 1/(u - 1) is a root sum
 (``inverse_root_minus_one``): the exact path divides so to build one
-Apostol table per field and root of unity, and bernoulli's generating
-functions read the table of zeta_R in the small field Q(zeta_R).
+Apostol table per field and root of unity (bernoulli's generating
+functions read the table of zeta_R in the small field Q(zeta_R) where that
+is cheaper, and otherwise divide in their own field so).
 ``quotient`` divides two general sequences, for ``PowerSeries`` only: the
 package's series are these coefficient sequences.  Inversion is an
 extended Euclid in Z[x].  ``_fold`` is the one reduction of an integer
@@ -203,8 +204,8 @@ class CycloField:
     the RowTable of 1/(u e^x - 1), or x/(e^x - 1) at u = 1, keyed by
     u's (sign, exponent), each built by one ``unit_quotient`` with no
     field inverse, filled lazily and shared by every context of the
-    field; ``bernoulli_gf`` reads the table of zeta_R in Q(zeta_R),
-    shared by every field whose root xi^d has order R.
+    field; ``bernoulli_gf``'s small-field route reads the table of zeta_R
+    in Q(zeta_R), shared by every field whose root xi^d has order R.
     """
 
     __slots__ = ("order", "modulus", "degree", "_steps", "_roots", "zero",

@@ -1,14 +1,14 @@
 """Test-only constructions of twisted Bernoulli numbers and polynomials,
 kept out of the package because nothing in it needs them: they are
-independent routes that the tests compare the package's own against."""
+independent routes that the tests compare the package's own against, and
+bernoulli_gf with each of its two routes forced."""
 
 from fractions import Fraction
 
-from twistbern.bernoulli import (TwistContext, _times_t, _unit_root,
-                                 bernoulli_gf, bernoulli_numbers,
-                                 char_sum_series)
+from twistbern import bernoulli
+from twistbern.bernoulli import TwistContext, bernoulli_gf, bernoulli_numbers
 from twistbern.characters import character
-from twistbern.cyclo import CycloNumber, unit_quotient
+from twistbern.cyclo import CycloNumber
 from twistbern.series import PowerSeries
 
 
@@ -26,15 +26,27 @@ def bernoulli_polynomial_gf(ctx: TwistContext, n: int, x):
     return (PowerSeries(bernoulli_gf(ctx, n)) * ex).egf(n)
 
 
+def _routed(ctx: TwistContext, truncation: int, small: bool) -> tuple:
+    # bernoulli_gf with its route forced, whatever its cost rule says
+    pays = bernoulli._small_field_pays
+    bernoulli._small_field_pays = lambda *args: small
+    try:
+        return bernoulli_gf(ctx, truncation)
+    finally:
+        bernoulli._small_field_pays = pays
+
+
 def bernoulli_gf_by_division(ctx: TwistContext, truncation: int) -> tuple:
     """t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a
-    e^{at}, divided in the context's own field: the character sum's table
-    to the length the quotient needs, read as elements, and one
-    ``cyclo.unit_quotient`` of it by the unit of the root xi^d at scale d
-    (t*T/(e^{dt} - 1) where xi^d = 1).  It reads no Apostol table."""
-    root = _unit_root(ctx, 1)
-    v = root == (1, 0)
-    length = max(truncation - 1 + v, 0)
-    q = unit_quotient(ctx.field, char_sum_series(ctx, 1, length).elements(),
-                      root, ctx.d)
-    return _times_t(ctx.field, q, 1 - v, truncation)
+    e^{at}, by bernoulli_gf's route in the context's own field: one
+    ``cyclo.unit_quotient`` of the character sum's table by the unit of
+    the root xi^d at scale d (t*T/(e^{dt} - 1) where xi^d = 1).  It reads
+    no Apostol table."""
+    return _routed(ctx, truncation, False)
+
+
+def bernoulli_gf_in_small_field(ctx: TwistContext,
+                                truncation: int) -> tuple:
+    """The same, by bernoulli_gf's route in the small field Q(zeta_R) of
+    the root xi^d: its Apostol table read at zeta_R -> xi^d."""
+    return _routed(ctx, truncation, True)

@@ -1,12 +1,13 @@
-"""bernoulli_gf against the division in the context's own field.
+"""bernoulli_gf's two routes against each other.
 
-bernoulli_gf divides inside the small field Q(zeta_R) of the root
-lambda = xi^d, of order R: it reads the Apostol table of zeta_R there and
-maps zeta_R -> lambda = sign * zeta_L^e by shifts of the power sums'
-combinations.  The oracle (``bernoulli_helpers.bernoulli_gf_by_division``)
-divides the character sum by the unit lambda e^(dt) - 1 in Q(zeta_L)
-itself, by one ``cyclo.unit_quotient``, and reads no Apostol table.  They
-must agree coefficient for coefficient on every request of perfbench's
+In the small field Q(zeta_R) of the root lambda = xi^d, of order R,
+bernoulli_gf reads the Apostol table of zeta_R and maps zeta_R -> lambda =
+sign * zeta_L^e by shifts of the power sums' combinations; in Q(zeta_L)
+itself it divides the character sum by the unit lambda e^(dt) - 1, by one
+``cyclo.unit_quotient``, and reads no Apostol table.  ``_small_field_pays``
+picks one by their measured cost; here each is forced
+(``bernoulli_helpers``), and they must agree coefficient for coefficient,
+with bernoulli_gf itself, on every request of perfbench's
 ``bernoulli_pool()`` (fields of degree 24 to 120), on the 36 contexts of
 the series benchmark to t^12, and on negated roots xi = -zeta_L^k of odd
 fields, where lambda keeps the sign -1 and odd powers lambda^i carry it.
@@ -20,11 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from twistbern.bernoulli import TwistContext, _unit_root, bernoulli_gf
+from twistbern.bernoulli import (TwistContext, _small_field_pays,
+                                 _unit_root, bernoulli_gf)
 from twistbern.characters import character, enumerate_characters
 from twistbern.cyclo import cyclo_field
 
-from bernoulli_helpers import bernoulli_gf_by_division
+from bernoulli_helpers import (bernoulli_gf_by_division,
+                               bernoulli_gf_in_small_field)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import bernoulli_pool  # noqa: E402
@@ -39,9 +42,11 @@ def _agree(make, truncations):
     """Both routes on fresh contexts from make(); returns the (sign, R) of
     the root lambda = xi^d."""
     for truncation in truncations:
-        ctx, oracle = make(), make()
-        assert bernoulli_gf(ctx, truncation) == \
-            bernoulli_gf_by_division(oracle, truncation), (ctx, truncation)
+        ctx = make()
+        want = bernoulli_gf_by_division(make(), truncation)
+        assert bernoulli_gf_in_small_field(ctx, truncation) == want, \
+            (ctx, truncation)
+        assert bernoulli_gf(make(), truncation) == want
     sign, e = _unit_root(ctx, 1)
     L = ctx.field.order
     return sign, L // math.gcd(e, L) * (2 if sign == -1 else 1)
@@ -86,3 +91,17 @@ def test_every_small_context_agrees(d):
                     _agree(lambda: TwistContext.from_orders(d, char, order,
                                                             exp),
                            (0, 1, 2, 7))
+
+
+def test_the_route_follows_the_measured_cost():
+    # (deg Q(zeta_R), spots, deg Q(zeta_L), coefficients): a small lambda
+    # in a wide field, as on every bernoulli pool request
+    assert _small_field_pays(4, 120, 120, 6)
+    assert _small_field_pays(1, 1, 1, 2)
+    # lambda of order 10007 (d = 1): one spot, and the wide field's product
+    # would cost deg^2
+    assert _small_field_pays(10006, 1, 10006, 3)
+    # R = L with many spots and many coefficients: phi(R) * spots steps
+    # per coefficient pair lose to one product per coefficient
+    assert not _small_field_pays(100, 60, 100, 21)
+    assert not _small_field_pays(20, 2, 20, 21)

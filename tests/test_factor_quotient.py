@@ -119,11 +119,12 @@ def test_quotient_times_denominator_is_numerator(d, char, order):
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
                                                         monkeypatch):
-    # bernoulli_gf divides directly, not through factor_quotient: it reads
-    # the Apostol table of zeta_R in the small field Q(zeta_R), R the order
-    # of xi^d, and combines the power sums; it builds no sum or unit table,
-    # stores nothing in the context, and divides only in Q(zeta_R), once
-    # per R, where the table is not yet long enough
+    # bernoulli_gf divides directly, not through factor_quotient; in these
+    # small fields its cost rule takes the route in Q(zeta_R), R the order
+    # of xi^d: it reads the Apostol table of zeta_R there and combines the
+    # power sums; it builds no sum or unit table, stores nothing in the
+    # context, and divides only in Q(zeta_R), once per R, where the table
+    # is not yet long enough
     builds = []
     for kind, name in (("unit", "twist_unit_series"),
                        ("sum", "char_sum_series")):

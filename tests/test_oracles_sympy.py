@@ -30,13 +30,8 @@ def test_cyclotomic_polynomials_match_sympy():
 
 
 @pytest.mark.slow
-def test_cyclotomic_polynomials_match_sympy_to_420():
-    _assert_cyclotomic_matches(range(201, 421))
-
-
-@pytest.mark.slow
 def test_cyclotomic_polynomials_match_sympy_to_600():
-    _assert_cyclotomic_matches(range(421, 601))
+    _assert_cyclotomic_matches(range(201, 601))
 
 
 def test_classical_bernoulli_numbers_match_sympy():

@@ -22,8 +22,11 @@ sum below the step's n), the ``cyclo.quotient`` calls, the
 ``cyclo.unit_quotient`` calls (each division by a unit), the extended-Euclid
 ``cyclo._poly_inverse`` calls (each field inverse), the ``cyclo.dot``
 calls (each element product), the ``cyclo._fold`` calls (each reduction
-mod Phi_L) and the ``cyclo.cyclotomic_polynomial`` calls (each
-cyclotomic polynomial formed, one or more per new field).  A second line gives, per kind of table,
+mod Phi_L), the ``cyclo.cyclotomic_polynomial`` calls (each
+cyclotomic polynomial formed, one or more per new field), the
+``bernoulli.bernoulli_gf`` calls and, of those, the ones that divide in
+the small field Q(zeta_R) (``bernoulli._small_field_pays``; a checkout
+from before that choice reads 0).  A second line gives, per kind of table,
 the number of builds and the top power of t (of x for a root table) of
 the longest one: ``unit`` (``bernoulli.twist_unit_series``), ``units``
 (``twist_units_series``), ``sum`` (``char_sum_series``), ``inv``
@@ -131,6 +134,24 @@ if counting:
             return table
         return counted
     install(bernoulli, "_apostol_table", root_tables)
+    counts["bernoulli_gf"] = counts["small_field"] = 0
+
+    def gf_calls(exact):
+        def counted(*args):
+            counts["bernoulli_gf"] += 1
+            return exact(*args)
+        return counted
+    install(bernoulli, "bernoulli_gf", gf_calls)
+
+    def routes(exact):
+        # the bernoulli_gf calls that take the route in Q(zeta_R)
+        def counted(*args):
+            small = exact(*args)
+            counts["small_field"] += small
+            return small
+        return counted
+    if hasattr(bernoulli, "_small_field_pays"):  # absent before the choice
+        install(bernoulli, "_small_field_pays", routes)
     counts["tables"] = tables
 profile = cProfile.Profile() if top else None
 results = []
@@ -164,9 +185,9 @@ def main(argv=None) -> int:
                       help="profile the block and print its top N functions")
     mode.add_argument("--counts", action="store_true",
                       help="print the block's product, row-step, row-pair, "
-                           "quotient, unit-quotient, inverse, dot, fold and "
-                           "cyclotomic-polynomial counts, and its table "
-                           "builds per kind")
+                           "quotient, unit-quotient, inverse, dot, fold, "
+                           "cyclotomic-polynomial and Bernoulli GF route "
+                           "counts, and its table builds per kind")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     proc = subprocess.run(
