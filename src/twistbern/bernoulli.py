@@ -13,12 +13,12 @@ field Q(zeta_R), built once per R, read at zeta_R -> lambda, and the
 request's own field only adds up shifted rational combinations of the
 power sums, with no product and no division there; otherwise the
 character sum is divided by the unit in the request's own field.  Every
-other quotient of such factors in the
-package is built by factor_quotient as one ``cyclo.product`` of stored
-``cyclo.RowTable``s: one table of the numerator's units, the exponential
-sum over the subsets of their scales in closed form; a ratio table for
-each character sum over a denominator unit of its own c, the paper's
-p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c where
+other quotient of such factors in the package is built by factor_quotient
+as one ``cyclo.product`` of stored ``cyclo.RowTable``s, whose keys
+quotient_operands states first: one table of the numerator's units, the
+exponential sum over the subsets of their scales in closed form; a ratio
+table for each character sum over a denominator unit of its own c, the
+paper's p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c where
 xi^(dc) = 1); and the inverse table of each other denominator unit,
 1/(xi^(dc) e^(dct) - 1) (times t where the unit vanishes at t = 0).  That
 inverse, which each ratio table is built from, is g_u(dct),
@@ -53,7 +53,7 @@ class TwistContext:
     numerator units, one ratio table per character sum paired with a
     denominator unit, one inverse table per unpaired unit, and the sum and
     shift tables of the rows' pieces, and the
-    Bernoulli seed of symmetry._bpoly per twist exponent (_bpoly_cache);
+    Bernoulli seed of _bpoly per twist exponent (_bpoly_cache);
     the tables of _factors and _bpoly_cache are RowTables, each stored in
     that one form.  The inverse tables derive from the field's own table
     of each root of unity (``_apostol_table``), which contexts of one
@@ -174,15 +174,6 @@ def char_sum_series(ctx: TwistContext, scale: int, truncation: int,
         for j, w in enumerate(_weights(p, q, n))], den, n + 1)
 
 
-def twist_unit_series(ctx: TwistContext, scale: int,
-                      truncation: int) -> RowTable:
-    """The RowTable of the one unit xi^(d*scale) e^(d*scale*t) - 1 to
-    t^truncation, the units table of (scale,): row 0 is the numerators of
-    u - 1 times n! and row k > 0 those of u times (d*scale)^k n!/k!, over
-    n! in lowest terms, u = xi^(d*scale) and n = truncation."""
-    return twist_units_series(ctx, (scale,), truncation)
-
-
 def twist_units_series(ctx: TwistContext, scales: tuple,
                        truncation: int) -> RowTable:
     """The RowTable of the product of the units xi^(dc) e^(dct) - 1 over
@@ -234,7 +225,10 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     RowTable straight from integers, and kept as it is in ctx._factors
     with a default sigma, then bound, dropped from its key.  It is built
     to exactly t^upto, and a longer one than cached is rebuilt to exactly
-    t^upto: no table is built past the longest length asked for."""
+    t^upto: no table is built past the longest length asked for.  And
+    ("bern", c) is ``_bpoly``'s seed of the twist xi^c, kept apart."""
+    if key[0] == "bern":
+        return _bpoly(ctx, key[1], upto)
     if key[3:] == (key[1],):
         key = key[:3]
     if key[2:] == (ctx.d - 1,):
@@ -259,6 +253,24 @@ def _build(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     return char_sum_series(ctx, key[1], upto, *key[2:])
 
 
+def _bpoly(ctx: TwistContext, c: int, k: int) -> RowTable:
+    """The seed [c^j B_j / j!] to j = k or further, of a B piece of twist
+    exponent c, B_j the Bernoulli numbers of xi^c: one RowTable per c in
+    ctx._bpoly_cache, rebuilt at the length of the twist's _bern_values
+    when a longer one is asked for.  Over den = lcm(dens of B_j) * n!, n
+    the top index, row j is B_j's numerators times c^j den/(den_j j!),
+    brought to lowest terms by one gcd."""
+    table = ctx._bpoly_cache.get(c)
+    if table is None or len(table) <= k:
+        bern = _bern_values(ctx.twist(c), k)
+        n = len(bern) - 1
+        den = math.lcm(*(b.den for b in bern)) * math.factorial(n)
+        table = ctx._bpoly_cache[c] = _lowest(ctx.field, [
+            (j, [x * c**j * (den // (b.den * math.factorial(j)))
+                 for x in b.num]) for j, b in enumerate(bern)], den, n + 1)
+    return table
+
+
 def _unit_root(ctx: TwistContext, c: int) -> tuple:
     """(sign, e) with xi^(dc) = sign * zeta_L^e, 0 <= e < L, and sign -1
     only for odd L: the key of the root in its field."""
@@ -269,11 +281,6 @@ def _unit_root(ctx: TwistContext, c: int) -> tuple:
     if sign == 1 or dc % 2 == 0:
         return 1, e
     return (1, (e + L // 2) % L) if L % 2 == 0 else (-1, e)
-
-
-def _vanishes(ctx: TwistContext, c: int) -> bool:
-    # the unit xi^(dc) e^(dct) - 1 has no constant term
-    return _unit_root(ctx, c) == (1, 0)
 
 
 def _inverse_table(ctx: TwistContext, c: int, build: int) -> RowTable:
@@ -334,33 +341,21 @@ def _times_t(field, q, shift: int, truncation: int) -> tuple:
     return ((field.zero,) * shift + tuple(q))[:truncation + 1]
 
 
-def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
-                    truncation: int, const=1) -> tuple:
-    """The coefficients of const * t^t_power * prod(num) / prod(den) to
-    t^truncation, const an int or Fraction.
-
-    A factor is ("unit", c), the series xi^(dc) e^(dct) - 1, or a
-    ("sum", ...) key of factor_table, the character sum
-    sum_{a<d} chi(a) xi^(ac) e^(act) by default; every denominator factor
-    is a unit, and ValueError names one that is not.  Each denominator unit
-    with xi^(dc) = 1 (vanish of them) gives up one t, and the quotient owes
-    t^(vanish - t_power) when that is positive; ValueError is raised if t
-    does not divide it.  num and den are non-empty.  The units of num are
-    one ("units", cs) table, cs their sorted multiset, which comes first.
-    Each ("sum", c) of num pairs with one ("unit", c) of den, counted with
-    multiplicity, and the pair is the one ("ratio", c) table at the sum's
-    place (a key with a bound or a sigma never pairs).  The quotient is one
-    ``cyclo.product`` over the stored row tables of num so read, in its
-    order, then the ("inv", c) tables of the unpaired units of den, in its
-    order, with const applied at its last step; nothing is cached here,
-    nothing is divided, and the powers of t are slices.
-    """
+def quotient_operands(ctx: TwistContext, t_power: int, num: list,
+                      den: list) -> tuple:
+    """(shift, keys): const * t^t_power * prod(num) / prod(den) is const *
+    t^shift times the product of the factor_table keys, read from root
+    exponents with no arithmetic.  A factor is ("unit", c), the series
+    xi^(dc) e^(dct) - 1, or a ("sum", ...) key; every factor of den is a
+    unit (ValueError names one that is not), and each with xi^(dc) = 1
+    gives up one t.  The units of num are one ("units", cs) key first, cs
+    their sorted multiset; each ("sum", c) of num pairs with one
+    ("unit", c) of den, counted with multiplicity, as one ("ratio", c) key
+    at the sum's place (a key with a bound or a sigma never pairs); then
+    ("inv", c) for each unit of den left unpaired, in its order."""
     for key in den:
         if key[0] != "unit":
             raise ValueError(f"denominator factor {key} is not a unit")
-    vanish = sum(_vanishes(ctx, c) for _, c in den)
-    shift = t_power - vanish
-    length = max(truncation - shift, 0)
     unpaired = list(den)
     units = sorted(key[1] for key in num if key[0] == "unit")
     keys = [("units", tuple(units))] if units else []
@@ -371,6 +366,18 @@ def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
         if key[0] != "unit":
             keys.append(key)
     keys += [("inv", c) for _, c in unpaired]
+    return t_power - sum(_unit_root(ctx, c) == (1, 0) for _, c in den), keys
+
+
+def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
+                    truncation: int, const=1) -> tuple:
+    """The coefficients of const * t^t_power * prod(num) / prod(den) to
+    t^truncation, const an int or Fraction and num, den non-empty: one
+    ``cyclo.product`` of the tables of quotient_operands' keys, nothing
+    cached or divided here, and t^shift a slice, where ValueError is raised
+    if an owed power of t does not divide."""
+    shift, keys = quotient_operands(ctx, t_power, num, den)
+    length = max(truncation - shift, 0)
     q = product(ctx.field, [factor_table(ctx, key, length) for key in keys],
                 length + 1, const)
     return _times_t(ctx.field, q, shift, truncation)

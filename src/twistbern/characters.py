@@ -125,10 +125,6 @@ class DirichletCharacter:
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
 
-    @property
-    def is_principal(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
     def value_exponents(self) -> tuple:
         """(value_exponent(a) for a < d), built on first use by the walk of
         the group's dlog table: each step along g_i adds the exponent of

@@ -453,9 +453,6 @@ class CycloNumber:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_one(self) -> bool:
-        return self.den == 1 and self.num == self.field.one.num
-
     def __bool__(self):
         return any(self.num)
 

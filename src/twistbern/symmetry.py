@@ -25,10 +25,13 @@ table of its units and the ratio tables, each ratio the paper's p-adic
 integral of chi(x) xi^(cx) e^(cxt) over ct (over c where xi^(dc) = 1),
 and no inverse table is an operand.  ``_row_form`` builds (scales,
 const * E) with one ``cyclo.product`` of cached tables, as a quotient is: a
-Bernoulli seed per twist (``_bpoly``) and character-sum factor tables.  Every check decides on
-forms: equal forms lift to equal SymPolys, so only unequal forms are lifted
-(by ``_lift``, the one writer of SymPoly monomials) for ``first_mismatch``
-to decide, and ``verify_theorem`` lifts each distinct form once.
+Bernoulli seed per twist and character-sum factor tables.  Each form states
+what it multiplies first, with no arithmetic, as factor_table keys: a row's
+(const, scales, keys) by ``row_operands``, a quotient's (shift, keys) by
+``bernoulli.quotient_operands``.  Every check decides on forms: equal
+forms lift to equal SymPolys, so only unequal forms are lifted (by
+``_lift``, the one writer of SymPoly monomials) for ``first_mismatch`` to
+decide, and ``verify_theorem`` lifts each distinct form once.
 """
 
 from __future__ import annotations
@@ -36,9 +39,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bernoulli import (TwistContext, _bern_values, factor_quotient,
-                        factor_table)
-from .cyclo import RowTable, _lowest, product
+from .bernoulli import TwistContext, _bpoly, factor_quotient, factor_table
+from .cyclo import product
 from .report import CheckReport, ReadOnly, TheoremReport, first_mismatch
 from .series import PowerSeries
 from .sympoly import SymPoly
@@ -151,26 +153,6 @@ def _lift(scales: dict, F, n: int, factor) -> SymPoly:
         for key, deg, num, den in monos if F[n - deg]})
 
 
-# -- building blocks shared by the expansion forms and theorem verifiers ------
-
-def _bpoly(ctx: TwistContext, c: int, k: int) -> RowTable:
-    """The seed [c^j B_j / j!] to j = k or further, of a B piece of twist
-    exponent c, B_j the Bernoulli numbers of xi^c: one RowTable per c in
-    ctx._bpoly_cache, rebuilt at the length of the twist's _bern_values
-    when a longer one is asked for.  Over den = lcm(dens of B_j) * n!, n
-    the top index, row j is B_j's numerators times c^j den/(den_j j!),
-    brought to lowest terms by one gcd."""
-    table = ctx._bpoly_cache.get(c)
-    if table is None or len(table) <= k:
-        bern = _bern_values(ctx.twist(c), k)
-        n = len(bern) - 1
-        den = math.lcm(*(b.den for b in bern)) * math.factorial(n)
-        table = ctx._bpoly_cache[c] = _lowest(ctx.field, [
-            (j, [x * c**j * (den // (b.den * math.factorial(j)))
-                 for x in b.num]) for j, b in enumerate(bern)], den, n + 1)
-    return table
-
-
 # -- expansion forms as data over one kernel (independent of the series path) --
 #
 # Every displayed expression is a table row: const * sum over k1+..+kr = n of
@@ -186,13 +168,13 @@ def _bpoly(ctx: TwistContext, c: int, k: int) -> RowTable:
 #
 # So the row is n! [t^n] of const * prod_i sum_k piece_i(k) (c_i t)^k / k!.
 # As sum_k B_k(x) t^k / k! = e^{xt} sum_j B_j t^j / j!, a B piece's series is
-# e^{c*u*y_slot*t} times its seed sum_j c^j B_j t^j / j! (_bpoly) times one
-# character sum per sums entry, sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t}:
+# e^{c*u*y_slot*t} times its seed sum_j c^j B_j t^j / j!, ("bern", c), times
+# one character sum per sums entry, sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t}:
 # the factor table ("sum", m, A - 1, s*c/q).  An S piece is the factor table
 # ("sum", c, bound), sum_{a<=bound} chi(a) xi^(ca) e^(cat), which a shift
 # with s*c/q = m shares.  So the row is const * e^{(sum_i c_i u_i y_slot_i) t}
-# * E(t), E the Cauchy product of these tables: _row_form forms it with one
-# ``cyclo.product``, visits no shift point and forms no polynomial product.
+# * E(t), E the Cauchy product of the tables of these keys (row_operands):
+# one ``cyclo.product``, with no shift point visited and no polynomial product.
 
 def _B(c, u, slot, *sums):
     return ("B", c, u, slot, sums)
@@ -247,24 +229,34 @@ _ROWS = {
 }
 
 
-def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
-    """The form (scales, const * E[:n+1]) of a table row at the weights w:
-    the row's n-th EGF coefficient is n! [t^n] of e^{(s.y) t} const E(t),
-    with E the one Cauchy product of the pieces' seeds and factor tables,
-    const applied at its last step, and s_y the sum of c_i*u_i over the B
-    pieces in slot y."""
-    const, pieces = _ROWS[row](*w, ctx.d)
-    tables, scales = [], {}
+def row_operands(row: str, d: int, w: tuple) -> tuple:
+    """(const, scales, keys) of the table row at the weights w, modulus d,
+    with no arithmetic: a B piece gives ("bern", c), one ("sum", m, A - 1,
+    s*c/q) per shift entry and c*u to its slot's scale; an S piece gives
+    ("sum", c, bound)."""
+    const, pieces = _ROWS[row](*w, d)
+    keys, scales = [], {}
     for desc in pieces:
         if desc[0] == "B":
             _, c, u, slot, sums = desc
-            tables.append(_bpoly(ctx, c, n))
-            tables += [factor_table(ctx, ("sum", m, A - 1, Fraction(s * c, q)),
-                                    n) for A, m, s, q in sums]
+            keys.append(("bern", c))
+            for A, m, s, q in sums:
+                keys.append(("sum", m, A - 1, Fraction(s * c, q)))
             scales[slot] = scales.get(slot, 0) + c * u
         else:
-            tables.append(factor_table(ctx, ("sum", *desc[1:]), n))
-    return scales, tuple(product(ctx.field, tables, n + 1, const))
+            keys.append(("sum", desc[1], desc[2]))
+    return const, scales, keys
+
+
+def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
+    """The form (scales, const * E[:n+1]) of a table row at the weights w:
+    the row's n-th EGF coefficient is n! [t^n] of e^{(s.y) t} const E(t),
+    E the one Cauchy product of the tables of its keys.  A seed is read
+    from _bpoly itself, a call less than through factor_table."""
+    const, scales, keys = row_operands(row, ctx.d, w)
+    return scales, tuple(product(ctx.field, [
+        _bpoly(ctx, key[1], n) if key[0] == "bern" else
+        factor_table(ctx, key, n) for key in keys], n + 1, const))
 
 
 #: form name -> (family, i); a form's row sums Bernoulli values and power

@@ -162,9 +162,6 @@ class SymPoly:
     def constant_part(self) -> CycloNumber:
         return self.terms.get(_ZEXP, self.field.zero)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycloNumber)):
             o = self._coerce(other)

@@ -40,7 +40,7 @@ def test_enumeration_counts_and_distinctness():
 def test_principal_character_is_index_zero():
     for d in (1, 4, 5, 8):
         chi = enumerate_characters(d)[0]
-        assert chi.is_principal
+        assert chi.order == 1
         assert chi.conductor == 1 or d == 1
         for a in range(1, d + 1):
             expected = 1 if math.gcd(a, d) == 1 else 0
@@ -78,7 +78,7 @@ def test_orthogonality_and_period():
             total = chi(0)
             for a in range(1, d):
                 total = total + chi(a)
-            if chi.is_principal:
+            if chi.order == 1:
                 assert total == euler_phi(d)
             else:
                 assert total.is_zero()

@@ -661,6 +661,33 @@ def test_product_matches_chain_of_plain_sums(case):
     assert product(field, seqs, n + 3) == plain_product(field, seqs, top)
 
 
+# degrees 1 and 2 (scalar sums), 4 (the schoolbook loop) and 12 (packed
+# rows, which no benchmark workload reaches): each branch of _row_times
+ORDER_FREE_FIELDS = (2, 3, 5, 13)
+
+
+@pytest.mark.parametrize("order", ORDER_FREE_FIELDS)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data(), const=scalars)
+def test_a_product_of_row_tables_does_not_depend_on_their_order(
+        order, data, const):
+    # what makes weight orders with one operand multiset give equal forms
+    field = cyclo_field(order)
+    n = data.draw(st.integers(1, 8))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    tables = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        kinds = data.draw(st.sampled_from((KINDS, ("rational",),
+                                           ("one-term", "root"))))
+        seq = [_coefficient(rng, field, rng.choice(kinds),
+                            rng.choice(DENOMINATORS))
+               for _ in range(n + data.draw(st.integers(0, 2)))]
+        tables.append(cyclo._rows(field, seq, len(seq)))
+    perm = data.draw(st.permutations(range(len(tables))))
+    assert product(field, [tables[k] for k in perm], n, const) == \
+        product(field, tables, n, const)
+
+
 @pytest.mark.parametrize("order", PRODUCT_ORDERS)
 def test_product_takes_each_path_it_selects(order, monkeypatch):
     # one row multiplication per factor after the first: at degree 1 and 2

@@ -18,7 +18,9 @@ a denominator unit of its own c is one ratio table, checked against the
 twisted Bernoulli numbers of xi^c, which bernoulli_gf divides out by its
 own route; every quotient, with repeated weights, sums with a bound and
 units left unpaired, must equal a schoolbook product of the elements of
-its numerator series and of one quotient of 1 by each unit.
+its numerator series and of one quotient of 1 by each unit.  The
+library's own pairing, ``quotient_operands``, must equal this file's
+``_operands`` on every quotient drawn here.
 """
 
 import math
@@ -29,7 +31,7 @@ import pytest
 from twistbern import bernoulli, cyclo, symmetry
 from twistbern.bernoulli import (TwistContext, bernoulli_gf, char_sum_series,
                                  factor_quotient, factor_table,
-                                 twist_unit_series)
+                                 twist_units_series)
 from twistbern.characters import character, enumerate_characters
 from twistbern.cyclo import CycloField, _rows, cyclo_field, quotient
 from twistbern.symmetry import (_FAMILY_MAX_I, _QUOTIENTS, _ROWS,
@@ -67,15 +69,16 @@ def _times(a, b):
 
 
 def _product(ctx, factors, truncation):
-    make = {"unit": twist_unit_series, "sum": char_sum_series}
     out = (ctx.field.one,) + (ctx.field.zero,) * truncation
     for kind, c in factors:
-        out = _times(out, make[kind](ctx, c, truncation).elements())
+        table = (twist_units_series(ctx, (c,), truncation) if kind == "unit"
+                 else char_sum_series(ctx, c, truncation))
+        out = _times(out, table.elements())
     return out
 
 
 def _vanishing(ctx, den):
-    return sum(ctx.xi_pow(ctx.d * c).is_one() for _, c in den)
+    return sum(ctx.xi_pow(ctx.d * c) == 1 for _, c in den)
 
 
 def _operands(num, den):
@@ -126,7 +129,7 @@ def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
     # context, and divides only in Q(zeta_R), once per R, where the table
     # is not yet long enough
     builds = []
-    for kind, name in (("unit", "twist_unit_series"),
+    for kind, name in (("units", "twist_units_series"),
                        ("sum", "char_sum_series")):
         def counted(ctx, c, truncation, exact=getattr(bernoulli, name),
                     kind=kind):
@@ -204,7 +207,7 @@ def test_a_fresh_context_builds_each_unit_of_a_quotient_once(
     # at all, since its inverse table derives from the field's table of
     # its root
     builds = []
-    for name in ("twist_unit_series", "twist_units_series"):
+    for name in ("twist_units_series",):
         def counted(ctx, c, truncation, exact=getattr(bernoulli, name),
                     name=name):
             builds.append((name, c))
@@ -228,7 +231,7 @@ def test_an_inverse_table_times_its_unit_is_one(d, char, order):
     one = (ctx.field.one,) + (ctx.field.zero,) * TOP
     for c in range(1, 7):
         v = _vanishing(ctx, [("unit", c)])
-        unit = twist_unit_series(ctx, c, TOP + v).elements()[v:]
+        unit = twist_units_series(ctx, (c,), TOP + v).elements()[v:]
         inverse = factor_table(ctx, ("inv", c), TOP).elements()[:TOP + 1]
         assert _times(unit, inverse) == one
 
@@ -246,7 +249,8 @@ def _parent_inverse(ctx, c, top):
     where the unit vanishes at t = 0."""
     v = _vanishing(ctx, [("unit", c)])
     return tuple(quotient(ctx.field, (ctx.field.one,) + (ctx.field.zero,) * top,
-                          twist_unit_series(ctx, c, top + v).elements()[v:]))
+                          twist_units_series(ctx, (c,), top + v)
+                          .elements()[v:]))
 
 
 @pytest.mark.parametrize("ctx", [TwistContext.from_orders(*args)
@@ -457,10 +461,11 @@ def _element_quotient(ctx, t_power, num, den, truncation):
     the unit (_parent_inverse), with no factor table, pairing or ratio."""
     shift = t_power - _vanishing(ctx, den)
     length = max(truncation - shift, 0)
-    make = {"unit": twist_unit_series, "sum": char_sum_series}
     out = (ctx.field.one,) + (ctx.field.zero,) * length
     for kind, c, *rest in num:
-        out = _times(out, make[kind](ctx, c, length, *rest).elements())
+        table = (twist_units_series(ctx, (c,), length) if kind == "unit"
+                 else char_sum_series(ctx, c, length, *rest))
+        out = _times(out, table.elements())
     for _, c in den:
         out = _times(out, _parent_inverse(ctx, c, length))
     if shift < 0:
@@ -525,6 +530,17 @@ def test_pairing_meets_keys_with_a_bound_units_without_a_sum_and_repeats():
     assert _operands([("sum", 1, 2), ("sum", 2)],
                      [("unit", 1), ("unit", 2)]) == [("sum", 1, 2),
                                                      ("ratio", 2), ("inv", 1)]
+
+
+@pytest.mark.parametrize("d,char,order", CONTEXTS)
+def test_quotient_operands_are_the_pairing_of_operands(d, char, order):
+    # every (num, den) this file draws: the library's own operands against
+    # _operands, and the t shift against the vanishing units counted here
+    ctx = TwistContext.from_orders(d, char, order)
+    cases = [case for w in (*WEIGHTS, (2, 2, 3)) for case in _cases(w)]
+    for t_power, num, den in cases + PAIRINGS:
+        assert bernoulli.quotient_operands(ctx, t_power, num, den) == (
+            t_power - _vanishing(ctx, den), _operands(num, den)), (num, den)
 
 
 @pytest.mark.parametrize("const", [2, Fraction(3, 2), Fraction(-1, 6)])
@@ -594,8 +610,7 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # the paired list of _operands performs len(operands) - 1 factor
     # multiplications.
     builds = []
-    for kind, name in (("unit", "twist_unit_series"),
-                       ("units", "twist_units_series"),
+    for kind, name in (("units", "twist_units_series"),
                        ("sum", "char_sum_series")):
         def counted(ctx, c, truncation, exact=getattr(bernoulli, name),
                     kind=kind):

@@ -1,7 +1,7 @@
 """The factor tables and Bernoulli seeds built as integer rows, against
 their definitions written with elements and Fractions.
 
-``char_sum_series``, ``twist_unit_series`` and ``symmetry._bpoly`` build
+``char_sum_series``, ``twist_units_series`` and ``symmetry._bpoly`` build
 their ``RowTable``s straight from integers.  Each must hold the
 coefficients of its definition written with elements and Fractions: the
 sum table S_j(bound) t_scale^j / j! of the twist xi^scale, the unit table
@@ -18,7 +18,7 @@ import pytest
 
 from twistbern.bernoulli import (TwistContext, bernoulli_numbers,
                                  char_sum_series, power_sums,
-                                 twist_unit_series)
+                                 twist_units_series)
 from twistbern.characters import character, enumerate_characters
 from twistbern.cyclo import _rows, cyclo_field
 from twistbern.symmetry import _bpoly
@@ -69,7 +69,7 @@ def test_a_unit_table_is_its_element_construction(ctx):
         for n in (0, 1, 2, TOP):
             want = [u - 1] + [u * Fraction(dc**j, math.factorial(j))
                               for j in range(1, n + 1)]
-            assert_row_form_of(twist_unit_series(ctx, scale, n), want)
+            assert_row_form_of(twist_units_series(ctx, (scale,), n), want)
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=IDS)

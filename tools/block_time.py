@@ -28,10 +28,10 @@ cyclotomic polynomial formed, one or more per new field), the
 the small field Q(zeta_R) (``bernoulli._small_field_pays``; a checkout
 from before that choice reads 0).  A second line gives, per kind of table,
 the number of builds and the top power of t (of x for a root table) of
-the longest one: ``unit`` (``bernoulli.twist_unit_series``), ``units``
-(``twist_units_series``), ``sum`` (``char_sum_series``), ``inv``
-(``_inverse_table``), ``ratio`` (``_ratio_table``) and ``root`` (a call of
-``_apostol_table`` that stores a new table for its root).  They repeat
+the longest one: ``units`` (``bernoulli.twist_units_series``), ``sum``
+(``char_sum_series``), ``inv`` (``_inverse_table``), ``ratio``
+(``_ratio_table``) and ``root`` (a call of ``_apostol_table`` that stores
+a new table for its root).  They repeat
 exactly from run to run, unlike the time.  Each name is wrapped in every
 ``twistbern`` module that binds it, and a name that ``cyclo`` or
 ``bernoulli`` no longer has stops the tool with an error rather than
@@ -102,7 +102,7 @@ if counting:
 
     from twistbern import bernoulli
     tables = {kind: [0, None] for kind in
-              ("unit", "units", "sum", "inv", "ratio", "root")}
+              ("units", "sum", "inv", "ratio", "root")}
 
     def built(kind, table):
         # one build of a table to t^(len - 1)
@@ -118,7 +118,6 @@ if counting:
                 return table
             return counted
         install(bernoulli, name, make)
-    wrap_table("twist_unit_series", "unit")
     wrap_table("twist_units_series", "units")
     wrap_table("char_sum_series", "sum")
     wrap_table("_inverse_table", "inv")
