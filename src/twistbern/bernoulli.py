@@ -7,27 +7,27 @@ are the EGF coefficients of
     t * sum_{a<d} chi(a) xi^a e^{at} / (xi^d e^{dt} - 1),
 
 built by ``bernoulli_gf``.  The denominator's inverse is g_lambda(dt),
-lambda = xi^d of exact order R, whose coefficients lie in Q(lambda); where
-measured cost favours it, it is the Apostol table of zeta_R in the small
-field Q(zeta_R), built once per R, read at zeta_R -> lambda, and the
-request's own field only adds up shifted rational combinations of the
-power sums, with no product and no division there; otherwise the
-character sum is divided by the unit in the request's own field.  Every
-other quotient of such factors in the package is built by factor_quotient
-as one ``cyclo.product`` of stored ``cyclo.RowTable``s, whose keys
-quotient_operands states first: one table of the numerator's units, the
-exponential sum over the subsets of their scales in closed form; a ratio
-table for each character sum over a denominator unit of its own c, the
-paper's p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c where
-xi^(dc) = 1); and the inverse table of each other denominator unit,
-1/(xi^(dc) e^(dct) - 1) (times t where the unit vanishes at t = 0).  That
-inverse, which each ratio table is built from, is g_u(dct),
-g_u(x) = 1/(u e^x - 1) the Apostol-Bernoulli generating function of the
-root u = xi^(dc) (x/(e^x - 1) at u = 1), so it is divided out, by one
-``cyclo.unit_quotient``, once per field and root, and each context scales
-it by powers of dc.  Every such table is built to exactly the length
-asked, and rebuilt, never doubled, when a longer one is asked for.  A
-consequence pinned by the tests: B_0 = 0 whenever xi^d != 1.
+lambda = xi^d of exact order R, whose coefficients lie in Q(lambda): the
+Apostol table of zeta_R in the small field Q(zeta_R), built once per R.
+Where measured cost favours it, that table is read at zeta_R -> lambda and
+the request's own field only adds up shifted rational combinations of the
+power sums, with no product and no division there; otherwise the GF is the
+context's ratio table of c = 1, below.  Every other quotient of such
+factors in the package is built by factor_quotient as one ``cyclo.product``
+of stored ``cyclo.RowTable``s, whose keys quotient_operands states first:
+one table of the numerator's units, the exponential sum over the subsets of
+their scales in closed form; a ratio table for each character sum over a
+denominator unit of its own c, the paper's p-adic integral of chi(x)
+xi^(cx) e^(cxt) over ct (over c where xi^(dc) = 1); and the inverse table
+of each other denominator unit, 1/(xi^(dc) e^(dct) - 1) (times t where the
+unit vanishes at t = 0).  That inverse, which each ratio table is built
+from, is g_u(dct), g_u(x) = 1/(u e^x - 1) the Apostol-Bernoulli generating
+function of the root u = xi^(dc) (x/(e^x - 1) at u = 1).  The package's one
+division builds one such table per root order R, that of zeta_R, kept by
+Q(zeta_R); a root u of order R in any field reads it at zeta_R -> u, and
+each context scales it by powers of dc.  Every such table is built to
+exactly the length asked, and rebuilt, never doubled, when a longer one is
+asked for.  A consequence pinned by the tests: B_0 = 0 whenever xi^d != 1.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from fractions import Fraction
 
 from .characters import DirichletCharacter, character
 from .cyclo import (CycloNumber, RowTable, _canonical, _fold, _head, _lowest,
-                    _row_times, _rows, cyclo_field, product, unit_quotient)
+                    _row_times, _rows, cyclo_field, dot,
+                    inverse_root_minus_one, product)
 from .report import CheckReport, first_mismatch
 
 
@@ -52,13 +53,13 @@ class TwistContext:
     symmetry's rows read, among them one units table per multiset of
     numerator units, one ratio table per character sum paired with a
     denominator unit, one inverse table per unpaired unit, and the sum and
-    shift tables of the rows' pieces, and the
-    Bernoulli seed of _bpoly per twist exponent (_bpoly_cache);
-    the tables of _factors and _bpoly_cache are RowTables, each stored in
-    that one form.  The inverse tables derive from the field's own table
-    of each root of unity (``_apostol_table``), which contexts of one
-    field share.  No power of xi is stored here: xi_pow reads it from the
-    field's root cache, which holds only the roots asked for.
+    shift tables of the rows' pieces, and the Bernoulli seed of _bpoly per
+    twist exponent (_bpoly_cache); the tables of _factors and _bpoly_cache
+    are RowTables, each stored in that one form.  The inverse tables read
+    the one Apostol table of their root's order R (``_apostol_table``),
+    kept by Q(zeta_R) and shared by every context of every field.  No power
+    of xi is stored here: xi_pow reads it from the field's root cache,
+    which holds only the roots asked for.
     """
 
     __slots__ = ("chi", "xi", "d", "xi_order", "field",
@@ -318,18 +319,40 @@ def _ratio_table(ctx: TwistContext, c: int, build: int) -> RowTable:
 
 
 def _apostol_table(field, root: tuple, upto: int) -> RowTable:
-    """g_u to x^upto or further, u = sign * zeta_L^e for root (sign, e):
-    g_u = 1/(u e^x - 1), the Apostol-Bernoulli generating function, and
-    x/(e^x - 1), the Bernoulli one, at u = 1 (T. M. Apostol, Pacific J.
-    Math. 1, 1951).  One ``cyclo.unit_quotient`` of (1, 0, ...) by the
-    unit u e^x - 1 builds it; it is kept per field and root in
-    field._apostol, at most 2L tables, each rebuilt to exactly x^upto
-    when a longer one is asked for."""
-    table = field._apostol.get(root)
-    if table is None or len(table) <= upto:
-        table = field._apostol[root] = _rows(field, unit_quotient(
-            field, (field.one,) + (field.zero,) * upto, root, 1), upto + 1)
-    return table
+    """g_u to x^upto or further, u = sign * zeta_L^e of exact order R for
+    root (sign, e): g_u = 1/(u e^x - 1), the Apostol-Bernoulli generating
+    function, and x/(e^x - 1), the Bernoulli one, at u = 1 (T. M. Apostol,
+    Pacific J. Math. 1, 1951).  The one table stored is that of zeta_R in
+    Q(zeta_R), the field itself where R = L, kept as its _apostol and
+    rebuilt to exactly x^upto when a longer one is asked for.  Since
+    u e^x - 1 = (u - 1) + u (e^x - 1), with alpha = 1/(u - 1)
+    (``inverse_root_minus_one``) it is g_0 = alpha and g_k = -(alpha + 1)
+    sum_{i=1..k} g_(k-i)/i!, one ``dot`` against rational elements per
+    coefficient; at R = 1, g_0 = 1 and g_k = -sum_{i=1..k} g_(k-i)/(i+1)!.
+    Any other root reads that table at zeta_R -> u: coordinate i of a
+    coefficient goes to sign^i zeta_L^(e*i), one ``CycloField.root_sum``
+    per coefficient, with no product or division."""
+    sign, e = root
+    L = field.order
+    R = L // math.gcd(e, L) * (2 if sign == -1 else 1)
+    own = field if R == L else cyclo_field(R)
+    g = own._apostol
+    if g is None or len(g) <= upto:
+        one = R == 1
+        w = [own.from_rational(Fraction(1, math.factorial(i + one)))
+             for i in range(1, upto + 1)]
+        alpha = own.one if one else inverse_root_minus_one(own, (1, 1))
+        beta = -1 if one else -1 - alpha
+        out = [alpha]
+        for _ in range(upto):
+            out.append(beta * dot(own, w, reversed(out)))
+        g = own._apostol = _rows(own, out, upto + 1)
+    if own is field and root == (1, 1 % L):
+        return g
+    return RowTable(field, [
+        (k, field.root_sum((e * i, -x if sign == -1 and i & 1 else x)
+                           for i, x in enumerate(row)).num)
+        for k, row in _head(g.rows, upto + 1)], g.den, upto + 1)
 
 
 def _times_t(field, q, shift: int, truncation: int) -> tuple:
@@ -395,8 +418,9 @@ def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     rational combination of the power sums at their spots (nonzero
     coordinates), lambda^i = sign^i zeta_L^(e*i) a shift, and one ``_fold``
     and one ``_canonical``, with no product or division in Q(zeta_L).
-    Otherwise one ``cyclo.unit_quotient`` in Q(zeta_L) divides the
-    character sum's table (char_sum_series) by the unit of lambda."""
+    Otherwise it is the context's ("ratio", 1) table (``factor_table``),
+    the character sum's table times the same Apostol table read in
+    Q(zeta_L), times t^(1 - v)."""
     sign, e = _unit_root(ctx, 1)
     field, d = ctx.field, ctx.d
     L = field.order
@@ -408,8 +432,7 @@ def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     spots = [m for m in range(field.degree) if any(S[m] for S in sums)]
     sums = [[S[m] for m in spots] for S in sums]
     if not _small_field_pays(g_field.degree, len(spots), field.degree, n + 1):
-        q = unit_quotient(field, char_sum_series(ctx, 1, n).elements(),
-                          (sign, e), d)
+        q = factor_table(ctx, ("ratio", 1), n).elements()
         return _times_t(field, q, 1 - v, truncation)
     g = _apostol_table(g_field, (1, 1 % R), n)  # zeta_R's key
     rows = dict(g.rows)
@@ -438,8 +461,9 @@ def _small_field_pays(deg_r: int, spots: int, deg_l: int, n: int) -> bool:
     """Whether bernoulli_gf's route in Q(zeta_R), deg_r its degree, is the
     cheaper for n coefficients, by costs measured in units of about 80 ns
     (CPython 3.11; d <= 61, xi order <= 121, n <= 21): n^2 deg_r (spots + 6)
-    against n (4 n deg_l + deg_l^2/20 + 200) in Q(zeta_L)."""
-    return n * deg_r * (spots + 6) <= 4 * n * deg_l + deg_l**2 // 20 + 200
+    against n^2 (3 deg_l + deg_l^2/8) + 50 n for the ratio table in
+    Q(zeta_L), whose row product multiplies about n^2/2 pairs of rows."""
+    return n * deg_r * (spots + 6) <= n * (3 * deg_l + deg_l**2 // 8) + 50
 
 
 class BernoulliTable:

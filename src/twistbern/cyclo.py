@@ -18,13 +18,10 @@ each factor's rows packed once from _PACK_DEGREE on, until one
 ``_canonical`` per final coefficient, which also applies a rational
 constant.  A ``RowTable`` is a sequence stored in that row form,
 which ``product`` takes as it is; the caches of the exact path hold
-their tables so.  ``unit_quotient`` divides a sequence by the unit
-u e^(st) - 1 of a root of unity u, one ``dot`` against rational elements
-per coefficient and no inverse, since 1/(u - 1) is a root sum
-(``inverse_root_minus_one``): the exact path divides so to build one
-Apostol table per field and root of unity (bernoulli's generating
-functions read the table of zeta_R in the small field Q(zeta_R) where that
-is cheaper, and otherwise divide in their own field so).
+their tables so.  1/(u - 1) for a root of unity u is a root sum
+(``inverse_root_minus_one``), with no inverse taken: the exact path's one
+division, the Apostol table of zeta_R that each field Q(zeta_R) keeps
+(``CycloField._apostol``, built in bernoulli), starts from it.
 ``quotient`` divides two general sequences, for ``PowerSeries`` only: the
 package's series are these coefficient sequences.  Inversion is an
 extended Euclid in Z[x].  ``_fold`` is the one reduction of an integer
@@ -199,13 +196,10 @@ def _poly_inverse(a: list[int], modulus: tuple[int, ...]) -> tuple[list[int], in
 class CycloField:
     """The cyclotomic field Q(zeta_L), L = order, as Q[x]/Phi_L(x).
 
-    Besides the requested roots (_roots), a field keeps the one table of
-    each root of unity u that bernoulli's inverse tables read (_apostol):
-    the RowTable of 1/(u e^x - 1), or x/(e^x - 1) at u = 1, keyed by
-    u's (sign, exponent), each built by one ``unit_quotient`` with no
-    field inverse, filled lazily and shared by every context of the
-    field; ``bernoulli_gf``'s small-field route reads the table of zeta_R
-    in Q(zeta_R), shared by every field whose root xi^d has order R.
+    Besides the requested roots (_roots), a field keeps at most one
+    table (_apostol): the RowTable of 1/(zeta_L e^x - 1), or x/(e^x - 1)
+    at L = 1, built lazily by bernoulli's ``_apostol_table``, which reads
+    every root u of order L of any field from it at zeta_L -> u.
     """
 
     __slots__ = ("order", "modulus", "degree", "_steps", "_roots", "zero",
@@ -219,7 +213,7 @@ class CycloField:
         self.degree = deg = len(self.modulus) - 1
         self._steps = _fold_steps(order, self.modulus)
         self._roots: dict[int, CycloNumber] = {}
-        self._apostol: dict = {}
+        self._apostol = None
         self.zero = CycloNumber(self, (0,) * deg, 1)
         self.one = CycloNumber(self, (1,) + (0,) * (deg - 1), 1)
 
@@ -596,8 +590,7 @@ def quotient(field: CycloField, a, b) -> list:
     """The coefficients of the series quotient a / b of two sequences of
     CycloNumbers, truncated to the shorter; b_0 must be nonzero: coefficient
     k is q_k = (a_k - sum_{i=1..k} b_i q_(k-i)) * b_0^-1, one ``dot`` each.
-    Only ``PowerSeries.divide`` divides so; a division by a unit is
-    ``unit_quotient``."""
+    Only ``PowerSeries.divide`` divides so."""
     b0 = b[0]
     if b0.is_zero():
         raise ValueError("not invertible: the divisor's constant term is 0")
@@ -621,37 +614,6 @@ def inverse_root_minus_one(field: CycloField, root: tuple) -> CycloNumber:
     m = field.order // math.gcd(e, field.order) * (2 if sign == -1 else 1)
     return field.root_sum((e * j, -j if sign == -1 and j & 1 else j)
                           for j in range(1, m))._scale(1, m)
-
-
-def unit_quotient(field: CycloField, a, root: tuple, scale) -> list:
-    """The coefficients of a(t) / (u e^(scale*t) - 1) for a sequence a of
-    CycloNumbers and the root of unity u of root (sign, e), as
-    ``inverse_root_minus_one`` takes it, and of a(t) t / (e^(scale*t) - 1)
-    at u = 1; as many as a has, scale a nonzero int or Fraction.  The
-    division by a unit, with no inverse taken.  The unit is
-    u - 1 + u (e^(scale*t) - 1), so with alpha = 1/(u - 1) and
-    R_k = sum_{i=1..k} (scale^i/i!) q_(k-i), one ``dot`` against rational
-    elements, q_k = alpha (a_k - R_k) - R_k = alpha a_k - (alpha + 1) R_k,
-    a second ``dot``.  At u = 1, q_k = a_k/scale - sum_{i=1..k}
-    scale^i/(i+1)! q_(k-i), one ``dot`` against rational elements.
-    """
-    scale = Fraction(scale)
-    if root == (1, 0):
-        c = [field.from_rational(1 / scale)] + [
-            field.from_rational(-scale**i / math.factorial(i + 1))
-            for i in range(1, len(a))]
-        out = [a[0] / scale]
-        for ak in a[1:]:
-            out.append(dot(field, c, (ak, *reversed(out))))
-        return out
-    w = [field.from_rational(scale**i / math.factorial(i))
-         for i in range(1, len(a))]
-    alpha = inverse_root_minus_one(field, root)
-    coeffs = (alpha, -1 - alpha)
-    out = [alpha * a[0]]
-    for ak in a[1:]:
-        out.append(dot(field, coeffs, (ak, dot(field, w, reversed(out)))))
-    return out
 
 
 class RowTable:

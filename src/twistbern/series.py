@@ -1,9 +1,10 @@
 """Truncated formal power series in t with exact coefficients.
 
 The exact path keeps its series as coefficient tuples, multiplied by
-``cyclo.product`` and divided only by units, through
-``cyclo.unit_quotient``; ``PowerSeries`` is the display type of
-``symmetry.quotient_series`` and a container for the tests.  Coefficients may be CycloNumbers or SymPolys (anything with exact
+``cyclo.product`` and divided only by units, through one Apostol table per
+root order (``bernoulli._apostol_table``); ``PowerSeries`` is the display
+type of ``symmetry.quotient_series`` and a container for the tests.
+Coefficients may be CycloNumbers or SymPolys (anything with exact
 ring operators), stored plain: the n! rescaling of exponential generating
 functions happens only in egf(), so multiplication stays an ordinary
 Cauchy product.  Binary operations truncate to the shorter operand.  When

@@ -38,10 +38,10 @@ def _routed(ctx: TwistContext, truncation: int, small: bool) -> tuple:
 
 def bernoulli_gf_by_division(ctx: TwistContext, truncation: int) -> tuple:
     """t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a
-    e^{at}, by bernoulli_gf's route in the context's own field: one
-    ``cyclo.unit_quotient`` of the character sum's table by the unit of
-    the root xi^d at scale d (t*T/(e^{dt} - 1) where xi^d = 1).  It reads
-    no Apostol table."""
+    e^{at}, by bernoulli_gf's route in the context's own field: t times
+    its ("ratio", 1) table (T/(e^{dt} - 1) times t where xi^d = 1), the
+    character sum's table times the Apostol table of zeta_R re-mapped to
+    the root xi^d of order R in Q(zeta_L)."""
     return _routed(ctx, truncation, False)
 
 

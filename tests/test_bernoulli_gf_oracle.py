@@ -3,9 +3,11 @@
 In the small field Q(zeta_R) of the root lambda = xi^d, of order R,
 bernoulli_gf reads the Apostol table of zeta_R and maps zeta_R -> lambda =
 sign * zeta_L^e by shifts of the power sums' combinations; in Q(zeta_L)
-itself it divides the character sum by the unit lambda e^(dt) - 1, by one
-``cyclo.unit_quotient``, and reads no Apostol table.  ``_small_field_pays``
-picks one by their measured cost; here each is forced
+itself it multiplies the character sum's table by the same Apostol table,
+re-mapped there to lambda, as the context's ("ratio", 1) table.  Both
+routes read one table, so they check each other's combining, not the
+table: ``test_twisted_bernoulli_oracle.py`` checks the numbers.
+``_small_field_pays`` picks a route by measured cost; here each is forced
 (``bernoulli_helpers``), and they must agree coefficient for coefficient,
 with bernoulli_gf itself, on every request of perfbench's
 ``bernoulli_pool()`` (fields of degree 24 to 120), on the 36 contexts of

@@ -4,23 +4,23 @@ For every quotient the library builds (each _QUOTIENTS entry, the Bernoulli
 generating function and side A of powersum_gf_check) factor_quotient's q
 must satisfy q * prod(den) == t^t_power * prod(num) up to t^truncation, and
 so must bernoulli_gf, which divides by its own route; each inverse table
-times its unit must be 1, and must equal one quotient of 1 by the unit.
-The products are formed here by a schoolbook Cauchy loop over element
-``*`` and ``+``, not by ``cyclo.product``.  One context lies in a field of
-degree _PACK_DEGREE or more, where ``cyclo.product`` packs its rows.  The
-factor tables are cached per context as RowTables, read here through
+times its unit must be 1, and must equal one quotient of 1 by the unit.  The
+products are formed here by a schoolbook Cauchy loop over element ``*`` and
+``+``, not by ``cyclo.product``.  One context lies in a field of degree
+_PACK_DEGREE or more, where ``cyclo.product`` packs its rows.  The factor
+tables are cached per context as RowTables, read here through
 ``RowTable.elements``, and the S pieces and shift tables of the expansion
-rows read the same store; the inverse tables derive from one table per
-root of unity of the field.  The units of a numerator are one table, a
-closed-form exponential sum, checked against ``cyclo.product`` of unit
-tables formed from elements.  Each character sum of a quotient that meets
-a denominator unit of its own c is one ratio table, checked against the
-twisted Bernoulli numbers of xi^c, which bernoulli_gf divides out by its
-own route; every quotient, with repeated weights, sums with a bound and
-units left unpaired, must equal a schoolbook product of the elements of
-its numerator series and of one quotient of 1 by each unit.  The
-library's own pairing, ``quotient_operands``, must equal this file's
-``_operands`` on every quotient drawn here.
+rows read the same store; the inverse tables read one table per root order
+R, the Apostol table of zeta_R in Q(zeta_R).  The units of a numerator are
+one table, a closed-form exponential sum, checked against ``cyclo.product``
+of unit tables formed from elements.  Each character sum of a quotient that
+meets a denominator unit of its own c is one ratio table, checked against
+the twisted Bernoulli numbers of xi^c, which bernoulli_gf divides out by
+its own route; every quotient, with repeated weights, sums with a bound and
+units left unpaired, must equal a schoolbook product of the elements of its
+numerator series and of one quotient of 1 by each unit.  The library's own
+pairing, ``quotient_operands``, must equal this file's ``_operands`` on
+every quotient drawn here.
 """
 
 import math
@@ -119,15 +119,18 @@ def test_quotient_times_denominator_is_numerator(d, char, order):
                 assert q == full[:truncation + 1]
 
 
+@pytest.mark.parametrize("small", [True, False], ids=["small", "ratio"])
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
-                                                        monkeypatch):
-    # bernoulli_gf divides directly, not through factor_quotient; in these
-    # small fields its cost rule takes the route in Q(zeta_R), R the order
-    # of xi^d: it reads the Apostol table of zeta_R there and combines the
-    # power sums; it builds no sum or unit table, stores nothing in the
-    # context, and divides only in Q(zeta_R), once per R, where the table
-    # is not yet long enough
+                                                        small, monkeypatch):
+    # bernoulli_gf divides directly, not through factor_quotient, by either
+    # route, forced here: in Q(zeta_R), R the order of xi^d, it reads the
+    # Apostol table of zeta_R there and combines the power sums, builds no
+    # sum or unit table and stores nothing in the context; in Q(zeta_L) it
+    # is the context's ("ratio", 1) table, which builds the character sum
+    # for it and stores only the ratio.  Either runs the table's recurrence
+    # only in Q(zeta_R), once per R, where the table is not yet long enough
+    monkeypatch.setattr(bernoulli, "_small_field_pays", lambda *args: small)
     builds = []
     for kind, name in (("units", "twist_units_series"),
                        ("sum", "char_sum_series")):
@@ -136,34 +139,43 @@ def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
             builds.append((kind, c, truncation))
             return exact(ctx, c, truncation)
         monkeypatch.setattr(bernoulli, name, counted)
-    divisions = []
-
-    def divide(field, a, root, scale, exact=bernoulli.unit_quotient):
-        divisions.append((field.order, len(a)))
-        return exact(field, a, root, scale)
-    monkeypatch.setattr(bernoulli, "unit_quotient", divide)
     ctx = TwistContext.from_orders(d, char, order)
     R = multiplicative_order(ctx.xi ** d)
-    monkeypatch.setattr(cyclo_field(R), "_apostol", {})
+    fields = _apostol_tables(monkeypatch, R)
     v = _vanishing(ctx, [("unit", 1)])
     upto = TOP + v
     bottom = _product(ctx, [("unit", 1)], upto)
     top = ((ctx.field.zero,) + _product(ctx, [("sum", 1)], upto))[:upto + 1]
-    divisions.clear()
     full = bernoulli_gf(ctx, upto)
-    assert divisions == [(R, upto + v)]
+    table = fields[R]._apostol
+    assert len(table) == upto + v
     assert _times(full, bottom) == top
     for truncation in range(TOP + 1):
         fresh = TwistContext.from_orders(d, char, order)
         builds.clear()
-        divisions.clear()
         q = bernoulli_gf(fresh, truncation)
         assert len(q) == truncation + 1
         assert _times(q, bottom) == top[:truncation + 1]
         assert q == full[:truncation + 1]
-        assert builds == []
-        assert divisions == []
-        assert fresh._factors == {}
+        n = max(truncation - 1 + v, 0)
+        assert builds == ([] if small else [("sum", 1, n)])
+        assert fields[R]._apostol is table
+        assert set(fresh._factors) == (set() if small else {("ratio", 1)})
+
+
+def _apostol_tables(monkeypatch, *orders):
+    """Empty the Apostol table of each cyclo_field(R), R in orders, for
+    this test, and return {R: that field}."""
+    fields = {R: cyclo_field(R) for R in orders}
+    for field in fields.values():
+        monkeypatch.setattr(field, "_apostol", None)
+    return fields
+
+
+def _built(fields):
+    # the orders R whose field now keeps its table of zeta_R
+    return sorted(R for R, field in fields.items()
+                  if field._apostol is not None)
 
 
 @pytest.mark.parametrize("d,char,order", [(3, 1, 4), (1, 0, 1), (4, 1, 2)])
@@ -282,40 +294,38 @@ def test_signed_roots_of_one_field_share_their_key():
     assert [bernoulli._unit_root(odd, c) for c in (1, 2)] == [(-1, 0), (1, 0)]
 
 
-def test_one_field_and_root_share_one_inverse_table(monkeypatch):
-    # a field no other test uses: its table store starts empty
+def test_every_root_of_one_order_shares_one_inverse_table(monkeypatch):
+    # a field no other test uses: its own table starts empty, and so, for
+    # this test, do the tables of Q(zeta_2) and Q
     field = CycloField(4)
     first = TwistContext(character(1, 0), field.root(1))
     second = TwistContext(character(3, 1), field.root(1))
     assert first.field is second.field is field
-    divisions = []
-
-    def divide(field, a, root, scale, exact=bernoulli.unit_quotient):
-        divisions.append(len(a))
-        return exact(field, a, root, scale)
-    monkeypatch.setattr(bernoulli, "unit_quotient", divide)
-    # xi = i: u = xi^2 = xi^6 = -1 and u = xi^4 = xi^12 = 1 in both
-    for c in (2, 4):
+    fields = _apostol_tables(monkeypatch, 1, 2)
+    fields[4] = field
+    # xi = i: u = xi^c is i, -1, -i, 1 at c = 1..4 in the first context and
+    # -i, -1, i, 1 in the second (d = 3); i and -i read the field's own
+    # table of zeta_4, -1 that of zeta_2 in Q(zeta_2), and 1 that of Q
+    for c in range(1, 5):
         factor_table(first, ("inv", c), 6)
-    assert sorted(field._apostol) == [(1, 0), (1, 2)]
-    assert len(divisions) == 2
-    stored = dict(field._apostol)
-    for c in (2, 4):
+    assert _built(fields) == [1, 2, 4]
+    stored = {R: f._apostol for R, f in fields.items()}
+    assert all(len(table) == 7 for table in stored.values())
+    for c in range(1, 5):
         table = factor_table(second, ("inv", c), 6)
         assert table.elements()[:7] == _parent_inverse(second, c, 6)
-    assert field._apostol == stored and len(divisions) == 2
-    assert all(field._apostol[root] is stored[root] for root in stored)
-    # a fresh context asking for one more coefficient than the root's table
-    # holds rebuilds it, to exactly that length, by one division
+    assert all(f._apostol is stored[R] for R, f in fields.items())
+    # a fresh context asking for one more coefficient than a table holds
+    # rebuilds it, to exactly that length, by one recurrence
     third = TwistContext(character(1, 0), field.root(1))
     for c in (2, 4):
         table = factor_table(third, ("inv", c), 7)
         assert table.elements()[:8] == _parent_inverse(third, c, 7)
-    assert len(divisions) == 4 and divisions[2:] == [8, 8]
-    for root, old in stored.items():
-        grown = field._apostol[root]
-        assert len(old) == 7 and len(grown) == 8
-        assert grown.elements()[:7] == old.elements()
+    assert field._apostol is stored[4]
+    for R in (1, 2):
+        grown = fields[R]._apostol
+        assert len(stored[R]) == 7 and len(grown) == 8
+        assert grown.elements()[:7] == stored[R].elements()
 
 
 def test_inverse_tables_and_bernoulli_gf_meet_vanishing_and_live_units():
@@ -603,8 +613,8 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # numerators' units, the same multiset in every order, and one ratio
     # table per sum paired with a unit, one _row_times of its sum and
     # inverse tables, each built once for it and not stored; the inverse
-    # table derives from the field's table of its root, one
-    # cyclo.unit_quotient per root.  The products are not cached: each
+    # table reads the table of zeta_R of its root's order R, one recurrence
+    # per order.  The products are not cached: each
     # order still multiplies its own operands in its own order, which is
     # what the invariance check compares, and its one cyclo.product over
     # the paired list of _operands performs len(operands) - 1 factor
@@ -617,13 +627,6 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
             builds.append((kind, c))
             return exact(ctx, c, truncation)
         monkeypatch.setattr(bernoulli, name, counted)
-
-    divisions = []
-
-    def divide(field, a, root, scale, exact=bernoulli.unit_quotient):
-        divisions.append(root)
-        return exact(field, a, root, scale)
-    monkeypatch.setattr(bernoulli, "unit_quotient", divide)
 
     ratios = []
 
@@ -655,9 +658,13 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     monkeypatch.setattr(cyclo, "_row_times", step)
 
     # d = 3, a real character and xi = i in a field no other test uses, so
-    # its roots xi^3, xi^6, xi^9 of the units 1, 2, 3 have no table yet
+    # its roots xi^3 = -i, xi^6 = -1, xi^9 = i of the units 1, 2, 3 have no
+    # table yet: the field's own table of zeta_4, and, emptied for this
+    # test, that of zeta_2
     field = CycloField(4)
     ctx = TwistContext(character(3, 1), field.root(1))
+    fields = _apostol_tables(monkeypatch, 2)
+    fields[4] = field
     spec = QuotientSpec("cyclic", 1, (1, 2, 3), ctx)
     assert permutation_invariance_check(spec, 6).passed
     assert len(calls) == 6
@@ -680,7 +687,8 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # only the operands are stored: a ratio's sum and inverse are not
     assert set(ctx._factors) == {("units", (2, 3, 6))} | {
         ("ratio", c) for c in (1, 2, 3)}
-    assert len(divisions) == len(field._apostol) == 3
+    assert _built(fields) == [2, 4]
+    stored = {R: f._apostol for R, f in fields.items()}
     # one ratio build per paired c, multiplying the inverse table of its c
     assert len(ratios) == 3
     assert {table.elements() for table in ratios} == {
@@ -688,10 +696,10 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
 
     builds.clear()
     calls.clear()
-    divisions.clear()
     ratios.clear()
     assert permutation_invariance_check(spec, 4).passed
-    assert builds == [] and divisions == [] and ratios == []
+    assert builds == [] and ratios == []
+    assert all(f._apostol is stored[R] for R, f in fields.items())
     assert [products for _, _, products, _ in calls] == [3] * 6
 
 

@@ -35,7 +35,8 @@ ORDERS = [v for w in THEOREM_W for v in _distinct_orders(w, _PERM6)]
 #: everything that multiplies, builds a table or adds elements
 ARITHMETIC = [(cyclo, "product"), (bernoulli, "product"),
               (symmetry, "product"), (cyclo, "_row_times"),
-              (cyclo, "unit_quotient"), (bernoulli, "unit_quotient"),
+              (cyclo, "dot"), (bernoulli, "dot"),
+              (bernoulli, "_apostol_table"),
               (bernoulli, "factor_table"), (symmetry, "factor_table"),
               (bernoulli, "_bpoly"), (symmetry, "_bpoly"),
               (bernoulli, "power_sums"), (bernoulli, "_build"),

@@ -18,21 +18,23 @@ block with the product kernel's entry points wrapped and prints its work
 counts instead: the ``cyclo.product`` calls, the ``cyclo._row_times``
 steps (one factor multiplied into running rows, wherever it is called
 from), the row pairs those steps multiply (pairs of rows whose indices
-sum below the step's n), the ``cyclo.quotient`` calls, the
-``cyclo.unit_quotient`` calls (each division by a unit), the extended-Euclid
-``cyclo._poly_inverse`` calls (each field inverse), the ``cyclo.dot``
-calls (each element product), the ``cyclo._fold`` calls (each reduction
-mod Phi_L), the ``cyclo.cyclotomic_polynomial`` calls (each
-cyclotomic polynomial formed, one or more per new field), the
-``bernoulli.bernoulli_gf`` calls and, of those, the ones that divide in
-the small field Q(zeta_R) (``bernoulli._small_field_pays``; a checkout
-from before that choice reads 0).  A second line gives, per kind of table,
-the number of builds and the top power of t (of x for a root table) of
-the longest one: ``units`` (``bernoulli.twist_units_series``), ``sum``
-(``char_sum_series``), ``inv`` (``_inverse_table``), ``ratio``
-(``_ratio_table``) and ``root`` (a call of ``_apostol_table`` that stores
-a new table for its root).  They repeat
-exactly from run to run, unlike the time.  Each name is wrapped in every
+sum below the step's n), the ``cyclo.quotient`` calls, the Apostol table
+recurrences (a call of ``bernoulli._apostol_table`` that builds the table
+of zeta_R in Q(zeta_R), at most one per root order R and length), the
+extended-Euclid ``cyclo._poly_inverse`` calls (each field inverse), the
+``cyclo.dot`` calls (each element product), the ``cyclo._fold`` calls
+(each reduction mod Phi_L), the ``cyclo.cyclotomic_polynomial`` calls
+(each cyclotomic polynomial formed, one or more per new field), the
+``_apostol_table`` calls that read that table at zeta_R -> u for another
+root u (``remap``), the ``bernoulli.bernoulli_gf`` calls and, of those, the
+ones that take the route in the small field Q(zeta_R)
+(``bernoulli._small_field_pays``; a checkout from before that choice
+reads 0).  A second line gives, per kind of table, the number of builds
+and the top power of t (of x for a root table) of the longest one:
+``units`` (``bernoulli.twist_units_series``), ``sum`` (``char_sum_series``),
+``inv`` (``_inverse_table``), ``ratio`` (``_ratio_table``) and ``root``
+(the recurrences above).  They repeat exactly from run to run, unlike the
+time.  Each name is wrapped in every
 ``twistbern`` module that binds it, and a name that ``cyclo`` or
 ``bernoulli`` no longer has stops the tool with an error rather than
 counting zero.  The
@@ -48,7 +50,7 @@ import sys
 from pathlib import Path
 
 CHILD = r"""
-import bisect, cProfile, io, json, pstats, sys, time
+import bisect, cProfile, io, json, math, pstats, sys, time
 root, workload, seed, top = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 counting = sys.argv[5] == "1"
 sys.path[:0] = [root + "/src", root + "/perfbench"]
@@ -60,7 +62,7 @@ counts = None
 if counting:
     from twistbern import cyclo
     counts = dict.fromkeys(("product", "row_times", "row_pairs", "quotient",
-                            "unit_quotient", "poly_inverse", "dot", "fold",
+                            "recurrence", "poly_inverse", "dot", "fold",
                             "cyclotomic_polynomial"), 0)
 
     def pairs(field, left, lden, table, n):
@@ -94,7 +96,6 @@ if counting:
     wrap("product", "product")
     wrap("_row_times", "row_times", "row_pairs")
     wrap("quotient", "quotient")
-    wrap("unit_quotient", "unit_quotient")
     wrap("_poly_inverse", "poly_inverse")
     wrap("dot", "dot")
     wrap("_fold", "fold")
@@ -124,16 +125,24 @@ if counting:
     wrap_table("_ratio_table", "ratio")
 
     def root_tables(exact):
-        # a call that returns the stored table of its root builds nothing
+        # the table of zeta_R is kept by Q(zeta_R), the field itself where
+        # R = L: a call that leaves it in place runs no recurrence, and a
+        # call for any root but zeta_L of the field itself re-maps it
         def counted(field, root, upto):
-            before = field._apostol.get(root)
+            sign, e = root
+            L = field.order
+            R = L // math.gcd(e, L) * (2 if sign == -1 else 1)
+            own = field if R == L else cyclo.cyclo_field(R)
+            before = own._apostol
             table = exact(field, root, upto)
-            if table is not before:
-                built("root", table)
+            if own._apostol is not before:
+                counts["recurrence"] += 1
+                built("root", own._apostol)
+            counts["remap"] += own is not field or root != (1, 1 % L)
             return table
         return counted
     install(bernoulli, "_apostol_table", root_tables)
-    counts["bernoulli_gf"] = counts["small_field"] = 0
+    counts["remap"] = counts["bernoulli_gf"] = counts["small_field"] = 0
 
     def gf_calls(exact):
         def counted(*args):
@@ -184,9 +193,10 @@ def main(argv=None) -> int:
                       help="profile the block and print its top N functions")
     mode.add_argument("--counts", action="store_true",
                       help="print the block's product, row-step, row-pair, "
-                           "quotient, unit-quotient, inverse, dot, fold, "
-                           "cyclotomic-polynomial and Bernoulli GF route "
-                           "counts, and its table builds per kind")
+                           "quotient, table-recurrence, inverse, dot, fold, "
+                           "cyclotomic-polynomial, table re-map and "
+                           "Bernoulli GF route counts, and its table builds "
+                           "per kind")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     proc = subprocess.run(
