@@ -25,9 +25,13 @@ from, is g_u(dct), g_u(x) = 1/(u e^x - 1) the Apostol-Bernoulli generating
 function of the root u = xi^(dc) (x/(e^x - 1) at u = 1).  The package's one
 division builds one such table per root order R, that of zeta_R, kept by
 Q(zeta_R); a root u of order R in any field reads it at zeta_R -> u, and
-each context scales it by powers of dc.  Every such table is built to
-exactly the length asked, and rebuilt, never doubled, when a longer one is
-asked for.  A consequence pinned by the tests: B_0 = 0 whenever xi^d != 1.
+each context scales it by powers of d.  Rescaling t by c is replacing xi
+by xi^c, so the inverse and ratio tables of a scale c != 1 are built once
+per twist: the scale-1 table of the twist xi^c, one per class c mod xi's
+order and kept in the twist's context, read at t -> ct.  Every such table
+is built to exactly the length asked, and rebuilt, never doubled, when a
+longer one is asked for.  A consequence pinned by the tests: B_0 = 0
+whenever xi^d != 1.
 """
 
 from __future__ import annotations
@@ -55,11 +59,13 @@ class TwistContext:
     denominator unit, one inverse table per unpaired unit, and the sum and
     shift tables of the rows' pieces, and the Bernoulli seed of _bpoly per
     twist exponent (_bpoly_cache); the tables of _factors and _bpoly_cache
-    are RowTables, each stored in that one form.  The inverse tables read
-    the one Apostol table of their root's order R (``_apostol_table``),
-    kept by Q(zeta_R) and shared by every context of every field.  No power
-    of xi is stored here: xi_pow reads it from the field's root cache,
-    which holds only the roots asked for.
+    are RowTables, each stored in that one form.  An inverse or ratio table
+    of scale c != 1 is read at t -> ct off the scale-1 table of the twist
+    xi^c, built once per twist and kept in that twist's _factors.  The
+    inverse tables of scale 1 read the one Apostol table of their root's
+    order R (``_apostol_table``), kept by Q(zeta_R) and shared by every
+    context of every field.  No power of xi is stored here: xi_pow reads
+    it from the field's root cache, which holds only the roots asked for.
     """
 
     __slots__ = ("chi", "xi", "d", "xi_order", "field",
@@ -220,14 +226,17 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     sum_{a<=bound} chi(a) xi^(ac) e^(a*sigma*t), bound d - 1 and sigma = c
     by default; ("inv", c) is the
     inverse 1/u of the unit u of c, or t/u where xi^(dc) = 1 and u has no
-    constant term: the field's inverse table of the root xi^(dc) at x = dct
-    (``_inverse_table``); and ("ratio", c) is ("sum", c) times ("inv", c)
-    (``_ratio_table``).  Each table is built once per context, as a
-    RowTable straight from integers, and kept as it is in ctx._factors
-    with a default sigma, then bound, dropped from its key.  It is built
-    to exactly t^upto, and a longer one than cached is rebuilt to exactly
-    t^upto: no table is built past the longest length asked for.  And
-    ("bern", c) is ``_bpoly``'s seed of the twist xi^c, kept apart."""
+    constant term: the field's inverse table of the root xi^(dc) at x = dct;
+    and ("ratio", c) is ("sum", c) times ("inv", c).  Both are built at
+    c = 1 only (``_inverse_table``, ``_ratio_table``), once per twist: at
+    c != 1 they are the twist xi^c's (kind, 1) table, stored in the twist's
+    context, read at t -> ct (``_rescaled_table``).  Each table is built
+    once per context, as a RowTable straight from integers, and kept as it
+    is in ctx._factors with a default sigma, then bound, dropped from its
+    key.  It is built to exactly t^upto, and a longer one than cached is
+    rebuilt to exactly t^upto: no table is built past the longest length
+    asked for.  And ("bern", c) is ``_bpoly``'s seed of the twist xi^c,
+    kept apart."""
     if key[0] == "bern":
         return _bpoly(ctx, key[1], upto)
     if key[3:] == (key[1],):
@@ -245,10 +254,12 @@ def _build(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     # globals are read per call, so wrappers set on the module attributes
     # (as perfbench/tracing.py does) see every build
     kind = key[0]
+    if kind in ("inv", "ratio") and key[1] != 1:
+        return _rescaled_table(ctx, kind, key[1], upto)
     if kind == "inv":
-        return _inverse_table(ctx, key[1], upto)
+        return _inverse_table(ctx, upto)
     if kind == "ratio":
-        return _ratio_table(ctx, key[1], upto)
+        return _ratio_table(ctx, upto)
     if kind == "units":
         return twist_units_series(ctx, key[1], upto)
     return char_sum_series(ctx, key[1], upto, *key[2:])
@@ -284,36 +295,56 @@ def _unit_root(ctx: TwistContext, c: int) -> tuple:
     return (1, (e + L // 2) % L) if L % 2 == 0 else (-1, e)
 
 
-def _inverse_table(ctx: TwistContext, c: int, build: int) -> RowTable:
-    """("inv", c) to t^build: 1/(u e^x - 1) at x = dct, u = xi^(dc), or
-    t times it where u = 1.  With g_u the field's table of the root u
-    (``_apostol_table``), coefficient k is g_u's times (dc)^(k - v), v = 1
+def _rescaled_table(ctx: TwistContext, kind: str, c: int,
+                    upto: int) -> RowTable:
+    """(kind, c) to t^upto for kind "inv" or "ratio" and c != 1, read off
+    the twist xi^c's own (kind, 1) table F at t -> ct: the unit
+    xi^(dc) e^(dct) - 1 is the twist's xi'^d e^(dt') - 1 at t' = ct, and
+    so is each term chi(a) xi^(ca) e^(cat) of the sum, so the table is
+    F(ct), divided by c where xi^(dc) = 1 and the t that F carries is ct.
+    Row k is F's times c^k over F's denominator times c^v, v = 1 iff
+    xi^(dc) = 1, brought to lowest terms by one gcd; F is stored in the
+    twist's context (``factor_table``), once per class c mod xi's order."""
+    g = factor_table(ctx.twist(c), (kind, 1), upto)
+    v = _unit_root(ctx, c) == (1, 0)
+    return _lowest(ctx.field, [(k, [x * c**k for x in row])
+                               for k, row in _head(g.rows, upto + 1)],
+                   g.den * c**v, upto + 1)
+
+
+def _inverse_table(ctx: TwistContext, build: int) -> RowTable:
+    """("inv", 1) to t^build: 1/(u e^x - 1) at x = dt, u = xi^d, or t
+    times it where u = 1.  With g_u the field's table of the root u
+    (``_apostol_table``), coefficient k is g_u's times d^(k - v), v = 1
     iff u = 1; the rows are scaled and brought to lowest terms by one
-    gcd."""
-    root = _unit_root(ctx, c)
-    dc = ctx.d * c
+    gcd.  Every other c reads this table of its twist xi^c
+    (``_rescaled_table``)."""
+    root = _unit_root(ctx, 1)
+    d = ctx.d
     g = _apostol_table(ctx.field, root, build)
-    den = g.den * (dc if root == (1, 0) else 1)
-    return _lowest(ctx.field, [(k, [x * dc**k for x in row])
+    den = g.den * (d if root == (1, 0) else 1)
+    return _lowest(ctx.field, [(k, [x * d**k for x in row])
                                for k, row in g.rows if k <= build],
                    den, build + 1)
 
 
-def _ratio_table(ctx: TwistContext, c: int, build: int) -> RowTable:
-    """("ratio", c) to t^build: sum_{a<d} chi(a) xi^(ac) e^(act) over the
-    unit xi^(dc) e^(dct) - 1, times t where xi^(dc) = 1.  That is the
-    p-adic integral of chi(x) xi^(cx) e^(cxt) over ct, or over c where
-    xi^(dc) = 1, so coefficient k is c^k B_(k+1)/(k+1)!, or c^(k-1) B_k/k!,
-    of the twist xi^c.  One ``_row_times`` of the ("sum", c) and ("inv", c)
-    tables builds it, brought to lowest terms by one gcd; each is read from
-    ctx._factors where it is stored long enough, and built without being
-    stored where not, since only a ratio that grows would read it again."""
+def _ratio_table(ctx: TwistContext, build: int) -> RowTable:
+    """("ratio", 1) to t^build: sum_{a<d} chi(a) xi^a e^(at) over the unit
+    xi^d e^(dt) - 1, times t where xi^d = 1.  That is the p-adic integral
+    of chi(x) xi^x e^(xt) over t, or over 1 where xi^d = 1, so coefficient
+    k is B_(k+1)/(k+1)!, or B_k/k!.  One ``_row_times`` of the ("sum", 1)
+    and ("inv", 1) tables builds it, brought to lowest terms by one gcd;
+    each is read from ctx._factors where it is stored long enough, and
+    built without being stored where not, since only a ratio that grows
+    would read it again.  Every other c reads this table of its twist
+    xi^c (``_rescaled_table``), so a context's ratios build one table per
+    class c mod xi's order."""
     n = build + 1
-    sums, inv = [ctx._factors.get((kind, c)) for kind in ("sum", "inv")]
+    sums, inv = [ctx._factors.get((kind, 1)) for kind in ("sum", "inv")]
     if sums is None or len(sums) < n:
-        sums = _build(ctx, ("sum", c), build)
+        sums = _build(ctx, ("sum", 1), build)
     if inv is None or len(inv) < n:
-        inv = _build(ctx, ("inv", c), build)
+        inv = _build(ctx, ("inv", 1), build)
     rows, den = _row_times(ctx.field, _head(sums.rows, n), sums.den, inv, n)
     return _lowest(ctx.field, rows, den, n)
 
@@ -555,7 +586,9 @@ def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
 
     Side A: (xi^{dw} e^{dwt} - 1)/(xi^d e^{dt} - 1) * sum_{a<d} chi(a) xi^a e^{at},
     from factor_quotient (when xi^d = 1 both units lose their t).
-    Side B: sum_{a<dw} chi(a) xi^a e^{at} summed directly, not via power_sums.
+    Side B: sum_{a<dw} chi(a) xi^a e^{at} summed directly, not via power_sums:
+    point by point, the integer numerators of a^i chi(a) xi^a accumulated
+    over one denominator and brought to canonical form once per t^i/i!.
     Side C: sum_k S_k(dw-1) t^k / k! from the power sums.
     """
     if w < 1:
@@ -567,15 +600,21 @@ def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
     side_a = factor_quotient(ctx, 0, [("unit", w), ("sum", 1)], [("unit", 1)],
                              k_max)
 
-    coeffs = [ctx.field.zero] * (k_max + 1)
+    points = []
     for a in range(d * w):
         cv = ctx.chi_at(a)
-        if cv.is_zero():
-            continue
-        base = cv * ctx.xi_pow(a)
-        for i in range(k_max + 1):
-            coeffs[i] = coeffs[i] + base * Fraction(a**i, math.factorial(i))
-    side_b = tuple(coeffs)
+        if not cv.is_zero():
+            points.append((a, cv * ctx.xi_pow(a)))
+    den = math.lcm(*(base.den for _, base in points))
+    rows = [[0] * ctx.field.degree for _ in range(k_max + 1)]
+    for a, base in points:
+        x = den // base.den
+        for row in rows:  # row i gains a^i chi(a) xi^a over den
+            for m, y in enumerate(base.num):
+                row[m] += x * y
+            x *= a
+    side_b = tuple(_canonical(ctx.field, row, den * math.factorial(i))
+                   for i, row in enumerate(rows))
 
     side_c = tuple(power_sum(ctx, k, d * w - 1) / math.factorial(k)
                    for k in range(k_max + 1))

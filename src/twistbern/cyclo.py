@@ -656,15 +656,15 @@ def product(field: CycloField, seqs, n: int, const=1) -> list:
     """
     tables = [seq if isinstance(seq, RowTable)
               else _rows(field, seq, min(n, len(seq))) for seq in seqs]
-    n = min(n, *map(len, tables))
     for table in tables:
+        if table.length < n:
+            n = table.length
         if table.field is not field and table.field.order != field.order:
             raise ValueError("field mismatch")
     rows, den = _head(tables[0].rows, n), tables[0].den
     for table in tables[1:]:
         rows, den = _row_times(field, rows, den, table, n)
-    const = Fraction(const)
-    p, den = const.numerator, den * const.denominator
+    p, den = const.numerator, den * const.denominator  # int or Fraction
     out = [field.zero] * n
     for k, row in rows:
         out[k] = _canonical(field, row if p == 1 else [c * p for c in row],
@@ -721,10 +721,10 @@ def _row_times(field: CycloField, left: list, lden: int, table: RowTable,
     that holds each coefficient of the product; between them, the
     schoolbook loop.  From degree 3 on each output row is reduced by
     ``_fold``; ``_scalar_times`` folds its own rows."""
-    right, rden = _head(table.rows, n), table.den
     deg = field.degree
     if deg <= 2:
-        return _scalar_times(field, left, right, n), lden * rden
+        return _scalar_times(field, left, table.rows, n), lden * table.den
+    right, rden = _head(table.rows, n), table.den
     acc = [None] * n
     if deg >= _PACK_DEGREE:
         # no coefficient exceeds sum |a|_1 * max |b| over all pairs
@@ -764,15 +764,16 @@ def _scalar_times(field: CycloField, left: list, right: list,
     """``_row_times``' folded rows at degree 1 or 2, where a row is one or
     two integers: each pair of rows adds a0*b0 to s0[k], and at degree 2
     a0*b1 + a1*b0 to s1[k] and a1*b1 to s2[k], k the sum of their
-    indices, with no call per pair.  At degree 1 (L = 1, 2) s0[k] is the
-    row as it stands.  At degree 2 (L = 3, 4, 6) each (s0[k], s1[k],
-    s2[k]) is folded in place by x^2 = -c0 - c1*x, Phi_L = c0 + c1*x + x^2:
+    indices, with no call per pair.  The rows of right may run past n:
+    each left row stops at its first pair past n, so they are not cut.  At
+    degree 1 (L = 1, 2) s0[k] is the row as it stands.  At degree 2 (L = 3,
+    4, 6) each (s0[k], s1[k], s2[k]) is folded in place by
+    x^2 = -c0 - c1*x, Phi_L = c0 + c1*x + x^2:
     the one step of ``_fold`` there, with no call and no list per row."""
     s0 = [0] * n
     if field.degree == 1:
-        right = [(j, b[0]) for j, b in right]
         for i, (a0,) in left:
-            for j, b0 in right:
+            for j, (b0,) in right:
                 k = i + j
                 if k >= n:
                     break

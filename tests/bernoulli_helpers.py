@@ -1,14 +1,16 @@
 """Test-only constructions of twisted Bernoulli numbers and polynomials,
 kept out of the package because nothing in it needs them: they are
-independent routes that the tests compare the package's own against, and
-bernoulli_gf with each of its two routes forced."""
+independent routes that the tests compare the package's own against,
+bernoulli_gf with each of its two routes forced, and the inverse and ratio
+tables of one scale c built at that c, without the twist xi^c."""
 
 from fractions import Fraction
 
 from twistbern import bernoulli
-from twistbern.bernoulli import TwistContext, bernoulli_gf, bernoulli_numbers
+from twistbern.bernoulli import (TwistContext, bernoulli_gf, bernoulli_numbers,
+                                 char_sum_series)
 from twistbern.characters import character
-from twistbern.cyclo import CycloNumber
+from twistbern.cyclo import CycloNumber, RowTable, _lowest, _row_times
 from twistbern.series import PowerSeries
 
 
@@ -50,3 +52,26 @@ def bernoulli_gf_in_small_field(ctx: TwistContext,
     """The same, by bernoulli_gf's route in the small field Q(zeta_R) of
     the root xi^d: its Apostol table read at zeta_R -> xi^d."""
     return _routed(ctx, truncation, True)
+
+
+def inverse_table_at(ctx: TwistContext, c: int, build: int) -> RowTable:
+    """("inv", c) to t^build built at its own c: 1/(u e^x - 1) at x = dct,
+    u = xi^(dc), or t times it where u = 1, from the Apostol table of the
+    root u in ctx's field, coefficient k times (dc)^(k - v), v = 1 iff
+    u = 1, in lowest terms.  It reads no table of the twist xi^c."""
+    root = bernoulli._unit_root(ctx, c)
+    dc = ctx.d * c
+    g = bernoulli._apostol_table(ctx.field, root, build)
+    den = g.den * (dc if root == (1, 0) else 1)
+    return _lowest(ctx.field, [(k, [x * dc**k for x in row])
+                               for k, row in g.rows if k <= build],
+                   den, build + 1)
+
+
+def ratio_table_at(ctx: TwistContext, c: int, build: int) -> RowTable:
+    """("ratio", c) to t^build built at its own c: the character sum of
+    scale c times inverse_table_at, one row product in lowest terms."""
+    sums = char_sum_series(ctx, c, build)
+    rows, den = _row_times(ctx.field, sums.rows, sums.den,
+                           inverse_table_at(ctx, c, build), build + 1)
+    return _lowest(ctx.field, rows, den, build + 1)

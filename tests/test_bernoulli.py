@@ -172,6 +172,23 @@ def test_powersum_gf_check_catches_a_wrong_side_a_factor(monkeypatch, d, char,
     assert report.detail.startswith("quotient-vs-direct first differs at t^3:")
 
 
+@pytest.mark.parametrize("d,char,order", GF_CONTROLS + [(1, 0, 1)])
+def test_powersum_gf_check_catches_side_b_one_point_short(monkeypatch, d,
+                                                          char, order):
+    # side B summed over a < dw - 1 only: the point a = dw - 1 is dropped
+    # by reading chi there as 0, and chi(dw - 1) xi^(dw - 1) is a root of
+    # unity, so t^0 differs; side B is the only reader of chi_at here
+    ctx = TwistContext.from_orders(d, char, order)
+    last = 2 * d - 1
+    assert not ctx.chi_at(last).is_zero()
+    exact = TwistContext.chi_at
+    monkeypatch.setattr(TwistContext, "chi_at", lambda self, a: (
+        self.field.zero if a == last else exact(self, a)))
+    report = powersum_gf_check(ctx, 2, 6)
+    assert not report.passed
+    assert report.detail.startswith("quotient-vs-direct first differs at t^0:")
+
+
 def test_bernoulli_table_grows_geometrically(monkeypatch):
     builds = []
     exact = bernoulli.bernoulli_gf

@@ -688,6 +688,41 @@ def test_a_product_of_row_tables_does_not_depend_on_their_order(
         product(field, tables, n, const)
 
 
+# degrees 1, 2, 4 and _PACK_DEGREE: the scalar sums, the schoolbook loop
+# and packed rows
+HEAD_ORDERS = (2, 3, 5, 13)
+
+
+@pytest.mark.parametrize("order", HEAD_ORDERS)
+@pytest.mark.parametrize("const", [1, -3, Fraction(-5, 12)])
+def test_a_product_of_tables_longer_than_n_is_its_first_n_terms(order,
+                                                               const):
+    # stored tables are often longer than the n asked: product cuts n by
+    # the tables' lengths, and the rows past n of one table, never cut off
+    # at degree 1 and 2, must add nothing; const is split as it stands
+    field = cyclo_field(order)
+    assert field.degree in (1, 2, 4, _PACK_DEGREE)
+    rng = random.Random(order)
+    for count in (1, 2, 4):
+        for n in (1, 3, 7):
+            seqs = [[_coefficient(rng, field, rng.choice(KINDS),
+                                  rng.choice(DENOMINATORS))
+                     for _ in range(n + rng.randint(0, 3))]
+                    + [_coefficient(rng, field, "root", 1)]
+                    for _ in range(count)]
+            tables = [cyclo._rows(field, seq, len(seq)) for seq in seqs]
+            assert all(table.rows[-1][0] >= n for table in tables)
+            want = [c * const for c in plain_product(field, seqs, n)]
+            got = product(field, tables, n, const)
+            for c in got:
+                assert_canonical(c)
+            assert got == want, (count, n)
+            # n is cut to the shortest table
+            top = min(map(len, seqs))
+            assert product(field, tables, top + 2, const) == [
+                c * const for c in plain_product(field, seqs, top)]
+
+
 @pytest.mark.parametrize("order", PRODUCT_ORDERS)
 def test_product_takes_each_path_it_selects(order, monkeypatch):
     # one row multiplication per factor after the first: at degree 1 and 2

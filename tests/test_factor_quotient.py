@@ -18,7 +18,10 @@ meets a denominator unit of its own c is one ratio table, checked against
 the twisted Bernoulli numbers of xi^c, which bernoulli_gf divides out by
 its own route; every quotient, with repeated weights, sums with a bound and
 units left unpaired, must equal a schoolbook product of the elements of its
-numerator series and of one quotient of 1 by each unit.  The library's own
+numerator series and of one quotient of 1 by each unit.  An inverse or
+ratio table of scale c != 1 is the scale-1 table of the twist xi^c read at
+t -> ct, built once per class of c and kept in the twist's context (checked
+against per-c builds in test_scale_law.py).  The library's own
 pairing, ``quotient_operands``, must equal this file's ``_operands`` on
 every quotient drawn here.
 """
@@ -178,19 +181,29 @@ def _built(fields):
                   if field._apostol is not None)
 
 
+def _tabled(operands):
+    """The inverse and ratio operands: each is read off the scale-1 table
+    of its twist xi^c, kept in that twist's context, one per class c mod
+    xi's order (the context itself where c = 1 mod it)."""
+    return {key for key in operands if key[0] in ("inv", "ratio")}
+
+
 @pytest.mark.parametrize("d,char,order", [(3, 1, 4), (1, 0, 1), (4, 1, 2)])
 def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
         d, char, order, monkeypatch):
     # the product's operands are the tables of _operands(num, den), each
     # built to exactly t^length on a fresh context, where t^length is the
-    # top power of q before its powers of t are sliced on or off, and only
-    # they are stored; a ratio table is built from the sum and inverse
-    # tables of its c, built to that length too and not stored; an inverse
-    # table reads its field's table of the root, never the unit's table,
-    # so a unit only in den is not built
+    # top power of q before its powers of t are sliced on or off, and
+    # stored there; an inverse or ratio table of c != 1 is read off the
+    # (kind, 1) table of its twist xi^c (_rescaled_table), built once per
+    # class of c to that length too and kept in the twist's context; a
+    # ratio table of scale 1 is built from the sum and inverse tables of
+    # its context, built to that length and not stored; an inverse table
+    # reads its field's table of the root, never the unit's table, so a
+    # unit only in den is not built
     builds = []
     for name in ("twist_units_series", "char_sum_series", "_inverse_table",
-                 "_ratio_table"):
+                 "_ratio_table", "_rescaled_table"):
         def counted(*args, exact=getattr(bernoulli, name), name=name):
             table = exact(*args)
             builds.append((name, len(table)))
@@ -202,13 +215,41 @@ def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
             builds.clear()
             factor_quotient(ctx, t_power, num, den, truncation)
             length = max(truncation - t_power + _vanishing(ctx, den), 0)
-            operands = _operands(num, den)
-            assert set(ctx._factors) == set(operands)
+            operands = set(_operands(num, den))
+            tabled = _tabled(operands)
+            classes = {(kind, ctx.twist(c)) for kind, c in tabled}
+            scaled = {key for key in tabled if key[1] != 1}
+            assert set(ctx._factors) == operands | {
+                (kind, 1) for kind, twist in classes if twist is ctx}
             for key in operands:
                 assert len(ctx._factors[key]) == length + 1, key
-            ratios = sum(key[0] == "ratio" for key in set(operands))
-            assert len(builds) == len(set(operands)) + 2 * ratios
+            for kind, twist in classes:
+                assert len(twist._factors[kind, 1]) == length + 1
+                if twist is not ctx:
+                    assert set(twist._factors) == {
+                        (k, 1) for k, other in classes if other is twist}
+            ratios = sum(kind == "ratio" for kind, _ in classes)
+            assert len(builds) == (len(operands - tabled) + len(scaled)
+                                   + len(classes) + 2 * ratios)
             assert {n for _, n in builds} == {length + 1}
+
+
+def test_the_build_contexts_meet_every_kind_of_twist_class():
+    # c = 1 mod xi's order with c != 1 reads the context's own table, other
+    # classes a twist's, and one class serves two scales of a quotient,
+    # in the context and in a twist
+    seen = set()
+    for args in [(3, 1, 4), (1, 0, 1), (4, 1, 2)]:
+        ctx = TwistContext.from_orders(*args)
+        for _, num, den in _cases((1, 2, 3)):
+            twists = [(kind, ctx.twist(c))
+                      for kind, c in _tabled(set(_operands(num, den)))
+                      if c != 1]
+            seen.update(("self" if twist is ctx else "twist",
+                         twists.count((kind, twist)) > 1)
+                        for kind, twist in twists)
+    assert seen == {("self", False), ("self", True), ("twist", False),
+                    ("twist", True)}
 
 
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
@@ -385,10 +426,14 @@ def test_a_ratio_table_is_its_twists_bernoulli_numbers():
 
 def test_a_ratio_reads_its_stored_sum_and_inverse_and_stores_neither(
         monkeypatch):
-    # where ("sum", c) and ("inv", c) are stored long enough (a row reads
-    # the sum, an unpaired unit the inverse) the ratio multiplies them as
-    # they are; where not, it builds them to its own length and stores
-    # neither, so the stored ones keep their length
+    # ("ratio", 2) is the ("ratio", 1) table of the twist xi^2 read at
+    # t -> 2t, kept in the twist's context, and the rescaled one is kept in
+    # the context, each to exactly the length asked.  Where the twist's
+    # ("sum", 1) and ("inv", 1) are stored long enough (a row reads the
+    # sum, an unpaired unit the inverse) its ratio multiplies them as they
+    # are; where not, it builds them to its own length and stores neither,
+    # so the stored ones keep their length.  At xi of order 1 the twist is
+    # the context itself
     builds = []
     for name in ("char_sum_series", "_inverse_table"):
         def counted(*args, exact=getattr(bernoulli, name), name=name):
@@ -397,10 +442,13 @@ def test_a_ratio_reads_its_stored_sum_and_inverse_and_stores_neither(
         monkeypatch.setattr(bernoulli, name, counted)
     for d, char, order in [(3, 1, 4), (1, 0, 1), (7, 1, 7)]:
         ctx = TwistContext.from_orders(d, char, order)
-        stored = [factor_table(ctx, (kind, 2), 5) for kind in ("sum", "inv")]
+        twist = ctx.twist(2)
+        assert (twist is ctx) == (order == 1)
+        stored = [factor_table(twist, (kind, 1), 5) for kind in ("sum", "inv")]
         builds.clear()
         ratio = factor_table(ctx, ("ratio", 2), 5)
         assert builds == []
+        assert len(twist._factors["ratio", 1]) == len(ratio) == 6
         fresh = TwistContext.from_orders(d, char, order)
         assert ratio.elements() == factor_table(
             fresh, ("ratio", 2), 5).elements()
@@ -408,8 +456,11 @@ def test_a_ratio_reads_its_stored_sum_and_inverse_and_stores_neither(
         longer = factor_table(ctx, ("ratio", 2), 7)
         assert sorted(builds) == ["_inverse_table", "char_sum_series"]
         assert longer.elements()[:6] == ratio.elements()
-        assert [ctx._factors[kind, 2] for kind in ("sum", "inv")] == stored
+        assert ctx._factors["ratio", 2] is longer
+        assert len(twist._factors["ratio", 1]) == len(longer) == 8
+        assert [twist._factors[kind, 1] for kind in ("sum", "inv")] == stored
         assert all(len(table) == 6 for table in stored)
+        assert not {("sum", 2), ("inv", 2)} & set(ctx._factors)
 
 
 # repeated, distinct, one, a vanishing-heavy multiset and a large scale;
@@ -611,10 +662,12 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # The factor series are cached per context, so the six weight orders of
     # one invariance check share one build of the units table of the
     # numerators' units, the same multiset in every order, and one ratio
-    # table per sum paired with a unit, one _row_times of its sum and
-    # inverse tables, each built once for it and not stored; the inverse
-    # table reads the table of zeta_R of its root's order R, one recurrence
-    # per order.  The products are not cached: each
+    # table per sum paired with a unit: the ("ratio", 1) table of its twist
+    # xi^c, kept in the twist's context and read at t -> ct, one
+    # _row_times of the twist's sum and inverse tables, each built once for
+    # it and not stored; the inverse table reads the table of zeta_R of its
+    # root's order R, one recurrence per order.  The products are not
+    # cached: each
     # order still multiplies its own operands in its own order, which is
     # what the invariance check compares, and its one cyclo.product over
     # the paired list of _operands performs len(operands) - 1 factor
@@ -624,7 +677,7 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
                        ("sum", "char_sum_series")):
         def counted(ctx, c, truncation, exact=getattr(bernoulli, name),
                     kind=kind):
-            builds.append((kind, c))
+            builds.append((kind, c, ctx))
             return exact(ctx, c, truncation)
         monkeypatch.setattr(bernoulli, name, counted)
 
@@ -671,10 +724,15 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     keys = {key for num, _, _, _ in calls for key in num}
     # units at 6, 3, 2 over 1, 2, 3, and sums at 1, 2, 3: the units are one
     # table of (2, 3, 6), the unit at 1 is only a denominator and is never
-    # built, and each sum is built once, for its ratio table
+    # built, and the sum of each c is built once, at scale 1 in the
+    # context of its twist xi^c (xi^2 = -1 and xi^3 = -i are two twists),
+    # for that twist's ratio table
     assert len(keys) == 6
-    assert sorted(builds) == [("sum", 1), ("sum", 2), ("sum", 3),
-                              ("units", (2, 3, 6))]
+    twists = {c: ctx.twist(c) for c in (1, 2, 3)}
+    assert twists[1] is ctx and len(set(map(id, twists.values()))) == 3
+    assert len(builds) == 4 and ("units", (2, 3, 6), ctx) in builds
+    assert {(kind, c, id(where)) for kind, c, where in builds
+            if kind == "sum"} == {("sum", 1, id(t)) for t in twists.values()}
     assert len({(tuple(num), tuple(den)) for num, den, _, _ in calls}) == 6
     for num, den, products, tables in calls:
         operands = _operands(num, den)
@@ -684,15 +742,20 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
         assert all(table is ctx._factors[key]
                    for key, table in zip(operands, tables, strict=True))
         assert products == len(operands) - 1
-    # only the operands are stored: a ratio's sum and inverse are not
+    # only the operands are stored, each rescaled one to the length of its
+    # twist's ("ratio", 1): a ratio's sum and inverse are not
     assert set(ctx._factors) == {("units", (2, 3, 6))} | {
         ("ratio", c) for c in (1, 2, 3)}
+    for c in (2, 3):
+        assert set(twists[c]._factors) == {("ratio", 1)}
+        assert len(twists[c]._factors["ratio", 1]) == len(
+            ctx._factors["ratio", c])
     assert _built(fields) == [2, 4]
     stored = {R: f._apostol for R, f in fields.items()}
-    # one ratio build per paired c, multiplying the inverse table of its c
+    # one ratio build per twist, multiplying the twist's inverse table of 1
     assert len(ratios) == 3
     assert {table.elements() for table in ratios} == {
-        _parent_inverse(ctx, c, 6) for c in (1, 2, 3)}
+        _parent_inverse(twist, 1, 6) for twist in twists.values()}
 
     builds.clear()
     calls.clear()

@@ -32,9 +32,12 @@ ones that take the route in the small field Q(zeta_R)
 reads 0).  A second line gives, per kind of table, the number of builds
 and the top power of t (of x for a root table) of the longest one:
 ``units`` (``bernoulli.twist_units_series``), ``sum`` (``char_sum_series``),
-``inv`` (``_inverse_table``), ``ratio`` (``_ratio_table``) and ``root``
-(the recurrences above).  They repeat exactly from run to run, unlike the
-time.  Each name is wrapped in every
+``inv`` (``_inverse_table``), ``ratio`` (``_ratio_table``), ``root``
+(the recurrences above) and ``rescale`` (``_rescaled_table``: an inverse or
+ratio table of scale c != 1 read off the (kind, 1) table of the twist xi^c
+at t -> ct, so ``inv`` and ``ratio`` count only those scale-1 builds; a
+checkout from before that law builds every c itself and reads 0).  They
+repeat exactly from run to run, unlike the time.  Each name is wrapped in every
 ``twistbern`` module that binds it, and a name that ``cyclo`` or
 ``bernoulli`` no longer has stops the tool with an error rather than
 counting zero.  The
@@ -103,7 +106,7 @@ if counting:
 
     from twistbern import bernoulli
     tables = {kind: [0, None] for kind in
-              ("units", "sum", "inv", "ratio", "root")}
+              ("units", "sum", "inv", "ratio", "root", "rescale")}
 
     def built(kind, table):
         # one build of a table to t^(len - 1)
@@ -123,6 +126,8 @@ if counting:
     wrap_table("char_sum_series", "sum")
     wrap_table("_inverse_table", "inv")
     wrap_table("_ratio_table", "ratio")
+    if hasattr(bernoulli, "_rescaled_table"):  # absent before the scale law
+        wrap_table("_rescaled_table", "rescale")
 
     def root_tables(exact):
         # the table of zeta_R is kept by Q(zeta_R), the field itself where
@@ -196,7 +201,7 @@ def main(argv=None) -> int:
                            "quotient, table-recurrence, inverse, dot, fold, "
                            "cyclotomic-polynomial, table re-map and "
                            "Bernoulli GF route counts, and its table builds "
-                           "per kind")
+                           "per kind, rescaled tables among them")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     proc = subprocess.run(
