@@ -12,26 +12,23 @@ Apostol table of zeta_R in the small field Q(zeta_R), built once per R.
 Where measured cost favours it, that table is read at zeta_R -> lambda and
 the request's own field only adds up shifted rational combinations of the
 power sums, with no product and no division there; otherwise the GF is the
-context's ratio table of c = 1, below.  Every other quotient of such
-factors in the package is built by factor_quotient as one ``cyclo.product``
-of stored ``cyclo.RowTable``s, whose keys quotient_operands states first:
-one table of the numerator's units, the exponential sum over the subsets of
-their scales in closed form; a ratio table for each character sum over a
-denominator unit of its own c, the paper's p-adic integral of chi(x)
-xi^(cx) e^(cxt) over ct (over c where xi^(dc) = 1); and the inverse table
-of each other denominator unit, 1/(xi^(dc) e^(dct) - 1) (times t where the
-unit vanishes at t = 0).  That inverse, which each ratio table is built
-from, is g_u(dct), g_u(x) = 1/(u e^x - 1) the Apostol-Bernoulli generating
-function of the root u = xi^(dc) (x/(e^x - 1) at u = 1).  The package's one
-division builds one such table per root order R, that of zeta_R, kept by
-Q(zeta_R); a root u of order R in any field reads it at zeta_R -> u, and
+context's ratio table of c = 1, below.  Every other quotient in the
+package is, as in the paper, a prefactor, a power of t, numerator units
+and one p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c where
+xi^(dc) = 1) per scale c: factor_quotient builds it as one
+``cyclo.product`` of stored ``cyclo.RowTable``s, one table of the units in
+closed form and one ratio table per scale, the character sum over its
+unit.  The ratio of scale 1 multiplies the sum by the unit's inverse
+g_u(dt) (times t where u = 1), g_u(x) = 1/(u e^x - 1) the
+Apostol-Bernoulli generating function of the root u = xi^d.  The package's
+one division builds one such table per root order R, that of zeta_R, kept
+by Q(zeta_R); a root u of order R in any field reads it at zeta_R -> u, and
 each context scales it by powers of d.  Rescaling t by c is replacing xi
-by xi^c, so the inverse and ratio tables of a scale c != 1 are built once
-per twist: the scale-1 table of the twist xi^c, one per class c mod xi's
-order and kept in the twist's context, read at t -> ct.  Every such table
-is built to exactly the length asked, and rebuilt, never doubled, when a
-longer one is asked for.  A consequence pinned by the tests: B_0 = 0
-whenever xi^d != 1.
+by xi^c, so the ratio table of a scale c != 1 is built once per twist: the
+scale-1 table of the twist xi^c, one per class c mod xi's order and kept
+in the twist's context, read at t -> ct.  Every such table is built to
+exactly the length asked, and rebuilt, never doubled, when a longer one is
+asked for.  A consequence pinned by the tests: B_0 = 0 whenever xi^d != 1.
 """
 
 from __future__ import annotations
@@ -55,17 +52,16 @@ class TwistContext:
     power-sum tables per bound (_psums), the twisted contexts (_twists),
     the factor tables of factor_table (_factors), which quotients and
     symmetry's rows read, among them one units table per multiset of
-    numerator units, one ratio table per character sum paired with a
-    denominator unit, one inverse table per unpaired unit, and the sum and
-    shift tables of the rows' pieces, and the Bernoulli seed of _bpoly per
-    twist exponent (_bpoly_cache); the tables of _factors and _bpoly_cache
-    are RowTables, each stored in that one form.  An inverse or ratio table
-    of scale c != 1 is read at t -> ct off the scale-1 table of the twist
-    xi^c, built once per twist and kept in that twist's _factors.  The
-    inverse tables of scale 1 read the one Apostol table of their root's
-    order R (``_apostol_table``), kept by Q(zeta_R) and shared by every
-    context of every field.  No power of xi is stored here: xi_pow reads
-    it from the field's root cache, which holds only the roots asked for.
+    numerator units, one ratio table per scale, and the sum and shift
+    tables of the rows' pieces, and the Bernoulli seed of _bpoly per twist
+    exponent (_bpoly_cache); the tables of _factors and _bpoly_cache are
+    RowTables, each stored in that one form.  A ratio table of scale c != 1
+    is read at t -> ct off the scale-1 table of the twist xi^c, built once
+    per twist and kept in that twist's _factors.  The inverse a scale-1
+    ratio multiplies by reads the one Apostol table of its root's order R
+    (``_apostol_table``), kept by Q(zeta_R) and shared by every context of
+    every field.  No power of xi is stored here: xi_pow reads it from the
+    field's root cache, which holds only the roots asked for.
     """
 
     __slots__ = ("chi", "xi", "d", "xi_order", "field",
@@ -224,19 +220,18 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     sorted multiset cs (twist_units_series), the one table of a quotient's
     numerator units; ("sum", c[, bound[, sigma]]) is the character sum
     sum_{a<=bound} chi(a) xi^(ac) e^(a*sigma*t), bound d - 1 and sigma = c
-    by default; ("inv", c) is the
-    inverse 1/u of the unit u of c, or t/u where xi^(dc) = 1 and u has no
-    constant term: the field's inverse table of the root xi^(dc) at x = dct;
-    and ("ratio", c) is ("sum", c) times ("inv", c).  Both are built at
-    c = 1 only (``_inverse_table``, ``_ratio_table``), once per twist: at
-    c != 1 they are the twist xi^c's (kind, 1) table, stored in the twist's
-    context, read at t -> ct (``_rescaled_table``).  Each table is built
-    once per context, as a RowTable straight from integers, and kept as it
-    is in ctx._factors with a default sigma, then bound, dropped from its
-    key.  It is built to exactly t^upto, and a longer one than cached is
-    rebuilt to exactly t^upto: no table is built past the longest length
-    asked for.  And ("bern", c) is ``_bpoly``'s seed of the twist xi^c,
-    kept apart."""
+    by default; and ("ratio", c) is ("sum", c) over the unit of c, times t
+    where xi^(dc) = 1: the paper's p-adic integral of chi(x) xi^(cx)
+    e^(cxt) over ct, or over c.  It is built at c = 1 only
+    (``_ratio_table``), once per twist: at c != 1 it is the twist xi^c's
+    ("ratio", 1) table, stored in the twist's context, read at t -> ct
+    (``_rescaled_table``).  Each table is built once per context, as a
+    RowTable straight from integers, and kept as it is in ctx._factors with
+    a default sigma, then bound, dropped from its key.  It is built to
+    exactly t^upto, and a longer one than cached is rebuilt to exactly
+    t^upto: no table is built past the longest length asked for.  And
+    ("bern", c) is ``_bpoly``'s seed of the twist xi^c, kept apart.  Any
+    other key raises ValueError."""
     if key[0] == "bern":
         return _bpoly(ctx, key[1], upto)
     if key[3:] == (key[1],):
@@ -254,15 +249,14 @@ def _build(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     # globals are read per call, so wrappers set on the module attributes
     # (as perfbench/tracing.py does) see every build
     kind = key[0]
-    if kind in ("inv", "ratio") and key[1] != 1:
-        return _rescaled_table(ctx, kind, key[1], upto)
-    if kind == "inv":
-        return _inverse_table(ctx, upto)
     if kind == "ratio":
-        return _ratio_table(ctx, upto)
+        return (_ratio_table(ctx, upto) if key[1] == 1 else
+                _rescaled_table(ctx, key[1], upto))
     if kind == "units":
         return twist_units_series(ctx, key[1], upto)
-    return char_sum_series(ctx, key[1], upto, *key[2:])
+    if kind == "sum":
+        return char_sum_series(ctx, key[1], upto, *key[2:])
+    raise ValueError(f"unknown factor table key {key!r}")
 
 
 def _bpoly(ctx: TwistContext, c: int, k: int) -> RowTable:
@@ -295,17 +289,16 @@ def _unit_root(ctx: TwistContext, c: int) -> tuple:
     return (1, (e + L // 2) % L) if L % 2 == 0 else (-1, e)
 
 
-def _rescaled_table(ctx: TwistContext, kind: str, c: int,
-                    upto: int) -> RowTable:
-    """(kind, c) to t^upto for kind "inv" or "ratio" and c != 1, read off
-    the twist xi^c's own (kind, 1) table F at t -> ct: the unit
-    xi^(dc) e^(dct) - 1 is the twist's xi'^d e^(dt') - 1 at t' = ct, and
-    so is each term chi(a) xi^(ca) e^(cat) of the sum, so the table is
-    F(ct), divided by c where xi^(dc) = 1 and the t that F carries is ct.
-    Row k is F's times c^k over F's denominator times c^v, v = 1 iff
-    xi^(dc) = 1, brought to lowest terms by one gcd; F is stored in the
-    twist's context (``factor_table``), once per class c mod xi's order."""
-    g = factor_table(ctx.twist(c), (kind, 1), upto)
+def _rescaled_table(ctx: TwistContext, c: int, upto: int) -> RowTable:
+    """("ratio", c) to t^upto for c != 1, read off the twist xi^c's own
+    ("ratio", 1) table F at t -> ct: the unit xi^(dc) e^(dct) - 1 is the
+    twist's xi'^d e^(dt') - 1 at t' = ct, and so is each term
+    chi(a) xi^(ca) e^(cat) of the sum, so the table is F(ct), divided by c
+    where xi^(dc) = 1 and the t that F carries is ct.  Row k is F's times
+    c^k over F's denominator times c^v, v = 1 iff xi^(dc) = 1, brought to
+    lowest terms by one gcd; F is stored in the twist's context
+    (``factor_table``), once per class c mod xi's order."""
+    g = factor_table(ctx.twist(c), ("ratio", 1), upto)
     v = _unit_root(ctx, c) == (1, 0)
     return _lowest(ctx.field, [(k, [x * c**k for x in row])
                                for k, row in _head(g.rows, upto + 1)],
@@ -313,12 +306,12 @@ def _rescaled_table(ctx: TwistContext, kind: str, c: int,
 
 
 def _inverse_table(ctx: TwistContext, build: int) -> RowTable:
-    """("inv", 1) to t^build: 1/(u e^x - 1) at x = dt, u = xi^d, or t
-    times it where u = 1.  With g_u the field's table of the root u
+    """The inverse of the unit of scale 1 to t^build, which _ratio_table
+    multiplies its sum by: 1/(u e^x - 1) at x = dt, u = xi^d, or t times
+    it where u = 1.  With g_u the field's table of the root u
     (``_apostol_table``), coefficient k is g_u's times d^(k - v), v = 1
     iff u = 1; the rows are scaled and brought to lowest terms by one
-    gcd.  Every other c reads this table of its twist xi^c
-    (``_rescaled_table``)."""
+    gcd."""
     root = _unit_root(ctx, 1)
     d = ctx.d
     g = _apostol_table(ctx.field, root, build)
@@ -333,19 +326,19 @@ def _ratio_table(ctx: TwistContext, build: int) -> RowTable:
     xi^d e^(dt) - 1, times t where xi^d = 1.  That is the p-adic integral
     of chi(x) xi^x e^(xt) over t, or over 1 where xi^d = 1, so coefficient
     k is B_(k+1)/(k+1)!, or B_k/k!.  One ``_row_times`` of the ("sum", 1)
-    and ("inv", 1) tables builds it, brought to lowest terms by one gcd;
-    each is read from ctx._factors where it is stored long enough, and
-    built without being stored where not, since only a ratio that grows
-    would read it again.  Every other c reads this table of its twist
-    xi^c (``_rescaled_table``), so a context's ratios build one table per
-    class c mod xi's order."""
+    table and the unit's inverse (``_inverse_table``) builds it, brought to
+    lowest terms by one gcd.  The sum is read from ctx._factors where it is
+    stored long enough, and built without being stored where not; the
+    inverse is built and not stored, since only a ratio that grows would
+    read it again.  Every other c reads this table of its twist xi^c
+    (``_rescaled_table``), so a context's ratios build one table per class
+    c mod xi's order."""
     n = build + 1
-    sums, inv = [ctx._factors.get((kind, 1)) for kind in ("sum", "inv")]
+    sums = ctx._factors.get(("sum", 1))
     if sums is None or len(sums) < n:
         sums = _build(ctx, ("sum", 1), build)
-    if inv is None or len(inv) < n:
-        inv = _build(ctx, ("inv", 1), build)
-    rows, den = _row_times(ctx.field, _head(sums.rows, n), sums.den, inv, n)
+    rows, den = _row_times(ctx.field, _head(sums.rows, n), sums.den,
+                           _inverse_table(ctx, build), n)
     return _lowest(ctx.field, rows, den, n)
 
 
@@ -395,42 +388,27 @@ def _times_t(field, q, shift: int, truncation: int) -> tuple:
     return ((field.zero,) * shift + tuple(q))[:truncation + 1]
 
 
-def quotient_operands(ctx: TwistContext, t_power: int, num: list,
-                      den: list) -> tuple:
-    """(shift, keys): const * t^t_power * prod(num) / prod(den) is const *
-    t^shift times the product of the factor_table keys, read from root
-    exponents with no arithmetic.  A factor is ("unit", c), the series
-    xi^(dc) e^(dct) - 1, or a ("sum", ...) key; every factor of den is a
-    unit (ValueError names one that is not), and each with xi^(dc) = 1
-    gives up one t.  The units of num are one ("units", cs) key first, cs
-    their sorted multiset; each ("sum", c) of num pairs with one
-    ("unit", c) of den, counted with multiplicity, as one ("ratio", c) key
-    at the sum's place (a key with a bound or a sigma never pairs); then
-    ("inv", c) for each unit of den left unpaired, in its order."""
-    for key in den:
-        if key[0] != "unit":
-            raise ValueError(f"denominator factor {key} is not a unit")
-    unpaired = list(den)
-    units = sorted(key[1] for key in num if key[0] == "unit")
-    keys = [("units", tuple(units))] if units else []
-    for key in num:
-        if key[0] == "sum" and len(key) == 2 and ("unit", key[1]) in unpaired:
-            unpaired.remove(("unit", key[1]))
-            key = ("ratio", key[1])
-        if key[0] != "unit":
-            keys.append(key)
-    keys += [("inv", c) for _, c in unpaired]
-    return t_power - sum(_unit_root(ctx, c) == (1, 0) for _, c in den), keys
+def quotient_operands(ctx: TwistContext, t_power: int, units: tuple,
+                      scales: tuple) -> tuple:
+    """(shift, keys) of the quotient t^t_power prod_(c in units)
+    (xi^(dc) e^(dct) - 1) prod_(c in scales) I_c, I_c the character sum of
+    c over its unit, read from root exponents with no arithmetic.  The
+    keys are ("units", cs), cs the sorted multiset of units, if there are
+    any, then ("ratio", c) for each scale in order; shift is t_power less
+    one per scale with xi^(dc) = 1, whose ratio table is t I_c."""
+    keys = [("units", tuple(sorted(units)))] if units else []
+    keys += [("ratio", c) for c in scales]
+    return t_power - sum(_unit_root(ctx, c) == (1, 0) for c in scales), keys
 
 
-def factor_quotient(ctx: TwistContext, t_power: int, num: list, den: list,
-                    truncation: int, const=1) -> tuple:
-    """The coefficients of const * t^t_power * prod(num) / prod(den) to
-    t^truncation, const an int or Fraction and num, den non-empty: one
-    ``cyclo.product`` of the tables of quotient_operands' keys, nothing
-    cached or divided here, and t^shift a slice, where ValueError is raised
-    if an owed power of t does not divide."""
-    shift, keys = quotient_operands(ctx, t_power, num, den)
+def factor_quotient(ctx: TwistContext, t_power: int, units: tuple,
+                    scales: tuple, truncation: int, const=1) -> tuple:
+    """The coefficients of const times quotient_operands' quotient to
+    t^truncation, const an int or Fraction: one ``cyclo.product`` of the
+    tables of its keys, nothing cached or divided here, and t^shift a
+    slice, where ValueError is raised if an owed power of t does not
+    divide."""
+    shift, keys = quotient_operands(ctx, t_power, units, scales)
     length = max(truncation - shift, 0)
     q = product(ctx.field, [factor_table(ctx, key, length) for key in keys],
                 length + 1, const)
@@ -470,7 +448,8 @@ def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     q = []
     for k in range(n + 1):
         terms = [(rows[k - j], d**(k - j) * math.perm(k, k - j), sums[j])
-                 for j in range(k + 1) if k - j in rows]  # k!/j!
+                 for j in range(k + 1)
+                 if k - j in rows and any(sums[j])]  # k!/j!
         acc = [0] * (2 * L)
         for i in range(g_field.degree):
             u = None
@@ -585,7 +564,7 @@ def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
     """Check the three expressions of the power-sum EGF quotient identity.
 
     Side A: (xi^{dw} e^{dwt} - 1)/(xi^d e^{dt} - 1) * sum_{a<d} chi(a) xi^a e^{at},
-    from factor_quotient (when xi^d = 1 both units lose their t).
+    from factor_quotient: the unit of w times the ratio of scale 1.
     Side B: sum_{a<dw} chi(a) xi^a e^{at} summed directly, not via power_sums:
     point by point, the integer numerators of a^i chi(a) xi^a accumulated
     over one denominator and brought to canonical form once per t^i/i!.
@@ -597,8 +576,7 @@ def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
         raise ValueError("truncation must be >= 0")
     d = ctx.d
     params = dict(ctx.params(), w=w, k_max=k_max)
-    side_a = factor_quotient(ctx, 0, [("unit", w), ("sum", 1)], [("unit", 1)],
-                             k_max)
+    side_a = factor_quotient(ctx, 0, (w,), (1,), k_max)
 
     points = []
     for a in range(d * w):

@@ -19,19 +19,19 @@ y-variables.
 Rows and quotients share one form (scales, F): e^{(s.y) t} F(t), with a
 scale s_y per live slot (the same under every weight order) and a scalar
 series F over Q(zeta_L).  ``_quotient_form`` builds (scales, q) with one
-factor_quotient call: every _QUOTIENTS row pairs each character sum with
-the denominator unit of its own scale, so q is one product over the one
-table of its units and the ratio tables, each ratio the paper's p-adic
-integral of chi(x) xi^(cx) e^(cxt) over ct (over c where xi^(dc) = 1),
-and no inverse table is an operand.  ``_row_form`` builds (scales,
-const * E) with one ``cyclo.product`` of cached tables, as a quotient is: a
-Bernoulli seed per twist and character-sum factor tables.  Each form states
-what it multiplies first, with no arithmetic, as factor_table keys: a row's
-(const, scales, keys) by ``row_operands``, a quotient's (shift, keys) by
-``bernoulli.quotient_operands``.  Every check decides on forms: equal
-forms lift to equal SymPolys, so only unequal forms are lifted (by
-``_lift``, the one writer of SymPoly monomials) for ``first_mismatch`` to
-decide, and ``verify_theorem`` lifts each distinct form once.
+factor_quotient call: a _QUOTIENTS row is, as in the paper, a prefactor, a
+power of t, numerator units and one p-adic integral of chi(x) xi^(cx)
+e^(cxt) over ct (over c where xi^(dc) = 1) per scale c, so q is one product
+over the one table of its units and a ratio table per scale.  ``_row_form``
+builds (scales, const * E) with one ``cyclo.product`` of cached tables, as
+a quotient is: a Bernoulli seed per twist and character-sum factor
+tables.  Each form states what it multiplies first, with no arithmetic, as
+factor_table keys: a row's (const, scales, keys) by ``row_operands``, a
+quotient's (shift, keys) by ``bernoulli.quotient_operands``.  Every check
+decides on forms: equal forms lift to equal SymPolys, so only unequal forms
+are lifted (by ``_lift``, the one writer of SymPoly monomials) for
+``first_mismatch`` to decide, and ``verify_theorem`` lifts each distinct
+form once.
 """
 
 from __future__ import annotations
@@ -83,42 +83,38 @@ def _check_point(w: tuple, n: int = 0) -> None:
 
 def _weighted(scales: tuple, power: int, i: int, big: int) -> tuple:
     """The pairwise (power 2) and single (power 1) families: i units scaled
-    by big over the units at scales, times the character sums at scales."""
-    return (Fraction(big) ** (power - i), 3 - i,
-            [("unit", big)] * i + [("sum", c) for c in scales],
-            [("unit", c) for c in scales], (_Y1, _Y2, _Y3)[:3 - i], big)
+    by big times the p-adic integrals at scales."""
+    return (Fraction(big) ** (power - i), 3 - i, (big,) * i, scales,
+            (_Y1, _Y2, _Y3)[:3 - i], big)
 
 
-#: family -> (w1, w2, w3, i) -> (prefactor, t power, numerator factors,
-#: denominator factors, exp slots, exp scale): the quotient is prefactor *
-#: t^power * prod(num) / prod(den) * e^{scale * (sum of the slot y) * t},
-#: with factors as in bernoulli.factor_quotient.
+#: family -> (w1, w2, w3, i) -> (prefactor, t power, units, scales, exp
+#: slots, exp scale): the quotient is prefactor * t^power * the units
+#: xi^(dc) e^(dct) - 1 of c in units * the p-adic integral of each c in
+#: scales (bernoulli.quotient_operands) * e^{scale * (sum of the slot y) * t}.
 _QUOTIENTS = {
     "pairwise": lambda w1, w2, w3, i: _weighted(
         (w2 * w3, w1 * w3, w1 * w2), 2, i, w1 * w2 * w3),
     "single": lambda w1, w2, w3, i: _weighted((w1, w2, w3), 1, i, w1 * w2 * w3),
     # i = 0: the plain product; i = 1: the fully cancelled quotient
     "cyclic": lambda w1, w2, w3, i: (
-        (Fraction(w1 * w2 * w3), 3, [("sum", w1), ("sum", w2), ("sum", w3)],
-         [("unit", w1), ("unit", w2), ("unit", w3)], (_Y,),
+        (Fraction(w1 * w2 * w3), 3, (), (w1, w2, w3), (_Y,),
          w2 * w3 + w1 * w3 + w1 * w2) if i == 0 else
-        (Fraction(1, w1 * w2 * w3), 0,
-         [("unit", w2 * w3), ("unit", w1 * w3), ("unit", w1 * w2),
-          ("sum", w1), ("sum", w2), ("sum", w3)],
-         [("unit", w1), ("unit", w2), ("unit", w3)], (), 0)),
+        (Fraction(1, w1 * w2 * w3), 0, (w2 * w3, w1 * w3, w1 * w2),
+         (w1, w2, w3), (), 0)),
 }
 
 
 def _quotient_form(spec: QuotientSpec, truncation: int) -> tuple:
     """The form (scales, q) of the quotient to t^truncation: each live slot
     maps to the exp scale of its _QUOTIENTS row, and q is factor_quotient
-    of its factors with the prefactor as const, where a failed
+    of its units and scales with the prefactor as const, where a failed
     cancellation of t raises."""
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    prefactor, t_power, num, den, slots, scale = _QUOTIENTS[spec.family](
+    prefactor, t_power, units, scales, slots, scale = _QUOTIENTS[spec.family](
         *spec.w, spec.i)
-    q = factor_quotient(spec.context, t_power, num, den, truncation,
+    q = factor_quotient(spec.context, t_power, units, scales, truncation,
                         prefactor)
     return dict.fromkeys(slots, scale), q
 

@@ -1,8 +1,9 @@
 """Test-only constructions of twisted Bernoulli numbers and polynomials,
 kept out of the package because nothing in it needs them: they are
 independent routes that the tests compare the package's own against,
-bernoulli_gf with each of its two routes forced, and the inverse and ratio
-tables of one scale c built at that c, without the twist xi^c."""
+bernoulli_gf with each of its two routes forced, and the ratio table of
+one scale c, and the inverse it multiplies by, built at that c, without
+the twist xi^c."""
 
 from fractions import Fraction
 
@@ -55,10 +56,11 @@ def bernoulli_gf_in_small_field(ctx: TwistContext,
 
 
 def inverse_table_at(ctx: TwistContext, c: int, build: int) -> RowTable:
-    """("inv", c) to t^build built at its own c: 1/(u e^x - 1) at x = dct,
-    u = xi^(dc), or t times it where u = 1, from the Apostol table of the
-    root u in ctx's field, coefficient k times (dc)^(k - v), v = 1 iff
-    u = 1, in lowest terms.  It reads no table of the twist xi^c."""
+    """The inverse of the unit of c to t^build built at its own c, the
+    factor of ratio_table_at: 1/(u e^x - 1) at x = dct, u = xi^(dc), or t
+    times it where u = 1, from the Apostol table of the root u in ctx's
+    field, coefficient k times (dc)^(k - v), v = 1 iff u = 1, in lowest
+    terms.  It reads no table of the twist xi^c."""
     root = bernoulli._unit_root(ctx, c)
     dc = ctx.d * c
     g = bernoulli._apostol_table(ctx.field, root, build)

@@ -11,8 +11,10 @@ table: ``test_twisted_bernoulli_oracle.py`` checks the numbers.
 (``bernoulli_helpers``), and they must agree coefficient for coefficient,
 with bernoulli_gf itself, on every request of perfbench's
 ``bernoulli_pool()`` (fields of degree 24 to 120), on the 36 contexts of
-the series benchmark to t^12, and on negated roots xi = -zeta_L^k of odd
-fields, where lambda keeps the sign -1 and odd powers lambda^i carry it.
+the series benchmark to t^12, at d = 1 to t^20 and t^30 with xi of order
+49 and 81, where every power sum but S_0 is zero and the small field's
+combine skips them, and on negated roots xi = -zeta_L^k of odd fields,
+where lambda keeps the sign -1 and odd powers lambda^i carry it.
 The sweep over every d <= 15, character, xi order <= 15 and coprime
 exponent is marked slow.
 """
@@ -67,6 +69,13 @@ def test_the_series_contexts_agree_to_t12():
              for char in range(len(enumerate_characters(d)))
              for order in (1, 2, 3, 4)}
     assert {R for _, R in roots} == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("order,n", [(49, 20), (49, 30), (81, 20)])
+def test_long_series_at_d_1_agree(order, n):
+    # S_j(0) = 0 for j >= 1: one power sum enters each coefficient
+    sign, R = _agree(lambda: TwistContext.from_orders(1, 0, order), (n,))
+    assert (sign, R) == (1, order)
 
 
 def test_negated_roots_of_odd_fields_agree():

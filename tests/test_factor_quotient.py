@@ -1,10 +1,14 @@
 """factor_quotient against the products it divides.
 
-For every quotient the library builds (each _QUOTIENTS entry, the Bernoulli
-generating function and side A of powersum_gf_check) factor_quotient's q
-must satisfy q * prod(den) == t^t_power * prod(num) up to t^truncation, and
-so must bernoulli_gf, which divides by its own route; each inverse table
-times its unit must be 1, and must equal one quotient of 1 by the unit.  The
+Every quotient the library builds (each _QUOTIENTS entry, the Bernoulli
+generating function and side A of powersum_gf_check) is t^t_power times
+its units and one p-adic integral per scale.  This file rebuilds each as
+num / den, num its units and the character sum of each scale and den the
+unit of each scale, and factor_quotient's q must satisfy q * prod(den) ==
+t^t_power * prod(num) up to t^truncation, and so must bernoulli_gf, which
+divides by its own route; the scale-1 inverse table of each twist, which
+every ratio table reads, times its unit must be 1, and must equal one
+quotient of 1 by the unit.  The
 products are formed here by a schoolbook Cauchy loop over element ``*`` and
 ``+``, not by ``cyclo.product``.  One context lies in a field of degree
 _PACK_DEGREE or more, where ``cyclo.product`` packs its rows.  The factor
@@ -13,28 +17,28 @@ tables are cached per context as RowTables, read here through
 rows read the same store; the inverse tables read one table per root order
 R, the Apostol table of zeta_R in Q(zeta_R).  The units of a numerator are
 one table, a closed-form exponential sum, checked against ``cyclo.product``
-of unit tables formed from elements.  Each character sum of a quotient that
-meets a denominator unit of its own c is one ratio table, checked against
-the twisted Bernoulli numbers of xi^c, which bernoulli_gf divides out by
-its own route; every quotient, with repeated weights, sums with a bound and
-units left unpaired, must equal a schoolbook product of the elements of its
-numerator series and of one quotient of 1 by each unit.  An inverse or
-ratio table of scale c != 1 is the scale-1 table of the twist xi^c read at
-t -> ct, built once per class of c and kept in the twist's context (checked
-against per-c builds in test_scale_law.py).  The library's own
-pairing, ``quotient_operands``, must equal this file's ``_operands`` on
-every quotient drawn here.
+of unit tables formed from elements.  The integral of each scale c is one
+ratio table, checked against the twisted Bernoulli numbers of xi^c, which
+bernoulli_gf divides out by its own route; every quotient, with repeated
+weights, must equal a schoolbook product of the elements of its numerator
+series and of one quotient of 1 by each unit.  A ratio table of scale
+c != 1 is the scale-1 table of the twist xi^c read at t -> ct, built once
+per class of c and kept in the twist's context (checked against per-c
+builds in test_scale_law.py).  The library's own ``quotient_operands``
+must give the units key first, then one ratio key per scale, on every
+quotient drawn here.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from twistbern import bernoulli, cyclo, symmetry
-from twistbern.bernoulli import (TwistContext, bernoulli_gf, char_sum_series,
-                                 factor_quotient, factor_table,
-                                 twist_units_series)
+from twistbern.bernoulli import (TwistContext, _inverse_table, bernoulli_gf,
+                                 char_sum_series, factor_quotient,
+                                 factor_table, twist_units_series)
 from twistbern.characters import character, enumerate_characters
 from twistbern.cyclo import CycloField, _rows, cyclo_field, quotient
 from twistbern.symmetry import (_FAMILY_MAX_I, _QUOTIENTS, _ROWS,
@@ -53,15 +57,22 @@ TOP = 8
 
 
 def _cases(w):
-    """(t_power, num, den) of every quotient built at the weights w."""
-    cases = [(1, [("sum", 1)], [("unit", 1)])]            # the Bernoulli GF
+    """(t_power, units, scales) of every quotient built at the weights w."""
+    cases = [(1, (), (1,))]                                # the Bernoulli GF
     for v in sorted(set(w)):                               # powersum side A
-        cases.append((0, [("unit", v), ("sum", 1)], [("unit", 1)]))
+        cases.append((0, (v,), (1,)))
     for family, max_i in sorted(_FAMILY_MAX_I.items()):
         for i in range(max_i + 1):
-            _, t_power, num, den, _, _ = _QUOTIENTS[family](*w, i)
-            cases.append((t_power, num, den))
+            _, t_power, units, scales, _, _ = _QUOTIENTS[family](*w, i)
+            cases.append((t_power, units, scales))
     return cases
+
+
+def _num_den(units, scales):
+    """The quotient as num / den: num the units and the character sum of
+    each scale, den the unit of each scale."""
+    return ([("unit", c) for c in units] + [("sum", c) for c in scales],
+            [("unit", c) for c in scales])
 
 
 def _times(a, b):
@@ -80,43 +91,34 @@ def _product(ctx, factors, truncation):
     return out
 
 
-def _vanishing(ctx, den):
-    return sum(ctx.xi_pow(ctx.d * c) == 1 for _, c in den)
+def _vanishing(ctx, scales):
+    # the scales c whose unit xi^(dc) e^(dct) - 1 vanishes at t = 0
+    return sum(ctx.xi_pow(ctx.d * c) == 1 for c in scales)
 
 
-def _operands(num, den):
+def _operands(units, scales):
     """The factor_table keys of factor_quotient's product, in its order:
-    ("units", cs) for the sorted multiset cs of num's units, if it has
-    any, then num's other keys, each default-key ("sum", c) that meets a
-    still unpaired ("unit", c) of den read as ("ratio", c), then
-    ("inv", c) for each unit of den left unpaired, in den's order."""
-    units = [c for _, c in den]
-    cs = tuple(sorted(c for kind, c, *_ in num if kind == "unit"))
-    keys = [("units", cs)] if cs else []
-    for key in num:
-        if key[0] == "unit":
-            continue
-        if key[0] == "sum" and len(key) == 2 and key[1] in units:
-            units.remove(key[1])
-            key = ("ratio", key[1])
-        keys.append(key)
-    return keys + [("inv", c) for c in units]
+    ("units", cs) for the sorted multiset cs of units, if there are any,
+    then ("ratio", c) for each scale in order."""
+    return ([("units", tuple(sorted(units)))] if units else []) + [
+        ("ratio", c) for c in scales]
 
 
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_quotient_times_denominator_is_numerator(d, char, order):
     ctx = TwistContext.from_orders(d, char, order)
     for w in WEIGHTS:
-        for t_power, num, den in _cases(w):
+        for t_power, units, scales in _cases(w):
+            num, den = _num_den(units, scales)
             # vanish extra coefficients pin every coefficient of q up to TOP
-            upto = TOP + _vanishing(ctx, den)
+            upto = TOP + _vanishing(ctx, scales)
             bottom = _product(ctx, den, upto)
             top = ((ctx.field.zero,) * t_power
                    + _product(ctx, num, upto))[:upto + 1]
-            full = factor_quotient(ctx, t_power, num, den, upto)
+            full = factor_quotient(ctx, t_power, units, scales, upto)
             assert _times(full, bottom) == top
             for truncation in range(TOP + 1):
-                q = factor_quotient(ctx, t_power, num, den, truncation)
+                q = factor_quotient(ctx, t_power, units, scales, truncation)
                 assert len(q) == truncation + 1
                 assert _times(q, bottom) == top[:truncation + 1]
                 assert q == full[:truncation + 1]
@@ -145,7 +147,7 @@ def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
     ctx = TwistContext.from_orders(d, char, order)
     R = multiplicative_order(ctx.xi ** d)
     fields = _apostol_tables(monkeypatch, R)
-    v = _vanishing(ctx, [("unit", 1)])
+    v = _vanishing(ctx, (1,))
     upto = TOP + v
     bottom = _product(ctx, [("unit", 1)], upto)
     top = ((ctx.field.zero,) + _product(ctx, [("sum", 1)], upto))[:upto + 1]
@@ -182,25 +184,25 @@ def _built(fields):
 
 
 def _tabled(operands):
-    """The inverse and ratio operands: each is read off the scale-1 table
-    of its twist xi^c, kept in that twist's context, one per class c mod
-    xi's order (the context itself where c = 1 mod it)."""
-    return {key for key in operands if key[0] in ("inv", "ratio")}
+    """The ratio operands: each is read off the scale-1 table of its twist
+    xi^c, kept in that twist's context, one per class c mod xi's order
+    (the context itself where c = 1 mod it)."""
+    return {key for key in operands if key[0] == "ratio"}
 
 
 @pytest.mark.parametrize("d,char,order", [(3, 1, 4), (1, 0, 1), (4, 1, 2)])
 def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
         d, char, order, monkeypatch):
-    # the product's operands are the tables of _operands(num, den), each
-    # built to exactly t^length on a fresh context, where t^length is the
-    # top power of q before its powers of t are sliced on or off, and
-    # stored there; an inverse or ratio table of c != 1 is read off the
-    # (kind, 1) table of its twist xi^c (_rescaled_table), built once per
-    # class of c to that length too and kept in the twist's context; a
-    # ratio table of scale 1 is built from the sum and inverse tables of
-    # its context, built to that length and not stored; an inverse table
-    # reads its field's table of the root, never the unit's table, so a
-    # unit only in den is not built
+    # the product's operands are the tables of _operands(units, scales),
+    # each built to exactly t^length on a fresh context, where t^length is
+    # the top power of q before its powers of t are sliced on or off, and
+    # stored there; a ratio table of c != 1 is read off the ("ratio", 1)
+    # table of its twist xi^c (_rescaled_table), built once per class of c
+    # to that length too and kept in the twist's context; a ratio table of
+    # scale 1 is built from the sum and inverse tables of its context,
+    # built to that length and not stored; the inverse table reads its
+    # field's table of the root, never the unit's table, so the unit of a
+    # scale is not built
     builds = []
     for name in ("twist_units_series", "char_sum_series", "_inverse_table",
                  "_ratio_table", "_rescaled_table"):
@@ -210,27 +212,26 @@ def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
             return table
         monkeypatch.setattr(bernoulli, name, counted)
     for truncation in range(4):
-        for t_power, num, den in _cases((1, 2, 3)):
+        for t_power, units, scales in _cases((1, 2, 3)):
             ctx = TwistContext.from_orders(d, char, order)
             builds.clear()
-            factor_quotient(ctx, t_power, num, den, truncation)
-            length = max(truncation - t_power + _vanishing(ctx, den), 0)
-            operands = set(_operands(num, den))
+            factor_quotient(ctx, t_power, units, scales, truncation)
+            length = max(truncation - t_power + _vanishing(ctx, scales), 0)
+            operands = set(_operands(units, scales))
             tabled = _tabled(operands)
-            classes = {(kind, ctx.twist(c)) for kind, c in tabled}
+            twists = {ctx.twist(c) for _, c in tabled}
             scaled = {key for key in tabled if key[1] != 1}
-            assert set(ctx._factors) == operands | {
-                (kind, 1) for kind, twist in classes if twist is ctx}
+            assert set(ctx._factors) == operands | (
+                {("ratio", 1)} if ctx in twists else set())
             for key in operands:
                 assert len(ctx._factors[key]) == length + 1, key
-            for kind, twist in classes:
-                assert len(twist._factors[kind, 1]) == length + 1
+            for twist in twists:
+                assert len(twist._factors["ratio", 1]) == length + 1
                 if twist is not ctx:
-                    assert set(twist._factors) == {
-                        (k, 1) for k, other in classes if other is twist}
-            ratios = sum(kind == "ratio" for kind, _ in classes)
+                    assert set(twist._factors) == {("ratio", 1)}
+            # per twist: its ratio, and the sum and inverse it multiplies
             assert len(builds) == (len(operands - tabled) + len(scaled)
-                                   + len(classes) + 2 * ratios)
+                                   + 3 * len(twists))
             assert {n for _, n in builds} == {length + 1}
 
 
@@ -241,13 +242,12 @@ def test_the_build_contexts_meet_every_kind_of_twist_class():
     seen = set()
     for args in [(3, 1, 4), (1, 0, 1), (4, 1, 2)]:
         ctx = TwistContext.from_orders(*args)
-        for _, num, den in _cases((1, 2, 3)):
-            twists = [(kind, ctx.twist(c))
-                      for kind, c in _tabled(set(_operands(num, den)))
+        for _, units, scales in _cases((1, 2, 3)):
+            twists = [ctx.twist(c)
+                      for _, c in _tabled(set(_operands(units, scales)))
                       if c != 1]
             seen.update(("self" if twist is ctx else "twist",
-                         twists.count((kind, twist)) > 1)
-                        for kind, twist in twists)
+                         twists.count(twist) > 1) for twist in twists)
     assert seen == {("self", False), ("self", True), ("twist", False),
                     ("twist", True)}
 
@@ -255,10 +255,10 @@ def test_the_build_contexts_meet_every_kind_of_twist_class():
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_a_fresh_context_builds_each_unit_of_a_quotient_once(
         d, char, order, monkeypatch):
-    # the units in num are built once, together, as the one units table of
-    # their sorted multiset, and never one by one; one in den is not built
-    # at all, since its inverse table derives from the field's table of
-    # its root
+    # the units are built once, together, as the one units table of their
+    # sorted multiset, and never one by one; the unit of a scale is not
+    # built at all, since its ratio's inverse derives from the field's
+    # table of its root
     builds = []
     for name in ("twist_units_series",):
         def counted(ctx, c, truncation, exact=getattr(bernoulli, name),
@@ -267,25 +267,27 @@ def test_a_fresh_context_builds_each_unit_of_a_quotient_once(
             return exact(ctx, c, truncation)
         monkeypatch.setattr(bernoulli, name, counted)
     for w in WEIGHTS:
-        for t_power, num, den in _cases(w):
+        for t_power, units, scales in _cases(w):
             for truncation in (0, 3):
                 ctx = TwistContext.from_orders(d, char, order)
                 builds.clear()
-                factor_quotient(ctx, t_power, num, den, truncation)
-                units = tuple(sorted(c for kind, c in num if kind == "unit"))
-                assert builds == ([("twist_units_series", units)] if units
-                                  else []), (num, den)
+                factor_quotient(ctx, t_power, units, scales, truncation)
+                assert builds == ([("twist_units_series",
+                                    tuple(sorted(units)))] if units
+                                  else []), (units, scales)
 
 
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_an_inverse_table_times_its_unit_is_one(d, char, order):
-    # ("inv", c) is 1/u, or t/u where the unit u has no constant term
+    # the scale-1 inverse of the twist xi^c, which its ratio table reads,
+    # is 1/u, or t/u where the unit u has no constant term
     ctx = TwistContext.from_orders(d, char, order)
     one = (ctx.field.one,) + (ctx.field.zero,) * TOP
     for c in range(1, 7):
-        v = _vanishing(ctx, [("unit", c)])
-        unit = twist_units_series(ctx, (c,), TOP + v).elements()[v:]
-        inverse = factor_table(ctx, ("inv", c), TOP).elements()[:TOP + 1]
+        twist = ctx.twist(c)
+        v = _vanishing(twist, (1,))
+        unit = twist_units_series(twist, (1,), TOP + v).elements()[v:]
+        inverse = _inverse_table(twist, TOP).elements()[:TOP + 1]
         assert _times(unit, inverse) == one
 
 
@@ -298,9 +300,9 @@ SIGNED = [(character(3, 1), -cyclo_field(3).root(1)),
 
 
 def _parent_inverse(ctx, c, top):
-    """("inv", c) as one quotient of 1 by the unit's table, shifted by one
-    where the unit vanishes at t = 0."""
-    v = _vanishing(ctx, [("unit", c)])
+    """The inverse of the unit of c as one quotient of 1 by the unit's
+    table, shifted by one where the unit vanishes at t = 0."""
+    v = _vanishing(ctx, (c,))
     return tuple(quotient(ctx.field, (ctx.field.one,) + (ctx.field.zero,) * top,
                           twist_units_series(ctx, (c,), top + v)
                           .elements()[v:]))
@@ -313,12 +315,14 @@ def _parent_inverse(ctx, c, top):
                               for d, char, order in CONTEXTS]
                          + [f"signed-{k}" for k in range(len(SIGNED))])
 def test_an_inverse_table_is_the_quotient_of_one_by_its_unit(ctx):
-    # from the field's table of the root u = xi^(dc), at dc up to 625 (the
-    # grid meets u = 1 and u != 1, see the next test); the stored rows are
-    # in lowest terms, the row form of the elements they hold
+    # the scale-1 inverse of each twist xi^c, from the field's table of the
+    # root u = xi^(dc), at dc up to 625 (the grid meets u = 1 and u != 1,
+    # see the next test); its rows are in lowest terms, the row form of
+    # the elements they hold
     for c in (*range(1, 7), 125):
-        table = factor_table(ctx, ("inv", c), TOP)
-        assert table.elements()[:TOP + 1] == _parent_inverse(ctx, c, TOP), c
+        twist = ctx.twist(c)
+        table = _inverse_table(twist, TOP)
+        assert table.elements()[:TOP + 1] == _parent_inverse(twist, 1, TOP), c
         flat = _rows(ctx.field, table.elements(), len(table))
         assert table.den == flat.den
         assert [(k, list(r)) for k, r in table.rows] == \
@@ -346,22 +350,25 @@ def test_every_root_of_one_order_shares_one_inverse_table(monkeypatch):
     fields[4] = field
     # xi = i: u = xi^c is i, -1, -i, 1 at c = 1..4 in the first context and
     # -i, -1, i, 1 in the second (d = 3); i and -i read the field's own
-    # table of zeta_4, -1 that of zeta_2 in Q(zeta_2), and 1 that of Q
+    # table of zeta_4, -1 that of zeta_2 in Q(zeta_2), and 1 that of Q.
+    # Each is the scale-1 inverse of the twist xi^c
     for c in range(1, 5):
-        factor_table(first, ("inv", c), 6)
+        _inverse_table(first.twist(c), 6)
     assert _built(fields) == [1, 2, 4]
     stored = {R: f._apostol for R, f in fields.items()}
     assert all(len(table) == 7 for table in stored.values())
     for c in range(1, 5):
-        table = factor_table(second, ("inv", c), 6)
-        assert table.elements()[:7] == _parent_inverse(second, c, 6)
+        twist = second.twist(c)
+        table = _inverse_table(twist, 6)
+        assert table.elements()[:7] == _parent_inverse(twist, 1, 6)
     assert all(f._apostol is stored[R] for R, f in fields.items())
     # a fresh context asking for one more coefficient than a table holds
     # rebuilds it, to exactly that length, by one recurrence
     third = TwistContext(character(1, 0), field.root(1))
     for c in (2, 4):
-        table = factor_table(third, ("inv", c), 7)
-        assert table.elements()[:8] == _parent_inverse(third, c, 7)
+        twist = third.twist(c)
+        table = _inverse_table(twist, 7)
+        assert table.elements()[:8] == _parent_inverse(twist, 1, 7)
     assert field._apostol is stored[4]
     for R in (1, 2):
         grown = fields[R]._apostol
@@ -371,27 +378,27 @@ def test_every_root_of_one_order_shares_one_inverse_table(monkeypatch):
 
 def test_inverse_tables_and_bernoulli_gf_meet_vanishing_and_live_units():
     seen = {(c == 1, _vanishing(TwistContext.from_orders(d, char, order),
-                                [("unit", c)]))
+                                (c,)))
             for d, char, order in CONTEXTS for c in range(1, 7)}
     assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
 
 
 @pytest.mark.parametrize("d,char,order", [(3, 1, 4), (1, 0, 1), (7, 1, 7)])
-def test_an_inverse_table_grows_to_the_length_asked_and_keeps_its_prefix(
+def test_a_ratio_table_grows_to_the_length_asked_and_keeps_its_prefix(
         d, char, order):
     ctx = TwistContext.from_orders(d, char, order)
     for c in (1, 2):
         stored = ()
         for upto in (2, 5, 12):
-            table = factor_table(ctx, ("inv", c), upto)
-            assert table is ctx._factors["inv", c]
+            table = factor_table(ctx, ("ratio", c), upto)
+            assert table is ctx._factors["ratio", c]
             grown = table.elements()
             assert grown[:len(stored)] == stored
             # rebuilt to exactly t^upto
             assert len(grown) == upto + 1
             stored = grown
         # a shorter ask reads the stored table as it is
-        assert factor_table(ctx, ("inv", c), 3) is table
+        assert factor_table(ctx, ("ratio", c), 3) is table
 
 
 # the 36 contexts of the series benchmark (every character mod 1, 3, 4 and
@@ -414,7 +421,7 @@ def test_a_ratio_table_is_its_twists_bernoulli_numbers():
     for ctx in RATIO_CONTEXTS:
         for c in range(1, 9):
             gf = bernoulli_gf_by_division(ctx.twist(c), TOP + 1)
-            v = _vanishing(ctx, [("unit", c)])
+            v = _vanishing(ctx, (c,))
             got = factor_table(ctx, ("ratio", c), TOP).elements()[:TOP + 1]
             want = tuple(gf[k + 1 - v] * Fraction(c) ** (k - v)
                          for k in range(TOP + 1))
@@ -424,16 +431,16 @@ def test_a_ratio_table_is_its_twists_bernoulli_numbers():
     assert {v for _, _, v in compared} == {0, 1}
 
 
-def test_a_ratio_reads_its_stored_sum_and_inverse_and_stores_neither(
+def test_a_ratio_reads_a_stored_sum_and_builds_its_inverse_unstored(
         monkeypatch):
     # ("ratio", 2) is the ("ratio", 1) table of the twist xi^2 read at
     # t -> 2t, kept in the twist's context, and the rescaled one is kept in
     # the context, each to exactly the length asked.  Where the twist's
-    # ("sum", 1) and ("inv", 1) are stored long enough (a row reads the
-    # sum, an unpaired unit the inverse) its ratio multiplies them as they
-    # are; where not, it builds them to its own length and stores neither,
-    # so the stored ones keep their length.  At xi of order 1 the twist is
-    # the context itself
+    # ("sum", 1) is stored long enough (a row reads it) its ratio
+    # multiplies it as it is; where not, it builds the sum to its own
+    # length and does not store it, so the stored one keeps its length.
+    # The inverse of the unit is built for each ratio build and never
+    # stored.  At xi of order 1 the twist is the context itself
     builds = []
     for name in ("char_sum_series", "_inverse_table"):
         def counted(*args, exact=getattr(bernoulli, name), name=name):
@@ -444,10 +451,10 @@ def test_a_ratio_reads_its_stored_sum_and_inverse_and_stores_neither(
         ctx = TwistContext.from_orders(d, char, order)
         twist = ctx.twist(2)
         assert (twist is ctx) == (order == 1)
-        stored = [factor_table(twist, (kind, 1), 5) for kind in ("sum", "inv")]
+        stored = factor_table(twist, ("sum", 1), 5)
         builds.clear()
         ratio = factor_table(ctx, ("ratio", 2), 5)
-        assert builds == []
+        assert builds == ["_inverse_table"]
         assert len(twist._factors["ratio", 1]) == len(ratio) == 6
         fresh = TwistContext.from_orders(d, char, order)
         assert ratio.elements() == factor_table(
@@ -458,9 +465,9 @@ def test_a_ratio_reads_its_stored_sum_and_inverse_and_stores_neither(
         assert longer.elements()[:6] == ratio.elements()
         assert ctx._factors["ratio", 2] is longer
         assert len(twist._factors["ratio", 1]) == len(longer) == 8
-        assert [twist._factors[kind, 1] for kind in ("sum", "inv")] == stored
-        assert all(len(table) == 6 for table in stored)
-        assert not {("sum", 2), ("inv", 2)} & set(ctx._factors)
+        assert twist._factors["sum", 1] is stored and len(stored) == 6
+        assert set(twist._factors) | set(ctx._factors) == {
+            ("sum", 1), ("ratio", 1), ("ratio", 2)}
 
 
 # repeated, distinct, one, a vanishing-heavy multiset and a large scale;
@@ -510,22 +517,23 @@ def test_unit_sets_meet_vanishing_live_and_mixed_units():
     for ctx in [TwistContext.from_orders(*args) for args in CONTEXTS] + [
             TwistContext(*pair) for pair in SIGNED]:
         for cs in UNIT_SETS:
-            v = _vanishing(ctx, [("unit", c) for c in cs])
+            v = _vanishing(ctx, cs)
             seen.add("none" if v == 0 else "all" if v == len(cs) else "some")
     assert seen == {"none", "some", "all"}
     assert TwistContext(*SIGNED[0]).field.order % 2 == 1
 
 
-def _element_quotient(ctx, t_power, num, den, truncation):
-    """const 1 quotient by schoolbook products of elements: the num series,
-    a bound or sigma included, and, per unit of den, one quotient of 1 by
-    the unit (_parent_inverse), with no factor table, pairing or ratio."""
-    shift = t_power - _vanishing(ctx, den)
+def _element_quotient(ctx, t_power, units, scales, truncation):
+    """const 1 quotient by schoolbook products of elements: the num series
+    and, per unit of den, one quotient of 1 by the unit (_parent_inverse),
+    with no factor table or ratio."""
+    num, den = _num_den(units, scales)
+    shift = t_power - _vanishing(ctx, scales)
     length = max(truncation - shift, 0)
     out = (ctx.field.one,) + (ctx.field.zero,) * length
-    for kind, c, *rest in num:
+    for kind, c in num:
         table = (twist_units_series(ctx, (c,), length) if kind == "unit"
-                 else char_sum_series(ctx, c, length, *rest))
+                 else char_sum_series(ctx, c, length))
         out = _times(out, table.elements())
     for _, c in den:
         out = _times(out, _parent_inverse(ctx, c, length))
@@ -538,80 +546,58 @@ def _element_quotient(ctx, t_power, num, den, truncation):
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_a_quotient_of_paired_tables_is_the_quotient_of_its_elements(
         d, char, order):
-    # (2, 2, 3) repeats a weight: two sums pair one for one with two units
+    # (2, 2, 3) repeats a weight: two scales read one ratio table
     ctx = TwistContext.from_orders(d, char, order)
     for w in (*WEIGHTS, (2, 2, 3)):
-        for t_power, num, den in _cases(w):
+        for t_power, units, scales in _cases(w):
             for truncation in (0, 5):
-                assert factor_quotient(ctx, t_power, num, den, truncation) \
-                    == _element_quotient(ctx, t_power, num, den,
-                                         truncation), (w, num, den)
+                assert factor_quotient(ctx, t_power, units, scales,
+                                       truncation) \
+                    == _element_quotient(ctx, t_power, units, scales,
+                                         truncation), (w, units, scales)
 
 
-PAIRINGS = [
-    (1, [("sum", 2), ("sum", 2), ("sum", 3)],
-     [("unit", 2), ("unit", 2), ("unit", 3)]),             # repeated weight
-    (1, [("sum", 2), ("sum", 2)], [("unit", 2)]),           # a sum unpaired
-    (0, [("unit", 1)], [("unit", 1), ("unit", 2)]),         # no sum at all
-    (1, [("sum", 2), ("unit", 3)], [("unit", 3), ("unit", 2)]),
-    (1, [("sum", 1, 2), ("sum", 2)], [("unit", 1), ("unit", 2)]),
-    (1, [("sum", 1, 2, 1), ("sum", 2, 1)], [("unit", 1), ("unit", 2)]),
-]
+# the 36 contexts of the series benchmark: every character mod 1, 3, 4 and
+# 5, xi of order 1 to 4
+SERIES_CONTEXTS = [TwistContext.from_orders(d, char, order)
+                   for d in (1, 3, 4, 5)
+                   for char in range(len(enumerate_characters(d)))
+                   for order in (1, 2, 3, 4)]
 
 
-@pytest.mark.parametrize("t_power,num,den", PAIRINGS)
-def test_a_sum_pairs_only_with_a_unit_of_its_c(t_power, num, den,
-                                               monkeypatch):
-    # the operands are _operands(num, den): a unit of den with no sum left
-    # to meet reads ("inv", c), and a sum with a bound or a sigma, even the
-    # default one, is never paired
-    seen = []
-
-    def multiply(field, seqs, *args, exact=bernoulli.product):
-        seen.append(list(seqs))
-        return exact(field, seqs, *args)
-    monkeypatch.setattr(bernoulli, "product", multiply)
-    ctx = TwistContext.from_orders(3, 1, 4)
-    q = factor_quotient(ctx, t_power, num, den, 6)
-    assert q == _element_quotient(ctx, t_power, num, den, 6)
-    operands = _operands(num, den)
-    assert all(table is factor_table(ctx, key, 0)
-               for key, table in zip(operands, seen[0], strict=True))
-    kinds = [key[0] for key in operands]
-    assert kinds.count("ratio") + kinds.count("inv") == len(den)
-    assert all(len(key) == 2 for key in operands if key[0] == "ratio")
-
-
-def test_pairing_meets_keys_with_a_bound_units_without_a_sum_and_repeats():
-    kinds = [[key[0] for key in _operands(num, den)]
-             for _, num, den in PAIRINGS]
-    assert ["ratio", "ratio", "ratio"] in kinds
-    assert any("inv" in k and "sum" in k for k in kinds)
-    assert any("inv" in k and "ratio" not in k for k in kinds)
-    assert _operands([("sum", 1, 2), ("sum", 2)],
-                     [("unit", 1), ("unit", 2)]) == [("sum", 1, 2),
-                                                     ("ratio", 2), ("inv", 1)]
-
-
-@pytest.mark.parametrize("d,char,order", CONTEXTS)
-def test_quotient_operands_are_the_pairing_of_operands(d, char, order):
-    # every (num, den) this file draws: the library's own operands against
-    # _operands, and the t shift against the vanishing units counted here
-    ctx = TwistContext.from_orders(d, char, order)
-    cases = [case for w in (*WEIGHTS, (2, 2, 3)) for case in _cases(w)]
-    for t_power, num, den in cases + PAIRINGS:
-        assert bernoulli.quotient_operands(ctx, t_power, num, den) == (
-            t_power - _vanishing(ctx, den), _operands(num, den)), (num, den)
+@pytest.mark.parametrize("ctx", SERIES_CONTEXTS, ids=repr)
+def test_quotient_operands_are_the_units_then_one_ratio_per_scale(ctx):
+    # every _QUOTIENTS family and index and powersum side A: the units key
+    # first where there are units, the ratios in the order of the scales,
+    # and the t shift t_power less the scales whose unit vanishes
+    met = set()
+    for w in (*WEIGHTS, (2, 2, 3)):
+        for family, max_i in _FAMILY_MAX_I.items():
+            for i in range(max_i + 1):
+                _, t_power, units, scales, _, _ = _QUOTIENTS[family](*w, i)
+                met.add((family, i, bool(units)))
+                shift, keys = bernoulli.quotient_operands(
+                    ctx, t_power, units, scales)
+                assert keys == ([("units", tuple(sorted(units)))] if units
+                                else []) + [("ratio", c) for c in scales]
+                assert shift == t_power - _vanishing(ctx, scales)
+        for v in set(w):
+            assert bernoulli.quotient_operands(ctx, 0, (v,), (1,)) == (
+                -_vanishing(ctx, (1,)), [("units", (v,)), ("ratio", 1)])
+    assert {(family, i) for family, i, _ in met} == {
+        (family, i) for family, max_i in _FAMILY_MAX_I.items()
+        for i in range(max_i + 1)}
+    assert {has_units for _, _, has_units in met} == {False, True}
 
 
 @pytest.mark.parametrize("const", [2, Fraction(3, 2), Fraction(-1, 6)])
 def test_a_constant_scales_every_coefficient_of_a_quotient(const):
     # const is applied at the product's last step, one scaling per row
     ctx = TwistContext.from_orders(3, 1, 4)
-    for t_power, num, den in _cases((1, 1, 2)):
-        q = factor_quotient(ctx, t_power, num, den, TOP)
-        assert factor_quotient(ctx, t_power, num, den, TOP, const) == tuple(
-            c * const for c in q)
+    for t_power, units, scales in _cases((1, 1, 2)):
+        q = factor_quotient(ctx, t_power, units, scales, TOP)
+        assert factor_quotient(ctx, t_power, units, scales, TOP,
+                               const) == tuple(c * const for c in q)
 
 
 def test_product_takes_stored_tables_of_its_field_only():
@@ -630,10 +616,14 @@ def test_product_takes_stored_tables_of_its_field_only():
             cyclo.product(ctx.field, seqs, 5)
 
 
-def test_a_denominator_that_is_not_a_unit_raises():
+@pytest.mark.parametrize("key", [("inv", 1), ("inv", 2), ("bogus", 1)])
+def test_factor_table_refuses_a_key_it_does_not_know(key):
+    # an unknown kind, the retired inverse key among them, is refused by
+    # name, and nothing is stored
     ctx = TwistContext.from_orders(3, 1, 4)
-    with pytest.raises(ValueError, match=r"\('sum', 1\) is not a unit"):
-        factor_quotient(ctx, 0, [("unit", 1)], [("unit", 2), ("sum", 1)], 4)
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        factor_table(ctx, key, 3)
+    assert not ctx._factors
 
 
 def test_grid_has_none_some_and_all_denominators_vanishing():
@@ -641,37 +631,36 @@ def test_grid_has_none_some_and_all_denominators_vanishing():
     for d, char, order in CONTEXTS:
         ctx = TwistContext.from_orders(d, char, order)
         for w in WEIGHTS:
-            for _, _, den in _cases(w):
-                k = _vanishing(ctx, den)
-                seen.add("none" if k == 0 else "all" if k == len(den) else "some")
+            for _, _, scales in _cases(w):
+                k = _vanishing(ctx, scales)
+                seen.add("none" if k == 0 else "all" if k == len(scales)
+                         else "some")
     assert seen == {"none", "some", "all"}
 
 
-@pytest.mark.parametrize("t_power,num,den", [
-    (0, [("sum", 1)], [("unit", 1)]),
-    (0, [("unit", 1)], [("unit", 1), ("unit", 2)]),
-    (1, [("sum", 1)], [("unit", 1), ("unit", 1)]),
+@pytest.mark.parametrize("t_power,units,scales", [
+    (0, (), (1,)),
+    (0, (1,), (1, 2)),
+    (1, (), (1, 1)),
 ])
-def test_an_owed_t_that_does_not_divide_raises(t_power, num, den):
+def test_an_owed_t_that_does_not_divide_raises(t_power, units, scales):
     ctx = TwistContext.from_orders(1, 0, 1)    # every unit vanishes at t = 0
     with pytest.raises(ValueError, match="not divisible"):
-        factor_quotient(ctx, t_power, num, den, 4)
+        factor_quotient(ctx, t_power, units, scales, 4)
 
 
 def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # The factor series are cached per context, so the six weight orders of
-    # one invariance check share one build of the units table of the
-    # numerators' units, the same multiset in every order, and one ratio
-    # table per sum paired with a unit: the ("ratio", 1) table of its twist
-    # xi^c, kept in the twist's context and read at t -> ct, one
-    # _row_times of the twist's sum and inverse tables, each built once for
-    # it and not stored; the inverse table reads the table of zeta_R of its
-    # root's order R, one recurrence per order.  The products are not
-    # cached: each
-    # order still multiplies its own operands in its own order, which is
-    # what the invariance check compares, and its one cyclo.product over
-    # the paired list of _operands performs len(operands) - 1 factor
-    # multiplications.
+    # one invariance check share one build of the units table, the same
+    # multiset in every order, and one ratio table per scale: the
+    # ("ratio", 1) table of its twist xi^c, kept in the twist's context and
+    # read at t -> ct, one _row_times of the twist's sum and inverse
+    # tables, each built once for it and not stored; the inverse table
+    # reads the table of zeta_R of its root's order R, one recurrence per
+    # order.  The products are not cached: each order still multiplies its
+    # own operands in its own order, which is what the invariance check
+    # compares, and its one cyclo.product over _operands performs
+    # len(operands) - 1 factor multiplications.
     builds = []
     for kind, name in (("units", "twist_units_series"),
                        ("sum", "char_sum_series")):
@@ -691,9 +680,9 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     calls = []
     exact_quotient = symmetry.factor_quotient
 
-    def quotient(ctx, t_power, num, den, *args):
-        calls.append([num, den, 0, None])
-        return exact_quotient(ctx, t_power, num, den, *args)
+    def quotient(ctx, t_power, units, scales, *args):
+        calls.append([units, scales, 0, None])
+        return exact_quotient(ctx, t_power, units, scales, *args)
     monkeypatch.setattr(symmetry, "factor_quotient", quotient)
 
     def multiply(field, seqs, *args, exact=bernoulli.product):
@@ -721,22 +710,21 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     spec = QuotientSpec("cyclic", 1, (1, 2, 3), ctx)
     assert permutation_invariance_check(spec, 6).passed
     assert len(calls) == 6
-    keys = {key for num, _, _, _ in calls for key in num}
-    # units at 6, 3, 2 over 1, 2, 3, and sums at 1, 2, 3: the units are one
-    # table of (2, 3, 6), the unit at 1 is only a denominator and is never
-    # built, and the sum of each c is built once, at scale 1 in the
-    # context of its twist xi^c (xi^2 = -1 and xi^3 = -i are two twists),
-    # for that twist's ratio table
-    assert len(keys) == 6
+    # units at 6, 3, 2 and scales 1, 2, 3: the units are one table of
+    # (2, 3, 6), the unit of scale 1 is never built, and the sum of each
+    # scale c is built once, at scale 1 in the context of its twist xi^c
+    # (xi^2 = -1 and xi^3 = -i are two twists), for that twist's ratio
+    # table
+    assert {(tuple(sorted(units)), tuple(sorted(scales)))
+            for units, scales, _, _ in calls} == {((2, 3, 6), (1, 2, 3))}
     twists = {c: ctx.twist(c) for c in (1, 2, 3)}
     assert twists[1] is ctx and len(set(map(id, twists.values()))) == 3
     assert len(builds) == 4 and ("units", (2, 3, 6), ctx) in builds
     assert {(kind, c, id(where)) for kind, c, where in builds
             if kind == "sum"} == {("sum", 1, id(t)) for t in twists.values()}
-    assert len({(tuple(num), tuple(den)) for num, den, _, _ in calls}) == 6
-    for num, den, products, tables in calls:
-        operands = _operands(num, den)
-        # every sum meets its unit: no inverse table is an operand
+    assert len({(units, scales) for units, scales, _, _ in calls}) == 6
+    for units, scales, products, tables in calls:
+        operands = _operands(units, scales)
         assert operands[0] == ("units", (2, 3, 6))
         assert [key[0] for key in operands] == ["units"] + ["ratio"] * 3
         assert all(table is ctx._factors[key]

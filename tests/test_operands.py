@@ -4,7 +4,7 @@ it multiplies.
 ``symmetry.row_operands`` gives a row's (const, scales, keys) and
 ``bernoulli.quotient_operands`` a quotient's (shift, keys), each key one
 of ``factor_table``'s.  Both read the ``_ROWS`` pieces, the ``_QUOTIENTS``
-factor lists and the roots' exponents only: with every product, table
+units and scales and the roots' exponents only: with every product, table
 builder, power sum and element operation replaced by one that raises, the
 operands of every row and every quotient family are still built at every
 weight order of the acceptance grid's points.  A row form is one
@@ -63,8 +63,10 @@ def test_operands_reach_no_arithmetic(monkeypatch):
                 rows += 1
             for family, max_i in _FAMILY_MAX_I.items():
                 for i in range(max_i + 1):
-                    _, t_power, num, den, _, _ = _QUOTIENTS[family](*v, i)
-                    shift, keys = quotient_operands(ctx, t_power, num, den)
+                    _, t_power, units, scales, _, _ = _QUOTIENTS[family](
+                        *v, i)
+                    shift, keys = quotient_operands(ctx, t_power, units,
+                                                    scales)
                     assert shift <= t_power and keys
                     quotients += 1
     assert rows == len(CONTEXTS) * len(ORDERS) * len(_ROWS)

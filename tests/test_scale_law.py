@@ -1,12 +1,12 @@
-"""The inverse and ratio tables of every scale c against their per-c builds.
+"""The ratio tables of every scale c against their per-c builds.
 
 The paper's substitution principle: rescaling t by c is replacing the twist
-xi by xi^c.  So ("inv", c) and ("ratio", c) of a context are the (kind, 1)
-table F of its twist xi^c read at t -> ct, divided by c where the unit
-xi^(dc) e^(dct) - 1 vanishes at t = 0 (v = 1), and factor_table builds them
+xi by xi^c.  So ("ratio", c) of a context is the ("ratio", 1) table F of
+its twist xi^c read at t -> ct, divided by c where the unit
+xi^(dc) e^(dct) - 1 vanishes at t = 0 (v = 1), and factor_table builds it
 so, from one F per class c mod xi's order.  Here each is compared, rows and
 denominator, with the same table built at its own c with no twist
-(``bernoulli_helpers.inverse_table_at`` and ``ratio_table_at``), for
+(``bernoulli_helpers.ratio_table_at``), for
 c = 1..12 at every length 0..10 asked in rising order: on the 36 contexts of
 the series benchmark (every character mod 1, 3, 4 and 5, xi of order 1 to
 4) and on odd fields whose xi is a root of sign -1.
@@ -19,7 +19,7 @@ from twistbern.bernoulli import TwistContext, factor_table
 from twistbern.characters import character, enumerate_characters
 from twistbern.cyclo import cyclo_field
 
-from bernoulli_helpers import inverse_table_at, ratio_table_at
+from bernoulli_helpers import ratio_table_at
 
 SERIES = [TwistContext.from_orders(d, char, order)
           for d in (1, 3, 4, 5)
@@ -32,7 +32,7 @@ SIGNED = [TwistContext(character(1, 0), -cyclo_field(3).root(1)),
           TwistContext(character(4, 1), -cyclo_field(7).root(1))]
 SCALES = range(1, 13)
 TOP = 10
-BUILDERS = (("inv", inverse_table_at), ("ratio", ratio_table_at))
+BUILDERS = (("ratio", ratio_table_at),)
 
 
 def _rows(table):

@@ -32,11 +32,12 @@ ones that take the route in the small field Q(zeta_R)
 reads 0).  A second line gives, per kind of table, the number of builds
 and the top power of t (of x for a root table) of the longest one:
 ``units`` (``bernoulli.twist_units_series``), ``sum`` (``char_sum_series``),
-``inv`` (``_inverse_table``), ``ratio`` (``_ratio_table``), ``root``
-(the recurrences above) and ``rescale`` (``_rescaled_table``: an inverse or
-ratio table of scale c != 1 read off the (kind, 1) table of the twist xi^c
-at t -> ct, so ``inv`` and ``ratio`` count only those scale-1 builds; a
-checkout from before that law builds every c itself and reads 0).  They
+``inv`` (``_inverse_table``: the scale-1 inverse each ratio build
+multiplies by), ``ratio`` (``_ratio_table``), ``root`` (the recurrences
+above) and ``rescale`` (``_rescaled_table``: a ratio table of scale c != 1
+read off the ("ratio", 1) table of the twist xi^c at t -> ct, so ``ratio``
+counts only those scale-1 builds; a checkout from before that law builds
+every c itself and reads 0).  They
 repeat exactly from run to run, unlike the time.  Each name is wrapped in every
 ``twistbern`` module that binds it, and a name that ``cyclo`` or
 ``bernoulli`` no longer has stops the tool with an error rather than

@@ -45,9 +45,9 @@ def _row_operands(row: str, ctx, w: tuple) -> tuple:
 
 
 def _quotient_operands(family: str, i: int, ctx, w: tuple) -> tuple:
-    const, t_power, num, den, slots, scale = symmetry._QUOTIENTS[family](
-        *w, i)
-    shift, keys = quotient_operands(ctx, t_power, num, den)
+    const, t_power, units, scales, slots, scale = symmetry._QUOTIENTS[
+        family](*w, i)
+    shift, keys = quotient_operands(ctx, t_power, units, scales)
     return const, shift, sorted(dict.fromkeys(slots, scale).items()), \
         sorted(keys)
 
