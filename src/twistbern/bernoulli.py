@@ -6,9 +6,11 @@ are the EGF coefficients of
 
     t * sum_{a<d} chi(a) xi^a e^{at} / (xi^d e^{dt} - 1),
 
-built by ``bernoulli_gf``.  The denominator's inverse is g_lambda(dt),
-lambda = xi^d of exact order R, whose coefficients lie in Q(lambda): the
-Apostol table of zeta_R in the small field Q(zeta_R), built once per R.
+built by ``bernoulli_gf``.  Each root of unity is an exponent f of zeta_M,
+M = lcm(2, L), of order M/gcd(f, M).  The denominator's inverse is
+g_lambda(dt), lambda = xi^d of exact order R, whose coefficients lie in
+Q(lambda): the Apostol table of zeta_R in the small field Q(zeta_R), built
+once per R.
 Where measured cost favours it, that table is read at zeta_R -> lambda and
 the request's own field only adds up shifted rational combinations of the
 power sums, with no product and no division there; otherwise the GF is the
@@ -60,8 +62,9 @@ class TwistContext:
     per twist and kept in that twist's _factors.  The inverse a scale-1
     ratio multiplies by reads the one Apostol table of its root's order R
     (``_apostol_table``), kept by Q(zeta_R) and shared by every context of
-    every field.  No power of xi is stored here: xi_pow reads it from the
-    field's root cache, which holds only the roots asked for.
+    every field.  xi and each chi(a) are kept as exponents of zeta_M
+    (_xi_root, _chi_roots), and no power of xi is stored: xi_pow reads it
+    from the field's root cache, which holds only the roots asked for.
     """
 
     __slots__ = ("chi", "xi", "d", "xi_order", "field",
@@ -71,9 +74,8 @@ class TwistContext:
     def __init__(self, chi: DirichletCharacter, xi: CycloNumber):
         self.chi = chi
         self.d = chi.modulus
-        sign, e = xi.root_exponent()  # xi = sign * zeta^e, walked once
-        r = xi.field.order // math.gcd(e, xi.field.order)
-        r = self.xi_order = r if sign == 1 else 2 * r
+        f = xi.root_exponent()  # xi = zeta_M^f in its own field, walked once
+        self.xi_order = xi.field.period // math.gcd(f, xi.field.period)
 
         m = chi.order
         if m <= 2:
@@ -82,21 +84,12 @@ class TwistContext:
             field = cyclo_field(math.lcm(xi.field.order, m))
         self.field = field
 
-        # Every value is a root of unity sign * zeta_L^e, kept as (sign, e):
-        # xi, and chi(a) for a < d (None where chi(a) = 0).
-        L = field.order
-        e *= L // xi.field.order
-        self._xi_root = (sign, e)
-        roots = []
-        for k in chi.value_exponents():  # k of chi(a) for a < d
-            if k is None:
-                roots.append(None)
-            elif m <= 2:  # chi(a) = (-1)^k
-                roots.append((-1 if k else 1, 0))
-            else:
-                roots.append((1, (L // m) * k))
-        self._chi_roots = tuple(roots)
-        self.xi = _signed_root(field, sign, e)
+        # xi and chi(a) = zeta_m^k, a < d, as exponents of the field's zeta_M
+        M = field.period
+        self._xi_root = f * (M // xi.field.period)
+        self._chi_roots = tuple(None if k is None else M // m * k
+                                for k in chi.value_exponents())
+        self.xi = field.zeta(self._xi_root)
 
         self._bern: list[CycloNumber] | None = None
         self._psums: dict = {}
@@ -120,15 +113,13 @@ class TwistContext:
     # -- cached evaluations ---------------------------------------------------
 
     def chi_at(self, a: int) -> CycloNumber:
-        x = self._chi_roots[a % self.d]
-        return self.field.zero if x is None else _signed_root(self.field, *x)
+        f = self._chi_roots[a % self.d]
+        return self.field.zero if f is None else self.field.zeta(f)
 
     def xi_pow(self, j: int) -> CycloNumber:
-        """xi^j, read from the field's root cache by xi's (sign, exponent):
-        only the powers asked for are built."""
-        sign, e = self._xi_root
-        j %= self.xi_order
-        return _signed_root(self.field, sign if j & 1 else 1, e * j)
+        """xi^j, read from the field's root cache by xi's exponent: only the
+        powers asked for are built."""
+        return self.field.zeta(self._xi_root * j)
 
     def twist(self, c: int) -> "TwistContext":
         """The context with xi replaced by xi^c (character unchanged)."""
@@ -147,11 +138,6 @@ class TwistContext:
     def __repr__(self):
         return (f"TwistContext(d={self.d}, chi={list(self.chi.exponents)}, "
                 f"xi_order={self.xi_order})")
-
-
-def _signed_root(field, sign: int, e: int) -> CycloNumber:
-    z = field.root(e)
-    return z if sign == 1 else -z
 
 
 # -- series building blocks -----------------------------------------------
@@ -277,16 +263,10 @@ def _bpoly(ctx: TwistContext, c: int, k: int) -> RowTable:
     return table
 
 
-def _unit_root(ctx: TwistContext, c: int) -> tuple:
-    """(sign, e) with xi^(dc) = sign * zeta_L^e, 0 <= e < L, and sign -1
-    only for odd L: the key of the root in its field."""
-    sign, e = ctx._xi_root
-    dc = ctx.d * c
-    L = ctx.field.order
-    e = e * dc % L
-    if sign == 1 or dc % 2 == 0:
-        return 1, e
-    return (1, (e + L // 2) % L) if L % 2 == 0 else (-1, e)
+def _unit_root(ctx: TwistContext, c: int) -> int:
+    """f with xi^(dc) = zeta_M^f, 0 <= f < M, M the field's period: the
+    key of the root in its field, 0 where xi^(dc) = 1."""
+    return ctx._xi_root * ctx.d * c % ctx.field.period
 
 
 def _rescaled_table(ctx: TwistContext, c: int, upto: int) -> RowTable:
@@ -299,7 +279,7 @@ def _rescaled_table(ctx: TwistContext, c: int, upto: int) -> RowTable:
     lowest terms by one gcd; F is stored in the twist's context
     (``factor_table``), once per class c mod xi's order."""
     g = factor_table(ctx.twist(c), ("ratio", 1), upto)
-    v = _unit_root(ctx, c) == (1, 0)
+    v = _unit_root(ctx, c) == 0
     return _lowest(ctx.field, [(k, [x * c**k for x in row])
                                for k, row in _head(g.rows, upto + 1)],
                    g.den * c**v, upto + 1)
@@ -315,7 +295,7 @@ def _inverse_table(ctx: TwistContext, build: int) -> RowTable:
     root = _unit_root(ctx, 1)
     d = ctx.d
     g = _apostol_table(ctx.field, root, build)
-    den = g.den * (d if root == (1, 0) else 1)
+    den = g.den * (d if root == 0 else 1)
     return _lowest(ctx.field, [(k, [x * d**k for x in row])
                                for k, row in g.rows if k <= build],
                    den, build + 1)
@@ -342,40 +322,40 @@ def _ratio_table(ctx: TwistContext, build: int) -> RowTable:
     return _lowest(ctx.field, rows, den, n)
 
 
-def _apostol_table(field, root: tuple, upto: int) -> RowTable:
-    """g_u to x^upto or further, u = sign * zeta_L^e of exact order R for
-    root (sign, e): g_u = 1/(u e^x - 1), the Apostol-Bernoulli generating
-    function, and x/(e^x - 1), the Bernoulli one, at u = 1 (T. M. Apostol,
-    Pacific J. Math. 1, 1951).  The one table stored is that of zeta_R in
-    Q(zeta_R), the field itself where R = L, kept as its _apostol and
-    rebuilt to exactly x^upto when a longer one is asked for.  Since
-    u e^x - 1 = (u - 1) + u (e^x - 1), with alpha = 1/(u - 1)
-    (``inverse_root_minus_one``) it is g_0 = alpha and g_k = -(alpha + 1)
-    sum_{i=1..k} g_(k-i)/i!, one ``dot`` against rational elements per
-    coefficient; at R = 1, g_0 = 1 and g_k = -sum_{i=1..k} g_(k-i)/(i+1)!.
-    Any other root reads that table at zeta_R -> u: coordinate i of a
-    coefficient goes to sign^i zeta_L^(e*i), one ``CycloField.root_sum``
-    per coefficient, with no product or division."""
-    sign, e = root
-    L = field.order
-    R = L // math.gcd(e, L) * (2 if sign == -1 else 1)
-    own = field if R == L else cyclo_field(R)
+def _apostol_table(field, f: int, upto: int) -> RowTable:
+    """g_u to x^upto or further, u = zeta_M^f of exact order
+    R = M/gcd(f, M), M the field's period: g_u = 1/(u e^x - 1), the
+    Apostol-Bernoulli generating function, and x/(e^x - 1), the Bernoulli
+    one, at u = 1 (T. M. Apostol, Pacific J. Math. 1, 1951).  The one table
+    stored is that of zeta_R in Q(zeta_R), the field itself where R = L,
+    kept as its _apostol and rebuilt to exactly x^upto when a longer one is
+    asked for.  Since u e^x - 1 = (u - 1) + u (e^x - 1), with
+    alpha = 1/(u - 1) (``inverse_root_minus_one``) it is g_0 = alpha and
+    g_k = -(alpha + 1) sum_{i=1..k} g_(k-i)/i!, one ``dot`` against rational
+    elements per coefficient; at R = 1, g_0 = 1 and
+    g_k = -sum_{i=1..k} g_(k-i)/(i+1)!.  Any other root reads that table at
+    zeta_R -> u: coordinate i of a coefficient goes to zeta_M^(f*i), one
+    ``CycloField.root_sum`` per coefficient, with no product or division."""
+    M = field.period
+    R = M // math.gcd(f, M)
+    own = field if R == field.order else cyclo_field(R)
     g = own._apostol
     if g is None or len(g) <= upto:
         one = R == 1
         w = [own.from_rational(Fraction(1, math.factorial(i + one)))
              for i in range(1, upto + 1)]
-        alpha = own.one if one else inverse_root_minus_one(own, (1, 1))
+        alpha = own.one if one else inverse_root_minus_one(own,
+                                                           own.period // R)
         beta = -1 if one else -1 - alpha
         out = [alpha]
         for _ in range(upto):
             out.append(beta * dot(own, w, reversed(out)))
         g = own._apostol = _rows(own, out, upto + 1)
-    if own is field and root == (1, 1 % L):
+    if own is field and (f - M // R) % M == 0:  # u = zeta_L itself
         return g
+    fs = [f * i for i in range(own.degree)]
     return RowTable(field, [
-        (k, field.root_sum((e * i, -x if sign == -1 and i & 1 else x)
-                           for i, x in enumerate(row)).num)
+        (k, field.root_sum(field.root_terms(zip(fs, row))).num)
         for k, row in _head(g.rows, upto + 1)], g.den, upto + 1)
 
 
@@ -398,7 +378,7 @@ def quotient_operands(ctx: TwistContext, t_power: int, units: tuple,
     one per scale with xi^(dc) = 1, whose ratio table is t I_c."""
     keys = [("units", tuple(sorted(units)))] if units else []
     keys += [("ratio", c) for c in scales]
-    return t_power - sum(_unit_root(ctx, c) == (1, 0) for c in scales), keys
+    return t_power - sum(_unit_root(ctx, c) == 0 for c in scales), keys
 
 
 def factor_quotient(ctx: TwistContext, t_power: int, units: tuple,
@@ -419,21 +399,20 @@ def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     """The coefficients of the Bernoulli generating function
     t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}
     = sum_j S_j(d - 1) t^j/j!: t^(1-v) d^-v T(t) g(dt), g = g_lambda with
-    coefficients in Q(lambda), lambda = xi^d = sign * zeta_L^e of exact
-    order R, v = 1 iff lambda = 1.  Where ``_small_field_pays``, g is the
+    coefficients in Q(lambda), lambda = xi^d = zeta_M^f of exact order R,
+    v = 1 iff lambda = 1.  Where ``_small_field_pays``, g is the
     Apostol table of zeta_R in Q(zeta_R) (``_apostol_table``, shared by
     every field), read at zeta_R -> lambda: coefficient k is
     sum_i lambda^i U_(k,i), U_(k,i) = sum_j (g_(k-j))_i d^(k-j-v)/j! S_j a
     rational combination of the power sums at their spots (nonzero
-    coordinates), lambda^i = sign^i zeta_L^(e*i) a shift, and one ``_fold``
-    and one ``_canonical``, with no product or division in Q(zeta_L).
-    Otherwise it is the context's ("ratio", 1) table (``factor_table``),
-    the character sum's table times the same Apostol table read in
-    Q(zeta_L), times t^(1 - v)."""
-    sign, e = _unit_root(ctx, 1)
+    coordinates), lambda^i = zeta_M^(f*i) a signed shift (``root_terms``),
+    and one ``_fold`` and one ``_canonical``, with no product or division in
+    Q(zeta_L).  Otherwise it is the context's ("ratio", 1) table
+    (``factor_table``), the character sum's table times the same Apostol
+    table read in Q(zeta_L), times t^(1 - v)."""
+    f = _unit_root(ctx, 1)
     field, d = ctx.field, ctx.d
-    L = field.order
-    R = L // math.gcd(e, L) * (2 if sign == -1 else 1)
+    R = field.period // math.gcd(f, field.period)
     v = R == 1
     n = max(truncation - 1 + v, 0)
     g_field = cyclo_field(R)
@@ -443,23 +422,23 @@ def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     if not _small_field_pays(g_field.degree, len(spots), field.degree, n + 1):
         q = factor_table(ctx, ("ratio", 1), n).elements()
         return _times_t(field, q, 1 - v, truncation)
-    g = _apostol_table(g_field, (1, 1 % R), n)  # zeta_R's key
+    g = _apostol_table(g_field, g_field.period // R, n)  # zeta_R
     rows = dict(g.rows)
+    powers = field.root_terms((f * i, 1) for i in range(g_field.degree))
     q = []
     for k in range(n + 1):
         terms = [(rows[k - j], d**(k - j) * math.perm(k, k - j), sums[j])
                  for j in range(k + 1)
                  if k - j in rows and any(sums[j])]  # k!/j!
-        acc = [0] * (2 * L)
-        for i in range(g_field.degree):
+        acc = [0] * (2 * field.order)
+        for i, (s, pm) in enumerate(powers):  # lambda^i = pm * zeta_L^s
             u = None
             for row, w, S in terms:
                 if row[i]:
-                    c = -row[i] * w if sign == -1 and i & 1 else row[i] * w
+                    c = row[i] * w * pm
                     u = [c * y for y in S] if u is None else \
                         [x + c * y for x, y in zip(u, S)]
-            if u is not None:
-                s = e * i % L  # lambda^i u: u's spot m goes to x^(m + s)
+            if u is not None:  # lambda^i u: u's spot m goes to x^(m + s)
                 for m, x in zip(spots, u):
                     acc[m + s] += x
         q.append(_canonical(field, _fold(field, acc),
@@ -527,27 +506,24 @@ def bernoulli_polynomial(ctx: TwistContext, n: int, x):
 def power_sums(ctx: TwistContext, k: int, n: int) -> list:
     """[S_0(n), .., S_k(n)] (or longer), S_j(n) = sum_{a<=n} chi(a) xi^a a^j
     with 0^0 = 1, from one table per bound n in ctx._psums, grown in place.
-    A nonzero chi(a) xi^a is a root of unity sign * zeta_L^e, read off the
-    context's (sign, exponent) records once per point, so S_j(n) is the sum
-    of the integer weights sign * a^j times zeta_L^e over the points: one
-    ``CycloField.root_sum`` per power, the weights advanced by one integer
-    product per point, and no field product."""
+    A nonzero chi(a) xi^a is a root of unity zeta_M^f, f the sum of the
+    context's exponents of chi(a) and xi^a, so S_j(n) is the sum of the
+    integer weights a^j times zeta_M^f over the points.  One
+    ``CycloField.root_terms`` maps every point's term to zeta_L once, its
+    sign into the weight; then it is one ``CycloField.root_sum`` per
+    power, the weights advanced by one integer product per point, and no
+    field product."""
     if k < 0 or n < 0:
         raise ValueError("k and n must be >= 0")
     table = ctx._psums.setdefault(n, [])
     if len(table) <= k:
-        d, j = ctx.d, len(table)
-        xi_sign, xi_e = ctx._xi_root
-        exps, weights, points = [], [], []  # e, sign * a^j and a per point
-        for a in range(n + 1):
-            c = ctx._chi_roots[a % d]
-            if c is not None:
-                sign, e = c
-                if xi_sign == -1 and a & 1:
-                    sign = -sign
-                exps.append(e + a * xi_e)
-                weights.append(sign * a**j)
-                points.append(a)
+        d, j, xi_f = ctx.d, len(table), ctx._xi_root
+        chi_f = ctx._chi_roots
+        points = [a for a in range(n + 1) if chi_f[a % d] is not None]
+        terms = ctx.field.root_terms([(chi_f[a % d] + a * xi_f, a**j)
+                                      for a in points])
+        exps = [e for e, _ in terms]
+        weights = [w for _, w in terms]
         table.append(ctx.field.root_sum(zip(exps, weights)))
         while len(table) <= k:
             weights = list(map(operator.mul, weights, points))

@@ -18,7 +18,9 @@ each factor's rows packed once from _PACK_DEGREE on, until one
 ``_canonical`` per final coefficient, which also applies a rational
 constant.  A ``RowTable`` is a sequence stored in that row form,
 which ``product`` takes as it is; the caches of the exact path hold
-their tables so.  1/(u - 1) for a root of unity u is a root sum
+their tables so.  A root of unity is an exponent f of zeta_M,
+M = lcm(2, L), which ``CycloField.root_terms`` maps to zeta_L.  1/(u - 1)
+for a root of unity u is a root sum
 (``inverse_root_minus_one``), with no inverse taken: the exact path's one
 division, the Apostol table of zeta_R that each field Q(zeta_R) keeps
 (``CycloField._apostol``, built in bernoulli), starts from it.
@@ -196,19 +198,22 @@ def _poly_inverse(a: list[int], modulus: tuple[int, ...]) -> tuple[list[int], in
 class CycloField:
     """The cyclotomic field Q(zeta_L), L = order, as Q[x]/Phi_L(x).
 
-    Besides the requested roots (_roots), a field keeps at most one
-    table (_apostol): the RowTable of 1/(zeta_L e^x - 1), or x/(e^x - 1)
-    at L = 1, built lazily by bernoulli's ``_apostol_table``, which reads
-    every root u of order L of any field from it at zeta_L -> u.
+    Its roots of unity are the powers zeta_M^f, M = period = lcm(2, L),
+    since Q(zeta_L) = Q(zeta_2L) for odd L.  Besides the requested roots
+    (_roots, by f mod M), a field keeps at most one table (_apostol): the
+    RowTable of 1/(zeta_L e^x - 1), or x/(e^x - 1) at L = 1, built lazily
+    by bernoulli's ``_apostol_table``, which reads every root u of order L
+    of any field from it at zeta_L -> u.
     """
 
-    __slots__ = ("order", "modulus", "degree", "_steps", "_roots", "zero",
-                 "one", "_apostol")
+    __slots__ = ("order", "period", "modulus", "degree", "_steps", "_roots",
+                 "zero", "one", "_apostol")
 
     def __init__(self, order: int):
         if order < 1:
             raise ValueError("field order must be >= 1")
         self.order = order
+        self.period = math.lcm(2, order)
         self.modulus = cyclotomic_polynomial(order)
         self.degree = deg = len(self.modulus) - 1
         self._steps = _fold_steps(order, self.modulus)
@@ -231,13 +236,26 @@ class CycloField:
                                        for c in coeffs), den)
 
     def root(self, k: int) -> CycloNumber:
-        """zeta_L^k, the unit vector x^(k mod L) folded by ``_fold``; only
-        the requested roots are cached."""
-        e = k % self.order
-        z = self._roots.get(e)
+        """zeta_L^k = zeta_M^(kM/L)."""
+        return self.zeta(k * (self.period // self.order))
+
+    def zeta(self, f: int) -> CycloNumber:
+        """zeta_M^f, folded by ``_fold`` once and cached by f mod M."""
+        f %= self.period
+        z = self._roots.get(f)
         if z is None:
-            z = self._roots[e] = self.root_sum(((e, 1),))
+            z = self._roots[f] = self.root_sum(self.root_terms(((f, 1),)))
         return z
+
+    def root_terms(self, terms) -> list:
+        """The pairs (f, w) of sum w zeta_M^f as ``root_sum``'s pairs (e, w')
+        of zeta_L, 0 <= e < L, all at once: for odd L, zeta_M is
+        -zeta_L^((L+1)/2), the field's one basis map of roots."""
+        L = self.order
+        if L == self.period:
+            return [(f % L, w) for f, w in terms]
+        h = (L + 1) // 2
+        return [(f * h % L, -w if f & 1 else w) for f, w in terms]
 
     def root_sum(self, terms) -> CycloNumber:
         """sum w * zeta_L^e over the integer pairs (e, w) of terms: the
@@ -465,26 +483,27 @@ class CycloNumber:
 
     # -- roots of unity -----------------------------------------------------
 
-    def root_exponent(self) -> tuple[int, int]:
-        """(sign, e) with self = sign * zeta_L^e and 0 <= e < L.
+    def root_exponent(self) -> int:
+        """f with self = zeta_M^f and 0 <= f < M, M the field's period.
 
-        The sign is -1 only for odd L, where -1 is no power of zeta_L.  Found
-        by one walk over x^e mod Phi_L, each step folded by ``_fold``, that
-        caches nothing; raises if the element is not a root of unity.
+        Found by one walk over x^e mod Phi_L, each step folded by ``_fold``,
+        that caches nothing, as zeta_L^e = zeta_M^(eM/L) or its negative
+        zeta_M^(eM/L + M/2); raises if the element is not a root of unity.
         """
         if self.is_zero():
             raise ValueError("zero is not a root of unity")
-        f = self.field
+        field = self.field
+        M = field.period
         if self.den == 1:
             num = list(self.num)
-            neg = [-c for c in num] if f.order % 2 else None
-            v = list(f.one.num)
-            for e in range(f.order):
+            neg = [-c for c in num]
+            v = list(field.one.num)
+            for e in range(field.order):
                 if v == num:
-                    return 1, e
+                    return e * M // field.order
                 if v == neg:
-                    return -1, e
-                v = _fold(f, [0] + v)
+                    return (e * M // field.order + M // 2) % M
+                v = _fold(field, [0] + v)
         raise ValueError("element is not a root of unity")
 
     # -- serialization -------------------------------------------------------
@@ -603,17 +622,15 @@ def quotient(field: CycloField, a, b) -> list:
     return out
 
 
-def inverse_root_minus_one(field: CycloField, root: tuple) -> CycloNumber:
-    """1/(u - 1) for the root of unity u = sign * zeta_L^e != 1 of root
-    (sign, e), sign -1 only for odd L, with no inverse taken: u of exact
-    order m has sum_{j<m} j u^j = m/(u - 1) (L. C. Washington,
-    Introduction to Cyclotomic Fields, ch. 2), one ``root_sum`` of the
-    weights j * sign^j at the exponents e*j, times 1/m.  m is L/gcd(e, L),
-    doubled for sign -1."""
-    sign, e = root
-    m = field.order // math.gcd(e, field.order) * (2 if sign == -1 else 1)
-    return field.root_sum((e * j, -j if sign == -1 and j & 1 else j)
-                          for j in range(1, m))._scale(1, m)
+def inverse_root_minus_one(field: CycloField, f: int) -> CycloNumber:
+    """1/(u - 1) for the root of unity u = zeta_M^f != 1, M = the field's
+    period, with no inverse taken: u of exact order m = M/gcd(f, M) has
+    sum_{j<m} j u^j = m/(u - 1) (L. C. Washington, Introduction to
+    Cyclotomic Fields, ch. 2), one ``root_sum`` of the weights j at the
+    exponents f*j, times 1/m."""
+    m = field.period // math.gcd(f, field.period)
+    return field.root_sum(field.root_terms(
+        (f * j, j) for j in range(1, m)))._scale(1, m)
 
 
 class RowTable:

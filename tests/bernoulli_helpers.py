@@ -64,7 +64,7 @@ def inverse_table_at(ctx: TwistContext, c: int, build: int) -> RowTable:
     root = bernoulli._unit_root(ctx, c)
     dc = ctx.d * c
     g = bernoulli._apostol_table(ctx.field, root, build)
-    den = g.den * (dc if root == (1, 0) else 1)
+    den = g.den * (dc if root == 0 else 1)
     return _lowest(ctx.field, [(k, [x * dc**k for x in row])
                                for k, row in g.rows if k <= build],
                    den, build + 1)

@@ -43,9 +43,8 @@ def rational_value(x: CycloNumber) -> Fraction:
 
 def multiplicative_order(x: CycloNumber) -> int:
     """Exact order of x as a root of unity; raises if x is not one."""
-    sign, e = x.root_exponent()
-    r = x.field.order // math.gcd(e, x.field.order)
-    return r if sign == 1 else 2 * r
+    M = x.field.period
+    return M // math.gcd(x.root_exponent(), M)
 
 
 def moebius_cyclotomic(order: int) -> tuple:

@@ -13,8 +13,10 @@ mu = lambda/(lambda - 1), and (e^x - 1)^j/j! = sum_n S(n, j) x^n/n!
 O. Patashnik, Concrete Mathematics, section 7.4).  It takes one inverse of
 lambda - 1 and no series division.  At u = 1 the table is x/(e^x - 1),
 whose coefficient k is B_k/k!.  The oracle works in sympy polynomials mod
-``cyclotomic_poly(L)``, reading u from its key (sign, e) alone, and uses
-nothing of ``cyclo.py``; the tables are read through their coordinates.
+``cyclotomic_poly(L)``, reading u = zeta_M^f, M = lcm(2, L), from its
+key f alone as the f-th power of zeta_M = x (even L) or -x^((L+1)/2) (odd
+L), and uses nothing of ``cyclo.py``; the tables are read through their
+coordinates.
 """
 
 import math
@@ -49,13 +51,13 @@ def _bernoulli(k: int) -> Fraction:
     return Fraction(-1, 2) if k == 1 else _fraction(sympy.bernoulli(k))
 
 
-def apostol_oracle(order: int, root: tuple, top: int) -> list:
+def apostol_oracle(order: int, root: int, top: int) -> list:
     """The coordinates of coefficients 0..top of g_u over Q(zeta_order),
-    u = sign * zeta^e for root (sign, e)."""
+    u = zeta_M^f for root f, M = lcm(2, order)."""
     phi = sympy.Poly(sympy.cyclotomic_poly(order, X), X, domain="QQ")
     degree = phi.degree()
-    sign, e = root
-    lam = sympy.Poly(sign * X**e, X, domain="QQ").rem(phi)
+    zeta_m = X if order % 2 == 0 else -X**((order + 1) // 2)
+    lam = sympy.Poly(zeta_m**root, X, domain="QQ").rem(phi)
     if lam == sympy.Poly(1, X, domain="QQ"):
         return [_coordinates(sympy.Poly(_bernoulli(k) / math.factorial(k), X,
                                         domain="QQ"), degree)
@@ -79,11 +81,11 @@ def apostol_oracle(order: int, root: tuple, top: int) -> list:
     return out
 
 
-def _roots(order: int) -> list:
-    """Every key (sign, e) of a root of unity of Q(zeta_order): sign -1
-    only for odd orders, where -zeta^e is not a power of zeta."""
-    signs = (1, -1) if order % 2 else (1,)
-    return [(sign, e) for sign in signs for e in range(order)]
+def _roots(order: int) -> range:
+    """Every key f of a root of unity zeta_M^f of Q(zeta_order),
+    M = lcm(2, order): for odd orders, the odd f are the roots -zeta^e that
+    are no power of zeta."""
+    return range(math.lcm(2, order))
 
 
 @pytest.mark.parametrize("order", [3, 4, 5, 7, 8, 9, 12])
@@ -98,9 +100,9 @@ def test_every_root_table_is_its_apostol_bernoulli_numbers(order):
 
 
 def test_the_oracle_is_minus_one_over_e_to_the_x_plus_one_at_minus_one():
-    # u = -1 (order 4, e = 2): g_u = -1/(e^x + 1) = -1/2 + x/4 - x^3/48 +
+    # u = -1 (order 4, f = 2): g_u = -1/(e^x + 1) = -1/2 + x/4 - x^3/48 +
     # x^5/480 - ..., a classical expansion written out by hand
     want = [Fraction(-1, 2), Fraction(1, 4), 0, Fraction(-1, 48), 0,
             Fraction(1, 480)]
-    assert [row[0] for row in apostol_oracle(4, (1, 2), 5)] == want
-    assert all(row[1] == 0 for row in apostol_oracle(4, (1, 2), 5))
+    assert [row[0] for row in apostol_oracle(4, 2, 5)] == want
+    assert all(row[1] == 0 for row in apostol_oracle(4, 2, 5))

@@ -1,11 +1,12 @@
 """Oracles for the Apostol tables, ``bernoulli._apostol_table``.
 
-The table of a root of unity u = sign * zeta_L^e is g_u = 1/(u e^x - 1),
+The table of a root of unity u = zeta_M^f, M = lcm(2, L), is
+g_u = 1/(u e^x - 1),
 or x/(e^x - 1) at u = 1.  The unit u e^x - 1 is built here directly, its
 elements u - 1 and u/i!, with no recurrence, and multiplied by
 ``cyclo.product``: the table times the unit must be 1, or x at u = 1.  The
-roots cover every (sign, e) of the small fields, sign -1 at odd L
-included, and of two wide fields of the wide-field benchmark, so every
+roots cover every exponent f of the small fields, the odd f of odd L
+(roots that are no power of zeta_L) included, and of two wide fields of the wide-field benchmark, so every
 table is read both as the field's own table of zeta_L and re-mapped from
 the table of zeta_R of a smaller field; each field keeps at most one table,
 its own.  ``inverse_root_minus_one``, 1/(u - 1) from a root sum, is
@@ -30,25 +31,19 @@ N = 6
 
 
 def _roots(L):
-    """Every key (sign, e) of a root of unity of Q(zeta_L): sign -1 only
-    for odd L, where -1 is no power of zeta_L."""
-    return [(sign, e) for sign in ((1, -1) if L % 2 else (1,))
-            for e in range(L)]
-
-
-def _root(field, sign, e):
-    z = field.root(e)
-    return z if sign == 1 else -z
+    """Every key f of a root of unity zeta_M^f of Q(zeta_L), M = lcm(2, L):
+    for odd L, the odd f are the roots that are no power of zeta_L."""
+    return range(math.lcm(2, L))
 
 
 def _check(field, root):
     table = _apostol_table(field, root, N)
     assert len(table) >= N + 1
-    u = _root(field, *root)
+    u = field.zeta(root)
     unit = [u - 1] + [u * Fraction(1, math.factorial(i))
                       for i in range(1, N + 2)]
     g = list(table.elements()[:N + 1])
-    if root == (1, 0):   # g * unit == x: unit_0 = 0 leaves g_N unread
+    if root == 0:   # g * unit == x: unit_0 = 0 leaves g_N unread
         assert product(field, [g + [field.zero], unit], N + 2)[:N + 1] == \
             [field.zero, field.one] + [field.zero] * (N - 1), root
     else:
@@ -77,13 +72,13 @@ def test_every_table_of_a_wide_field_times_its_unit_is_one(L):
 
 
 def test_a_longer_table_is_rebuilt_to_exactly_the_length_asked():
-    field = CycloField(5)
-    short = _apostol_table(field, (1, 1), 3)
+    field = CycloField(5)   # zeta_5 = zeta_10^2
+    short = _apostol_table(field, 2, 3)
     assert field._apostol is short and len(short) == 4
-    assert _apostol_table(field, (1, 2), 2).elements()[:3] == \
-        _apostol_table(field, (1, 2), 3).elements()[:3]
+    assert _apostol_table(field, 4, 2).elements()[:3] == \
+        _apostol_table(field, 4, 3).elements()[:3]
     assert field._apostol is short
-    longer = _apostol_table(field, (1, 1), 5)
+    longer = _apostol_table(field, 2, 5)
     assert field._apostol is longer and len(longer) == 6
     assert longer.elements()[:4] == short.elements()
 
@@ -92,11 +87,11 @@ def test_the_root_sum_inverse_is_the_field_inverse():
     seen = set()
     for L in range(1, 61):
         field = cyclo_field(L)
-        for sign, e in _roots(L):
-            if (sign, e) == (1, 0):
+        for f in _roots(L):
+            if f == 0:
                 continue
-            u = _root(field, sign, e)
-            assert inverse_root_minus_one(field, (sign, e)) == \
-                (u - 1).inverse(), (L, sign, e)
-            seen.add(sign)
-    assert seen == {1, -1}
+            u = field.zeta(f)
+            assert inverse_root_minus_one(field, f) == \
+                (u - 1).inverse(), (L, f)
+            seen.add(L % 2 == 1 and f % 2 == 1)   # u no power of zeta_L
+    assert seen == {False, True}

@@ -239,7 +239,7 @@ def test_twist_shares_field_and_caches():
 
 def test_a_context_builds_only_the_powers_of_xi_asked_for():
     # xi of order 2003 in a field no other test uses: a context keeps xi
-    # as (sign, exponent) and reads each power from the field's root cache
+    # as its exponent of zeta_M and reads each power from the root cache
     # when asked, so it leaves xi's root alone there, not all 2003 powers
     field = CycloField(2003)
     ctx = TwistContext(character(1, 0), field.root(1))
@@ -272,7 +272,7 @@ def test_context_walks_the_root_of_xi_once(monkeypatch):
     calls.clear()
     assert ctx.twist(3).xi_order == 4
     assert len(calls) == 1
-    # -zeta_3 and -1 in Q(zeta_3) have sign -1: the order doubles
+    # -zeta_3 and -1 in Q(zeta_3) are odd powers of zeta_6: even orders
     f = cyclo_field(3)
     for xi, order in ((-f.root(1), 6), (-f.one, 2), (f.root(2), 3),
                       (f.one, 1)):

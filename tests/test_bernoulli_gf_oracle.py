@@ -2,7 +2,7 @@
 
 In the small field Q(zeta_R) of the root lambda = xi^d, of order R,
 bernoulli_gf reads the Apostol table of zeta_R and maps zeta_R -> lambda =
-sign * zeta_L^e by shifts of the power sums' combinations; in Q(zeta_L)
+zeta_M^f, M = lcm(2, L), by shifts of the power sums' combinations; in Q(zeta_L)
 itself it multiplies the character sum's table by the same Apostol table,
 re-mapped there to lambda, as the context's ("ratio", 1) table.  Both
 routes read one table, so they check each other's combining, not the
@@ -14,7 +14,8 @@ with bernoulli_gf itself, on every request of perfbench's
 the series benchmark to t^12, at d = 1 to t^20 and t^30 with xi of order
 49 and 81, where every power sum but S_0 is zero and the small field's
 combine skips them, and on negated roots xi = -zeta_L^k of odd fields,
-where lambda keeps the sign -1 and odd powers lambda^i carry it.
+where lambda can be an odd power of zeta_2L, no power of zeta_L, whose odd
+powers lambda^i carry the sign of zeta_2L = -zeta_L^((L+1)/2).
 The sweep over every d <= 15, character, xi order <= 15 and coprime
 exponent is marked slow.
 """
@@ -43,17 +44,18 @@ SIGNED_CHARACTERS = [(1, 0), (3, 1), (4, 1), (5, 1), (7, 2)]
 
 
 def _agree(make, truncations):
-    """Both routes on fresh contexts from make(); returns the (sign, R) of
-    the root lambda = xi^d."""
+    """Both routes on fresh contexts from make(); returns (negated, R) of
+    the root lambda = xi^d = zeta_M^f, R its order and negated whether it
+    is no power of zeta_L (odd f at odd L)."""
     for truncation in truncations:
         ctx = make()
         want = bernoulli_gf_by_division(make(), truncation)
         assert bernoulli_gf_in_small_field(ctx, truncation) == want, \
             (ctx, truncation)
         assert bernoulli_gf(make(), truncation) == want
-    sign, e = _unit_root(ctx, 1)
-    L = ctx.field.order
-    return sign, L // math.gcd(e, L) * (2 if sign == -1 else 1)
+    f = _unit_root(ctx, 1)
+    M = ctx.field.period
+    return f % (M // ctx.field.order) != 0, M // math.gcd(f, M)
 
 
 @pytest.mark.parametrize("L,d,char,order,n", bernoulli_pool())
@@ -74,8 +76,8 @@ def test_the_series_contexts_agree_to_t12():
 @pytest.mark.parametrize("order,n", [(49, 20), (49, 30), (81, 20)])
 def test_long_series_at_d_1_agree(order, n):
     # S_j(0) = 0 for j >= 1: one power sum enters each coefficient
-    sign, R = _agree(lambda: TwistContext.from_orders(1, 0, order), (n,))
-    assert (sign, R) == (1, order)
+    negated, R = _agree(lambda: TwistContext.from_orders(1, 0, order), (n,))
+    assert (negated, R) == (False, order)
 
 
 def test_negated_roots_of_odd_fields_agree():
@@ -86,9 +88,10 @@ def test_negated_roots_of_odd_fields_agree():
             for d, char in SIGNED_CHARACTERS:
                 seen.add(_agree(lambda: TwistContext(character(d, char), xi),
                                 (0, 1, 6)))
-    # lambda = -zeta_L^e of even order R keeps its sign -1 in an odd field
-    assert (-1, 2) in seen and (-1, 42) in seen
-    assert {R for sign, R in seen if sign == -1} == {
+    # lambda = -zeta_L^e of even order R is no power of zeta_L in an odd
+    # field
+    assert (True, 2) in seen and (True, 42) in seen
+    assert {R for negated, R in seen if negated} == {
         2, 6, 10, 14, 18, 30, 42}
 
 

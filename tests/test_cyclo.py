@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from twistbern.cyclo import (cyclo_field, cyclotomic_polynomial, divisors,
-                             euler_phi)
+from twistbern.cyclo import (CycloField, cyclo_field, cyclotomic_polynomial,
+                             divisors, euler_phi)
 from twistbern.sympoly import SymPoly
 
 from cyclo_helpers import (embed_into, from_json_dict, moebius_cyclotomic,
@@ -174,6 +175,33 @@ def test_multiplicative_order_errors():
         multiplicative_order(f.one * 2)
     # -zeta_3 has order 6 inside Q(zeta_3)
     assert multiplicative_order(-f.root(1)) == 6
+
+
+@pytest.mark.parametrize("L", (1, 2, 3, 4, 5, 9, 12, 15, 105))
+def test_every_root_is_one_exponent_of_zeta_m(L):
+    # the roots of unity of Q(zeta_L) are the powers zeta_M^f, M = lcm(2, L)
+    # (for odd L, -1 is no power of zeta_L): each f < M gives a distinct
+    # root that reads back f, the map turns sums of exponents into
+    # products, M/2 is -1 and M/L is zeta_L, the unit vector x folded
+    f = CycloField(L)   # fresh: no root cached
+    M = f.period
+    assert M == math.lcm(2, L)
+    roots = [f.zeta(k) for k in range(M)]
+    assert len(set(roots)) == M
+    for k, z in enumerate(roots):
+        assert z.root_exponent() == k
+        assert z * roots[1] == roots[(k + 1) % M] == f.zeta(k + 1 - M)
+        assert z * z == roots[2 * k % M]
+    if M <= 30:
+        for j, y in enumerate(roots):
+            for k, z in enumerate(roots):
+                assert y * z == roots[(j + k) % M], (j, k)
+    assert roots[M // 2] == -1
+    assert roots[M // L % M] == f.root(1) == f.root_sum([(1, 1)])
+    # one map of a whole list of terms is the sum of its roots
+    terms = [(k * 7, k - 3) for k in range(M + 2)]
+    assert f.root_sum(f.root_terms(terms)) == \
+        sum((w * f.zeta(k) for k, w in terms), f.zero)
 
 
 def test_equal_values_hash_equal():

@@ -291,9 +291,8 @@ def test_an_inverse_table_times_its_unit_is_one(d, char, order):
         assert _times(unit, inverse) == one
 
 
-# xi = -zeta_3 in Q(zeta_3) and, with a character of order 4, in Q(zeta_12),
-# where its root is kept as (-1, e) of an even field: the sign is folded
-# into the exponent there, and kept for the odd field
+# xi = -zeta_3 in Q(zeta_3), the odd power zeta_6^5, and, with a character
+# of order 4, in Q(zeta_12), where it is zeta_12^10, as zeta_12^10 itself
 SIGNED = [(character(3, 1), -cyclo_field(3).root(1)),
           (character(5, 1), -cyclo_field(3).root(1)),
           (character(5, 1), cyclo_field(12).root(10))]
@@ -331,12 +330,12 @@ def test_an_inverse_table_is_the_quotient_of_one_by_its_unit(ctx):
 
 def test_signed_roots_of_one_field_share_their_key():
     a, b = (TwistContext(*pair) for pair in SIGNED[1:])
-    assert a.field is b.field and a._xi_root != b._xi_root
+    assert a.field is b.field and a._xi_root == b._xi_root == 10
     assert a.xi == b.xi
     for c in range(1, 13):
         assert bernoulli._unit_root(a, c) == bernoulli._unit_root(b, c)
     odd = TwistContext(*SIGNED[0])
-    assert [bernoulli._unit_root(odd, c) for c in (1, 2)] == [(-1, 0), (1, 0)]
+    assert [bernoulli._unit_root(odd, c) for c in (1, 2)] == [3, 0]
 
 
 def test_every_root_of_one_order_shares_one_inverse_table(monkeypatch):

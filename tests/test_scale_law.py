@@ -9,7 +9,8 @@ denominator, with the same table built at its own c with no twist
 (``bernoulli_helpers.ratio_table_at``), for
 c = 1..12 at every length 0..10 asked in rising order: on the 36 contexts of
 the series benchmark (every character mod 1, 3, 4 and 5, xi of order 1 to
-4) and on odd fields whose xi is a root of sign -1.
+4) and on odd fields L whose xi is no power of zeta_L: -zeta_L^e, an odd
+power of zeta_2L.
 """
 
 import pytest
@@ -25,7 +26,7 @@ SERIES = [TwistContext.from_orders(d, char, order)
           for d in (1, 3, 4, 5)
           for char in range(len(enumerate_characters(d)))
           for order in (1, 2, 3, 4)]
-# xi = -zeta_L^e in an odd field L, kept as the root (-1, e)
+# xi = -zeta_L^e in an odd field L, kept as the odd exponent of zeta_2L
 SIGNED = [TwistContext(character(1, 0), -cyclo_field(3).root(1)),
           TwistContext(character(3, 1), -cyclo_field(3).root(2)),
           TwistContext(character(1, 0), -cyclo_field(5).root(2)),
@@ -66,8 +67,8 @@ def test_the_grid_meets_every_class_of_scale():
             r = c % ctx.xi_order
             seen.add(("0" if r == 0 else "1" if r == 1 % ctx.xi_order
                       and c != 1 else "other",
-                      bernoulli._unit_root(ctx, c) == (1, 0)))
+                      bernoulli._unit_root(ctx, c) == 0))
     assert seen >= {("0", True), ("1", False), ("1", True),
                     ("other", False), ("other", True)}
     for ctx in SIGNED:
-        assert ctx.field.order % 2 and ctx._xi_root[0] == -1
+        assert ctx.field.order % 2 and ctx._xi_root % 2

@@ -27,7 +27,7 @@ CONTEXTS = ([TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
              for char in range(len(enumerate_characters(d)))
              for order in (1, 2, 3, 4, 6)]
             + [TwistContext.from_orders(7, 1, 7),     # Q(zeta_42), degree 12
-               # xi = -zeta_3, kept with its sign in the odd field
+               # xi = -zeta_3, an odd power of zeta_6, in the odd field
                TwistContext(character(3, 1), -cyclo_field(3).root(1)),
                TwistContext(character(5, 1), -cyclo_field(3).root(1))])
 IDS = [repr(ctx) for ctx in CONTEXTS]

@@ -135,16 +135,16 @@ if counting:
         # R = L: a call that leaves it in place runs no recurrence, and a
         # call for any root but zeta_L of the field itself re-maps it
         def counted(field, root, upto):
-            sign, e = root
-            L = field.order
-            R = L // math.gcd(e, L) * (2 if sign == -1 else 1)
-            own = field if R == L else cyclo.cyclo_field(R)
+            # root is f of the root zeta_M^f, M = lcm(2, L), of order R
+            M = field.period
+            R = M // math.gcd(root, M)
+            own = field if R == field.order else cyclo.cyclo_field(R)
             before = own._apostol
             table = exact(field, root, upto)
             if own._apostol is not before:
                 counts["recurrence"] += 1
                 built("root", own._apostol)
-            counts["remap"] += own is not field or root != (1, 1 % L)
+            counts["remap"] += own is not field or (root - M // R) % M != 0
             return table
         return counted
     install(bernoulli, "_apostol_table", root_tables)
