@@ -6,31 +6,26 @@ are the EGF coefficients of
 
     t * sum_{a<d} chi(a) xi^a e^{at} / (xi^d e^{dt} - 1),
 
-built by ``bernoulli_gf``.  Each root of unity is an exponent f of zeta_M,
-M = lcm(2, L), of order M/gcd(f, M).  The denominator's inverse is
-g_lambda(dt), lambda = xi^d of exact order R, whose coefficients lie in
-Q(lambda): the Apostol table of zeta_R in the small field Q(zeta_R), built
-once per R.
-Where measured cost favours it, that table is read at zeta_R -> lambda and
-the request's own field only adds up shifted rational combinations of the
-power sums, with no product and no division there; otherwise the GF is the
-context's ratio table of c = 1, below.  Every other quotient in the
-package is, as in the paper, a prefactor, a power of t, numerator units
-and one p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c where
+read by ``bernoulli_gf``.  Each root of unity is an exponent f of zeta_M,
+M = lcm(2, L), of order M/gcd(f, M).  Every quotient in the package is,
+as in the paper, a prefactor, a power of t, numerator units and one
+p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c where
 xi^(dc) = 1) per scale c: factor_quotient builds it as one
 ``cyclo.product`` of stored ``cyclo.RowTable``s, one table of the units in
-closed form and one ratio table per scale, the character sum over its
-unit.  The ratio of scale 1 multiplies the sum by the unit's inverse
-g_u(dt) (times t where u = 1), g_u(x) = 1/(u e^x - 1) the
-Apostol-Bernoulli generating function of the root u = xi^d.  The package's
-one division builds one such table per root order R, that of zeta_R, kept
-by Q(zeta_R); a root u of order R in any field reads it at zeta_R -> u, and
-each context scales it by powers of d.  Rescaling t by c is replacing xi
-by xi^c, so the ratio table of a scale c != 1 is built once per twist: the
-scale-1 table of the twist xi^c, one per class c mod xi's order and kept
-in the twist's context, read at t -> ct.  Every such table is built to
-exactly the length asked, and rebuilt, never doubled, when a longer one is
-asked for.  A consequence pinned by the tests: B_0 = 0 whenever xi^d != 1.
+closed form and one ratio table per scale.  The integral of scale 1,
+d^-v T(t) g_lambda(dt) (T the character sum, lambda = xi^d, v = 1 iff
+lambda = 1, g_u(x) = 1/(u e^x - 1) the Apostol-Bernoulli generating
+function), is the package's one division: one table per twist, built by
+``_ratio_table`` by one of two routes, in the small field Q(zeta_R), R the
+order of lambda, or in Q(zeta_L).  It has three readers: bernoulli_gf is
+t^(1-v) times it; since rescaling t by c is replacing xi by xi^c, the
+ratio table of a scale c != 1 is the table of the twist xi^c (one per
+class c mod xi's order, kept in the twist's context) read at t -> ct; and
+a row's Bernoulli seed [c^j B_j/j!] is c t^(1-v) times that ratio.  Each
+g_u reads the one table of its order R, that of zeta_R, kept by
+Q(zeta_R).  Every such table is built to exactly the length asked, and
+rebuilt, never doubled, when a longer one is asked for.  A consequence
+pinned by the tests: B_0 = 0 whenever xi^d != 1.
 """
 
 from __future__ import annotations
@@ -50,21 +45,21 @@ class TwistContext:
     """Character chi mod d and twist root xi in their common field; no prime.
 
     Values are immutable; per-context caches are filled lazily and are safe
-    for concurrent reads once built: the Bernoulli table (_bern), the
+    for concurrent reads once built: the Bernoulli numbers (_bern), the
     power-sum tables per bound (_psums), the twisted contexts (_twists),
     the factor tables of factor_table (_factors), which quotients and
     symmetry's rows read, among them one units table per multiset of
     numerator units, one ratio table per scale, and the sum and shift
     tables of the rows' pieces, and the Bernoulli seed of _bpoly per twist
     exponent (_bpoly_cache); the tables of _factors and _bpoly_cache are
-    RowTables, each stored in that one form.  A ratio table of scale c != 1
-    is read at t -> ct off the scale-1 table of the twist xi^c, built once
-    per twist and kept in that twist's _factors.  The inverse a scale-1
-    ratio multiplies by reads the one Apostol table of its root's order R
-    (``_apostol_table``), kept by Q(zeta_R) and shared by every context of
-    every field.  xi and each chi(a) are kept as exponents of zeta_M
-    (_xi_root, _chi_roots), and no power of xi is stored: xi_pow reads it
-    from the field's root cache, which holds only the roots asked for.
+    RowTables, each stored in that one form.  The ("ratio", 1) table is
+    the context's one scale-1 table: _bern reads it, and so do the ratio
+    tables (at t -> ct) and seeds of every scale c whose twist xi^c this
+    context is.  The Apostol tables it reads are kept by Q(zeta_R), one
+    per root order R, and shared by every context of every field.  xi and
+    each chi(a) are kept as exponents of zeta_M (_xi_root, _chi_roots),
+    and no power of xi is stored: xi_pow reads it from the field's root
+    cache, which holds only the roots asked for.
     """
 
     __slots__ = ("chi", "xi", "d", "xi_order", "field",
@@ -216,8 +211,9 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     a default sigma, then bound, dropped from its key.  It is built to
     exactly t^upto, and a longer one than cached is rebuilt to exactly
     t^upto: no table is built past the longest length asked for.  And
-    ("bern", c) is ``_bpoly``'s seed of the twist xi^c, kept apart.  Any
-    other key raises ValueError."""
+    ("bern", c) is ``_bpoly``'s seed of the twist xi^c, c t^(1-v) times
+    ("ratio", c), kept in ctx._bpoly_cache.  Any other key raises
+    ValueError."""
     if key[0] == "bern":
         return _bpoly(ctx, key[1], upto)
     if key[3:] == (key[1],):
@@ -248,18 +244,18 @@ def _build(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
 def _bpoly(ctx: TwistContext, c: int, k: int) -> RowTable:
     """The seed [c^j B_j / j!] to j = k or further, of a B piece of twist
     exponent c, B_j the Bernoulli numbers of xi^c: one RowTable per c in
-    ctx._bpoly_cache, rebuilt at the length of the twist's _bern_values
-    when a longer one is asked for.  Over den = lcm(dens of B_j) * n!, n
-    the top index, row j is B_j's numerators times c^j den/(den_j j!),
-    brought to lowest terms by one gcd."""
+    ctx._bpoly_cache, rebuilt to exactly j = k when a longer one is asked
+    for.  It is c t^(1-v) times the ("ratio", c) table (``factor_table``),
+    v = 1 iff xi^(dc) = 1, whose coefficient i is c^(i-v) B_(i+1-v)/(i+1-v)!
+    of the twist: row j is c times that table's row j - 1 + v, over its
+    denominator, brought to lowest terms by one gcd."""
     table = ctx._bpoly_cache.get(c)
     if table is None or len(table) <= k:
-        bern = _bern_values(ctx.twist(c), k)
-        n = len(bern) - 1
-        den = math.lcm(*(b.den for b in bern)) * math.factorial(n)
+        s = _unit_root(ctx, c) != 0  # 1 - v
+        g = factor_table(ctx, ("ratio", c), max(k - s, 0))
         table = ctx._bpoly_cache[c] = _lowest(ctx.field, [
-            (j, [x * c**j * (den // (b.den * math.factorial(j)))
-                 for x in b.num]) for j, b in enumerate(bern)], den, n + 1)
+            (j + s, [x * c for x in row])
+            for j, row in _head(g.rows, k + 1 - s)], g.den, k + 1)
     return table
 
 
@@ -286,9 +282,9 @@ def _rescaled_table(ctx: TwistContext, c: int, upto: int) -> RowTable:
 
 
 def _inverse_table(ctx: TwistContext, build: int) -> RowTable:
-    """The inverse of the unit of scale 1 to t^build, which _ratio_table
-    multiplies its sum by: 1/(u e^x - 1) at x = dt, u = xi^d, or t times
-    it where u = 1.  With g_u the field's table of the root u
+    """The inverse of the unit of scale 1 to t^build, which _ratio_table's
+    row product multiplies its sum by: 1/(u e^x - 1) at x = dt, u = xi^d,
+    or t times it where u = 1.  With g_u the field's table of the root u
     (``_apostol_table``), coefficient k is g_u's times d^(k - v), v = 1
     iff u = 1; the rows are scaled and brought to lowest terms by one
     gcd."""
@@ -302,24 +298,55 @@ def _inverse_table(ctx: TwistContext, build: int) -> RowTable:
 
 
 def _ratio_table(ctx: TwistContext, build: int) -> RowTable:
-    """("ratio", 1) to t^build: sum_{a<d} chi(a) xi^a e^(at) over the unit
-    xi^d e^(dt) - 1, times t where xi^d = 1.  That is the p-adic integral
-    of chi(x) xi^x e^(xt) over t, or over 1 where xi^d = 1, so coefficient
-    k is B_(k+1)/(k+1)!, or B_k/k!.  One ``_row_times`` of the ("sum", 1)
-    table and the unit's inverse (``_inverse_table``) builds it, brought to
-    lowest terms by one gcd.  The sum is read from ctx._factors where it is
-    stored long enough, and built without being stored where not; the
-    inverse is built and not stored, since only a ratio that grows would
-    read it again.  Every other c reads this table of its twist xi^c
-    (``_rescaled_table``), so a context's ratios build one table per class
-    c mod xi's order."""
-    n = build + 1
-    sums = ctx._factors.get(("sum", 1))
-    if sums is None or len(sums) < n:
-        sums = _build(ctx, ("sum", 1), build)
-    rows, den = _row_times(ctx.field, _head(sums.rows, n), sums.den,
-                           _inverse_table(ctx, build), n)
-    return _lowest(ctx.field, rows, den, n)
+    """("ratio", 1) to t^build, the p-adic integral of chi(x) xi^x e^(xt)
+    over t, or over 1 where xi^d = 1: d^-v T(t) g(dt), T = sum_j S_j t^j/j!
+    the character sum, g the Apostol table of lambda = xi^d = zeta_M^f of
+    order R, v = 1 iff lambda = 1, so coefficient k is B_(k+1)/(k+1)!, or
+    B_k/k!.  Built once per twist, by whichever route ``_small_field_pays``
+    rates cheaper, and read by bernoulli_gf, ``_rescaled_table`` and
+    ``_bpoly``.  In Q(zeta_R), g's table of zeta_R is read at
+    zeta_R -> lambda: over g.den build! d^v, row k is the fold of
+    sum_i lambda^i sum_j (g_(k-j))_i d^(k-j) build!/j! S_j, the power sums
+    read at their spots (nonzero coordinates) and lambda^i a signed shift
+    (``root_terms``).  In Q(zeta_L), it is one ``_row_times`` of the
+    ("sum", 1) table, read where stored long enough and otherwise built
+    unstored, and the unit's inverse (``_inverse_table``), built unstored.
+    Either route ends in one ``_lowest``, so both give one table."""
+    field, d, n = ctx.field, ctx.d, build + 1
+    f = _unit_root(ctx, 1)
+    R = field.period // math.gcd(f, field.period)
+    small = cyclo_field(R)
+    sums = [S.num for S in power_sums(ctx, build, d - 1)[:n]]
+    spots = [m for m, column in enumerate(zip(*sums)) if any(column)]
+    if not _small_field_pays(small.degree, len(spots), field.degree, n):
+        table = ctx._factors.get(("sum", 1))
+        if table is None or len(table) < n:
+            table = _build(ctx, ("sum", 1), build)
+        rows, den = _row_times(field, _head(table.rows, n), table.den,
+                               _inverse_table(ctx, build), n)
+        return _lowest(field, rows, den, n)
+    g = _apostol_table(small, small.period // R, build)  # zeta_R
+    g_rows = dict(g.rows)
+    sums = [[S[m] for m in spots] for S in sums]
+    weights = _weights(1, 1, build)  # build!/j!
+    powers = field.root_terms((f * i, 1) for i in range(small.degree))
+    rows = []
+    for k in range(n):
+        terms = [(g_rows[k - j], d**(k - j) * weights[j], sums[j])
+                 for j in range(k + 1) if k - j in g_rows and any(sums[j])]
+        acc = [0] * (2 * field.order)
+        for i, (s, pm) in enumerate(powers):  # lambda^i = pm * zeta_L^s
+            u = None
+            for row, w, S in terms:
+                if row[i]:
+                    c = row[i] * w * pm
+                    u = [c * y for y in S] if u is None else \
+                        [x + c * y for x, y in zip(u, S)]
+            if u is not None:  # lambda^i u: u's spot m goes to x^(m + s)
+                for m, x in zip(spots, u):
+                    acc[m + s] += x
+        rows.append((k, _fold(field, acc)))
+    return _lowest(field, rows, g.den * weights[0] * d**(R == 1), n)
 
 
 def _apostol_table(field, f: int, upto: int) -> RowTable:
@@ -397,62 +424,21 @@ def factor_quotient(ctx: TwistContext, t_power: int, units: tuple,
 
 def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     """The coefficients of the Bernoulli generating function
-    t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}
-    = sum_j S_j(d - 1) t^j/j!: t^(1-v) d^-v T(t) g(dt), g = g_lambda with
-    coefficients in Q(lambda), lambda = xi^d = zeta_M^f of exact order R,
-    v = 1 iff lambda = 1.  Where ``_small_field_pays``, g is the
-    Apostol table of zeta_R in Q(zeta_R) (``_apostol_table``, shared by
-    every field), read at zeta_R -> lambda: coefficient k is
-    sum_i lambda^i U_(k,i), U_(k,i) = sum_j (g_(k-j))_i d^(k-j-v)/j! S_j a
-    rational combination of the power sums at their spots (nonzero
-    coordinates), lambda^i = zeta_M^(f*i) a signed shift (``root_terms``),
-    and one ``_fold`` and one ``_canonical``, with no product or division in
-    Q(zeta_L).  Otherwise it is the context's ("ratio", 1) table
-    (``factor_table``), the character sum's table times the same Apostol
-    table read in Q(zeta_L), times t^(1 - v)."""
-    f = _unit_root(ctx, 1)
-    field, d = ctx.field, ctx.d
-    R = field.period // math.gcd(f, field.period)
-    v = R == 1
-    n = max(truncation - 1 + v, 0)
-    g_field = cyclo_field(R)
-    sums = [S.num for S in power_sums(ctx, n, d - 1)]
-    spots = [m for m in range(field.degree) if any(S[m] for S in sums)]
-    sums = [[S[m] for m in spots] for S in sums]
-    if not _small_field_pays(g_field.degree, len(spots), field.degree, n + 1):
-        q = factor_table(ctx, ("ratio", 1), n).elements()
-        return _times_t(field, q, 1 - v, truncation)
-    g = _apostol_table(g_field, g_field.period // R, n)  # zeta_R
-    rows = dict(g.rows)
-    powers = field.root_terms((f * i, 1) for i in range(g_field.degree))
-    q = []
-    for k in range(n + 1):
-        terms = [(rows[k - j], d**(k - j) * math.perm(k, k - j), sums[j])
-                 for j in range(k + 1)
-                 if k - j in rows and any(sums[j])]  # k!/j!
-        acc = [0] * (2 * field.order)
-        for i, (s, pm) in enumerate(powers):  # lambda^i = pm * zeta_L^s
-            u = None
-            for row, w, S in terms:
-                if row[i]:
-                    c = row[i] * w * pm
-                    u = [c * y for y in S] if u is None else \
-                        [x + c * y for x, y in zip(u, S)]
-            if u is not None:  # lambda^i u: u's spot m goes to x^(m + s)
-                for m, x in zip(spots, u):
-                    acc[m + s] += x
-        q.append(_canonical(field, _fold(field, acc),
-                            g.den * math.factorial(k) * d**v))
-    return _times_t(field, q, 1 - v, truncation)
+    t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}:
+    t^(1-v) times the context's ("ratio", 1) table (``factor_table``,
+    built by ``_ratio_table``), v = 1 iff xi^d = 1."""
+    v = _unit_root(ctx, 1) == 0
+    q = factor_table(ctx, ("ratio", 1), max(truncation - 1 + v, 0))
+    return _times_t(ctx.field, q.elements(), 1 - v, truncation)
 
 
 def _small_field_pays(deg_r: int, spots: int, deg_l: int, n: int) -> bool:
-    """Whether bernoulli_gf's route in Q(zeta_R), deg_r its degree, is the
-    cheaper for n coefficients, by costs measured in units of about 80 ns
-    (CPython 3.11; d <= 61, xi order <= 121, n <= 21): n^2 deg_r (spots + 6)
-    against n^2 (3 deg_l + deg_l^2/8) + 50 n for the ratio table in
-    Q(zeta_L), whose row product multiplies about n^2/2 pairs of rows."""
-    return n * deg_r * (spots + 6) <= n * (3 * deg_l + deg_l**2 // 8) + 50
+    """Whether _ratio_table's route in Q(zeta_R), deg_r its degree, is the
+    cheaper for n coefficients: n^2 deg_r (spots + 32) against
+    n^2 (4 deg_l + deg_l^2/12) + 200 n for the row product in Q(zeta_L).
+    Fitted to both routes' timed builds (CPython 3.11) of the series
+    contexts' twists and of d <= 61, xi order <= 121, up to t^20."""
+    return n * deg_r * (spots + 32) <= n * (4 * deg_l + deg_l**2 // 12) + 200
 
 
 class BernoulliTable:

@@ -69,7 +69,7 @@ class TheoremReport(Verdict):
 
     def to_json_dict(self) -> dict:
         out = {"theorem": self.theorem, "params": self.params,
-                               "verdict": self.verdict, "detail": self.detail}
+               "verdict": self.verdict, "detail": self.detail}
         if self.notes:
             out["notes"] = self.notes
         return out

@@ -1,15 +1,16 @@
 """Test-only constructions of twisted Bernoulli numbers and polynomials,
 kept out of the package because nothing in it needs them: they are
 independent routes that the tests compare the package's own against,
-bernoulli_gf with each of its two routes forced, and the ratio table of
-one scale c, and the inverse it multiplies by, built at that c, without
-the twist xi^c."""
+the readers of the one scale-1 table per twist (bernoulli_gf, a ratio
+table of any scale and a Bernoulli seed) with each of _ratio_table's two
+routes forced on a fresh context, and the ratio table of one scale c, and
+the inverse it multiplies by, built at that c, without the twist xi^c."""
 
 from fractions import Fraction
 
 from twistbern import bernoulli
 from twistbern.bernoulli import (TwistContext, bernoulli_gf, bernoulli_numbers,
-                                 char_sum_series)
+                                 char_sum_series, factor_table)
 from twistbern.characters import character
 from twistbern.cyclo import CycloNumber, RowTable, _lowest, _row_times
 from twistbern.series import PowerSeries
@@ -29,30 +30,64 @@ def bernoulli_polynomial_gf(ctx: TwistContext, n: int, x):
     return (PowerSeries(bernoulli_gf(ctx, n)) * ex).egf(n)
 
 
-def _routed(ctx: TwistContext, truncation: int, small: bool) -> tuple:
-    # bernoulli_gf with its route forced, whatever its cost rule says
-    pays = bernoulli._small_field_pays
-    bernoulli._small_field_pays = lambda *args: small
+def _routed(ctx: TwistContext, small: bool, read):
+    """read(fresh), fresh a new context of ctx's chi and xi, with the
+    route of _ratio_table forced, whatever its cost rule says: the
+    combine in Q(zeta_R) where small, the row product in Q(zeta_L) where
+    not.  The fresh context stores no table, so read builds exactly one
+    scale-1 table, and this asserts that it did, by the route forced: the
+    rule is asked once, and the unit's inverse is built iff the row
+    product ran."""
+    asked, inverses = [], []
+    pays, inverse = bernoulli._small_field_pays, bernoulli._inverse_table
+
+    def forced(*args):
+        asked.append(args)
+        return small
+
+    def counted(*args):
+        inverses.append(args)
+        return inverse(*args)
+    bernoulli._small_field_pays = forced
+    bernoulli._inverse_table = counted
     try:
-        return bernoulli_gf(ctx, truncation)
+        out = read(TwistContext(ctx.chi, ctx.xi))
     finally:
         bernoulli._small_field_pays = pays
+        bernoulli._inverse_table = inverse
+    assert len(asked) == 1 and len(inverses) == (not small), (ctx, small)
+    return out
 
 
 def bernoulli_gf_by_division(ctx: TwistContext, truncation: int) -> tuple:
     """t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a
-    e^{at}, by bernoulli_gf's route in the context's own field: t times
-    its ("ratio", 1) table (T/(e^{dt} - 1) times t where xi^d = 1), the
-    character sum's table times the Apostol table of zeta_R re-mapped to
-    the root xi^d of order R in Q(zeta_L)."""
-    return _routed(ctx, truncation, False)
+    e^{at}, by _ratio_table's route in the context's own field on a fresh
+    context: t times its ("ratio", 1) table (T/(e^{dt} - 1) times t where
+    xi^d = 1), the character sum's table times the Apostol table of
+    zeta_R re-mapped to the root xi^d of order R in Q(zeta_L)."""
+    return _routed(ctx, False, lambda fresh: bernoulli_gf(fresh, truncation))
 
 
 def bernoulli_gf_in_small_field(ctx: TwistContext,
                                 truncation: int) -> tuple:
-    """The same, by bernoulli_gf's route in the small field Q(zeta_R) of
+    """The same, by _ratio_table's route in the small field Q(zeta_R) of
     the root xi^d: its Apostol table read at zeta_R -> xi^d."""
-    return _routed(ctx, truncation, True)
+    return _routed(ctx, True, lambda fresh: bernoulli_gf(fresh, truncation))
+
+
+def ratio_by_route(ctx: TwistContext, c: int, upto: int,
+                   small: bool) -> tuple:
+    """The elements of ("ratio", c) to t^upto on a fresh context, its
+    twist's scale-1 table built by the route forced (_routed)."""
+    return _routed(ctx, small, lambda fresh: factor_table(
+        fresh, ("ratio", c), upto).elements())
+
+
+def bpoly_by_route(ctx: TwistContext, c: int, k: int, small: bool) -> tuple:
+    """The elements of the seed _bpoly(ctx, c, k) on a fresh context, its
+    twist's scale-1 table built by the route forced (_routed)."""
+    return _routed(ctx, small,
+                   lambda fresh: bernoulli._bpoly(fresh, c, k).elements())
 
 
 def inverse_table_at(ctx: TwistContext, c: int, build: int) -> RowTable:

@@ -154,20 +154,31 @@ def test_powersum_gf_check_catches_a_wrong_power_sum(monkeypatch, d, char,
     assert report.detail.startswith("direct-vs-powersum first differs at t^3:")
 
 
+@pytest.mark.parametrize("small", [True, False], ids=["small", "ratio"])
 @pytest.mark.parametrize("d,char,order", GF_CONTROLS)
 def test_powersum_gf_check_catches_a_wrong_side_a_factor(monkeypatch, d, char,
-                                                         order):
+                                                         order, small):
+    # side A multiplies the unit of w by the ("ratio", 1) table, built here
+    # by each route of _ratio_table, forced, with its t^3 coefficient off
+    # by one
     ctx = TwistContext.from_orders(d, char, order)
-    exact = bernoulli.char_sum_series
+    routes = []
 
-    def perturbed(c, scale, truncation):
-        coeffs = list(exact(c, scale, truncation).elements())
-        if truncation >= 3:
+    def forced(*args):
+        routes.append(small)
+        return small
+    exact = bernoulli._ratio_table
+
+    def perturbed(c, build):
+        coeffs = list(exact(c, build).elements())
+        if build >= 3:
             coeffs[3] = coeffs[3] + 1
         return _rows(c.field, coeffs, len(coeffs))
 
-    monkeypatch.setattr(bernoulli, "char_sum_series", perturbed)
+    monkeypatch.setattr(bernoulli, "_small_field_pays", forced)
+    monkeypatch.setattr(bernoulli, "_ratio_table", perturbed)
     report = powersum_gf_check(ctx, 2, 6)
+    assert routes == [small]
     assert not report.passed
     assert report.detail.startswith("quotient-vs-direct first differs at t^3:")
 

@@ -1,14 +1,16 @@
-"""bernoulli_gf's two routes against each other.
+"""bernoulli_gf by the two routes of its ("ratio", 1) table, against each
+other.
 
 In the small field Q(zeta_R) of the root lambda = xi^d, of order R,
-bernoulli_gf reads the Apostol table of zeta_R and maps zeta_R -> lambda =
+_ratio_table reads the Apostol table of zeta_R and maps zeta_R -> lambda =
 zeta_M^f, M = lcm(2, L), by shifts of the power sums' combinations; in Q(zeta_L)
 itself it multiplies the character sum's table by the same Apostol table,
-re-mapped there to lambda, as the context's ("ratio", 1) table.  Both
+re-mapped there to lambda.  Both
 routes read one table, so they check each other's combining, not the
 table: ``test_twisted_bernoulli_oracle.py`` checks the numbers.
 ``_small_field_pays`` picks a route by measured cost; here each is forced
-(``bernoulli_helpers``), and they must agree coefficient for coefficient,
+on a fresh context (``bernoulli_helpers``), and they must agree coefficient
+for coefficient,
 with bernoulli_gf itself, on every request of perfbench's
 ``bernoulli_pool()`` (fields of degree 24 to 120), on the 36 contexts of
 the series benchmark to t^12, at d = 1 to t^20 and t^30 with xi of order
@@ -119,3 +121,6 @@ def test_the_route_follows_the_measured_cost():
     # per coefficient pair lose to one product per coefficient
     assert not _small_field_pays(100, 60, 100, 21)
     assert not _small_field_pays(20, 2, 20, 21)
+    # bernoulli --d 61 --char 1 --xi-order 420 --n 12, where the small
+    # field took three times as long
+    assert not _small_field_pays(96, 96, 96, 12)

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from twistbern import cli
-from twistbern.bernoulli import TwistContext
+from twistbern.bernoulli import TwistContext, powersum_gf_check
 from twistbern.padic import padic_context
-from twistbern.report import TheoremReport
+from twistbern.report import CheckReport, TheoremReport
 from twistbern.symmetry import QuotientSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -60,6 +60,21 @@ def test_theorem_report_defaults_are_per_instance():
     assert (a.passed, a.detail, a.verdict) == (True, None, "pass")
     assert a.to_json_dict() == {"theorem": 1, "params": {}, "verdict": "pass",
                                 "detail": None, "notes": {"k": True}}
+
+
+def test_check_report_json_names_its_check_params_verdict_and_detail():
+    out = powersum_gf_check(TwistContext.from_orders(3, 1, 4), 2,
+                            3).to_json_dict()
+    assert list(out) == ["check", "params", "verdict", "detail"]
+    assert out == {"check": "powersum_gf_check",
+                   "params": {"d": 3, "chi_exponents": [1],
+                              "xi": {"L": 4, "coeffs": ["0", "1"]}, "w": 2,
+                              "k_max": 3},
+                   "verdict": "pass", "detail": None}
+    failed = CheckReport("c", {"n": 2}, False, "lhs at t^1: 1 vs 2")
+    assert failed.to_json_dict() == {"check": "c", "params": {"n": 2},
+                                     "verdict": "fail",
+                                     "detail": "lhs at t^1: 1 vs 2"}
 
 
 def test_grid_spec_keeps_order_defaults_and_validation():

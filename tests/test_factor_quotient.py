@@ -6,7 +6,8 @@ its units and one p-adic integral per scale.  This file rebuilds each as
 num / den, num its units and the character sum of each scale and den the
 unit of each scale, and factor_quotient's q must satisfy q * prod(den) ==
 t^t_power * prod(num) up to t^truncation, and so must bernoulli_gf, which
-divides by its own route; the scale-1 inverse table of each twist, which
+reads the ("ratio", 1) table by either route; the scale-1 inverse table of
+each twist, which
 every ratio table reads, times its unit must be 1, and must equal one
 quotient of 1 by the unit.  The
 products are formed here by a schoolbook Cauchy loop over element ``*`` and
@@ -18,17 +19,19 @@ rows read the same store; the inverse tables read one table per root order
 R, the Apostol table of zeta_R in Q(zeta_R).  The units of a numerator are
 one table, a closed-form exponential sum, checked against ``cyclo.product``
 of unit tables formed from elements.  The integral of each scale c is one
-ratio table, checked against the twisted Bernoulli numbers of xi^c, which
-bernoulli_gf divides out by its own route; every quotient, with repeated
+ratio table, checked against the twisted Bernoulli numbers of xi^c, built
+on a fresh context by the row product; every quotient, with repeated
 weights, must equal a schoolbook product of the elements of its numerator
 series and of one quotient of 1 by each unit.  A ratio table of scale
 c != 1 is the scale-1 table of the twist xi^c read at t -> ct, built once
 per class of c and kept in the twist's context (checked against per-c
-builds in test_scale_law.py).  The library's own ``quotient_operands``
-must give the units key first, then one ratio key per scale, on every
-quotient drawn here.
+builds in test_scale_law.py), by either of two routes, which must agree
+on every ratio and Bernoulli seed that reads it.  The library's own
+``quotient_operands`` must give the units key first, then one ratio key
+per scale, on every quotient drawn here.
 """
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -46,7 +49,8 @@ from twistbern.symmetry import (_FAMILY_MAX_I, _QUOTIENTS, _ROWS,
                                 _distinct_orders, permutation_invariance_check,
                                 verify_theorem)
 
-from bernoulli_helpers import bernoulli_gf_by_division
+from bernoulli_helpers import (bernoulli_gf_by_division, bpoly_by_route,
+                               ratio_by_route)
 from cyclo_helpers import multiplicative_order
 
 CONTEXTS = [(d, char, order) for d in (1, 3, 4)
@@ -128,13 +132,14 @@ def test_quotient_times_denominator_is_numerator(d, char, order):
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
                                                         small, monkeypatch):
-    # bernoulli_gf divides directly, not through factor_quotient, by either
-    # route, forced here: in Q(zeta_R), R the order of xi^d, it reads the
-    # Apostol table of zeta_R there and combines the power sums, builds no
-    # sum or unit table and stores nothing in the context; in Q(zeta_L) it
-    # is the context's ("ratio", 1) table, which builds the character sum
-    # for it and stores only the ratio.  Either runs the table's recurrence
-    # only in Q(zeta_R), once per R, where the table is not yet long enough
+    # bernoulli_gf divides directly, not through factor_quotient: it is the
+    # context's ("ratio", 1) table, stored there, by either route of
+    # _ratio_table, forced here: in Q(zeta_R), R the order of xi^d, it reads
+    # the Apostol table of zeta_R there and combines the power sums, and
+    # builds no sum or unit table; in Q(zeta_L) it builds the character sum
+    # for the ratio and does not store it.  Either runs the table's
+    # recurrence only in Q(zeta_R), once per R, where the table is not yet
+    # long enough
     monkeypatch.setattr(bernoulli, "_small_field_pays", lambda *args: small)
     builds = []
     for kind, name in (("units", "twist_units_series"),
@@ -165,7 +170,7 @@ def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
         n = max(truncation - 1 + v, 0)
         assert builds == ([] if small else [("sum", 1, n)])
         assert fields[R]._apostol is table
-        assert set(fresh._factors) == (set() if small else {("ratio", 1)})
+        assert set(fresh._factors) == {("ratio", 1)}
 
 
 def _apostol_tables(monkeypatch, *orders):
@@ -199,10 +204,11 @@ def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
     # stored there; a ratio table of c != 1 is read off the ("ratio", 1)
     # table of its twist xi^c (_rescaled_table), built once per class of c
     # to that length too and kept in the twist's context; a ratio table of
-    # scale 1 is built from the sum and inverse tables of its context,
-    # built to that length and not stored; the inverse table reads its
-    # field's table of the root, never the unit's table, so the unit of a
-    # scale is not built
+    # scale 1 is built by one of two routes, each forced here: in the small
+    # field, from the power sums, or from the sum and inverse tables of its
+    # context, built to that length and not stored; the inverse table reads
+    # its field's table of the root, never the unit's table, so the unit
+    # of a scale is not built
     builds = []
     for name in ("twist_units_series", "char_sum_series", "_inverse_table",
                  "_ratio_table", "_rescaled_table"):
@@ -211,7 +217,9 @@ def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
             builds.append((name, len(table)))
             return table
         monkeypatch.setattr(bernoulli, name, counted)
-    for truncation in range(4):
+    for small, truncation in itertools.product((True, False), range(4)):
+        monkeypatch.setattr(bernoulli, "_small_field_pays",
+                            lambda *args, small=small: small)
         for t_power, units, scales in _cases((1, 2, 3)):
             ctx = TwistContext.from_orders(d, char, order)
             builds.clear()
@@ -229,9 +237,10 @@ def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
                 assert len(twist._factors["ratio", 1]) == length + 1
                 if twist is not ctx:
                     assert set(twist._factors) == {("ratio", 1)}
-            # per twist: its ratio, and the sum and inverse it multiplies
+            # per twist: its ratio, and in Q(zeta_L) the sum and inverse
+            # it multiplies
             assert len(builds) == (len(operands - tabled) + len(scaled)
-                                   + 3 * len(twists))
+                                   + (1 if small else 3) * len(twists))
             assert {n for _, n in builds} == {length + 1}
 
 
@@ -413,9 +422,9 @@ def test_a_ratio_table_is_its_twists_bernoulli_numbers():
     # ("ratio", c) is t * sum / unit over ct: the twist xi^c's Bernoulli
     # generating function at ct, divided by ct, or by c where xi^(dc) = 1
     # and the inverse table carries the unit's t.  The generating function
-    # of the twist is divided in its own field by the test route
-    # (bernoulli_gf_by_division), which reads no Apostol table: bernoulli_gf
-    # reads the one of Q(zeta_R), which is the ratio's own where R = L.
+    # of the twist is built on a fresh context by the row product in its
+    # own field, forced (bernoulli_gf_by_division), so the table the ratio
+    # reads, built by the route the rule picks, is not compared with itself.
     compared = set()
     for ctx in RATIO_CONTEXTS:
         for c in range(1, 9):
@@ -430,6 +439,25 @@ def test_a_ratio_table_is_its_twists_bernoulli_numbers():
     assert {v for _, _, v in compared} == {0, 1}
 
 
+def test_both_routes_build_every_ratio_and_seed():
+    # the one scale-1 table of each twist, built by each route of
+    # _ratio_table on a fresh context, serves the ratio of every scale and
+    # the Bernoulli seed alike: the routes agree, and agree with the tables
+    # of a context whose rule picks the route
+    vanishing = set()
+    for ctx in RATIO_CONTEXTS:
+        for c in range(1, 9):
+            ratio = ratio_by_route(ctx, c, TOP, True)
+            assert ratio == ratio_by_route(ctx, c, TOP, False), (ctx, c)
+            assert ratio == factor_table(ctx, ("ratio", c), TOP).elements()[
+                :TOP + 1]
+            seed = bpoly_by_route(ctx, c, TOP, True)
+            assert seed == bpoly_by_route(ctx, c, TOP, False), (ctx, c)
+            assert seed == bernoulli._bpoly(ctx, c, TOP).elements()[:TOP + 1]
+            vanishing.add(_vanishing(ctx, (c,)))
+    assert vanishing == {0, 1}
+
+
 def test_a_ratio_reads_a_stored_sum_and_builds_its_inverse_unstored(
         monkeypatch):
     # ("ratio", 2) is the ("ratio", 1) table of the twist xi^2 read at
@@ -439,7 +467,9 @@ def test_a_ratio_reads_a_stored_sum_and_builds_its_inverse_unstored(
     # multiplies it as it is; where not, it builds the sum to its own
     # length and does not store it, so the stored one keeps its length.
     # The inverse of the unit is built for each ratio build and never
-    # stored.  At xi of order 1 the twist is the context itself
+    # stored.  At xi of order 1 the twist is the context itself.  The row
+    # product is forced: the route in the small field reads neither
+    monkeypatch.setattr(bernoulli, "_small_field_pays", lambda *args: False)
     builds = []
     for name in ("char_sum_series", "_inverse_table"):
         def counted(*args, exact=getattr(bernoulli, name), name=name):
@@ -659,7 +689,10 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # order.  The products are not cached: each order still multiplies its
     # own operands in its own order, which is what the invariance check
     # compares, and its one cyclo.product over _operands performs
-    # len(operands) - 1 factor multiplications.
+    # len(operands) - 1 factor multiplications.  The ratio tables are built
+    # by the row product, forced here: the route in the small field builds
+    # no sum or inverse
+    monkeypatch.setattr(bernoulli, "_small_field_pays", lambda *args: False)
     builds = []
     for kind, name in (("units", "twist_units_series"),
                        ("sum", "char_sum_series")):

@@ -26,14 +26,18 @@ extended-Euclid ``cyclo._poly_inverse`` calls (each field inverse), the
 (each reduction mod Phi_L), the ``cyclo.cyclotomic_polynomial`` calls
 (each cyclotomic polynomial formed, one or more per new field), the
 ``_apostol_table`` calls that read that table at zeta_R -> u for another
-root u (``remap``), the ``bernoulli.bernoulli_gf`` calls and, of those, the
-ones that take the route in the small field Q(zeta_R)
-(``bernoulli._small_field_pays``; a checkout from before that choice
-reads 0).  A second line gives, per kind of table, the number of builds
-and the top power of t (of x for a root table) of the longest one:
-``units`` (``bernoulli.twist_units_series``), ``sum`` (``char_sum_series``),
-``inv`` (``_inverse_table``: the scale-1 inverse each ratio build
-multiplies by), ``ratio`` (``_ratio_table``), ``root`` (the recurrences
+root u (``remap``), the ``bernoulli.bernoulli_gf`` calls (each a read of
+the context's ("ratio", 1) table, which builds it only where it is not
+stored long enough; in a checkout where ``_ratio_table`` does not build
+every scale-1 table, each was a build) and ``small_field``, the scale-1
+table builds that take the route in the small field Q(zeta_R)
+(``bernoulli._small_field_pays`` answering yes; such a checkout counts
+``bernoulli_gf`` builds there, and one from before the choice reads 0).  A second line gives, per kind of table, the
+number of builds and the top power of t (of x for a root table) of the
+longest one: ``units`` (``bernoulli.twist_units_series``), ``sum``
+(``char_sum_series``), ``inv`` (``_inverse_table``: the scale-1 inverse
+each ratio build in Q(zeta_L) multiplies by), ``ratio`` (``_ratio_table``,
+by either route), ``root`` (the recurrences
 above) and ``rescale`` (``_rescaled_table``: a ratio table of scale c != 1
 read off the ("ratio", 1) table of the twist xi^c at t -> ct, so ``ratio``
 counts only those scale-1 builds; a checkout from before that law builds
@@ -158,7 +162,7 @@ if counting:
     install(bernoulli, "bernoulli_gf", gf_calls)
 
     def routes(exact):
-        # the bernoulli_gf calls that take the route in Q(zeta_R)
+        # the scale-1 table builds that take the route in Q(zeta_R)
         def counted(*args):
             small = exact(*args)
             counts["small_field"] += small
@@ -200,8 +204,9 @@ def main(argv=None) -> int:
     mode.add_argument("--counts", action="store_true",
                       help="print the block's product, row-step, row-pair, "
                            "quotient, table-recurrence, inverse, dot, fold, "
-                           "cyclotomic-polynomial, table re-map and "
-                           "Bernoulli GF route counts, and its table builds "
+                           "cyclotomic-polynomial and table re-map counts, "
+                           "its Bernoulli GF reads and the scale-1 table "
+                           "builds in the small field, and its table builds "
                            "per kind, rescaled tables among them")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
