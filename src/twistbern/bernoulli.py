@@ -10,22 +10,23 @@ read by ``bernoulli_gf``.  Each root of unity is an exponent f of zeta_M,
 M = lcm(2, L), of order M/gcd(f, M).  Every quotient in the package is,
 as in the paper, a prefactor, a power of t, numerator units and one
 p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c where
-xi^(dc) = 1) per scale c: factor_quotient builds it as one
+xi^(dc) = 1) per scale c, and a table row is one with no units whose
+Bernoulli pieces are scales: factor_quotient builds each as one
 ``cyclo.product`` of stored ``cyclo.RowTable``s, one table of the units in
-closed form and one ratio table per scale.  The integral of scale 1,
-d^-v T(t) g_lambda(dt) (T the character sum, lambda = xi^d, v = 1 iff
-lambda = 1, g_u(x) = 1/(u e^x - 1) the Apostol-Bernoulli generating
-function), is the package's one division: one table per twist, built by
-``_ratio_table`` by one of two routes, in the small field Q(zeta_R), R the
-order of lambda, or in Q(zeta_L).  It has three readers: bernoulli_gf is
-t^(1-v) times it; since rescaling t by c is replacing xi by xi^c, the
-ratio table of a scale c != 1 is the table of the twist xi^c (one per
-class c mod xi's order, kept in the twist's context) read at t -> ct; and
-a row's Bernoulli seed [c^j B_j/j!] is c t^(1-v) times that ratio.  Each
-g_u reads the one table of its order R, that of zeta_R, kept by
-Q(zeta_R).  Every such table is built to exactly the length asked, and
-rebuilt, never doubled, when a longer one is asked for.  A consequence
-pinned by the tests: B_0 = 0 whenever xi^d != 1.
+closed form, one ratio table per scale and a row's character-sum tables.
+The integral of scale 1, d^-v T(t) g_lambda(dt) (T the character sum,
+lambda = xi^d, v = 1 iff lambda = 1, g_u(x) = 1/(u e^x - 1) the
+Apostol-Bernoulli generating function), is the package's one division:
+one table per twist, built by ``_ratio_table`` by one of two routes, in
+the small field Q(zeta_R), R the order of lambda, or in Q(zeta_L).  It
+has three readers: bernoulli_gf is t^(1-v) times it; since rescaling t by
+c is replacing xi by xi^c, the ratio table of a scale c != 1 is the table
+of the twist xi^c (one per class c mod xi's order, kept in the twist's
+context) read at t -> ct; and a row's Bernoulli seed [c^j B_j/j!] is
+c t^(1-v) times that ratio.  Each g_u reads the one table of its order R,
+that of zeta_R, kept by Q(zeta_R).  Every such table is built to exactly
+the length asked, and rebuilt, never doubled, when a longer one is asked
+for.  A consequence pinned by the tests: B_0 = 0 whenever xi^d != 1.
 """
 
 from __future__ import annotations
@@ -47,16 +48,15 @@ class TwistContext:
     Values are immutable; per-context caches are filled lazily and are safe
     for concurrent reads once built: the Bernoulli numbers (_bern), the
     power-sum tables per bound (_psums), the twisted contexts (_twists),
-    the factor tables of factor_table (_factors), which quotients and
+    and the factor tables of factor_table (_factors), which quotients and
     symmetry's rows read, among them one units table per multiset of
-    numerator units, one ratio table per scale, and the sum and shift
-    tables of the rows' pieces, and the Bernoulli seed of _bpoly per twist
-    exponent (_bpoly_cache); the tables of _factors and _bpoly_cache are
-    RowTables, each stored in that one form.  The ("ratio", 1) table is
-    the context's one scale-1 table: _bern reads it, and so do the ratio
-    tables (at t -> ct) and seeds of every scale c whose twist xi^c this
-    context is.  The Apostol tables it reads are kept by Q(zeta_R), one
-    per root order R, and shared by every context of every field.  xi and
+    numerator units, one ratio table per scale (of a quotient or a row's
+    Bernoulli piece), and the sum and shift tables of the rows' pieces,
+    each a RowTable stored in that one form.  The ("ratio", 1) table is the
+    context's one scale-1 table: _bern reads it, and so do the ratio tables
+    (at t -> ct) of every scale c whose twist xi^c this context is.  The
+    Apostol tables it reads are kept by Q(zeta_R), one per root order R,
+    and shared by every context of every field.  xi and
     each chi(a) are kept as exponents of zeta_M (_xi_root, _chi_roots),
     and no power of xi is stored: xi_pow reads it from the field's root
     cache, which holds only the roots asked for.
@@ -64,7 +64,7 @@ class TwistContext:
 
     __slots__ = ("chi", "xi", "d", "xi_order", "field",
                  "_chi_roots", "_xi_root", "_bern",
-                 "_psums", "_twists", "_factors", "_bpoly_cache")
+                 "_psums", "_twists", "_factors")
 
     def __init__(self, chi: DirichletCharacter, xi: CycloNumber):
         self.chi = chi
@@ -90,7 +90,6 @@ class TwistContext:
         self._psums: dict = {}
         self._twists: dict = {}
         self._factors: dict = {}
-        self._bpoly_cache: dict = {}
 
     @classmethod
     def from_orders(cls, d: int, char_index: int = 0, xi_order: int = 1,
@@ -203,23 +202,20 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     sum_{a<=bound} chi(a) xi^(ac) e^(a*sigma*t), bound d - 1 and sigma = c
     by default; and ("ratio", c) is ("sum", c) over the unit of c, times t
     where xi^(dc) = 1: the paper's p-adic integral of chi(x) xi^(cx)
-    e^(cxt) over ct, or over c.  It is built at c = 1 only
-    (``_ratio_table``), once per twist: at c != 1 it is the twist xi^c's
-    ("ratio", 1) table, stored in the twist's context, read at t -> ct
-    (``_rescaled_table``).  Each table is built once per context, as a
-    RowTable straight from integers, and kept as it is in ctx._factors with
-    a default sigma, then bound, dropped from its key.  It is built to
-    exactly t^upto, and a longer one than cached is rebuilt to exactly
-    t^upto: no table is built past the longest length asked for.  And
-    ("bern", c) is ``_bpoly``'s seed of the twist xi^c, c t^(1-v) times
-    ("ratio", c), kept in ctx._bpoly_cache.  Any other key raises
-    ValueError."""
-    if key[0] == "bern":
-        return _bpoly(ctx, key[1], upto)
-    if key[3:] == (key[1],):
-        key = key[:3]
-    if key[2:] == (ctx.d - 1,):
-        key = key[:2]
+    e^(cxt) over ct, or over c, of a scale or a Bernoulli piece.  It is
+    built at c = 1 only (``_ratio_table``), once per twist: at c != 1 it is
+    the twist xi^c's ("ratio", 1) table, stored in the twist's context,
+    read at t -> ct (``_rescaled_table``).  Each table is built once per
+    context, as a RowTable straight from integers, and kept as it is in
+    ctx._factors with a default sigma, then bound, dropped from its key.
+    It is built to exactly t^upto, and a longer one than cached is rebuilt
+    to exactly t^upto: no table is built past the longest length asked
+    for.  Any other key raises ValueError."""
+    if len(key) > 2:  # units and ratio keys are stored as they are
+        if key[3:] == (key[1],):
+            key = key[:3]
+        if key[2:] == (ctx.d - 1,):
+            key = key[:2]
     table = ctx._factors.get(key)
     if table is None or len(table) <= upto:
         table = ctx._factors[key] = _build(ctx, key, upto)
@@ -242,21 +238,17 @@ def _build(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
 
 
 def _bpoly(ctx: TwistContext, c: int, k: int) -> RowTable:
-    """The seed [c^j B_j / j!] to j = k or further, of a B piece of twist
-    exponent c, B_j the Bernoulli numbers of xi^c: one RowTable per c in
-    ctx._bpoly_cache, rebuilt to exactly j = k when a longer one is asked
-    for.  It is c t^(1-v) times the ("ratio", c) table (``factor_table``),
-    v = 1 iff xi^(dc) = 1, whose coefficient i is c^(i-v) B_(i+1-v)/(i+1-v)!
-    of the twist: row j is c times that table's row j - 1 + v, over its
-    denominator, brought to lowest terms by one gcd."""
-    table = ctx._bpoly_cache.get(c)
-    if table is None or len(table) <= k:
-        s = _unit_root(ctx, c) != 0  # 1 - v
-        g = factor_table(ctx, ("ratio", c), max(k - s, 0))
-        table = ctx._bpoly_cache[c] = _lowest(ctx.field, [
-            (j + s, [x * c for x in row])
-            for j, row in _head(g.rows, k + 1 - s)], g.den, k + 1)
-    return table
+    """The seed [c^j B_j / j!] to j = k of a B piece of twist exponent c,
+    B_j the Bernoulli numbers of xi^c, stored nowhere: c t^(1-v) times the
+    ("ratio", c) table, v = 1 iff xi^(dc) = 1, whose coefficient i is
+    c^(i-v) B_(i+1-v)/(i+1-v)! of the twist, so row j is c times its row
+    j - 1 + v, over its denominator, brought to lowest terms by one gcd.
+    A row reads that table itself, c in its const and t^(1-v) its shift."""
+    s = _unit_root(ctx, c) != 0  # 1 - v
+    g = factor_table(ctx, ("ratio", c), max(k - s, 0))
+    return _lowest(ctx.field, [(j + s, [x * c for x in row])
+                               for j, row in _head(g.rows, k + 1 - s)],
+                   g.den, k + 1)
 
 
 def _unit_root(ctx: TwistContext, c: int) -> int:
@@ -303,9 +295,9 @@ def _ratio_table(ctx: TwistContext, build: int) -> RowTable:
     the character sum, g the Apostol table of lambda = xi^d = zeta_M^f of
     order R, v = 1 iff lambda = 1, so coefficient k is B_(k+1)/(k+1)!, or
     B_k/k!.  Built once per twist, by whichever route ``_small_field_pays``
-    rates cheaper, and read by bernoulli_gf, ``_rescaled_table`` and
-    ``_bpoly``.  In Q(zeta_R), g's table of zeta_R is read at
-    zeta_R -> lambda: over g.den build! d^v, row k is the fold of
+    rates cheaper, and read by bernoulli_gf and ``_rescaled_table``.  In
+    Q(zeta_R), g's table of zeta_R is read at zeta_R -> lambda: over
+    g.den build! d^v, row k is the fold of
     sum_i lambda^i sum_j (g_(k-j))_i d^(k-j) build!/j! S_j, the power sums
     read at their spots (nonzero coordinates) and lambda^i a signed shift
     (``root_terms``).  In Q(zeta_L), it is one ``_row_times`` of the
@@ -396,26 +388,31 @@ def _times_t(field, q, shift: int, truncation: int) -> tuple:
 
 
 def quotient_operands(ctx: TwistContext, t_power: int, units: tuple,
-                      scales: tuple) -> tuple:
+                      scales: tuple, sums: tuple = ()) -> tuple:
     """(shift, keys) of the quotient t^t_power prod_(c in units)
-    (xi^(dc) e^(dct) - 1) prod_(c in scales) I_c, I_c the character sum of
-    c over its unit, read from root exponents with no arithmetic.  The
-    keys are ("units", cs), cs the sorted multiset of units, if there are
-    any, then ("ratio", c) for each scale in order; shift is t_power less
-    one per scale with xi^(dc) = 1, whose ratio table is t I_c."""
+    (xi^(dc) e^(dct) - 1) prod_(c in scales) I_c times the tables of the
+    sum keys sums, I_c the character sum of c over its unit, read from root
+    exponents with no arithmetic.  The keys are ("units", cs), cs the
+    sorted multiset of units, if there are any, then ("ratio", c) for each
+    scale in order, then sums; shift is t_power less one per scale with
+    xi^(dc) = 1, whose ratio table is t I_c."""
     keys = [("units", tuple(sorted(units)))] if units else []
-    keys += [("ratio", c) for c in scales]
-    return t_power - sum(_unit_root(ctx, c) == 0 for c in scales), keys
+    shift = t_power
+    for c in scales:  # one loop, no comprehension: it runs once per form
+        keys.append(("ratio", c))
+        shift -= _unit_root(ctx, c) == 0
+    return shift, keys + list(sums)
 
 
 def factor_quotient(ctx: TwistContext, t_power: int, units: tuple,
-                    scales: tuple, truncation: int, const=1) -> tuple:
+                    scales: tuple, truncation: int, const=1,
+                    sums: tuple = ()) -> tuple:
     """The coefficients of const times quotient_operands' quotient to
     t^truncation, const an int or Fraction: one ``cyclo.product`` of the
     tables of its keys, nothing cached or divided here, and t^shift a
     slice, where ValueError is raised if an owed power of t does not
     divide."""
-    shift, keys = quotient_operands(ctx, t_power, units, scales)
+    shift, keys = quotient_operands(ctx, t_power, units, scales, sums)
     length = max(truncation - shift, 0)
     q = product(ctx.field, [factor_table(ctx, key, length) for key in keys],
                 length + 1, const)

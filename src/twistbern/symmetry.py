@@ -18,29 +18,27 @@ y-variables.
 
 Rows and quotients share one form (scales, F): e^{(s.y) t} F(t), with a
 scale s_y per live slot (the same under every weight order) and a scalar
-series F over Q(zeta_L).  ``_quotient_form`` builds (scales, q) with one
-factor_quotient call: a _QUOTIENTS row is, as in the paper, a prefactor, a
-power of t, numerator units and one p-adic integral of chi(x) xi^(cx)
-e^(cxt) over ct (over c where xi^(dc) = 1) per scale c, so q is one product
-over the one table of its units and a ratio table per scale.  ``_row_form``
-builds (scales, const * E) with one ``cyclo.product`` of cached tables, as
-a quotient is: a Bernoulli seed per twist and character-sum factor
-tables.  Each form states what it multiplies first, with no arithmetic, as
-factor_table keys: a row's (const, scales, keys) by ``row_operands``, a
-quotient's (shift, keys) by ``bernoulli.quotient_operands``.  Every check
-decides on forms: equal forms lift to equal SymPolys, so only unequal forms
-are lifted (by ``_lift``, the one writer of SymPoly monomials) for
-``first_mismatch`` to decide, and ``verify_theorem`` lifts each distinct
-form once.
+series F over Q(zeta_L), and one evaluator, factor_quotient.  A _QUOTIENTS
+row is, as in the paper, a prefactor, a power of t, numerator units and one
+p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c where
+xi^(dc) = 1) per scale c; a table row is a quotient with no units whose
+Bernoulli pieces are scales, times character-sum tables.  Each form states
+what it multiplies first, with no arithmetic, as factor_table keys: the
+(shift, keys) of ``bernoulli.quotient_operands``, of a row from
+``row_operands``.  Every check decides on forms: equal forms lift to equal
+SymPolys, so only unequal forms are lifted (by ``_lift``, the one writer of
+SymPoly monomials) for ``first_mismatch`` to decide, and ``verify_theorem``
+lifts each distinct form once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
-from .bernoulli import TwistContext, _bpoly, factor_quotient, factor_table
-from .cyclo import product
+# _bpoly is bound here for perfbench/tracing.py, which wraps symmetry._bpoly
+from .bernoulli import TwistContext, _bpoly, factor_quotient  # noqa: F401
 from .report import CheckReport, ReadOnly, TheoremReport, first_mismatch
 from .series import PowerSeries
 from .sympoly import SymPoly
@@ -164,13 +162,14 @@ def _lift(scales: dict, F, n: int, factor) -> SymPoly:
 #
 # So the row is n! [t^n] of const * prod_i sum_k piece_i(k) (c_i t)^k / k!.
 # As sum_k B_k(x) t^k / k! = e^{xt} sum_j B_j t^j / j!, a B piece's series is
-# e^{c*u*y_slot*t} times its seed sum_j c^j B_j t^j / j!, ("bern", c), times
-# one character sum per sums entry, sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t}:
+# e^{c*u*y_slot*t} times its seed sum_j c^j B_j t^j / j!, c t^(1-v) times
+# the p-adic integral ("ratio", c), v = 1 iff xi^(dc) = 1, times one
+# character sum per sums entry, sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t}:
 # the factor table ("sum", m, A - 1, s*c/q).  An S piece is the factor table
 # ("sum", c, bound), sum_{a<=bound} chi(a) xi^(ca) e^(cat), which a shift
-# with s*c/q = m shares.  So the row is const * e^{(sum_i c_i u_i y_slot_i) t}
-# * E(t), E the Cauchy product of the tables of these keys (row_operands):
-# one ``cyclo.product``, with no shift point visited and no polynomial product.
+# with s*c/q = m shares.  So the row is e^{(sum_i c_i u_i y_slot_i) t} times
+# a quotient with no units (row_operands): one ``cyclo.product``, with no
+# shift point visited and no polynomial product.
 
 def _B(c, u, slot, *sums):
     return ("B", c, u, slot, sums)
@@ -225,34 +224,37 @@ _ROWS = {
 }
 
 
-def row_operands(row: str, d: int, w: tuple) -> tuple:
-    """(const, scales, keys) of the table row at the weights w, modulus d,
-    with no arithmetic: a B piece gives ("bern", c), one ("sum", m, A - 1,
-    s*c/q) per shift entry and c*u to its slot's scale; an S piece gives
-    ("sum", c, bound)."""
-    const, pieces = _ROWS[row](*w, d)
-    keys, scales = [], {}
+@functools.lru_cache(maxsize=4096)
+def row_operands(entry, d: int, w: tuple) -> tuple:
+    """(const, scales, sums, exp) of the _ROWS entry at the weights w,
+    modulus d, with no arithmetic: e^{(s.y) t}, s_y = exp[y], times the
+    quotient with no units t^len(scales) const, a ("ratio", c) per c in
+    scales and the sums.  A B piece adds c to scales and const, a ("sum", m,
+    A - 1, s*c/q) per shift entry and c*u to its slot's exp; an S piece adds
+    ("sum", c, bound).  Memoized by the entry object, never by its row
+    name, so a replaced entry is derived afresh."""
+    const, pieces = entry(*w, d)
+    scales, sums, exp = [], [], {}
     for desc in pieces:
         if desc[0] == "B":
-            _, c, u, slot, sums = desc
-            keys.append(("bern", c))
-            for A, m, s, q in sums:
-                keys.append(("sum", m, A - 1, Fraction(s * c, q)))
-            scales[slot] = scales.get(slot, 0) + c * u
+            _, c, u, slot, shifts = desc
+            scales.append(c)
+            for A, m, s, q in shifts:
+                sums.append(("sum", m, A - 1, Fraction(s * c, q)))
+            exp[slot] = exp.get(slot, 0) + c * u
         else:
-            keys.append(("sum", desc[1], desc[2]))
-    return const, scales, keys
+            sums.append(("sum", desc[1], desc[2]))
+    return (const * math.prod(scales), tuple(scales), tuple(sums),
+            tuple(exp.items()))
 
 
 def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
-    """The form (scales, const * E[:n+1]) of a table row at the weights w:
-    the row's n-th EGF coefficient is n! [t^n] of e^{(s.y) t} const E(t),
-    E the one Cauchy product of the tables of its keys.  A seed is read
-    from _bpoly itself, a call less than through factor_table."""
-    const, scales, keys = row_operands(row, ctx.d, w)
-    return scales, tuple(product(ctx.field, [
-        _bpoly(ctx, key[1], n) if key[0] == "bern" else
-        factor_table(ctx, key, n) for key in keys], n + 1, const))
+    """The form (scales, F[:n+1]) of a table row at the weights w, whose
+    n-th EGF coefficient is n! [t^n] of e^{(s.y) t} F(t): factor_quotient
+    of its row_operands, as a _QUOTIENTS row's form is."""
+    const, scales, sums, exp = row_operands(_ROWS[row], ctx.d, tuple(w))
+    return dict(exp), factor_quotient(ctx, len(scales), (), scales, n, const,
+                                      sums)
 
 
 #: form name -> (family, i); a form's row sums Bernoulli values and power

@@ -645,10 +645,11 @@ def test_product_takes_stored_tables_of_its_field_only():
             cyclo.product(ctx.field, seqs, 5)
 
 
-@pytest.mark.parametrize("key", [("inv", 1), ("inv", 2), ("bogus", 1)])
+@pytest.mark.parametrize("key", [("inv", 1), ("inv", 2), ("bogus", 1),
+                                 ("bern", 1), ("bern", 3)])
 def test_factor_table_refuses_a_key_it_does_not_know(key):
-    # an unknown kind, the retired inverse key among them, is refused by
-    # name, and nothing is stored
+    # an unknown kind, the retired inverse and seed keys among them, is
+    # refused by name, and nothing is stored
     ctx = TwistContext.from_orders(3, 1, 4)
     with pytest.raises(ValueError, match=re.escape(repr(key))):
         factor_table(ctx, key, 3)
@@ -795,19 +796,27 @@ def _stored_key(ctx, key):
 
 
 def test_row_pieces_are_factor_tables(monkeypatch):
-    # A B piece reads its Bernoulli seed from ctx._bpoly_cache, one RowTable
-    # per twist exponent c, built once per length as n rises, and one
-    # character-sum factor table per shift entry (A, m, s, q), the series
+    # A B piece of twist exponent c is the stored ("ratio", c) table, one
+    # RowTable per c, rebuilt once per length as n rises, with c in the
+    # row's const and t^(1-v) in its shift, and one character-sum factor
+    # table per shift entry (A, m, s, q), the series
     # sum_{a<A} chi(a) xi^(am) e^((s*c/q) a t); an S piece reads the factor
-    # table ("sum", c, bound).  A shift with s*c/q = m reads the table of the
-    # S piece with that (m, bound), and each row is one cyclo.product.
-    seeds, products = {}, []
-    exact_bpoly, exact_product = symmetry._bpoly, symmetry.product
+    # table ("sum", c, bound).  No ("bern", c) key is asked for.  A shift
+    # with s*c/q = m reads the table of the S piece with that (m, bound),
+    # and each row is one cyclo.product.
+    ctx = TwistContext.from_orders(3, 1, 4)
+    ratios, products, asked = {}, [], set()
+    exact_table, exact_product = bernoulli.factor_table, bernoulli.product
 
-    def bpoly(ctx, c, k):
-        table = exact_bpoly(ctx, c, k)
-        assert table is ctx._bpoly_cache[c] and len(table) > k
-        seeds.setdefault(c, {})[id(table)] = (table, len(table))
+    def factor_table(where, key, upto):
+        # the row's own tables; a twist's ("ratio", 1) is read by rescaling
+        table = exact_table(where, key, upto)
+        if where is ctx:
+            asked.add(key[0])
+            if key[0] == "ratio":
+                assert table is ctx._factors[key] and len(table) > upto
+                ratios.setdefault(key[1], {})[id(table)] = (table,
+                                                            len(table))
         return table
 
     def product(*args):
@@ -817,16 +826,16 @@ def test_row_pieces_are_factor_tables(monkeypatch):
     def row_form(*args, exact=symmetry._row_form):
         products.append(0)
         return exact(*args)
-    monkeypatch.setattr(symmetry, "_bpoly", bpoly)
-    monkeypatch.setattr(symmetry, "product", product)
+    monkeypatch.setattr(bernoulli, "factor_table", factor_table)
+    monkeypatch.setattr(bernoulli, "product", product)
     monkeypatch.setattr(symmetry, "_row_form", row_form)
 
-    ctx = TwistContext.from_orders(3, 1, 4)
     w, top, theorems = (1, 2, 3), 6, (2, 3, 4, 5, 6)
     for n in range(top + 1):
         for theorem in theorems:
             assert verify_theorem(theorem, ctx, w, n).passed
     assert products and set(products) == {1}
+    assert asked == {"ratio", "sum"}
 
     pieces = set(_ROWS["bernoulli_shifted_bernoulli_printed"](
         w[1], w[0], w[2], ctx.d)[1])
@@ -840,20 +849,28 @@ def test_row_pieces_are_factor_tables(monkeypatch):
               for c, sums in b_pieces for A, m, s, q in sums}
     assert s_keys and shifts
 
-    assert set(seeds) == set(ctx._bpoly_cache) == {c for c, _ in b_pieces}
-    for c, built in seeds.items():
-        # one table per length the seed reached, the last one kept
+    stored = {key[1] for key in ctx._factors if key[0] == "ratio"}
+    assert set(ratios) == stored == {c for c, _ in b_pieces}
+    for c, built in ratios.items():
+        # one table per length the ratio reached, the last one kept
         lengths = [length for _, length in built.values()]
         assert len(set(lengths)) == len(lengths)
         assert max(built.values(), key=lambda tl: tl[1])[0] \
-            is ctx._bpoly_cache[c]
+            is ctx._factors["ratio", c]
+        # c t^(1-v) times it is the seed [c^j B_j / j!] of the twist xi^c
+        v = ctx.xi_pow(ctx.d * c) == ctx.field.one
+        ratio = exact_table(ctx, ("ratio", c), top).elements()
         bern = bernoulli.bernoulli_numbers(ctx.twist(c), top)
-        assert ctx._bpoly_cache[c].elements()[:top + 1] == tuple(
-            bern[j] * Fraction(c**j, math.factorial(j)) for j in range(top + 1))
+        assert ((ctx.field.zero,) * (1 - v) + tuple(
+            x * c for x in ratio))[:top + 1] == tuple(
+            bern[j] * Fraction(c**j, math.factorial(j))
+            for j in range(top + 1))
 
     for key in s_keys | shifts:
-        assert (ctx._factors[_stored_key(ctx, key)].elements()[:top + 1]
-                == char_sum_series(ctx, key[1], top, *key[2:]).elements()), key
+        # each stored as long as the rows asked for, t^(n - shift)
+        table = ctx._factors[_stored_key(ctx, key)]
+        assert table.elements() == char_sum_series(
+            ctx, key[1], len(table) - 1, *key[2:]).elements(), key
     shared = {key[:3] for key in shifts if key[3] == key[1]} & s_keys
     printed = {key for key in shifts if key[3] != key[1]}
     assert shared and printed

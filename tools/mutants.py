@@ -5,8 +5,10 @@
 
 for example
 
-    python3 tools/mutants.py src/twistbern/symmetry.py:_bpoly,_row_form \\
-        src/twistbern/bernoulli.py:factor_table -- tests/test_bpoly_oracle.py
+    python3 tools/mutants.py \\
+        src/twistbern/symmetry.py:row_operands,_row_form \\
+        src/twistbern/bernoulli.py:factor_table \\
+        -- tests/test_row_seeds.py tests/test_factor_quotient.py
 
 Each mutant changes one site inside the named functions (nested functions
 included): a ``+`` becomes ``-`` or back, a ``*`` becomes ``//`` or back, a

@@ -16,11 +16,13 @@ forms it compares:
 * different: the operands of two orders differ.  A ``powersum_gf_check``
   compares a quotient with two direct sums, so it is always counted here.
 
-Operands come from ``symmetry.row_operands`` (a theorem's rows) and
-``bernoulli.quotient_operands`` (an invariance check's quotients), which
-read exponents only: no table is built and no product is formed.  Without
-``--workload`` both the ``theorems`` and the ``series`` workload are
-counted; without ``--seed``, seeds 1 and 7.  Stdlib only.
+Rows and quotients are read through one shape, (const, shift, scales,
+sorted keys), from ``bernoulli.quotient_operands``: a quotient's units
+and scales come from ``symmetry._QUOTIENTS``, and a row is the quotient
+with no units that ``symmetry.row_operands`` states.  Both read exponents
+only: no table is built and no product is formed.  Without ``--workload``
+both the ``theorems`` and the ``series`` workload are counted; without
+``--seed``, seeds 1 and 7.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -39,17 +41,26 @@ from workloads import Workload, block_size  # noqa: E402
 CLASSES = ("one order", "one operand multiset", "different operands")
 
 
-def _row_operands(row: str, ctx, w: tuple) -> tuple:
-    const, scales, keys = symmetry.row_operands(row, ctx.d, w)
-    return const, 0, sorted(scales.items()), sorted(keys)
+def _operands(ctx, const, t_power: int, units: tuple, scales: tuple,
+              sums: tuple, exp: dict) -> tuple:
+    """(const, shift, scales, sorted keys) of a form e^{(s.y) t}, s_y =
+    exp[y], times const t^t_power, its units, a p-adic integral per scale
+    and the sums' tables."""
+    shift, keys = quotient_operands(ctx, t_power, units, scales, sums)
+    return const, shift, sorted(exp.items()), sorted(keys)
 
 
-def _quotient_operands(family: str, i: int, ctx, w: tuple) -> tuple:
+def _row(row: str, ctx, w: tuple) -> tuple:
+    const, scales, sums, exp = symmetry.row_operands(symmetry._ROWS[row],
+                                                     ctx.d, w)
+    return _operands(ctx, const, len(scales), (), scales, sums, dict(exp))
+
+
+def _quotient(family: str, i: int, ctx, w: tuple) -> tuple:
     const, t_power, units, scales, slots, scale = symmetry._QUOTIENTS[
         family](*w, i)
-    shift, keys = quotient_operands(ctx, t_power, units, scales)
-    return const, shift, sorted(dict.fromkeys(slots, scale).items()), \
-        sorted(keys)
+    return _operands(ctx, const, t_power, units, scales, (),
+                     dict.fromkeys(slots, scale))
 
 
 def classify(workload: Workload, check) -> str:
@@ -58,12 +69,12 @@ def classify(workload: Workload, check) -> str:
         theorem, ci, w, _ = check.args
         perms, row = symmetry._THEOREM_PATTERNS[theorem]
         ctx = workload.contexts[ci]
-        operands = [_row_operands(row, ctx, v)
+        operands = [_row(row, ctx, v)
                     for v in symmetry._distinct_orders(w, perms)]
     elif check.kind == "invariance":
         family, i, ci, w, _ = check.args
         ctx = workload.contexts[ci]
-        operands = [_quotient_operands(family, i, ctx, v)
+        operands = [_quotient(family, i, ctx, v)
                     for v in symmetry._distinct_orders(w, symmetry._PERM6)]
     else:
         return CLASSES[2]
