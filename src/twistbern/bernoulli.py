@@ -17,11 +17,12 @@ closed form, one ratio table per scale and a row's character-sum tables.
 The integral of scale 1, d^-v T(t) g_lambda(dt) (T the character sum,
 lambda = xi^d, v = 1 iff lambda = 1, g_u(x) = 1/(u e^x - 1) the
 Apostol-Bernoulli generating function), is the package's one division:
-one table per twist, built by ``_ratio_table`` by one of two routes, in
-the small field Q(zeta_R), R the order of lambda, or in Q(zeta_L).  It
-has three readers: bernoulli_gf is t^(1-v) times it; since rescaling t by
-c is replacing xi by xi^c, the ratio table of a scale c != 1 is the table
-of the twist xi^c (one per class c mod xi's order, kept in the twist's
+one table per twist, built by ``_ratio_table`` in the small field
+Q(zeta_R), R the order of lambda, where that is a proper subfield of
+Q(zeta_L) and phi(L) > 2, and otherwise in Q(zeta_L).  It has three
+readers: bernoulli_gf is t^(1-v) times it; since rescaling t by c is
+replacing xi by xi^c, the ratio table of a scale c != 1 is the table of
+the twist xi^c (one per class c mod xi's order, kept in the twist's
 context) read at t -> ct; and a row's Bernoulli seed [c^j B_j/j!] is
 c t^(1-v) times that ratio.  Each g_u reads the one table of its order R,
 that of zeta_R, kept by Q(zeta_R).  Every such table is built to exactly
@@ -274,11 +275,11 @@ def _rescaled_table(ctx: TwistContext, c: int, upto: int) -> RowTable:
 
 
 def _inverse_table(ctx: TwistContext, build: int) -> RowTable:
-    """The inverse of the unit of scale 1 to t^build, which _ratio_table's
-    row product multiplies its sum by: 1/(u e^x - 1) at x = dt, u = xi^d,
-    or t times it where u = 1.  With g_u the field's table of the root u
-    (``_apostol_table``), coefficient k is g_u's times d^(k - v), v = 1
-    iff u = 1; the rows are scaled and brought to lowest terms by one
+    """The inverse of the unit of scale 1 to t^build, which
+    _ratio_by_row_product multiplies its sum by: 1/(u e^x - 1) at x = dt,
+    u = xi^d, or t times it where u = 1.  With g_u the field's table of the
+    root u (``_apostol_table``), coefficient k is g_u's times d^(k - v),
+    v = 1 iff u = 1; the rows are scaled and brought to lowest terms by one
     gcd."""
     root = _unit_root(ctx, 1)
     d = ctx.d
@@ -290,34 +291,44 @@ def _inverse_table(ctx: TwistContext, build: int) -> RowTable:
 
 
 def _ratio_table(ctx: TwistContext, build: int) -> RowTable:
-    """("ratio", 1) to t^build, the p-adic integral of chi(x) xi^x e^(xt)
-    over t, or over 1 where xi^d = 1: d^-v T(t) g(dt), T = sum_j S_j t^j/j!
-    the character sum, g the Apostol table of lambda = xi^d = zeta_M^f of
-    order R, v = 1 iff lambda = 1, so coefficient k is B_(k+1)/(k+1)!, or
-    B_k/k!.  Built once per twist, by whichever route ``_small_field_pays``
-    rates cheaper, and read by bernoulli_gf and ``_rescaled_table``.  In
-    Q(zeta_R), g's table of zeta_R is read at zeta_R -> lambda: over
-    g.den build! d^v, row k is the fold of
+    """("ratio", 1) to t^build, d^-v T(t) g(dt): T = sum_j S_j t^j/j! the
+    character sum, g the Apostol table of lambda = xi^d of order R, v = 1
+    iff lambda = 1, so coefficient k is B_(k+1)/(k+1)!, or B_k/k!.  Built
+    once per twist, in lambda's field Q(zeta_R) where that is a proper
+    subfield of Q(zeta_L) and phi(L) > 2 (``_ratio_in_small_field``), and
+    otherwise by one row product in Q(zeta_L) (``_ratio_by_row_product``):
+    the fields are equal iff phi(R) = phi(L) (L. C. Washington,
+    Introduction to Cyclotomic Fields, ch. 2), the combine then that
+    product unpacked, and at phi(L) <= 2 the product is ``_scalar_times``.
+    Both routes end in one ``_lowest``, so both give one table."""
+    R = ctx.xi_order // math.gcd(ctx.d, ctx.xi_order)
+    if ctx.field.degree > max(2, cyclo_field(R).degree):
+        return _ratio_in_small_field(ctx, build)
+    return _ratio_by_row_product(ctx, build)
+
+
+def _ratio_by_row_product(ctx: TwistContext, build: int) -> RowTable:
+    """_ratio_table in Q(zeta_L): the ("sum", 1) table, built unstored
+    where none is stored long enough, times the unit's inverse."""
+    n = build + 1
+    table = ctx._factors.get(("sum", 1))
+    if table is None or len(table) < n:
+        table = _build(ctx, ("sum", 1), build)
+    rows, den = _row_times(ctx.field, _head(table.rows, n), table.den,
+                           _inverse_table(ctx, build), n)
+    return _lowest(ctx.field, rows, den, n)
+
+
+def _ratio_in_small_field(ctx: TwistContext, build: int) -> RowTable:
+    """_ratio_table in Q(zeta_R): g's table of zeta_R read at zeta_R ->
+    lambda = zeta_M^f.  Over g.den build! d^v, row k is the fold of
     sum_i lambda^i sum_j (g_(k-j))_i d^(k-j) build!/j! S_j, the power sums
-    read at their spots (nonzero coordinates) and lambda^i a signed shift
-    (``root_terms``).  In Q(zeta_L), it is one ``_row_times`` of the
-    ("sum", 1) table, read where stored long enough and otherwise built
-    unstored, and the unit's inverse (``_inverse_table``), built unstored.
-    Either route ends in one ``_lowest``, so both give one table."""
-    field, d, n = ctx.field, ctx.d, build + 1
-    f = _unit_root(ctx, 1)
-    R = field.period // math.gcd(f, field.period)
-    small = cyclo_field(R)
+    read at their spots (nonzero coordinates), lambda^i a signed shift."""
+    field, d, n, f = ctx.field, ctx.d, build + 1, _unit_root(ctx, 1)
+    small = cyclo_field(ctx.xi_order // math.gcd(d, ctx.xi_order))
     sums = [S.num for S in power_sums(ctx, build, d - 1)[:n]]
     spots = [m for m, column in enumerate(zip(*sums)) if any(column)]
-    if not _small_field_pays(small.degree, len(spots), field.degree, n):
-        table = ctx._factors.get(("sum", 1))
-        if table is None or len(table) < n:
-            table = _build(ctx, ("sum", 1), build)
-        rows, den = _row_times(field, _head(table.rows, n), table.den,
-                               _inverse_table(ctx, build), n)
-        return _lowest(field, rows, den, n)
-    g = _apostol_table(small, small.period // R, build)  # zeta_R
+    g = _apostol_table(small, small.period // small.order, build)
     g_rows = dict(g.rows)
     sums = [[S[m] for m in spots] for S in sums]
     weights = _weights(1, 1, build)  # build!/j!
@@ -338,7 +349,7 @@ def _ratio_table(ctx: TwistContext, build: int) -> RowTable:
                 for m, x in zip(spots, u):
                     acc[m + s] += x
         rows.append((k, _fold(field, acc)))
-    return _lowest(field, rows, g.den * weights[0] * d**(R == 1), n)
+    return _lowest(field, rows, g.den * weights[0] * d**(f == 0), n)
 
 
 def _apostol_table(field, f: int, upto: int) -> RowTable:
@@ -427,15 +438,6 @@ def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     v = _unit_root(ctx, 1) == 0
     q = factor_table(ctx, ("ratio", 1), max(truncation - 1 + v, 0))
     return _times_t(ctx.field, q.elements(), 1 - v, truncation)
-
-
-def _small_field_pays(deg_r: int, spots: int, deg_l: int, n: int) -> bool:
-    """Whether _ratio_table's route in Q(zeta_R), deg_r its degree, is the
-    cheaper for n coefficients: n^2 deg_r (spots + 32) against
-    n^2 (4 deg_l + deg_l^2/12) + 200 n for the row product in Q(zeta_L).
-    Fitted to both routes' timed builds (CPython 3.11) of the series
-    contexts' twists and of d <= 61, xi order <= 121, up to t^20."""
-    return n * deg_r * (spots + 32) <= n * (4 * deg_l + deg_l**2 // 12) + 200
 
 
 class BernoulliTable:

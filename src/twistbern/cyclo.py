@@ -735,22 +735,21 @@ def _row_times(field: CycloField, left: list, lden: int, table: RowTable,
     taken.  At degree 1 and 2 a row pair is unpacked into its integers and
     multiplied into 2*degree - 1 scalar sums per output index; from
     _PACK_DEGREE on every row below n is packed once, at one digit width
-    that holds each coefficient of the product; between them, the
-    schoolbook loop.  From degree 3 on each output row is reduced by
-    ``_fold``; ``_scalar_times`` folds its own rows."""
+    that holds each coefficient of the product, where both sides have
+    rows; between them, the schoolbook loop.  From degree 3 on each output
+    row is reduced by ``_fold``; ``_scalar_times`` folds its own rows."""
     deg = field.degree
     if deg <= 2:
         return _scalar_times(field, left, table.rows, n), lden * table.den
     right, rden = _head(table.rows, n), table.den
     acc = [None] * n
-    if deg >= _PACK_DEGREE:
-        # no coefficient exceeds sum |a|_1 * max |b| over all pairs
+    if deg >= _PACK_DEGREE and left and right:
+        # no coefficient, nor digit of a or b, exceeds sum |a|_1 * max |b|
         width = _digit_width(sum(sum(map(abs, a)) for _, a in left) * max(
-            (max(map(abs, b)) for _, b in right), default=0))
-        bits = 8 * width
-        right = [(j, _pack(b, bits)) for j, b in right]
+            max(map(abs, b)) for _, b in right))
+        right = [(j, _pack(b, width)) for j, b in right]
         for i, a in left:
-            a = _pack(a, bits)
+            a = _pack(a, width)
             for j, b in right:
                 k = i + j
                 if k >= n:
@@ -821,12 +820,13 @@ def _digit_width(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
-def _pack(v, bits: int) -> int:
-    # sum c_i 2^(bits*i) over the integers c_i of v
-    packed = 0
-    for c in reversed(v):
-        packed = (packed << bits) + c
-    return packed
+def _pack(v, width: int) -> int:
+    # sum c_i 2^(8*width*i), |c_i| < 2^(8*width-1), in linear time: the
+    # digits offset as _unpack's, as one byte string, less the offsets
+    half = 1 << (8 * width - 1)
+    raw = b"".join([(c + half).to_bytes(width, "little") for c in v])
+    return int.from_bytes(raw, "little") - int.from_bytes(
+        half.to_bytes(width, "little") * len(v), "little")
 
 
 def _unpack(total: int, width: int, n: int) -> list:
@@ -843,19 +843,18 @@ def _unpack(total: int, width: int, n: int) -> list:
 def _packed_convolution(pairs, den: int, deg: int) -> list:
     """The 2*deg-1 coefficients of sum (den/d) * a * b over the pairs.
 
-    Each numerator is packed as sum c_i 2^(bits*i), so one big-int product
-    per pair forms its whole convolution (D. Harvey, J. Symbolic Comput. 44,
-    2009).  No coefficient of the sum exceeds the bound, sum over the pairs
-    of (den/d) * |a|_1 * max|b|, so digits of bits (a multiple of 8) with
-    2^(bits-1) > bound hold each signed one (``_digit_width``).
+    Each numerator is packed as sum c_i 2^(8*width*i), so one big-int
+    product per pair forms its whole convolution (D. Harvey, J. Symbolic
+    Comput. 44, 2009).  No coefficient of the sum exceeds the bound, sum
+    over the pairs of (den/d) * |a|_1 * max|b|, so digits of width bytes
+    with 2^(8*width-1) > bound hold each signed one (``_digit_width``).
     """
     bound = 0
     for a, b, d in pairs:
         bound += den // d * sum(map(abs, a)) * max(map(abs, b))
     width = _digit_width(bound)
-    bits = 8 * width
     total = 0
     for a, b, d in pairs:
-        prod = _pack(a, bits) * _pack(b, bits)
+        prod = _pack(a, width) * _pack(b, width)
         total += prod if d == den else den // d * prod
     return _unpack(total, width, 2 * deg - 1)

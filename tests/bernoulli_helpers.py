@@ -3,7 +3,7 @@ kept out of the package because nothing in it needs them: they are
 independent routes that the tests compare the package's own against,
 the readers of the one scale-1 table per twist (bernoulli_gf, a ratio
 table of any scale and a Bernoulli seed) with each of _ratio_table's two
-routes forced on a fresh context, and the ratio table of one scale c, and
+builders forced on a fresh context, and the ratio table of one scale c, and
 the inverse it multiplies by, built at that c, without the twist xi^c."""
 
 from fractions import Fraction
@@ -30,32 +30,41 @@ def bernoulli_polynomial_gf(ctx: TwistContext, n: int, x):
     return (PowerSeries(bernoulli_gf(ctx, n)) * ex).egf(n)
 
 
+def ratio_route(small: bool):
+    """The builder of _ratio_table's route named, to force it in place of
+    the rule that picks one from the fields: the combine in Q(zeta_R)
+    where small, the row product in Q(zeta_L) where not."""
+    return (bernoulli._ratio_in_small_field if small
+            else bernoulli._ratio_by_row_product)
+
+
 def _routed(ctx: TwistContext, small: bool, read):
     """read(fresh), fresh a new context of ctx's chi and xi, with the
-    route of _ratio_table forced, whatever its cost rule says: the
-    combine in Q(zeta_R) where small, the row product in Q(zeta_L) where
-    not.  The fresh context stores no table, so read builds exactly one
-    scale-1 table, and this asserts that it did, by the route forced: the
-    rule is asked once, and the unit's inverse is built iff the row
-    product ran."""
-    asked, inverses = [], []
-    pays, inverse = bernoulli._small_field_pays, bernoulli._inverse_table
+    route of _ratio_table forced (ratio_route), whatever the fields say.
+    The fresh context stores no table, so read builds exactly one scale-1
+    table, and this asserts that it did, by the builder forced: that
+    builder ran once and the other never, and the unit's inverse is built
+    iff the row product ran."""
+    names = ("_ratio_by_row_product", "_ratio_in_small_field")
+    saved = {name: getattr(bernoulli, name)
+             for name in names + ("_inverse_table", "_ratio_table")}
+    ran = []
 
-    def forced(*args):
-        asked.append(args)
-        return small
-
-    def counted(*args):
-        inverses.append(args)
-        return inverse(*args)
-    bernoulli._small_field_pays = forced
-    bernoulli._inverse_table = counted
+    def counted(name):
+        def call(*args):
+            ran.append(name)
+            return saved[name](*args)
+        return call
+    for name in names + ("_inverse_table",):
+        setattr(bernoulli, name, counted(name))
+    bernoulli._ratio_table = getattr(bernoulli, names[small])
     try:
         out = read(TwistContext(ctx.chi, ctx.xi))
     finally:
-        bernoulli._small_field_pays = pays
-        bernoulli._inverse_table = inverse
-    assert len(asked) == 1 and len(inverses) == (not small), (ctx, small)
+        for name, exact in saved.items():
+            setattr(bernoulli, name, exact)
+    assert ran == [names[small]] + ["_inverse_table"] * (not small), (
+        ctx, small, ran)
     return out
 
 

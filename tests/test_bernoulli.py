@@ -11,7 +11,8 @@ from twistbern.characters import character, enumerate_characters
 from twistbern.cyclo import CycloField, CycloNumber, _rows, cyclo_field
 from twistbern.sympoly import SymPoly
 
-from bernoulli_helpers import bernoulli_polynomial_gf, plain_twisted_numbers
+from bernoulli_helpers import (bernoulli_polynomial_gf, plain_twisted_numbers,
+                               ratio_route)
 from cyclo_helpers import rational_value
 
 
@@ -163,19 +164,15 @@ def test_powersum_gf_check_catches_a_wrong_side_a_factor(monkeypatch, d, char,
     # by one
     ctx = TwistContext.from_orders(d, char, order)
     routes = []
-
-    def forced(*args):
-        routes.append(small)
-        return small
-    exact = bernoulli._ratio_table
+    exact = ratio_route(small)
 
     def perturbed(c, build):
+        routes.append(small)
         coeffs = list(exact(c, build).elements())
         if build >= 3:
             coeffs[3] = coeffs[3] + 1
         return _rows(c.field, coeffs, len(coeffs))
 
-    monkeypatch.setattr(bernoulli, "_small_field_pays", forced)
     monkeypatch.setattr(bernoulli, "_ratio_table", perturbed)
     report = powersum_gf_check(ctx, 2, 6)
     assert routes == [small]

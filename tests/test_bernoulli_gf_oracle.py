@@ -8,9 +8,9 @@ itself it multiplies the character sum's table by the same Apostol table,
 re-mapped there to lambda.  Both
 routes read one table, so they check each other's combining, not the
 table: ``test_twisted_bernoulli_oracle.py`` checks the numbers.
-``_small_field_pays`` picks a route by measured cost; here each is forced
-on a fresh context (``bernoulli_helpers``), and they must agree coefficient
-for coefficient,
+``_ratio_table`` picks a route from the two fields; here each builder is
+forced on a fresh context (``bernoulli_helpers``), and they must agree
+coefficient for coefficient,
 with bernoulli_gf itself, on every request of perfbench's
 ``bernoulli_pool()`` (fields of degree 24 to 120), on the 36 contexts of
 the series benchmark to t^12, at d = 1 to t^20 and t^30 with xi of order
@@ -19,7 +19,8 @@ combine skips them, and on negated roots xi = -zeta_L^k of odd fields,
 where lambda can be an odd power of zeta_2L, no power of zeta_L, whose odd
 powers lambda^i carry the sign of zeta_2L = -zeta_L^((L+1)/2).
 The sweep over every d <= 15, character, xi order <= 15 and coprime
-exponent is marked slow.
+exponent is marked slow.  The rule itself is pinned at fixed requests,
+with both builders stubbed, so no table is built and nothing is timed.
 """
 
 import math
@@ -28,8 +29,8 @@ from pathlib import Path
 
 import pytest
 
-from twistbern.bernoulli import (TwistContext, _small_field_pays,
-                                 _unit_root, bernoulli_gf)
+from twistbern import bernoulli
+from twistbern.bernoulli import TwistContext, _unit_root, bernoulli_gf
 from twistbern.characters import character, enumerate_characters
 from twistbern.cyclo import cyclo_field
 
@@ -109,18 +110,43 @@ def test_every_small_context_agrees(d):
                            (0, 1, 2, 7))
 
 
-def test_the_route_follows_the_measured_cost():
-    # (deg Q(zeta_R), spots, deg Q(zeta_L), coefficients): a small lambda
-    # in a wide field, as on every bernoulli pool request
-    assert _small_field_pays(4, 120, 120, 6)
-    assert _small_field_pays(1, 1, 1, 2)
-    # lambda of order 10007 (d = 1): one spot, and the wide field's product
-    # would cost deg^2
-    assert _small_field_pays(10006, 1, 10006, 3)
-    # R = L with many spots and many coefficients: phi(R) * spots steps
-    # per coefficient pair lose to one product per coefficient
-    assert not _small_field_pays(100, 60, 100, 21)
-    assert not _small_field_pays(20, 2, 20, 21)
-    # bernoulli --d 61 --char 1 --xi-order 420 --n 12, where the small
-    # field took three times as long
-    assert not _small_field_pays(96, 96, 96, 12)
+# (d, character index, xi order, coefficients, phi(R), phi(L), route):
+# R the order of lambda = xi^d, L the field's order.  The first six are the
+# points (phi(R), spots, phi(L), coefficients) a timed cost rule was
+# pinned at, as requests of those degrees.  Two of them, (1, 1, 1, 2) and
+# (10006, 1, 10006, 3), took the small field under that rule and take the
+# row product now; the other four keep their route
+RULE_POINTS = [
+    # a small lambda in a wide field, as on every bernoulli pool request
+    (31, 0, 155, 6, 4, 120, "small"),
+    # L = 1: the row product is _scalar_times
+    (1, 0, 1, 2, 1, 1, "row"),
+    # lambda of order 10007 (d = 1): Q(zeta_R) is the field itself
+    (1, 0, 10007, 3, 10006, 10006, "row"),
+    # R = L with many spots (60) and with few (2), to t^20
+    (3, 1, 101, 21, 100, 100, "row"),
+    (4, 1, 25, 21, 20, 20, "row"),
+    # bernoulli --d 61 --char 1 --xi-order 420 --n 12
+    (61, 1, 420, 12, 96, 96, "row"),
+    # bernoulli --d 19 --char 2 --xi-order 60 --n 40, where the row
+    # product took 2.8 times as long as the small field
+    (19, 2, 60, 40, 16, 48, "small"),
+]
+
+
+@pytest.mark.parametrize("d,char,order,n,deg_r,deg_l,route", RULE_POINTS)
+def test_the_route_follows_the_fields(d, char, order, n, deg_r, deg_l,
+                                      route, monkeypatch):
+    # the small field where phi(R) < phi(L) and phi(L) > 2, read from the
+    # context alone: each builder is a stub that records its call
+    ran = []
+    for name, tag in (("_ratio_in_small_field", "small"),
+                      ("_ratio_by_row_product", "row")):
+        monkeypatch.setattr(bernoulli, name,
+                            lambda ctx, build, tag=tag: ran.append(tag))
+    ctx = TwistContext.from_orders(d, char, order)
+    R = ctx.xi_order // math.gcd(d, ctx.xi_order)
+    assert (cyclo_field(R).degree, ctx.field.degree) == (deg_r, deg_l)
+    bernoulli._ratio_table(ctx, n - 1)
+    assert ran == [route]
+    assert (route == "small") == (deg_r < deg_l and deg_l > 2)

@@ -354,6 +354,23 @@ def test_packed_dot_at_the_width_boundary():
                 assert dot(f, xs, ys) == plain_dot(f, xs, ys)
 
 
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_pack_round_trips_at_the_digit_edge(width):
+    # 10006 digits, the degree of Q(zeta_10007), each within one of
+    # +-2^(8*width - 1): _pack's value is the plain sum of c_i 2^(8*width*i),
+    # and _unpack gives every digit back
+    edge = 2 ** (8 * width - 1) - 1
+    rng = random.Random(width)
+    v = [rng.choice((edge, -edge, 0, 1, -1)) for _ in range(10006)]
+    v[0], v[-1] = -edge, edge
+    packed = cyclo._pack(v, width)
+    assert packed == sum(c << (8 * width * i) for i, c in enumerate(v))
+    assert cyclo._unpack(packed, width, len(v)) == v
+    negated = cyclo._pack([-c for c in v], width)
+    assert negated == -packed
+    assert cyclo._unpack(negated, width, len(v)) == [-c for c in v]
+
+
 def test_packed_dot_matches_sum_of_products():
     rng = random.Random(2009)
     for order in WIDE_ORDERS:

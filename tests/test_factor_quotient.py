@@ -50,7 +50,7 @@ from twistbern.symmetry import (_FAMILY_MAX_I, _QUOTIENTS, _ROWS,
                                 verify_theorem)
 
 from bernoulli_helpers import (bernoulli_gf_by_division, bpoly_by_route,
-                               ratio_by_route)
+                               ratio_by_route, ratio_route)
 from cyclo_helpers import multiplicative_order
 
 CONTEXTS = [(d, char, order) for d in (1, 3, 4)
@@ -140,7 +140,7 @@ def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
     # for the ratio and does not store it.  Either runs the table's
     # recurrence only in Q(zeta_R), once per R, where the table is not yet
     # long enough
-    monkeypatch.setattr(bernoulli, "_small_field_pays", lambda *args: small)
+    monkeypatch.setattr(bernoulli, "_ratio_table", ratio_route(small))
     builds = []
     for kind, name in (("units", "twist_units_series"),
                        ("sum", "char_sum_series")):
@@ -210,16 +210,18 @@ def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
     # its field's table of the root, never the unit's table, so the unit
     # of a scale is not built
     builds = []
-    for name in ("twist_units_series", "char_sum_series", "_inverse_table",
-                 "_ratio_table", "_rescaled_table"):
-        def counted(*args, exact=getattr(bernoulli, name), name=name):
+
+    def count(name, exact):
+        def counted(*args):
             table = exact(*args)
             builds.append((name, len(table)))
             return table
         monkeypatch.setattr(bernoulli, name, counted)
+    for name in ("twist_units_series", "char_sum_series", "_inverse_table",
+                 "_rescaled_table"):
+        count(name, getattr(bernoulli, name))
     for small, truncation in itertools.product((True, False), range(4)):
-        monkeypatch.setattr(bernoulli, "_small_field_pays",
-                            lambda *args, small=small: small)
+        count("_ratio_table", ratio_route(small))
         for t_power, units, scales in _cases((1, 2, 3)):
             ctx = TwistContext.from_orders(d, char, order)
             builds.clear()
@@ -469,7 +471,7 @@ def test_a_ratio_reads_a_stored_sum_and_builds_its_inverse_unstored(
     # The inverse of the unit is built for each ratio build and never
     # stored.  At xi of order 1 the twist is the context itself.  The row
     # product is forced: the route in the small field reads neither
-    monkeypatch.setattr(bernoulli, "_small_field_pays", lambda *args: False)
+    monkeypatch.setattr(bernoulli, "_ratio_table", ratio_route(False))
     builds = []
     for name in ("char_sum_series", "_inverse_table"):
         def counted(*args, exact=getattr(bernoulli, name), name=name):
@@ -693,7 +695,7 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # len(operands) - 1 factor multiplications.  The ratio tables are built
     # by the row product, forced here: the route in the small field builds
     # no sum or inverse
-    monkeypatch.setattr(bernoulli, "_small_field_pays", lambda *args: False)
+    monkeypatch.setattr(bernoulli, "_ratio_table", ratio_route(False))
     builds = []
     for kind, name in (("units", "twist_units_series"),
                        ("sum", "char_sum_series")):

@@ -31,8 +31,10 @@ the context's ("ratio", 1) table, which builds it only where it is not
 stored long enough; in a checkout where ``_ratio_table`` does not build
 every scale-1 table, each was a build) and ``small_field``, the scale-1
 table builds that take the route in the small field Q(zeta_R)
-(``bernoulli._small_field_pays`` answering yes; such a checkout counts
-``bernoulli_gf`` builds there, and one from before the choice reads 0).  A second line gives, per kind of table, the
+(calls of ``bernoulli._ratio_in_small_field``; in a checkout that chose
+the route by the cost rule ``bernoulli._small_field_pays``, its yes
+answers, which count ``bernoulli_gf`` builds where those built the
+table; one from before the choice reads 0).  A second line gives, per kind of table, the
 number of builds and the top power of t (of x for a root table) of the
 longest one: ``units`` (``bernoulli.twist_units_series``), ``sum``
 (``char_sum_series``), ``inv`` (``_inverse_table``: the scale-1 inverse
@@ -162,14 +164,17 @@ if counting:
     install(bernoulli, "bernoulli_gf", gf_calls)
 
     def routes(exact):
-        # the scale-1 table builds that take the route in Q(zeta_R)
+        # the scale-1 table builds that take the route in Q(zeta_R): calls
+        # of its builder, or yes answers of the cost rule that chose it
         def counted(*args):
             small = exact(*args)
-            counts["small_field"] += small
+            counts["small_field"] += small is not False
             return small
         return counted
-    if hasattr(bernoulli, "_small_field_pays"):  # absent before the choice
-        install(bernoulli, "_small_field_pays", routes)
+    for name in ("_ratio_in_small_field", "_small_field_pays"):
+        if hasattr(bernoulli, name):  # neither before the choice
+            install(bernoulli, name, routes)
+            break
     counts["tables"] = tables
 profile = cProfile.Profile() if top else None
 results = []
