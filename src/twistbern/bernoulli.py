@@ -208,19 +208,27 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     the twist xi^c's ("ratio", 1) table, stored in the twist's context,
     read at t -> ct (``_rescaled_table``).  Each table is built once per
     context, as a RowTable straight from integers, and kept as it is in
-    ctx._factors with a default sigma, then bound, dropped from its key.
-    It is built to exactly t^upto, and a longer one than cached is rebuilt
-    to exactly t^upto: no table is built past the longest length asked
-    for.  Any other key raises ValueError."""
-    if len(key) > 2:  # units and ratio keys are stored as they are
-        if key[3:] == (key[1],):
-            key = key[:3]
-        if key[2:] == (ctx.d - 1,):
-            key = key[:2]
+    ctx._factors under its ``stored_key``.  It is built to exactly t^upto,
+    and a longer one than cached is rebuilt to exactly t^upto: no table is
+    built past the longest length asked for.  Any other key raises
+    ValueError."""
+    key = stored_key(ctx.d, key)
     table = ctx._factors.get(key)
     if table is None or len(table) <= upto:
         table = ctx._factors[key] = _build(ctx, key, upto)
     return table
+
+
+def stored_key(d: int, key: tuple) -> tuple:
+    """The key under which factor_table stores the table of key at modulus
+    d: a sum key's sigma dropped where it is c, then its bound where it is
+    d - 1, so that every spelling of one table is one key."""
+    if len(key) > 2:  # units and ratio keys are stored as they are
+        if key[3:] == (key[1],):
+            key = key[:3]
+        if key[2:] == (d - 1,):
+            key = key[:2]
+    return key
 
 
 def _build(ctx: TwistContext, key: tuple, upto: int) -> RowTable:

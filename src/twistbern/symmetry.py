@@ -27,8 +27,9 @@ what it multiplies first, with no arithmetic, as factor_table keys: the
 (shift, keys) of ``bernoulli.quotient_operands``, of a row from
 ``row_operands``.  Every check decides on forms: equal forms lift to equal
 SymPolys, so only unequal forms are lifted (by ``_lift``, the one writer of
-SymPoly monomials) for ``first_mismatch`` to decide, and ``verify_theorem``
-lifts each distinct form once.
+SymPoly monomials) for ``first_mismatch`` to decide.  ``verify_theorem``
+builds one form per operand multiset of its plan (``_theorem_plan``), and
+its ``expressions`` lift each distinct form once, at their first read.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ import math
 from fractions import Fraction
 
 # _bpoly is bound here for perfbench/tracing.py, which wraps symmetry._bpoly
-from .bernoulli import TwistContext, _bpoly, factor_quotient  # noqa: F401
+from .bernoulli import (TwistContext, _bpoly, factor_quotient,  # noqa: F401
+                        stored_key)
 from .report import CheckReport, ReadOnly, TheoremReport, first_mismatch
 from .series import PowerSeries
 from .sympoly import SymPoly
@@ -311,45 +313,81 @@ _THEOREM_PATTERNS = {
 THEOREM_IDS = tuple(sorted(_THEOREM_PATTERNS))
 
 
-def _distinct_orders(w: tuple, perms: tuple) -> list:
+def _distinct_orders(w: tuple, perms: tuple) -> tuple:
     """The orders (w[a], w[b], w[c]) over perms (a, b, c), each once: a
     repeated weight repeats an order, and an order equals itself."""
-    return list(dict.fromkeys((w[a], w[b], w[c]) for a, b, c in perms))
+    return tuple(dict.fromkeys((w[a], w[b], w[c]) for a, b, c in perms))
+
+
+def _operand_multiset(entry, d: int, w: tuple) -> tuple:
+    """The _ROWS entry's operands at the weights w and modulus d as a
+    multiset: its const, then its exp items, scales and sum keys (each as
+    factor_table stores it, ``stored_key``) sorted.  Two orders with one
+    multiset multiply the same tables into the same form: equal scales owe
+    one t-shift at every context."""
+    const, scales, sums, exp = row_operands(entry, d, w)
+    return (const, sorted(exp), sorted(scales),
+            sorted(stored_key(d, key) for key in sums))
+
+
+@functools.lru_cache(maxsize=4096)
+def _theorem_plan(entry, d: int, orders: tuple) -> tuple:
+    """For each of the weight orders, the index of the first order with its
+    operand multiset: the orders of one index share one form, built once.
+    Read from row_operands alone, with no arithmetic, and memoized by the
+    entry object, never by its row name, as row_operands is."""
+    multisets = [_operand_multiset(entry, d, v) for v in orders]
+    return tuple(map(multisets.index, multisets))
 
 
 def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
                    n: int) -> TheoremReport:
     """Evaluate every displayed expression of one symmetry theorem exactly.
 
-    Each expression is an exact SymPoly in the live y-variables, one lift
-    per distinct row form (orders with equal forms share it); the verdict is
-    pass iff all of them coincide, and only lifts of unequal forms are
-    compared.  For theorem 3, the ``printed_shift_variant_matches`` note
-    records, by the same rule, whether the variant with the inconsistent
-    shift denominator (as printed in one source display) agrees as well;
-    the verdict is based on the pattern-consistent expressions only.
+    The plan (``_theorem_plan``) groups the distinct weight orders by
+    operand multiset, and one row form is built per group, shared by its
+    orders; its size is the report's ``compared``.  The verdict is pass iff
+    all forms coincide: only forms that differ are lifted, for
+    ``first_mismatch`` to decide.  ``expressions`` holds one exact SymPoly
+    in the live y-variables per displayed expression, and lifts each
+    distinct form once, at its first read.  For theorem 3, the
+    ``printed_shift_variant_matches`` note records whether the variant with
+    the inconsistent shift denominator (as printed in one source display)
+    agrees with order 0 as well: with no product where its operands are
+    order 0's, and otherwise by its form, which decides with no lift, as
+    its scales are order 0's.  The verdict is based on the
+    pattern-consistent expressions only.
     """
     if theorem not in _THEOREM_PATTERNS:
         raise ValueError("theorem id must be 1..8")
     _check_point(w, n)
     perms, row = _THEOREM_PATTERNS[theorem]
     orders = _distinct_orders(w, perms)
-    forms = [_row_form(row, ctx, v, n) for v in orders]
+    plan = _theorem_plan(_ROWS[row], ctx.d, orders)
+    built = {k: _row_form(row, ctx, orders[k], n) for k in dict.fromkeys(plan)}
+    forms = [built[k] for k in plan]
     first = [forms.index(form) for form in forms]  # equal forms share a lift
-    lifts = {k: _lift(*forms[k], n, 1) for k in set(first)}
+    lift = functools.cache(lambda k: _lift(*forms[k], n, 1))
     detail = first_mismatch(
-        (f"w-order {v} differs from w-order {orders[0]}", lifts[k], lifts[0])
+        (f"w-order {v} differs from w-order {orders[0]}", lift(k), lift(0))
         for v, k in zip(orders, first) if k)
-    values = {v: lifts[k] for v, k in zip(orders, first)}
+    index = dict(zip(orders, first))
     report = TheoremReport(
         theorem=theorem, params=dict(ctx.params(), w=list(w), n=n),
-        expressions=[values[w[a], w[b], w[c]] for a, b, c in perms],
-        passed=detail is None, detail=detail)
+        expressions=lambda: [lift(index[w[a], w[b], w[c]])
+                             for a, b, c in perms],
+        passed=detail is None, detail=detail, compared=len(built))
     if theorem == 3:
-        printed = _row_form("bernoulli_shifted_bernoulli_printed", ctx,
-                            (w[1], w[0], w[2]), n)
+        # the variant at (w2, w1, w3) has the scales of order 0, each one
+        # nonzero, so each F_j, j <= n, weighs a monomial y^t, |t| = n - j,
+        # of the lift at n: its forms decide, and equal operands do so
+        # with no product
+        variant = "bernoulli_shifted_bernoulli_printed"
+        order = (w[1], w[0], w[2])
         report.notes["printed_shift_variant_matches"] = (
-            printed == forms[0] or _lift(*printed, n, 1) == lifts[0])
+            _operand_multiset(_ROWS[variant], ctx.d, order)
+            == _operand_multiset(_ROWS[row], ctx.d, orders[0])
+            or _row_form(variant, ctx, order, n) == forms[0])
     return report
 
 

@@ -1,8 +1,8 @@
 """tools/block_time.py --counts runs against this checkout.
 
-The tool wraps ``cyclo`` and ``bernoulli`` functions by name and stops with
-an error when one is gone, so a renamed or deleted function it counts
-fails here rather than at the next measurement.  One seed-1 ``series``
+The tool wraps ``cyclo``, ``bernoulli`` and ``symmetry`` functions by name
+and stops with an error when one is gone, so a renamed or deleted function
+it counts fails here rather than at the next measurement.  One seed-1 ``series``
 block is counted, in a child process, and every column of its two count
 lines is printed.
 """
@@ -14,7 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COUNTS = ("product", "row_times", "row_pairs", "quotient", "recurrence",
           "poly_inverse", "dot", "fold", "cyclotomic_polynomial", "remap",
-          "bernoulli_gf", "small_field")
+          "bernoulli_gf", "small_field", "lift")
 TABLES = ("units", "sum", "inv", "ratio", "root", "rescale")
 
 

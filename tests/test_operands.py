@@ -13,6 +13,9 @@ element operation replaced by one that raises, the operands of every row
 and every quotient family are still built at every weight order of the
 acceptance grid's points.  A row form is one ``cyclo.product`` of the
 tables of its keys, sliced on by t^shift, as a quotient form is.
+A theorem check's plan, ``symmetry._theorem_plan``, groups its weight
+orders by operand multiset, each key as ``bernoulli.stored_key`` stores
+it: the orders of one group have equal forms, each built alone.
 ``tools/operand_census.py`` counts, from operands alone, what the checks
 of a benchmark block compare.
 """
@@ -25,17 +28,23 @@ from pathlib import Path
 import pytest
 
 from twistbern import bernoulli, cyclo, symmetry
-from twistbern.bernoulli import TwistContext, factor_table, quotient_operands
+from twistbern.bernoulli import (TwistContext, factor_table, quotient_operands,
+                                 stored_key)
 from twistbern.characters import enumerate_characters
 from twistbern.cyclo import CycloNumber
 from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
-                                _distinct_orders, row_operands)
+                                _THEOREM_PATTERNS, _distinct_orders,
+                                _operand_multiset, _row_form, _theorem_plan,
+                                row_operands)
 
 CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
             for char in range(len(enumerate_characters(d)))
             for order in (1, 2, 3, 4)]
 THEOREM_W = ((1, 1, 1), (1, 2, 3), (2, 3, 5))
 ORDERS = [v for w in THEOREM_W for v in _distinct_orders(w, _PERM6)]
+#: the acceptance triples and their rotations
+ROTATED_W = tuple(dict.fromkeys(w[k:] + w[:k] for w in THEOREM_W
+                                for k in range(3)))
 
 #: everything that multiplies, builds a table or adds elements
 ARITHMETIC = [(cyclo, "product"), (bernoulli, "product"),
@@ -150,3 +159,112 @@ def test_the_census_of_a_theorems_block_reads_operands_only(monkeypatch):
     tool = _census_tool(monkeypatch)
     _forbid(monkeypatch)
     assert list(tool.census("theorems", 1).values()) == [224, 280, 840]
+
+
+def _tag_tables(monkeypatch):
+    """Divide each table a form reads by a prime of its own stored key, so
+    that two forms are equal only where their operand multisets are (or
+    both are 0), not merely where a theorem makes their values equal.  The
+    tables that table builders read, and those stored, are left as they
+    are."""
+    primes, depth = {}, [0]
+    real = bernoulli.factor_table
+
+    def prime(key):
+        if key not in primes:
+            p = max(primes.values(), default=1) + 1
+            while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+                p += 1
+            primes[key] = p
+        return primes[key]
+
+    def tagged(ctx, key, upto):
+        depth[0] += 1
+        try:
+            table = real(ctx, key, upto)
+        finally:
+            depth[0] -= 1
+        if depth[0]:
+            return table
+        return cyclo.RowTable(table.field, table.rows,
+                              table.den * prime(stored_key(ctx.d, key)),
+                              table.length)
+    monkeypatch.setattr(bernoulli, "factor_table", tagged)
+
+
+def _grouped_orders_with_unequal_forms(plan, n=4):
+    """(theorem, ctx, v, u) for each weight order v of a theorem check over
+    the acceptance grid whose row form, built alone, differs from that of
+    u, the first order of its group under plan."""
+    forms = {}
+
+    def form(row, ctx, v):
+        if (row, ctx, v) not in forms:
+            forms[row, ctx, v] = _row_form(row, ctx, v, n)
+        return forms[row, ctx, v]
+
+    for ctx in CONTEXTS:
+        for w in ROTATED_W:
+            for theorem, (perms, row) in _THEOREM_PATTERNS.items():
+                orders = _distinct_orders(w, perms)
+                for j, k in enumerate(plan(_ROWS[row], ctx.d, orders)):
+                    if k != j and (form(row, ctx, orders[j])
+                                   != form(row, ctx, orders[k])):
+                        yield theorem, ctx, orders[j], orders[k]
+
+
+def test_the_orders_of_one_plan_group_have_equal_forms(monkeypatch):
+    _tag_tables(monkeypatch)
+    assert next(_grouped_orders_with_unequal_forms(_theorem_plan), None) \
+        is None
+    # theorem 3's printed variant matches with no product where its
+    # operands are those of order 0, and is decided by its form otherwise:
+    # it has order 0's scales, all nonzero, so its lift at n reads every
+    # F_j, j <= n
+    row, variant = "bernoulli_shifted_bernoulli", \
+        "bernoulli_shifted_bernoulli_printed"
+    same = 0
+    for ctx in CONTEXTS:
+        for w in ROTATED_W:
+            order = (w[1], w[0], w[2])
+            exp = row_operands(_ROWS[variant], ctx.d, order)[3]
+            assert exp == row_operands(_ROWS[row], ctx.d, w)[3]
+            assert exp and all(s for _, s in exp)
+            if (_operand_multiset(_ROWS[variant], ctx.d, order)
+                    == _operand_multiset(_ROWS[row], ctx.d, w)):
+                assert _row_form(variant, ctx, order, 4) == \
+                    _row_form(row, ctx, w, 4)
+                same += 1
+    assert same == len(CONTEXTS)  # w1 = w3 at (1, 1, 1) alone
+
+
+def test_a_plan_that_merges_every_order_fails_the_grid(monkeypatch):
+    # the untagged forms of every order are equal wherever a theorem holds,
+    # so only the tagged tables tell the orders' multisets apart
+    def merged(entry, d, orders):
+        return (0,) * len(orders)
+    assert next(_grouped_orders_with_unequal_forms(merged), None) is None
+    _tag_tables(monkeypatch)
+    assert next(_grouped_orders_with_unequal_forms(merged), None) is not None
+
+
+def test_the_plan_reads_keys_as_factor_table_stores_them(monkeypatch):
+    # a sum key's sigma equal to c, then its bound d - 1, is dropped, so
+    # every spelling of one table is one stored key
+    ctx = CONTEXTS[-1]
+    d = ctx.d
+    for key in (("sum", 2), ("sum", 2, d - 1), ("sum", 2, d - 1, 2)):
+        assert stored_key(d, key) == ("sum", 2)
+        assert factor_table(ctx, key, 2) is ctx._factors["sum", 2]
+    for key in (("sum", 2, d), ("sum", 2, d - 1, 3), ("ratio", 3),
+                ("units", (1, 2))):
+        assert stored_key(d, key) == key
+    # theorem 5's row spells a shift key ("sum", w1*w3, d*w2 - 1, w1*w3)
+    # that its power sum at the order with w2, w3 interchanged spells
+    # ("sum", w1*w3, d*w2 - 1): one table, so one group, only through
+    # stored_key
+    entry = _ROWS["shifted_bernoulli_powersum"]
+    orders = _distinct_orders((1, 2, 3), _PERM6)
+    assert _theorem_plan.__wrapped__(entry, d, orders) == (0, 0, 2, 2, 4, 4)
+    monkeypatch.setattr(symmetry, "stored_key", lambda d, key: key)
+    assert _theorem_plan.__wrapped__(entry, d, orders) == (0, 1, 2, 3, 4, 5)

@@ -387,9 +387,10 @@ def test_passing_form_checks_build_no_sympoly(monkeypatch):
 
 
 def test_a_passing_theorem_lifts_each_distinct_form_once(monkeypatch):
-    # on a pass every weight order has the same row form, so one lift is
-    # shared by all expressions; theorem 3's printed variant is lifted only
-    # when its form differs
+    # on a pass every weight order has the same row form, so one lift, made
+    # at the first read of expressions and never in the call, is shared by
+    # all expressions; theorem 3's printed variant is built only where its
+    # operands are not order 0's, and is decided on forms
     from twistbern import symmetry
     forms, lifts = [], []
     real_form, real_lift = symmetry._row_form, symmetry._lift
@@ -404,11 +405,48 @@ def test_a_passing_theorem_lifts_each_distinct_form_once(monkeypatch):
             lifts.clear()
             rep = verify_theorem(tid, TWISTED4, w, 3)
             assert rep.passed, (tid, w)
+            assert lifts == [], (tid, w)
             distinct = [f for k, f in enumerate(forms) if f not in forms[:k]]
-            assert len(lifts) == len(distinct), (tid, w)
-            assert all(e is rep.expressions[0] for e in rep.expressions)
-            printed = tid == 3 and forms[-1] != forms[0]
+            printed = len(forms) > rep.compared and forms[-1] != forms[0]
             assert len(distinct) == 1 + printed, (tid, w)
+            expressions = rep.expressions
+            assert len(lifts) == 1, (tid, w)
+            assert all(e is expressions[0] for e in expressions)
+            assert rep.expressions is expressions and len(lifts) == 1
+
+
+def test_a_passing_theorem_builds_one_form_per_plan_group(monkeypatch):
+    # the plan groups the distinct weight orders by operand multiset; each
+    # group's form is built once, compared counts the groups, and nothing
+    # is lifted until expressions is read
+    from twistbern import symmetry
+    built, lifts = [], []
+    real_form, real_lift = symmetry._row_form, symmetry._lift
+    monkeypatch.setattr(symmetry, "_row_form",
+                        lambda *args: built.append(args[0])
+                        or real_form(*args))
+    monkeypatch.setattr(symmetry, "_lift",
+                        lambda *args: lifts.append(args) or real_lift(*args))
+    for ctx in (CLASSICAL, TWISTED3, TWISTED4):
+        for tid, (perms, row) in symmetry._THEOREM_PATTERNS.items():
+            for w in ((1, 2, 3), (2, 2, 3), (1, 1, 1), (2, 3, 5)):
+                built.clear()
+                lifts.clear()
+                rep = verify_theorem(tid, ctx, w, 4)
+                assert rep.passed and lifts == [], (tid, w)
+                plan = symmetry._theorem_plan(
+                    symmetry._ROWS[row], ctx.d,
+                    symmetry._distinct_orders(w, perms))
+                assert built.count(row) == rep.compared == len(set(plan))
+                assert "compared" not in rep.to_json_dict()
+                assert len(rep.expressions) == len(perms) and lifts
+    # theorem 1's six orders of (1, 2, 3) have one operand multiset, so its
+    # pass rests on the product being independent of factor order alone;
+    # theorem 2's six orders have three, and its three orders of (2, 2, 3)
+    # two: interchanging w1 and w2 only swaps its two Bernoulli pieces
+    assert verify_theorem(1, TWISTED4, (1, 2, 3), 2).compared == 1
+    assert verify_theorem(2, TWISTED4, (1, 2, 3), 2).compared == 3
+    assert verify_theorem(2, TWISTED4, (2, 2, 3), 2).compared == 2
 
 
 def test_the_lift_decides_when_forms_differ(monkeypatch):

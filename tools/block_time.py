@@ -34,7 +34,9 @@ table builds that take the route in the small field Q(zeta_R)
 (calls of ``bernoulli._ratio_in_small_field``; in a checkout that chose
 the route by the cost rule ``bernoulli._small_field_pays``, its yes
 answers, which count ``bernoulli_gf`` builds where those built the
-table; one from before the choice reads 0).  A second line gives, per kind of table, the
+table; one from before the choice reads 0) and ``lift``, the
+``symmetry._lift`` calls (each SymPoly built from a form) the block makes,
+not those of the gate's reads after it.  A second line gives, per kind of table, the
 number of builds and the top power of t (of x for a root table) of the
 longest one: ``units`` (``bernoulli.twist_units_series``), ``sum``
 (``char_sum_series``), ``inv`` (``_inverse_table``: the scale-1 inverse
@@ -45,9 +47,9 @@ read off the ("ratio", 1) table of the twist xi^c at t -> ct, so ``ratio``
 counts only those scale-1 builds; a checkout from before that law builds
 every c itself and reads 0).  They
 repeat exactly from run to run, unlike the time.  Each name is wrapped in every
-``twistbern`` module that binds it, and a name that ``cyclo`` or
-``bernoulli`` no longer has stops the tool with an error rather than
-counting zero.  The
+``twistbern`` module that binds it, and a name that ``cyclo``,
+``bernoulli`` or ``symmetry`` no longer has stops the tool with an error
+rather than counting zero.  The
 benchmark is imported, never edited.  Stdlib only.
 """
 
@@ -176,6 +178,16 @@ if counting:
             install(bernoulli, name, routes)
             break
     counts["tables"] = tables
+
+    from twistbern import symmetry
+    counts["lift"] = 0
+
+    def lift_calls(exact):
+        def counted(*args):
+            counts["lift"] += 1
+            return exact(*args)
+        return counted
+    install(symmetry, "_lift", lift_calls)
 profile = cProfile.Profile() if top else None
 results = []
 t0 = time.process_time()
@@ -186,6 +198,8 @@ for check in checks:
 if profile:
     profile.disable()
 cpu = time.process_time() - t0
+# the block's counts, not those of the gate's reads after it
+block_counts = json.loads(json.dumps(counts))
 passed = sum(w.judge(c, r, {}).status == "pass" for c, r in zip(checks, results))
 text = None
 if profile:
@@ -193,7 +207,7 @@ if profile:
     pstats.Stats(profile, stream=out).sort_stats("tottime").print_stats(top)
     text = out.getvalue()
 print(json.dumps({"cpu_s": cpu, "checks": len(checks), "passed": passed,
-                  "profile": text, "counts": counts}))
+                  "profile": text, "counts": block_counts}))
 """
 
 
@@ -211,8 +225,9 @@ def main(argv=None) -> int:
                            "quotient, table-recurrence, inverse, dot, fold, "
                            "cyclotomic-polynomial and table re-map counts, "
                            "its Bernoulli GF reads and the scale-1 table "
-                           "builds in the small field, and its table builds "
-                           "per kind, rescaled tables among them")
+                           "builds in the small field, its SymPoly lifts, "
+                           "and its table builds per kind, rescaled tables "
+                           "among them")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     proc = subprocess.run(
