@@ -54,25 +54,20 @@ class TheoremReport(Verdict):
     """Verdict for one symmetry theorem at one parameter point.
     ``expressions`` holds one SymPoly per displayed expression, shared by
     equal forms; given as a callable, it is called at the first read, so
-    verify_theorem lifts each distinct form once, and only when read.
-    ``compared`` is the number of distinct operand multisets the verdict
-    multiplied: at 1, a pass rests only on ``cyclo.product`` being
-    independent of the order of its factors.  Neither is in the JSON."""
+    verify_theorem lifts each distinct form once, and only when read."""
 
     __slots__ = ("theorem", "params", "_expressions", "passed", "detail",
-                 "notes", "compared")
+                 "notes")
 
     def __init__(self, theorem: int, params: dict,
                  expressions=None, passed: bool = True,
-                 detail: str | None = None, notes: dict | None = None,
-                 compared: int = 0):
+                 detail: str | None = None, notes: dict | None = None):
         self.theorem = theorem
         self.params = params
         self._expressions = [] if expressions is None else expressions
         self.passed = passed
         self.detail = detail
         self.notes = {} if notes is None else notes
-        self.compared = compared
 
     @property
     def expressions(self) -> list:

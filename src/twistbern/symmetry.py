@@ -346,17 +346,15 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
 
     The plan (``_theorem_plan``) groups the distinct weight orders by
     operand multiset, and one row form is built per group, shared by its
-    orders; its size is the report's ``compared``.  The verdict is pass iff
-    all forms coincide: only forms that differ are lifted, for
-    ``first_mismatch`` to decide.  ``expressions`` holds one exact SymPoly
-    in the live y-variables per displayed expression, and lifts each
-    distinct form once, at its first read.  For theorem 3, the
-    ``printed_shift_variant_matches`` note records whether the variant with
-    the inconsistent shift denominator (as printed in one source display)
-    agrees with order 0 as well: with no product where its operands are
-    order 0's, and otherwise by its form, which decides with no lift, as
-    its scales are order 0's.  The verdict is based on the
-    pattern-consistent expressions only.
+    orders.  The verdict is pass iff all forms coincide: only forms that
+    differ are lifted, for ``first_mismatch`` to decide.  ``expressions``
+    holds one exact SymPoly in the live y-variables per displayed
+    expression, and lifts each distinct form once, at its first read.  For
+    theorem 3, the ``printed_shift_variant_matches`` note records whether
+    the variant with the inconsistent shift denominator (as printed in one
+    source display) agrees with order 0 as well, by its form, which
+    decides with no lift, as its scales are order 0's.  The verdict is
+    based on the pattern-consistent expressions only.
     """
     if theorem not in _THEOREM_PATTERNS:
         raise ValueError("theorem id must be 1..8")
@@ -376,18 +374,14 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
         theorem=theorem, params=dict(ctx.params(), w=list(w), n=n),
         expressions=lambda: [lift(index[w[a], w[b], w[c]])
                              for a, b, c in perms],
-        passed=detail is None, detail=detail, compared=len(built))
+        passed=detail is None, detail=detail)
     if theorem == 3:
         # the variant at (w2, w1, w3) has the scales of order 0, each one
         # nonzero, so each F_j, j <= n, weighs a monomial y^t, |t| = n - j,
-        # of the lift at n: its forms decide, and equal operands do so
-        # with no product
-        variant = "bernoulli_shifted_bernoulli_printed"
-        order = (w[1], w[0], w[2])
-        report.notes["printed_shift_variant_matches"] = (
-            _operand_multiset(_ROWS[variant], ctx.d, order)
-            == _operand_multiset(_ROWS[row], ctx.d, orders[0])
-            or _row_form(variant, ctx, order, n) == forms[0])
+        # of the lift at n: its form decides
+        printed = _row_form("bernoulli_shifted_bernoulli_printed", ctx,
+                            (w[1], w[0], w[2]), n)
+        report.notes["printed_shift_variant_matches"] = printed == forms[0]
     return report
 
 

@@ -34,8 +34,7 @@ from twistbern.characters import enumerate_characters
 from twistbern.cyclo import CycloNumber
 from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 _THEOREM_PATTERNS, _distinct_orders,
-                                _operand_multiset, _row_form, _theorem_plan,
-                                row_operands)
+                                _row_form, _theorem_plan, row_operands)
 
 CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
             for char in range(len(enumerate_characters(d)))
@@ -217,25 +216,15 @@ def test_the_orders_of_one_plan_group_have_equal_forms(monkeypatch):
     _tag_tables(monkeypatch)
     assert next(_grouped_orders_with_unequal_forms(_theorem_plan), None) \
         is None
-    # theorem 3's printed variant matches with no product where its
-    # operands are those of order 0, and is decided by its form otherwise:
-    # it has order 0's scales, all nonzero, so its lift at n reads every
-    # F_j, j <= n
+    # theorem 3's printed variant is decided by its form: it has order 0's
+    # scales, all nonzero, so its lift at n reads every F_j, j <= n
     row, variant = "bernoulli_shifted_bernoulli", \
         "bernoulli_shifted_bernoulli_printed"
-    same = 0
     for ctx in CONTEXTS:
         for w in ROTATED_W:
-            order = (w[1], w[0], w[2])
-            exp = row_operands(_ROWS[variant], ctx.d, order)[3]
+            exp = row_operands(_ROWS[variant], ctx.d, (w[1], w[0], w[2]))[3]
             assert exp == row_operands(_ROWS[row], ctx.d, w)[3]
             assert exp and all(s for _, s in exp)
-            if (_operand_multiset(_ROWS[variant], ctx.d, order)
-                    == _operand_multiset(_ROWS[row], ctx.d, w)):
-                assert _row_form(variant, ctx, order, 4) == \
-                    _row_form(row, ctx, w, 4)
-                same += 1
-    assert same == len(CONTEXTS)  # w1 = w3 at (1, 1, 1) alone
 
 
 def test_a_plan_that_merges_every_order_fails_the_grid(monkeypatch):

@@ -389,8 +389,8 @@ def test_passing_form_checks_build_no_sympoly(monkeypatch):
 def test_a_passing_theorem_lifts_each_distinct_form_once(monkeypatch):
     # on a pass every weight order has the same row form, so one lift, made
     # at the first read of expressions and never in the call, is shared by
-    # all expressions; theorem 3's printed variant is built only where its
-    # operands are not order 0's, and is decided on forms
+    # all expressions; theorem 3's printed variant, built last, is decided
+    # on forms
     from twistbern import symmetry
     forms, lifts = [], []
     real_form, real_lift = symmetry._row_form, symmetry._lift
@@ -407,7 +407,7 @@ def test_a_passing_theorem_lifts_each_distinct_form_once(monkeypatch):
             assert rep.passed, (tid, w)
             assert lifts == [], (tid, w)
             distinct = [f for k, f in enumerate(forms) if f not in forms[:k]]
-            printed = len(forms) > rep.compared and forms[-1] != forms[0]
+            printed = tid == 3 and forms[-1] != forms[0]
             assert len(distinct) == 1 + printed, (tid, w)
             expressions = rep.expressions
             assert len(lifts) == 1, (tid, w)
@@ -417,9 +417,15 @@ def test_a_passing_theorem_lifts_each_distinct_form_once(monkeypatch):
 
 def test_a_passing_theorem_builds_one_form_per_plan_group(monkeypatch):
     # the plan groups the distinct weight orders by operand multiset; each
-    # group's form is built once, compared counts the groups, and nothing
-    # is lifted until expressions is read
+    # group's form is built once, and nothing is lifted until expressions
+    # is read
     from twistbern import symmetry
+
+    def groups(tid, ctx, w):
+        perms, row = symmetry._THEOREM_PATTERNS[tid]
+        return len(set(symmetry._theorem_plan(
+            symmetry._ROWS[row], ctx.d, symmetry._distinct_orders(w, perms))))
+
     built, lifts = [], []
     real_form, real_lift = symmetry._row_form, symmetry._lift
     monkeypatch.setattr(symmetry, "_row_form",
@@ -434,19 +440,15 @@ def test_a_passing_theorem_builds_one_form_per_plan_group(monkeypatch):
                 lifts.clear()
                 rep = verify_theorem(tid, ctx, w, 4)
                 assert rep.passed and lifts == [], (tid, w)
-                plan = symmetry._theorem_plan(
-                    symmetry._ROWS[row], ctx.d,
-                    symmetry._distinct_orders(w, perms))
-                assert built.count(row) == rep.compared == len(set(plan))
-                assert "compared" not in rep.to_json_dict()
+                assert built.count(row) == groups(tid, ctx, w), (tid, w)
                 assert len(rep.expressions) == len(perms) and lifts
     # theorem 1's six orders of (1, 2, 3) have one operand multiset, so its
     # pass rests on the product being independent of factor order alone;
     # theorem 2's six orders have three, and its three orders of (2, 2, 3)
     # two: interchanging w1 and w2 only swaps its two Bernoulli pieces
-    assert verify_theorem(1, TWISTED4, (1, 2, 3), 2).compared == 1
-    assert verify_theorem(2, TWISTED4, (1, 2, 3), 2).compared == 3
-    assert verify_theorem(2, TWISTED4, (2, 2, 3), 2).compared == 2
+    assert groups(1, TWISTED4, (1, 2, 3)) == 1
+    assert groups(2, TWISTED4, (1, 2, 3)) == 3
+    assert groups(2, TWISTED4, (2, 2, 3)) == 2
 
 
 def test_the_lift_decides_when_forms_differ(monkeypatch):

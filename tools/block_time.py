@@ -9,8 +9,11 @@ Runs the first ``block_size(workload)`` checks of the seed's stream (see
 ``CHECKOUT/src`` and ``CHECKOUT/perfbench``, so the program and the
 benchmark code are the checkout's own.  The set-up (imports and shared
 contexts) is not timed; the block is, by ``time.process_time``, with every
-cache of the program empty at its start.  It prints the CPU seconds and
-how many checks passed the gate's verdict (digests are not compared).
+cache of the program empty at its start.  It prints the CPU seconds, those
+of the block and the gate after it together (the gate digests each
+check's output, which reads a theorem report's ``expressions``, so work
+a lazy report defers shows there) and how many checks passed the gate's
+verdict (digests are not compared).
 ``--profile N`` runs the block under cProfile instead and also prints the
 N functions of largest self time, with their call counts; profiled
 seconds are not comparable with unprofiled ones.  ``--counts`` runs the
@@ -200,13 +203,16 @@ if profile:
 cpu = time.process_time() - t0
 # the block's counts, not those of the gate's reads after it
 block_counts = json.loads(json.dumps(counts))
+t0 = time.process_time()
 passed = sum(w.judge(c, r, {}).status == "pass" for c, r in zip(checks, results))
+gate = time.process_time() - t0
 text = None
 if profile:
     out = io.StringIO()
     pstats.Stats(profile, stream=out).sort_stats("tottime").print_stats(top)
     text = out.getvalue()
-print(json.dumps({"cpu_s": cpu, "checks": len(checks), "passed": passed,
+print(json.dumps({"cpu_s": cpu, "gate_s": gate, "checks": len(checks),
+                  "passed": passed,
                   "profile": text, "counts": block_counts}))
 """
 
@@ -239,7 +245,8 @@ def main(argv=None) -> int:
         return proc.returncode
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     print(f"{args.workload} seed {args.seed}: {out['checks']} checks, "
-          f"{out['passed']} passed, {out['cpu_s']:.3f} s CPU"
+          f"{out['passed']} passed, {out['cpu_s']:.3f} s CPU, "
+          f"{out['cpu_s'] + out['gate_s']:.3f} s with the gate"
           + (" (profiled)" if args.profile else "")
           + (" (counted)" if args.counts else ""))
     if out["counts"]:
