@@ -28,8 +28,13 @@ what it multiplies first, with no arithmetic, as factor_table keys: the
 ``row_operands``.  Every check decides on forms: equal forms lift to equal
 SymPolys, so only unequal forms are lifted (by ``_lift``, the one writer of
 SymPoly monomials) for ``first_mismatch`` to decide.  ``verify_theorem``
-builds one form per operand multiset of its plan (``_theorem_plan``), and
-its ``expressions`` lift each distinct form once, at their first read.
+and ``permutation_invariance_check`` group their weight orders by operand
+multiset (``_order_plan``) and build one form per group; a theorem's
+``expressions`` lift each distinct form once, at their first read.  A
+_QUOTIENTS row has one multiset under every order, so an invariance check,
+like any check whose plan has one group, multiplies once: its pass rests
+on the plan and on ``cyclo.product`` not depending on the order of its
+factors, which tests/test_cyclo_oracle.py checks.
 """
 
 from __future__ import annotations
@@ -330,13 +335,24 @@ def _operand_multiset(entry, d: int, w: tuple) -> tuple:
             sorted(stored_key(d, key) for key in sums))
 
 
+def _quotient_multiset(entry, i: int, w: tuple) -> tuple:
+    """The _QUOTIENTS entry's operands at the weights w and index i as a
+    multiset: its prefactor, t power, sorted units, sorted scales, exp
+    slots and exp scale.  Equal sorted units are one ("units", cs) table
+    and equal sorted scales one multiset of ("ratio", c) tables, which
+    ``stored_key`` stores as they are, with one t-shift at every context."""
+    prefactor, t_power, units, scales, slots, scale = entry(*w, i)
+    return prefactor, t_power, sorted(units), sorted(scales), slots, scale
+
+
 @functools.lru_cache(maxsize=4096)
-def _theorem_plan(entry, d: int, orders: tuple) -> tuple:
+def _order_plan(multiset, entry, arg: int, orders: tuple) -> tuple:
     """For each of the weight orders, the index of the first order with its
-    operand multiset: the orders of one index share one form, built once.
-    Read from row_operands alone, with no arithmetic, and memoized by the
-    entry object, never by its row name, as row_operands is."""
-    multisets = [_operand_multiset(entry, d, v) for v in orders]
+    operand multiset, multiset(entry, arg, order): the orders of one index
+    share one form, built once.  Read from operands alone, with no
+    arithmetic, and memoized by the entry object (of _ROWS, arg d, or of
+    _QUOTIENTS, arg i), never by its name, as row_operands is."""
+    multisets = [multiset(entry, arg, v) for v in orders]
     return tuple(map(multisets.index, multisets))
 
 
@@ -344,7 +360,7 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
                    n: int) -> TheoremReport:
     """Evaluate every displayed expression of one symmetry theorem exactly.
 
-    The plan (``_theorem_plan``) groups the distinct weight orders by
+    The plan (``_order_plan``) groups the distinct weight orders by
     operand multiset, and one row form is built per group, shared by its
     orders.  The verdict is pass iff all forms coincide: only forms that
     differ are lifted, for ``first_mismatch`` to decide.  ``expressions``
@@ -361,7 +377,7 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
     _check_point(w, n)
     perms, row = _THEOREM_PATTERNS[theorem]
     orders = _distinct_orders(w, perms)
-    plan = _theorem_plan(_ROWS[row], ctx.d, orders)
+    plan = _order_plan(_operand_multiset, _ROWS[row], ctx.d, orders)
     built = {k: _row_form(row, ctx, orders[k], n) for k in dict.fromkeys(plan)}
     forms = [built[k] for k in plan]
     first = [forms.index(form) for form in forms]  # equal forms share a lift
@@ -421,14 +437,21 @@ def permutation_reduction_check(group: int, ctx: TwistContext,
 
 def permutation_invariance_check(spec: QuotientSpec, truncation: int) -> CheckReport:
     """quotient_series must be identical under every distinct order of the
-    weights; each distinct order's form is built once."""
-    forms = {v: _quotient_form(QuotientSpec(spec.family, spec.i, v,
+    weights.  The plan (``_order_plan``) groups the orders by operand
+    multiset, and one form is built per group and compared with order 0's.
+    A _QUOTIENTS row has one multiset under every order, so a pass of one
+    group rests on the plan and on ``cyclo.product`` not depending on the
+    order of its factors; only forms that differ are lifted."""
+    orders = _distinct_orders(spec.w, _PERM6)
+    plan = _order_plan(_quotient_multiset, _QUOTIENTS[spec.family], spec.i,
+                       orders)
+    forms = {k: _quotient_form(QuotientSpec(spec.family, spec.i, orders[k],
                                             spec.context), truncation)
-             for v in _distinct_orders(spec.w, _PERM6)}
-    (v0, base), *rest = forms.items()
+             for k in dict.fromkeys(plan)}
     detail = first_mismatch(
-        (f"w-order {v} differs from w-order {v0}", _series(*form),
-         _series(*base)) for v, form in rest if form != base)
+        (f"w-order {orders[k]} differs from w-order {orders[0]}",
+         _series(*form), _series(*forms[0]))
+        for k, form in forms.items() if form != forms[0])
     return CheckReport("permutation_invariance_check",
                        dict(spec.params(), truncation=truncation),
                        detail is None, detail)

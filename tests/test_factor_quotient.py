@@ -44,7 +44,7 @@ from twistbern.bernoulli import (TwistContext, _inverse_table, bernoulli_gf,
                                  factor_table, twist_units_series)
 from twistbern.characters import character, enumerate_characters
 from twistbern.cyclo import CycloField, _rows, cyclo_field, quotient
-from twistbern.symmetry import (_FAMILY_MAX_I, _QUOTIENTS, _ROWS,
+from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 _THEOREM_PATTERNS, QuotientSpec,
                                 _distinct_orders, permutation_invariance_check,
                                 verify_theorem)
@@ -689,10 +689,12 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # read at t -> ct, one _row_times of the twist's sum and inverse
     # tables, each built once for it and not stored; the inverse table
     # reads the table of zeta_R of its root's order R, one recurrence per
-    # order.  The products are not cached: each order still multiplies its
-    # own operands in its own order, which is what the invariance check
-    # compares, and its one cyclo.product over _operands performs
-    # len(operands) - 1 factor multiplications.  The ratio tables are built
+    # order.  The products are not cached: each order's form, built alone,
+    # multiplies its own operands in its own order, and its one
+    # cyclo.product over _operands performs len(operands) - 1 factor
+    # multiplications.  The invariance check builds one form per group of
+    # its plan; the orders here are one group, so it multiplies order 0's
+    # operands once, from the stored tables.  The ratio tables are built
     # by the row product, forced here: the route in the small field builds
     # no sum or inverse
     monkeypatch.setattr(bernoulli, "_ratio_table", ratio_route(False))
@@ -743,7 +745,13 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     fields = _apostol_tables(monkeypatch, 2)
     fields[4] = field
     spec = QuotientSpec("cyclic", 1, (1, 2, 3), ctx)
-    assert permutation_invariance_check(spec, 6).passed
+    orders = _distinct_orders(spec.w, _PERM6)
+
+    def every_order(truncation):
+        for v in orders:
+            symmetry._quotient_form(QuotientSpec("cyclic", 1, v, ctx),
+                                    truncation)
+    every_order(6)
     assert len(calls) == 6
     # units at 6, 3, 2 and scales 1, 2, 3: the units are one table of
     # (2, 3, 6), the unit of scale 1 is never built, and the sum of each
@@ -780,13 +788,19 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     assert {table.elements() for table in ratios} == {
         _parent_inverse(twist, 1, 6) for twist in twists.values()}
 
-    builds.clear()
-    calls.clear()
-    ratios.clear()
-    assert permutation_invariance_check(spec, 4).passed
-    assert builds == [] and ratios == []
-    assert all(f._apostol is stored[R] for R, f in fields.items())
-    assert [products for _, _, products, _ in calls] == [3] * 6
+    for truncation, forms in ((6, 1), (4, 6), (4, 1)):
+        builds.clear()
+        calls.clear()
+        ratios.clear()
+        if forms == 1:
+            assert permutation_invariance_check(spec, truncation).passed
+            assert [(units, scales) for units, scales, _, _ in calls] == [
+                ((6, 3, 2), (1, 2, 3))]
+        else:
+            every_order(truncation)
+        assert builds == [] and ratios == []
+        assert all(f._apostol is stored[R] for R, f in fields.items())
+        assert [products for _, _, products, _ in calls] == [3] * forms
 
 
 def _stored_key(ctx, key):

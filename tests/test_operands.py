@@ -13,9 +13,11 @@ element operation replaced by one that raises, the operands of every row
 and every quotient family are still built at every weight order of the
 acceptance grid's points.  A row form is one ``cyclo.product`` of the
 tables of its keys, sliced on by t^shift, as a quotient form is.
-A theorem check's plan, ``symmetry._theorem_plan``, groups its weight
-orders by operand multiset, each key as ``bernoulli.stored_key`` stores
-it: the orders of one group have equal forms, each built alone.
+A check's plan, ``symmetry._order_plan``, groups its weight orders by
+operand multiset: a theorem check's rows, each key as
+``bernoulli.stored_key`` stores it, and an invariance check's quotients,
+whose orders all share one multiset.  The orders of one group have equal
+forms, each built alone.
 ``tools/operand_census.py`` counts, from operands alone, what the checks
 of a benchmark block compare.
 """
@@ -33,8 +35,10 @@ from twistbern.bernoulli import (TwistContext, factor_table, quotient_operands,
 from twistbern.characters import enumerate_characters
 from twistbern.cyclo import CycloNumber
 from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
-                                _THEOREM_PATTERNS, _distinct_orders,
-                                _row_form, _theorem_plan, row_operands)
+                                _THEOREM_PATTERNS, QuotientSpec,
+                                _distinct_orders, _operand_multiset,
+                                _order_plan, _quotient_form,
+                                _quotient_multiset, _row_form, row_operands)
 
 CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
             for char in range(len(enumerate_characters(d)))
@@ -206,7 +210,8 @@ def _grouped_orders_with_unequal_forms(plan, n=4):
         for w in ROTATED_W:
             for theorem, (perms, row) in _THEOREM_PATTERNS.items():
                 orders = _distinct_orders(w, perms)
-                for j, k in enumerate(plan(_ROWS[row], ctx.d, orders)):
+                for j, k in enumerate(plan(_operand_multiset, _ROWS[row],
+                                           ctx.d, orders)):
                     if k != j and (form(row, ctx, orders[j])
                                    != form(row, ctx, orders[k])):
                         yield theorem, ctx, orders[j], orders[k]
@@ -214,7 +219,7 @@ def _grouped_orders_with_unequal_forms(plan, n=4):
 
 def test_the_orders_of_one_plan_group_have_equal_forms(monkeypatch):
     _tag_tables(monkeypatch)
-    assert next(_grouped_orders_with_unequal_forms(_theorem_plan), None) \
+    assert next(_grouped_orders_with_unequal_forms(_order_plan), None) \
         is None
     # theorem 3's printed variant is decided by its form: it has order 0's
     # scales, all nonzero, so its lift at n reads every F_j, j <= n
@@ -230,7 +235,7 @@ def test_the_orders_of_one_plan_group_have_equal_forms(monkeypatch):
 def test_a_plan_that_merges_every_order_fails_the_grid(monkeypatch):
     # the untagged forms of every order are equal wherever a theorem holds,
     # so only the tagged tables tell the orders' multisets apart
-    def merged(entry, d, orders):
+    def merged(multiset, entry, d, orders):
         return (0,) * len(orders)
     assert next(_grouped_orders_with_unequal_forms(merged), None) is None
     _tag_tables(monkeypatch)
@@ -254,6 +259,45 @@ def test_the_plan_reads_keys_as_factor_table_stores_them(monkeypatch):
     # stored_key
     entry = _ROWS["shifted_bernoulli_powersum"]
     orders = _distinct_orders((1, 2, 3), _PERM6)
-    assert _theorem_plan.__wrapped__(entry, d, orders) == (0, 0, 2, 2, 4, 4)
+    plan = _order_plan.__wrapped__
+    assert plan(_operand_multiset, entry, d, orders) == (0, 0, 2, 2, 4, 4)
     monkeypatch.setattr(symmetry, "stored_key", lambda d, key: key)
-    assert _theorem_plan.__wrapped__(entry, d, orders) == (0, 1, 2, 3, 4, 5)
+    assert plan(_operand_multiset, entry, d, orders) == (0, 1, 2, 3, 4, 5)
+
+
+#: w in {1, 2, 3}^3 and the acceptance triples with their rotations
+QUOTIENT_W = tuple(dict.fromkeys(
+    [(a, b, c) for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3)]
+    + list(ROTATED_W)))
+
+
+def test_every_order_of_a_quotient_is_one_plan_group_of_equal_forms(
+        monkeypatch):
+    # a _QUOTIENTS row has one operand multiset under every weight order,
+    # so the plan has one group; each order's form, built alone from tagged
+    # tables, equals that group's form, so one product decides the check
+    _tag_tables(monkeypatch)
+    forms = {}
+
+    def form(family, i, ctx, v):
+        if (family, i, ctx, v) not in forms:
+            forms[family, i, ctx, v] = _quotient_form(
+                QuotientSpec(family, i, v, ctx), 4)
+        return forms[family, i, ctx, v]
+
+    checks = 0
+    for family, max_i in _FAMILY_MAX_I.items():
+        for i in range(max_i + 1):
+            entry = _QUOTIENTS[family]
+            for w in QUOTIENT_W:
+                orders = _distinct_orders(w, _PERM6)
+                plan = _order_plan(_quotient_multiset, entry, i, orders)
+                assert plan == (0,) * len(orders)
+                for ctx in CONTEXTS:
+                    for v, k in zip(orders, plan):
+                        assert form(family, i, ctx, v) == form(
+                            family, i, ctx, orders[k]), (family, i, ctx, v)
+                        checks += 1
+    assert checks == len(CONTEXTS) * sum(
+        max_i + 1 for max_i in _FAMILY_MAX_I.values()) * sum(
+        len(_distinct_orders(w, _PERM6)) for w in QUOTIENT_W)

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -340,7 +341,10 @@ def test_failure_details_name_the_first_differing_monomial(monkeypatch):
     assert substitution_check(spec, 3).detail is None
 
 
-def test_invariance_builds_each_distinct_weight_order_once(monkeypatch):
+def test_invariance_builds_one_form_per_plan_group(monkeypatch):
+    # every weight order of a _QUOTIENTS row has one operand multiset, so
+    # the check builds order 0's form alone; an entry whose orders differ
+    # builds the first order of each group of its plan
     from twistbern import symmetry
     built = []
     real = symmetry._quotient_form
@@ -350,11 +354,61 @@ def test_invariance_builds_each_distinct_weight_order_once(monkeypatch):
         return real(spec, truncation)
 
     monkeypatch.setattr(symmetry, "_quotient_form", counting)
-    for w, count in (((1, 2, 3), 6), ((1, 1, 2), 3), ((2, 2, 2), 1)):
+    for w in ((1, 2, 3), (1, 1, 2), (2, 2, 2)):
         built.clear()
-        spec = QuotientSpec("pairwise", 1, w, TWISTED4)
+        assert permutation_invariance_check(
+            QuotientSpec("pairwise", 1, w, TWISTED4), 3).passed
+        assert built == [w]
+    # the prefactor times w1, the t power plus w1 or the exp scale times
+    # w1: one group per value of w1
+    quotients = dict(symmetry._QUOTIENTS)
+    monkeypatch.setattr(symmetry, "_QUOTIENTS", quotients)
+    pairwise = quotients["pairwise"]
+    for field, wrong in ((0, operator.mul), (1, operator.add),
+                         (5, operator.mul)):
+        def entry(w1, w2, w3, i, field=field, wrong=wrong):
+            row = list(pairwise(w1, w2, w3, i))
+            row[field] = wrong(row[field], w1)
+            return tuple(row)
+        quotients["pairwise"] = entry
+        for w, firsts in (((1, 2, 3), [(1, 2, 3), (2, 1, 3), (3, 1, 2)]),
+                          ((1, 1, 2), [(1, 1, 2), (2, 1, 1)]),
+                          ((2, 2, 2), [(2, 2, 2)])):
+            built.clear()
+            rep = permutation_invariance_check(
+                QuotientSpec("pairwise", 1, w, TWISTED4), 3)
+            assert built == firsts and rep.passed == (len(firsts) == 1)
+
+
+def test_a_replaced_quotient_entry_is_planned_afresh(monkeypatch):
+    # the plans of the real entries are warmed first, in an emptied memo,
+    # each one group; a plan memoized by family name would serve that group
+    # to a replaced entry, build one form and pass
+    from twistbern import symmetry
+    symmetry._order_plan.cache_clear()
+    specs = {"pairwise": QuotientSpec("pairwise", 0, (1, 2, 3), CLASSICAL),
+             "single": QuotientSpec("single", 1, (1, 2, 3), TWISTED4)}
+    for family, spec in specs.items():
         assert permutation_invariance_check(spec, 3).passed
-        assert len(built) == len(set(built)) == count
+        assert set(symmetry._order_plan(
+            symmetry._quotient_multiset, symmetry._QUOTIENTS[family], spec.i,
+            symmetry._distinct_orders(spec.w, symmetry._PERM6))) == {0}
+    quotients = dict(symmetry._QUOTIENTS)
+    pairwise, single = quotients["pairwise"], quotients["single"]
+    monkeypatch.setattr(symmetry, "_QUOTIENTS", quotients)
+    # the pairwise exp scale times w1, then the single prefactor times w1
+    quotients["pairwise"] = lambda w1, w2, w3, i: (
+        *pairwise(w1, w2, w3, i)[:5], pairwise(w1, w2, w3, i)[5] * w1)
+    rep = permutation_invariance_check(specs["pairwise"], 3)
+    assert rep.detail == ("w-order (2, 1, 3) differs from w-order (1, 2, 3) "
+                          "at t^1, y3: 12 vs 6")
+    quotients["pairwise"] = pairwise
+    quotients["single"] = lambda w1, w2, w3, i: (
+        single(w1, w2, w3, i)[0] * w1, *single(w1, w2, w3, i)[1:])
+    rep = permutation_invariance_check(specs["single"], 3)
+    assert rep.detail == ("w-order (2, 1, 3) differs from w-order (1, 2, 3) "
+                          "at t^1, 1: 2 vs 1")
+    assert permutation_invariance_check(specs["pairwise"], 3).passed
 
 
 def test_passing_form_checks_build_no_sympoly(monkeypatch):
@@ -423,8 +477,9 @@ def test_a_passing_theorem_builds_one_form_per_plan_group(monkeypatch):
 
     def groups(tid, ctx, w):
         perms, row = symmetry._THEOREM_PATTERNS[tid]
-        return len(set(symmetry._theorem_plan(
-            symmetry._ROWS[row], ctx.d, symmetry._distinct_orders(w, perms))))
+        return len(set(symmetry._order_plan(
+            symmetry._operand_multiset, symmetry._ROWS[row], ctx.d,
+            symmetry._distinct_orders(w, perms))))
 
     built, lifts = [], []
     real_form, real_lift = symmetry._row_form, symmetry._lift

@@ -10,24 +10,24 @@ forms it compares:
 
 * one order: its weights give one distinct weight order, so it compares
   one form with nothing;
-* one multiset: every order has the same const, t shift, scales and
-  sorted operand keys, so its forms are equal once ``cyclo.product`` does
-  not depend on the order of its operands;
+* one multiset: every order has one operand multiset, so the check
+  builds one form, and its pass rests on its plan and on ``cyclo.product``
+  not depending on the order of its operands;
 * different: the operands of two orders differ.  A ``powersum_gf_check``
   compares a quotient with two direct sums, so it is always counted here.
 
-A theorem check is read from its plan, ``symmetry._theorem_plan``, which
-groups its weight orders by the operand multiset of their rows: the
-(const, sorted exp, sorted scales, sorted sum keys) of
-``symmetry.row_operands``.  A quotient is read through the shape (const,
-shift, sorted exp, sorted keys) of ``bernoulli.quotient_operands``, its
-units and scales from ``symmetry._QUOTIENTS``.  Each key is taken as
-``bernoulli.stored_key`` stores it, as in the plan.  Both read exponents
-only: no table is built and no product is formed.  For the theorem checks
-the tool also prints the weight orders (one row form each, before the
-plan) and the distinct operand multisets (one product each, with the
-plan).  Without ``--workload`` both the ``theorems`` and the ``series``
-workload are counted; without ``--seed``, seeds 1 and 7.  Stdlib only.
+Both kinds of check are read from the one plan they run,
+``symmetry._order_plan``, which groups their weight orders by operand
+multiset: a theorem check's rows by the (const, sorted exp, sorted scales,
+sorted sum keys) of ``symmetry.row_operands``, each key as
+``bernoulli.stored_key`` stores it, and an invariance check's quotients by
+the (prefactor, t power, sorted units, sorted scales, exp slots, exp
+scale) of their ``symmetry._QUOTIENTS`` row.  The plan reads operands
+only: no table is built and no product is formed.  The tool also prints
+the weight orders of the planned checks (one form each, before the plan)
+and their distinct operand multisets (one product each, with the plan).
+Without ``--workload`` both the ``theorems`` and the ``series`` workload
+are counted; without ``--seed``, seeds 1 and 7.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -40,21 +40,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from twistbern import symmetry  # noqa: E402
-from twistbern.bernoulli import quotient_operands, stored_key  # noqa: E402
 from workloads import Workload, block_size  # noqa: E402
 
 CLASSES = ("one order", "one operand multiset", "different operands")
-
-
-def _quotient(family: str, i: int, ctx, w: tuple) -> tuple:
-    """(const, shift, sorted exp, sorted keys) of the quotient form
-    e^{(s.y) t} times const t^t_power, its units and a p-adic integral per
-    scale, as _QUOTIENTS states it at the weights w."""
-    const, t_power, units, scales, slots, scale = symmetry._QUOTIENTS[
-        family](*w, i)
-    shift, keys = quotient_operands(ctx, t_power, units, scales)
-    return (const, shift, sorted(dict.fromkeys(slots, scale).items()),
-            sorted(stored_key(ctx.d, key) for key in keys))
 
 
 def _plan(workload: Workload, check) -> tuple:
@@ -63,14 +51,13 @@ def _plan(workload: Workload, check) -> tuple:
     if check.kind == "theorem":
         theorem, ci, w, _ = check.args
         perms, row = symmetry._THEOREM_PATTERNS[theorem]
-        return symmetry._theorem_plan(symmetry._ROWS[row],
-                                      workload.contexts[ci].d,
-                                      symmetry._distinct_orders(w, perms))
-    family, i, ci, w, _ = check.args
-    ctx = workload.contexts[ci]
-    operands = [_quotient(family, i, ctx, v)
-                for v in symmetry._distinct_orders(w, symmetry._PERM6)]
-    return tuple(map(operands.index, operands))
+        return symmetry._order_plan(
+            symmetry._operand_multiset, symmetry._ROWS[row],
+            workload.contexts[ci].d, symmetry._distinct_orders(w, perms))
+    family, i, _, w, _ = check.args
+    return symmetry._order_plan(
+        symmetry._quotient_multiset, symmetry._QUOTIENTS[family], i,
+        symmetry._distinct_orders(w, symmetry._PERM6))
 
 
 def classify(workload: Workload, check) -> str:
@@ -98,11 +85,12 @@ def census(name: str, seed: int) -> dict:
     return counts
 
 
-def theorem_work(name: str, seed: int) -> tuple:
+def plan_work(name: str, seed: int) -> tuple:
     """(weight orders, distinct operand multisets) summed over the theorem
-    checks of one block: its row forms without the plan, and with it."""
+    and invariance checks of one block: its forms without the plan, and
+    with it."""
     plans = [_plan(workload, check) for workload, check in _checks(name, seed)
-             if check.kind == "theorem"]
+             if check.kind in ("theorem", "invariance")]
     return sum(map(len, plans)), sum(len(set(plan)) for plan in plans)
 
 
@@ -115,10 +103,10 @@ def main(argv=None) -> int:
     for name in args.workload or ("theorems", "series"):
         for seed in args.seed or (1, 7):
             counts = census(name, seed)
-            orders, multisets = theorem_work(name, seed)
+            orders, multisets = plan_work(name, seed)
             print(f"{name} seed {seed}: {sum(counts.values())} checks, "
                   + ", ".join(f"{n} {label}" for label, n in counts.items())
-                  + (f"; theorem checks: {orders} weight orders, "
+                  + (f"; planned checks: {orders} weight orders, "
                      f"{multisets} operand multisets" if orders else ""))
     return 0
 
