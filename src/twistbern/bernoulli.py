@@ -53,7 +53,8 @@ class TwistContext:
     symmetry's rows read, among them one units table per multiset of
     numerator units, one ratio table per scale (of a quotient or a row's
     Bernoulli piece), and the sum and shift tables of the rows' pieces,
-    each a RowTable stored in that one form.  The ("ratio", 1) table is the
+    each a RowTable stored in that one form, and xi's JSON for params()
+    (_xi_json).  The ("ratio", 1) table is the
     context's one scale-1 table: _bern reads it, and so do the ratio tables
     (at t -> ct) of every scale c whose twist xi^c this context is.  The
     Apostol tables it reads are kept by Q(zeta_R), one per root order R,
@@ -65,7 +66,7 @@ class TwistContext:
 
     __slots__ = ("chi", "xi", "d", "xi_order", "field",
                  "_chi_roots", "_xi_root", "_bern",
-                 "_psums", "_twists", "_factors")
+                 "_psums", "_twists", "_factors", "_xi_json")
 
     def __init__(self, chi: DirichletCharacter, xi: CycloNumber):
         self.chi = chi
@@ -91,6 +92,7 @@ class TwistContext:
         self._psums: dict = {}
         self._twists: dict = {}
         self._factors: dict = {}
+        self._xi_json: dict | None = None
 
     @classmethod
     def from_orders(cls, d: int, char_index: int = 0, xi_order: int = 1,
@@ -127,8 +129,13 @@ class TwistContext:
         return ctx
 
     def params(self) -> dict:
+        """d, chi's exponents and xi as JSON, a fresh dict with fresh lists
+        per call, so no two reports share a part; xi is rendered once."""
+        xi = self._xi_json
+        if xi is None:
+            xi = self._xi_json = self.xi.to_json_dict()
         return {"d": self.d, "chi_exponents": list(self.chi.exponents),
-                "xi": self.xi.to_json_dict()}
+                "xi": dict(xi, coeffs=list(xi["coeffs"]))}
 
     def __repr__(self):
         return (f"TwistContext(d={self.d}, chi={list(self.chi.exponents)}, "
@@ -208,13 +215,17 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     the twist xi^c's ("ratio", 1) table, stored in the twist's context,
     read at t -> ct (``_rescaled_table``).  Each table is built once per
     context, as a RowTable straight from integers, and kept as it is in
-    ctx._factors under its ``stored_key``.  It is built to exactly t^upto,
-    and a longer one than cached is rebuilt to exactly t^upto: no table is
-    built past the longest length asked for.  Any other key raises
-    ValueError."""
-    key = stored_key(ctx.d, key)
+    ctx._factors under its ``stored_key``; a key is looked up as given
+    before it is normalised, so a key in stored form (as the row plans
+    keep theirs) is normalised only where its table is first stored.  It
+    is built to exactly t^upto, and a longer one than cached is rebuilt to
+    exactly t^upto: no table is built past the longest length asked for.
+    Any other key raises ValueError."""
     table = ctx._factors.get(key)
-    if table is None or len(table) <= upto:
+    if table is None:  # not stored, or not spelled as stored
+        key = stored_key(ctx.d, key)
+        table = ctx._factors.get(key)
+    if table is None or table.length <= upto:
         table = ctx._factors[key] = _build(ctx, key, upto)
     return table
 
@@ -413,25 +424,38 @@ def quotient_operands(ctx: TwistContext, t_power: int, units: tuple,
     sum keys sums, I_c the character sum of c over its unit, read from root
     exponents with no arithmetic.  The keys are ("units", cs), cs the
     sorted multiset of units, if there are any, then ("ratio", c) for each
-    scale in order, then sums; shift is t_power less one per scale with
-    xi^(dc) = 1, whose ratio table is t I_c."""
+    scale in order, then sums; shift is ``owed_shift``'s."""
     keys = [("units", tuple(sorted(units)))] if units else []
-    shift = t_power
-    for c in scales:  # one loop, no comprehension: it runs once per form
-        keys.append(("ratio", c))
-        shift -= _unit_root(ctx, c) == 0
-    return shift, keys + list(sums)
+    keys += [("ratio", c) for c in scales]
+    return owed_shift(ctx, t_power, scales), keys + list(sums)
+
+
+def owed_shift(ctx: TwistContext, t_power: int, scales: tuple) -> int:
+    """t_power less one per scale c with xi^(dc) = 1, whose ratio table is
+    t I_c: the one operand of a quotient that depends on xi."""
+    for c in scales:
+        t_power -= _unit_root(ctx, c) == 0
+    return t_power
 
 
 def factor_quotient(ctx: TwistContext, t_power: int, units: tuple,
                     scales: tuple, truncation: int, const=1,
                     sums: tuple = ()) -> tuple:
     """The coefficients of const times quotient_operands' quotient to
-    t^truncation, const an int or Fraction: one ``cyclo.product`` of the
-    tables of its keys, nothing cached or divided here, and t^shift a
-    slice, where ValueError is raised if an owed power of t does not
-    divide."""
+    t^truncation, const an int or Fraction: ``keyed_quotient`` of its
+    keys."""
     shift, keys = quotient_operands(ctx, t_power, units, scales, sums)
+    return keyed_quotient(ctx, shift, keys, truncation, const)
+
+
+def keyed_quotient(ctx: TwistContext, shift: int, keys, truncation: int,
+                   const=1) -> tuple:
+    """const t^shift times one ``cyclo.product`` of the tables of keys to
+    t^truncation: the one evaluator of factor_quotient and of the planned
+    rows, which pass keys already in stored form and read only their
+    shift per call (``owed_shift``).  Nothing is cached or divided here,
+    and t^shift is a slice, where ValueError is raised if an owed power
+    of t does not divide."""
     length = max(truncation - shift, 0)
     q = product(ctx.field, [factor_table(ctx, key, length) for key in keys],
                 length + 1, const)

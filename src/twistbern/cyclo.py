@@ -469,10 +469,10 @@ class CycloNumber:
         return any(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
         if not isinstance(other, CycloNumber):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.field.from_rational(other)
         return (other.field.order == self.field.order
                 and other.den == self.den and other.num == self.num)
 

@@ -34,16 +34,19 @@ class ReadOnly:
 
 
 class CheckReport(Verdict):
-    """Outcome of a single mechanical check; failure is data, not an exception."""
+    """Outcome of a single mechanical check; failure is data, not an exception.
+    ``compared``, where a check plans its forms, is the number of distinct
+    forms it built and compared (see TheoremReport); it is not rendered."""
 
-    __slots__ = ("name", "params", "passed", "detail")
+    __slots__ = ("name", "params", "passed", "detail", "compared")
 
     def __init__(self, name: str, params: dict, passed: bool,
-                 detail: str | None = None):
+                 detail: str | None = None, compared: int | None = None):
         self.name = name
         self.params = params
         self.passed = passed
         self.detail = detail
+        self.compared = compared
 
     def to_json_dict(self) -> dict:
         return {"check": self.name, "params": self.params,
@@ -54,20 +57,26 @@ class TheoremReport(Verdict):
     """Verdict for one symmetry theorem at one parameter point.
     ``expressions`` holds one SymPoly per displayed expression, shared by
     equal forms; given as a callable, it is called at the first read, so
-    verify_theorem lifts each distinct form once, and only when read."""
+    verify_theorem lifts each distinct form once, and only when read.
+    ``compared`` is the number of distinct forms the check's plan built: 1
+    means that the pass rests on the plan (equal operand multisets) and on
+    ``cyclo.product`` not depending on the order of its factors, not on two
+    products compared.  It is kept out of ``to_json_dict``."""
 
     __slots__ = ("theorem", "params", "_expressions", "passed", "detail",
-                 "notes")
+                 "notes", "compared")
 
     def __init__(self, theorem: int, params: dict,
                  expressions=None, passed: bool = True,
-                 detail: str | None = None, notes: dict | None = None):
+                 detail: str | None = None, notes: dict | None = None,
+                 compared: int | None = None):
         self.theorem = theorem
         self.params = params
         self._expressions = [] if expressions is None else expressions
         self.passed = passed
         self.detail = detail
         self.notes = {} if notes is None else notes
+        self.compared = compared
 
     @property
     def expressions(self) -> list:

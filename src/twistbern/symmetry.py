@@ -18,34 +18,41 @@ y-variables.
 
 Rows and quotients share one form (scales, F): e^{(s.y) t} F(t), with a
 scale s_y per live slot (the same under every weight order) and a scalar
-series F over Q(zeta_L), and one evaluator, factor_quotient.  A _QUOTIENTS
-row is, as in the paper, a prefactor, a power of t, numerator units and one
-p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c where
-xi^(dc) = 1) per scale c; a table row is a quotient with no units whose
-Bernoulli pieces are scales, times character-sum tables.  Each form states
-what it multiplies first, with no arithmetic, as factor_table keys: the
-(shift, keys) of ``bernoulli.quotient_operands``, of a row from
-``row_operands``.  Every check decides on forms: equal forms lift to equal
-SymPolys, so only unequal forms are lifted (by ``_lift``, the one writer of
-SymPoly monomials) for ``first_mismatch`` to decide.  ``verify_theorem``
-and ``permutation_invariance_check`` group their weight orders by operand
-multiset (``_order_plan``) and build one form per group; a theorem's
-``expressions`` lift each distinct form once, at their first read.  A
-_QUOTIENTS row has one multiset under every order, so an invariance check,
-like any check whose plan has one group, multiplies once: its pass rests
-on the plan and on ``cyclo.product`` not depending on the order of its
-factors, which tests/test_cyclo_oracle.py checks.
+series F over Q(zeta_L), and one evaluator, ``bernoulli.keyed_quotient``.
+A _QUOTIENTS row is, as in the paper, a prefactor, a power of t, numerator
+units and one p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c
+where xi^(dc) = 1) per scale c; a table row is a quotient with no units
+whose Bernoulli pieces are scales, times character-sum tables.  Each form
+states what it multiplies first, with no arithmetic, as factor_table keys:
+a quotient's (shift, keys) from ``bernoulli.quotient_operands``, through
+factor_quotient, and a row's (exp, const, scales, keys) from its
+``_row_plan``, derived once per (entry, d, w) from ``row_operands``, its
+keys already as factor_table stores them, so a row form derives no
+operand and normalises no key: only its shift is read per call.  Every
+check decides on forms: equal forms lift to equal SymPolys, so only
+unequal forms are lifted (by ``_lift``, the one writer of SymPoly
+monomials) for ``first_mismatch`` to decide.  ``verify_theorem`` and
+``permutation_invariance_check`` run one memoised plan per (entry, d or
+i, w, perms), ``_check_plan``: it groups their weight orders by operand
+multiset, and they build one form per group, ``compared`` in their
+report; a theorem's ``expressions`` lift each distinct form once, at
+their first read.  A _QUOTIENTS row has one multiset under every order,
+so an invariance check, like any check whose plan has one group,
+multiplies once (``compared`` is 1): its pass rests on the plan and on
+``cyclo.product`` not depending on the order of its factors, which
+tests/test_cyclo_oracle.py checks.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from fractions import Fraction
 
 # _bpoly is bound here for perfbench/tracing.py, which wraps symmetry._bpoly
 from .bernoulli import (TwistContext, _bpoly, factor_quotient,  # noqa: F401
-                        stored_key)
+                        keyed_quotient, owed_shift, stored_key)
 from .report import CheckReport, ReadOnly, TheoremReport, first_mismatch
 from .series import PowerSeries
 from .sympoly import SymPoly
@@ -231,15 +238,14 @@ _ROWS = {
 }
 
 
-@functools.lru_cache(maxsize=4096)
 def row_operands(entry, d: int, w: tuple) -> tuple:
     """(const, scales, sums, exp) of the _ROWS entry at the weights w,
     modulus d, with no arithmetic: e^{(s.y) t}, s_y = exp[y], times the
     quotient with no units t^len(scales) const, a ("ratio", c) per c in
     scales and the sums.  A B piece adds c to scales and const, a ("sum", m,
     A - 1, s*c/q) per shift entry and c*u to its slot's exp; an S piece adds
-    ("sum", c, bound).  Memoized by the entry object, never by its row
-    name, so a replaced entry is derived afresh."""
+    ("sum", c, bound).  Derived once per (entry, d, w), by ``_row_plan``'s
+    memo."""
     const, pieces = entry(*w, d)
     scales, sums, exp = [], [], {}
     for desc in pieces:
@@ -255,13 +261,28 @@ def row_operands(entry, d: int, w: tuple) -> tuple:
             tuple(exp.items()))
 
 
+@functools.lru_cache(maxsize=4096)
+def _row_plan(entry, d: int, w: tuple) -> tuple:
+    """(exp, const, scales, keys) of the _ROWS entry at the weights w,
+    modulus d: its row_operands with the keys of its quotient with no
+    units, a ("ratio", c) per scale then its sum keys, each already as
+    factor_table stores it (``stored_key``).  Memoized by the entry
+    object, never by its row name, so a replaced entry is derived afresh,
+    and a form derives no operand and normalises no key."""
+    const, scales, sums, exp = row_operands(entry, d, w)
+    keys = [("ratio", c) for c in scales]
+    keys += [stored_key(d, key) for key in sums]
+    return exp, const, scales, tuple(keys)
+
+
 def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
     """The form (scales, F[:n+1]) of a table row at the weights w, whose
-    n-th EGF coefficient is n! [t^n] of e^{(s.y) t} F(t): factor_quotient
-    of its row_operands, as a _QUOTIENTS row's form is."""
-    const, scales, sums, exp = row_operands(_ROWS[row], ctx.d, tuple(w))
-    return dict(exp), factor_quotient(ctx, len(scales), (), scales, n, const,
-                                      sums)
+    n-th EGF coefficient is n! [t^n] of e^{(s.y) t} F(t): the quotient of
+    its planned keys (``_row_plan``) by factor_quotient's evaluator,
+    ``keyed_quotient``, as a _QUOTIENTS row's form is."""
+    exp, const, scales, keys = _row_plan(_ROWS[row], ctx.d, tuple(w))
+    return dict(exp), keyed_quotient(
+        ctx, owed_shift(ctx, len(scales), scales), keys, n, const)
 
 
 #: form name -> (family, i); a form's row sums Bernoulli values and power
@@ -326,13 +347,12 @@ def _distinct_orders(w: tuple, perms: tuple) -> tuple:
 
 def _operand_multiset(entry, d: int, w: tuple) -> tuple:
     """The _ROWS entry's operands at the weights w and modulus d as a
-    multiset: its const, then its exp items, scales and sum keys (each as
-    factor_table stores it, ``stored_key``) sorted.  Two orders with one
-    multiset multiply the same tables into the same form: equal scales owe
-    one t-shift at every context."""
-    const, scales, sums, exp = row_operands(entry, d, w)
-    return (const, sorted(exp), sorted(scales),
-            sorted(stored_key(d, key) for key in sums))
+    multiset, read from its ``_row_plan``: its const, then its exp items,
+    scales and sum keys (each as factor_table stores it) sorted.  Two
+    orders with one multiset multiply the same tables into the same form:
+    equal scales owe one t-shift at every context."""
+    exp, const, scales, keys = _row_plan(entry, d, w)
+    return const, sorted(exp), sorted(scales), sorted(keys[len(scales):])
 
 
 def _quotient_multiset(entry, i: int, w: tuple) -> tuple:
@@ -345,52 +365,81 @@ def _quotient_multiset(entry, i: int, w: tuple) -> tuple:
     return prefactor, t_power, sorted(units), sorted(scales), slots, scale
 
 
+class CheckPlan(collections.namedtuple("CheckPlan",
+                                        ("orders", "groups", "firsts", "at"))):
+    """A check's plan over the distinct weight orders of w: ``orders``
+    themselves; ``groups``, per order, the index of the first order with
+    its operand multiset, whose form the order shares; ``firsts``, those
+    indices once each, the forms the check builds and compares
+    (``compared`` of them); and ``at``, per perm of the check, the index
+    of its order."""
+
+    __slots__ = ()
+
+    @property
+    def compared(self) -> int:
+        return len(self.firsts)
+
+
 @functools.lru_cache(maxsize=4096)
-def _order_plan(multiset, entry, arg: int, orders: tuple) -> tuple:
-    """For each of the weight orders, the index of the first order with its
-    operand multiset, multiset(entry, arg, order): the orders of one index
-    share one form, built once.  Read from operands alone, with no
+def _check_plan(multiset, entry, arg: int, w: tuple,
+                perms: tuple) -> CheckPlan:
+    """The plan of a check over the orders (w[a], w[b], w[c]) of w, (a, b,
+    c) in perms: orders with one operand multiset, multiset(entry, arg,
+    order), share one form, built once.  Read from operands alone, with no
     arithmetic, and memoized by the entry object (of _ROWS, arg d, or of
-    _QUOTIENTS, arg i), never by its name, as row_operands is."""
-    multisets = [multiset(entry, arg, v) for v in orders]
-    return tuple(map(multisets.index, multisets))
+    _QUOTIENTS, arg i), never by its name, as ``_row_plan`` is, so a
+    replaced entry is planned afresh."""
+    index = {}  # the distinct orders, as _distinct_orders gives them
+    at = tuple(index.setdefault((w[a], w[b], w[c]), len(index))
+               for a, b, c in perms)
+    multisets = [multiset(entry, arg, v) for v in index]
+    groups = tuple(map(multisets.index, multisets))
+    return CheckPlan(tuple(index), groups, tuple(dict.fromkeys(groups)), at)
 
 
 def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
                    n: int) -> TheoremReport:
     """Evaluate every displayed expression of one symmetry theorem exactly.
 
-    The plan (``_order_plan``) groups the distinct weight orders by
+    The plan (``_check_plan``) groups the distinct weight orders by
     operand multiset, and one row form is built per group, shared by its
-    orders.  The verdict is pass iff all forms coincide: only forms that
-    differ are lifted, for ``first_mismatch`` to decide.  ``expressions``
-    holds one exact SymPoly in the live y-variables per displayed
-    expression, and lifts each distinct form once, at its first read.  For
-    theorem 3, the ``printed_shift_variant_matches`` note records whether
-    the variant with the inconsistent shift denominator (as printed in one
-    source display) agrees with order 0 as well, by its form, which
-    decides with no lift, as its scales are order 0's.  The verdict is
-    based on the pattern-consistent expressions only.
+    orders; the report's ``compared`` counts them.  The verdict is pass
+    iff all forms coincide: only forms that differ are lifted, for
+    ``first_mismatch`` to decide.  ``expressions`` holds one exact SymPoly
+    in the live y-variables per displayed expression, and lifts each
+    distinct form once, at its first read.  For theorem 3, the
+    ``printed_shift_variant_matches`` note records whether the variant
+    with the inconsistent shift denominator (as printed in one source
+    display) agrees with order 0 as well, by its form, which decides with
+    no lift, as its scales are order 0's.  The verdict is based on the
+    pattern-consistent expressions only.
     """
     if theorem not in _THEOREM_PATTERNS:
         raise ValueError("theorem id must be 1..8")
     _check_point(w, n)
     perms, row = _THEOREM_PATTERNS[theorem]
-    orders = _distinct_orders(w, perms)
-    plan = _order_plan(_operand_multiset, _ROWS[row], ctx.d, orders)
-    built = {k: _row_form(row, ctx, orders[k], n) for k in dict.fromkeys(plan)}
-    forms = [built[k] for k in plan]
-    first = [forms.index(form) for form in forms]  # equal forms share a lift
-    lift = functools.cache(lambda k: _lift(*forms[k], n, 1))
-    detail = first_mismatch(
-        (f"w-order {v} differs from w-order {orders[0]}", lift(k), lift(0))
-        for v, k in zip(orders, first) if k)
-    index = dict(zip(orders, first))
+    w = tuple(w)
+    plan = _check_plan(_operand_multiset, _ROWS[row], ctx.d, w, perms)
+    orders = plan.orders
+    forms = {k: _row_form(row, ctx, orders[k], n) for k in plan.firsts}
+    # per order, the first order of an equal form, whose lift it shares
+    first, detail, lifts = (0,) * len(orders), None, {}
+    if any(forms[k] != forms[0] for k in plan.firsts[1:]):
+        same = {k: next(j for j in forms if forms[j] == form)
+                for k, form in forms.items()}
+        first = [same[k] for k in plan.groups]
+        detail = first_mismatch(
+            (f"w-order {v} differs from w-order {orders[0]}",
+             _lifted(lifts, forms, k, n), _lifted(lifts, forms, 0, n))
+            for v, k in zip(orders, first) if k)
+    params = ctx.params()
+    params["w"], params["n"] = list(w), n
     report = TheoremReport(
-        theorem=theorem, params=dict(ctx.params(), w=list(w), n=n),
-        expressions=lambda: [lift(index[w[a], w[b], w[c]])
-                             for a, b, c in perms],
-        passed=detail is None, detail=detail)
+        theorem=theorem, params=params,
+        expressions=functools.partial(_expressions, lifts, forms, n, first,
+                                      plan.at),
+        passed=detail is None, detail=detail, compared=len(forms))
     if theorem == 3:
         # the variant at (w2, w1, w3) has the scales of order 0, each one
         # nonzero, so each F_j, j <= n, weighs a monomial y^t, |t| = n - j,
@@ -399,6 +448,19 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
                             (w[1], w[0], w[2]), n)
         report.notes["printed_shift_variant_matches"] = printed == forms[0]
     return report
+
+
+def _lifted(lifts: dict, forms: dict, k: int, n: int) -> SymPoly:
+    """The lift of forms[k] at n, made once per k and kept in lifts."""
+    if k not in lifts:
+        lifts[k] = _lift(*forms[k], n, 1)
+    return lifts[k]
+
+
+def _expressions(lifts: dict, forms: dict, n: int, first, at: tuple) -> list:
+    """A theorem's expressions, one per perm: the lift of the first form
+    equal to that of the perm's order (at, then first)."""
+    return [_lifted(lifts, forms, first[j], n) for j in at]
 
 
 # -- permutation reductions ----------------------------------------------------
@@ -437,24 +499,26 @@ def permutation_reduction_check(group: int, ctx: TwistContext,
 
 def permutation_invariance_check(spec: QuotientSpec, truncation: int) -> CheckReport:
     """quotient_series must be identical under every distinct order of the
-    weights.  The plan (``_order_plan``) groups the orders by operand
-    multiset, and one form is built per group and compared with order 0's.
-    A _QUOTIENTS row has one multiset under every order, so a pass of one
-    group rests on the plan and on ``cyclo.product`` not depending on the
-    order of its factors; only forms that differ are lifted."""
-    orders = _distinct_orders(spec.w, _PERM6)
-    plan = _order_plan(_quotient_multiset, _QUOTIENTS[spec.family], spec.i,
-                       orders)
-    forms = {k: _quotient_form(QuotientSpec(spec.family, spec.i, orders[k],
-                                            spec.context), truncation)
-             for k in dict.fromkeys(plan)}
+    weights.  The plan (``_check_plan``) groups the orders by operand
+    multiset, and one form is built per group and compared with order 0's;
+    the report's ``compared`` counts them.  A _QUOTIENTS row has one
+    multiset under every order, so a pass of one group rests on the plan
+    and on ``cyclo.product`` not depending on the order of its factors;
+    only forms that differ are lifted."""
+    plan = _check_plan(_quotient_multiset, _QUOTIENTS[spec.family], spec.i,
+                       tuple(spec.w), _PERM6)
+    # order 0 is spec's own: the first perm is the identity
+    forms = {k: _quotient_form(QuotientSpec(spec.family, spec.i,
+                                            plan.orders[k], spec.context)
+                               if k else spec, truncation)
+             for k in plan.firsts}
     detail = first_mismatch(
-        (f"w-order {orders[k]} differs from w-order {orders[0]}",
+        (f"w-order {plan.orders[k]} differs from w-order {plan.orders[0]}",
          _series(*form), _series(*forms[0]))
         for k, form in forms.items() if form != forms[0])
     return CheckReport("permutation_invariance_check",
                        dict(spec.params(), truncation=truncation),
-                       detail is None, detail)
+                       detail is None, detail, len(forms))
 
 
 def expansion_consistency_check(form: str, spec: QuotientSpec,

@@ -14,7 +14,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COUNTS = ("product", "row_times", "row_pairs", "quotient", "recurrence",
           "poly_inverse", "dot", "fold", "cyclotomic_polynomial", "remap",
-          "bernoulli_gf", "small_field", "lift")
+          "bernoulli_gf", "small_field", "lift", "plan_hits", "plan_misses",
+          "quotient_operands", "stored_key")
 TABLES = ("units", "sum", "inv", "ratio", "root", "rescale")
 
 
@@ -27,6 +28,12 @@ def test_counts_of_a_series_block_name_every_column():
     head, counts, tables = proc.stdout.splitlines()[:3]
     assert head.startswith("series seed 1: ") and "(counted)" in head
     assert counts.split()[::2] == list(COUNTS)
+    values = dict(zip(counts.split()[::2], map(int, counts.split()[1::2])))
+    # each of the 360 invariance checks reads the plan memo once; every
+    # product is of one quotient, and derives its operands once
+    assert values["plan_hits"] + values["plan_misses"] == 360
+    assert values["plan_misses"] > 0
+    assert values["quotient_operands"] == values["product"]
     assert tables.startswith("table builds, to the top power built:")
     built = tables.split(":", 1)[1].split()
     assert [word for word in built if word in TABLES] == list(TABLES)

@@ -1,0 +1,181 @@
+"""Check plans: the memoised operands a theorem or invariance check runs.
+
+``symmetry._check_plan`` groups a check's distinct weight orders by operand
+multiset, memoised per (entry object, d or i, w, perms), and a row's form
+reads its ``symmetry._row_plan``: (exp, const, scales, keys), its keys
+already as ``factor_table`` stores them.  So no operand is derived and no
+key normalised per call.  These tests hold the fast path to an oracle that
+derives everything afresh: ``factor_quotient`` fed straight from
+``row_operands`` (of a row) or from the ``_QUOTIENTS`` entry (of a
+quotient), at each weight order by itself.  They also check that a
+replaced entry is planned afresh, that reports share no mutable params,
+and that ``compared`` states how many forms a check built.
+"""
+
+import json
+
+from twistbern import symmetry
+from twistbern.bernoulli import TwistContext, factor_quotient, stored_key
+from twistbern.characters import enumerate_characters
+from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
+                                _THEOREM_PATTERNS, QuotientSpec, _check_plan,
+                                _operand_multiset, _quotient_form,
+                                _quotient_multiset, _row_form, _row_plan,
+                                permutation_invariance_check, row_operands,
+                                verify_theorem)
+
+#: the acceptance grid's contexts
+CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
+            for char in range(len(enumerate_characters(d)))
+            for order in (1, 2, 3, 4)]
+#: the acceptance triples and their rotations
+ROTATED_W = tuple(dict.fromkeys(w[k:] + w[:k]
+                                for w in ((1, 1, 1), (1, 2, 3), (2, 3, 5))
+                                for k in range(3)))
+N_MAX = 6
+
+
+def _row_oracle(entry, ctx, v, n):
+    # the row form from operands derived afresh, through factor_quotient
+    const, scales, sums, exp = row_operands(entry, ctx.d, v)
+    return dict(exp), factor_quotient(ctx, len(scales), (), scales, n, const,
+                                      sums)
+
+
+def _quotient_oracle(entry, i, ctx, v, n):
+    prefactor, t_power, units, scales, slots, scale = entry(*v, i)
+    return dict.fromkeys(slots, scale), factor_quotient(
+        ctx, t_power, units, scales, n, prefactor)
+
+
+def _prefix(form, n):
+    # a form to t^n is the form to a higher power cut to t^n: each
+    # coefficient of a product reads only the factors' lower ones
+    scales, q = form
+    return scales, q[:n + 1]
+
+
+def test_every_planned_row_form_equals_its_own_operands_quotient():
+    # every _ROWS entry, the printed, swap and cycle variants among them,
+    # over all six orders of each weight triple: the form of each order's
+    # plan group, built by the plan at each n, is the quotient of that
+    # order's own operands
+    checked = 0
+    for ctx in CONTEXTS:
+        for row, entry in _ROWS.items():
+            for w in ROTATED_W:
+                plan = _check_plan(_operand_multiset, entry, ctx.d, w, _PERM6)
+                oracles = [_row_oracle(entry, ctx, v, N_MAX)
+                           for v in plan.orders]
+                for n in range(N_MAX + 1):
+                    planned = {k: _row_form(row, ctx, plan.orders[k], n)
+                               for k in plan.firsts}
+                    for v, k, oracle in zip(plan.orders, plan.groups,
+                                            oracles):
+                        assert planned[k] == _prefix(oracle, n), (
+                            row, ctx, v, n)
+                        checked += 1
+    assert checked == len(CONTEXTS) * len(_ROWS) * (N_MAX + 1) * 37
+
+
+def test_every_planned_quotient_form_equals_its_own_operands_quotient():
+    checked = 0
+    for ctx in CONTEXTS:
+        for family, max_i in _FAMILY_MAX_I.items():
+            entry = _QUOTIENTS[family]
+            for i in range(max_i + 1):
+                for w in ROTATED_W:
+                    plan = _check_plan(_quotient_multiset, entry, i, w,
+                                       _PERM6)
+                    oracles = [_quotient_oracle(entry, i, ctx, v, N_MAX)
+                               for v in plan.orders]
+                    for n in range(N_MAX + 1):
+                        planned = {k: _quotient_form(QuotientSpec(
+                            family, i, plan.orders[k], ctx), n)
+                            for k in plan.firsts}
+                        for v, k, oracle in zip(plan.orders, plan.groups,
+                                                oracles):
+                            assert planned[k] == _prefix(oracle, n), (
+                                family, i, ctx, v, n)
+                            checked += 1
+    assert checked == len(CONTEXTS) * 10 * (N_MAX + 1) * 37
+
+
+def test_every_plan_key_is_stored_form():
+    # factor_table looks a key up as given first: a planned key is never
+    # normalised again
+    for d in (1, 3, 4, 5):
+        for entry in _ROWS.values():
+            for w in ROTATED_W:
+                for v in _check_plan(_operand_multiset, entry, d, w,
+                                     _PERM6).orders:
+                    _, _, scales, keys = _row_plan(entry, d, v)
+                    assert keys[:len(scales)] == tuple(
+                        ("ratio", c) for c in scales)
+                    assert all(stored_key(d, key) == key for key in keys)
+
+
+def test_a_replaced_row_entry_is_planned_afresh(monkeypatch):
+    # warm both memos with the real entry; a plan memoised by row name would
+    # serve the real row's forms to the replacement and pass
+    ctx, w = CONTEXTS[-1], (1, 2, 3)
+    for tid in (1, 2):
+        assert verify_theorem(tid, ctx, w, 3).passed
+    rows = dict(_ROWS)
+    monkeypatch.setattr(symmetry, "_ROWS", rows)
+    real = rows["triple_bernoulli"]
+    # the constant times w1: no longer symmetric
+    rows["triple_bernoulli"] = lambda w1, w2, w3, d: (
+        real(w1, w2, w3, d)[0] * w1, real(w1, w2, w3, d)[1])
+    rep = verify_theorem(1, ctx, w, 3)
+    assert not rep.passed and rep.compared == 3
+    assert rep.detail.startswith("w-order (2, 1, 3) differs from w-order "
+                                 "(1, 2, 3) at ")
+    # a replaced entry with the real operands is one group again
+    rows["triple_bernoulli"] = lambda *args: real(*args)
+    rep = verify_theorem(1, ctx, w, 3)
+    assert rep.passed and rep.compared == 1
+    monkeypatch.undo()
+    assert verify_theorem(1, ctx, w, 3).passed
+
+
+def test_reports_of_one_context_share_no_params():
+    ctx = CONTEXTS[-1]
+    one = verify_theorem(1, ctx, (1, 2, 3), 2)
+    other = verify_theorem(2, ctx, (1, 2, 3), 2)
+    spec = QuotientSpec("single", 1, (1, 2, 3), ctx)
+    check = permutation_invariance_check(spec, 2)
+    before = json.dumps([other.params, check.params, ctx.params()])
+    one.params["chi_exponents"].append(99)
+    one.params["xi"]["coeffs"].append("99")
+    one.params["xi"]["L"] = 0
+    assert json.dumps([other.params, check.params, ctx.params()]) == before
+    assert one.params["chi_exponents"][-1] == 99
+
+
+def test_compared_counts_the_forms_a_check_built(monkeypatch):
+    built = []
+    real_row, real_quotient = symmetry._row_form, symmetry._quotient_form
+    monkeypatch.setattr(symmetry, "_row_form",
+                        lambda *args: built.append(args) or real_row(*args))
+    monkeypatch.setattr(symmetry, "_quotient_form",
+                        lambda *args: built.append(args)
+                        or real_quotient(*args))
+    ctx = CONTEXTS[-1]
+    for tid in _THEOREM_PATTERNS:
+        for w in ROTATED_W:
+            built.clear()
+            rep = verify_theorem(tid, ctx, w, 3)
+            # theorem 3's printed variant is a note, not a compared form
+            assert rep.compared == len(built) - (tid == 3), (tid, w)
+            assert "compared" not in rep.to_json_dict()
+    # theorem 1's six orders are one multiset, theorem 2's three
+    assert verify_theorem(1, ctx, (1, 2, 3), 3).compared == 1
+    assert verify_theorem(2, ctx, (1, 2, 3), 3).compared == 3
+    for family, max_i in _FAMILY_MAX_I.items():
+        for i in range(max_i + 1):
+            built.clear()
+            rep = permutation_invariance_check(
+                QuotientSpec(family, i, (2, 3, 5), ctx), 3)
+            assert rep.passed and rep.compared == len(built) == 1
+            assert "compared" not in rep.to_json_dict()

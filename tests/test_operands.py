@@ -13,7 +13,7 @@ element operation replaced by one that raises, the operands of every row
 and every quotient family are still built at every weight order of the
 acceptance grid's points.  A row form is one ``cyclo.product`` of the
 tables of its keys, sliced on by t^shift, as a quotient form is.
-A check's plan, ``symmetry._order_plan``, groups its weight orders by
+A check's plan, ``symmetry._check_plan``, groups its weight orders by
 operand multiset: a theorem check's rows, each key as
 ``bernoulli.stored_key`` stores it, and an invariance check's quotients,
 whose orders all share one multiset.  The orders of one group have equal
@@ -36,9 +36,10 @@ from twistbern.characters import enumerate_characters
 from twistbern.cyclo import CycloNumber
 from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 _THEOREM_PATTERNS, QuotientSpec,
-                                _distinct_orders, _operand_multiset,
-                                _order_plan, _quotient_form,
-                                _quotient_multiset, _row_form, row_operands)
+                                _check_plan, _distinct_orders,
+                                _operand_multiset, _quotient_form,
+                                _quotient_multiset, _row_form, _row_plan,
+                                row_operands)
 
 CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
             for char in range(len(enumerate_characters(d)))
@@ -70,11 +71,12 @@ def _forbid(monkeypatch):
 
 def _row_keys(ctx, row, v):
     """(const, scales, shift, keys, pieces) of a row, its operands derived
-    afresh and checked against the memoized ones."""
+    afresh and checked against its memoized plan."""
     entry = _ROWS[row]
-    operands = row_operands.__wrapped__(entry, ctx.d, v)
-    assert row_operands(entry, ctx.d, v) == operands
-    const, scales, sums, _ = operands
+    const, scales, sums, exp = row_operands(entry, ctx.d, v)
+    assert _row_plan(entry, ctx.d, v) == (exp, const, scales, tuple(
+        [("ratio", c) for c in scales]
+        + [stored_key(ctx.d, key) for key in sums]))
     shift, keys = quotient_operands(ctx, len(scales), (), scales, sums)
     return const, scales, shift, keys, entry(*v, ctx.d)
 
@@ -211,7 +213,7 @@ def _grouped_orders_with_unequal_forms(plan, n=4):
             for theorem, (perms, row) in _THEOREM_PATTERNS.items():
                 orders = _distinct_orders(w, perms)
                 for j, k in enumerate(plan(_operand_multiset, _ROWS[row],
-                                           ctx.d, orders)):
+                                           ctx.d, w, perms)):
                     if k != j and (form(row, ctx, orders[j])
                                    != form(row, ctx, orders[k])):
                         yield theorem, ctx, orders[j], orders[k]
@@ -219,8 +221,9 @@ def _grouped_orders_with_unequal_forms(plan, n=4):
 
 def test_the_orders_of_one_plan_group_have_equal_forms(monkeypatch):
     _tag_tables(monkeypatch)
-    assert next(_grouped_orders_with_unequal_forms(_order_plan), None) \
-        is None
+    def groups(*args):
+        return _check_plan(*args).groups
+    assert next(_grouped_orders_with_unequal_forms(groups), None) is None
     # theorem 3's printed variant is decided by its form: it has order 0's
     # scales, all nonzero, so its lift at n reads every F_j, j <= n
     row, variant = "bernoulli_shifted_bernoulli", \
@@ -235,8 +238,8 @@ def test_the_orders_of_one_plan_group_have_equal_forms(monkeypatch):
 def test_a_plan_that_merges_every_order_fails_the_grid(monkeypatch):
     # the untagged forms of every order are equal wherever a theorem holds,
     # so only the tagged tables tell the orders' multisets apart
-    def merged(multiset, entry, d, orders):
-        return (0,) * len(orders)
+    def merged(multiset, entry, d, w, perms):
+        return (0,) * len(_distinct_orders(w, perms))
     assert next(_grouped_orders_with_unequal_forms(merged), None) is None
     _tag_tables(monkeypatch)
     assert next(_grouped_orders_with_unequal_forms(merged), None) is not None
@@ -256,13 +259,16 @@ def test_the_plan_reads_keys_as_factor_table_stores_them(monkeypatch):
     # theorem 5's row spells a shift key ("sum", w1*w3, d*w2 - 1, w1*w3)
     # that its power sum at the order with w2, w3 interchanged spells
     # ("sum", w1*w3, d*w2 - 1): one table, so one group, only through
-    # stored_key
+    # stored_key, each plan derived afresh
     entry = _ROWS["shifted_bernoulli_powersum"]
-    orders = _distinct_orders((1, 2, 3), _PERM6)
-    plan = _order_plan.__wrapped__
-    assert plan(_operand_multiset, entry, d, orders) == (0, 0, 2, 2, 4, 4)
+    monkeypatch.setattr(symmetry, "_row_plan", symmetry._row_plan.__wrapped__)
+
+    def groups():
+        return _check_plan.__wrapped__(_operand_multiset, entry, d,
+                                       (1, 2, 3), _PERM6).groups
+    assert groups() == (0, 0, 2, 2, 4, 4)
     monkeypatch.setattr(symmetry, "stored_key", lambda d, key: key)
-    assert plan(_operand_multiset, entry, d, orders) == (0, 1, 2, 3, 4, 5)
+    assert groups() == (0, 1, 2, 3, 4, 5)
 
 
 #: w in {1, 2, 3}^3 and the acceptance triples with their rotations
@@ -291,7 +297,8 @@ def test_every_order_of_a_quotient_is_one_plan_group_of_equal_forms(
             entry = _QUOTIENTS[family]
             for w in QUOTIENT_W:
                 orders = _distinct_orders(w, _PERM6)
-                plan = _order_plan(_quotient_multiset, entry, i, orders)
+                plan = _check_plan(_quotient_multiset, entry, i, w,
+                                   _PERM6).groups
                 assert plan == (0,) * len(orders)
                 for ctx in CONTEXTS:
                     for v, k in zip(orders, plan):

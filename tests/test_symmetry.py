@@ -385,14 +385,14 @@ def test_a_replaced_quotient_entry_is_planned_afresh(monkeypatch):
     # each one group; a plan memoized by family name would serve that group
     # to a replaced entry, build one form and pass
     from twistbern import symmetry
-    symmetry._order_plan.cache_clear()
+    symmetry._check_plan.cache_clear()
     specs = {"pairwise": QuotientSpec("pairwise", 0, (1, 2, 3), CLASSICAL),
              "single": QuotientSpec("single", 1, (1, 2, 3), TWISTED4)}
     for family, spec in specs.items():
         assert permutation_invariance_check(spec, 3).passed
-        assert set(symmetry._order_plan(
+        assert symmetry._check_plan(
             symmetry._quotient_multiset, symmetry._QUOTIENTS[family], spec.i,
-            symmetry._distinct_orders(spec.w, symmetry._PERM6))) == {0}
+            spec.w, symmetry._PERM6).compared == 1
     quotients = dict(symmetry._QUOTIENTS)
     pairwise, single = quotients["pairwise"], quotients["single"]
     monkeypatch.setattr(symmetry, "_QUOTIENTS", quotients)
@@ -477,9 +477,9 @@ def test_a_passing_theorem_builds_one_form_per_plan_group(monkeypatch):
 
     def groups(tid, ctx, w):
         perms, row = symmetry._THEOREM_PATTERNS[tid]
-        return len(set(symmetry._order_plan(
-            symmetry._operand_multiset, symmetry._ROWS[row], ctx.d,
-            symmetry._distinct_orders(w, perms))))
+        return symmetry._check_plan(
+            symmetry._operand_multiset, symmetry._ROWS[row], ctx.d, w,
+            perms).compared
 
     built, lifts = [], []
     real_form, real_lift = symmetry._row_form, symmetry._lift

@@ -37,9 +37,13 @@ table builds that take the route in the small field Q(zeta_R)
 (calls of ``bernoulli._ratio_in_small_field``; in a checkout that chose
 the route by the cost rule ``bernoulli._small_field_pays``, its yes
 answers, which count ``bernoulli_gf`` builds where those built the
-table; one from before the choice reads 0) and ``lift``, the
-``symmetry._lift`` calls (each SymPoly built from a form) the block makes,
-not those of the gate's reads after it.  A second line gives, per kind of table, the
+table; one from before the choice reads 0), ``lift``, the
+``symmetry._lift`` calls (each SymPoly built from a form),
+``plan_hits`` and ``plan_misses``, those of the memo of check plans
+(``symmetry._check_plan``, in an older checkout ``_order_plan``), and the
+calls of ``bernoulli.quotient_operands`` (each a quotient's operands
+derived) and of ``bernoulli.stored_key`` (each key normalised) the block
+makes, not those of the gate's reads after it.  A second line gives, per kind of table, the
 number of builds and the top power of t (of x for a root table) of the
 longest one: ``units`` (``bernoulli.twist_units_series``), ``sum``
 (``char_sum_series``), ``inv`` (``_inverse_table``: the scale-1 inverse
@@ -191,6 +195,20 @@ if counting:
             return exact(*args)
         return counted
     install(symmetry, "_lift", lift_calls)
+
+    # the check-plan memo (``_order_plan`` before it was ``_check_plan``)
+    plans = getattr(symmetry, "_check_plan", None) or symmetry._order_plan
+    plans_before = plans.cache_info()
+    counts["plan_hits"] = counts["plan_misses"] = 0
+    for name in ("quotient_operands", "stored_key"):
+        counts[name] = 0
+
+        def make(exact, name=name):
+            def counted(*args):
+                counts[name] += 1
+                return exact(*args)
+            return counted
+        install(bernoulli, name, make)
 profile = cProfile.Profile() if top else None
 results = []
 t0 = time.process_time()
@@ -201,6 +219,10 @@ for check in checks:
 if profile:
     profile.disable()
 cpu = time.process_time() - t0
+if counting:
+    info = plans.cache_info()
+    counts["plan_hits"] = info.hits - plans_before.hits
+    counts["plan_misses"] = info.misses - plans_before.misses
 # the block's counts, not those of the gate's reads after it
 block_counts = json.loads(json.dumps(counts))
 t0 = time.process_time()
@@ -232,8 +254,9 @@ def main(argv=None) -> int:
                            "cyclotomic-polynomial and table re-map counts, "
                            "its Bernoulli GF reads and the scale-1 table "
                            "builds in the small field, its SymPoly lifts, "
-                           "and its table builds per kind, rescaled tables "
-                           "among them")
+                           "plan memo hits and misses, operand derivations "
+                           "and key normalisations, and its table builds "
+                           "per kind, rescaled tables among them")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     proc = subprocess.run(

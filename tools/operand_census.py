@@ -17,8 +17,9 @@ forms it compares:
   compares a quotient with two direct sums, so it is always counted here.
 
 Both kinds of check are read from the one plan they run,
-``symmetry._order_plan``, which groups their weight orders by operand
-multiset: a theorem check's rows by the (const, sorted exp, sorted scales,
+``symmetry._check_plan``, whose ``compared`` is that of the check's report
+(the number of forms it builds) and which groups their weight orders by
+operand multiset: a theorem check's rows by the (const, sorted exp, sorted scales,
 sorted sum keys) of ``symmetry.row_operands``, each key as
 ``bernoulli.stored_key`` stores it, and an invariance check's quotients by
 the (prefactor, t power, sorted units, sorted scales, exp slots, exp
@@ -45,29 +46,31 @@ from workloads import Workload, block_size  # noqa: E402
 CLASSES = ("one order", "one operand multiset", "different operands")
 
 
-def _plan(workload: Workload, check) -> tuple:
-    """Per distinct weight order of the check, the index of the first order
-    with its operands."""
+def _plan(workload: Workload, check):
+    """The check's plan, ``symmetry._check_plan``: its distinct weight
+    orders, grouped by operands."""
     if check.kind == "theorem":
         theorem, ci, w, _ = check.args
         perms, row = symmetry._THEOREM_PATTERNS[theorem]
-        return symmetry._order_plan(
+        return symmetry._check_plan(
             symmetry._operand_multiset, symmetry._ROWS[row],
-            workload.contexts[ci].d, symmetry._distinct_orders(w, perms))
+            workload.contexts[ci].d, tuple(w), perms)
     family, i, _, w, _ = check.args
-    return symmetry._order_plan(
+    return symmetry._check_plan(
         symmetry._quotient_multiset, symmetry._QUOTIENTS[family], i,
-        symmetry._distinct_orders(w, symmetry._PERM6))
+        tuple(w), symmetry._PERM6)
 
 
 def classify(workload: Workload, check) -> str:
-    """The class of one check, from the operands of each distinct order."""
+    """The class of one check, from its plan: the number of its orders and
+    ``compared``, the number of forms the check builds, as its report
+    states it."""
     if check.kind not in ("theorem", "invariance"):
         return CLASSES[2]
     plan = _plan(workload, check)
-    if len(plan) == 1:
+    if len(plan.orders) == 1:
         return CLASSES[0]
-    return CLASSES[1] if not any(plan) else CLASSES[2]
+    return CLASSES[1] if plan.compared == 1 else CLASSES[2]
 
 
 def _checks(name: str, seed: int):
@@ -91,7 +94,8 @@ def plan_work(name: str, seed: int) -> tuple:
     with it."""
     plans = [_plan(workload, check) for workload, check in _checks(name, seed)
              if check.kind in ("theorem", "invariance")]
-    return sum(map(len, plans)), sum(len(set(plan)) for plan in plans)
+    return (sum(len(plan.orders) for plan in plans),
+            sum(plan.compared for plan in plans))
 
 
 def main(argv=None) -> int:
