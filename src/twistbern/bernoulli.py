@@ -417,45 +417,41 @@ def _times_t(field, q, shift: int, truncation: int) -> tuple:
     return ((field.zero,) * shift + tuple(q))[:truncation + 1]
 
 
-def quotient_operands(ctx: TwistContext, t_power: int, units: tuple,
-                      scales: tuple, sums: tuple = ()) -> tuple:
-    """(shift, keys) of the quotient t^t_power prod_(c in units)
-    (xi^(dc) e^(dct) - 1) prod_(c in scales) I_c times the tables of the
-    sum keys sums, I_c the character sum of c over its unit, read from root
-    exponents with no arithmetic.  The keys are ("units", cs), cs the
-    sorted multiset of units, if there are any, then ("ratio", c) for each
-    scale in order, then sums; shift is ``owed_shift``'s."""
+def quotient_plan(const, t_power: int, units: tuple, scales: tuple,
+                  sums: tuple = (), exp: tuple = ()) -> tuple:
+    """The plan (const, t_power, scales, keys, exp) of const t^t_power
+    times the units xi^(dc) e^(dct) - 1 of c in units, the p-adic integral
+    of each c in scales, the tables of the sum keys sums and e^{(s.y) t},
+    s_y = exp[y]: its operands as a sorted multiset, with no arithmetic
+    and no context.  The keys are ("units", cs), cs the sorted units, if
+    any, then ("ratio", c) per sorted scale, then the sorted sums.  Equal
+    plans are equal forms at every context."""
+    scales = tuple(sorted(scales))
     keys = [("units", tuple(sorted(units)))] if units else []
-    keys += [("ratio", c) for c in scales]
-    return owed_shift(ctx, t_power, scales), keys + list(sums)
-
-
-def owed_shift(ctx: TwistContext, t_power: int, scales: tuple) -> int:
-    """t_power less one per scale c with xi^(dc) = 1, whose ratio table is
-    t I_c: the one operand of a quotient that depends on xi."""
-    for c in scales:
-        t_power -= _unit_root(ctx, c) == 0
-    return t_power
+    keys += [("ratio", c) for c in scales] + sorted(sums)
+    return const, t_power, scales, tuple(keys), tuple(sorted(exp))
 
 
 def factor_quotient(ctx: TwistContext, t_power: int, units: tuple,
                     scales: tuple, truncation: int, const=1,
                     sums: tuple = ()) -> tuple:
-    """The coefficients of const times quotient_operands' quotient to
+    """The coefficients of const times quotient_plan's quotient to
     t^truncation, const an int or Fraction: ``keyed_quotient`` of its
-    keys."""
-    shift, keys = quotient_operands(ctx, t_power, units, scales, sums)
-    return keyed_quotient(ctx, shift, keys, truncation, const)
+    plan."""
+    return keyed_quotient(
+        ctx, quotient_plan(const, t_power, units, scales, sums), truncation)
 
 
-def keyed_quotient(ctx: TwistContext, shift: int, keys, truncation: int,
-                   const=1) -> tuple:
-    """const t^shift times one ``cyclo.product`` of the tables of keys to
-    t^truncation: the one evaluator of factor_quotient and of the planned
-    rows, which pass keys already in stored form and read only their
-    shift per call (``owed_shift``).  Nothing is cached or divided here,
-    and t^shift is a slice, where ValueError is raised if an owed power
-    of t does not divide."""
+def keyed_quotient(ctx: TwistContext, plan: tuple, truncation: int) -> tuple:
+    """The coefficients of a ``quotient_plan``, its exp aside, to
+    t^truncation: const t^shift times one ``cyclo.product`` of its keys'
+    tables in plan order, shift its t power less one per scale c with
+    xi^(dc) = 1 (whose ratio table is t I_c).  The one evaluator of every
+    form; it caches and divides nothing, and raises ValueError where an
+    owed power of t does not divide."""
+    const, shift, scales, keys, _ = plan
+    for c in scales:
+        shift -= _unit_root(ctx, c) == 0
     length = max(truncation - shift, 0)
     q = product(ctx.field, [factor_table(ctx, key, length) for key in keys],
                 length + 1, const)

@@ -56,10 +56,10 @@ class CheckReport(Verdict):
 class TheoremReport(Verdict):
     """Verdict for one symmetry theorem at one parameter point.
     ``expressions`` holds one SymPoly per displayed expression, shared by
-    equal forms; given as a callable, it is called at the first read, so
-    verify_theorem lifts each distinct form once, and only when read.
-    ``compared`` is the number of distinct forms the check's plan built: 1
-    means that the pass rests on the plan (equal operand multisets) and on
+    the orders of one plan; given as a callable, it is called at the first
+    read, so verify_theorem lifts each form at most once, and only when
+    read.  ``compared`` is the number of forms the check's plan built: 1
+    means that the pass rests on the plan (equal plans) and on
     ``cyclo.product`` not depending on the order of its factors, not on two
     products compared.  It is kept out of ``to_json_dict``."""
 

@@ -18,29 +18,23 @@ y-variables.
 
 Rows and quotients share one form (scales, F): e^{(s.y) t} F(t), with a
 scale s_y per live slot (the same under every weight order) and a scalar
-series F over Q(zeta_L), and one evaluator, ``bernoulli.keyed_quotient``.
-A _QUOTIENTS row is, as in the paper, a prefactor, a power of t, numerator
-units and one p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c
-where xi^(dc) = 1) per scale c; a table row is a quotient with no units
-whose Bernoulli pieces are scales, times character-sum tables.  Each form
-states what it multiplies first, with no arithmetic, as factor_table keys:
-a quotient's (shift, keys) from ``bernoulli.quotient_operands``, through
-factor_quotient, and a row's (exp, const, scales, keys) from its
-``_row_plan``, derived once per (entry, d, w) from ``row_operands``, its
-keys already as factor_table stores them, so a row form derives no
-operand and normalises no key: only its shift is read per call.  Every
-check decides on forms: equal forms lift to equal SymPolys, so only
-unequal forms are lifted (by ``_lift``, the one writer of SymPoly
-monomials) for ``first_mismatch`` to decide.  ``verify_theorem`` and
-``permutation_invariance_check`` run one memoised plan per (entry, d or
-i, w, perms), ``_check_plan``: it groups their weight orders by operand
-multiset, and they build one form per group, ``compared`` in their
-report; a theorem's ``expressions`` lift each distinct form once, at
-their first read.  A _QUOTIENTS row has one multiset under every order,
-so an invariance check, like any check whose plan has one group,
-multiplies once (``compared`` is 1): its pass rests on the plan and on
-``cyclo.product`` not depending on the order of its factors, which
-tests/test_cyclo_oracle.py checks.
+series F over Q(zeta_L).  A _QUOTIENTS row is, as in the paper, a
+prefactor, a power of t, numerator units and one p-adic integral of
+chi(x) xi^(cx) e^(cxt) over ct (over c where xi^(dc) = 1) per scale c; a
+table row is a quotient with no units whose Bernoulli pieces are scales,
+times character-sum tables.  Every form is planned before it multiplies,
+with no arithmetic: ``bernoulli.quotient_plan`` states its operands as a
+sorted multiset of factor_table keys, derived once per (entry, d or i, w)
+by ``_row_plan`` or ``_quotient_plan``, and ``bernoulli.keyed_quotient``
+evaluates every plan.  Every check decides on forms: equal forms lift to
+equal SymPolys, so only unequal forms are lifted (by ``_lift``, the one
+writer of SymPoly monomials) for ``first_mismatch`` to decide.
+``verify_theorem`` and ``permutation_invariance_check`` group their weight
+orders by plan (``_check_plan``) and build one form per plan, ``compared``
+in their report.  A _QUOTIENTS row has one plan under every order, so an
+invariance check, like any check with one plan, multiplies once: its pass
+rests on the plan and on ``cyclo.product`` not depending on the order of
+its factors, which tests/test_cyclo_oracle.py checks.
 """
 
 from __future__ import annotations
@@ -51,8 +45,8 @@ import math
 from fractions import Fraction
 
 # _bpoly is bound here for perfbench/tracing.py, which wraps symmetry._bpoly
-from .bernoulli import (TwistContext, _bpoly, factor_quotient,  # noqa: F401
-                        keyed_quotient, owed_shift, stored_key)
+from .bernoulli import (TwistContext, _bpoly, keyed_quotient,  # noqa: F401
+                        quotient_plan, stored_key)
 from .report import CheckReport, ReadOnly, TheoremReport, first_mismatch
 from .series import PowerSeries
 from .sympoly import SymPoly
@@ -95,15 +89,18 @@ def _check_point(w: tuple, n: int = 0) -> None:
 
 def _weighted(scales: tuple, power: int, i: int, big: int) -> tuple:
     """The pairwise (power 2) and single (power 1) families: i units scaled
-    by big times the p-adic integrals at scales."""
-    return (Fraction(big) ** (power - i), 3 - i, (big,) * i, scales,
-            (_Y1, _Y2, _Y3)[:3 - i], big)
+    by big times the p-adic integrals at scales, the prefactor big^(power
+    - i) from integer powers."""
+    prefactor = big ** (power - i) if i <= power else Fraction(
+        1, big ** (i - power))
+    return (prefactor, 3 - i, (big,) * i, scales, (_Y1, _Y2, _Y3)[:3 - i],
+            big)
 
 
 #: family -> (w1, w2, w3, i) -> (prefactor, t power, units, scales, exp
 #: slots, exp scale): the quotient is prefactor * t^power * the units
 #: xi^(dc) e^(dct) - 1 of c in units * the p-adic integral of each c in
-#: scales (bernoulli.quotient_operands) * e^{scale * (sum of the slot y) * t}.
+#: scales (bernoulli.quotient_plan) * e^{scale * (sum of the slot y) * t}.
 _QUOTIENTS = {
     "pairwise": lambda w1, w2, w3, i: _weighted(
         (w2 * w3, w1 * w3, w1 * w2), 2, i, w1 * w2 * w3),
@@ -117,18 +114,22 @@ _QUOTIENTS = {
 }
 
 
+@functools.lru_cache(maxsize=4096)
+def _quotient_plan(entry, i: int, w: tuple) -> tuple:
+    """The ``quotient_plan`` of the _QUOTIENTS entry at the weights w and
+    index i, each live slot with the exp scale, memoized by the entry."""
+    prefactor, t_power, units, scales, slots, scale = entry(*w, i)
+    return quotient_plan(prefactor, t_power, units, scales, (),
+                         [(y, scale) for y in slots])
+
+
 def _quotient_form(spec: QuotientSpec, truncation: int) -> tuple:
-    """The form (scales, q) of the quotient to t^truncation: each live slot
-    maps to the exp scale of its _QUOTIENTS row, and q is factor_quotient
-    of its units and scales with the prefactor as const, where a failed
-    cancellation of t raises."""
+    """The form (scales, q) of the quotient to t^truncation: its plan's
+    exp and ``keyed_quotient``, where a failed cancellation of t raises."""
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    prefactor, t_power, units, scales, slots, scale = _QUOTIENTS[spec.family](
-        *spec.w, spec.i)
-    q = factor_quotient(spec.context, t_power, units, scales, truncation,
-                        prefactor)
-    return dict.fromkeys(slots, scale), q
+    plan = _quotient_plan(_QUOTIENTS[spec.family], spec.i, tuple(spec.w))
+    return dict(plan[4]), keyed_quotient(spec.context, plan, truncation)
 
 
 def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
@@ -244,8 +245,7 @@ def row_operands(entry, d: int, w: tuple) -> tuple:
     quotient with no units t^len(scales) const, a ("ratio", c) per c in
     scales and the sums.  A B piece adds c to scales and const, a ("sum", m,
     A - 1, s*c/q) per shift entry and c*u to its slot's exp; an S piece adds
-    ("sum", c, bound).  Derived once per (entry, d, w), by ``_row_plan``'s
-    memo."""
+    ("sum", c, bound)."""
     const, pieces = entry(*w, d)
     scales, sums, exp = [], [], {}
     for desc in pieces:
@@ -263,26 +263,21 @@ def row_operands(entry, d: int, w: tuple) -> tuple:
 
 @functools.lru_cache(maxsize=4096)
 def _row_plan(entry, d: int, w: tuple) -> tuple:
-    """(exp, const, scales, keys) of the _ROWS entry at the weights w,
-    modulus d: its row_operands with the keys of its quotient with no
-    units, a ("ratio", c) per scale then its sum keys, each already as
-    factor_table stores it (``stored_key``).  Memoized by the entry
-    object, never by its row name, so a replaced entry is derived afresh,
-    and a form derives no operand and normalises no key."""
+    """The ``quotient_plan`` of the _ROWS entry at the weights w, modulus
+    d: its row_operands, each sum key as factor_table stores it
+    (``stored_key``).  Memoized by the entry object, never by its name, so
+    a replaced entry is planned afresh, as by ``_quotient_plan``."""
     const, scales, sums, exp = row_operands(entry, d, w)
-    keys = [("ratio", c) for c in scales]
-    keys += [stored_key(d, key) for key in sums]
-    return exp, const, scales, tuple(keys)
+    return quotient_plan(const, len(scales), (), scales,
+                         [stored_key(d, key) for key in sums], exp)
 
 
 def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
     """The form (scales, F[:n+1]) of a table row at the weights w, whose
-    n-th EGF coefficient is n! [t^n] of e^{(s.y) t} F(t): the quotient of
-    its planned keys (``_row_plan``) by factor_quotient's evaluator,
-    ``keyed_quotient``, as a _QUOTIENTS row's form is."""
-    exp, const, scales, keys = _row_plan(_ROWS[row], ctx.d, tuple(w))
-    return dict(exp), keyed_quotient(
-        ctx, owed_shift(ctx, len(scales), scales), keys, n, const)
+    n-th EGF coefficient is n! [t^n] of e^{(s.y) t} F(t): its plan's exp
+    and ``keyed_quotient``, as a _QUOTIENTS row's form is."""
+    plan = _row_plan(_ROWS[row], ctx.d, tuple(w))
+    return dict(plan[4]), keyed_quotient(ctx, plan, n)
 
 
 #: form name -> (family, i); a form's row sums Bernoulli values and power
@@ -345,70 +340,48 @@ def _distinct_orders(w: tuple, perms: tuple) -> tuple:
     return tuple(dict.fromkeys((w[a], w[b], w[c]) for a, b, c in perms))
 
 
-def _operand_multiset(entry, d: int, w: tuple) -> tuple:
-    """The _ROWS entry's operands at the weights w and modulus d as a
-    multiset, read from its ``_row_plan``: its const, then its exp items,
-    scales and sum keys (each as factor_table stores it) sorted.  Two
-    orders with one multiset multiply the same tables into the same form:
-    equal scales owe one t-shift at every context."""
-    exp, const, scales, keys = _row_plan(entry, d, w)
-    return const, sorted(exp), sorted(scales), sorted(keys[len(scales):])
-
-
-def _quotient_multiset(entry, i: int, w: tuple) -> tuple:
-    """The _QUOTIENTS entry's operands at the weights w and index i as a
-    multiset: its prefactor, t power, sorted units, sorted scales, exp
-    slots and exp scale.  Equal sorted units are one ("units", cs) table
-    and equal sorted scales one multiset of ("ratio", c) tables, which
-    ``stored_key`` stores as they are, with one t-shift at every context."""
-    prefactor, t_power, units, scales, slots, scale = entry(*w, i)
-    return prefactor, t_power, sorted(units), sorted(scales), slots, scale
-
-
 class CheckPlan(collections.namedtuple("CheckPlan",
-                                        ("orders", "groups", "firsts", "at"))):
-    """A check's plan over the distinct weight orders of w: ``orders``
-    themselves; ``groups``, per order, the index of the first order with
-    its operand multiset, whose form the order shares; ``firsts``, those
-    indices once each, the forms the check builds and compares
-    (``compared`` of them); and ``at``, per perm of the check, the index
-    of its order."""
+                                        ("orders", "plans", "at"))):
+    """A check's distinct plans, order 0's first, one form each; the first
+    weight order of each; and, per perm, the index of its order's plan."""
 
     __slots__ = ()
 
     @property
     def compared(self) -> int:
-        return len(self.firsts)
+        return len(self.plans)
 
 
 @functools.lru_cache(maxsize=4096)
-def _check_plan(multiset, entry, arg: int, w: tuple,
+def _check_plan(planner, entry, arg: int, w: tuple,
                 perms: tuple) -> CheckPlan:
     """The plan of a check over the orders (w[a], w[b], w[c]) of w, (a, b,
-    c) in perms: orders with one operand multiset, multiset(entry, arg,
-    order), share one form, built once.  Read from operands alone, with no
-    arithmetic, and memoized by the entry object (of _ROWS, arg d, or of
-    _QUOTIENTS, arg i), never by its name, as ``_row_plan`` is, so a
-    replaced entry is planned afresh."""
-    index = {}  # the distinct orders, as _distinct_orders gives them
-    at = tuple(index.setdefault((w[a], w[b], w[c]), len(index))
-               for a, b, c in perms)
-    multisets = [multiset(entry, arg, v) for v in index]
-    groups = tuple(map(multisets.index, multisets))
-    return CheckPlan(tuple(index), groups, tuple(dict.fromkeys(groups)), at)
+    c) in perms, each order planned by planner(entry, arg, order):
+    ``_row_plan`` (arg d) or ``_quotient_plan`` (arg i).  Orders of equal
+    plans share one form.  Grouped by equality, so no Fraction is hashed,
+    and memoized by the entry object, never by its name."""
+    orders, plans, at = [], [], []
+    for a, b, c in perms:
+        order = (w[a], w[b], w[c])
+        plan = planner(entry, arg, order)
+        if plan not in plans:
+            orders.append(order)
+            plans.append(plan)
+        at.append(plans.index(plan))
+    return CheckPlan(tuple(orders), tuple(plans), tuple(at))
 
 
 def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
                    n: int) -> TheoremReport:
     """Evaluate every displayed expression of one symmetry theorem exactly.
 
-    The plan (``_check_plan``) groups the distinct weight orders by
-    operand multiset, and one row form is built per group, shared by its
-    orders; the report's ``compared`` counts them.  The verdict is pass
-    iff all forms coincide: only forms that differ are lifted, for
-    ``first_mismatch`` to decide.  ``expressions`` holds one exact SymPoly
-    in the live y-variables per displayed expression, and lifts each
-    distinct form once, at its first read.  For theorem 3, the
+    The plan (``_check_plan``) groups the weight orders by row plan, and
+    one row form is built per plan, shared by its orders; the report's
+    ``compared`` counts them.  The verdict is pass iff all forms coincide:
+    only forms that differ are lifted, for ``first_mismatch`` to decide.
+    ``expressions`` holds one exact SymPoly in the live y-variables per
+    displayed expression, lifted at its first read: once where every form
+    is order 0's, and otherwise once per plan.  For theorem 3, the
     ``printed_shift_variant_matches`` note records whether the variant
     with the inconsistent shift denominator (as printed in one source
     display) agrees with order 0 as well, by its form, which decides with
@@ -420,25 +393,21 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
     _check_point(w, n)
     perms, row = _THEOREM_PATTERNS[theorem]
     w = tuple(w)
-    plan = _check_plan(_operand_multiset, _ROWS[row], ctx.d, w, perms)
-    orders = plan.orders
-    forms = {k: _row_form(row, ctx, orders[k], n) for k in plan.firsts}
-    # per order, the first order of an equal form, whose lift it shares
-    first, detail, lifts = (0,) * len(orders), None, {}
-    if any(forms[k] != forms[0] for k in plan.firsts[1:]):
-        same = {k: next(j for j in forms if forms[j] == form)
-                for k, form in forms.items()}
-        first = [same[k] for k in plan.groups]
+    plan = _check_plan(_row_plan, _ROWS[row], ctx.d, w, perms)
+    forms = [_row_form(row, ctx, v, n) for v in plan.orders]
+    # where every form is order 0's, every expression is its one lift
+    at, detail, lifts = (0,) * len(perms), None, {}
+    if any(form != forms[0] for form in forms[1:]):
+        at = plan.at
         detail = first_mismatch(
-            (f"w-order {v} differs from w-order {orders[0]}",
+            (f"w-order {v} differs from w-order {plan.orders[0]}",
              _lifted(lifts, forms, k, n), _lifted(lifts, forms, 0, n))
-            for v, k in zip(orders, first) if k)
+            for k, v in enumerate(plan.orders) if forms[k] != forms[0])
     params = ctx.params()
     params["w"], params["n"] = list(w), n
     report = TheoremReport(
         theorem=theorem, params=params,
-        expressions=functools.partial(_expressions, lifts, forms, n, first,
-                                      plan.at),
+        expressions=functools.partial(_expressions, lifts, forms, n, at),
         passed=detail is None, detail=detail, compared=len(forms))
     if theorem == 3:
         # the variant at (w2, w1, w3) has the scales of order 0, each one
@@ -450,17 +419,16 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
     return report
 
 
-def _lifted(lifts: dict, forms: dict, k: int, n: int) -> SymPoly:
+def _lifted(lifts: dict, forms: list, k: int, n: int) -> SymPoly:
     """The lift of forms[k] at n, made once per k and kept in lifts."""
     if k not in lifts:
         lifts[k] = _lift(*forms[k], n, 1)
     return lifts[k]
 
 
-def _expressions(lifts: dict, forms: dict, n: int, first, at: tuple) -> list:
-    """A theorem's expressions, one per perm: the lift of the first form
-    equal to that of the perm's order (at, then first)."""
-    return [_lifted(lifts, forms, first[j], n) for j in at]
+def _expressions(lifts: dict, forms: list, n: int, at: tuple) -> list:
+    """A theorem's expressions, one per perm: the lift of form at[j]."""
+    return [_lifted(lifts, forms, k, n) for k in at]
 
 
 # -- permutation reductions ----------------------------------------------------
@@ -499,23 +467,22 @@ def permutation_reduction_check(group: int, ctx: TwistContext,
 
 def permutation_invariance_check(spec: QuotientSpec, truncation: int) -> CheckReport:
     """quotient_series must be identical under every distinct order of the
-    weights.  The plan (``_check_plan``) groups the orders by operand
-    multiset, and one form is built per group and compared with order 0's;
-    the report's ``compared`` counts them.  A _QUOTIENTS row has one
-    multiset under every order, so a pass of one group rests on the plan
-    and on ``cyclo.product`` not depending on the order of its factors;
-    only forms that differ are lifted."""
-    plan = _check_plan(_quotient_multiset, _QUOTIENTS[spec.family], spec.i,
+    weights.  The plan (``_check_plan``) groups the orders by quotient
+    plan, and one form is built per plan and compared with order 0's; the
+    report's ``compared`` counts them.  A _QUOTIENTS row has one plan
+    under every order, so a pass of one plan rests on it and on
+    ``cyclo.product`` not depending on the order of its factors; only
+    forms that differ are lifted."""
+    plan = _check_plan(_quotient_plan, _QUOTIENTS[spec.family], spec.i,
                        tuple(spec.w), _PERM6)
     # order 0 is spec's own: the first perm is the identity
-    forms = {k: _quotient_form(QuotientSpec(spec.family, spec.i,
-                                            plan.orders[k], spec.context)
-                               if k else spec, truncation)
-             for k in plan.firsts}
+    forms = [_quotient_form(QuotientSpec(spec.family, spec.i, v, spec.context)
+                            if k else spec, truncation)
+             for k, v in enumerate(plan.orders)]
     detail = first_mismatch(
-        (f"w-order {plan.orders[k]} differs from w-order {plan.orders[0]}",
+        (f"w-order {v} differs from w-order {plan.orders[0]}",
          _series(*form), _series(*forms[0]))
-        for k, form in forms.items() if form != forms[0])
+        for v, form in zip(plan.orders, forms) if form != forms[0])
     return CheckReport("permutation_invariance_check",
                        dict(spec.params(), truncation=truncation),
                        detail is None, detail, len(forms))

@@ -33,3 +33,36 @@ def seed_form(row: str, ctx, w: tuple, n: int) -> tuple:
         else:
             tables.append(bernoulli.factor_table(ctx, ("sum", *desc[1:]), n))
     return scales, tuple(cyclo.product(ctx.field, tables, n + 1, const))
+
+
+def owed_shift(ctx, t_power: int, scales) -> int:
+    """t_power less one per scale c with xi^(dc) = 1, read from xi's
+    order: the power of t a quotient with those scales owes."""
+    return t_power - sum(ctx.d * c % ctx.xi_order == 0 for c in scales)
+
+
+def keys_by_hand(ctx, keys, t_power: int, scales, truncation: int,
+                 const=1) -> tuple:
+    """const t^shift times one ``cyclo.product`` of the factor tables of
+    keys, taken in the order given, to t^truncation, with no plan and no
+    evaluator of the package: shift is ``owed_shift``'s, and t^shift is
+    applied here, a negative power only where it divides."""
+    shift = owed_shift(ctx, t_power, scales)
+    length = max(truncation - shift, 0)
+    q = cyclo.product(ctx.field, [bernoulli.factor_table(ctx, key, length)
+                                  for key in keys], length + 1, const)
+    if shift < 0:
+        assert not any(q[:-shift]), f"t^{-shift} does not divide"
+        return tuple(q[-shift:])
+    return ((ctx.field.zero,) * shift + tuple(q))[:truncation + 1]
+
+
+def plan_groups(plan, w: tuple, perms: tuple) -> tuple:
+    """Per distinct weight order of w under perms, the index among those
+    orders of the first order of its plan in the CheckPlan plan."""
+    orders = symmetry._distinct_orders(w, perms)
+    groups = {}
+    for (a, b, c), k in zip(perms, plan.at):
+        groups.setdefault((w[a], w[b], w[c]), orders.index(plan.orders[k]))
+    assert tuple(groups) == orders
+    return tuple(groups.values())

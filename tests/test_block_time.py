@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COUNTS = ("product", "row_times", "row_pairs", "quotient", "recurrence",
           "poly_inverse", "dot", "fold", "cyclotomic_polynomial", "remap",
           "bernoulli_gf", "small_field", "lift", "plan_hits", "plan_misses",
-          "quotient_operands", "stored_key")
+          "plans_derived", "stored_key")
 TABLES = ("units", "sum", "inv", "ratio", "root", "rescale")
 
 
@@ -29,11 +29,11 @@ def test_counts_of_a_series_block_name_every_column():
     assert head.startswith("series seed 1: ") and "(counted)" in head
     assert counts.split()[::2] == list(COUNTS)
     values = dict(zip(counts.split()[::2], map(int, counts.split()[1::2])))
-    # each of the 360 invariance checks reads the plan memo once; every
-    # product is of one quotient, and derives its operands once
+    # each of the 360 invariance checks reads the plan memo once, and a
+    # miss derives the form plans of at most its six weight orders
     assert values["plan_hits"] + values["plan_misses"] == 360
     assert values["plan_misses"] > 0
-    assert values["quotient_operands"] == values["product"]
+    assert 0 < values["plans_derived"] <= 6 * values["plan_misses"]
     assert tables.startswith("table builds, to the top power built:")
     built = tables.split(":", 1)[1].split()
     assert [word for word in built if word in TABLES] == list(TABLES)

@@ -1,28 +1,33 @@
 """Check plans: the memoised operands a theorem or invariance check runs.
 
-``symmetry._check_plan`` groups a check's distinct weight orders by operand
-multiset, memoised per (entry object, d or i, w, perms), and a row's form
-reads its ``symmetry._row_plan``: (exp, const, scales, keys), its keys
-already as ``factor_table`` stores them.  So no operand is derived and no
-key normalised per call.  These tests hold the fast path to an oracle that
-derives everything afresh: ``factor_quotient`` fed straight from
-``row_operands`` (of a row) or from the ``_QUOTIENTS`` entry (of a
-quotient), at each weight order by itself.  They also check that a
-replaced entry is planned afresh, that reports share no mutable params,
-and that ``compared`` states how many forms a check built.
+A form's plan is its operands as a sorted multiset (``bernoulli.
+quotient_plan``): a row's from ``symmetry._row_plan``, its sum keys
+already as ``factor_table`` stores them, and a quotient's from
+``symmetry._quotient_plan``, both evaluated by ``bernoulli.keyed_quotient``.
+``symmetry._check_plan`` groups a check's weight orders by plan, memoised
+per (planner, entry object, d or i, w, perms), so no operand is derived
+and no key normalised per call.  These tests hold the planned forms to an
+oracle that shares no plan and no evaluator with them: each order's own
+operand list, in the order the entry writes it, through
+``factor_table``, one ``cyclo.product`` and a t-shift applied by hand
+(``symmetry_helpers.keys_by_hand``).  They also check that a replaced
+entry is planned afresh, that reports share no mutable params, and that
+``compared`` states how many forms a check built.
 """
 
 import json
 
 from twistbern import symmetry
-from twistbern.bernoulli import TwistContext, factor_quotient, stored_key
+from twistbern.bernoulli import TwistContext, stored_key
 from twistbern.characters import enumerate_characters
 from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 _THEOREM_PATTERNS, QuotientSpec, _check_plan,
-                                _operand_multiset, _quotient_form,
-                                _quotient_multiset, _row_form, _row_plan,
+                                _distinct_orders, _quotient_form,
+                                _quotient_plan, _row_form, _row_plan,
                                 permutation_invariance_check, row_operands,
                                 verify_theorem)
+
+from symmetry_helpers import keys_by_hand, plan_groups
 
 #: the acceptance grid's contexts
 CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
@@ -36,16 +41,21 @@ N_MAX = 6
 
 
 def _row_oracle(entry, ctx, v, n):
-    # the row form from operands derived afresh, through factor_quotient
+    # the row form from its own operands: a ratio key per B piece, then the
+    # sum keys as the pieces spell them
     const, scales, sums, exp = row_operands(entry, ctx.d, v)
-    return dict(exp), factor_quotient(ctx, len(scales), (), scales, n, const,
-                                      sums)
+    keys = [("ratio", c) for c in scales] + list(sums)
+    return dict(exp), keys_by_hand(ctx, keys, len(scales), scales, n, const)
 
 
 def _quotient_oracle(entry, i, ctx, v, n):
+    # the quotient form from its own units and scales, as the entry lists
+    # them
     prefactor, t_power, units, scales, slots, scale = entry(*v, i)
-    return dict.fromkeys(slots, scale), factor_quotient(
-        ctx, t_power, units, scales, n, prefactor)
+    keys = [("units", units)] if units else []
+    keys += [("ratio", c) for c in scales]
+    return dict.fromkeys(slots, scale), keys_by_hand(
+        ctx, keys, t_power, scales, n, prefactor)
 
 
 def _prefix(form, n):
@@ -58,20 +68,20 @@ def _prefix(form, n):
 def test_every_planned_row_form_equals_its_own_operands_quotient():
     # every _ROWS entry, the printed, swap and cycle variants among them,
     # over all six orders of each weight triple: the form of each order's
-    # plan group, built by the plan at each n, is the quotient of that
-    # order's own operands
+    # plan, built by the plan at each n, is the quotient of that order's
+    # own operands
     checked = 0
     for ctx in CONTEXTS:
         for row, entry in _ROWS.items():
             for w in ROTATED_W:
-                plan = _check_plan(_operand_multiset, entry, ctx.d, w, _PERM6)
-                oracles = [_row_oracle(entry, ctx, v, N_MAX)
-                           for v in plan.orders]
+                orders = _distinct_orders(w, _PERM6)
+                groups = plan_groups(
+                    _check_plan(_row_plan, entry, ctx.d, w, _PERM6), w, _PERM6)
+                oracles = [_row_oracle(entry, ctx, v, N_MAX) for v in orders]
                 for n in range(N_MAX + 1):
-                    planned = {k: _row_form(row, ctx, plan.orders[k], n)
-                               for k in plan.firsts}
-                    for v, k, oracle in zip(plan.orders, plan.groups,
-                                            oracles):
+                    planned = {k: _row_form(row, ctx, orders[k], n)
+                               for k in set(groups)}
+                    for v, k, oracle in zip(orders, groups, oracles):
                         assert planned[k] == _prefix(oracle, n), (
                             row, ctx, v, n)
                         checked += 1
@@ -85,16 +95,16 @@ def test_every_planned_quotient_form_equals_its_own_operands_quotient():
             entry = _QUOTIENTS[family]
             for i in range(max_i + 1):
                 for w in ROTATED_W:
-                    plan = _check_plan(_quotient_multiset, entry, i, w,
-                                       _PERM6)
+                    orders = _distinct_orders(w, _PERM6)
+                    groups = plan_groups(_check_plan(
+                        _quotient_plan, entry, i, w, _PERM6), w, _PERM6)
                     oracles = [_quotient_oracle(entry, i, ctx, v, N_MAX)
-                               for v in plan.orders]
+                               for v in orders]
                     for n in range(N_MAX + 1):
                         planned = {k: _quotient_form(QuotientSpec(
-                            family, i, plan.orders[k], ctx), n)
-                            for k in plan.firsts}
-                        for v, k, oracle in zip(plan.orders, plan.groups,
-                                                oracles):
+                            family, i, orders[k], ctx), n)
+                            for k in set(groups)}
+                        for v, k, oracle in zip(orders, groups, oracles):
                             assert planned[k] == _prefix(oracle, n), (
                                 family, i, ctx, v, n)
                             checked += 1
@@ -107,9 +117,8 @@ def test_every_plan_key_is_stored_form():
     for d in (1, 3, 4, 5):
         for entry in _ROWS.values():
             for w in ROTATED_W:
-                for v in _check_plan(_operand_multiset, entry, d, w,
-                                     _PERM6).orders:
-                    _, _, scales, keys = _row_plan(entry, d, v)
+                for v in _distinct_orders(w, _PERM6):
+                    _, _, scales, keys, _ = _row_plan(entry, d, v)
                     assert keys[:len(scales)] == tuple(
                         ("ratio", c) for c in scales)
                     assert all(stored_key(d, key) == key for key in keys)

@@ -27,8 +27,9 @@ c != 1 is the scale-1 table of the twist xi^c read at t -> ct, built once
 per class of c and kept in the twist's context (checked against per-c
 builds in test_scale_law.py), by either of two routes, which must agree
 on every ratio and Bernoulli seed that reads it.  The library's own
-``quotient_operands`` must give the units key first, then one ratio key
-per scale, on every quotient drawn here.
+``quotient_plan`` must give the units key first, then one ratio key per
+sorted scale, on every quotient drawn here, and ``keyed_quotient`` must
+owe one power of t less per scale whose unit vanishes.
 """
 
 import itertools
@@ -41,7 +42,8 @@ import pytest
 from twistbern import bernoulli, cyclo, symmetry
 from twistbern.bernoulli import (TwistContext, _inverse_table, bernoulli_gf,
                                  char_sum_series, factor_quotient,
-                                 factor_table, twist_units_series)
+                                 factor_table, keyed_quotient,
+                                 twist_units_series)
 from twistbern.characters import character, enumerate_characters
 from twistbern.cyclo import CycloField, _rows, cyclo_field, quotient
 from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
@@ -52,6 +54,7 @@ from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
 from bernoulli_helpers import (bernoulli_gf_by_division, bpoly_by_route,
                                ratio_by_route, ratio_route)
 from cyclo_helpers import multiplicative_order
+from symmetry_helpers import keys_by_hand
 
 CONTEXTS = [(d, char, order) for d in (1, 3, 4)
             for char in range(len(enumerate_characters(d)))
@@ -103,9 +106,9 @@ def _vanishing(ctx, scales):
 def _operands(units, scales):
     """The factor_table keys of factor_quotient's product, in its order:
     ("units", cs) for the sorted multiset cs of units, if there are any,
-    then ("ratio", c) for each scale in order."""
+    then ("ratio", c) for each scale in sorted order."""
     return ([("units", tuple(sorted(units)))] if units else []) + [
-        ("ratio", c) for c in scales]
+        ("ratio", c) for c in sorted(scales)]
 
 
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
@@ -596,25 +599,31 @@ SERIES_CONTEXTS = [TwistContext.from_orders(d, char, order)
                    for order in (1, 2, 3, 4)]
 
 
+def _owes(ctx, plan, t_power, scales):
+    # keyed_quotient of the plan is t^(t_power - vanishing scales) times the
+    # product of its keys' tables
+    return keyed_quotient(ctx, plan, 3) == keys_by_hand(ctx, plan[3], t_power,
+                                                        scales, 3)
+
+
 @pytest.mark.parametrize("ctx", SERIES_CONTEXTS, ids=repr)
-def test_quotient_operands_are_the_units_then_one_ratio_per_scale(ctx):
+def test_quotient_plans_are_the_units_then_one_ratio_per_scale(ctx):
     # every _QUOTIENTS family and index and powersum side A: the units key
-    # first where there are units, the ratios in the order of the scales,
-    # and the t shift t_power less the scales whose unit vanishes
+    # first where there are units, the ratios in the sorted order of the
+    # scales, and the t shift t_power less the scales whose unit vanishes
     met = set()
     for w in (*WEIGHTS, (2, 2, 3)):
         for family, max_i in _FAMILY_MAX_I.items():
             for i in range(max_i + 1):
                 _, t_power, units, scales, _, _ = _QUOTIENTS[family](*w, i)
                 met.add((family, i, bool(units)))
-                shift, keys = bernoulli.quotient_operands(
-                    ctx, t_power, units, scales)
-                assert keys == ([("units", tuple(sorted(units)))] if units
-                                else []) + [("ratio", c) for c in scales]
-                assert shift == t_power - _vanishing(ctx, scales)
+                plan = bernoulli.quotient_plan(1, t_power, units, scales)
+                assert plan[3] == tuple(_operands(units, scales))
+                assert _owes(ctx, plan, t_power, scales)
         for v in set(w):
-            assert bernoulli.quotient_operands(ctx, 0, (v,), (1,)) == (
-                -_vanishing(ctx, (1,)), [("units", (v,)), ("ratio", 1)])
+            plan = bernoulli.quotient_plan(1, 0, (v,), (1,))
+            assert plan == (1, 0, (1,), (("units", (v,)), ("ratio", 1)), ())
+            assert _owes(ctx, plan, 0, (1,))
     assert {(family, i) for family, i, _ in met} == {
         (family, i) for family, max_i in _FAMILY_MAX_I.items()
         for i in range(max_i + 1)}
@@ -690,8 +699,8 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # tables, each built once for it and not stored; the inverse table
     # reads the table of zeta_R of its root's order R, one recurrence per
     # order.  The products are not cached: each order's form, built alone,
-    # multiplies its own operands in its own order, and its one
-    # cyclo.product over _operands performs len(operands) - 1 factor
+    # multiplies its plan, one sorted multiset shared by every order, and
+    # its one cyclo.product over _operands performs len(operands) - 1 factor
     # multiplications.  The invariance check builds one form per group of
     # its plan; the orders here are one group, so it multiplies order 0's
     # operands once, from the stored tables.  The ratio tables are built
@@ -715,12 +724,13 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     monkeypatch.setattr(bernoulli, "_row_times", ratio)
 
     calls = []
-    exact_quotient = symmetry.factor_quotient
+    exact_quotient = symmetry.keyed_quotient
 
-    def quotient(ctx, t_power, units, scales, *args):
-        calls.append([units, scales, 0, None])
-        return exact_quotient(ctx, t_power, units, scales, *args)
-    monkeypatch.setattr(symmetry, "factor_quotient", quotient)
+    def quotient(ctx, plan, *args):
+        units = next(key[1] for key in plan[3] if key[0] == "units")
+        calls.append([units, plan[2], 0, None])
+        return exact_quotient(ctx, plan, *args)
+    monkeypatch.setattr(symmetry, "keyed_quotient", quotient)
 
     def multiply(field, seqs, *args, exact=bernoulli.product):
         assert calls[-1][3] is None     # one product per order
@@ -765,7 +775,7 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     assert len(builds) == 4 and ("units", (2, 3, 6), ctx) in builds
     assert {(kind, c, id(where)) for kind, c, where in builds
             if kind == "sum"} == {("sum", 1, id(t)) for t in twists.values()}
-    assert len({(units, scales) for units, scales, _, _ in calls}) == 6
+    assert len({(units, scales) for units, scales, _, _ in calls}) == 1
     for units, scales, products, tables in calls:
         operands = _operands(units, scales)
         assert operands[0] == ("units", (2, 3, 6))
@@ -795,7 +805,7 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
         if forms == 1:
             assert permutation_invariance_check(spec, truncation).passed
             assert [(units, scales) for units, scales, _, _ in calls] == [
-                ((6, 3, 2), (1, 2, 3))]
+                ((2, 3, 6), (1, 2, 3))]
         else:
             every_order(truncation)
         assert builds == [] and ratios == []

@@ -1,10 +1,11 @@
 """Operands as data: each row and quotient states what it multiplies before
 it multiplies.
 
-``bernoulli.quotient_operands`` gives the (shift, keys) of every form, each
-key one of ``factor_table``'s: of a quotient from its ``_QUOTIENTS`` units
-and scales, and of a row from ``symmetry.row_operands``' (const, scales,
-sums, exp), the row as a quotient with no units.  A B piece of twist
+``bernoulli.quotient_plan`` gives the plan of every form, its keys
+``factor_table``'s: of a quotient from its ``_QUOTIENTS`` units and
+scales (``symmetry._quotient_plan``), and of a row from
+``symmetry.row_operands``' (const, scales, sums, exp), the row as a
+quotient with no units (``symmetry._row_plan``).  A B piece of twist
 exponent c is an integral scale, ("ratio", c), with c in the const; its
 shift entries and the S pieces are ("sum", ...) keys, after the ratio keys.
 Both read the ``_ROWS`` pieces, the ``_QUOTIENTS`` units and scales and the
@@ -14,10 +15,9 @@ and every quotient family are still built at every weight order of the
 acceptance grid's points.  A row form is one ``cyclo.product`` of the
 tables of its keys, sliced on by t^shift, as a quotient form is.
 A check's plan, ``symmetry._check_plan``, groups its weight orders by
-operand multiset: a theorem check's rows, each key as
-``bernoulli.stored_key`` stores it, and an invariance check's quotients,
-whose orders all share one multiset.  The orders of one group have equal
-forms, each built alone.
+plan: a theorem check's rows, each key as ``bernoulli.stored_key`` stores
+it, and an invariance check's quotients, whose orders all share one plan.
+The orders of one group have equal forms, each built alone.
 ``tools/operand_census.py`` counts, from operands alone, what the checks
 of a benchmark block compare.
 """
@@ -30,16 +30,16 @@ from pathlib import Path
 import pytest
 
 from twistbern import bernoulli, cyclo, symmetry
-from twistbern.bernoulli import (TwistContext, factor_table, quotient_operands,
-                                 stored_key)
+from twistbern.bernoulli import TwistContext, factor_table, stored_key
 from twistbern.characters import enumerate_characters
 from twistbern.cyclo import CycloNumber
 from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 _THEOREM_PATTERNS, QuotientSpec,
                                 _check_plan, _distinct_orders,
-                                _operand_multiset, _quotient_form,
-                                _quotient_multiset, _row_form, _row_plan,
-                                row_operands)
+                                _quotient_form, _quotient_plan, _row_form,
+                                _row_plan, row_operands)
+
+from symmetry_helpers import owed_shift, plan_groups
 
 CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
             for char in range(len(enumerate_characters(d)))
@@ -54,7 +54,8 @@ ROTATED_W = tuple(dict.fromkeys(w[k:] + w[:k] for w in THEOREM_W
 ARITHMETIC = [(cyclo, "product"), (bernoulli, "product"),
               (cyclo, "_row_times"), (cyclo, "dot"), (bernoulli, "dot"),
               (bernoulli, "_apostol_table"), (bernoulli, "factor_table"),
-              (bernoulli, "factor_quotient"), (symmetry, "factor_quotient"),
+              (bernoulli, "factor_quotient"), (bernoulli, "keyed_quotient"),
+              (symmetry, "keyed_quotient"),
               (bernoulli, "_bpoly"), (symmetry, "_bpoly"),
               (bernoulli, "power_sums"), (bernoulli, "_build"),
               (CycloNumber, "__mul__"), (CycloNumber, "__rmul__"),
@@ -70,15 +71,16 @@ def _forbid(monkeypatch):
 
 
 def _row_keys(ctx, row, v):
-    """(const, scales, shift, keys, pieces) of a row, its operands derived
-    afresh and checked against its memoized plan."""
+    """(const, scales, t_power, keys, pieces) of a row, its operands
+    derived afresh and checked against its memoized plan, whose keys are
+    one ratio per sorted scale, then the sorted stored sum keys."""
     entry = _ROWS[row]
     const, scales, sums, exp = row_operands(entry, ctx.d, v)
-    assert _row_plan(entry, ctx.d, v) == (exp, const, scales, tuple(
-        [("ratio", c) for c in scales]
-        + [stored_key(ctx.d, key) for key in sums]))
-    shift, keys = quotient_operands(ctx, len(scales), (), scales, sums)
-    return const, scales, shift, keys, entry(*v, ctx.d)
+    plan = _row_plan(entry, ctx.d, v)
+    assert plan == (const, len(scales), tuple(sorted(scales)), tuple(
+        [("ratio", c) for c in sorted(scales)]
+        + sorted(stored_key(ctx.d, key) for key in sums)), tuple(sorted(exp)))
+    return const, scales, plan[1], plan[3], entry(*v, ctx.d)
 
 
 def test_operands_reach_no_arithmetic(monkeypatch):
@@ -87,25 +89,27 @@ def test_operands_reach_no_arithmetic(monkeypatch):
     for ctx in CONTEXTS:
         for v in ORDERS:
             for row in _ROWS:
-                const, scales, shift, keys, (const0, pieces) = _row_keys(
+                const, scales, t_power, keys, (const0, pieces) = _row_keys(
                     ctx, row, v)
                 # each B piece is ("ratio", c) with c in the const; then the
                 # sum keys, and no other kind
                 bs = tuple(desc[1] for desc in pieces if desc[0] == "B")
                 assert scales == bs and const == const0 * math.prod(bs)
                 kinds = [key[0] for key in keys]
-                assert keys[:len(bs)] == [("ratio", c) for c in bs]
+                assert keys[:len(bs)] == tuple(
+                    ("ratio", c) for c in sorted(bs))
                 assert kinds == ["ratio"] * len(bs) + ["sum"] * (
                     len(keys) - len(bs)) and keys
-                assert 0 <= shift <= len(bs)
+                assert t_power == len(bs)
+                assert 0 <= owed_shift(ctx, t_power, scales) <= len(bs)
                 rows += 1
             for family, max_i in _FAMILY_MAX_I.items():
                 for i in range(max_i + 1):
                     _, t_power, units, scales, _, _ = _QUOTIENTS[family](
                         *v, i)
-                    shift, keys = quotient_operands(ctx, t_power, units,
-                                                    scales)
-                    assert shift <= t_power and keys
+                    plan = _quotient_plan.__wrapped__(_QUOTIENTS[family], i, v)
+                    assert plan[1] == t_power and plan[3]
+                    assert owed_shift(ctx, t_power, scales) <= t_power
                     quotients += 1
     assert rows == len(CONTEXTS) * len(ORDERS) * len(_ROWS)
     assert quotients == len(CONTEXTS) * len(ORDERS) * sum(
@@ -123,7 +127,8 @@ def test_a_row_form_is_one_product_of_its_operand_tables(ctx, monkeypatch):
     for n in (0, 1, 2, 5):
         for v in ORDERS:
             for row in _ROWS:
-                const, scales, shift, keys, _ = _row_keys(ctx, row, v)
+                const, scales, _, keys, _ = _row_keys(ctx, row, v)
+                shift = owed_shift(ctx, len(scales), scales)
                 exp = dict(row_operands(_ROWS[row], ctx.d, v)[3])
                 length = max(n - shift, 0)
                 tables = [factor_table(ctx, key, length) for key in keys]
@@ -212,8 +217,7 @@ def _grouped_orders_with_unequal_forms(plan, n=4):
         for w in ROTATED_W:
             for theorem, (perms, row) in _THEOREM_PATTERNS.items():
                 orders = _distinct_orders(w, perms)
-                for j, k in enumerate(plan(_operand_multiset, _ROWS[row],
-                                           ctx.d, w, perms)):
+                for j, k in enumerate(plan(_ROWS[row], ctx.d, w, perms)):
                     if k != j and (form(row, ctx, orders[j])
                                    != form(row, ctx, orders[k])):
                         yield theorem, ctx, orders[j], orders[k]
@@ -221,8 +225,9 @@ def _grouped_orders_with_unequal_forms(plan, n=4):
 
 def test_the_orders_of_one_plan_group_have_equal_forms(monkeypatch):
     _tag_tables(monkeypatch)
-    def groups(*args):
-        return _check_plan(*args).groups
+    def groups(entry, d, w, perms):
+        return plan_groups(_check_plan(_row_plan, entry, d, w, perms), w,
+                           perms)
     assert next(_grouped_orders_with_unequal_forms(groups), None) is None
     # theorem 3's printed variant is decided by its form: it has order 0's
     # scales, all nonzero, so its lift at n reads every F_j, j <= n
@@ -238,7 +243,7 @@ def test_the_orders_of_one_plan_group_have_equal_forms(monkeypatch):
 def test_a_plan_that_merges_every_order_fails_the_grid(monkeypatch):
     # the untagged forms of every order are equal wherever a theorem holds,
     # so only the tagged tables tell the orders' multisets apart
-    def merged(multiset, entry, d, w, perms):
+    def merged(entry, d, w, perms):
         return (0,) * len(_distinct_orders(w, perms))
     assert next(_grouped_orders_with_unequal_forms(merged), None) is None
     _tag_tables(monkeypatch)
@@ -264,8 +269,9 @@ def test_the_plan_reads_keys_as_factor_table_stores_them(monkeypatch):
     monkeypatch.setattr(symmetry, "_row_plan", symmetry._row_plan.__wrapped__)
 
     def groups():
-        return _check_plan.__wrapped__(_operand_multiset, entry, d,
-                                       (1, 2, 3), _PERM6).groups
+        return plan_groups(_check_plan.__wrapped__(
+            symmetry._row_plan, entry, d, (1, 2, 3), _PERM6), (1, 2, 3),
+            _PERM6)
     assert groups() == (0, 0, 2, 2, 4, 4)
     monkeypatch.setattr(symmetry, "stored_key", lambda d, key: key)
     assert groups() == (0, 1, 2, 3, 4, 5)
@@ -297,8 +303,8 @@ def test_every_order_of_a_quotient_is_one_plan_group_of_equal_forms(
             entry = _QUOTIENTS[family]
             for w in QUOTIENT_W:
                 orders = _distinct_orders(w, _PERM6)
-                plan = _check_plan(_quotient_multiset, entry, i, w,
-                                   _PERM6).groups
+                plan = plan_groups(_check_plan(_quotient_plan, entry, i, w,
+                                               _PERM6), w, _PERM6)
                 assert plan == (0,) * len(orders)
                 for ctx in CONTEXTS:
                     for v, k in zip(orders, plan):

@@ -391,7 +391,7 @@ def test_a_replaced_quotient_entry_is_planned_afresh(monkeypatch):
     for family, spec in specs.items():
         assert permutation_invariance_check(spec, 3).passed
         assert symmetry._check_plan(
-            symmetry._quotient_multiset, symmetry._QUOTIENTS[family], spec.i,
+            symmetry._quotient_plan, symmetry._QUOTIENTS[family], spec.i,
             spec.w, symmetry._PERM6).compared == 1
     quotients = dict(symmetry._QUOTIENTS)
     pairwise, single = quotients["pairwise"], quotients["single"]
@@ -478,7 +478,7 @@ def test_a_passing_theorem_builds_one_form_per_plan_group(monkeypatch):
     def groups(tid, ctx, w):
         perms, row = symmetry._THEOREM_PATTERNS[tid]
         return symmetry._check_plan(
-            symmetry._operand_multiset, symmetry._ROWS[row], ctx.d, w,
+            symmetry._row_plan, symmetry._ROWS[row], ctx.d, w,
             perms).compared
 
     built, lifts = [], []

@@ -40,9 +40,11 @@ answers, which count ``bernoulli_gf`` builds where those built the
 table; one from before the choice reads 0), ``lift``, the
 ``symmetry._lift`` calls (each SymPoly built from a form),
 ``plan_hits`` and ``plan_misses``, those of the memo of check plans
-(``symmetry._check_plan``, in an older checkout ``_order_plan``), and the
-calls of ``bernoulli.quotient_operands`` (each a quotient's operands
-derived) and of ``bernoulli.stored_key`` (each key normalised) the block
+(``symmetry._check_plan``, in an older checkout ``_order_plan``),
+``plans_derived``, the misses of the memos of form plans
+(``symmetry._row_plan`` and ``symmetry._quotient_plan``, each a form's
+operands derived; a checkout without one of them counts the other), and
+the calls of ``bernoulli.stored_key`` (each key normalised) the block
 makes, not those of the gate's reads after it.  A second line gives, per kind of table, the
 number of builds and the top power of t (of x for a root table) of the
 longest one: ``units`` (``bernoulli.twist_units_series``), ``sum``
@@ -199,16 +201,20 @@ if counting:
     # the check-plan memo (``_order_plan`` before it was ``_check_plan``)
     plans = getattr(symmetry, "_check_plan", None) or symmetry._order_plan
     plans_before = plans.cache_info()
-    counts["plan_hits"] = counts["plan_misses"] = 0
-    for name in ("quotient_operands", "stored_key"):
-        counts[name] = 0
+    # the form-plan memos (``_quotient_plan`` from the one-plan change on)
+    derived = [getattr(symmetry, name)
+               for name in ("_row_plan", "_quotient_plan")
+               if hasattr(symmetry, name)]
+    derived_before = sum(memo.cache_info().misses for memo in derived)
+    counts["plan_hits"] = counts["plan_misses"] = counts["plans_derived"] = 0
+    counts["stored_key"] = 0
 
-        def make(exact, name=name):
-            def counted(*args):
-                counts[name] += 1
-                return exact(*args)
-            return counted
-        install(bernoulli, name, make)
+    def keys_normalised(exact):
+        def counted(*args):
+            counts["stored_key"] += 1
+            return exact(*args)
+        return counted
+    install(bernoulli, "stored_key", keys_normalised)
 profile = cProfile.Profile() if top else None
 results = []
 t0 = time.process_time()
@@ -223,6 +229,8 @@ if counting:
     info = plans.cache_info()
     counts["plan_hits"] = info.hits - plans_before.hits
     counts["plan_misses"] = info.misses - plans_before.misses
+    counts["plans_derived"] = sum(memo.cache_info().misses
+                                  for memo in derived) - derived_before
 # the block's counts, not those of the gate's reads after it
 block_counts = json.loads(json.dumps(counts))
 t0 = time.process_time()
@@ -254,7 +262,7 @@ def main(argv=None) -> int:
                            "cyclotomic-polynomial and table re-map counts, "
                            "its Bernoulli GF reads and the scale-1 table "
                            "builds in the small field, its SymPoly lifts, "
-                           "plan memo hits and misses, operand derivations "
+                           "plan memo hits and misses, plan derivations "
                            "and key normalisations, and its table builds "
                            "per kind, rescaled tables among them")
     args = ap.parse_args(argv)

@@ -10,21 +10,20 @@ forms it compares:
 
 * one order: its weights give one distinct weight order, so it compares
   one form with nothing;
-* one multiset: every order has one operand multiset, so the check
-  builds one form, and its pass rests on its plan and on ``cyclo.product``
-  not depending on the order of its operands;
+* one multiset: every order has one plan, its operands as a sorted
+  multiset, so the check builds one form, and its pass rests on its plan
+  and on ``cyclo.product`` not depending on the order of its operands;
 * different: the operands of two orders differ.  A ``powersum_gf_check``
   compares a quotient with two direct sums, so it is always counted here.
 
 Both kinds of check are read from the one plan they run,
 ``symmetry._check_plan``, whose ``compared`` is that of the check's report
 (the number of forms it builds) and which groups their weight orders by
-operand multiset: a theorem check's rows by the (const, sorted exp, sorted scales,
-sorted sum keys) of ``symmetry.row_operands``, each key as
-``bernoulli.stored_key`` stores it, and an invariance check's quotients by
-the (prefactor, t power, sorted units, sorted scales, exp slots, exp
-scale) of their ``symmetry._QUOTIENTS`` row.  The plan reads operands
-only: no table is built and no product is formed.  The tool also prints
+``bernoulli.quotient_plan``: a theorem check's rows by
+``symmetry._row_plan``, each sum key as ``bernoulli.stored_key`` stores
+it, and an invariance check's quotients by ``symmetry._quotient_plan`` of
+their ``symmetry._QUOTIENTS`` row.  The plan reads operands only: no
+table is built and no product is formed.  The tool also prints
 the weight orders of the planned checks (one form each, before the plan)
 and their distinct operand multisets (one product each, with the plan).
 Without ``--workload`` both the ``theorems`` and the ``series`` workload
@@ -46,19 +45,21 @@ from workloads import Workload, block_size  # noqa: E402
 CLASSES = ("one order", "one operand multiset", "different operands")
 
 
-def _plan(workload: Workload, check):
-    """The check's plan, ``symmetry._check_plan``: its distinct weight
-    orders, grouped by operands."""
+def _plan(workload: Workload, check) -> tuple:
+    """(distinct weight orders, plan) of the check: its plan
+    ``symmetry._check_plan`` groups those orders by operands."""
     if check.kind == "theorem":
         theorem, ci, w, _ = check.args
         perms, row = symmetry._THEOREM_PATTERNS[theorem]
-        return symmetry._check_plan(
-            symmetry._operand_multiset, symmetry._ROWS[row],
-            workload.contexts[ci].d, tuple(w), perms)
-    family, i, _, w, _ = check.args
-    return symmetry._check_plan(
-        symmetry._quotient_multiset, symmetry._QUOTIENTS[family], i,
-        tuple(w), symmetry._PERM6)
+        args = (symmetry._row_plan, symmetry._ROWS[row],
+                workload.contexts[ci].d)
+    else:
+        family, i, _, w, _ = check.args
+        perms = symmetry._PERM6
+        args = (symmetry._quotient_plan, symmetry._QUOTIENTS[family], i)
+    w = tuple(w)
+    return (len(symmetry._distinct_orders(w, perms)),
+            symmetry._check_plan(*args, w, perms))
 
 
 def classify(workload: Workload, check) -> str:
@@ -67,8 +68,8 @@ def classify(workload: Workload, check) -> str:
     states it."""
     if check.kind not in ("theorem", "invariance"):
         return CLASSES[2]
-    plan = _plan(workload, check)
-    if len(plan.orders) == 1:
+    orders, plan = _plan(workload, check)
+    if orders == 1:
         return CLASSES[0]
     return CLASSES[1] if plan.compared == 1 else CLASSES[2]
 
@@ -94,8 +95,8 @@ def plan_work(name: str, seed: int) -> tuple:
     with it."""
     plans = [_plan(workload, check) for workload, check in _checks(name, seed)
              if check.kind in ("theorem", "invariance")]
-    return (sum(len(plan.orders) for plan in plans),
-            sum(plan.compared for plan in plans))
+    return (sum(orders for orders, _ in plans),
+            sum(plan.compared for _, plan in plans))
 
 
 def main(argv=None) -> int:
