@@ -206,40 +206,24 @@ def factor_table(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
     """The stored RowTable of one factor series, to t^upto or further.  Key
     ("units", cs) is the product of the units xi^(dc) e^(dct) - 1 over the
     sorted multiset cs (twist_units_series), the one table of a quotient's
-    numerator units; ("sum", c[, bound[, sigma]]) is the character sum
-    sum_{a<=bound} chi(a) xi^(ac) e^(a*sigma*t), bound d - 1 and sigma = c
-    by default; and ("ratio", c) is ("sum", c) over the unit of c, times t
-    where xi^(dc) = 1: the paper's p-adic integral of chi(x) xi^(cx)
-    e^(cxt) over ct, or over c, of a scale or a Bernoulli piece.  It is
-    built at c = 1 only (``_ratio_table``), once per twist: at c != 1 it is
-    the twist xi^c's ("ratio", 1) table, stored in the twist's context,
-    read at t -> ct (``_rescaled_table``).  Each table is built once per
-    context, as a RowTable straight from integers, and kept as it is in
-    ctx._factors under its ``stored_key``; a key is looked up as given
-    before it is normalised, so a key in stored form (as the row plans
-    keep theirs) is normalised only where its table is first stored.  It
-    is built to exactly t^upto, and a longer one than cached is rebuilt to
-    exactly t^upto: no table is built past the longest length asked for.
-    Any other key raises ValueError."""
+    numerator units; ("sum", c, bound, sigma) is the character sum
+    sum_{a<=bound} chi(a) xi^(ac) e^(a*sigma*t), sigma an int where it is
+    integral; and ("ratio", c) is ("sum", c, d - 1, c) over the unit of c,
+    times t where xi^(dc) = 1: the paper's p-adic integral of chi(x)
+    xi^(cx) e^(cxt) over ct, or over c, of a scale or a Bernoulli piece.
+    It is built at c = 1 only (``_ratio_table``), once per twist: at c != 1
+    it is the twist xi^c's ("ratio", 1) table, stored in the twist's
+    context, read at t -> ct (``_rescaled_table``).  Each table is built
+    once per context, as a RowTable straight from integers, and kept in
+    ctx._factors under its key, read by one lookup: a key has one spelling
+    (a sigma m and Fraction(m) are one dict key).  It is built to exactly
+    t^upto, and a longer one than cached is rebuilt to exactly t^upto: no
+    table is built past the longest length asked for.  Any other key, a
+    shorter sum key among them, raises ValueError."""
     table = ctx._factors.get(key)
-    if table is None:  # not stored, or not spelled as stored
-        key = stored_key(ctx.d, key)
-        table = ctx._factors.get(key)
     if table is None or table.length <= upto:
         table = ctx._factors[key] = _build(ctx, key, upto)
     return table
-
-
-def stored_key(d: int, key: tuple) -> tuple:
-    """The key under which factor_table stores the table of key at modulus
-    d: a sum key's sigma dropped where it is c, then its bound where it is
-    d - 1, so that every spelling of one table is one key."""
-    if len(key) > 2:  # units and ratio keys are stored as they are
-        if key[3:] == (key[1],):
-            key = key[:3]
-        if key[2:] == (d - 1,):
-            key = key[:2]
-    return key
 
 
 def _build(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
@@ -252,7 +236,7 @@ def _build(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
                 _rescaled_table(ctx, key[1], upto))
     if kind == "units":
         return twist_units_series(ctx, key[1], upto)
-    if kind == "sum":
+    if kind == "sum" and len(key) == 4:
         return char_sum_series(ctx, key[1], upto, *key[2:])
     raise ValueError(f"unknown factor table key {key!r}")
 
@@ -327,12 +311,12 @@ def _ratio_table(ctx: TwistContext, build: int) -> RowTable:
 
 
 def _ratio_by_row_product(ctx: TwistContext, build: int) -> RowTable:
-    """_ratio_table in Q(zeta_L): the ("sum", 1) table, built unstored
-    where none is stored long enough, times the unit's inverse."""
+    """_ratio_table in Q(zeta_L): the ("sum", 1, d - 1, 1) table, built
+    unstored where none is stored long enough, times the unit's inverse."""
     n = build + 1
-    table = ctx._factors.get(("sum", 1))
+    table = ctx._factors.get(("sum", 1, ctx.d - 1, 1))
     if table is None or len(table) < n:
-        table = _build(ctx, ("sum", 1), build)
+        table = char_sum_series(ctx, 1, build)
     rows, den = _row_times(ctx.field, _head(table.rows, n), table.den,
                            _inverse_table(ctx, build), n)
     return _lowest(ctx.field, rows, den, n)
@@ -447,8 +431,10 @@ def keyed_quotient(ctx: TwistContext, plan: tuple, truncation: int) -> tuple:
     t^truncation: const t^shift times one ``cyclo.product`` of its keys'
     tables in plan order, shift its t power less one per scale c with
     xi^(dc) = 1 (whose ratio table is t I_c).  The one evaluator of every
-    form; it caches and divides nothing, and raises ValueError where an
-    owed power of t does not divide."""
+    form; it caches and divides nothing, and raises ValueError where
+    truncation < 0 or an owed power of t does not divide."""
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
     const, shift, scales, keys, _ = plan
     for c in scales:
         shift -= _unit_root(ctx, c) == 0

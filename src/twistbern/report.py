@@ -54,35 +54,42 @@ class CheckReport(Verdict):
 
 
 class TheoremReport(Verdict):
-    """Verdict for one symmetry theorem at one parameter point.
-    ``expressions`` holds one SymPoly per displayed expression, shared by
-    the orders of one plan; given as a callable, it is called at the first
-    read, so verify_theorem lifts each form at most once, and only when
-    read.  ``compared`` is the number of forms the check's plan built: 1
-    means that the pass rests on the plan (equal plans) and on
-    ``cyclo.product`` not depending on the order of its factors, not on two
-    products compared.  It is kept out of ``to_json_dict``."""
+    """Verdict for one symmetry theorem at one parameter point.  ``forms``
+    are the forms (scales, F) its check built, one per plan, and
+    ``expressions`` one SymPoly per displayed expression, the lift at n of
+    form at[j] (``sympoly.lift``), each form lifted once, at the first
+    read.  ``compared``, the number of forms, 1 means that the pass rests
+    on the plan (equal plans) and on ``cyclo.product`` not depending on the
+    order of its factors, not on two products compared.  Neither is
+    rendered by ``to_json_dict``."""
 
-    __slots__ = ("theorem", "params", "_expressions", "passed", "detail",
-                 "notes", "compared")
+    __slots__ = ("theorem", "params", "forms", "at", "n", "_lifts", "passed",
+                 "detail", "notes")
 
-    def __init__(self, theorem: int, params: dict,
-                 expressions=None, passed: bool = True,
-                 detail: str | None = None, notes: dict | None = None,
-                 compared: int | None = None):
+    def __init__(self, theorem: int, params: dict, forms: tuple = (),
+                 at: tuple = (), n: int = 0, passed: bool = True,
+                 detail: str | None = None, notes: dict | None = None):
         self.theorem = theorem
         self.params = params
-        self._expressions = [] if expressions is None else expressions
+        self.forms = forms
+        self.at = at
+        self.n = n
+        self._lifts = None
         self.passed = passed
         self.detail = detail
         self.notes = {} if notes is None else notes
-        self.compared = compared
+
+    @property
+    def compared(self) -> int:
+        return len(self.forms)
 
     @property
     def expressions(self) -> list:
-        if callable(self._expressions):
-            self._expressions = self._expressions()
-        return self._expressions
+        if self._lifts is None:
+            lifts = {k: sympoly.lift(*self.forms[k], self.n, 1)
+                     for k in dict.fromkeys(self.at)}
+            self._lifts = [lifts[k] for k in self.at]
+        return self._lifts
 
     def to_json_dict(self) -> dict:
         out = {"theorem": self.theorem, "params": self.params,

@@ -24,17 +24,17 @@ chi(x) xi^(cx) e^(cxt) over ct (over c where xi^(dc) = 1) per scale c; a
 table row is a quotient with no units whose Bernoulli pieces are scales,
 times character-sum tables.  Every form is planned before it multiplies,
 with no arithmetic: ``bernoulli.quotient_plan`` states its operands as a
-sorted multiset of factor_table keys, derived once per (entry, d or i, w)
-by ``_row_plan`` or ``_quotient_plan``, and ``bernoulli.keyed_quotient``
-evaluates every plan.  Every check decides on forms: equal forms lift to
-equal SymPolys, so only unequal forms are lifted (by ``_lift``, the one
-writer of SymPoly monomials) for ``first_mismatch`` to decide.
-``verify_theorem`` and ``permutation_invariance_check`` group their weight
-orders by plan (``_check_plan``) and build one form per plan, ``compared``
-in their report.  A _QUOTIENTS row has one plan under every order, so an
-invariance check, like any check with one plan, multiplies once: its pass
-rests on the plan and on ``cyclo.product`` not depending on the order of
-its factors, which tests/test_cyclo_oracle.py checks.
+sorted multiset of factor_table keys, one spelling per key, derived once
+per (entry, d or i, w) by ``_row_plan`` or ``_quotient_plan``.  A check
+groups its weight orders by plan (``_check_plan``) and ``_form``
+evaluates each plan once (``bernoulli.keyed_quotient``), ``compared`` in
+its report.  Every check decides on forms: equal forms lift to equal
+SymPolys, so only unequal forms are lifted (by ``sympoly.lift``) for
+``first_mismatch`` to decide; a theorem's report lifts its own forms when
+its expressions are read.  A _QUOTIENTS row has one plan under every
+order, so an invariance check, like any check with one plan, multiplies
+once: its pass rests on the plan and on ``cyclo.product`` not depending
+on the order of its factors, which tests/test_cyclo_oracle.py checks.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ import functools
 import math
 from fractions import Fraction
 
+from . import sympoly
 # _bpoly is bound here for perfbench/tracing.py, which wraps symmetry._bpoly
 from .bernoulli import (TwistContext, _bpoly, keyed_quotient,  # noqa: F401
-                        quotient_plan, stored_key)
+                        quotient_plan)
 from .report import CheckReport, ReadOnly, TheoremReport, first_mismatch
 from .series import PowerSeries
-from .sympoly import SymPoly
 
 _FAMILY_MAX_I = {"pairwise": 3, "single": 3, "cyclic": 1}
 
@@ -123,13 +123,17 @@ def _quotient_plan(entry, i: int, w: tuple) -> tuple:
                          [(y, scale) for y in slots])
 
 
+def _form(ctx: TwistContext, plan: tuple, n: int) -> tuple:
+    """The form (scales, F[:n+1]) of a plan at ctx: its exp as a dict and
+    ``keyed_quotient``, where n < 0 or a failed cancellation of t raises.
+    The one evaluator of every check's forms."""
+    return dict(plan[4]), keyed_quotient(ctx, plan, n)
+
+
 def _quotient_form(spec: QuotientSpec, truncation: int) -> tuple:
-    """The form (scales, q) of the quotient to t^truncation: its plan's
-    exp and ``keyed_quotient``, where a failed cancellation of t raises."""
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    plan = _quotient_plan(_QUOTIENTS[spec.family], spec.i, tuple(spec.w))
-    return dict(plan[4]), keyed_quotient(spec.context, plan, truncation)
+    """The form (scales, q) of the quotient to t^truncation."""
+    return _form(spec.context, _quotient_plan(
+        _QUOTIENTS[spec.family], spec.i, tuple(spec.w)), truncation)
 
 
 def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
@@ -142,24 +146,8 @@ def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
 def _series(scales: dict, q) -> tuple:
     """The SymPoly coefficients of a quotient form (scales, q), one lift
     per t^n."""
-    return tuple(_lift(scales, q, n, Fraction(1, math.factorial(n)))
+    return tuple(sympoly.lift(scales, q, n, Fraction(1, math.factorial(n)))
                  for n in range(len(q)))
-
-
-def _lift(scales: dict, F, n: int, factor) -> SymPoly:
-    """factor * n! [t^n] of e^{(s.y) t} F(t), s_y = scales[y], over F's
-    field: the one writer of SymPoly monomials.  y^t gets factor * F_{n-|t|}
-    * (n! prod s_y^t_y // prod t_y!), an integer weight: one scaling each."""
-    fact = [math.factorial(j) for j in range(n + 1)]
-    # (exponent key, |t|, prod s_y^t_y, prod t_y!) over the monomials y^t
-    monos = [((0, 0, 0, 0), 0, 1, 1)]
-    for slot, scale in scales.items():
-        monos = [(key[:slot] + (t,) + key[slot + 1:], deg + t,
-                  num * scale**t, den * fact[t])
-                 for key, deg, num, den in monos for t in range(n - deg + 1)]
-    return SymPoly(F[0].field, {
-        key: F[n - deg] * (factor * (fact[n] * num // den))
-        for key, deg, num, den in monos if F[n - deg]})
 
 
 # -- expansion forms as data over one kernel (independent of the series path) --
@@ -181,10 +169,11 @@ def _lift(scales: dict, F, n: int, factor) -> SymPoly:
 # the p-adic integral ("ratio", c), v = 1 iff xi^(dc) = 1, times one
 # character sum per sums entry, sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t}:
 # the factor table ("sum", m, A - 1, s*c/q).  An S piece is the factor table
-# ("sum", c, bound), sum_{a<=bound} chi(a) xi^(ca) e^(cat), which a shift
-# with s*c/q = m shares.  So the row is e^{(sum_i c_i u_i y_slot_i) t} times
-# a quotient with no units (row_operands): one ``cyclo.product``, with no
-# shift point visited and no polynomial product.
+# ("sum", c, bound, c), sum_{a<=bound} chi(a) xi^(ca) e^(cat), which a shift
+# with s*c/q = m shares, s*c/q an int where integral.  So the row is
+# e^{(sum_i c_i u_i y_slot_i) t} times a quotient with no units
+# (row_operands): one ``cyclo.product``, with no shift point visited and no
+# polynomial product.
 
 def _B(c, u, slot, *sums):
     return ("B", c, u, slot, sums)
@@ -244,8 +233,8 @@ def row_operands(entry, d: int, w: tuple) -> tuple:
     modulus d, with no arithmetic: e^{(s.y) t}, s_y = exp[y], times the
     quotient with no units t^len(scales) const, a ("ratio", c) per c in
     scales and the sums.  A B piece adds c to scales and const, a ("sum", m,
-    A - 1, s*c/q) per shift entry and c*u to its slot's exp; an S piece adds
-    ("sum", c, bound)."""
+    A - 1, s*c/q) per shift entry, an int where integral, and c*u to its
+    slot's exp; an S piece adds ("sum", c, bound, c)."""
     const, pieces = entry(*w, d)
     scales, sums, exp = [], [], {}
     for desc in pieces:
@@ -253,10 +242,12 @@ def row_operands(entry, d: int, w: tuple) -> tuple:
             _, c, u, slot, shifts = desc
             scales.append(c)
             for A, m, s, q in shifts:
-                sums.append(("sum", m, A - 1, Fraction(s * c, q)))
+                sigma = Fraction(s * c, q)
+                sums.append(("sum", m, A - 1, sigma if sigma.denominator > 1
+                             else sigma.numerator))
             exp[slot] = exp.get(slot, 0) + c * u
         else:
-            sums.append(("sum", desc[1], desc[2]))
+            sums.append(("sum", desc[1], desc[2], desc[1]))
     return (const * math.prod(scales), tuple(scales), tuple(sums),
             tuple(exp.items()))
 
@@ -264,20 +255,16 @@ def row_operands(entry, d: int, w: tuple) -> tuple:
 @functools.lru_cache(maxsize=4096)
 def _row_plan(entry, d: int, w: tuple) -> tuple:
     """The ``quotient_plan`` of the _ROWS entry at the weights w, modulus
-    d: its row_operands, each sum key as factor_table stores it
-    (``stored_key``).  Memoized by the entry object, never by its name, so
-    a replaced entry is planned afresh, as by ``_quotient_plan``."""
+    d: its row_operands.  Memoized by the entry object, never by its name,
+    so a replaced entry is planned afresh, as by ``_quotient_plan``."""
     const, scales, sums, exp = row_operands(entry, d, w)
-    return quotient_plan(const, len(scales), (), scales,
-                         [stored_key(d, key) for key in sums], exp)
+    return quotient_plan(const, len(scales), (), scales, sums, exp)
 
 
 def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:
     """The form (scales, F[:n+1]) of a table row at the weights w, whose
-    n-th EGF coefficient is n! [t^n] of e^{(s.y) t} F(t): its plan's exp
-    and ``keyed_quotient``, as a _QUOTIENTS row's form is."""
-    plan = _row_plan(_ROWS[row], ctx.d, tuple(w))
-    return dict(plan[4]), keyed_quotient(ctx, plan, n)
+    n-th EGF coefficient is n! [t^n] of e^{(s.y) t} F(t)."""
+    return _form(ctx, _row_plan(_ROWS[row], ctx.d, tuple(w)), n)
 
 
 #: form name -> (family, i); a form's row sums Bernoulli values and power
@@ -309,9 +296,10 @@ def _expansion_row(form: str, spec: QuotientSpec, n: int) -> tuple:
     return _row_form(form, spec.context, spec.w, n)
 
 
-def expansion_coefficient(form: str, n: int, spec: QuotientSpec) -> SymPoly:
+def expansion_coefficient(form: str, n: int,
+                          spec: QuotientSpec) -> sympoly.SymPoly:
     """The n-th EGF coefficient of the named finite-sum expansion."""
-    return _lift(*_expansion_row(form, spec, n), n, 1)
+    return sympoly.lift(*_expansion_row(form, spec, n), n, 1)
 
 
 # -- theorem verifiers ---------------------------------------------------------
@@ -332,12 +320,6 @@ _THEOREM_PATTERNS = {
 }
 
 THEOREM_IDS = tuple(sorted(_THEOREM_PATTERNS))
-
-
-def _distinct_orders(w: tuple, perms: tuple) -> tuple:
-    """The orders (w[a], w[b], w[c]) over perms (a, b, c), each once: a
-    repeated weight repeats an order, and an order equals itself."""
-    return tuple(dict.fromkeys((w[a], w[b], w[c]) for a, b, c in perms))
 
 
 class CheckPlan(collections.namedtuple("CheckPlan",
@@ -376,17 +358,17 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
     """Evaluate every displayed expression of one symmetry theorem exactly.
 
     The plan (``_check_plan``) groups the weight orders by row plan, and
-    one row form is built per plan, shared by its orders; the report's
-    ``compared`` counts them.  The verdict is pass iff all forms coincide:
-    only forms that differ are lifted, for ``first_mismatch`` to decide.
-    ``expressions`` holds one exact SymPoly in the live y-variables per
-    displayed expression, lifted at its first read: once where every form
-    is order 0's, and otherwise once per plan.  For theorem 3, the
-    ``printed_shift_variant_matches`` note records whether the variant
-    with the inconsistent shift denominator (as printed in one source
-    display) agrees with order 0 as well, by its form, which decides with
-    no lift, as its scales are order 0's.  The verdict is based on the
-    pattern-consistent expressions only.
+    ``_form`` builds one row form per plan, shared by its orders; the
+    report keeps them, ``compared`` of them.  The verdict is pass iff all
+    forms coincide: only forms that differ are lifted, for
+    ``first_mismatch`` to decide.  ``expressions`` holds one exact SymPoly
+    in the live y-variables per displayed expression, lifted by the report
+    at its first read: once where every form is order 0's, and otherwise
+    once per plan.  For theorem 3, the ``printed_shift_variant_matches``
+    note records whether the variant with the inconsistent shift
+    denominator (as printed in one source display) agrees with order 0 as
+    well, by its form, which decides with no lift, as its scales are order
+    0's.  The verdict is based on the pattern-consistent expressions only.
     """
     if theorem not in _THEOREM_PATTERNS:
         raise ValueError("theorem id must be 1..8")
@@ -394,21 +376,19 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
     perms, row = _THEOREM_PATTERNS[theorem]
     w = tuple(w)
     plan = _check_plan(_row_plan, _ROWS[row], ctx.d, w, perms)
-    forms = [_row_form(row, ctx, v, n) for v in plan.orders]
+    forms = tuple(_form(ctx, p, n) for p in plan.plans)
     # where every form is order 0's, every expression is its one lift
-    at, detail, lifts = (0,) * len(perms), None, {}
+    at, detail = (0,) * len(perms), None
     if any(form != forms[0] for form in forms[1:]):
-        at = plan.at
+        at, base = plan.at, sympoly.lift(*forms[0], n, 1)
         detail = first_mismatch(
             (f"w-order {v} differs from w-order {plan.orders[0]}",
-             _lifted(lifts, forms, k, n), _lifted(lifts, forms, 0, n))
-            for k, v in enumerate(plan.orders) if forms[k] != forms[0])
+             sympoly.lift(*form, n, 1), base)
+            for v, form in zip(plan.orders, forms) if form != forms[0])
     params = ctx.params()
     params["w"], params["n"] = list(w), n
-    report = TheoremReport(
-        theorem=theorem, params=params,
-        expressions=functools.partial(_expressions, lifts, forms, n, at),
-        passed=detail is None, detail=detail, compared=len(forms))
+    report = TheoremReport(theorem=theorem, params=params, forms=forms,
+                           at=at, n=n, passed=detail is None, detail=detail)
     if theorem == 3:
         # the variant at (w2, w1, w3) has the scales of order 0, each one
         # nonzero, so each F_j, j <= n, weighs a monomial y^t, |t| = n - j,
@@ -417,18 +397,6 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
                             (w[1], w[0], w[2]), n)
         report.notes["printed_shift_variant_matches"] = printed == forms[0]
     return report
-
-
-def _lifted(lifts: dict, forms: list, k: int, n: int) -> SymPoly:
-    """The lift of forms[k] at n, made once per k and kept in lifts."""
-    if k not in lifts:
-        lifts[k] = _lift(*forms[k], n, 1)
-    return lifts[k]
-
-
-def _expressions(lifts: dict, forms: list, n: int, at: tuple) -> list:
-    """A theorem's expressions, one per perm: the lift of form at[j]."""
-    return [_lifted(lifts, forms, k, n) for k in at]
 
 
 # -- permutation reductions ----------------------------------------------------
@@ -452,12 +420,15 @@ def permutation_reduction_check(group: int, ctx: TwistContext,
         raise ValueError("group must be 4 or 8")
     _check_point(w, n)
     partner, pairs = _REDUCTIONS[group]
-    partners = {v: _row_form(partner, ctx, v, n)
-                for v in _distinct_orders(w, [perm for _, perm in pairs])}
-    sides = ((row, _row_form(row, ctx, w, n), partners[w[a], w[b], w[c]])
-             for row, (a, b, c) in pairs)
-    detail = first_mismatch((f"{row}:", _lift(*lhs, n, 1), _lift(*rhs, n, 1))
-                            for row, lhs, rhs in sides if lhs != rhs)
+    w = tuple(w)
+    plan = _check_plan(_row_plan, _ROWS[partner], ctx.d, w,
+                       tuple(perm for _, perm in pairs))
+    partners = [_form(ctx, p, n) for p in plan.plans]
+    sides = ((row, _row_form(row, ctx, w, n), partners[k])
+             for (row, _), k in zip(pairs, plan.at))
+    detail = first_mismatch(
+        (f"{row}:", sympoly.lift(*lhs, n, 1), sympoly.lift(*rhs, n, 1))
+        for row, lhs, rhs in sides if lhs != rhs)
     return CheckReport("permutation_reduction_check",
                        dict(ctx.params(), w=list(w), n=n, group=group),
                        detail is None, detail)
@@ -475,10 +446,7 @@ def permutation_invariance_check(spec: QuotientSpec, truncation: int) -> CheckRe
     forms that differ are lifted."""
     plan = _check_plan(_quotient_plan, _QUOTIENTS[spec.family], spec.i,
                        tuple(spec.w), _PERM6)
-    # order 0 is spec's own: the first perm is the identity
-    forms = [_quotient_form(QuotientSpec(spec.family, spec.i, v, spec.context)
-                            if k else spec, truncation)
-             for k, v in enumerate(plan.orders)]
+    forms = [_form(spec.context, p, truncation) for p in plan.plans]
     detail = first_mismatch(
         (f"w-order {v} differs from w-order {plan.orders[0]}",
          _series(*form), _series(*forms[0]))
@@ -498,8 +466,8 @@ def expansion_consistency_check(form: str, spec: QuotientSpec,
     row = _expansion_row(form, spec, n_max)
     quotient = _quotient_form(spec, n_max)
     detail = None if row == quotient else first_mismatch(
-        (f"n={n}: expansion vs series", _lift(*row, n, 1),
-         _lift(*quotient, n, 1)) for n in range(n_max + 1))
+        (f"n={n}: expansion vs series", sympoly.lift(*row, n, 1),
+         sympoly.lift(*quotient, n, 1)) for n in range(n_max + 1))
     return CheckReport("expansion_consistency_check",
                        dict(spec.params(), form=form, n_max=n_max),
                        detail is None, detail)

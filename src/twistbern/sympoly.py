@@ -6,6 +6,7 @@ stored, so equality is exact term-by-term identity.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cyclo import CycloField, CycloNumber
@@ -199,6 +200,23 @@ def monomial(e: tuple) -> str:
     """The monomial with exponent key e as printed; '1' for the constant."""
     return "*".join(v if k == 1 else f"{v}^{k}"
                     for v, k in zip(VARIABLES, e) if k) or "1"
+
+
+def lift(scales: dict, F, n: int, factor) -> SymPoly:
+    """factor * n! [t^n] of e^{(s.y) t} F(t), s_y = scales[y] for the
+    exponent slot y, over F's field: the one writer of SymPoly monomials
+    from a form (scales, F).  y^t gets factor * F_{n-|t|} * (n! prod
+    s_y^t_y // prod t_y!), an integer weight: one scaling each."""
+    fact = [math.factorial(j) for j in range(n + 1)]
+    # (exponent key, |t|, prod s_y^t_y, prod t_y!) over the monomials y^t
+    monos = [(_ZEXP, 0, 1, 1)]
+    for slot, scale in scales.items():
+        monos = [(key[:slot] + (t,) + key[slot + 1:], deg + t,
+                  num * scale**t, den * fact[t])
+                 for key, deg, num, den in monos for t in range(n - deg + 1)]
+    return SymPoly(F[0].field, {
+        key: F[n - deg] * (factor * (fact[n] * num // den))
+        for key, deg, num, den in monos if F[n - deg]})
 
 
 def first_difference(a: SymPoly, b: SymPoly):

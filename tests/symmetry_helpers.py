@@ -3,14 +3,29 @@ because nothing in it needs them."""
 
 from fractions import Fraction
 
-from twistbern import bernoulli, cyclo, symmetry
+from twistbern import bernoulli, cyclo, symmetry, sympoly
 
 
 def evaluate(row: str, ctx, w: tuple, n: int):
     """The n-th EGF coefficient of a table row at the weights w: the lift of
-    its row form.  symmetry._lift and symmetry._row_form are looked up on the
-    module at each call, so a test that patches them is seen here."""
-    return symmetry._lift(*symmetry._row_form(row, ctx, w, n), n, 1)
+    its row form.  sympoly.lift and symmetry._row_form, which evaluates by
+    symmetry._form, are looked up on their modules at each call, so a test
+    that patches them is seen here."""
+    return sympoly.lift(*symmetry._row_form(row, ctx, w, n), n, 1)
+
+
+def sum_key(m: int, bound: int, sigma) -> tuple:
+    """The factor_table key of sum_{a<=bound} chi(a) xi^(am) e^(a sigma t)
+    in its one spelling: sigma an int where it is integral."""
+    sigma = Fraction(sigma)
+    return ("sum", m, bound,
+            sigma.numerator if sigma.denominator == 1 else sigma)
+
+
+def distinct_orders(w: tuple, perms: tuple) -> tuple:
+    """The orders (w[a], w[b], w[c]) over perms (a, b, c), each once: a
+    repeated weight repeats an order, and an order equals itself."""
+    return tuple(dict.fromkeys((w[a], w[b], w[c]) for a, b, c in perms))
 
 
 def seed_form(row: str, ctx, w: tuple, n: int) -> tuple:
@@ -27,11 +42,13 @@ def seed_form(row: str, ctx, w: tuple, n: int) -> tuple:
             _, c, u, slot, sums = desc
             tables.append(bernoulli._bpoly(ctx, c, n))
             tables += [bernoulli.factor_table(
-                ctx, ("sum", m, A - 1, Fraction(s * c, q)), n)
+                ctx, sum_key(m, A - 1, Fraction(s * c, q)), n)
                 for A, m, s, q in sums]
             scales[slot] = scales.get(slot, 0) + c * u
         else:
-            tables.append(bernoulli.factor_table(ctx, ("sum", *desc[1:]), n))
+            _, c, bound = desc
+            tables.append(bernoulli.factor_table(ctx, sum_key(c, bound, c),
+                                                 n))
     return scales, tuple(cyclo.product(ctx.field, tables, n + 1, const))
 
 
@@ -60,7 +77,7 @@ def keys_by_hand(ctx, keys, t_power: int, scales, truncation: int,
 def plan_groups(plan, w: tuple, perms: tuple) -> tuple:
     """Per distinct weight order of w under perms, the index among those
     orders of the first order of its plan in the CheckPlan plan."""
-    orders = symmetry._distinct_orders(w, perms)
+    orders = distinct_orders(w, perms)
     groups = {}
     for (a, b, c), k in zip(perms, plan.at):
         groups.setdefault((w[a], w[b], w[c]), orders.index(plan.orders[k]))

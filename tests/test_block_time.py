@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COUNTS = ("product", "row_times", "row_pairs", "quotient", "recurrence",
           "poly_inverse", "dot", "fold", "cyclotomic_polynomial", "remap",
           "bernoulli_gf", "small_field", "lift", "plan_hits", "plan_misses",
-          "plans_derived", "stored_key")
+          "plans_derived")
 TABLES = ("units", "sum", "inv", "ratio", "root", "rescale")
 
 

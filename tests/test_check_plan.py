@@ -3,31 +3,32 @@
 A form's plan is its operands as a sorted multiset (``bernoulli.
 quotient_plan``): a row's from ``symmetry._row_plan``, its sum keys
 already as ``factor_table`` stores them, and a quotient's from
-``symmetry._quotient_plan``, both evaluated by ``bernoulli.keyed_quotient``.
-``symmetry._check_plan`` groups a check's weight orders by plan, memoised
-per (planner, entry object, d or i, w, perms), so no operand is derived
-and no key normalised per call.  These tests hold the planned forms to an
-oracle that shares no plan and no evaluator with them: each order's own
-operand list, in the order the entry writes it, through
-``factor_table``, one ``cyclo.product`` and a t-shift applied by hand
-(``symmetry_helpers.keys_by_hand``).  They also check that a replaced
-entry is planned afresh, that reports share no mutable params, and that
-``compared`` states how many forms a check built.
+``symmetry._quotient_plan``, both evaluated by ``symmetry._form``
+(``bernoulli.keyed_quotient``).  ``symmetry._check_plan`` groups a
+check's weight orders by plan, memoised per (planner, entry object, d or
+i, w, perms), so no operand is derived and no key normalised per call.
+These tests hold the planned forms to an oracle that shares no plan and
+no evaluator with them: each order's own operand list, in the order the
+entry writes it, through ``factor_table``, one ``cyclo.product`` and a
+t-shift applied by hand (``symmetry_helpers.keys_by_hand``).  They also
+check that a replaced entry is planned afresh, that reports share no
+mutable params, and that ``compared`` states how many forms a check
+built.
 """
 
 import json
+from fractions import Fraction
 
 from twistbern import symmetry
-from twistbern.bernoulli import TwistContext, stored_key
+from twistbern.bernoulli import TwistContext
 from twistbern.characters import enumerate_characters
 from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 _THEOREM_PATTERNS, QuotientSpec, _check_plan,
-                                _distinct_orders, _quotient_form,
-                                _quotient_plan, _row_form, _row_plan,
-                                permutation_invariance_check, row_operands,
-                                verify_theorem)
+                                _quotient_form, _quotient_plan, _row_form,
+                                _row_plan, permutation_invariance_check,
+                                row_operands, verify_theorem)
 
-from symmetry_helpers import keys_by_hand, plan_groups
+from symmetry_helpers import distinct_orders, keys_by_hand, plan_groups
 
 #: the acceptance grid's contexts
 CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
@@ -74,7 +75,7 @@ def test_every_planned_row_form_equals_its_own_operands_quotient():
     for ctx in CONTEXTS:
         for row, entry in _ROWS.items():
             for w in ROTATED_W:
-                orders = _distinct_orders(w, _PERM6)
+                orders = distinct_orders(w, _PERM6)
                 groups = plan_groups(
                     _check_plan(_row_plan, entry, ctx.d, w, _PERM6), w, _PERM6)
                 oracles = [_row_oracle(entry, ctx, v, N_MAX) for v in orders]
@@ -95,7 +96,7 @@ def test_every_planned_quotient_form_equals_its_own_operands_quotient():
             entry = _QUOTIENTS[family]
             for i in range(max_i + 1):
                 for w in ROTATED_W:
-                    orders = _distinct_orders(w, _PERM6)
+                    orders = distinct_orders(w, _PERM6)
                     groups = plan_groups(_check_plan(
                         _quotient_plan, entry, i, w, _PERM6), w, _PERM6)
                     oracles = [_quotient_oracle(entry, i, ctx, v, N_MAX)
@@ -112,16 +113,19 @@ def test_every_planned_quotient_form_equals_its_own_operands_quotient():
 
 
 def test_every_plan_key_is_stored_form():
-    # factor_table looks a key up as given first: a planned key is never
-    # normalised again
+    # factor_table reads a key by one lookup, as given: every planned sum
+    # key is in the one spelling, (c, bound, sigma) with sigma an int
+    # where it is integral
     for d in (1, 3, 4, 5):
         for entry in _ROWS.values():
             for w in ROTATED_W:
-                for v in _distinct_orders(w, _PERM6):
+                for v in distinct_orders(w, _PERM6):
                     _, _, scales, keys, _ = _row_plan(entry, d, v)
                     assert keys[:len(scales)] == tuple(
                         ("ratio", c) for c in scales)
-                    assert all(stored_key(d, key) == key for key in keys)
+                    assert all(len(key) == 4 and not (
+                        type(key[3]) is Fraction and key[3].denominator == 1)
+                        for key in keys[len(scales):])
 
 
 def test_a_replaced_row_entry_is_planned_afresh(monkeypatch):
@@ -164,12 +168,9 @@ def test_reports_of_one_context_share_no_params():
 
 def test_compared_counts_the_forms_a_check_built(monkeypatch):
     built = []
-    real_row, real_quotient = symmetry._row_form, symmetry._quotient_form
-    monkeypatch.setattr(symmetry, "_row_form",
-                        lambda *args: built.append(args) or real_row(*args))
-    monkeypatch.setattr(symmetry, "_quotient_form",
-                        lambda *args: built.append(args)
-                        or real_quotient(*args))
+    real_form = symmetry._form
+    monkeypatch.setattr(symmetry, "_form",
+                        lambda *args: built.append(args) or real_form(*args))
     ctx = CONTEXTS[-1]
     for tid in _THEOREM_PATTERNS:
         for w in ROTATED_W:

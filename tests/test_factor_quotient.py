@@ -48,13 +48,12 @@ from twistbern.characters import character, enumerate_characters
 from twistbern.cyclo import CycloField, _rows, cyclo_field, quotient
 from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 _THEOREM_PATTERNS, QuotientSpec,
-                                _distinct_orders, permutation_invariance_check,
-                                verify_theorem)
+                                permutation_invariance_check, verify_theorem)
 
 from bernoulli_helpers import (bernoulli_gf_by_division, bpoly_by_route,
                                ratio_by_route, ratio_route)
 from cyclo_helpers import multiplicative_order
-from symmetry_helpers import keys_by_hand
+from symmetry_helpers import distinct_orders, keys_by_hand, sum_key
 
 CONTEXTS = [(d, char, order) for d in (1, 3, 4)
             for char in range(len(enumerate_characters(d)))
@@ -468,7 +467,7 @@ def test_a_ratio_reads_a_stored_sum_and_builds_its_inverse_unstored(
     # ("ratio", 2) is the ("ratio", 1) table of the twist xi^2 read at
     # t -> 2t, kept in the twist's context, and the rescaled one is kept in
     # the context, each to exactly the length asked.  Where the twist's
-    # ("sum", 1) is stored long enough (a row reads it) its ratio
+    # ("sum", 1, d - 1, 1) is stored long enough (a row reads it) its ratio
     # multiplies it as it is; where not, it builds the sum to its own
     # length and does not store it, so the stored one keeps its length.
     # The inverse of the unit is built for each ratio build and never
@@ -485,7 +484,7 @@ def test_a_ratio_reads_a_stored_sum_and_builds_its_inverse_unstored(
         ctx = TwistContext.from_orders(d, char, order)
         twist = ctx.twist(2)
         assert (twist is ctx) == (order == 1)
-        stored = factor_table(twist, ("sum", 1), 5)
+        stored = factor_table(twist, ("sum", 1, d - 1, 1), 5)
         builds.clear()
         ratio = factor_table(ctx, ("ratio", 2), 5)
         assert builds == ["_inverse_table"]
@@ -499,9 +498,10 @@ def test_a_ratio_reads_a_stored_sum_and_builds_its_inverse_unstored(
         assert longer.elements()[:6] == ratio.elements()
         assert ctx._factors["ratio", 2] is longer
         assert len(twist._factors["ratio", 1]) == len(longer) == 8
-        assert twist._factors["sum", 1] is stored and len(stored) == 6
+        assert twist._factors["sum", 1, d - 1, 1] is stored
+        assert len(stored) == 6
         assert set(twist._factors) | set(ctx._factors) == {
-            ("sum", 1), ("ratio", 1), ("ratio", 2)}
+            ("sum", 1, d - 1, 1), ("ratio", 1), ("ratio", 2)}
 
 
 # repeated, distinct, one, a vanishing-heavy multiset and a large scale;
@@ -644,13 +644,14 @@ def test_product_takes_stored_tables_of_its_field_only():
     # a table of an equal field object multiplies; one of another field
     # raises, first, in the middle or last
     ctx = TwistContext.from_orders(3, 1, 4)
-    ours = factor_table(ctx, ("sum", 1), 4)
+    ours = factor_table(ctx, ("sum", 1, 2, 1), 4)
     fresh = TwistContext(character(3, 1), CycloField(4).root(1))
-    same = factor_table(fresh, ("sum", 1), 4)
+    same = factor_table(fresh, ("sum", 1, 2, 1), 4)
     assert same.field is not ours.field
     want = cyclo.product(ctx.field, [ours.elements(), ours.elements()], 5)
     assert cyclo.product(ctx.field, [ours, same], 5) == want
-    other = factor_table(TwistContext.from_orders(3, 1, 3), ("sum", 1), 4)
+    other = factor_table(TwistContext.from_orders(3, 1, 3), ("sum", 1, 2, 1),
+                         4)
     for seqs in ([other, ours], [ours, other, ours], [ours, other]):
         with pytest.raises(ValueError, match="field mismatch"):
             cyclo.product(ctx.field, seqs, 5)
@@ -755,7 +756,7 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     fields = _apostol_tables(monkeypatch, 2)
     fields[4] = field
     spec = QuotientSpec("cyclic", 1, (1, 2, 3), ctx)
-    orders = _distinct_orders(spec.w, _PERM6)
+    orders = distinct_orders(spec.w, _PERM6)
 
     def every_order(truncation):
         for v in orders:
@@ -813,23 +814,16 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
         assert [products for _, _, products, _ in calls] == [3] * forms
 
 
-def _stored_key(ctx, key):
-    """The key factor_table keeps a table under: a t-scale equal to the
-    twist, then a bound of d - 1, dropped."""
-    if key[3:] == (key[1],):
-        key = key[:3]
-    return key[:2] if key[2:] == (ctx.d - 1,) else key
-
-
 def test_row_pieces_are_factor_tables(monkeypatch):
     # A B piece of twist exponent c is the stored ("ratio", c) table, one
     # RowTable per c, rebuilt once per length as n rises, with c in the
     # row's const and t^(1-v) in its shift, and one character-sum factor
     # table per shift entry (A, m, s, q), the series
     # sum_{a<A} chi(a) xi^(am) e^((s*c/q) a t); an S piece reads the factor
-    # table ("sum", c, bound).  No ("bern", c) key is asked for.  A shift
+    # table ("sum", c, bound, c).  No ("bern", c) key is asked for.  A shift
     # with s*c/q = m reads the table of the S piece with that (m, bound),
-    # and each row is one cyclo.product.
+    # and each row is one cyclo.product: one per form, which
+    # symmetry._form evaluates from the row's plan.
     ctx = TwistContext.from_orders(3, 1, 4)
     ratios, products, asked = {}, [], set()
     exact_table, exact_product = bernoulli.factor_table, bernoulli.product
@@ -849,12 +843,12 @@ def test_row_pieces_are_factor_tables(monkeypatch):
         products[-1] += 1
         return exact_product(*args)
 
-    def row_form(*args, exact=symmetry._row_form):
+    def form(*args, exact=symmetry._form):
         products.append(0)
         return exact(*args)
     monkeypatch.setattr(bernoulli, "factor_table", factor_table)
     monkeypatch.setattr(bernoulli, "product", product)
-    monkeypatch.setattr(symmetry, "_row_form", row_form)
+    monkeypatch.setattr(symmetry, "_form", form)
 
     w, top, theorems = (1, 2, 3), 6, (2, 3, 4, 5, 6)
     for n in range(top + 1):
@@ -867,11 +861,12 @@ def test_row_pieces_are_factor_tables(monkeypatch):
         w[1], w[0], w[2], ctx.d)[1])
     for theorem in theorems:
         perms, row = _THEOREM_PATTERNS[theorem]
-        for v in _distinct_orders(w, perms):
+        for v in distinct_orders(w, perms):
             pieces.update(_ROWS[row](*v, ctx.d)[1])
-    s_keys = {("sum", desc[1], desc[2]) for desc in pieces if desc[0] == "S"}
+    s_keys = {sum_key(desc[1], desc[2], desc[1])
+              for desc in pieces if desc[0] == "S"}
     b_pieces = {(desc[1], desc[4]) for desc in pieces if desc[0] == "B"}
-    shifts = {("sum", m, A - 1, Fraction(s * c, q))
+    shifts = {sum_key(m, A - 1, Fraction(s * c, q))
               for c, sums in b_pieces for A, m, s, q in sums}
     assert s_keys and shifts
 
@@ -894,28 +889,28 @@ def test_row_pieces_are_factor_tables(monkeypatch):
 
     for key in s_keys | shifts:
         # each stored as long as the rows asked for, t^(n - shift)
-        table = ctx._factors[_stored_key(ctx, key)]
+        table = ctx._factors[key]
         assert table.elements() == char_sum_series(
             ctx, key[1], len(table) - 1, *key[2:]).elements(), key
-    shared = {key[:3] for key in shifts if key[3] == key[1]} & s_keys
+    shared = {key for key in shifts if key[3] == key[1]} & s_keys
     printed = {key for key in shifts if key[3] != key[1]}
     assert shared and printed
     sums = {key for key in ctx._factors if key[0] == "sum"}
-    assert sums == {_stored_key(ctx, key) for key in s_keys | shifts}
+    assert sums == s_keys | shifts
 
 
 def test_a_sum_of_bound_d_minus_1_is_stored_once():
-    # a row's S piece of bound d - 1 and a quotient's ("sum", c) are one
-    # series, kept under the one key ("sum", c)
+    # a row's S piece of bound d - 1 and a quotient's sum of scale c are
+    # one series, kept under the one key ("sum", c, d - 1, c)
     ctx = TwistContext.from_orders(3, 1, 4)
     assert verify_theorem(2, ctx, (1, 2, 3), 6).passed
     spec = QuotientSpec("pairwise", 1, (1, 2, 3), ctx)
     assert permutation_invariance_check(spec, 6).passed
     sums = [(key, table.elements()) for key, table in ctx._factors.items()
             if key[0] == "sum"]
-    assert ("sum", 6) in dict(sums)
+    assert ("sum", 6, ctx.d - 1, 6) in dict(sums)
     for k, (key, table) in enumerate(sums):
-        assert key[2:] != (ctx.d - 1,)
+        assert len(key) == 4
         for other, seq in sums[k + 1:]:
             top = min(len(table), len(seq))
             assert table[:top] != seq[:top], (key, other)

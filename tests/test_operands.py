@@ -15,8 +15,8 @@ and every quotient family are still built at every weight order of the
 acceptance grid's points.  A row form is one ``cyclo.product`` of the
 tables of its keys, sliced on by t^shift, as a quotient form is.
 A check's plan, ``symmetry._check_plan``, groups its weight orders by
-plan: a theorem check's rows, each key as ``bernoulli.stored_key`` stores
-it, and an invariance check's quotients, whose orders all share one plan.
+plan: a theorem check's rows, each sum key in its one spelling, and an
+invariance check's quotients, whose orders all share one plan.
 The orders of one group have equal forms, each built alone.
 ``tools/operand_census.py`` counts, from operands alone, what the checks
 of a benchmark block compare.
@@ -25,27 +25,27 @@ of a benchmark block compare.
 import importlib.util
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from twistbern import bernoulli, cyclo, symmetry
-from twistbern.bernoulli import TwistContext, factor_table, stored_key
+from twistbern.bernoulli import TwistContext, factor_table
 from twistbern.characters import enumerate_characters
 from twistbern.cyclo import CycloNumber
 from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 _THEOREM_PATTERNS, QuotientSpec,
-                                _check_plan, _distinct_orders,
-                                _quotient_form, _quotient_plan, _row_form,
-                                _row_plan, row_operands)
+                                _check_plan, _quotient_form, _quotient_plan,
+                                _row_form, _row_plan, row_operands)
 
-from symmetry_helpers import owed_shift, plan_groups
+from symmetry_helpers import distinct_orders, owed_shift, plan_groups
 
 CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
             for char in range(len(enumerate_characters(d)))
             for order in (1, 2, 3, 4)]
 THEOREM_W = ((1, 1, 1), (1, 2, 3), (2, 3, 5))
-ORDERS = [v for w in THEOREM_W for v in _distinct_orders(w, _PERM6)]
+ORDERS = [v for w in THEOREM_W for v in distinct_orders(w, _PERM6)]
 #: the acceptance triples and their rotations
 ROTATED_W = tuple(dict.fromkeys(w[k:] + w[:k] for w in THEOREM_W
                                 for k in range(3)))
@@ -73,13 +73,13 @@ def _forbid(monkeypatch):
 def _row_keys(ctx, row, v):
     """(const, scales, t_power, keys, pieces) of a row, its operands
     derived afresh and checked against its memoized plan, whose keys are
-    one ratio per sorted scale, then the sorted stored sum keys."""
+    one ratio per sorted scale, then the sorted sum keys as written."""
     entry = _ROWS[row]
     const, scales, sums, exp = row_operands(entry, ctx.d, v)
     plan = _row_plan(entry, ctx.d, v)
     assert plan == (const, len(scales), tuple(sorted(scales)), tuple(
         [("ratio", c) for c in sorted(scales)]
-        + sorted(stored_key(ctx.d, key) for key in sums)), tuple(sorted(exp)))
+        + sorted(sums)), tuple(sorted(exp)))
     return const, scales, plan[1], plan[3], entry(*v, ctx.d)
 
 
@@ -172,7 +172,7 @@ def test_the_census_of_a_theorems_block_reads_operands_only(monkeypatch):
 
 
 def _tag_tables(monkeypatch):
-    """Divide each table a form reads by a prime of its own stored key, so
+    """Divide each table a form reads by a prime of its own key, so
     that two forms are equal only where their operand multisets are (or
     both are 0), not merely where a theorem makes their values equal.  The
     tables that table builders read, and those stored, are left as they
@@ -197,7 +197,7 @@ def _tag_tables(monkeypatch):
         if depth[0]:
             return table
         return cyclo.RowTable(table.field, table.rows,
-                              table.den * prime(stored_key(ctx.d, key)),
+                              table.den * prime(key),
                               table.length)
     monkeypatch.setattr(bernoulli, "factor_table", tagged)
 
@@ -216,7 +216,7 @@ def _grouped_orders_with_unequal_forms(plan, n=4):
     for ctx in CONTEXTS:
         for w in ROTATED_W:
             for theorem, (perms, row) in _THEOREM_PATTERNS.items():
-                orders = _distinct_orders(w, perms)
+                orders = distinct_orders(w, perms)
                 for j, k in enumerate(plan(_ROWS[row], ctx.d, w, perms)):
                     if k != j and (form(row, ctx, orders[j])
                                    != form(row, ctx, orders[k])):
@@ -244,27 +244,32 @@ def test_a_plan_that_merges_every_order_fails_the_grid(monkeypatch):
     # the untagged forms of every order are equal wherever a theorem holds,
     # so only the tagged tables tell the orders' multisets apart
     def merged(entry, d, w, perms):
-        return (0,) * len(_distinct_orders(w, perms))
+        return (0,) * len(distinct_orders(w, perms))
     assert next(_grouped_orders_with_unequal_forms(merged), None) is None
     _tag_tables(monkeypatch)
     assert next(_grouped_orders_with_unequal_forms(merged), None) is not None
 
 
 def test_the_plan_reads_keys_as_factor_table_stores_them(monkeypatch):
-    # a sum key's sigma equal to c, then its bound d - 1, is dropped, so
-    # every spelling of one table is one stored key
+    # a sum key has one spelling, ("sum", c, bound, sigma) with sigma an
+    # int where it is integral; Fraction(2) hashes and compares as 2, so it
+    # reads the same stored table, and a shorter sum key raises like any
+    # other unknown key
     ctx = CONTEXTS[-1]
     d = ctx.d
-    for key in (("sum", 2), ("sum", 2, d - 1), ("sum", 2, d - 1, 2)):
-        assert stored_key(d, key) == ("sum", 2)
-        assert factor_table(ctx, key, 2) is ctx._factors["sum", 2]
-    for key in (("sum", 2, d), ("sum", 2, d - 1, 3), ("ratio", 3),
+    for key in (("sum", 2, d - 1, 2), ("sum", 2, d - 1, Fraction(2))):
+        assert factor_table(ctx, key, 2) is ctx._factors["sum", 2, d - 1, 2]
+    for key in (("sum", 2), ("sum", 2, d - 1)):
+        with pytest.raises(ValueError, match="unknown factor table key"):
+            factor_table(ctx, key, 2)
+    for key in (("sum", 2, d, 2), ("sum", 2, d - 1, 3), ("ratio", 3),
                 ("units", (1, 2))):
-        assert stored_key(d, key) == key
+        assert factor_table(ctx, key, 2) is ctx._factors[key]
     # theorem 5's row spells a shift key ("sum", w1*w3, d*w2 - 1, w1*w3)
     # that its power sum at the order with w2, w3 interchanged spells
-    # ("sum", w1*w3, d*w2 - 1): one table, so one group, only through
-    # stored_key, each plan derived afresh
+    # alike: one table, so one group, each plan derived afresh; with the
+    # power sums spelled ("sum", c, bound), a second spelling of one
+    # table, every order is its own group
     entry = _ROWS["shifted_bernoulli_powersum"]
     monkeypatch.setattr(symmetry, "_row_plan", symmetry._row_plan.__wrapped__)
 
@@ -273,7 +278,15 @@ def test_the_plan_reads_keys_as_factor_table_stores_them(monkeypatch):
             symmetry._row_plan, entry, d, (1, 2, 3), _PERM6), (1, 2, 3),
             _PERM6)
     assert groups() == (0, 0, 2, 2, 4, 4)
-    monkeypatch.setattr(symmetry, "stored_key", lambda d, key: key)
+    one_spelling = symmetry.row_operands
+
+    def short_power_sums(entry, d, w):
+        const, scales, sums, exp = one_spelling(entry, d, w)
+        power_sums = {("sum", c, bound, c)
+                      for kind, c, bound, *_ in entry(*w, d)[1] if kind == "S"}
+        return const, scales, tuple(key[:3] if key in power_sums else key
+                                    for key in sums), exp
+    monkeypatch.setattr(symmetry, "row_operands", short_power_sums)
     assert groups() == (0, 1, 2, 3, 4, 5)
 
 
@@ -302,7 +315,7 @@ def test_every_order_of_a_quotient_is_one_plan_group_of_equal_forms(
         for i in range(max_i + 1):
             entry = _QUOTIENTS[family]
             for w in QUOTIENT_W:
-                orders = _distinct_orders(w, _PERM6)
+                orders = distinct_orders(w, _PERM6)
                 plan = plan_groups(_check_plan(_quotient_plan, entry, i, w,
                                                _PERM6), w, _PERM6)
                 assert plan == (0,) * len(orders)
@@ -313,4 +326,4 @@ def test_every_order_of_a_quotient_is_one_plan_group_of_equal_forms(
                         checks += 1
     assert checks == len(CONTEXTS) * sum(
         max_i + 1 for max_i in _FAMILY_MAX_I.values()) * sum(
-        len(_distinct_orders(w, _PERM6)) for w in QUOTIENT_W)
+        len(distinct_orders(w, _PERM6)) for w in QUOTIENT_W)

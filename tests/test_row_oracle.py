@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistbern import symmetry
+from twistbern import symmetry, sympoly
 from twistbern.bernoulli import TwistContext, bernoulli_polynomial, power_sum
 from twistbern.symmetry import _ROWS
 from twistbern.sympoly import VARIABLES, SymPoly
@@ -130,11 +130,11 @@ def test_a_wrong_u_or_slot_is_seen(row, change, monkeypatch):
 
 def test_the_one_lift_is_checked_by_independent_oracles(monkeypatch):
     # every SymPoly of a quotient series and of a row comes from one
-    # _lift; a perturbed coefficient there must show against both the
+    # sympoly.lift; a perturbed coefficient there must show against both the
     # exp_scaled/SymPoly-product route and the per-composition oracle
     from test_symmetry import _symbolic_route
 
-    real = symmetry._lift
+    real = sympoly.lift
 
     def perturbed(*args):
         poly = real(*args)
@@ -149,7 +149,7 @@ def test_the_one_lift_is_checked_by_independent_oracles(monkeypatch):
     got = symmetry.quotient_series(spec, n)
     assert got == _symbolic_route(spec, got)
     assert evaluate("triple_bernoulli", ctx, w, n) == want
-    monkeypatch.setattr(symmetry, "_lift", perturbed)
+    monkeypatch.setattr(sympoly, "lift", perturbed)
     got = symmetry.quotient_series(spec, n)
     assert got != _symbolic_route(spec, got)
     assert evaluate("triple_bernoulli", ctx, w, n) != want

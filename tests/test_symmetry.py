@@ -344,21 +344,27 @@ def test_failure_details_name_the_first_differing_monomial(monkeypatch):
 def test_invariance_builds_one_form_per_plan_group(monkeypatch):
     # every weight order of a _QUOTIENTS row has one operand multiset, so
     # the check builds order 0's form alone; an entry whose orders differ
-    # builds the first order of each group of its plan
+    # builds the first order of each group of its plan.  Forms are built
+    # from plans (symmetry._form), so each built form is named by the plan
+    # of the order it stands for
     from twistbern import symmetry
     built = []
-    real = symmetry._quotient_form
+    real = symmetry._form
 
-    def counting(spec, truncation):
-        built.append(spec.w)
-        return real(spec, truncation)
+    def counting(ctx, plan, truncation):
+        built.append(plan)
+        return real(ctx, plan, truncation)
 
-    monkeypatch.setattr(symmetry, "_quotient_form", counting)
+    def plans(v):
+        return [symmetry._quotient_plan(symmetry._QUOTIENTS["pairwise"], 1,
+                                        order) for order in v]
+
+    monkeypatch.setattr(symmetry, "_form", counting)
     for w in ((1, 2, 3), (1, 1, 2), (2, 2, 2)):
         built.clear()
         assert permutation_invariance_check(
             QuotientSpec("pairwise", 1, w, TWISTED4), 3).passed
-        assert built == [w]
+        assert built == plans([w])
     # the prefactor times w1, the t power plus w1 or the exp scale times
     # w1: one group per value of w1
     quotients = dict(symmetry._QUOTIENTS)
@@ -377,7 +383,8 @@ def test_invariance_builds_one_form_per_plan_group(monkeypatch):
             built.clear()
             rep = permutation_invariance_check(
                 QuotientSpec("pairwise", 1, w, TWISTED4), 3)
-            assert built == firsts and rep.passed == (len(firsts) == 1)
+            assert built == plans(firsts) and rep.passed == (
+                len(firsts) == 1)
 
 
 def test_a_replaced_quotient_entry_is_planned_afresh(monkeypatch):
@@ -413,10 +420,10 @@ def test_a_replaced_quotient_entry_is_planned_afresh(monkeypatch):
 
 def test_passing_form_checks_build_no_sympoly(monkeypatch):
     # equal forms lift to equal SymPolys, so a pass decides on forms alone
-    from twistbern import symmetry
+    from twistbern import symmetry, sympoly
     lifts, built = [], []
-    real_lift, real_init = symmetry._lift, SymPoly.__init__
-    monkeypatch.setattr(symmetry, "_lift",
+    real_lift, real_init = sympoly.lift, SymPoly.__init__
+    monkeypatch.setattr(sympoly, "lift",
                         lambda *args: lifts.append(args) or real_lift(*args))
     monkeypatch.setattr(SymPoly, "__init__",
                         lambda self, *args: built.append(args)
@@ -445,13 +452,13 @@ def test_a_passing_theorem_lifts_each_distinct_form_once(monkeypatch):
     # at the first read of expressions and never in the call, is shared by
     # all expressions; theorem 3's printed variant, built last, is decided
     # on forms
-    from twistbern import symmetry
+    from twistbern import symmetry, sympoly
     forms, lifts = [], []
-    real_form, real_lift = symmetry._row_form, symmetry._lift
-    monkeypatch.setattr(symmetry, "_row_form",
+    real_form, real_lift = symmetry._form, sympoly.lift
+    monkeypatch.setattr(symmetry, "_form",
                         lambda *args: forms.append(real_form(*args))
                         or forms[-1])
-    monkeypatch.setattr(symmetry, "_lift",
+    monkeypatch.setattr(sympoly, "lift",
                         lambda *args: lifts.append(args) or real_lift(*args))
     for tid in range(1, 9):
         for w in ((1, 2, 3), (2, 2, 3), (1, 1, 1)):
@@ -471,22 +478,24 @@ def test_a_passing_theorem_lifts_each_distinct_form_once(monkeypatch):
 
 def test_a_passing_theorem_builds_one_form_per_plan_group(monkeypatch):
     # the plan groups the distinct weight orders by operand multiset; each
-    # group's form is built once, and nothing is lifted until expressions
-    # is read
-    from twistbern import symmetry
+    # group's form is built once, from its plan, and nothing is lifted
+    # until expressions is read
+    from twistbern import symmetry, sympoly
 
-    def groups(tid, ctx, w):
+    def plan(tid, ctx, w):
         perms, row = symmetry._THEOREM_PATTERNS[tid]
         return symmetry._check_plan(
-            symmetry._row_plan, symmetry._ROWS[row], ctx.d, w,
-            perms).compared
+            symmetry._row_plan, symmetry._ROWS[row], ctx.d, w, perms)
+
+    def groups(tid, ctx, w):
+        return plan(tid, ctx, w).compared
 
     built, lifts = [], []
-    real_form, real_lift = symmetry._row_form, symmetry._lift
-    monkeypatch.setattr(symmetry, "_row_form",
-                        lambda *args: built.append(args[0])
+    real_form, real_lift = symmetry._form, sympoly.lift
+    monkeypatch.setattr(symmetry, "_form",
+                        lambda *args: built.append(args[1])
                         or real_form(*args))
-    monkeypatch.setattr(symmetry, "_lift",
+    monkeypatch.setattr(sympoly, "lift",
                         lambda *args: lifts.append(args) or real_lift(*args))
     for ctx in (CLASSICAL, TWISTED3, TWISTED4):
         for tid, (perms, row) in symmetry._THEOREM_PATTERNS.items():
@@ -495,7 +504,11 @@ def test_a_passing_theorem_builds_one_form_per_plan_group(monkeypatch):
                 lifts.clear()
                 rep = verify_theorem(tid, ctx, w, 4)
                 assert rep.passed and lifts == [], (tid, w)
-                assert built.count(row) == groups(tid, ctx, w), (tid, w)
+                # the row's forms are its plan's, each once; theorem 3's
+                # printed variant is one more, of another row
+                rows = groups(tid, ctx, w)
+                assert built[:rows] == list(plan(tid, ctx, w).plans)
+                assert len(built) == rows + (tid == 3), (tid, w)
                 assert len(rep.expressions) == len(perms) and lifts
     # theorem 1's six orders of (1, 2, 3) have one operand multiset, so its
     # pass rests on the product being independent of factor order alone;
@@ -509,18 +522,27 @@ def test_a_passing_theorem_builds_one_form_per_plan_group(monkeypatch):
 def test_the_lift_decides_when_forms_differ(monkeypatch):
     # theorem 8's rows have no live slot, so the lift at n reads F[n] only:
     # forms that differ only at t^k, k < n, lift equal and pass, and a
-    # difference at t^n fails at the monomial 1 (its lift grows by n!)
+    # difference at t^n fails at the monomial 1 (its lift grows by n!).
+    # The row at an order is named by its memoised plan object: the
+    # cycle-variant-1 row at w plans equal to its partner at (3, 1, 2), but
+    # the two are separate plan objects, so only the bumped row changes;
+    # both memos are emptied so that every plan read here is one object
     from twistbern import symmetry
-    real = symmetry._row_form
+    symmetry._check_plan.cache_clear()
+    symmetry._row_plan.cache_clear()
+    real = symmetry._form
     ctx, w, n = TWISTED4, (1, 2, 3), 3
 
     def bump(target, k):
-        def row_form(row, ctx, v, n):
-            scales, F = real(row, ctx, v, n)
-            if (row, v) == target:
+        row, v = target
+        named = symmetry._row_plan(symmetry._ROWS[row], ctx.d, v)
+
+        def form(ctx, plan, n):
+            scales, F = real(ctx, plan, n)
+            if plan is named:
                 F = F[:k] + (F[k] + 1,) + F[k + 1:]
             return scales, F
-        monkeypatch.setattr(symmetry, "_row_form", row_form)
+        monkeypatch.setattr(symmetry, "_form", form)
 
     # expressions[0] is the order (3, 1, 2), the partner of cycle-variant-1
     c = verify_theorem(8, ctx, w, n).expressions[0].constant_part()

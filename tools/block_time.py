@@ -38,23 +38,22 @@ table builds that take the route in the small field Q(zeta_R)
 the route by the cost rule ``bernoulli._small_field_pays``, its yes
 answers, which count ``bernoulli_gf`` builds where those built the
 table; one from before the choice reads 0), ``lift``, the
-``symmetry._lift`` calls (each SymPoly built from a form),
-``plan_hits`` and ``plan_misses``, those of the memo of check plans
-(``symmetry._check_plan``, in an older checkout ``_order_plan``),
-``plans_derived``, the misses of the memos of form plans
-(``symmetry._row_plan`` and ``symmetry._quotient_plan``, each a form's
-operands derived; a checkout without one of them counts the other), and
-the calls of ``bernoulli.stored_key`` (each key normalised) the block
-makes, not those of the gate's reads after it.  A second line gives, per kind of table, the
-number of builds and the top power of t (of x for a root table) of the
-longest one: ``units`` (``bernoulli.twist_units_series``), ``sum``
-(``char_sum_series``), ``inv`` (``_inverse_table``: the scale-1 inverse
-each ratio build in Q(zeta_L) multiplies by), ``ratio`` (``_ratio_table``,
-by either route), ``root`` (the recurrences
-above) and ``rescale`` (``_rescaled_table``: a ratio table of scale c != 1
-read off the ("ratio", 1) table of the twist xi^c at t -> ct, so ``ratio``
-counts only those scale-1 builds; a checkout from before that law builds
-every c itself and reads 0).  They
+``sympoly.lift`` calls (each SymPoly built from a form; in an older
+checkout ``symmetry._lift``), ``plan_hits`` and ``plan_misses``, those of
+the memo of check plans (``symmetry._check_plan``, in an older checkout
+``_order_plan``), and ``plans_derived``, the misses of the memos of form
+plans (``symmetry._row_plan`` and ``symmetry._quotient_plan``, each a
+form's operands derived; a checkout without one of them counts the
+other) the block makes, not those of the gate's reads after it.  A
+second line gives, per kind of table, the number of builds and the top
+power of t (of x for a root table) of the longest one: ``units``
+(``bernoulli.twist_units_series``), ``sum`` (``char_sum_series``),
+``inv`` (``_inverse_table``: the scale-1 inverse each ratio build in
+Q(zeta_L) multiplies by), ``ratio`` (``_ratio_table``, by either route),
+``root`` (the recurrences above) and ``rescale`` (``_rescaled_table``: a
+ratio table of scale c != 1 read off the ("ratio", 1) table of the twist
+xi^c at t -> ct, so ``ratio`` counts only those scale-1 builds; a
+checkout from before that law builds every c itself and reads 0).  They
 repeat exactly from run to run, unlike the time.  Each name is wrapped in every
 ``twistbern`` module that binds it, and a name that ``cyclo``,
 ``bernoulli`` or ``symmetry`` no longer has stops the tool with an error
@@ -188,7 +187,7 @@ if counting:
             break
     counts["tables"] = tables
 
-    from twistbern import symmetry
+    from twistbern import symmetry, sympoly
     counts["lift"] = 0
 
     def lift_calls(exact):
@@ -196,7 +195,11 @@ if counting:
             counts["lift"] += 1
             return exact(*args)
         return counted
-    install(symmetry, "_lift", lift_calls)
+    # the one lift (``symmetry._lift`` before it moved to sympoly)
+    if hasattr(sympoly, "lift"):
+        install(sympoly, "lift", lift_calls)
+    else:
+        install(symmetry, "_lift", lift_calls)
 
     # the check-plan memo (``_order_plan`` before it was ``_check_plan``)
     plans = getattr(symmetry, "_check_plan", None) or symmetry._order_plan
@@ -207,14 +210,6 @@ if counting:
                if hasattr(symmetry, name)]
     derived_before = sum(memo.cache_info().misses for memo in derived)
     counts["plan_hits"] = counts["plan_misses"] = counts["plans_derived"] = 0
-    counts["stored_key"] = 0
-
-    def keys_normalised(exact):
-        def counted(*args):
-            counts["stored_key"] += 1
-            return exact(*args)
-        return counted
-    install(bernoulli, "stored_key", keys_normalised)
 profile = cProfile.Profile() if top else None
 results = []
 t0 = time.process_time()
@@ -262,9 +257,9 @@ def main(argv=None) -> int:
                            "cyclotomic-polynomial and table re-map counts, "
                            "its Bernoulli GF reads and the scale-1 table "
                            "builds in the small field, its SymPoly lifts, "
-                           "plan memo hits and misses, plan derivations "
-                           "and key normalisations, and its table builds "
-                           "per kind, rescaled tables among them")
+                           "plan memo hits and misses and plan "
+                           "derivations, and its table builds per kind, "
+                           "rescaled tables among them")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     proc = subprocess.run(

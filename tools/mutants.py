@@ -11,7 +11,9 @@ for example
         -- tests/test_row_seeds.py tests/test_factor_quotient.py
 
 Each mutant changes one site inside the named functions (nested functions
-included): a ``+`` becomes ``-`` or back, a ``*`` becomes ``//`` or back, a
+included, the named functions' own decorators not: they run where a
+function is defined and, like a memo's ``maxsize``, change no value it
+returns): a ``+`` becomes ``-`` or back, a ``*`` becomes ``//`` or back, a
 ``<`` becomes ``<=`` or back (and ``>``/``>=`` likewise), an ``==`` becomes
 ``!=`` or back, or an integer constant grows by 1.  The checkout is
 copied to a temporary directory (under $TMPDIR) and every mutant is written
@@ -55,17 +57,18 @@ SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
 
 def sites(tree: ast.Module, names: set, source: str) -> list:
     """(path, description, line, col) of every mutation site inside the
-    functions called names, where path locates the site from the module
-    root: a node is reached by a sequence of (field, index) steps, index
-    None for a single child.  (line, col) is the 1-based position of the
-    mutated operator or constant in source, the text tree was parsed from."""
+    functions called names, their decorator lists aside, where path
+    locates the site from the module root: a node is reached by a sequence
+    of (field, index) steps, index None for a single child.  (line, col) is
+    the 1-based position of the mutated operator or constant in source,
+    the text tree was parsed from."""
     lines = source.encode().splitlines()
     found = []
 
     def visit(node, path, inside):
-        inside = inside or (isinstance(node, (ast.FunctionDef,
-                                              ast.AsyncFunctionDef))
-                            and node.name in names)
+        named = (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name in names)
+        outside, inside = inside, inside or named
         if inside:
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
                     type(node.op) in SWAPS:
@@ -92,12 +95,14 @@ def sites(tree: ast.Module, names: set, source: str) -> list:
                 found.append((path, f"{node.value} -> {node.value + 1}",
                               node.lineno, node.col_offset + 1))
         for field, value in ast.iter_fields(node):
+            within = outside if named and field == "decorator_list" \
+                else inside
             if isinstance(value, ast.AST):
-                visit(value, path + ((field, None),), inside)
+                visit(value, path + ((field, None),), within)
             elif isinstance(value, list):
                 for i, item in enumerate(value):
                     if isinstance(item, ast.AST):
-                        visit(item, path + ((field, i),), inside)
+                        visit(item, path + ((field, i),), within)
 
     visit(tree, (), False)
     return found

@@ -20,9 +20,9 @@ Both kinds of check are read from the one plan they run,
 ``symmetry._check_plan``, whose ``compared`` is that of the check's report
 (the number of forms it builds) and which groups their weight orders by
 ``bernoulli.quotient_plan``: a theorem check's rows by
-``symmetry._row_plan``, each sum key as ``bernoulli.stored_key`` stores
-it, and an invariance check's quotients by ``symmetry._quotient_plan`` of
-their ``symmetry._QUOTIENTS`` row.  The plan reads operands only: no
+``symmetry._row_plan``, each sum key in its one spelling, and an
+invariance check's quotients by ``symmetry._quotient_plan`` of their
+``symmetry._QUOTIENTS`` row.  The plan reads operands only: no
 table is built and no product is formed.  The tool also prints
 the weight orders of the planned checks (one form each, before the plan)
 and their distinct operand multisets (one product each, with the plan).
@@ -58,7 +58,7 @@ def _plan(workload: Workload, check) -> tuple:
         perms = symmetry._PERM6
         args = (symmetry._quotient_plan, symmetry._QUOTIENTS[family], i)
     w = tuple(w)
-    return (len(symmetry._distinct_orders(w, perms)),
+    return (len({(w[a], w[b], w[c]) for a, b, c in perms}),
             symmetry._check_plan(*args, w, perms))
 
 
