@@ -53,8 +53,10 @@ class TwistContext:
     symmetry's rows read, among them one units table per multiset of
     numerator units, one ratio table per scale (of a quotient or a row's
     Bernoulli piece), and the sum and shift tables of the rows' pieces,
-    each a RowTable stored in that one form, and xi's JSON for params()
-    (_xi_json).  The ("ratio", 1) table is the
+    each a RowTable stored in that one form, the forms symmetry._form has
+    evaluated (_forms: plan -> its keyed_quotient to the longest t^n asked,
+    one entry per plan, whose slices serve every shorter n), and xi's JSON
+    for params() (_xi_json).  The ("ratio", 1) table is the
     context's one scale-1 table: _bern reads it, and so do the ratio tables
     (at t -> ct) of every scale c whose twist xi^c this context is.  The
     Apostol tables it reads are kept by Q(zeta_R), one per root order R,
@@ -66,7 +68,7 @@ class TwistContext:
 
     __slots__ = ("chi", "xi", "d", "xi_order", "field",
                  "_chi_roots", "_xi_root", "_bern",
-                 "_psums", "_twists", "_factors", "_xi_json")
+                 "_psums", "_twists", "_factors", "_forms", "_xi_json")
 
     def __init__(self, chi: DirichletCharacter, xi: CycloNumber):
         self.chi = chi
@@ -92,6 +94,7 @@ class TwistContext:
         self._psums: dict = {}
         self._twists: dict = {}
         self._factors: dict = {}
+        self._forms: dict = {}
         self._xi_json: dict | None = None
 
     @classmethod
@@ -431,8 +434,10 @@ def keyed_quotient(ctx: TwistContext, plan: tuple, truncation: int) -> tuple:
     t^truncation: const t^shift times one ``cyclo.product`` of its keys'
     tables in plan order, shift its t power less one per scale c with
     xi^(dc) = 1 (whose ratio table is t I_c).  The one evaluator of every
-    form; it caches and divides nothing, and raises ValueError where
-    truncation < 0 or an owed power of t does not divide."""
+    form; it divides nothing and keeps nothing but the tables it reads
+    (``symmetry._form`` keeps its result in the context), and raises
+    ValueError where truncation < 0 or an owed power of t does not
+    divide, at every truncation alike."""
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     const, shift, scales, keys, _ = plan

@@ -57,14 +57,16 @@ class TheoremReport(Verdict):
     """Verdict for one symmetry theorem at one parameter point.  ``forms``
     are the forms (scales, F) its check built, one per plan, and
     ``expressions`` one SymPoly per displayed expression, the lift at n of
-    form at[j] (``sympoly.lift``), each form lifted once, at the first
-    read.  ``compared``, the number of forms, 1 means that the pass rests
-    on the plan (equal plans) and on ``cyclo.product`` not depending on the
-    order of its factors, not on two products compared.  Neither is
-    rendered by ``to_json_dict``."""
+    form at[j] (``sympoly.lift``), listed at the first read.  ``lift(k)``
+    lifts form k once and keeps it, so the lifts a failing check makes
+    for ``first_mismatch`` are among those its expressions read.  ``compared``,
+    the number of forms, 1 means that the pass rests on the plan (equal
+    plans) and on ``cyclo.product`` not depending on the order of its
+    factors, not on two products compared.  Neither is rendered by
+    ``to_json_dict``."""
 
-    __slots__ = ("theorem", "params", "forms", "at", "n", "_lifts", "passed",
-                 "detail", "notes")
+    __slots__ = ("theorem", "params", "forms", "at", "n", "_lifts",
+                 "_expressions", "passed", "detail", "notes")
 
     def __init__(self, theorem: int, params: dict, forms: tuple = (),
                  at: tuple = (), n: int = 0, passed: bool = True,
@@ -75,6 +77,7 @@ class TheoremReport(Verdict):
         self.at = at
         self.n = n
         self._lifts = None
+        self._expressions = None
         self.passed = passed
         self.detail = detail
         self.notes = {} if notes is None else notes
@@ -83,13 +86,19 @@ class TheoremReport(Verdict):
     def compared(self) -> int:
         return len(self.forms)
 
+    def lift(self, k: int):
+        """The lift at n of forms[k], made at the first call for k."""
+        if self._lifts is None:
+            self._lifts = {}
+        if k not in self._lifts:
+            self._lifts[k] = sympoly.lift(*self.forms[k], self.n, 1)
+        return self._lifts[k]
+
     @property
     def expressions(self) -> list:
-        if self._lifts is None:
-            lifts = {k: sympoly.lift(*self.forms[k], self.n, 1)
-                     for k in dict.fromkeys(self.at)}
-            self._lifts = [lifts[k] for k in self.at]
-        return self._lifts
+        if self._expressions is None:
+            self._expressions = [self.lift(k) for k in self.at]
+        return self._expressions
 
     def to_json_dict(self) -> dict:
         out = {"theorem": self.theorem, "params": self.params,

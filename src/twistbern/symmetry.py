@@ -28,13 +28,16 @@ sorted multiset of factor_table keys, one spelling per key, derived once
 per (entry, d or i, w) by ``_row_plan`` or ``_quotient_plan``.  A check
 groups its weight orders by plan (``_check_plan``) and ``_form``
 evaluates each plan once (``bernoulli.keyed_quotient``), ``compared`` in
-its report.  Every check decides on forms: equal forms lift to equal
-SymPolys, so only unequal forms are lifted (by ``sympoly.lift``) for
-``first_mismatch`` to decide; a theorem's report lifts its own forms when
-its expressions are read.  A _QUOTIENTS row has one plan under every
-order, so an invariance check, like any check with one plan, multiplies
-once: its pass rests on the plan and on ``cyclo.product`` not depending
-on the order of its factors, which tests/test_cyclo_oracle.py checks.
+its report, and keeps it in the context's form store, whose entry to t^n
+serves the plan at every lower n by a slice.  Every check decides on
+forms: equal forms lift to equal SymPolys, so only unequal forms are
+lifted (by ``sympoly.lift``) for ``first_mismatch`` to decide; a
+theorem's report makes those lifts and keeps them, and lifts the rest of
+its forms when its expressions are read.  A _QUOTIENTS row has one plan
+under every order, so an invariance check, like any check with one plan,
+multiplies once: its pass rests on the plan and on ``cyclo.product`` not
+depending on the order of its factors, which tests/test_cyclo_oracle.py
+checks.
 """
 
 from __future__ import annotations
@@ -126,8 +129,14 @@ def _quotient_plan(entry, i: int, w: tuple) -> tuple:
 def _form(ctx: TwistContext, plan: tuple, n: int) -> tuple:
     """The form (scales, F[:n+1]) of a plan at ctx: its exp as a dict and
     ``keyed_quotient``, where n < 0 or a failed cancellation of t raises.
-    The one evaluator of every check's forms."""
-    return dict(plan[4]), keyed_quotient(ctx, plan, n)
+    The one evaluator of every check's forms.  F is kept in the context's
+    store (ctx._forms), one entry per plan: truncation commutes with the
+    product, so an F stored to t^n' serves every n <= n' by a slice, and
+    a missing or shorter one is evaluated at n and replaces the entry."""
+    F = ctx._forms.get(plan, ())
+    if len(F) <= n or n < 0:
+        F = ctx._forms[plan] = keyed_quotient(ctx, plan, n)
+    return dict(plan[4]), F[:n + 1]
 
 
 def _quotient_form(spec: QuotientSpec, truncation: int) -> tuple:
@@ -360,15 +369,16 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
     The plan (``_check_plan``) groups the weight orders by row plan, and
     ``_form`` builds one row form per plan, shared by its orders; the
     report keeps them, ``compared`` of them.  The verdict is pass iff all
-    forms coincide: only forms that differ are lifted, for
+    forms coincide: only forms that differ are lifted, by the report, for
     ``first_mismatch`` to decide.  ``expressions`` holds one exact SymPoly
     in the live y-variables per displayed expression, lifted by the report
     at its first read: once where every form is order 0's, and otherwise
-    once per plan.  For theorem 3, the ``printed_shift_variant_matches``
-    note records whether the variant with the inconsistent shift
-    denominator (as printed in one source display) agrees with order 0 as
-    well, by its form, which decides with no lift, as its scales are order
-    0's.  The verdict is based on the pattern-consistent expressions only.
+    once per plan, the lifts made for ``first_mismatch`` among them.  For
+    theorem 3, the ``printed_shift_variant_matches`` note records whether
+    the variant with the inconsistent shift denominator (as printed in one
+    source display) agrees with order 0 as well, by its form, which
+    decides with no lift, as its scales are order 0's.  The verdict is
+    based on the pattern-consistent expressions only.
     """
     if theorem not in _THEOREM_PATTERNS:
         raise ValueError("theorem id must be 1..8")
@@ -377,18 +387,20 @@ def verify_theorem(theorem: int, ctx: TwistContext, w: tuple[int, int, int],
     w = tuple(w)
     plan = _check_plan(_row_plan, _ROWS[row], ctx.d, w, perms)
     forms = tuple(_form(ctx, p, n) for p in plan.plans)
-    # where every form is order 0's, every expression is its one lift
-    at, detail = (0,) * len(perms), None
-    if any(form != forms[0] for form in forms[1:]):
-        at, base = plan.at, sympoly.lift(*forms[0], n, 1)
-        detail = first_mismatch(
-            (f"w-order {v} differs from w-order {plan.orders[0]}",
-             sympoly.lift(*form, n, 1), base)
-            for v, form in zip(plan.orders, forms) if form != forms[0])
+    differ = any(form != forms[0] for form in forms[1:])
     params = ctx.params()
     params["w"], params["n"] = list(w), n
+    # where every form is order 0's, every expression is its one lift
     report = TheoremReport(theorem=theorem, params=params, forms=forms,
-                           at=at, n=n, passed=detail is None, detail=detail)
+                           at=plan.at if differ else (0,) * len(perms), n=n)
+    if differ:
+        # the report keeps the lifts first_mismatch reads, for expressions
+        report.detail = first_mismatch(
+            (f"w-order {v} differs from w-order {plan.orders[0]}",
+             report.lift(k), report.lift(0))
+            for k, (v, form) in enumerate(zip(plan.orders, forms))
+            if form != forms[0])
+        report.passed = report.detail is None
     if theorem == 3:
         # the variant at (w2, w1, w3) has the scales of order 0, each one
         # nonzero, so each F_j, j <= n, weighs a monomial y^t, |t| = n - j,
@@ -415,7 +427,10 @@ _REDUCTIONS = {
 def permutation_reduction_check(group: int, ctx: TwistContext,
                                 w: tuple[int, int, int], n: int) -> CheckReport:
     """Check that the alternate permuted expressions of theorem 4 (resp. 8)
-    equal their stated partners after the index interchange/cycle."""
+    equal their stated partners after the index interchange/cycle.  Each
+    distinct plan among the partners and the left-hand rows is one form,
+    ``compared`` in the report: a left-hand row that plans equal to its
+    partner reads the partner's form from the context's store."""
     if group not in _REDUCTIONS:
         raise ValueError("group must be 4 or 8")
     _check_point(w, n)
@@ -423,15 +438,16 @@ def permutation_reduction_check(group: int, ctx: TwistContext,
     w = tuple(w)
     plan = _check_plan(_row_plan, _ROWS[partner], ctx.d, w,
                        tuple(perm for _, perm in pairs))
+    lefts = [_row_plan(_ROWS[row], ctx.d, w) for row, _ in pairs]
     partners = [_form(ctx, p, n) for p in plan.plans]
-    sides = ((row, _row_form(row, ctx, w, n), partners[k])
-             for (row, _), k in zip(pairs, plan.at))
+    sides = ((row, _form(ctx, left, n), partners[k])
+             for (row, _), left, k in zip(pairs, lefts, plan.at))
     detail = first_mismatch(
         (f"{row}:", sympoly.lift(*lhs, n, 1), sympoly.lift(*rhs, n, 1))
         for row, lhs, rhs in sides if lhs != rhs)
     return CheckReport("permutation_reduction_check",
                        dict(ctx.params(), w=list(w), n=n, group=group),
-                       detail is None, detail)
+                       detail is None, detail, len({*plan.plans, *lefts}))
 
 
 # -- whole-series checks --------------------------------------------------------

@@ -699,14 +699,14 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     # read at t -> ct, one _row_times of the twist's sum and inverse
     # tables, each built once for it and not stored; the inverse table
     # reads the table of zeta_R of its root's order R, one recurrence per
-    # order.  The products are not cached: each order's form, built alone,
+    # order.  Each order's form, built alone (on an emptied form store),
     # multiplies its plan, one sorted multiset shared by every order, and
     # its one cyclo.product over _operands performs len(operands) - 1 factor
-    # multiplications.  The invariance check builds one form per group of
-    # its plan; the orders here are one group, so it multiplies order 0's
-    # operands once, from the stored tables.  The ratio tables are built
-    # by the row product, forced here: the route in the small field builds
-    # no sum or inverse
+    # multiplications.  The context keeps the form of that one plan at the
+    # longest t^n asked, so every later form of the plan at n' <= n, the
+    # invariance check's (one group) or any order's, is its slice and
+    # multiplies nothing.  The ratio tables are built by the row product,
+    # forced here: the route in the small field builds no sum or inverse
     monkeypatch.setattr(bernoulli, "_ratio_table", ratio_route(False))
     builds = []
     for kind, name in (("units", "twist_units_series"),
@@ -758,11 +758,15 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     spec = QuotientSpec("cyclic", 1, (1, 2, 3), ctx)
     orders = distinct_orders(spec.w, _PERM6)
 
-    def every_order(truncation):
+    def every_order(truncation, alone=False):
+        forms = []
         for v in orders:
-            symmetry._quotient_form(QuotientSpec("cyclic", 1, v, ctx),
-                                    truncation)
-    every_order(6)
+            if alone:
+                ctx._forms.clear()
+            forms.append(symmetry._quotient_form(
+                QuotientSpec("cyclic", 1, v, ctx), truncation))
+        return forms
+    long = every_order(6, alone=True)
     assert len(calls) == 6
     # units at 6, 3, 2 and scales 1, 2, 3: the units are one table of
     # (2, 3, 6), the unit of scale 1 is never built, and the sum of each
@@ -799,19 +803,24 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     assert {table.elements() for table in ratios} == {
         _parent_inverse(twist, 1, 6) for twist in twists.values()}
 
+    # the one plan's form, stored at t^6, serves each later round
+    assert list(ctx._forms) == [symmetry._quotient_plan(_QUOTIENTS["cyclic"],
+                                                        1, spec.w)]
+    assert all(form == long[0] for form in long)
     for truncation, forms in ((6, 1), (4, 6), (4, 1)):
         builds.clear()
         calls.clear()
         ratios.clear()
         if forms == 1:
-            assert permutation_invariance_check(spec, truncation).passed
-            assert [(units, scales) for units, scales, _, _ in calls] == [
-                ((2, 3, 6), (1, 2, 3))]
+            report = permutation_invariance_check(spec, truncation)
+            assert report.passed and report.compared == 1
         else:
-            every_order(truncation)
-        assert builds == [] and ratios == []
+            for scales, q in every_order(truncation):
+                assert (scales, q) == (long[0][0], long[0][1][:5])
+        assert calls == [] and builds == [] and ratios == []
         assert all(f._apostol is stored[R] for R, f in fields.items())
-        assert [products for _, _, products, _ in calls] == [3] * forms
+    [stored_form] = ctx._forms.values()
+    assert len(stored_form) == 7
 
 
 def test_row_pieces_are_factor_tables(monkeypatch):
@@ -822,10 +831,12 @@ def test_row_pieces_are_factor_tables(monkeypatch):
     # sum_{a<A} chi(a) xi^(am) e^((s*c/q) a t); an S piece reads the factor
     # table ("sum", c, bound, c).  No ("bern", c) key is asked for.  A shift
     # with s*c/q = m reads the table of the S piece with that (m, bound),
-    # and each row is one cyclo.product: one per form, which
-    # symmetry._form evaluates from the row's plan.
+    # and each row is one cyclo.product, which symmetry._form makes from
+    # the row's plan the first time the plan is asked at its n; n rises
+    # here, so a form asked again at that n (theorems 3, 5 and 6 plan their
+    # rows equal to those of theorems 2, 4 and 4) is read from the store.
     ctx = TwistContext.from_orders(3, 1, 4)
-    ratios, products, asked = {}, [], set()
+    ratios, products, asked, seen = {}, [], set(), []
     exact_table, exact_product = bernoulli.factor_table, bernoulli.product
 
     def factor_table(where, key, upto):
@@ -843,9 +854,10 @@ def test_row_pieces_are_factor_tables(monkeypatch):
         products[-1] += 1
         return exact_product(*args)
 
-    def form(*args, exact=symmetry._form):
+    def form(where, plan, n, exact=symmetry._form):
         products.append(0)
-        return exact(*args)
+        seen.append((plan, n))
+        return exact(where, plan, n)
     monkeypatch.setattr(bernoulli, "factor_table", factor_table)
     monkeypatch.setattr(bernoulli, "product", product)
     monkeypatch.setattr(symmetry, "_form", form)
@@ -854,7 +866,8 @@ def test_row_pieces_are_factor_tables(monkeypatch):
     for n in range(top + 1):
         for theorem in theorems:
             assert verify_theorem(theorem, ctx, w, n).passed
-    assert products and set(products) == {1}
+    first = [seen.index(asked_at) == k for k, asked_at in enumerate(seen)]
+    assert products == list(map(int, first)) and 0 < sum(products) < len(seen)
     assert asked == {"ratio", "sum"}
 
     pieces = set(_ROWS["bernoulli_shifted_bernoulli_printed"](

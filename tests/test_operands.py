@@ -136,12 +136,17 @@ def test_a_row_form_is_one_product_of_its_operand_tables(ctx, monkeypatch):
                 for key, table in zip(keys, tables):
                     if key[0] == "ratio":
                         assert table is ctx._factors[key]
+                # built alone: the context's form store emptied first;
+                # asked again, the form is read from the store
+                ctx._forms.clear()
                 products.clear()
                 form = symmetry._row_form(row, ctx, v, n)
                 assert len(products) == 1
                 assert form == (exp, ((ctx.field.zero,) * shift + tuple(
                     cyclo.product(ctx.field, tables, length + 1, const)))[
                         :n + 1])
+                assert symmetry._row_form(row, ctx, v, n) == form
+                assert len(products) == 1
                 assert "bern" not in {key[0] for key in keys}
 
 
@@ -205,11 +210,14 @@ def _tag_tables(monkeypatch):
 def _grouped_orders_with_unequal_forms(plan, n=4):
     """(theorem, ctx, v, u) for each weight order v of a theorem check over
     the acceptance grid whose row form, built alone, differs from that of
-    u, the first order of its group under plan."""
+    u, the first order of its group under plan.  Built alone: the
+    context's form store is emptied before each form, so no form is read
+    from an earlier one, of this pass or of an untagged one."""
     forms = {}
 
     def form(row, ctx, v):
         if (row, ctx, v) not in forms:
+            ctx._forms.clear()
             forms[row, ctx, v] = _row_form(row, ctx, v, n)
         return forms[row, ctx, v]
 
@@ -306,6 +314,7 @@ def test_every_order_of_a_quotient_is_one_plan_group_of_equal_forms(
 
     def form(family, i, ctx, v):
         if (family, i, ctx, v) not in forms:
+            ctx._forms.clear()      # built alone, as above
             forms[family, i, ctx, v] = _quotient_form(
                 QuotientSpec(family, i, v, ctx), 4)
         return forms[family, i, ctx, v]

@@ -560,6 +560,40 @@ def test_the_lift_decides_when_forms_differ(monkeypatch):
     assert red.detail == f"cycle-variant-1: at 1: {c + 6} vs {c}"
 
 
+def test_a_failing_theorem_lifts_each_distinct_form_once(monkeypatch):
+    # one weight order's form perturbed at t^n fails the check: the report
+    # lifts order 0's form and the first form that differs for
+    # first_mismatch and keeps both lifts, so reading its expressions lifts
+    # only the other forms, one lift per distinct form in all
+    from twistbern import symmetry, sympoly
+    lifts = []
+    real_form, real_lift = symmetry._form, sympoly.lift
+    monkeypatch.setattr(sympoly, "lift",
+                        lambda *args: lifts.append(args) or real_lift(*args))
+    ctx, n, checked = TWISTED4, 3, 0
+    for tid, (perms, row) in symmetry._THEOREM_PATTERNS.items():
+        for w in ((1, 2, 3), (2, 2, 3), (2, 3, 5)):
+            plan = symmetry._check_plan(symmetry._row_plan,
+                                        symmetry._ROWS[row], ctx.d, w, perms)
+            if plan.compared < 2:
+                continue
+
+            def form(where, p, n, bumped=plan.plans[-1]):
+                scales, F = real_form(where, p, n)
+                return (scales, F[:n] + (F[n] + 1,)) if p is bumped else (
+                    scales, F)
+            monkeypatch.setattr(symmetry, "_form", form)
+            lifts.clear()
+            rep = verify_theorem(tid, ctx, w, n)
+            assert not rep.passed and len(lifts) == 2, (tid, w)
+            expressions = rep.expressions
+            assert len(lifts) == rep.compared == plan.compared, (tid, w)
+            assert rep.expressions is expressions
+            assert len(lifts) == rep.compared
+            checked += 1
+    assert checked >= 8
+
+
 def test_former_slowest_sweep_point():
     # d=11, character 8, xi order 7, w=(3,7,6), n=8: the slowest point of the
     # slow sweep while shifted B pieces were summed point by point
