@@ -8,12 +8,13 @@ are the EGF coefficients of
 
 read by ``bernoulli_gf``.  Each root of unity is an exponent f of zeta_M,
 M = lcm(2, L), of order M/gcd(f, M).  Every quotient in the package is,
-as in the paper, a prefactor, a power of t, numerator units and one
-p-adic integral of chi(x) xi^(cx) e^(cxt) over ct (over c where
-xi^(dc) = 1) per scale c, and a table row is one with no units whose
-Bernoulli pieces are scales: factor_quotient builds each as one
-``cyclo.product`` of stored ``cyclo.RowTable``s, one table of the units in
-closed form, one ratio table per scale and a row's character-sum tables.
+as in the paper, numerator units, each over ct, and one p-adic integral
+c t I_c per scale c, I_c the ("ratio", c) table (over t where
+xi^(dc) = 1), and a table row is one with no units whose Bernoulli pieces
+are scales: ``quotient_plan`` derives its constant and power of t, and
+``keyed_quotient`` evaluates it as one ``cyclo.product`` of stored
+``cyclo.RowTable``s, one table of the units in closed form, one ratio
+table per scale and a row's character-sum tables.
 The integral of scale 1, d^-v T(t) g_lambda(dt) (T the character sum,
 lambda = xi^d, v = 1 iff lambda = 1, g_u(x) = 1/(u e^x - 1) the
 Apostol-Bernoulli generating function), is the package's one division:
@@ -404,45 +405,40 @@ def _times_t(field, q, shift: int, truncation: int) -> tuple:
     return ((field.zero,) * shift + tuple(q))[:truncation + 1]
 
 
-def quotient_plan(const, t_power: int, units: tuple, scales: tuple,
-                  sums: tuple = (), exp: tuple = ()) -> tuple:
-    """The plan (const, t_power, scales, keys, exp) of const t^t_power
-    times the units xi^(dc) e^(dct) - 1 of c in units, the p-adic integral
-    of each c in scales, the tables of the sum keys sums and e^{(s.y) t},
-    s_y = exp[y]: its operands as a sorted multiset, with no arithmetic
-    and no context.  The keys are ("units", cs), cs the sorted units, if
-    any, then ("ratio", c) per sorted scale, then the sorted sums.  Equal
-    plans are equal forms at every context."""
-    scales = tuple(sorted(scales))
+def quotient_plan(units: tuple, scales: tuple, sums: tuple = (),
+                  exp: tuple = (), const=1) -> tuple:
+    """The plan (const', t_power, keys, exp) of const times the unit
+    xi^(dc) e^(dct) - 1 over ct per c in units, the p-adic integral
+    c t I_c of chi(x) xi^(cx) e^(cxt) per c in scales, the tables of the
+    sum keys sums and e^{(s.y) t}, s_y = exp[y]: its operands as a sorted
+    multiset, with no context, and the numbers they fix, computed here
+    only: const' = const prod(scales) / prod(units), an int where it is
+    integral, and t_power = #scales - #units.  The keys are ("units", cs),
+    cs the sorted units, if any, then ("ratio", c) per sorted scale, then
+    the sorted sums.  Equal plans are equal forms at every context."""
+    num = const.numerator * math.prod(scales)
+    den = const.denominator * math.prod(units)
     keys = [("units", tuple(sorted(units)))] if units else []
-    keys += [("ratio", c) for c in scales] + sorted(sums)
-    return const, t_power, scales, tuple(keys), tuple(sorted(exp))
-
-
-def factor_quotient(ctx: TwistContext, t_power: int, units: tuple,
-                    scales: tuple, truncation: int, const=1,
-                    sums: tuple = ()) -> tuple:
-    """The coefficients of const times quotient_plan's quotient to
-    t^truncation, const an int or Fraction: ``keyed_quotient`` of its
-    plan."""
-    return keyed_quotient(
-        ctx, quotient_plan(const, t_power, units, scales, sums), truncation)
+    keys += [("ratio", c) for c in sorted(scales)] + sorted(sums)
+    return (num // den if num % den == 0 else Fraction(num, den),
+            len(scales) - len(units), tuple(keys), tuple(sorted(exp)))
 
 
 def keyed_quotient(ctx: TwistContext, plan: tuple, truncation: int) -> tuple:
     """The coefficients of a ``quotient_plan``, its exp aside, to
     t^truncation: const t^shift times one ``cyclo.product`` of its keys'
-    tables in plan order, shift its t power less one per scale c with
-    xi^(dc) = 1 (whose ratio table is t I_c).  The one evaluator of every
+    tables in plan order, shift its t power less one per ("ratio", c) key
+    with xi^(dc) = 1 (whose table is t I_c).  The one evaluator of every
     form; it divides nothing and keeps nothing but the tables it reads
     (``symmetry._form`` keeps its result in the context), and raises
     ValueError where truncation < 0 or an owed power of t does not
     divide, at every truncation alike."""
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    const, shift, scales, keys, _ = plan
-    for c in scales:
-        shift -= _unit_root(ctx, c) == 0
+    const, shift, keys, _ = plan
+    for key in keys:
+        if key[0] == "ratio":
+            shift -= _unit_root(ctx, key[1]) == 0
     length = max(truncation - shift, 0)
     q = product(ctx.field, [factor_table(ctx, key, length) for key in keys],
                 length + 1, const)
@@ -544,7 +540,8 @@ def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
     """Check the three expressions of the power-sum EGF quotient identity.
 
     Side A: (xi^{dw} e^{dwt} - 1)/(xi^d e^{dt} - 1) * sum_{a<d} chi(a) xi^a e^{at},
-    from factor_quotient: the unit of w times the ratio of scale 1.
+    the ``quotient_plan`` of the unit of w over wt times the integral of
+    scale 1, times w.
     Side B: sum_{a<dw} chi(a) xi^a e^{at} summed directly, not via power_sums:
     point by point, the integer numerators of a^i chi(a) xi^a accumulated
     over one denominator and brought to canonical form once per t^i/i!.
@@ -556,7 +553,7 @@ def powersum_gf_check(ctx: TwistContext, w: int, k_max: int) -> CheckReport:
         raise ValueError("truncation must be >= 0")
     d = ctx.d
     params = dict(ctx.params(), w=w, k_max=k_max)
-    side_a = factor_quotient(ctx, 0, (w,), (1,), k_max)
+    side_a = keyed_quotient(ctx, quotient_plan((w,), (1,), const=w), k_max)
 
     points = []
     for a in range(d * w):

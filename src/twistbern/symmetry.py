@@ -18,14 +18,15 @@ y-variables.
 
 Rows and quotients share one form (scales, F): e^{(s.y) t} F(t), with a
 scale s_y per live slot (the same under every weight order) and a scalar
-series F over Q(zeta_L).  A _QUOTIENTS row is, as in the paper, a
-prefactor, a power of t, numerator units and one p-adic integral of
-chi(x) xi^(cx) e^(cxt) over ct (over c where xi^(dc) = 1) per scale c; a
-table row is a quotient with no units whose Bernoulli pieces are scales,
-times character-sum tables.  Every form is planned before it multiplies,
-with no arithmetic: ``bernoulli.quotient_plan`` states its operands as a
-sorted multiset of factor_table keys, one spelling per key, derived once
-per (entry, d or i, w) by ``_row_plan`` or ``_quotient_plan``.  A check
+series F over Q(zeta_L).  A _QUOTIENTS row is, as in the paper,
+numerator units, each over ct, and one p-adic integral of chi(x) xi^(cx)
+e^(cxt) per scale c, c t times the ("ratio", c) table; a table row is a
+quotient with no units whose Bernoulli pieces are scales, times its
+transcribed constant and character-sum tables.  Every form is planned
+before it multiplies, with no field arithmetic: ``bernoulli.quotient_plan``
+states its operands as a sorted multiset of factor_table keys, one
+spelling per key, and derives its constant and power of t from them, once
+per (entry, d or i, w), by ``_row_plan`` or ``_quotient_plan``.  A check
 groups its weight orders by plan (``_check_plan``) and ``_form``
 evaluates each plan once (``bernoulli.keyed_quotient``), ``compared`` in
 its report, and keeps it in the context's form store, whose entry to t^n
@@ -90,40 +91,35 @@ def _check_point(w: tuple, n: int = 0) -> None:
         raise ValueError("n must be >= 0")
 
 
-def _weighted(scales: tuple, power: int, i: int, big: int) -> tuple:
-    """The pairwise (power 2) and single (power 1) families: i units scaled
-    by big times the p-adic integrals at scales, the prefactor big^(power
-    - i) from integer powers."""
-    prefactor = big ** (power - i) if i <= power else Fraction(
-        1, big ** (i - power))
-    return (prefactor, 3 - i, (big,) * i, scales, (_Y1, _Y2, _Y3)[:3 - i],
-            big)
+def _coupled(i: int, scales: tuple, big: int) -> tuple:
+    """The pairwise and single families' operands: i units of scale big
+    over the p-adic integrals at scales, each live slot y1.. of the 3 - i
+    scaled by big."""
+    return ((big,) * i, scales,
+            tuple((y, big) for y in (_Y1, _Y2, _Y3)[:3 - i]))
 
 
-#: family -> (w1, w2, w3, i) -> (prefactor, t power, units, scales, exp
-#: slots, exp scale): the quotient is prefactor * t^power * the units
-#: xi^(dc) e^(dct) - 1 of c in units * the p-adic integral of each c in
-#: scales (bernoulli.quotient_plan) * e^{scale * (sum of the slot y) * t}.
+#: family -> (w1, w2, w3, i) -> (units, scales, exp): the quotient is the
+#: units xi^(dc) e^(dct) - 1 over ct of c in units * the p-adic integral of
+#: each c in scales * e^{(s.y) t}, s_y = exp[y]; its constant and power of
+#: t follow from these operands (bernoulli.quotient_plan).
 _QUOTIENTS = {
-    "pairwise": lambda w1, w2, w3, i: _weighted(
-        (w2 * w3, w1 * w3, w1 * w2), 2, i, w1 * w2 * w3),
-    "single": lambda w1, w2, w3, i: _weighted((w1, w2, w3), 1, i, w1 * w2 * w3),
+    "pairwise": lambda w1, w2, w3, i: _coupled(
+        i, (w2 * w3, w1 * w3, w1 * w2), w1 * w2 * w3),
+    "single": lambda w1, w2, w3, i: _coupled(i, (w1, w2, w3), w1 * w2 * w3),
     # i = 0: the plain product; i = 1: the fully cancelled quotient
     "cyclic": lambda w1, w2, w3, i: (
-        (Fraction(w1 * w2 * w3), 3, (), (w1, w2, w3), (_Y,),
-         w2 * w3 + w1 * w3 + w1 * w2) if i == 0 else
-        (Fraction(1, w1 * w2 * w3), 0, (w2 * w3, w1 * w3, w1 * w2),
-         (w1, w2, w3), (), 0)),
+        ((), (w1, w2, w3), ((_Y, w2 * w3 + w1 * w3 + w1 * w2),)) if i == 0
+        else ((w2 * w3, w1 * w3, w1 * w2), (w1, w2, w3), ())),
 }
 
 
 @functools.lru_cache(maxsize=4096)
 def _quotient_plan(entry, i: int, w: tuple) -> tuple:
-    """The ``quotient_plan`` of the _QUOTIENTS entry at the weights w and
-    index i, each live slot with the exp scale, memoized by the entry."""
-    prefactor, t_power, units, scales, slots, scale = entry(*w, i)
-    return quotient_plan(prefactor, t_power, units, scales, (),
-                         [(y, scale) for y in slots])
+    """The ``quotient_plan`` of the _QUOTIENTS entry's operands at the
+    weights w and index i, memoized by the entry."""
+    units, scales, exp = entry(*w, i)
+    return quotient_plan(units, scales, exp=exp)
 
 
 def _form(ctx: TwistContext, plan: tuple, n: int) -> tuple:
@@ -136,7 +132,7 @@ def _form(ctx: TwistContext, plan: tuple, n: int) -> tuple:
     F = ctx._forms.get(plan, ())
     if len(F) <= n or n < 0:
         F = ctx._forms[plan] = keyed_quotient(ctx, plan, n)
-    return dict(plan[4]), F[:n + 1]
+    return dict(plan[3]), F[:n + 1]
 
 
 def _quotient_form(spec: QuotientSpec, truncation: int) -> tuple:
@@ -174,10 +170,11 @@ def _series(scales: dict, q) -> tuple:
 #
 # So the row is n! [t^n] of const * prod_i sum_k piece_i(k) (c_i t)^k / k!.
 # As sum_k B_k(x) t^k / k! = e^{xt} sum_j B_j t^j / j!, a B piece's series is
-# e^{c*u*y_slot*t} times its seed sum_j c^j B_j t^j / j!, c t^(1-v) times
-# the p-adic integral ("ratio", c), v = 1 iff xi^(dc) = 1, times one
-# character sum per sums entry, sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t}:
-# the factor table ("sum", m, A - 1, s*c/q).  An S piece is the factor table
+# e^{c*u*y_slot*t} times its seed sum_j c^j B_j t^j / j!, the p-adic
+# integral c t^(1-v) times the ("ratio", c) table, v = 1 iff xi^(dc) = 1,
+# times one character sum per sums entry,
+# sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t}: the factor table
+# ("sum", m, A - 1, s*c/q).  An S piece is the factor table
 # ("sum", c, bound, c), sum_{a<=bound} chi(a) xi^(ca) e^(cat), which a shift
 # with s*c/q = m shares, s*c/q an int where integral.  So the row is
 # e^{(sum_i c_i u_i y_slot_i) t} times a quotient with no units
@@ -239,11 +236,11 @@ _ROWS = {
 
 def row_operands(entry, d: int, w: tuple) -> tuple:
     """(const, scales, sums, exp) of the _ROWS entry at the weights w,
-    modulus d, with no arithmetic: e^{(s.y) t}, s_y = exp[y], times the
-    quotient with no units t^len(scales) const, a ("ratio", c) per c in
-    scales and the sums.  A B piece adds c to scales and const, a ("sum", m,
-    A - 1, s*c/q) per shift entry, an int where integral, and c*u to its
-    slot's exp; an S piece adds ("sum", c, bound, c)."""
+    modulus d, with no arithmetic: e^{(s.y) t}, s_y = exp[y], times const
+    as transcribed, the p-adic integral of each c in scales and the sums.
+    A B piece adds c to scales, a ("sum", m, A - 1, s*c/q) per shift entry,
+    an int where integral, and c*u to its slot's exp; an S piece adds
+    ("sum", c, bound, c)."""
     const, pieces = entry(*w, d)
     scales, sums, exp = [], [], {}
     for desc in pieces:
@@ -257,17 +254,17 @@ def row_operands(entry, d: int, w: tuple) -> tuple:
             exp[slot] = exp.get(slot, 0) + c * u
         else:
             sums.append(("sum", desc[1], desc[2], desc[1]))
-    return (const * math.prod(scales), tuple(scales), tuple(sums),
-            tuple(exp.items()))
+    return const, tuple(scales), tuple(sums), tuple(exp.items())
 
 
 @functools.lru_cache(maxsize=4096)
 def _row_plan(entry, d: int, w: tuple) -> tuple:
-    """The ``quotient_plan`` of the _ROWS entry at the weights w, modulus
-    d: its row_operands.  Memoized by the entry object, never by its name,
-    so a replaced entry is planned afresh, as by ``_quotient_plan``."""
+    """The ``quotient_plan`` of the _ROWS entry's row_operands at the
+    weights w, modulus d: a quotient with no units.  Memoized by the entry
+    object, never by its name, so a replaced entry is planned afresh, as by
+    ``_quotient_plan``."""
     const, scales, sums, exp = row_operands(entry, d, w)
-    return quotient_plan(const, len(scales), (), scales, sums, exp)
+    return quotient_plan((), scales, sums, exp, const)
 
 
 def _row_form(row: str, ctx: TwistContext, w: tuple, n: int) -> tuple:

@@ -52,6 +52,24 @@ def seed_form(row: str, ctx, w: tuple, n: int) -> tuple:
     return scales, tuple(cyclo.product(ctx.field, tables, n + 1, const))
 
 
+def _weighted(power: int, i: int, big: int) -> tuple:
+    # the pairwise (power 2) and single (power 1) families: i units scaled
+    # by big, the prefactor big^(power - i) from integer powers
+    return (big ** (power - i) if i <= power
+            else Fraction(1, big ** (i - power))), 3 - i
+
+
+#: family -> (w1, w2, w3, i) -> (prefactor, t power) of each quotient as the
+#: paper displays it, transcribed by hand: the reference that
+#: bernoulli.quotient_plan's derivation from the operands must meet.
+PAPER_PREFACTORS = {
+    "pairwise": lambda w1, w2, w3, i: _weighted(2, i, w1 * w2 * w3),
+    "single": lambda w1, w2, w3, i: _weighted(1, i, w1 * w2 * w3),
+    "cyclic": lambda w1, w2, w3, i: (
+        (w1 * w2 * w3, 3) if i == 0 else (Fraction(1, w1 * w2 * w3), 0)),
+}
+
+
 def owed_shift(ctx, t_power: int, scales) -> int:
     """t_power less one per scale c with xi^(dc) = 1, read from xi's
     order: the power of t a quotient with those scales owes."""

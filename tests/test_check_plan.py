@@ -10,13 +10,17 @@ i, w, perms), so no operand is derived and no key normalised per call.
 These tests hold the planned forms to an oracle that shares no plan and
 no evaluator with them: each order's own operand list, in the order the
 entry writes it, through ``factor_table``, one ``cyclo.product`` and a
-t-shift applied by hand (``symmetry_helpers.keys_by_hand``).  They also
-check that a replaced entry is planned afresh, that reports share no
-mutable params, and that ``compared`` states how many forms a check
-built.
+t-shift applied by hand (``symmetry_helpers.keys_by_hand``), at the
+prefactor and power of t the paper displays (a row's transcribed constant
+times its scales, a quotient's ``symmetry_helpers.PAPER_PREFACTORS``).
+They also check that no plan number is an integral Fraction, that a
+replaced entry is planned afresh, that reports share no mutable params,
+and that ``compared`` states how many forms a check built.
 """
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 from twistbern import symmetry
@@ -28,7 +32,8 @@ from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 _row_plan, permutation_invariance_check,
                                 row_operands, verify_theorem)
 
-from symmetry_helpers import distinct_orders, keys_by_hand, plan_groups
+from symmetry_helpers import (PAPER_PREFACTORS, distinct_orders,
+                              keys_by_hand, plan_groups)
 
 #: the acceptance grid's contexts
 CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
@@ -43,20 +48,22 @@ N_MAX = 6
 
 def _row_oracle(entry, ctx, v, n):
     # the row form from its own operands: a ratio key per B piece, then the
-    # sum keys as the pieces spell them
+    # sum keys as the pieces spell them, the transcribed const times c per
+    # B piece
     const, scales, sums, exp = row_operands(entry, ctx.d, v)
     keys = [("ratio", c) for c in scales] + list(sums)
-    return dict(exp), keys_by_hand(ctx, keys, len(scales), scales, n, const)
+    return dict(exp), keys_by_hand(ctx, keys, len(scales), scales, n,
+                                   const * math.prod(scales))
 
 
-def _quotient_oracle(entry, i, ctx, v, n):
+def _quotient_oracle(family, i, ctx, v, n):
     # the quotient form from its own units and scales, as the entry lists
-    # them
-    prefactor, t_power, units, scales, slots, scale = entry(*v, i)
+    # them, at the paper's prefactor and power of t
+    units, scales, exp = _QUOTIENTS[family](*v, i)
+    prefactor, t_power = PAPER_PREFACTORS[family](*v, i)
     keys = [("units", units)] if units else []
     keys += [("ratio", c) for c in scales]
-    return dict.fromkeys(slots, scale), keys_by_hand(
-        ctx, keys, t_power, scales, n, prefactor)
+    return dict(exp), keys_by_hand(ctx, keys, t_power, scales, n, prefactor)
 
 
 def _prefix(form, n):
@@ -99,7 +106,7 @@ def test_every_planned_quotient_form_equals_its_own_operands_quotient():
                     orders = distinct_orders(w, _PERM6)
                     groups = plan_groups(_check_plan(
                         _quotient_plan, entry, i, w, _PERM6), w, _PERM6)
-                    oracles = [_quotient_oracle(entry, i, ctx, v, N_MAX)
+                    oracles = [_quotient_oracle(family, i, ctx, v, N_MAX)
                                for v in orders]
                     for n in range(N_MAX + 1):
                         planned = {k: _quotient_form(QuotientSpec(
@@ -112,20 +119,62 @@ def test_every_planned_quotient_form_equals_its_own_operands_quotient():
     assert checked == len(CONTEXTS) * 10 * (N_MAX + 1) * 37
 
 
+def test_derived_quotient_numbers_are_the_papers_prefactors():
+    # quotient_plan derives each quotient's constant prod(scales) /
+    # prod(units) and power #scales - #units; at every family and index
+    # and every w in {1..7}^3 they are the paper's, as numbers and through
+    # the forms: at (1, 0, 1) every scale's unit vanishes, at (3, 1, 4)
+    # those of 4 | c, and t^t_power alone is not the form
+    contexts = [TwistContext.from_orders(1, 0, 1),
+                TwistContext.from_orders(3, 1, 4)]
+    checked = 0
+    for w in itertools.product(range(1, 8), repeat=3):
+        for family, max_i in _FAMILY_MAX_I.items():
+            for i in range(max_i + 1):
+                plan = _quotient_plan(_QUOTIENTS[family], i, w)
+                prefactor, t_power = PAPER_PREFACTORS[family](*w, i)
+                assert plan[:2] == (prefactor, t_power), (family, i, w)
+                scales = [key[1] for key in plan[2] if key[0] == "ratio"]
+                for ctx in contexts:
+                    assert symmetry.keyed_quotient(ctx, plan, 1) == \
+                        keys_by_hand(ctx, plan[2], t_power, scales, 1,
+                                     prefactor), (family, i, w, ctx)
+                checked += 1
+    assert checked == 7**3 * 10
+
+
+def _integral_fraction(x) -> bool:
+    return type(x) is Fraction and x.denominator == 1
+
+
 def test_every_plan_key_is_stored_form():
     # factor_table reads a key by one lookup, as given: every planned sum
     # key is in the one spelling, (c, bound, sigma) with sigma an int
-    # where it is integral
+    # where it is integral; and every plan's constant is an int where it
+    # is integral, so no plan hashes a Fraction where an int would do.
+    # The orders of the acceptance triples and all of {1..4}^3 meet
+    # constants of both kinds
+    orders = dict.fromkeys(
+        v for w in ROTATED_W + tuple(itertools.product(range(1, 5), repeat=3))
+        for v in distinct_orders(w, _PERM6))
+    kinds = set()
     for d in (1, 3, 4, 5):
-        for entry in _ROWS.values():
-            for w in ROTATED_W:
-                for v in distinct_orders(w, _PERM6):
-                    _, _, scales, keys, _ = _row_plan(entry, d, v)
-                    assert keys[:len(scales)] == tuple(
-                        ("ratio", c) for c in scales)
-                    assert all(len(key) == 4 and not (
-                        type(key[3]) is Fraction and key[3].denominator == 1)
-                        for key in keys[len(scales):])
+        for v in orders:
+            for entry in _ROWS.values():
+                const, _, keys, _ = _row_plan(entry, d, v)
+                scales = sorted(row_operands(entry, d, v)[1])
+                assert keys[:len(scales)] == tuple(
+                    ("ratio", c) for c in scales)
+                assert all(len(key) == 4 and not _integral_fraction(key[3])
+                           for key in keys[len(scales):])
+                assert not _integral_fraction(const), (d, v, const)
+                kinds.add(type(const))
+            for family, max_i in _FAMILY_MAX_I.items():
+                for i in range(max_i + 1):
+                    const = _quotient_plan(_QUOTIENTS[family], i, v)[0]
+                    assert not _integral_fraction(const), (family, i, v)
+                    kinds.add(type(const))
+    assert kinds == {int, Fraction}
 
 
 def test_a_replaced_row_entry_is_planned_afresh(monkeypatch):

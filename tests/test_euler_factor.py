@@ -14,9 +14,13 @@ two sides have different character sums, and where p divides the order R
 of xi^d, different R, so another Apostol table and perhaps another route
 of ``_ratio_table``; the right side also reads the twist xi^p, the
 substitution on which every ratio table of a scale c != 1 rests.  The
-relation is checked on ``bernoulli_numbers`` and on the Bernoulli
+relation is checked on ``bernoulli_numbers``, on the Bernoulli
 generating function as a form, asked at t^N and then served from each
-context's form store at every lower n.
+context's form store at every lower n, and on the Bernoulli polynomials,
+
+    B_n(chi', xi; x) = B_n(chi, xi; x) - chi(p) p^(n-1) B_n(chi, xi^p; x/p),
+
+through ``bernoulli_polynomial``.
 
 The relation is linear, so an error that scales every B_n alike survives
 wherever both sides take one route.  Integrality covers that: where R > 1
@@ -31,7 +35,8 @@ from fractions import Fraction
 import pytest
 
 from twistbern import symmetry
-from twistbern.bernoulli import TwistContext, bernoulli_numbers, quotient_plan
+from twistbern.bernoulli import (TwistContext, bernoulli_numbers,
+                                 bernoulli_polynomial, quotient_plan)
 from twistbern.characters import enumerate_characters
 from twistbern.cyclo import cyclo_field
 
@@ -40,7 +45,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 N = 8
 #: t times the p-adic integral of scale 1: the Bernoulli generating function
-GF = quotient_plan(1, 1, (), (1,))
+GF = quotient_plan((), (1,))
 
 
 def induced(chi, F: int):
@@ -103,6 +108,29 @@ def test_the_euler_factor_relates_b_n_at_d_and_at_d_times_p():
                     _check_euler_factor(chi, p, xi, N)
                     points += 1
     assert points == 324
+
+
+def test_the_euler_factor_relates_b_n_x_at_d_and_at_d_times_p():
+    # the sum over a < F at x splits as the one at d at x less chi(p) p^n
+    # times the one of the twist xi^p at x/p, scaled by 1/p
+    points = 0
+    for d in (1, 3, 4, 5):
+        for chi in enumerate_characters(d):
+            for p in (2, 3):
+                other = induced(chi, d * p)
+                for r in (1, 2, 3, 4, 6):
+                    ctx = TwistContext(chi, cyclo_field(r).root(1))
+                    left = TwistContext(other, ctx.xi)
+                    twist, chi_p = ctx.twist(p), ctx.chi_at(p)
+                    for x in (Fraction(0), Fraction(1, 3), Fraction(5, 2)):
+                        for n in range(7):
+                            assert bernoulli_polynomial(left, n, x) == (
+                                bernoulli_polynomial(ctx, n, x)
+                                - chi_p * Fraction(p) ** (n - 1)
+                                * bernoulli_polynomial(twist, n, x / p)), (
+                                chi, p, r, x, n)
+                            points += 1
+    assert points == 1890
 
 
 @pytest.mark.slow

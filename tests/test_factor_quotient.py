@@ -1,11 +1,14 @@
-"""factor_quotient against the products it divides.
+"""keyed_quotient of every quotient plan against the products it divides.
 
 Every quotient the library builds (each _QUOTIENTS entry, the Bernoulli
-generating function and side A of powersum_gf_check) is t^t_power times
-its units and one p-adic integral per scale.  This file rebuilds each as
-num / den, num its units and the character sum of each scale and den the
-unit of each scale, and factor_quotient's q must satisfy q * prod(den) ==
-t^t_power * prod(num) up to t^truncation, and so must bernoulli_gf, which
+generating function and side A of powersum_gf_check) is a prefactor times
+t^t_power, its units and one p-adic integral per scale.  This file
+rebuilds each as num / den, num its units and the character sum of each
+scale and den the unit of each scale, and the q of the library's plan,
+whose constant and power of t ``quotient_plan`` derives, must satisfy
+q * prod(den) == prefactor t^t_power * prod(num) up to t^truncation, the
+prefactor and t^t_power as the paper displays them (symmetry_helpers), and
+so must bernoulli_gf, which
 reads the ("ratio", 1) table by either route; the scale-1 inverse table of
 each twist, which
 every ratio table reads, times its unit must be 1, and must equal one
@@ -41,19 +44,21 @@ import pytest
 
 from twistbern import bernoulli, cyclo, symmetry
 from twistbern.bernoulli import (TwistContext, _inverse_table, bernoulli_gf,
-                                 char_sum_series, factor_quotient,
-                                 factor_table, keyed_quotient,
+                                 char_sum_series, factor_table,
+                                 keyed_quotient, quotient_plan,
                                  twist_units_series)
 from twistbern.characters import character, enumerate_characters
 from twistbern.cyclo import CycloField, _rows, cyclo_field, quotient
 from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 _THEOREM_PATTERNS, QuotientSpec,
-                                permutation_invariance_check, verify_theorem)
+                                _quotient_plan, permutation_invariance_check,
+                                verify_theorem)
 
 from bernoulli_helpers import (bernoulli_gf_by_division, bpoly_by_route,
                                ratio_by_route, ratio_route)
 from cyclo_helpers import multiplicative_order
-from symmetry_helpers import distinct_orders, keys_by_hand, sum_key
+from symmetry_helpers import (PAPER_PREFACTORS, distinct_orders,
+                              keys_by_hand, sum_key)
 
 CONTEXTS = [(d, char, order) for d in (1, 3, 4)
             for char in range(len(enumerate_characters(d)))
@@ -63,15 +68,22 @@ TOP = 8
 
 
 def _cases(w):
-    """(t_power, units, scales) of every quotient built at the weights w."""
-    cases = [(1, (), (1,))]                                # the Bernoulli GF
-    for v in sorted(set(w)):                               # powersum side A
-        cases.append((0, (v,), (1,)))
+    """(plan, prefactor, t_power, units, scales) of every quotient built at
+    the weights w: the library's plan of its units and scales, and its
+    prefactor and power of t as the paper displays them."""
+    cases = [(quotient_plan((), (1,)), 1, 1, (), (1,))]   # the Bernoulli GF
+    for v in sorted(set(w)):              # powersum side A, times v as there
+        cases.append((quotient_plan((v,), (1,), const=v), 1, 0, (v,), (1,)))
     for family, max_i in sorted(_FAMILY_MAX_I.items()):
         for i in range(max_i + 1):
-            _, t_power, units, scales, _, _ = _QUOTIENTS[family](*w, i)
-            cases.append((t_power, units, scales))
+            units, scales, _ = _QUOTIENTS[family](*w, i)
+            cases.append((_quotient_plan(_QUOTIENTS[family], i, w),
+                          *PAPER_PREFACTORS[family](*w, i), units, scales))
     return cases
+
+
+def _scaled(coefficients, const):
+    return tuple(c * const for c in coefficients)
 
 
 def _num_den(units, scales):
@@ -103,7 +115,7 @@ def _vanishing(ctx, scales):
 
 
 def _operands(units, scales):
-    """The factor_table keys of factor_quotient's product, in its order:
+    """The factor_table keys of a quotient plan's product, in its order:
     ("units", cs) for the sorted multiset cs of units, if there are any,
     then ("ratio", c) for each scale in sorted order."""
     return ([("units", tuple(sorted(units)))] if units else []) + [
@@ -114,17 +126,17 @@ def _operands(units, scales):
 def test_quotient_times_denominator_is_numerator(d, char, order):
     ctx = TwistContext.from_orders(d, char, order)
     for w in WEIGHTS:
-        for t_power, units, scales in _cases(w):
+        for plan, prefactor, t_power, units, scales in _cases(w):
             num, den = _num_den(units, scales)
             # vanish extra coefficients pin every coefficient of q up to TOP
             upto = TOP + _vanishing(ctx, scales)
             bottom = _product(ctx, den, upto)
-            top = ((ctx.field.zero,) * t_power
-                   + _product(ctx, num, upto))[:upto + 1]
-            full = factor_quotient(ctx, t_power, units, scales, upto)
+            top = _scaled(((ctx.field.zero,) * t_power
+                           + _product(ctx, num, upto))[:upto + 1], prefactor)
+            full = keyed_quotient(ctx, plan, upto)
             assert _times(full, bottom) == top
             for truncation in range(TOP + 1):
-                q = factor_quotient(ctx, t_power, units, scales, truncation)
+                q = keyed_quotient(ctx, plan, truncation)
                 assert len(q) == truncation + 1
                 assert _times(q, bottom) == top[:truncation + 1]
                 assert q == full[:truncation + 1]
@@ -134,7 +146,7 @@ def test_quotient_times_denominator_is_numerator(d, char, order):
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
 def test_bernoulli_gf_times_its_unit_is_t_times_its_sum(d, char, order,
                                                         small, monkeypatch):
-    # bernoulli_gf divides directly, not through factor_quotient: it is the
+    # bernoulli_gf divides directly, not through a quotient plan: it is the
     # context's ("ratio", 1) table, stored there, by either route of
     # _ratio_table, forced here: in Q(zeta_R), R the order of xi^d, it reads
     # the Apostol table of zeta_R there and combines the power sums, and
@@ -224,10 +236,10 @@ def test_a_fresh_context_builds_tables_no_longer_than_a_quotient_needs(
         count(name, getattr(bernoulli, name))
     for small, truncation in itertools.product((True, False), range(4)):
         count("_ratio_table", ratio_route(small))
-        for t_power, units, scales in _cases((1, 2, 3)):
+        for plan, _, t_power, units, scales in _cases((1, 2, 3)):
             ctx = TwistContext.from_orders(d, char, order)
             builds.clear()
-            factor_quotient(ctx, t_power, units, scales, truncation)
+            keyed_quotient(ctx, plan, truncation)
             length = max(truncation - t_power + _vanishing(ctx, scales), 0)
             operands = set(_operands(units, scales))
             tabled = _tabled(operands)
@@ -255,7 +267,7 @@ def test_the_build_contexts_meet_every_kind_of_twist_class():
     seen = set()
     for args in [(3, 1, 4), (1, 0, 1), (4, 1, 2)]:
         ctx = TwistContext.from_orders(*args)
-        for _, units, scales in _cases((1, 2, 3)):
+        for *_, units, scales in _cases((1, 2, 3)):
             twists = [ctx.twist(c)
                       for _, c in _tabled(set(_operands(units, scales)))
                       if c != 1]
@@ -280,11 +292,11 @@ def test_a_fresh_context_builds_each_unit_of_a_quotient_once(
             return exact(ctx, c, truncation)
         monkeypatch.setattr(bernoulli, name, counted)
     for w in WEIGHTS:
-        for t_power, units, scales in _cases(w):
+        for plan, *_, units, scales in _cases(w):
             for truncation in (0, 3):
                 ctx = TwistContext.from_orders(d, char, order)
                 builds.clear()
-                factor_quotient(ctx, t_power, units, scales, truncation)
+                keyed_quotient(ctx, plan, truncation)
                 assert builds == ([("twist_units_series",
                                     tuple(sorted(units)))] if units
                                   else []), (units, scales)
@@ -557,10 +569,10 @@ def test_unit_sets_meet_vanishing_live_and_mixed_units():
     assert TwistContext(*SIGNED[0]).field.order % 2 == 1
 
 
-def _element_quotient(ctx, t_power, units, scales, truncation):
-    """const 1 quotient by schoolbook products of elements: the num series
+def _element_quotient(ctx, prefactor, t_power, units, scales, truncation):
+    """The quotient by schoolbook products of elements: the num series
     and, per unit of den, one quotient of 1 by the unit (_parent_inverse),
-    with no factor table or ratio."""
+    with no factor table or ratio, times the prefactor."""
     num, den = _num_den(units, scales)
     shift = t_power - _vanishing(ctx, scales)
     length = max(truncation - shift, 0)
@@ -573,8 +585,9 @@ def _element_quotient(ctx, t_power, units, scales, truncation):
         out = _times(out, _parent_inverse(ctx, c, length))
     if shift < 0:
         assert not any(out[:-shift])
-        return out[-shift:]
-    return ((ctx.field.zero,) * shift + out)[:truncation + 1]
+        return _scaled(out[-shift:], prefactor)
+    return _scaled(((ctx.field.zero,) * shift + out)[:truncation + 1],
+                   prefactor)
 
 
 @pytest.mark.parametrize("d,char,order", CONTEXTS)
@@ -583,12 +596,12 @@ def test_a_quotient_of_paired_tables_is_the_quotient_of_its_elements(
     # (2, 2, 3) repeats a weight: two scales read one ratio table
     ctx = TwistContext.from_orders(d, char, order)
     for w in (*WEIGHTS, (2, 2, 3)):
-        for t_power, units, scales in _cases(w):
+        for plan, prefactor, t_power, units, scales in _cases(w):
             for truncation in (0, 5):
-                assert factor_quotient(ctx, t_power, units, scales,
-                                       truncation) \
-                    == _element_quotient(ctx, t_power, units, scales,
-                                         truncation), (w, units, scales)
+                assert keyed_quotient(ctx, plan, truncation) \
+                    == _element_quotient(ctx, prefactor, t_power, units,
+                                         scales, truncation), (w, units,
+                                                               scales)
 
 
 # the 36 contexts of the series benchmark: every character mod 1, 3, 4 and
@@ -599,11 +612,11 @@ SERIES_CONTEXTS = [TwistContext.from_orders(d, char, order)
                    for order in (1, 2, 3, 4)]
 
 
-def _owes(ctx, plan, t_power, scales):
-    # keyed_quotient of the plan is t^(t_power - vanishing scales) times the
-    # product of its keys' tables
-    return keyed_quotient(ctx, plan, 3) == keys_by_hand(ctx, plan[3], t_power,
-                                                        scales, 3)
+def _owes(ctx, plan, prefactor, t_power, scales):
+    # keyed_quotient of the plan is prefactor t^(t_power - vanishing
+    # scales) times the product of its keys' tables
+    return keyed_quotient(ctx, plan, 3) == keys_by_hand(
+        ctx, plan[2], t_power, scales, 3, prefactor)
 
 
 @pytest.mark.parametrize("ctx", SERIES_CONTEXTS, ids=repr)
@@ -615,15 +628,16 @@ def test_quotient_plans_are_the_units_then_one_ratio_per_scale(ctx):
     for w in (*WEIGHTS, (2, 2, 3)):
         for family, max_i in _FAMILY_MAX_I.items():
             for i in range(max_i + 1):
-                _, t_power, units, scales, _, _ = _QUOTIENTS[family](*w, i)
+                units, scales, _ = _QUOTIENTS[family](*w, i)
                 met.add((family, i, bool(units)))
-                plan = bernoulli.quotient_plan(1, t_power, units, scales)
-                assert plan[3] == tuple(_operands(units, scales))
-                assert _owes(ctx, plan, t_power, scales)
+                plan = bernoulli.quotient_plan(units, scales)
+                assert plan[2] == tuple(_operands(units, scales))
+                assert _owes(ctx, plan, *PAPER_PREFACTORS[family](*w, i),
+                             scales)
         for v in set(w):
-            plan = bernoulli.quotient_plan(1, 0, (v,), (1,))
-            assert plan == (1, 0, (1,), (("units", (v,)), ("ratio", 1)), ())
-            assert _owes(ctx, plan, 0, (1,))
+            plan = bernoulli.quotient_plan((v,), (1,), const=v)
+            assert plan == (1, 0, (("units", (v,)), ("ratio", 1)), ())
+            assert type(plan[0]) is int and _owes(ctx, plan, 1, 0, (1,))
     assert {(family, i) for family, i, _ in met} == {
         (family, i) for family, max_i in _FAMILY_MAX_I.items()
         for i in range(max_i + 1)}
@@ -634,10 +648,10 @@ def test_quotient_plans_are_the_units_then_one_ratio_per_scale(ctx):
 def test_a_constant_scales_every_coefficient_of_a_quotient(const):
     # const is applied at the product's last step, one scaling per row
     ctx = TwistContext.from_orders(3, 1, 4)
-    for t_power, units, scales in _cases((1, 1, 2)):
-        q = factor_quotient(ctx, t_power, units, scales, TOP)
-        assert factor_quotient(ctx, t_power, units, scales, TOP,
-                               const) == tuple(c * const for c in q)
+    for *_, units, scales in _cases((1, 1, 2)):
+        q = keyed_quotient(ctx, quotient_plan(units, scales), TOP)
+        assert keyed_quotient(ctx, quotient_plan(units, scales, const=const),
+                              TOP) == _scaled(q, const)
 
 
 def test_product_takes_stored_tables_of_its_field_only():
@@ -673,22 +687,23 @@ def test_grid_has_none_some_and_all_denominators_vanishing():
     for d, char, order in CONTEXTS:
         ctx = TwistContext.from_orders(d, char, order)
         for w in WEIGHTS:
-            for _, _, scales in _cases(w):
+            for *_, scales in _cases(w):
                 k = _vanishing(ctx, scales)
                 seen.add("none" if k == 0 else "all" if k == len(scales)
                          else "some")
     assert seen == {"none", "some", "all"}
 
 
-@pytest.mark.parametrize("t_power,units,scales", [
-    (0, (), (1,)),
-    (0, (1,), (1, 2)),
-    (1, (), (1, 1)),
+@pytest.mark.parametrize("t_power,keys", [
+    (0, (("ratio", 1),)),
+    (0, (("units", (1,)), ("ratio", 1), ("ratio", 2))),
+    (1, (("ratio", 1), ("ratio", 1))),
 ])
-def test_an_owed_t_that_does_not_divide_raises(t_power, units, scales):
+def test_an_owed_t_that_does_not_divide_raises(t_power, keys):
+    # a plan written by hand with a power of t below quotient_plan's
     ctx = TwistContext.from_orders(1, 0, 1)    # every unit vanishes at t = 0
     with pytest.raises(ValueError, match="not divisible"):
-        factor_quotient(ctx, t_power, units, scales, 4)
+        keyed_quotient(ctx, (1, t_power, keys, ()), 4)
 
 
 def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
@@ -728,8 +743,9 @@ def test_each_factor_is_built_once_and_every_order_multiplies(monkeypatch):
     exact_quotient = symmetry.keyed_quotient
 
     def quotient(ctx, plan, *args):
-        units = next(key[1] for key in plan[3] if key[0] == "units")
-        calls.append([units, plan[2], 0, None])
+        units = next(key[1] for key in plan[2] if key[0] == "units")
+        calls.append([units, tuple(key[1] for key in plan[2]
+                                   if key[0] == "ratio"), 0, None])
         return exact_quotient(ctx, plan, *args)
     monkeypatch.setattr(symmetry, "keyed_quotient", quotient)
 

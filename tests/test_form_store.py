@@ -71,7 +71,7 @@ def test_a_served_form_equals_a_fresh_evaluation_at_every_lower_n(
         for n in range(N, -1, -1):
             for plan in plans:
                 assert symmetry._form(ctx, plan, n) == (
-                    dict(plan[4]), keyed_quotient(fresh, plan, n)), (
+                    dict(plan[3]), keyed_quotient(fresh, plan, n)), (
                     ctx, plan, n)
                 checked += 1
         # served by slices: nothing evaluated, no entry shortened
@@ -92,15 +92,16 @@ def test_a_longer_request_replaces_the_one_entry_of_its_plan():
 
 
 def test_what_raises_raises_at_every_n_and_stores_nothing():
-    # every unit vanishes at t = 0 at d = 1, xi = 1: a quotient with no t
-    # power over one scale owes a t that does not divide, at every n
+    # every unit vanishes at t = 0 at d = 1, xi = 1: a plan written by
+    # hand with no t power over a unit and two scales owes a t that does
+    # not divide, at every n
     ctx = TwistContext.from_orders(1, 0, 1)
-    owing = quotient_plan(1, 0, (1,), (1, 2))
+    owing = (1, 0, (("units", (1,)), ("ratio", 1), ("ratio", 2)), ())
     for n in range(6):
         with pytest.raises(ValueError, match="not divisible"):
             symmetry._form(ctx, owing, n)
     assert ctx._forms == {}
-    gf = quotient_plan(1, 1, (), (1,))
+    gf = quotient_plan((), (1,))
     stored = symmetry._form(ctx, gf, 4)[1]
     for n in (-1, -3):
         with pytest.raises(ValueError, match="truncation must be >= 0"):
@@ -114,7 +115,7 @@ def test_the_store_lives_and_dies_with_its_context():
     # only its context holds the store, and a context of other values
     # made after one dies, at what may be the same address, reads its own
     # forms, never the dead one's
-    plan = quotient_plan(1, 1, (), (1,))
+    plan = quotient_plan((), (1,))
     for k in range(12):
         ctx = TwistContext.from_orders(3, 1, (3, 4, 6)[k % 3])
         assert ctx._forms == {}

@@ -1,11 +1,15 @@
 """Seeded sweep of the symmetry theorems and the expansion forms at random
-points outside the acceptance grid.
+points outside the acceptance grid, and the same checks at imprimitive
+characters.
 
-Each point draws d <= 12, a character mod d, xi of order <= 12 (with a
-random exponent coprime to the order), weights <= 7 and n <= 8, then checks
-verify_theorem for every theorem id and expansion_consistency_check for every
-form.  The sweep takes minutes, so it is marked slow and skipped by default;
-run it with `pytest -m slow`.
+Each seeded point draws d <= 12, a character mod d, xi of order <= 12 (with
+a random exponent coprime to the order), weights <= 7 and n <= 8, then
+checks verify_theorem for every theorem id and expansion_consistency_check
+for every form.  The sweep takes minutes, so its points are marked slow and
+skipped by default; run them with `pytest -m slow`.  The imprimitive points
+run by default: every imprimitive character mod d in {6, 8, 9, 10, 12},
+where the acceptance grid has primitive characters only, xi of order 1-4 at
+every exponent coprime to its order, its weight triples and n = 4.
 """
 
 import math
@@ -42,13 +46,24 @@ def _points():
     return points
 
 
+def _imprimitive_points():
+    return [(d, idx, r, e, w, 4) for d in (6, 8, 9, 10, 12)
+            for idx, chi in enumerate(enumerate_characters(d))
+            if not chi.is_primitive
+            for r in GRID_XI for e in range(1, r + 1) if math.gcd(e, r) == 1
+            for w in GRID_W[1:]]
+
+
 def _id(point):
     d, idx, r, e, w, n = point
     return f"d{d}-chi{idx}-xi{e}of{r}-w{'.'.join(map(str, w))}-n{n}"
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("point", _points(), ids=_id)
+@pytest.mark.parametrize("point", [
+    *(pytest.param(point, marks=pytest.mark.slow, id=_id(point))
+      for point in _points()),
+    *(pytest.param(point, id="imprimitive-" + _id(point))
+      for point in _imprimitive_points())])
 def test_offgrid_point(point):
     d, idx, r, e, w, n = point
     ctx = TwistContext.from_orders(d, idx, r, e)

@@ -39,7 +39,8 @@ from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 _check_plan, _quotient_form, _quotient_plan,
                                 _row_form, _row_plan, row_operands)
 
-from symmetry_helpers import distinct_orders, owed_shift, plan_groups
+from symmetry_helpers import (PAPER_PREFACTORS, distinct_orders, owed_shift,
+                              plan_groups)
 
 CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
             for char in range(len(enumerate_characters(d)))
@@ -54,7 +55,7 @@ ROTATED_W = tuple(dict.fromkeys(w[k:] + w[:k] for w in THEOREM_W
 ARITHMETIC = [(cyclo, "product"), (bernoulli, "product"),
               (cyclo, "_row_times"), (cyclo, "dot"), (bernoulli, "dot"),
               (bernoulli, "_apostol_table"), (bernoulli, "factor_table"),
-              (bernoulli, "factor_quotient"), (bernoulli, "keyed_quotient"),
+              (bernoulli, "keyed_quotient"),
               (symmetry, "keyed_quotient"),
               (bernoulli, "_bpoly"), (symmetry, "_bpoly"),
               (bernoulli, "power_sums"), (bernoulli, "_build"),
@@ -71,16 +72,18 @@ def _forbid(monkeypatch):
 
 
 def _row_keys(ctx, row, v):
-    """(const, scales, t_power, keys, pieces) of a row, its operands
-    derived afresh and checked against its memoized plan, whose keys are
-    one ratio per sorted scale, then the sorted sum keys as written."""
+    """(const, scales, t_power, keys, pieces) of a row's plan, its
+    operands derived afresh, the entry's const as transcribed, and checked
+    against its memoized plan, whose keys are one ratio per sorted scale,
+    then the sorted sum keys as written."""
     entry = _ROWS[row]
     const, scales, sums, exp = row_operands(entry, ctx.d, v)
     plan = _row_plan(entry, ctx.d, v)
-    assert plan == (const, len(scales), tuple(sorted(scales)), tuple(
+    assert const == entry(*v, ctx.d)[0]
+    assert plan == (const * math.prod(scales), len(scales), tuple(
         [("ratio", c) for c in sorted(scales)]
         + sorted(sums)), tuple(sorted(exp)))
-    return const, scales, plan[1], plan[3], entry(*v, ctx.d)
+    return plan[0], scales, plan[1], plan[2], entry(*v, ctx.d)
 
 
 def test_operands_reach_no_arithmetic(monkeypatch):
@@ -105,11 +108,11 @@ def test_operands_reach_no_arithmetic(monkeypatch):
                 rows += 1
             for family, max_i in _FAMILY_MAX_I.items():
                 for i in range(max_i + 1):
-                    _, t_power, units, scales, _, _ = _QUOTIENTS[family](
-                        *v, i)
+                    _, scales, _ = _QUOTIENTS[family](*v, i)
                     plan = _quotient_plan.__wrapped__(_QUOTIENTS[family], i, v)
-                    assert plan[1] == t_power and plan[3]
-                    assert owed_shift(ctx, t_power, scales) <= t_power
+                    assert plan[:2] == PAPER_PREFACTORS[family](*v, i)
+                    assert plan[2] and owed_shift(ctx, plan[1], scales) \
+                        <= plan[1]
                     quotients += 1
     assert rows == len(CONTEXTS) * len(ORDERS) * len(_ROWS)
     assert quotients == len(CONTEXTS) * len(ORDERS) * sum(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistbern import symmetry
 from twistbern.bernoulli import (TwistContext, bernoulli_numbers,
                                  powersum_gf_check)
 from twistbern.series import PowerSeries
@@ -17,6 +18,30 @@ from twistbern.sympoly import SymPoly, monomial
 CLASSICAL = TwistContext.from_orders(1, 0, 1, 1)
 TWISTED4 = TwistContext.from_orders(4, 1, 4, 1)    # d=4 nonprincipal, xi=zeta_4
 TWISTED3 = TwistContext.from_orders(3, 1, 3, 1)    # d=3 primitive, xi=zeta_3
+
+
+def _exp_scaled(entry, wrong):
+    """The _QUOTIENTS entry with each exp scale s replaced by
+    wrong(s, w1)."""
+    def scaled(w1, w2, w3, i):
+        units, scales, exp = entry(w1, w2, w3, i)
+        return units, scales, tuple((y, wrong(s, w1)) for y, s in exp)
+    return scaled
+
+
+_QUOTIENT_PLAN = symmetry._quotient_plan
+
+
+def _misplanned(entry, field, wrong):
+    """symmetry._quotient_plan with the number plan[field] (0 the derived
+    constant, 1 the derived power of t) of entry's plan at w replaced by
+    wrong(it, w1); the plans of every other entry as they are."""
+    def planner(at, i, w):
+        plan = list(_QUOTIENT_PLAN(at, i, w))
+        if at is entry:
+            plan[field] = wrong(plan[field], w[0])
+        return tuple(plan)
+    return planner
 
 
 def test_quotient_series_degenerate_unit():
@@ -251,7 +276,6 @@ def test_bernoulli_table_reuse_through_twists():
 
 
 def test_failure_details_name_the_first_differing_monomial(monkeypatch):
-    from twistbern import symmetry
     rows = dict(symmetry._ROWS)
     # wrong rows: the third argument of triple_bernoulli scaled by w1, not
     # w3 (no longer symmetric), and the constant of swap-variant-1 doubled
@@ -289,8 +313,7 @@ def test_failure_details_name_the_first_differing_monomial(monkeypatch):
     # then the single exp scale plus 1 (no longer the rescaled pairwise one)
     quotients = dict(symmetry._QUOTIENTS)
     pairwise, single = quotients["pairwise"], quotients["single"]
-    quotients["pairwise"] = lambda w1, w2, w3, i: (
-        *pairwise(w1, w2, w3, i)[:5], pairwise(w1, w2, w3, i)[5] * w1)
+    quotients["pairwise"] = _exp_scaled(pairwise, operator.mul)
     monkeypatch.setattr(symmetry, "_QUOTIENTS", quotients)
     # at d = 1, t^1 of pairwise i = 0 holds q_0 = 1 times the exp scale
     # 6*w1 at each of y1, y2, y3; (1, 3, 2) keeps w1, so (2, 1, 3) differs
@@ -300,26 +323,27 @@ def test_failure_details_name_the_first_differing_monomial(monkeypatch):
     assert rep.detail == ("w-order (2, 1, 3) differs from w-order (1, 2, 3) "
                           "at t^1, y3: 12 vs 6")
     quotients["pairwise"] = pairwise
-    quotients["single"] = lambda w1, w2, w3, i: (
-        *single(w1, w2, w3, i)[:5], single(w1, w2, w3, i)[5] + 1)
+    quotients["single"] = _exp_scaled(single, lambda s, w1: s + 1)
     # pairwise (6, 3, 2) has the exp scale 36; the single one 6 + 1, and
     # its t^1 coefficient is rescaled by w1*w2*w3 = 6
     rep = substitution_check(QuotientSpec("single", 0, (1, 2, 3), CLASSICAL), 3)
     assert not rep.passed
     assert rep.detail == "pairwise vs rescaled single at t^1, y3: 36 vs 42"
 
-    # equal scale vectors, unequal scalars: the single prefactor times w1
-    # (no longer symmetric) or times 2 (no longer the rescaled pairwise
-    # one), and the constant of bernoulli_bernoulli_powersum doubled
-    quotients["single"] = lambda w1, w2, w3, i: (
-        single(w1, w2, w3, i)[0] * w1, *single(w1, w2, w3, i)[1:])
+    # equal scale vectors, unequal scalars: the single family's derived
+    # constant times w1 (no longer symmetric) or times 2 (no longer the
+    # rescaled pairwise one), and the constant of
+    # bernoulli_bernoulli_powersum doubled
+    quotients["single"] = single
+    monkeypatch.setattr(symmetry, "_quotient_plan",
+                        _misplanned(single, 0, operator.mul))
     rep = permutation_invariance_check(
         QuotientSpec("single", 1, (1, 2, 3), TWISTED4), 3)
     assert not rep.passed
     assert rep.detail == ("w-order (2, 1, 3) differs from w-order (1, 2, 3) "
                           "at t^1, 1: 2 vs 1")
-    quotients["single"] = lambda w1, w2, w3, i: (
-        single(w1, w2, w3, i)[0] * 2, *single(w1, w2, w3, i)[1:])
+    monkeypatch.setattr(symmetry, "_quotient_plan",
+                        _misplanned(single, 0, lambda c, w1: c * 2))
     rep = substitution_check(QuotientSpec("single", 0, (1, 2, 3), CLASSICAL), 3)
     assert not rep.passed
     assert rep.detail == "pairwise vs rescaled single at t^0, 1: 1 vs 2"
@@ -347,7 +371,6 @@ def test_invariance_builds_one_form_per_plan_group(monkeypatch):
     # builds the first order of each group of its plan.  Forms are built
     # from plans (symmetry._form), so each built form is named by the plan
     # of the order it stands for
-    from twistbern import symmetry
     built = []
     real = symmetry._form
 
@@ -365,17 +388,16 @@ def test_invariance_builds_one_form_per_plan_group(monkeypatch):
         assert permutation_invariance_check(
             QuotientSpec("pairwise", 1, w, TWISTED4), 3).passed
         assert built == plans([w])
-    # the prefactor times w1, the t power plus w1 or the exp scale times
-    # w1: one group per value of w1
+    # the derived constant times w1, the derived t power plus w1 or the
+    # exp scale times w1: one group per value of w1
     quotients = dict(symmetry._QUOTIENTS)
     monkeypatch.setattr(symmetry, "_QUOTIENTS", quotients)
     pairwise = quotients["pairwise"]
-    for field, wrong in ((0, operator.mul), (1, operator.add),
-                         (5, operator.mul)):
-        def entry(w1, w2, w3, i, field=field, wrong=wrong):
-            row = list(pairwise(w1, w2, w3, i))
-            row[field] = wrong(row[field], w1)
-            return tuple(row)
+    for planner, entry in (
+            (_misplanned(pairwise, 0, operator.mul), pairwise),
+            (_misplanned(pairwise, 1, operator.add), pairwise),
+            (_QUOTIENT_PLAN, _exp_scaled(pairwise, operator.mul))):
+        monkeypatch.setattr(symmetry, "_quotient_plan", planner)
         quotients["pairwise"] = entry
         for w, firsts in (((1, 2, 3), [(1, 2, 3), (2, 1, 3), (3, 1, 2)]),
                           ((1, 1, 2), [(1, 1, 2), (2, 1, 1)]),
@@ -391,7 +413,6 @@ def test_a_replaced_quotient_entry_is_planned_afresh(monkeypatch):
     # the plans of the real entries are warmed first, in an emptied memo,
     # each one group; a plan memoized by family name would serve that group
     # to a replaced entry, build one form and pass
-    from twistbern import symmetry
     symmetry._check_plan.cache_clear()
     specs = {"pairwise": QuotientSpec("pairwise", 0, (1, 2, 3), CLASSICAL),
              "single": QuotientSpec("single", 1, (1, 2, 3), TWISTED4)}
@@ -403,15 +424,16 @@ def test_a_replaced_quotient_entry_is_planned_afresh(monkeypatch):
     quotients = dict(symmetry._QUOTIENTS)
     pairwise, single = quotients["pairwise"], quotients["single"]
     monkeypatch.setattr(symmetry, "_QUOTIENTS", quotients)
-    # the pairwise exp scale times w1, then the single prefactor times w1
-    quotients["pairwise"] = lambda w1, w2, w3, i: (
-        *pairwise(w1, w2, w3, i)[:5], pairwise(w1, w2, w3, i)[5] * w1)
+    # the pairwise exp scale times w1, then a single entry of the real
+    # operands whose derived constant is planned times w1
+    quotients["pairwise"] = _exp_scaled(pairwise, operator.mul)
     rep = permutation_invariance_check(specs["pairwise"], 3)
     assert rep.detail == ("w-order (2, 1, 3) differs from w-order (1, 2, 3) "
                           "at t^1, y3: 12 vs 6")
     quotients["pairwise"] = pairwise
-    quotients["single"] = lambda w1, w2, w3, i: (
-        single(w1, w2, w3, i)[0] * w1, *single(w1, w2, w3, i)[1:])
+    quotients["single"] = replaced = lambda *args: single(*args)
+    monkeypatch.setattr(symmetry, "_quotient_plan",
+                        _misplanned(replaced, 0, operator.mul))
     rep = permutation_invariance_check(specs["single"], 3)
     assert rep.detail == ("w-order (2, 1, 3) differs from w-order (1, 2, 3) "
                           "at t^1, 1: 2 vs 1")
