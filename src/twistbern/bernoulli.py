@@ -12,7 +12,8 @@ as in the paper, numerator units, each over ct, and one p-adic integral
 c t I_c per scale c, I_c the ("ratio", c) table (over t where
 xi^(dc) = 1), and a table row is one with no units whose Bernoulli pieces
 are scales: ``quotient_plan`` derives its constant and power of t, and
-``keyed_quotient`` evaluates it as one ``cyclo.product`` of stored
+``keyed_quotient``, the one evaluator, keeps it in the context's form
+store and evaluates it as one ``cyclo.product`` of stored
 ``cyclo.RowTable``s, one table of the units in closed form, one ratio
 table per scale and a row's character-sum tables.
 The integral of scale 1, d^-v T(t) g_lambda(dt) (T the character sum,
@@ -21,11 +22,11 @@ Apostol-Bernoulli generating function), is the package's one division:
 one table per twist, built by ``_ratio_table`` in the small field
 Q(zeta_R), R the order of lambda, where that is a proper subfield of
 Q(zeta_L) and phi(L) > 2, and otherwise in Q(zeta_L).  It has three
-readers: bernoulli_gf is t^(1-v) times it; since rescaling t by c is
+readers: bernoulli_gf is the plan of t I_1; since rescaling t by c is
 replacing xi by xi^c, the ratio table of a scale c != 1 is the table of
 the twist xi^c (one per class c mod xi's order, kept in the twist's
 context) read at t -> ct; and a row's Bernoulli seed [c^j B_j/j!] is
-c t^(1-v) times that ratio.  Each g_u reads the one table of its order R,
+the plan of c t I_c.  Each g_u reads the one table of its order R,
 that of zeta_R, kept by Q(zeta_R).  Every such table is built to exactly
 the length asked, and rebuilt, never doubled, when a longer one is asked
 for.  A consequence pinned by the tests: B_0 = 0 whenever xi^d != 1.
@@ -50,18 +51,17 @@ class TwistContext:
     Values are immutable; per-context caches are filled lazily and are safe
     for concurrent reads once built: the Bernoulli numbers (_bern), the
     power-sum tables per bound (_psums), the twisted contexts (_twists),
-    and the factor tables of factor_table (_factors), which quotients and
-    symmetry's rows read, among them one units table per multiset of
-    numerator units, one ratio table per scale (of a quotient or a row's
-    Bernoulli piece), and the sum and shift tables of the rows' pieces,
-    each a RowTable stored in that one form, the forms symmetry._form has
-    evaluated (_forms: plan -> its keyed_quotient to the longest t^n asked,
+    and the factor tables of factor_table (_factors), which plans read,
+    among them one units table per multiset of numerator units, one ratio
+    table per scale and the sum tables of the rows' pieces, each a
+    RowTable stored in that one form, the forms keyed_quotient has
+    evaluated (_forms: plan -> its coefficients to the longest t^n asked,
     one entry per plan, whose slices serve every shorter n), and xi's JSON
-    for params() (_xi_json).  The ("ratio", 1) table is the
-    context's one scale-1 table: _bern reads it, and so do the ratio tables
-    (at t -> ct) of every scale c whose twist xi^c this context is.  The
-    Apostol tables it reads are kept by Q(zeta_R), one per root order R,
-    and shared by every context of every field.  xi and
+    for params() (_xi_json).  The ("ratio", 1) table is the context's one
+    scale-1 table: the Bernoulli GF's plan reads it, and so do the ratio
+    tables (at t -> ct) of every scale c whose twist xi^c this context is.
+    The Apostol tables it reads are kept by Q(zeta_R), one per root order
+    R, and shared by every context of every field.  xi and
     each chi(a) are kept as exponents of zeta_M (_xi_root, _chi_roots),
     and no power of xi is stored: xi_pow reads it from the field's root
     cache, which holds only the roots asked for.
@@ -247,16 +247,11 @@ def _build(ctx: TwistContext, key: tuple, upto: int) -> RowTable:
 
 def _bpoly(ctx: TwistContext, c: int, k: int) -> RowTable:
     """The seed [c^j B_j / j!] to j = k of a B piece of twist exponent c,
-    B_j the Bernoulli numbers of xi^c, stored nowhere: c t^(1-v) times the
-    ("ratio", c) table, v = 1 iff xi^(dc) = 1, whose coefficient i is
-    c^(i-v) B_(i+1-v)/(i+1-v)! of the twist, so row j is c times its row
-    j - 1 + v, over its denominator, brought to lowest terms by one gcd.
-    A row reads that table itself, c in its const and t^(1-v) its shift."""
-    s = _unit_root(ctx, c) != 0  # 1 - v
-    g = factor_table(ctx, ("ratio", c), max(k - s, 0))
-    return _lowest(ctx.field, [(j + s, [x * c for x in row])
-                               for j, row in _head(g.rows, k + 1 - s)],
-                   g.den, k + 1)
+    B_j the Bernoulli numbers of xi^c, as a RowTable: the plan of the
+    p-adic integral c t I_c of scale c, which a row reads as one of its
+    scales."""
+    return _rows(ctx.field, keyed_quotient(ctx, quotient_plan((), (c,)), k),
+                 k + 1)
 
 
 def _unit_root(ctx: TwistContext, c: int) -> int:
@@ -318,7 +313,8 @@ def _ratio_by_row_product(ctx: TwistContext, build: int) -> RowTable:
     """_ratio_table in Q(zeta_L): the ("sum", 1, d - 1, 1) table, built
     unstored where none is stored long enough, times the unit's inverse."""
     n = build + 1
-    table = ctx._factors.get(("sum", 1, ctx.d - 1, 1))
+    [key] = quotient_plan((), (), ((1, ctx.d - 1, 1),))[2]
+    table = ctx._factors.get(key)
     if table is None or len(table) < n:
         table = char_sum_series(ctx, 1, build)
     rows, den = _row_times(ctx.field, _head(table.rows, n), table.den,
@@ -396,30 +392,26 @@ def _apostol_table(field, f: int, upto: int) -> RowTable:
         for k, row in _head(g.rows, upto + 1)], g.den, upto + 1)
 
 
-def _times_t(field, q, shift: int, truncation: int) -> tuple:
-    """t^shift * q to t^truncation; ValueError unless t^-shift divides q."""
-    if shift < 0:
-        if any(q[:-shift]):
-            raise ValueError(f"not divisible by t^{-shift}")
-        return tuple(q[-shift:])
-    return ((field.zero,) * shift + tuple(q))[:truncation + 1]
-
-
 def quotient_plan(units: tuple, scales: tuple, sums: tuple = (),
                   exp: tuple = (), const=1) -> tuple:
     """The plan (const', t_power, keys, exp) of const times the unit
     xi^(dc) e^(dct) - 1 over ct per c in units, the p-adic integral
-    c t I_c of chi(x) xi^(cx) e^(cxt) per c in scales, the tables of the
-    sum keys sums and e^{(s.y) t}, s_y = exp[y]: its operands as a sorted
-    multiset, with no context, and the numbers they fix, computed here
-    only: const' = const prod(scales) / prod(units), an int where it is
-    integral, and t_power = #scales - #units.  The keys are ("units", cs),
-    cs the sorted units, if any, then ("ratio", c) per sorted scale, then
-    the sorted sums.  Equal plans are equal forms at every context."""
+    c t I_c of chi(x) xi^(cx) e^(cxt) per c in scales, the character sum
+    sum_{a<=bound} chi(a) xi^(am) e^(a sigma t) per (m, bound, sigma) in
+    sums and e^{(s.y) t}, s_y = exp[y]: its operands as a sorted multiset
+    of factor_table keys, with no context, and the numbers they fix,
+    computed here only: const' = const prod(scales) / prod(units), an int
+    where it is integral, and t_power = #scales - #units.  The keys are
+    ("units", cs), cs the sorted units, if any, then ("ratio", c) per
+    sorted scale, then the sorted ("sum", m, bound, sigma), sigma an int
+    where it is integral: the one speller of every key.  Equal plans are
+    equal forms at every context."""
     num = const.numerator * math.prod(scales)
     den = const.denominator * math.prod(units)
     keys = [("units", tuple(sorted(units)))] if units else []
-    keys += [("ratio", c) for c in sorted(scales)] + sorted(sums)
+    keys += [("ratio", c) for c in sorted(scales)] + sorted(
+        ("sum", m, bound, sigma.numerator if sigma.denominator == 1
+         else sigma) for m, bound, sigma in sums)
     return (num // den if num % den == 0 else Fraction(num, den),
             len(scales) - len(units), tuple(keys), tuple(sorted(exp)))
 
@@ -428,11 +420,14 @@ def keyed_quotient(ctx: TwistContext, plan: tuple, truncation: int) -> tuple:
     """The coefficients of a ``quotient_plan``, its exp aside, to
     t^truncation: const t^shift times one ``cyclo.product`` of its keys'
     tables in plan order, shift its t power less one per ("ratio", c) key
-    with xi^(dc) = 1 (whose table is t I_c).  The one evaluator of every
-    form; it divides nothing and keeps nothing but the tables it reads
-    (``symmetry._form`` keeps its result in the context), and raises
-    ValueError where truncation < 0 or an owed power of t does not
-    divide, at every truncation alike."""
+    with xi^(dc) = 1.  The one evaluator of every form and the owner of
+    the context's form store (``TwistContext``): an entry to t^m serves
+    every truncation <= m by a slice, and a missing or shorter one is
+    evaluated and replaces it.  truncation < 0 and an owed power of t
+    that does not divide raise ValueError and store nothing."""
+    F = ctx._forms.get(plan, ())
+    if len(F) > truncation >= 0:
+        return F[:truncation + 1]
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     const, shift, keys, _ = plan
@@ -442,17 +437,21 @@ def keyed_quotient(ctx: TwistContext, plan: tuple, truncation: int) -> tuple:
     length = max(truncation - shift, 0)
     q = product(ctx.field, [factor_table(ctx, key, length) for key in keys],
                 length + 1, const)
-    return _times_t(ctx.field, q, shift, truncation)
+    if shift < 0:
+        if any(q[:-shift]):
+            raise ValueError(f"not divisible by t^{-shift}")
+        F = tuple(q[-shift:])
+    else:
+        F = ((ctx.field.zero,) * shift + tuple(q))[:truncation + 1]
+    ctx._forms[plan] = F
+    return F
 
 
 def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     """The coefficients of the Bernoulli generating function
     t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}:
-    t^(1-v) times the context's ("ratio", 1) table (``factor_table``,
-    built by ``_ratio_table``), v = 1 iff xi^d = 1."""
-    v = _unit_root(ctx, 1) == 0
-    q = factor_table(ctx, ("ratio", 1), max(truncation - 1 + v, 0))
-    return _times_t(ctx.field, q.elements(), 1 - v, truncation)
+    the plan of the p-adic integral t I_1 of scale 1."""
+    return keyed_quotient(ctx, quotient_plan((), (1,)), truncation)
 
 
 class BernoulliTable:

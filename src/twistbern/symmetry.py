@@ -24,13 +24,13 @@ e^(cxt) per scale c, c t times the ("ratio", c) table; a table row is a
 quotient with no units whose Bernoulli pieces are scales, times its
 transcribed constant and character-sum tables.  Every form is planned
 before it multiplies, with no field arithmetic: ``bernoulli.quotient_plan``
-states its operands as a sorted multiset of factor_table keys, one
-spelling per key, and derives its constant and power of t from them, once
-per (entry, d or i, w), by ``_row_plan`` or ``_quotient_plan``.  A check
-groups its weight orders by plan (``_check_plan``) and ``_form``
-evaluates each plan once (``bernoulli.keyed_quotient``), ``compared`` in
-its report, and keeps it in the context's form store, whose entry to t^n
-serves the plan at every lower n by a slice.  Every check decides on
+states its operands as a sorted multiset of factor_table keys, spelling
+each key, and derives its constant and power of t from them, once per
+(entry, d or i, w), by ``_row_plan`` or ``_quotient_plan``.  A check
+groups its weight orders by plan (``_check_plan``) and ``_form`` reads
+each plan once from ``bernoulli.keyed_quotient``, the one evaluator,
+whose form store serves the plan at every lower n by a slice;
+``compared`` counts them in its report.  Every check decides on
 forms: equal forms lift to equal SymPolys, so only unequal forms are
 lifted (by ``sympoly.lift``) for ``first_mismatch`` to decide; a
 theorem's report makes those lifts and keeps them, and lifts the rest of
@@ -123,16 +123,10 @@ def _quotient_plan(entry, i: int, w: tuple) -> tuple:
 
 
 def _form(ctx: TwistContext, plan: tuple, n: int) -> tuple:
-    """The form (scales, F[:n+1]) of a plan at ctx: its exp as a dict and
-    ``keyed_quotient``, where n < 0 or a failed cancellation of t raises.
-    The one evaluator of every check's forms.  F is kept in the context's
-    store (ctx._forms), one entry per plan: truncation commutes with the
-    product, so an F stored to t^n' serves every n <= n' by a slice, and
-    a missing or shorter one is evaluated at n and replaces the entry."""
-    F = ctx._forms.get(plan, ())
-    if len(F) <= n or n < 0:
-        F = ctx._forms[plan] = keyed_quotient(ctx, plan, n)
-    return dict(plan[3]), F[:n + 1]
+    """The form (scales, F[:n+1]) of a plan at ctx: its exp pairs
+    (slot, s_y) and ``keyed_quotient``, which keeps F in the context's
+    form store and raises where n < 0 or a cancellation of t fails."""
+    return plan[3], keyed_quotient(ctx, plan, n)
 
 
 def _quotient_form(spec: QuotientSpec, truncation: int) -> tuple:
@@ -148,7 +142,7 @@ def quotient_series(spec: QuotientSpec, truncation: int) -> PowerSeries:
     return PowerSeries(_series(*_quotient_form(spec, truncation)))
 
 
-def _series(scales: dict, q) -> tuple:
+def _series(scales: tuple, q) -> tuple:
     """The SymPoly coefficients of a quotient form (scales, q), one lift
     per t^n."""
     return tuple(sympoly.lift(scales, q, n, Fraction(1, math.factorial(n)))
@@ -171,12 +165,11 @@ def _series(scales: dict, q) -> tuple:
 # So the row is n! [t^n] of const * prod_i sum_k piece_i(k) (c_i t)^k / k!.
 # As sum_k B_k(x) t^k / k! = e^{xt} sum_j B_j t^j / j!, a B piece's series is
 # e^{c*u*y_slot*t} times its seed sum_j c^j B_j t^j / j!, the p-adic
-# integral c t^(1-v) times the ("ratio", c) table, v = 1 iff xi^(dc) = 1,
-# times one character sum per sums entry,
-# sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t}: the factor table
-# ("sum", m, A - 1, s*c/q).  An S piece is the factor table
-# ("sum", c, bound, c), sum_{a<=bound} chi(a) xi^(ca) e^(cat), which a shift
-# with s*c/q = m shares, s*c/q an int where integral.  So the row is
+# integral c t I_c of scale c, times one character sum per sums entry,
+# sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t}: the sum (m, A - 1, s*c/q).  An
+# S piece is the sum (c, bound, c), sum_{a<=bound} chi(a) xi^(ca) e^(cat),
+# which a shift with s*c/q = m shares, as quotient_plan spells both keys
+# alike.  So the row is
 # e^{(sum_i c_i u_i y_slot_i) t} times a quotient with no units
 # (row_operands): one ``cyclo.product``, with no shift point visited and no
 # polynomial product.
@@ -238,22 +231,19 @@ def row_operands(entry, d: int, w: tuple) -> tuple:
     """(const, scales, sums, exp) of the _ROWS entry at the weights w,
     modulus d, with no arithmetic: e^{(s.y) t}, s_y = exp[y], times const
     as transcribed, the p-adic integral of each c in scales and the sums.
-    A B piece adds c to scales, a ("sum", m, A - 1, s*c/q) per shift entry,
-    an int where integral, and c*u to its slot's exp; an S piece adds
-    ("sum", c, bound, c)."""
+    A B piece adds c to scales, a sum (m, A - 1, s*c/q) per shift entry,
+    and c*u to its slot's exp; an S piece adds the sum (c, bound, c), as
+    ``quotient_plan`` reads them."""
     const, pieces = entry(*w, d)
     scales, sums, exp = [], [], {}
     for desc in pieces:
         if desc[0] == "B":
             _, c, u, slot, shifts = desc
             scales.append(c)
-            for A, m, s, q in shifts:
-                sigma = Fraction(s * c, q)
-                sums.append(("sum", m, A - 1, sigma if sigma.denominator > 1
-                             else sigma.numerator))
+            sums += [(m, A - 1, Fraction(s * c, q)) for A, m, s, q in shifts]
             exp[slot] = exp.get(slot, 0) + c * u
         else:
-            sums.append(("sum", desc[1], desc[2], desc[1]))
+            sums.append((desc[1], desc[2], desc[1]))
     return const, tuple(scales), tuple(sums), tuple(exp.items())
 
 
@@ -505,7 +495,7 @@ def substitution_check(spec: QuotientSpec, truncation: int) -> CheckReport:
     scales, q = _quotient_form(
         QuotientSpec("single", spec.i, spec.w, spec.context.twist(big)),
         truncation)
-    rescaled = ({y: s * big for y, s in scales.items()},
+    rescaled = (tuple((y, s * big) for y, s in scales),
                 tuple(c * big**n for n, c in enumerate(q)))
     detail = None if lhs == rescaled else first_mismatch([(
         "pairwise vs rescaled single", _series(*lhs), _series(*rescaled))])

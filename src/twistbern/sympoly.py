@@ -202,15 +202,15 @@ def monomial(e: tuple) -> str:
                     for v, k in zip(VARIABLES, e) if k) or "1"
 
 
-def lift(scales: dict, F, n: int, factor) -> SymPoly:
-    """factor * n! [t^n] of e^{(s.y) t} F(t), s_y = scales[y] for the
+def lift(scales: tuple, F, n: int, factor) -> SymPoly:
+    """factor * n! [t^n] of e^{(s.y) t} F(t), (y, s_y) in scales for the
     exponent slot y, over F's field: the one writer of SymPoly monomials
     from a form (scales, F).  y^t gets factor * F_{n-|t|} * (n! prod
     s_y^t_y // prod t_y!), an integer weight: one scaling each."""
     fact = [math.factorial(j) for j in range(n + 1)]
     # (exponent key, |t|, prod s_y^t_y, prod t_y!) over the monomials y^t
     monos = [(_ZEXP, 0, 1, 1)]
-    for slot, scale in scales.items():
+    for slot, scale in scales:
         monos = [(key[:slot] + (t,) + key[slot + 1:], deg + t,
                   num * scale**t, den * fact[t])
                  for key, deg, num, den in monos for t in range(n - deg + 1)]

@@ -34,7 +34,8 @@ def seed_form(row: str, ctx, w: tuple, n: int) -> tuple:
     ``cyclo.product`` of a Bernoulli seed ``_bpoly(ctx, c, n)``,
     [c^j B_j / j!], per B piece and of the character-sum tables of its
     shift entries and S pieces, each to t^n, and a B piece adds c*u to its
-    slot's scale."""
+    slot's scale; the scales as sorted (slot, scale) pairs, as a plan's
+    exp."""
     const, pieces = symmetry._ROWS[row](*w, ctx.d)
     tables, scales = [], {}
     for desc in pieces:
@@ -49,7 +50,8 @@ def seed_form(row: str, ctx, w: tuple, n: int) -> tuple:
             _, c, bound = desc
             tables.append(bernoulli.factor_table(ctx, sum_key(c, bound, c),
                                                  n))
-    return scales, tuple(cyclo.product(ctx.field, tables, n + 1, const))
+    return tuple(sorted(scales.items())), tuple(
+        cyclo.product(ctx.field, tables, n + 1, const))
 
 
 def _weighted(power: int, i: int, big: int) -> tuple:

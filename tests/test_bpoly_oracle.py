@@ -4,12 +4,12 @@ A B piece (c, u, slot, sums) of a row contributes the Bernoulli seed
 `symmetry._bpoly(ctx, c, k)`, [c^j B_j / j!], times one character-sum
 factor table per sums entry (A, m, s, q), the series
 sum_{a<A} chi(a) xi^(am) e^{(s*c/q) a t} under the key
-("sum", m, A - 1, s*c/q), a stored RowTable.  The seed is stored nowhere:
-it is c t^(1-v) times the stored ("ratio", c) table, v = 1 iff
-xi^(dc) = 1 (R1, pinned here), which a row multiplies itself.  Both are
-read here through `RowTable.elements`.  Their Cauchy product, formed here
-by a schoolbook loop over element ``*`` and ``+``, holds c^k T_k / k!, and
-no shift point is visited.  The oracle here visits every point:
+("sum", m, A - 1, s*c/q), a stored RowTable.  The seed is the plan of the
+p-adic integral c t I_c: c t^(1-v) times the stored ("ratio", c) table,
+v = 1 iff xi^(dc) = 1 (R1, pinned here), which a row multiplies itself.
+Both are read here through `RowTable.elements`.  Their Cauchy product,
+formed here by a schoolbook loop over element ``*`` and ``+``, holds
+c^k T_k / k!, and no shift point is visited.  The oracle here visits every point:
 T_k = sum_p coef_p * B_k(r_p), each term one `bernoulli_polynomial` at a
 rational point, over the explicit product of the point sets of the piece's
 sums entries.  The y-part of a piece (its u and slot) is checked at the
@@ -63,8 +63,8 @@ def _times(a, b):
 def _piece_table(ctx, c, k, sums):
     """The seed times the shift tables of the piece, to t^k."""
     seed = _bpoly(ctx, c, k)
-    # R1, stored nowhere: the seed is c t^(1-v) ("ratio", c), v = 1 iff
-    # xi^(dc) = 1, built afresh by each call
+    # R1: the seed is c t^(1-v) ("ratio", c), v = 1 iff xi^(dc) = 1, the
+    # plan c t I_c, whose RowTable each call makes afresh
     s = ctx.xi_pow(ctx.d * c) != ctx.field.one  # 1 - v
     ratio = factor_table(ctx, ("ratio", c), k).elements()
     assert len(seed) == k + 1 and _bpoly(ctx, c, k) is not seed

@@ -33,7 +33,7 @@ from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 row_operands, verify_theorem)
 
 from symmetry_helpers import (PAPER_PREFACTORS, distinct_orders,
-                              keys_by_hand, plan_groups)
+                              keys_by_hand, plan_groups, sum_key)
 
 #: the acceptance grid's contexts
 CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
@@ -47,13 +47,13 @@ N_MAX = 6
 
 
 def _row_oracle(entry, ctx, v, n):
-    # the row form from its own operands: a ratio key per B piece, then the
-    # sum keys as the pieces spell them, the transcribed const times c per
-    # B piece
+    # the row form from its own operands: a ratio key per B piece, then a
+    # sum key per sum the pieces list, spelled by sum_key, the transcribed
+    # const times c per B piece, and the exp pairs in slot order
     const, scales, sums, exp = row_operands(entry, ctx.d, v)
-    keys = [("ratio", c) for c in scales] + list(sums)
-    return dict(exp), keys_by_hand(ctx, keys, len(scales), scales, n,
-                                   const * math.prod(scales))
+    keys = [("ratio", c) for c in scales] + [sum_key(*s) for s in sums]
+    return tuple(sorted(exp)), keys_by_hand(ctx, keys, len(scales), scales,
+                                            n, const * math.prod(scales))
 
 
 def _quotient_oracle(family, i, ctx, v, n):
@@ -63,7 +63,8 @@ def _quotient_oracle(family, i, ctx, v, n):
     prefactor, t_power = PAPER_PREFACTORS[family](*v, i)
     keys = [("units", units)] if units else []
     keys += [("ratio", c) for c in scales]
-    return dict(exp), keys_by_hand(ctx, keys, t_power, scales, n, prefactor)
+    return tuple(sorted(exp)), keys_by_hand(ctx, keys, t_power, scales, n,
+                                            prefactor)
 
 
 def _prefix(form, n):

@@ -1,12 +1,13 @@
-"""The form store: each context keeps the forms ``symmetry._form`` has
-evaluated, one entry per plan, at the longest t^n asked.
+"""The form store: each context keeps the forms ``bernoulli.keyed_quotient``
+has evaluated, one entry per plan, at the longest t^n asked.
 
 The paper's identities are identities of whole series, and truncation
 commutes with the product, so a form evaluated to t^n holds its value at
 every n' <= n: a plan stored at length >= n' + 1 is served by the slice
 [:n'+1], and a plan missing or stored shorter is evaluated and replaces
-its entry.  These tests hold every served form on the acceptance grid to
-a fresh context's evaluation, check that n < 0 and a t-power that does not
+its entry.  These tests hold every served form on the acceptance grid,
+the Bernoulli GF's and ``powersum_gf_check``'s side A's among them, to a
+fresh context's evaluation, check that n < 0 and a t-power that does not
 divide raise at every n and store nothing, that the store lives on its
 context (a context of other values, made where a dead one was, reads its
 own forms), and that a reduction check multiplies each distinct plan
@@ -17,8 +18,9 @@ import gc
 
 import pytest
 
-from twistbern import bernoulli, symmetry
-from twistbern.bernoulli import TwistContext, keyed_quotient, quotient_plan
+from twistbern import bernoulli
+from twistbern.bernoulli import (TwistContext, bernoulli_gf, keyed_quotient,
+                                 quotient_plan)
 from twistbern.characters import enumerate_characters
 from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS,
                                 _REDUCTIONS, _ROWS, _quotient_plan,
@@ -29,6 +31,14 @@ from symmetry_helpers import distinct_orders
 #: the acceptance grid's weight triples
 THEOREM_W = ((1, 1, 1), (1, 2, 3), (2, 3, 5))
 N = 4
+#: the Bernoulli GF's plan, the p-adic integral t I_1 of scale 1
+GF = quotient_plan((), (1,))
+
+
+def _side_a(w: int) -> tuple:
+    """powersum_gf_check's side A at w: the unit of w over wt times the
+    integral of scale 1, times w."""
+    return quotient_plan((w,), (1,), const=w)
 
 
 def _contexts():
@@ -40,7 +50,8 @@ def _contexts():
 
 def _plans(d: int) -> list:
     """The distinct plans of every _ROWS entry and every _QUOTIENTS family
-    and index at each weight order of the acceptance triples, modulus d."""
+    and index at each weight order of the acceptance triples, modulus d,
+    then the Bernoulli GF's and side A's at w = 1, 2, 3."""
     plans = {}
     for w in THEOREM_W:
         for v in distinct_orders(w, _PERM6):
@@ -49,43 +60,50 @@ def _plans(d: int) -> list:
             for family, max_i in _FAMILY_MAX_I.items():
                 for i in range(max_i + 1):
                     plans[_quotient_plan(_QUOTIENTS[family], i, v)] = None
+    for plan in (GF, _side_a(1), _side_a(2), _side_a(3)):
+        plans[plan] = None
     return list(plans)
 
 
 def test_a_served_form_equals_a_fresh_evaluation_at_every_lower_n(
         monkeypatch):
-    evaluated = []
-    real = symmetry.keyed_quotient
-    monkeypatch.setattr(symmetry, "keyed_quotient",
-                        lambda *args: evaluated.append(args[1])
-                        or real(*args))
+    products = []
+    real = bernoulli.product
+    monkeypatch.setattr(bernoulli, "product",
+                        lambda *args: products.append(args) or real(*args))
     checked = 0
     for ctx in _contexts():
         plans = _plans(ctx.d)
-        evaluated.clear()
+        products.clear()
         for plan in plans:
-            symmetry._form(ctx, plan, N)
+            keyed_quotient(ctx, plan, N)
         # one evaluation and one entry per plan, each to t^N
-        assert evaluated == plans and list(ctx._forms) == plans
-        fresh = TwistContext(ctx.chi, ctx.xi)
-        for n in range(N, -1, -1):
+        assert len(products) == len(plans) and list(ctx._forms) == plans
+        products.clear()
+        served = {(plan, n): keyed_quotient(ctx, plan, n)
+                  for n in range(N, -1, -1) for plan in plans}
+        gf = [bernoulli_gf(ctx, n) for n in range(N + 1)]
+        # served by slices: nothing evaluated, no entry shortened
+        assert products == []
+        assert all(len(F) == N + 1 for F in ctx._forms.values())
+        for n in range(N + 1):
+            # a fresh context per n evaluates each plan once, at n
+            fresh = TwistContext(ctx.chi, ctx.xi)
             for plan in plans:
-                assert symmetry._form(ctx, plan, n) == (
-                    dict(plan[3]), keyed_quotient(fresh, plan, n)), (
+                assert served[plan, n] == keyed_quotient(fresh, plan, n), (
                     ctx, plan, n)
                 checked += 1
-        # served by slices: nothing evaluated, no entry shortened
-        assert evaluated == plans
-        assert all(len(F) == N + 1 for F in ctx._forms.values())
-        assert fresh._forms == {}
-    assert checked >= 36 * 50 * (N + 1)
+            assert gf[n] == served[GF, n]
+            assert list(fresh._forms) == plans
+            assert all(len(F) == n + 1 for F in fresh._forms.values())
+    assert checked >= 36 * 54 * (N + 1)
 
 
 def test_a_longer_request_replaces_the_one_entry_of_its_plan():
     ctx = TwistContext.from_orders(3, 1, 4)
     plan = _row_plan(_ROWS["bernoulli_shifted_bernoulli"], ctx.d, (1, 2, 3))
     for n, stored in ((2, 3), (1, 3), (5, 6), (3, 6), (5, 6), (6, 7)):
-        scales, F = symmetry._form(ctx, plan, n)
+        F = keyed_quotient(ctx, plan, n)
         assert len(F) == n + 1 and list(ctx._forms) == [plan]
         assert len(ctx._forms[plan]) == stored
         assert F == ctx._forms[plan][:n + 1]
@@ -99,29 +117,34 @@ def test_what_raises_raises_at_every_n_and_stores_nothing():
     owing = (1, 0, (("units", (1,)), ("ratio", 1), ("ratio", 2)), ())
     for n in range(6):
         with pytest.raises(ValueError, match="not divisible"):
-            symmetry._form(ctx, owing, n)
+            keyed_quotient(ctx, owing, n)
     assert ctx._forms == {}
-    gf = quotient_plan((), (1,))
-    stored = symmetry._form(ctx, gf, 4)[1]
+    stored = {plan: keyed_quotient(ctx, plan, 4)
+              for plan in (GF, _side_a(2))}
+    for n in (-1, -3):
+        for plan in (GF, owing, _side_a(2)):
+            with pytest.raises(ValueError, match="truncation must be >= 0"):
+                keyed_quotient(ctx, plan, n)
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            bernoulli_gf(ctx, n)
+    assert ctx._forms == stored
+    # a context with xi^d != 1, whose GF holds no t to cancel
+    ctx = TwistContext.from_orders(3, 1, 1)
     for n in (-1, -3):
         with pytest.raises(ValueError, match="truncation must be >= 0"):
-            symmetry._form(ctx, gf, n)
-        with pytest.raises(ValueError, match="truncation must be >= 0"):
-            symmetry._form(ctx, owing, n)
-    assert ctx._forms == {gf: stored}
+            bernoulli_gf(ctx, n)
+    assert ctx._forms == {}
 
 
 def test_the_store_lives_and_dies_with_its_context():
     # only its context holds the store, and a context of other values
     # made after one dies, at what may be the same address, reads its own
     # forms, never the dead one's
-    plan = quotient_plan((), (1,))
     for k in range(12):
         ctx = TwistContext.from_orders(3, 1, (3, 4, 6)[k % 3])
         assert ctx._forms == {}
-        form = symmetry._form(ctx, plan, 5)
-        assert form[1] == keyed_quotient(TwistContext(ctx.chi, ctx.xi),
-                                         plan, 5)
+        form = keyed_quotient(ctx, GF, 5)
+        assert form == keyed_quotient(TwistContext(ctx.chi, ctx.xi), GF, 5)
         assert gc.get_referrers(ctx._forms) == [ctx]
         del ctx
 

@@ -40,7 +40,7 @@ from twistbern.symmetry import (_FAMILY_MAX_I, _PERM6, _QUOTIENTS, _ROWS,
                                 _row_form, _row_plan, row_operands)
 
 from symmetry_helpers import (PAPER_PREFACTORS, distinct_orders, owed_shift,
-                              plan_groups)
+                              plan_groups, sum_key)
 
 CONTEXTS = [TwistContext.from_orders(d, char, order) for d in (1, 3, 4, 5)
             for char in range(len(enumerate_characters(d)))
@@ -75,14 +75,14 @@ def _row_keys(ctx, row, v):
     """(const, scales, t_power, keys, pieces) of a row's plan, its
     operands derived afresh, the entry's const as transcribed, and checked
     against its memoized plan, whose keys are one ratio per sorted scale,
-    then the sorted sum keys as written."""
+    then the sorted sum keys, each sum spelled by sum_key."""
     entry = _ROWS[row]
     const, scales, sums, exp = row_operands(entry, ctx.d, v)
     plan = _row_plan(entry, ctx.d, v)
     assert const == entry(*v, ctx.d)[0]
     assert plan == (const * math.prod(scales), len(scales), tuple(
         [("ratio", c) for c in sorted(scales)]
-        + sorted(sums)), tuple(sorted(exp)))
+        + sorted(sum_key(*s) for s in sums)), tuple(sorted(exp)))
     return plan[0], scales, plan[1], plan[2], entry(*v, ctx.d)
 
 
@@ -132,7 +132,7 @@ def test_a_row_form_is_one_product_of_its_operand_tables(ctx, monkeypatch):
             for row in _ROWS:
                 const, scales, _, keys, _ = _row_keys(ctx, row, v)
                 shift = owed_shift(ctx, len(scales), scales)
-                exp = dict(row_operands(_ROWS[row], ctx.d, v)[3])
+                exp = tuple(sorted(row_operands(_ROWS[row], ctx.d, v)[3]))
                 length = max(n - shift, 0)
                 tables = [factor_table(ctx, key, length) for key in keys]
                 # a ratio key is stored as it is
@@ -289,15 +289,15 @@ def test_the_plan_reads_keys_as_factor_table_stores_them(monkeypatch):
             symmetry._row_plan, entry, d, (1, 2, 3), _PERM6), (1, 2, 3),
             _PERM6)
     assert groups() == (0, 0, 2, 2, 4, 4)
-    one_spelling = symmetry.row_operands
+    one_spelling = symmetry._row_plan
 
     def short_power_sums(entry, d, w):
-        const, scales, sums, exp = one_spelling(entry, d, w)
-        power_sums = {("sum", c, bound, c)
+        const, t_power, keys, exp = one_spelling(entry, d, w)
+        power_sums = {sum_key(c, bound, c)
                       for kind, c, bound, *_ in entry(*w, d)[1] if kind == "S"}
-        return const, scales, tuple(key[:3] if key in power_sums else key
-                                    for key in sums), exp
-    monkeypatch.setattr(symmetry, "row_operands", short_power_sums)
+        return const, t_power, tuple(key[:3] if key in power_sums else key
+                                     for key in keys), exp
+    monkeypatch.setattr(symmetry, "_row_plan", short_power_sums)
     assert groups() == (0, 1, 2, 3, 4, 5)
 
 

@@ -1,6 +1,7 @@
 """One spelling per sum key.
 
-``symmetry.row_operands`` writes every character-sum key as ("sum", c,
+``bernoulli.quotient_plan`` spells every character-sum key that
+``symmetry.row_operands`` hands it as (c, bound, sigma) as ("sum", c,
 bound, sigma), sigma an int where it is integral, and ``factor_table``
 stores and reads a key by one lookup, with no normaliser.  So rows that
 name one series name one key: the rows of theorems 3, 5 and 6 plan equal
@@ -11,7 +12,7 @@ carries an integral Fraction.
 
 from fractions import Fraction
 
-from twistbern.bernoulli import TwistContext
+from twistbern.bernoulli import TwistContext, quotient_plan
 from twistbern.characters import enumerate_characters
 from twistbern.symmetry import (_B, _ROWS, _row_plan,
                                 permutation_reduction_check, row_operands,
@@ -57,10 +58,12 @@ def test_a_shift_keeps_a_fractional_sigma_and_writes_an_integral_one():
         return 1, [_B(1, 1, 1, (d, 1, 1, 2), (d, 1, 3, 2), (d, 1, 4, 2),
                       (d, 1, 3, 3))]
     sums = row_operands(entry, 3, (1, 2, 3))[2]
-    assert sums == (("sum", 1, 2, Fraction(1, 2)),
-                    ("sum", 1, 2, Fraction(3, 2)), ("sum", 1, 2, 2),
-                    ("sum", 1, 2, 1))
-    assert [type(key[3]) for key in sums] == [Fraction, Fraction, int, int]
+    assert sums == ((1, 2, Fraction(1, 2)), (1, 2, Fraction(3, 2)),
+                    (1, 2, 2), (1, 2, 1))
+    keys = quotient_plan((), (), sums)[2]
+    assert keys == (("sum", 1, 2, Fraction(1, 2)), ("sum", 1, 2, 1),
+                    ("sum", 1, 2, Fraction(3, 2)), ("sum", 1, 2, 2))
+    assert [type(key[3]) for key in keys] == [Fraction, int, Fraction, int]
 
 
 def test_theorems_5_and_6_read_the_tables_of_theorems_2_and_4():

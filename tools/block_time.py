@@ -18,7 +18,10 @@ verdict (digests are not compared).
 N functions of largest self time, with their call counts; profiled
 seconds are not comparable with unprofiled ones.  ``--counts`` runs the
 block with the product kernel's entry points wrapped and prints its work
-counts instead: the ``cyclo.product`` calls, the ``cyclo._row_times``
+counts instead: the ``cyclo.product`` calls (each form evaluated by
+``bernoulli.keyed_quotient``, so on ``wide-field`` one one-factor product
+per Bernoulli GF evaluation; a checkout whose ``bernoulli_gf`` read its
+table by hand counts none there), the ``cyclo._row_times``
 steps (one factor multiplied into running rows, wherever it is called
 from), the row pairs those steps multiply (pairs of rows whose indices
 sum below the step's n), the ``cyclo.quotient`` calls, the Apostol table
@@ -29,11 +32,12 @@ extended-Euclid ``cyclo._poly_inverse`` calls (each field inverse), the
 (each reduction mod Phi_L), the ``cyclo.cyclotomic_polynomial`` calls
 (each cyclotomic polynomial formed, one or more per new field), the
 ``_apostol_table`` calls that read that table at zeta_R -> u for another
-root u (``remap``), the ``bernoulli.bernoulli_gf`` calls (each a read of
-the context's ("ratio", 1) table, which builds it only where it is not
-stored long enough; in a checkout where ``_ratio_table`` does not build
-every scale-1 table, each was a build) and ``small_field``, the scale-1
-table builds that take the route in the small field Q(zeta_R)
+root u (``remap``), the ``bernoulli.bernoulli_gf`` calls (each a
+``keyed_quotient`` of the plan of t I_1, served from the context's form
+store or evaluated from its ("ratio", 1) table, which is built only where
+it is not stored long enough; in a checkout where ``_ratio_table`` does
+not build every scale-1 table, each was a build) and ``small_field``, the
+scale-1 table builds that take the route in the small field Q(zeta_R)
 (calls of ``bernoulli._ratio_in_small_field``; in a checkout that chose
 the route by the cost rule ``bernoulli._small_field_pays``, its yes
 answers, which count ``bernoulli_gf`` builds where those built the
