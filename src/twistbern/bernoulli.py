@@ -49,22 +49,23 @@ class TwistContext:
     """Character chi mod d and twist root xi in their common field; no prime.
 
     Values are immutable; per-context caches are filled lazily and are safe
-    for concurrent reads once built: the Bernoulli numbers (_bern), the
-    power-sum tables per bound (_psums), the twisted contexts (_twists),
-    and the factor tables of factor_table (_factors), which plans read,
-    among them one units table per multiset of numerator units, one ratio
-    table per scale and the sum tables of the rows' pieces, each a
-    RowTable stored in that one form, the forms keyed_quotient has
+    for concurrent reads once built: the Bernoulli GF's last truncation
+    (_bern; its stored form is the one copy of the Bernoulli numbers, grown
+    geometrically), the power-sum tables per bound (_psums), the twisted
+    contexts (_twists), and the factor tables of factor_table (_factors),
+    which plans read, among them one units table per multiset of numerator
+    units, one ratio table per scale and the sum tables of the rows' pieces,
+    each a RowTable stored in that one form, the forms keyed_quotient has
     evaluated (_forms: plan -> its coefficients to the longest t^n asked,
     one entry per plan, whose slices serve every shorter n), and xi's JSON
     for params() (_xi_json).  The ("ratio", 1) table is the context's one
     scale-1 table: the Bernoulli GF's plan reads it, and so do the ratio
     tables (at t -> ct) of every scale c whose twist xi^c this context is.
-    The Apostol tables it reads are kept by Q(zeta_R), one per root order
-    R, and shared by every context of every field.  xi and
-    each chi(a) are kept as exponents of zeta_M (_xi_root, _chi_roots),
-    and no power of xi is stored: xi_pow reads it from the field's root
-    cache, which holds only the roots asked for.
+    The Apostol tables it reads are kept by Q(zeta_R), one per root order R,
+    and shared by every context of every field.  xi and each chi(a) are kept
+    as exponents of zeta_M (_xi_root, _chi_roots), and no power of xi is
+    stored: xi_pow reads it from the field's root cache, which holds only
+    the roots asked for.
     """
 
     __slots__ = ("chi", "xi", "d", "xi_order", "field",
@@ -91,7 +92,7 @@ class TwistContext:
                                 for k in chi.value_exponents())
         self.xi = field.zeta(self._xi_root)
 
-        self._bern: list[CycloNumber] | None = None
+        self._bern = -1
         self._psums: dict = {}
         self._twists: dict = {}
         self._factors: dict = {}
@@ -447,11 +448,14 @@ def keyed_quotient(ctx: TwistContext, plan: tuple, truncation: int) -> tuple:
     return F
 
 
+_GF_PLAN = quotient_plan((), (1,))
+
+
 def bernoulli_gf(ctx: TwistContext, truncation: int) -> tuple:
     """The coefficients of the Bernoulli generating function
     t*T/(xi^d e^{dt} - 1) to t^truncation, T = sum_{a<d} chi(a) xi^a e^{at}:
     the plan of the p-adic integral t I_1 of scale 1."""
-    return keyed_quotient(ctx, quotient_plan((), (1,)), truncation)
+    return keyed_quotient(ctx, _GF_PLAN, truncation)
 
 
 class BernoulliTable:
@@ -470,22 +474,20 @@ class BernoulliTable:
         return len(self.values)
 
 
-def _bern_values(ctx: TwistContext, n_max: int) -> list:
-    tab = ctx._bern
-    if tab is None or len(tab) <= n_max:
-        if tab is not None:  # grow geometrically: few rebuilds for rising n
-            n_max = max(n_max, 2 * len(tab))
-        tab = [c * math.factorial(n)
-               for n, c in enumerate(bernoulli_gf(ctx, n_max))]
-        ctx._bern = tab
-    return tab
+def _bern_values(ctx: TwistContext, n: int) -> list:
+    # B_0..B_n off the GF's stored form, the one copy, grown geometrically
+    top = ctx._bern
+    if top < n:
+        top = ctx._bern = max(n, 2 * (top + 1))
+    F = bernoulli_gf(ctx, top)
+    return [c * math.factorial(j) for j, c in enumerate(F[:n + 1])]
 
 
 def bernoulli_numbers(ctx: TwistContext, n_max: int) -> BernoulliTable:
     """Table of generalized twisted Bernoulli numbers B_0..B_{n_max}."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return BernoulliTable(ctx, _bern_values(ctx, n_max)[:n_max + 1])
+    return BernoulliTable(ctx, _bern_values(ctx, n_max))
 
 
 def bernoulli_polynomial(ctx: TwistContext, n: int, x):

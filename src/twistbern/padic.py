@@ -20,8 +20,8 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from .bernoulli import (TwistContext, _bern_values, bernoulli_polynomial,
-                        power_sum)
+from .bernoulli import (TwistContext, bernoulli_numbers,
+                        bernoulli_polynomial, power_sum)
 from .cyclo import CycloField, CycloNumber, cyclo_field, euler_phi, factorize
 from .report import ReadOnly, Verdict
 
@@ -141,7 +141,7 @@ def convergence_check(ctx: TwistContext, pctx: PadicContext, k: int,
         raise ValueError("unsupported: values outside Q(zeta_{p^s})")
     if ctx.field.order != pctx.field.order:
         raise ValueError("unsupported: values outside Q(zeta_{p^s})")
-    target = _bern_values(ctx, k)[k]
+    target = bernoulli_numbers(ctx, k)[k]
     rows = []
     for level in range(1, n_max + 1):
         diff = volkenborn_partial(ctx, pctx.p, k, level) - target
@@ -167,7 +167,7 @@ def shift_identity_check(m: int, n: int) -> bool:
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
     ctx = TwistContext.from_orders(1, 0, 1, 1)
-    lhs = bernoulli_polynomial(ctx, m, n) - _bern_values(ctx, m)[m]
+    lhs = bernoulli_polynomial(ctx, m, n) - bernoulli_numbers(ctx, m)[m]
     rhs = m * sum(a ** (m - 1) for a in range(n)) if m else 0
     return lhs == rhs
 

@@ -197,23 +197,50 @@ def test_powersum_gf_check_catches_side_b_one_point_short(monkeypatch, d,
     assert report.detail.startswith("quotient-vs-direct first differs at t^0:")
 
 
-def test_bernoulli_table_grows_geometrically(monkeypatch):
-    builds = []
+def _gf_evaluations(monkeypatch) -> list:
+    # the truncations at which bernoulli_gf evaluated the GF's plan, not
+    # those its form store served by a slice
+    evaluated = []
     exact = bernoulli.bernoulli_gf
 
     def counted(ctx, truncation):
-        builds.append(truncation)
-        return exact(ctx, truncation)
+        stored = len(ctx._forms.get(bernoulli._GF_PLAN, ()))
+        F = exact(ctx, truncation)
+        if len(ctx._forms[bernoulli._GF_PLAN]) != stored:
+            evaluated.append(truncation)
+        return F
 
     monkeypatch.setattr(bernoulli, "bernoulli_gf", counted)
+    return evaluated
+
+
+def test_bernoulli_table_grows_geometrically(monkeypatch):
+    evaluated = _gf_evaluations(monkeypatch)
     ctx = TwistContext.from_orders(5, 1, 3)
     got = [bernoulli_numbers(ctx, n).values for n in range(17)]
-    assert builds[0] == 0 and len(builds) <= 5
+    assert evaluated[0] == 0 and len(evaluated) <= 5
     fresh = TwistContext.from_orders(5, 1, 3)
-    assert len(bernoulli_numbers(fresh, 16).values) == 17  # exactly n_max + 1
-    assert len(fresh._bern) == 17
-    for n, values in enumerate(got):
-        assert values == fresh._bern[:n + 1]
+    values = bernoulli_numbers(fresh, 16).values
+    assert len(values) == 17  # exactly n_max + 1
+    for n, head in enumerate(got):
+        assert head == values[:n + 1]
+
+
+def test_a_context_keeps_one_copy_of_its_bernoulli_numbers(monkeypatch):
+    # the Bernoulli numbers are read off the GF's stored form: the context
+    # keeps the truncation it grew that form to, and no list of B_n
+    ctx = TwistContext.from_orders(19, 2, 60)
+    values = bernoulli_numbers(ctx, 40).values
+    assert ctx._bern == 40
+    F = bernoulli.bernoulli_gf(ctx, 40)
+    assert values == [math.factorial(n) * c for n, c in enumerate(F)]
+    for name in TwistContext.__slots__:
+        kept = getattr(ctx, name)
+        assert not (isinstance(kept, (list, tuple))
+                    and list(kept[:len(values)]) == values), name
+    evaluated = _gf_evaluations(monkeypatch)
+    assert len(bernoulli_numbers(ctx, 41)) == 42
+    assert evaluated == [82] and ctx._bern == 82
 
 
 @pytest.mark.parametrize("d", (1, 3, 4))
